@@ -25,11 +25,12 @@ from importlib import resources
 
 import jsonschema
 
+from . import __version__
 from .engine import Certificate
 from .errors import EmergenceError, ParseError, SchemaError
 from .scenarios import SCENARIO_RUNNERS, ScenarioSpec, run_scenario_spec
 
-LIBRARY_VERSION = "0.1.0"
+LIBRARY_VERSION = __version__
 REPORT_VERSION = 2
 
 EXIT_PASS = 0

@@ -325,11 +325,7 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
     algebra = algebra if algebra is not None else source.algebra
     post = None
     if exponent > 0:
-        method = "spectral" if ("circulant" in slot.tags
-                                and slot.space.geometry is not None) \
-            else "pseudoinverse"
-        inv = right_inverse(slot, method=method)
-        post = np.linalg.matrix_power(inv.matrix, exponent)
+        post = np.linalg.matrix_power(right_inverse(slot).matrix, exponent)
     target = scalar_family(algebra, slot, exponent, coefficient=coefficient,
                            label=f"{coefficient.kind} * slot^{exponent}")
     fmap = _monomial_solver(source, coefficient, post, algebra, source.space,
@@ -540,10 +536,6 @@ def _synth_univariate(source, poly, offset, weight, post, tol):
         exponent = alpha[0]
         term_post = post
         if exponent > 0:
-            if 0 not in poly.right_inverses:
-                raise NotRightInvertible(
-                    f"slot 0 has no right inverse: "
-                    f"{poly.right_inverse_failures.get(0, 'not attempted')}")
             r_pow = np.linalg.matrix_power(
                 poly.right_inverses[0].matrix, exponent)
             term_post = r_pow if post is None else post @ r_pow
@@ -568,10 +560,6 @@ def _synth_multivariate(source, poly, offset, weight, post, tol):
     for (sub, j), w in zip(groups, weights):
         child_post = post
         if j > 0:
-            if last not in poly.right_inverses:
-                raise NotRightInvertible(
-                    f"slot {last} has no right inverse: "
-                    f"{poly.right_inverse_failures.get(last, 'not attempted')}")
             r_pow = np.linalg.matrix_power(
                 poly.right_inverses[last].matrix, j)
             child_post = r_pow if post is None else post @ r_pow
@@ -597,13 +585,6 @@ def _split_constants(poly: PolynomialFamily):
     active = [(a, f) for a, f in poly.terms if not f.is_constant]
     constants = [(a, f) for a, f in poly.terms if f.is_constant]
     return active, constants
-
-
-def _needs_fold(active_terms) -> bool:
-    """True when the synthesis will split the source across several terms."""
-    if len(active_terms) <= 1:
-        return False
-    return True
 
 
 def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
@@ -636,7 +617,7 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
             raise NotRightInvertible(
                 f"slot {i} has no right inverse: "
                 f"{poly.right_inverse_failures.get(i, 'not attempted')}")
-    if _needs_fold(active) and not _has_verified(
+    if len(active) > 1 and not _has_verified(
             source, "additive", "homomorphic", "scalar_invariant"):
         raise HypothesisViolated(
             "distributing the source over several terms needs a verified "

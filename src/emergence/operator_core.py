@@ -3,11 +3,12 @@
 A field configuration is a vector in ``C^n`` or ``R^n``; an operator is an
 ``n x n`` matrix acting on it.  The physics enters through the pairing
 
-    <phi, psi> = phi^T G psi        (symmetric bilinear)
-    <phi, psi> = conj(phi)^T G psi  (hermitian sesquilinear)
+    <phi, psi> = w phi^T psi        (symmetric bilinear)
+    <phi, psi> = w conj(phi)^T psi  (hermitian sesquilinear)
 
-with ``G`` a nondegenerate Gram matrix (diagonal quadrature weights for grid
-spaces), and through constant-coefficient finite-difference stencils on
+with ``w > 0`` the volume element of one site (``prod(spacing)`` on a grid,
+``1`` on a geometry-free space), so adjoints are plain or conjugate
+transposes, and through constant-coefficient finite-difference stencils on
 periodic grids: shifts, first/second differences, metric boxes and the
 curvature/noncommutativity backgrounds built from them.  All such stencils
 are circulant, so right inverses are computed exactly (up to rounding) from
@@ -18,7 +19,7 @@ frequency instead of silently regularized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,45 +52,30 @@ class GridGeometry:
         return int(np.prod(self.dims))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PairingForm:
     """The bilinear/sesquilinear form against which adjoints are taken.
 
     Parameters
     ----------
-    gram : ndarray
-        Nondegenerate Gram matrix.
+    weight : float
+        Positive, finite volume element of one site; the Gram matrix is
+        ``weight * I``.
     symmetry : {"symmetric", "hermitian"}
         "symmetric" means a bilinear form (no conjugation), "hermitian" a
         sesquilinear one.
-    quadrature_weights : ndarray or None
-        Positive site weights when the form is a quadrature rule; kept for
-        reporting, ``gram`` is authoritative.
     """
 
-    gram: np.ndarray
+    weight: float
     symmetry: str
-    quadrature_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.symmetry not in ("symmetric", "hermitian"):
             raise BadSpec(f"unknown pairing symmetry {self.symmetry!r}")
-        gram = np.asarray(self.gram)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise BadSpec("gram matrix must be square")
-        if abs(np.linalg.det(gram)) == 0:
-            raise BadSpec("gram matrix must be nondegenerate")
-        if self.quadrature_weights is not None:
-            w = np.asarray(self.quadrature_weights, dtype=float)
-            if np.any(w <= 0):
-                raise BadSpec("quadrature weights must be positive")
-            object.__setattr__(self, "quadrature_weights", w)
-        object.__setattr__(self, "gram", gram)
-
-    def matches(self, other: "PairingForm") -> bool:
-        return (self.symmetry == other.symmetry
-                and self.gram.shape == other.gram.shape
-                and np.array_equal(self.gram, other.gram))
+        weight = float(self.weight)
+        if not (0.0 < weight < math.inf):
+            raise BadSpec("pairing weight must be positive and finite")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +90,6 @@ class FieldSpace:
     def __post_init__(self):
         if self.scalar_kind not in ("real", "complex"):
             raise BadSpec(f"unknown scalar kind {self.scalar_kind!r}")
-        if self.pairing.gram.shape[0] != self.dim:
-            raise BadSpec("pairing dimension disagrees with the space")
         if self.geometry is not None and self.geometry.size != self.dim:
             raise BadSpec("grid size disagrees with the space dimension")
 
@@ -117,7 +101,7 @@ class FieldSpace:
         return (self is other
                 or (self.dim == other.dim
                     and self.scalar_kind == other.scalar_kind
-                    and self.pairing.matches(other.pairing)
+                    and self.pairing == other.pairing
                     and self.geometry == other.geometry))
 
     def sample_field(self, rng: np.random.Generator) -> np.ndarray:
@@ -129,27 +113,21 @@ class FieldSpace:
 
 
 def grid_space(dims, spacing=None, scalar_kind="real", symmetry=None) -> FieldSpace:
-    """Field space over a periodic grid with quadrature-weight pairing.
-
-    The Gram matrix is ``diag(prod(spacing))``, the discrete volume element.
-    """
+    """Field space over a periodic grid; the pairing weight is ``prod(spacing)``."""
     geometry = GridGeometry(tuple(dims),
                             tuple(spacing) if spacing is not None
                             else (1.0,) * len(dims))
     if symmetry is None:
         symmetry = "hermitian" if scalar_kind == "complex" else "symmetric"
-    weights = np.full(geometry.size, float(np.prod(geometry.spacing)))
-    pairing = PairingForm(np.diag(weights), symmetry, weights)
+    pairing = PairingForm(math.prod(geometry.spacing), symmetry)
     return FieldSpace(geometry.size, scalar_kind, pairing, geometry)
 
 
-def plain_space(dim, scalar_kind="real", gram=None, symmetry=None) -> FieldSpace:
-    """Geometry-free field space (identity pairing unless a gram is given)."""
-    if gram is None:
-        gram = np.eye(dim)
+def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
+    """Geometry-free field space with the unit-weight pairing."""
     if symmetry is None:
         symmetry = "hermitian" if scalar_kind == "complex" else "symmetric"
-    return FieldSpace(dim, scalar_kind, PairingForm(np.asarray(gram), symmetry))
+    return FieldSpace(dim, scalar_kind, PairingForm(1.0, symmetry))
 
 
 # --- operators ---------------------------------------------------------------
@@ -217,14 +195,14 @@ def power(a: Operator, n: int) -> Operator:
 
 
 def adjoint_wrt_pairing(a: Operator) -> Operator:
-    """Adjoint with respect to the space's pairing: ``G^-1 A^* G``.
+    """Adjoint with respect to the space's pairing.
 
-    ``A^*`` is the plain transpose for a symmetric bilinear pairing and the
-    conjugate transpose for a hermitian one.
+    The Gram matrix ``w I`` commutes with everything, so ``G^-1 A^* G = A^*``:
+    the plain transpose for a symmetric bilinear pairing and the conjugate
+    transpose for a hermitian one.
     """
-    gram = a.space.pairing.gram
     star = a.matrix.T if a.space.pairing.symmetry == "symmetric" else a.matrix.conj().T
-    return Operator(np.linalg.solve(gram, star @ gram), a.space)
+    return Operator(star, a.space)
 
 
 def sym_part(a: Operator) -> Operator:
@@ -238,7 +216,7 @@ def lagrangian_value(a: Operator, phi: np.ndarray):
     if phi.shape != (a.space.dim,):
         raise SpaceMismatch("field configuration has the wrong dimension")
     left = phi.conj() if a.space.pairing.symmetry == "hermitian" else phi
-    value = left @ (a.space.pairing.gram @ (a.matrix @ phi))
+    value = a.space.pairing.weight * (left @ (a.matrix @ phi))
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
@@ -268,17 +246,18 @@ def circulant_symbol(a: Operator) -> np.ndarray:
     return np.fft.fftn(first_col)
 
 
-def right_inverse(a: Operator, method: str = "spectral",
-                  tol: float = DEFAULT_TOL) -> Operator:
+def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     """A verified right inverse: ``A o R = I`` within ``tol`` (Frobenius).
 
-    The spectral method inverts the circulant symbol and refuses exactly
-    those operators whose symbol vanishes somewhere, reporting the offending
-    frequency.  The pseudoinverse method works for any matrix but verifies
-    the product and refuses rank-deficient inputs with the residual.
+    Circulant operators on a grid take the spectral route, which inverts the
+    symbol and refuses exactly those operators whose symbol vanishes
+    somewhere, reporting the offending frequency.  Every other operator takes
+    the pseudoinverse route, which refuses rank-deficient inputs with the
+    residual.  Either way the product is verified.
     """
     n = a.space.dim
-    if method == "spectral":
+    if "circulant" in a.tags and a.space.geometry is not None:
+        method = "spectral"
         symbol = circulant_symbol(a)
         scale_ = max(1.0, float(np.max(np.abs(symbol))))
         flat = np.abs(symbol).ravel()
@@ -298,10 +277,9 @@ def right_inverse(a: Operator, method: str = "spectral",
         if a.space.scalar_kind == "real" and np.max(np.abs(cols.imag)) <= 1e-12:
             cols = cols.real
         r = Operator(cols, a.space, {"circulant"})
-    elif method == "pseudoinverse":
-        r = Operator(np.linalg.pinv(a.matrix), a.space)
     else:
-        raise BadSpec(f"unknown right-inverse method {method!r}")
+        method = "pseudoinverse"
+        r = Operator(np.linalg.pinv(a.matrix), a.space)
     residual = float(np.linalg.norm(a.matrix @ r.matrix - np.eye(n), "fro"))
     if residual > tol * max(1.0, float(np.linalg.norm(a.matrix, "fro"))):
         raise NotRightInvertible(
@@ -450,10 +428,7 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
         raise BadSpec(f"unknown discrete operator kind {kind!r}")
     if params:
         raise BadSpec(f"unused parameters for kind {kind!r}: {sorted(params)}")
-    op = Operator(matrix, space, tags)
-    if payload is not None:
-        op = Operator(matrix, space, tags, payload)
-    return op
+    return Operator(matrix, space, tags, payload)
 
 
 def _commutes_with_shifts(space: FieldSpace, matrix: np.ndarray,

@@ -75,21 +75,11 @@ class ParameterAlgebra:
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def sample_nonnegative(self, rng: np.random.Generator):
-        """A sample in the square-root-closed part of the carrier."""
-        return self.sample(rng)
-
     def to_vector(self, a) -> np.ndarray:
         raise NotImplementedError
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.to_vector(a) - self.to_vector(b)))
-
-    def to_json(self, a):
-        v = self.to_vector(a)
-        if np.iscomplexobj(v):
-            return {"real": np.real(v).tolist(), "imag": np.imag(v).tolist()}
-        return {"real": v.tolist(), "imag": None}
 
 
 class ComplexScalars(ParameterAlgebra):
@@ -127,10 +117,6 @@ class ComplexScalars(ParameterAlgebra):
 
     def sample(self, rng):
         return complex(rng.standard_normal() + 1j * rng.standard_normal())
-
-    def sample_nonnegative(self, rng):
-        # any complex number has a principal square root
-        return self.sample(rng)
 
     def to_vector(self, a):
         return np.array([complex(a)])
@@ -175,9 +161,6 @@ class RealScalars(ParameterAlgebra):
 
     def sample(self, rng):
         return float(rng.standard_normal())
-
-    def sample_nonnegative(self, rng):
-        return float(rng.uniform(0.05, 3.0))
 
     def to_vector(self, a):
         return np.array([float(a)])
@@ -230,67 +213,6 @@ class NonnegativeReals(ParameterAlgebra):
 
     def to_vector(self, a):
         return np.array([float(a)])
-
-
-class TuplePower(ParameterAlgebra):
-    """Componentwise tuple power of a base algebra.
-
-    The action on operators is the successive action of the components
-    (rightmost first), i.e. the product action for scalar bases.  Identity-
-    orbit recovery is deliberately slot-by-slot: the product action alone is
-    not injective, the per-slot probes are.
-    """
-
-    action_linear = False
-
-    def __init__(self, base: ParameterAlgebra, degree: int):
-        if degree < 1:
-            raise BadSpec("tuple power needs degree >= 1")
-        self.base = base
-        self.degree = int(degree)
-        self.name = f"{base.name}^{degree}"
-        self.scalar_kind = base.scalar_kind
-
-    def _as_tuple(self, a):
-        a = tuple(a)
-        if len(a) != self.degree:
-            raise BadSpec(f"{self.name} expects {self.degree}-tuples")
-        return a
-
-    def zero(self):
-        return (self.base.zero(),) * self.degree
-
-    def one(self):
-        return (self.base.one(),) * self.degree
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y)
-                     for x, y in zip(self._as_tuple(a), self._as_tuple(b)))
-
-    def mul(self, a, b):
-        return tuple(self.base.mul(x, y)
-                     for x, y in zip(self._as_tuple(a), self._as_tuple(b)))
-
-    def scale(self, c, a):
-        return tuple(self.base.scale(c, x) for x in self._as_tuple(a))
-
-    def sqrt_select(self, a):
-        return tuple(self.base.sqrt_select(x) for x in self._as_tuple(a))
-
-    def act(self, a, op: Operator) -> Operator:
-        out = op
-        for x in reversed(self._as_tuple(a)):
-            out = self.base.act(x, out)
-        return out
-
-    def sample(self, rng):
-        return tuple(self.base.sample(rng) for _ in range(self.degree))
-
-    def sample_nonnegative(self, rng):
-        return tuple(self.base.sample_nonnegative(rng) for _ in range(self.degree))
-
-    def to_vector(self, a):
-        return np.concatenate([self.base.to_vector(x) for x in self._as_tuple(a)])
 
 
 class ProductAlgebra(ParameterAlgebra):
@@ -347,12 +269,27 @@ class ProductAlgebra(ParameterAlgebra):
     def sample(self, rng):
         return tuple(c.sample(rng) for c in self.components)
 
-    def sample_nonnegative(self, rng):
-        return tuple(c.sample_nonnegative(rng) for c in self.components)
-
     def to_vector(self, a):
         return np.concatenate([c.to_vector(x) for c, x in
                                zip(self.components, self._as_tuple(a))])
+
+
+class TuplePower(ProductAlgebra):
+    """Componentwise tuple power of a base algebra.
+
+    The action on operators is the successive action of the components
+    (rightmost first), i.e. the product action for scalar bases.  Identity-
+    orbit recovery is deliberately slot-by-slot: the product action alone is
+    not injective, the per-slot probes are.
+    """
+
+    def __init__(self, base: ParameterAlgebra, degree: int):
+        if degree < 1:
+            raise BadSpec("tuple power needs degree >= 1")
+        super().__init__((base,) * degree)
+        self.base = base
+        self.degree = int(degree)
+        self.name = f"{base.name}^{degree}"
 
 
 class CentralizerDiagonal(ParameterAlgebra):
@@ -740,11 +677,6 @@ class CoefficientFunction:
                            for p in self.params]}
 
 
-def coefficient_preimage(f: CoefficientFunction, value):
-    """Module-level alias for the preimage solve (kept for API symmetry)."""
-    return f.preimage(value)
-
-
 def bisect_preimage(f, value: float, lo: float, hi: float,
                     tol: float = 1e-12, max_iter: int = 200) -> float:
     """Bracketing bisection for monotone real coefficient functions.
@@ -848,8 +780,3 @@ def embed_parameters(base: ParameterAlgebra, element, to_degree: int):
         raise DegreeMismatch(
             f"cannot embed degree {len(current)} into degree {to_degree}")
     return current + (base.zero(),) * (to_degree - len(current))
-
-
-def pullback_coefficient(f, embedding):
-    """Restrict a many-variable coefficient along an embedding map."""
-    return lambda a: f(embedding(a))

@@ -116,12 +116,6 @@ def tabulated_family(algebra, entries, space, label: str = "") -> OperatorFamily
                           label=label or "tabulated")
 
 
-def derived_family(parent: OperatorFamily, fn, description: str) -> OperatorFamily:
-    return OperatorFamily(parent.degree, parent.algebra,
-                          DerivedForm(fn, description), parent.space,
-                          label=f"{parent.label}|{description}")
-
-
 def evaluate_family(family: OperatorFamily, eps) -> Operator:
     """Evaluate ``eps -> Psi(eps)``."""
     form = family.form
@@ -343,10 +337,8 @@ def polynomial_family(operators, terms, algebra,
     sorted_terms = tuple(sorted(seen.items()))
     inverses, failures = {}, {}
     for i, op in enumerate(operators):
-        method = "spectral" if ("circulant" in op.tags
-                                and op.space.geometry is not None) else "pseudoinverse"
         try:
-            inverses[i] = right_inverse(op, method=method, tol=inverse_tol)
+            inverses[i] = right_inverse(op, tol=inverse_tol)
         except NotRightInvertible as exc:
             failures[i] = str(exc)
     return PolynomialFamily(operators, sorted_terms, algebra,
@@ -403,7 +395,8 @@ def factor_last_variable(poly: PolynomialFamily):
     """Group terms by the exponent of the last variable.
 
     Returns ``[(cofactor_polynomial, j)]`` sorted by ``j``; each cofactor
-    lives on the first ``r - 1`` slots.  Single-variable input is an error
+    lives on the first ``r - 1`` slots and keeps the parent's verified right
+    inverses (and failures) for them.  Single-variable input is an error
     (there is nothing left to factor over).
     """
     if poly.slots < 2:
@@ -412,13 +405,15 @@ def factor_last_variable(poly: PolynomialFamily):
     groups: dict[int, dict] = {}
     for alpha, f in poly.terms:
         groups.setdefault(alpha[-1], {})[alpha[:-1]] = f
-    out = []
-    for j in sorted(groups):
-        sub = polynomial_family(poly.operators[:-1], groups[j], poly.algebra,
-                                poly.coefficient_degree,
-                                label=f"{poly.label}|last^{j}")
-        out.append((sub, j))
-    return out
+    last = poly.slots - 1
+    inverses = {i: r for i, r in poly.right_inverses.items() if i < last}
+    failures = {i: e for i, e in poly.right_inverse_failures.items()
+                if i < last}
+    return [(PolynomialFamily(poly.operators[:-1],
+                              tuple(sorted(groups[j].items())), poly.algebra,
+                              poly.coefficient_degree, inverses, failures,
+                              label=f"{poly.label}|last^{j}"), j)
+            for j in sorted(groups)]
 
 
 def reassemble_last_variable(poly: PolynomialFamily, factored) -> dict:

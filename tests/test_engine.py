@@ -435,6 +435,19 @@ def test_dense_bivariate_matches_the_oracle(rng):
             evaluate_polynomial(poly, oracle)) <= 1e-8
 
 
+def test_cofactors_keep_the_parents_right_inverse_tolerance():
+    space = plain_space(4)
+    m0 = np.diag([1.0, 1.0, 1.0, 1e-9]) + 1e-3 * np.triu(np.ones((4, 4)), 1)
+    slots = [Operator(m0, space), Operator(2.0 * np.eye(4), space)]
+    poly = polynomial_family(slots, {(1, 1): lin()}, RealScalars(),
+                             inverse_tol=1e-6)
+    assert set(poly.right_inverses) == {0, 1}
+    source = verified(scalar_family(RealScalars(), compose(*slots)),
+                      "additive", "scalar_invariant")
+    emap = emerge(source, poly, tol=1e-6)
+    assert emap.certificate.passed
+
+
 def test_emergence_degree_gates(line8):
     single = identity_source(line8)
     double = sum_families(single, identity_source(line8))

@@ -12,8 +12,8 @@ from emergence import (BadSpec, NotRightInvertible, Operator, SpaceMismatch,
                        identity_operator, lagrangian_value,
                        make_discrete_operator, operator_residual, plain_space,
                        right_inverse, scale, sym_part, zero_operator)
-from emergence.operator_core import (circulant_symbol, frobenius,
-                                     is_idempotent_power,
+from emergence.operator_core import (PairingForm, circulant_symbol,
+                                     frobenius, is_idempotent_power,
                                      operator_from_payload,
                                      operator_to_payload, plane_wave, power)
 
@@ -29,9 +29,10 @@ def test_grid_space_rejects_degenerate_axes():
         grid_space(())
 
 
-def test_plain_space_rejects_singular_gram():
-    with pytest.raises(BadSpec):
-        plain_space(3, gram=np.zeros((3, 3)))
+def test_pairing_rejects_nonpositive_or_nonfinite_weight():
+    for weight in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(BadSpec):
+            PairingForm(weight, "symmetric")
 
 
 def test_space_matching_is_structural(line8):
@@ -144,10 +145,34 @@ def test_adjoint_identity_under_quadrature_pairing(rng):
     a = Operator(rng.standard_normal((6, 6)), space)
     phi = space.sample_field(rng)
     psi = space.sample_field(rng)
-    gram = space.pairing.gram
+    gram = space.pairing.weight * np.eye(6)
     lhs = phi @ gram @ (a.matrix @ psi)
     rhs = (adjoint_wrt_pairing(a).matrix @ phi) @ gram @ psi
     assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("dims,spacing", [((6,), (0.5,)),
+                                          ((3, 4), (0.5, 2.0))])
+@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
+def test_adjoint_agrees_with_dense_gram_formula(rng, dims, spacing,
+                                                scalar_kind):
+    space = grid_space(dims, spacing=spacing, scalar_kind=scalar_kind)
+    m = rng.standard_normal((space.dim, space.dim))
+    if scalar_kind == "complex":
+        m = m + 1j * rng.standard_normal((space.dim, space.dim))
+    gram = space.pairing.weight * np.eye(space.dim)
+    star = m.conj().T if scalar_kind == "complex" else m.T
+    reference = np.linalg.solve(gram, star @ gram)
+    assert np.max(np.abs(adjoint_wrt_pairing(Operator(m, space)).matrix
+                         - reference)) <= 1e-12
+
+
+def test_lagrangian_scales_with_the_volume_element(rng):
+    m = rng.standard_normal((6, 6))
+    phi = rng.standard_normal(6)
+    unit = lagrangian_value(Operator(m, grid_space((6,))), phi)
+    half = lagrangian_value(Operator(m, grid_space((6,), spacing=(0.5,))), phi)
+    assert half == 0.5 * unit
 
 
 def test_sym_part_preserves_lagrangian(rng, line8):
@@ -199,7 +224,7 @@ def test_idempotent_power_detection(line8):
 
 def test_spectral_right_inverse_of_shift_is_exact(line8):
     shift = make_discrete_operator(line8, "shift", axis=0)
-    r = right_inverse(shift, method="spectral")
+    r = right_inverse(shift)
     assert frobenius(Operator(shift.matrix @ r.matrix - np.eye(8), line8)) < 1e-12
     assert "circulant" in r.tags
 
@@ -207,28 +232,28 @@ def test_spectral_right_inverse_of_shift_is_exact(line8):
 def test_massive_box_inverts_massless_does_not(line8):
     box = make_discrete_operator(line8, "box")
     massive = add(box, identity_operator(line8))
-    r = right_inverse(massive, method="spectral")
+    r = right_inverse(massive)
     assert frobenius(Operator(massive.matrix @ r.matrix - np.eye(8), line8)) < 1e-10
     with pytest.raises(NotRightInvertible) as info:
-        right_inverse(box, method="spectral")
+        right_inverse(box)
     assert info.value.frequency == (0,)
 
 
 def test_massless_box_2d_reports_zero_frequency(torus8):
     box = make_discrete_operator(torus8, "box")
     with pytest.raises(NotRightInvertible) as info:
-        right_inverse(box, method="spectral")
+        right_inverse(box)
     assert info.value.frequency == (0, 0)
 
 
 def test_pseudoinverse_route_verifies_the_product(flat4, rng):
     m = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     a = Operator(m, flat4)
-    r = right_inverse(a, method="pseudoinverse")
+    r = right_inverse(a)
     assert np.allclose(a.matrix @ r.matrix, np.eye(4), atol=1e-10)
     rank_deficient = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), flat4)
     with pytest.raises(NotRightInvertible) as info:
-        right_inverse(rank_deficient, method="pseudoinverse")
+        right_inverse(rank_deficient)
     assert info.value.residual is not None and info.value.residual > 0.1
 
 
@@ -238,9 +263,7 @@ def test_spectral_route_needs_tags_and_geometry(flat4, line8):
         circulant_symbol(dense)
     untagged = Operator(np.eye(8), line8)
     with pytest.raises(BadSpec):
-        right_inverse(untagged, method="spectral")
-    with pytest.raises(BadSpec):
-        right_inverse(identity_operator(line8), method="newton")
+        circulant_symbol(untagged)
 
 
 # --- payload round trips ---------------------------------------------------------

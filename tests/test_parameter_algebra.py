@@ -19,8 +19,6 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        identity_operator, plain_space,
                        solve_action_on_identity,
                        validate_functional_calculus)
-from emergence.parameter_algebra import (coefficient_preimage,
-                                         pullback_coefficient)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -196,12 +194,6 @@ def test_embedding_zero_pads_and_refuses_to_shrink():
         embed_parameters(base, (1.0, 2.0), 1)
 
 
-def test_pullback_restricts_along_embedding():
-    f = lambda t: t[0] + t[1]
-    g = pullback_coefficient(f, lambda a: (a, 2.0 * a))
-    assert g(3.0) == 9.0
-
-
 # --- centralizer diagonals ----------------------------------------------------------
 
 
@@ -345,7 +337,6 @@ def test_constant_preimage_only_hits_its_value():
     assert f.preimage(4.0) == 0.0
     with pytest.raises(NoPreimage):
         f.preimage(5.0)
-    assert coefficient_preimage(f, 4.0) == 0.0
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0,
