@@ -103,19 +103,19 @@ def save_config(spec: ScenarioSpec, path: str):
 # --- reports -------------------------------------------------------------------------
 
 
-def _error_payload(exc: EmergenceError) -> dict:
-    payload = {"type": type(exc).__name__, "message": str(exc)}
+def _error_record(exc: EmergenceError) -> dict:
+    record = {"type": type(exc).__name__, "message": str(exc)}
     for attr in ("residual", "gap"):
         value = getattr(exc, attr, None)
         if value is not None:
-            payload[attr] = float(value)
+            record[attr] = float(value)
     frequency = getattr(exc, "frequency", None)
     if frequency is not None:
-        payload["frequency"] = [int(k) for k in frequency]
+        record["frequency"] = [int(k) for k in frequency]
     evidence = getattr(exc, "evidence", None)
     if evidence:
-        payload["evidence"] = _json_safe(evidence)
-    return payload
+        record["evidence"] = _json_safe(evidence)
+    return record
 
 
 def _json_safe(value):
@@ -144,7 +144,7 @@ def build_report(spec: ScenarioSpec, result=None,
     if result is not None:
         report["result"] = result.to_json_dict()
     if error is not None:
-        report["error"] = _error_payload(error)
+        report["error"] = _error_record(error)
     return report
 
 
@@ -256,17 +256,9 @@ def parse_args(argv=None) -> RunConfig:
     path = args.config if args.config is not None \
         else shipped_config_path(args.scenario)
     spec = load_config(path)
-    overrides = {}
-    if args.samples is not None:
-        if args.samples < 1:
-            raise SchemaError("--samples must be at least 1")
-        overrides["samples"] = args.samples
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise SchemaError("--tol must be positive")
-        overrides["tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # ScenarioSpec validates the overridden values again
+    overrides = {key: getattr(args, key) for key in ("samples", "tol", "seed")
+                 if getattr(args, key) is not None}
     if overrides:
         spec = replace(spec, **overrides)
     if args.jobs is not None and args.jobs < 1:

@@ -1,7 +1,8 @@
 """Dense operator algebra on discretized field spaces.
 
 A field configuration is a vector in ``C^n`` or ``R^n``; an operator is an
-``n x n`` matrix acting on it.  The physics enters through the pairing
+``n x n`` matrix acting on it, and nothing else.  The physics enters through
+the pairing
 
     <phi, psi> = w phi^T psi        (symmetric bilinear)
     <phi, psi> = w conj(phi)^T psi  (hermitian sesquilinear)
@@ -10,10 +11,12 @@ with ``w > 0`` the volume element of one site (``prod(spacing)`` on a grid,
 ``1`` on a geometry-free space), so adjoints are plain or conjugate
 transposes, and through constant-coefficient finite-difference stencils on
 periodic grids: shifts, first/second differences, metric boxes and the
-curvature/noncommutativity backgrounds built from them.  All such stencils
-are circulant, so right inverses are computed exactly (up to rounding) from
-the discrete Fourier symbol; a vanishing symbol is reported with its
-frequency instead of silently regularized.
+curvature/noncommutativity backgrounds built from them.  Each stencil is a
+grid-shaped first column expanded by :func:`circulant`.  Whether an operator
+is circulant is read from its entries, however it was built; circulants on a
+grid get right inverses exactly (up to rounding) from the discrete Fourier
+symbol, and a vanishing symbol is reported with its frequency instead of
+silently regularized.
 """
 
 from __future__ import annotations
@@ -135,35 +138,28 @@ def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear map on a field space, with provenance tags.
+    """A linear map on a field space: its dense matrix and nothing else.
 
-    ``tags`` is a set of structural facts established at construction time;
-    the one the engine relies on is ``"circulant"`` (constant-coefficient
-    periodic stencil), which unlocks the spectral right-inverse route.
-    ``payload`` remembers how a built operator can be reconstructed from JSON.
+    Structure such as circulance is a property of the entries and is read
+    from them when needed (see :func:`circulant_symbol`).
     """
 
     matrix: np.ndarray
     space: FieldSpace
-    tags: frozenset = frozenset()
-    payload: dict | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape != (self.space.dim, self.space.dim):
             raise BadSpec("operator matrix shape disagrees with its space")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "tags", frozenset(self.tags))
 
 
 def identity_operator(space: FieldSpace) -> Operator:
-    return Operator(np.eye(space.dim, dtype=space.dtype), space,
-                    tags={"circulant"} if space.geometry else frozenset())
+    return Operator(np.eye(space.dim, dtype=space.dtype), space)
 
 
 def zero_operator(space: FieldSpace) -> Operator:
-    return Operator(np.zeros((space.dim, space.dim), dtype=space.dtype), space,
-                    tags={"circulant"} if space.geometry else frozenset())
+    return Operator(np.zeros((space.dim, space.dim), dtype=space.dtype), space)
 
 
 def _require_same_space(a: Operator, b: Operator):
@@ -174,24 +170,22 @@ def _require_same_space(a: Operator, b: Operator):
 def compose(a: Operator, b: Operator) -> Operator:
     """Operator composition ``(a o b)(phi) = a(b(phi))``."""
     _require_same_space(a, b)
-    tags = {"circulant"} if "circulant" in a.tags and "circulant" in b.tags else set()
-    return Operator(a.matrix @ b.matrix, a.space, tags)
+    return Operator(a.matrix @ b.matrix, a.space)
 
 
 def add(a: Operator, b: Operator) -> Operator:
     _require_same_space(a, b)
-    tags = {"circulant"} if "circulant" in a.tags and "circulant" in b.tags else set()
-    return Operator(a.matrix + b.matrix, a.space, tags)
+    return Operator(a.matrix + b.matrix, a.space)
 
 
 def scale(c, a: Operator) -> Operator:
-    return Operator(c * a.matrix, a.space, a.tags)
+    return Operator(c * a.matrix, a.space)
 
 
 def power(a: Operator, n: int) -> Operator:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise BadSpec("operator powers take a nonnegative integer exponent")
-    return Operator(np.linalg.matrix_power(a.matrix, int(n)), a.space, a.tags)
+    return Operator(np.linalg.matrix_power(a.matrix, int(n)), a.space)
 
 
 def adjoint_wrt_pairing(a: Operator) -> Operator:
@@ -232,18 +226,42 @@ def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:
                 <= tol * max(1.0, np.linalg.norm(an, "fro")))
 
 
-# --- right inverses ----------------------------------------------------------
+# --- circulants and right inverses -------------------------------------------
+
+
+def circulant(geometry: GridGeometry, stencil) -> np.ndarray:
+    """Dense periodic convolution ``M[i, j] = stencil[x_i - x_j]``.
+
+    ``stencil`` is the grid-shaped first column; every entry is gathered from
+    it through one row-major index of ``x_i - x_j``, built axis by axis, so
+    the result is exactly circulant.
+    """
+    stencil = np.asarray(stencil)
+    if stencil.size != geometry.size:
+        raise BadSpec("stencil size disagrees with the grid")
+    index = np.zeros((geometry.size, geometry.size), dtype=np.intp)
+    coords = np.indices(geometry.dims).reshape(len(geometry.dims), -1)
+    for coord, n in zip(coords, geometry.dims):
+        index *= n
+        index += np.subtract.outer(coord, coord) % n
+    return stencil.ravel()[index]
+
+
+def _is_circulant(a: Operator) -> bool:
+    """Whether ``a`` lives on a grid and equals the circulant of its first column."""
+    geometry = a.space.geometry
+    if geometry is None:
+        return False
+    m = a.matrix
+    gap = float(np.linalg.norm(m - circulant(geometry, m[:, 0]), "fro"))
+    return gap <= 1e-12 * max(1.0, float(np.linalg.norm(m, "fro")))
 
 
 def circulant_symbol(a: Operator) -> np.ndarray:
     """Discrete Fourier symbol of a circulant operator (shape = grid dims)."""
-    if a.space.geometry is None:
-        raise BadSpec("spectral route needs a grid geometry")
-    if "circulant" not in a.tags:
-        raise BadSpec("spectral route needs the circulant tag")
-    dims = a.space.geometry.dims
-    first_col = np.asarray(a.matrix)[:, 0].reshape(dims)
-    return np.fft.fftn(first_col)
+    if not _is_circulant(a):
+        raise BadSpec("spectral route needs a circulant operator on a grid")
+    return np.fft.fftn(a.matrix[:, 0].reshape(a.space.geometry.dims))
 
 
 def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
@@ -256,27 +274,22 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     residual.  Either way the product is verified.
     """
     n = a.space.dim
-    if "circulant" in a.tags and a.space.geometry is not None:
+    if _is_circulant(a):
         method = "spectral"
-        symbol = circulant_symbol(a)
+        geometry = a.space.geometry
+        symbol = np.fft.fftn(a.matrix[:, 0].reshape(geometry.dims))
         scale_ = max(1.0, float(np.max(np.abs(symbol))))
         flat = np.abs(symbol).ravel()
         k = int(np.argmin(flat))
         if flat[k] <= tol * scale_:
-            freq = tuple(int(x) for x in
-                         np.unravel_index(k, a.space.geometry.dims))
+            freq = tuple(int(x) for x in np.unravel_index(k, geometry.dims))
             raise NotRightInvertible(
                 f"circulant symbol vanishes at frequency {freq}",
                 frequency=freq, residual=float(flat[k]))
-        dims = a.space.geometry.dims
-        cols = np.empty((n, n), dtype=np.complex128)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols[:, j] = np.fft.ifftn(np.fft.fftn(e.reshape(dims)) / symbol).ravel()
-        if a.space.scalar_kind == "real" and np.max(np.abs(cols.imag)) <= 1e-12:
-            cols = cols.real
-        r = Operator(cols, a.space, {"circulant"})
+        stencil = np.fft.ifftn(1.0 / symbol)
+        if a.space.scalar_kind == "real" and np.max(np.abs(stencil.imag)) <= 1e-12:
+            stencil = stencil.real
+        r = Operator(circulant(geometry, stencil), a.space)
     else:
         method = "pseudoinverse"
         r = Operator(np.linalg.pinv(a.matrix), a.space)
@@ -289,15 +302,16 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
 
 
 # --- discrete operator builders ----------------------------------------------
+# Each returns a grid-shaped stencil: the first column of its circulant.
 
 
-def _shift_matrix(geometry: GridGeometry, axis: int, step: int) -> np.ndarray:
-    n = geometry.size
-    idx = np.arange(n).reshape(geometry.dims)
-    cols = np.roll(idx, -step, axis=axis).ravel()
-    m = np.zeros((n, n))
-    m[np.arange(n), cols] = 1.0
-    return m
+def _shift(geometry: GridGeometry, axis: int, step: int) -> np.ndarray:
+    """``(S phi)(x) = phi(x + step e_axis)``; step 0 is the identity."""
+    stencil = np.zeros(geometry.dims)
+    index = [0] * len(geometry.dims)
+    index[axis] = -step % geometry.dims[axis]
+    stencil[tuple(index)] = 1.0
+    return stencil
 
 
 def _check_axis(geometry: GridGeometry, axis: int):
@@ -306,46 +320,44 @@ def _check_axis(geometry: GridGeometry, axis: int):
                       f"{len(geometry.dims)}-dimensional grid")
 
 
-def _partial_matrix(geometry: GridGeometry, axis: int, scheme: str) -> np.ndarray:
+def _partial(geometry: GridGeometry, axis: int, scheme: str) -> np.ndarray:
     h = geometry.spacing[axis]
     if scheme == "central":
-        return (_shift_matrix(geometry, axis, +1)
-                - _shift_matrix(geometry, axis, -1)) / (2.0 * h)
+        return (_shift(geometry, axis, +1)
+                - _shift(geometry, axis, -1)) / (2.0 * h)
     if scheme == "forward":
-        return (_shift_matrix(geometry, axis, +1)
-                - np.eye(geometry.size)) / h
+        return (_shift(geometry, axis, +1)
+                - _shift(geometry, axis, 0)) / h
     raise BadSpec(f"unknown difference scheme {scheme!r}")
 
 
-def _second_partial_matrix(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
+def _second_partial(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
     if mu == nu:
         h = geometry.spacing[mu]
-        return (_shift_matrix(geometry, mu, +1)
-                - 2.0 * np.eye(geometry.size)
-                + _shift_matrix(geometry, mu, -1)) / (h * h)
-    return _partial_matrix(geometry, mu, "central") @ _partial_matrix(geometry, nu, "central")
+        return (_shift(geometry, mu, +1)
+                - 2.0 * _shift(geometry, mu, 0)
+                + _shift(geometry, mu, -1)) / (h * h)
+    # first column of the product of the two central-difference circulants
+    product = (circulant(geometry, _partial(geometry, mu, "central"))
+               @ _partial(geometry, nu, "central").ravel())
+    return product.reshape(geometry.dims)
 
 
-def _box_matrix(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
+def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
     d = len(geometry.dims)
-    if eta is None:
-        out = np.zeros((geometry.size, geometry.size))
-        for mu in range(d):
-            out = out + _second_partial_matrix(geometry, mu, mu)
-        return out
-    eta = np.asarray(eta, dtype=float)
+    eta = np.eye(d) if eta is None else np.asarray(eta, dtype=float)
     if eta.shape != (d, d):
         raise BadSpec("box coefficient matrix has the wrong shape")
-    out = np.zeros((geometry.size, geometry.size))
+    out = np.zeros(geometry.dims)
     for mu in range(d):
         for nu in range(d):
             if eta[mu, nu] != 0.0:
-                out = out + eta[mu, nu] * _second_partial_matrix(geometry, mu, nu)
+                out = out + eta[mu, nu] * _second_partial(geometry, mu, nu)
     return out
 
 
-def _d2_matrix(geometry: GridGeometry, field_strength: float,
-               eta: np.ndarray) -> np.ndarray:
+def _d2(geometry: GridGeometry, field_strength: float,
+        eta: np.ndarray) -> np.ndarray:
     # Constant antisymmetric background contracted against the inverse
     # metric; the quarter-trace removal keeps the operator trace-adjusted.
     if len(geometry.dims) != 2:
@@ -359,13 +371,13 @@ def _d2_matrix(geometry: GridGeometry, field_strength: float,
     fmat = field_strength * eps2
     eta_up = np.linalg.inv(eta)
     coeff = 2.0 * (eps2 @ fmat @ eta_up)
-    box_eta = _box_matrix(geometry, eta_up)
-    out = np.zeros((geometry.size, geometry.size))
+    box_eta = _box(geometry, eta_up)
+    out = np.zeros(geometry.dims)
     for mu in range(2):
         for nu in range(2):
             if coeff[mu, nu] != 0.0:
                 out = out + coeff[mu, nu] * (
-                    _second_partial_matrix(geometry, mu, nu)
+                    _second_partial(geometry, mu, nu)
                     - 0.25 * eta[mu, nu] * box_eta)
     return out
 
@@ -377,39 +389,31 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     ``second_partial(mu, nu)``, ``box(eta=None)``, ``d1_basis(mu, nu)``,
     ``d2_background(field_strength, eta=None)``, ``projection(basis)``,
     ``constant(matrix)``.  Everything except ``projection``/``constant`` is a
-    constant-coefficient circulant stencil and is tagged as such.
+    constant-coefficient stencil, expanded once by :func:`circulant`.
     """
     geometry = space.geometry
     if geometry is None:
         raise BadSpec("discrete operators need a grid geometry")
-    payload: dict = {"kind": kind, "grid": {"dims": list(geometry.dims),
-                                            "spacing": list(geometry.spacing)}}
+    stencil = None
     if kind == "shift":
         axis, step = int(params.pop("axis")), int(params.pop("step", 1))
         _check_axis(geometry, axis)
-        matrix, tags = _shift_matrix(geometry, axis, step), {"circulant"}
-        payload.update(axis=axis, step=step)
+        stencil = _shift(geometry, axis, step)
     elif kind == "partial":
         axis = int(params.pop("axis"))
         scheme = str(params.pop("scheme", "central"))
         _check_axis(geometry, axis)
-        matrix, tags = _partial_matrix(geometry, axis, scheme), {"circulant"}
-        payload.update(axis=axis, scheme=scheme)
+        stencil = _partial(geometry, axis, scheme)
     elif kind in ("second_partial", "d1_basis"):
         mu, nu = int(params.pop("mu")), int(params.pop("nu"))
         _check_axis(geometry, mu)
         _check_axis(geometry, nu)
-        matrix, tags = _second_partial_matrix(geometry, mu, nu), {"circulant"}
-        payload.update(mu=mu, nu=nu)
+        stencil = _second_partial(geometry, mu, nu)
     elif kind == "box":
-        eta = params.pop("eta", None)
-        matrix, tags = _box_matrix(geometry, eta), {"circulant"}
-        payload.update(eta=None if eta is None else np.asarray(eta).tolist())
+        stencil = _box(geometry, params.pop("eta", None))
     elif kind == "d2_background":
-        strength = float(params.pop("field_strength"))
-        eta = np.asarray(params.pop("eta", np.eye(2)), dtype=float)
-        matrix, tags = _d2_matrix(geometry, strength, eta), {"circulant"}
-        payload.update(field_strength=strength, eta=eta.tolist())
+        stencil = _d2(geometry, float(params.pop("field_strength")),
+                      params.pop("eta", np.eye(2)))
     elif kind == "projection":
         basis = np.column_stack([np.asarray(v) for v in params.pop("basis")])
         if basis.size == 0:
@@ -418,62 +422,15 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
         matrix = q @ q.conj().T
         if np.iscomplexobj(matrix) and np.max(np.abs(matrix.imag)) <= 1e-13:
             matrix = matrix.real
-        tags = {"circulant"} if _commutes_with_shifts(space, matrix) else set()
-        payload = None  # dense payload is authoritative for projections
     elif kind == "constant":
         matrix = np.asarray(params.pop("matrix"))
-        tags = {"circulant"} if _commutes_with_shifts(space, matrix) else set()
-        payload = None
     else:
         raise BadSpec(f"unknown discrete operator kind {kind!r}")
     if params:
         raise BadSpec(f"unused parameters for kind {kind!r}: {sorted(params)}")
-    return Operator(matrix, space, tags, payload)
-
-
-def _commutes_with_shifts(space: FieldSpace, matrix: np.ndarray,
-                          tol: float = 1e-12) -> bool:
-    if space.geometry is None:
-        return False
-    scale_ = max(1.0, float(np.linalg.norm(matrix, "fro")))
-    for axis in range(len(space.geometry.dims)):
-        s = _shift_matrix(space.geometry, axis, +1)
-        if np.linalg.norm(matrix @ s - s @ matrix, "fro") > tol * scale_:
-            return False
-    return True
-
-
-# --- JSON payloads ------------------------------------------------------------
-
-
-def operator_to_payload(a: Operator) -> dict:
-    """JSON-safe description: builder payload when known, dense otherwise."""
-    if a.payload is not None:
-        return dict(a.payload)
-    m = np.asarray(a.matrix)
-    payload = {
-        "kind": "constant",
-        "shape": list(m.shape),
-        "real": np.real(m).tolist(),
-        "imag": np.imag(m).tolist() if np.iscomplexobj(m) else None,
-        "tags": sorted(a.tags),
-    }
-    if a.space.geometry is not None:
-        payload["grid"] = {"dims": list(a.space.geometry.dims),
-                           "spacing": list(a.space.geometry.spacing)}
-    return payload
-
-
-def operator_from_payload(space: FieldSpace, payload: dict) -> Operator:
-    payload = dict(payload)
-    kind = payload.pop("kind")
-    if kind == "constant":
-        real = np.array(payload["real"], dtype=float)
-        imag = payload.get("imag")
-        matrix = real if imag is None else real + 1j * np.array(imag, dtype=float)
-        return Operator(matrix, space, payload.get("tags", ()))
-    payload.pop("grid", None)
-    return make_discrete_operator(space, kind, **payload)
+    if stencil is not None:
+        matrix = circulant(geometry, stencil)
+    return Operator(matrix, space)
 
 
 # --- small conveniences used across the library -------------------------------

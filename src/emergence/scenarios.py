@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,13 @@ RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 # --- specs and results -----------------------------------------------------------
 
 
+def _as_lists(value):
+    """JSON shape of a spec field: tuples become lists, recursively."""
+    if isinstance(value, (tuple, list)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A fully-resolved scenario description (what the CLI loads)."""
@@ -80,27 +87,17 @@ class ScenarioSpec:
             raise BadSpec("only riemannian signature is supported; the "
                           "Lorentzian case does not reduce to a periodic "
                           "grid faithfully")
-        if self.samples < 1 or self.tol <= 0:
-            raise BadSpec("samples must be >= 1 and tol > 0")
+        if self.samples < 1 or self.seed < 0:
+            raise BadSpec("samples must be >= 1 and seed >= 0")
+        if not (self.tol > 0 and self.feasibility_threshold > 0):
+            raise BadSpec("tol and feasibility_threshold must be positive")
+        try:  # the spec is written into every report, as strict JSON
+            json.dumps(self.canonical_dict(), allow_nan=False)
+        except ValueError:
+            raise BadSpec("spec values must be finite (no NaN or infinity)")
 
     def canonical_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": list(self.grid),
-            "signature": self.signature,
-            "mass": self.mass,
-            "field_strength": self.field_strength,
-            "eta": [list(row) for row in self.eta],
-            "theta_values": list(self.theta_values),
-            "h_scales": list(self.h_scales),
-            "masks": self.masks,
-            "block": self.block,
-            "variant": self.variant,
-            "samples": self.samples,
-            "tol": self.tol,
-            "feasibility_threshold": self.feasibility_threshold,
-            "seed": self.seed,
-        }
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
     def spec_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,
@@ -190,7 +187,7 @@ def gravity_operator(background: dict, h) -> Operator:
     matrix = (h[0] * d1[(0, 0)].matrix
               + h[1] * (d1[(0, 1)].matrix + d1[(1, 0)].matrix)
               + h[2] * d1[(1, 1)].matrix)
-    return Operator(matrix, background["space"], frozenset({"circulant"}))
+    return Operator(matrix, background["space"])
 
 
 def _sym_flat(op: Operator) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,7 +424,7 @@ def test_criterion_8_byte_identical_reports(capsys, tmp_path):
         for out in paths:
             code = main(["--config", shipped_config_path(name), "--out", out])
             assert code == 0
-        first, second = (open(p, "rb").read() for p in paths)
+        first, second = (Path(p).read_bytes() for p in paths)
         identical.append(first == second)
         report = json.loads(first)
         assert report["status"] == "passed"

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -111,8 +112,19 @@ def test_run_config_rejects_unknown_formats():
     ["--scenario", "idempotent", "--jobs", "0"],
     ["--scenario", "wormhole"],
     ["--config", "/nonexistent/config.json"],
+    ["--scenario", "idempotent", "--seed", "-1"],
+    ["--scenario", "idempotent", "--tol", "nan"],
+    ["--scenario", "idempotent", "--tol", "inf"],
+    ["--config", "{tmp}/nan_tol.json"],
+    ["--config", "{tmp}/nan_field_strength.json"],
 ])
-def test_usage_problems_exit_64(argv, capsys):
+def test_usage_problems_exit_64(argv, capsys, tmp_path):
+    # json accepts NaN and the schema's number bounds let it through
+    for field in ("tol", "field_strength"):
+        (tmp_path / f"nan_{field}.json").write_text(
+            '{"name": "gravity_from_noncommutativity", "grid": [8, 8], '
+            f'"{field}": NaN}}', encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
 
@@ -125,7 +137,7 @@ def test_passing_scenario_exits_zero(tmp_path, capsys):
     code = main(["--scenario", "idempotent", "--samples", "10",
                  "--out", out])
     assert code == EXIT_PASS
-    report = json.loads(open(out, encoding="utf-8").read())
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
     jsonschema.validate(report, _schema("report.schema.json"))
     assert report["status"] == "passed"
     assert report["result"]["passed"] is True
@@ -137,7 +149,7 @@ def test_unreachable_tolerance_exits_one(tmp_path, capsys):
     code = main(["--config", shipped_config_path("gravity_empty"),
                  "--samples", "10", "--tol", "1e-18", "--out", out])
     assert code == EXIT_FAIL
-    report = json.loads(open(out, encoding="utf-8").read())
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
     assert report["status"] == "failed"
     assert "certified failure" in capsys.readouterr().err
 
@@ -147,7 +159,7 @@ def test_refused_synthesis_exits_two(tmp_path, capsys):
     code = main(["--config", shipped_config_path("idempotent_projector"),
                  "--samples", "8", "--out", out])
     assert code == EXIT_ERROR
-    report = json.loads(open(out, encoding="utf-8").read())
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
     jsonschema.validate(report, _schema("report.schema.json"))
     assert report["status"] == "error"
     assert report["error"]["type"] == "NotScalarForm"
@@ -178,7 +190,7 @@ def test_text_report_summarizes_certificates(tmp_path):
     code = main(["--scenario", "idempotent", "--samples", "6",
                  "--format", "text", "--out", out])
     assert code == EXIT_PASS
-    text = open(out, encoding="utf-8").read()
+    text = Path(out).read_text(encoding="utf-8")
     assert text.startswith("scenario idempotent: passed")
     assert "certificate [pass]" in text
     assert "provenance " in text

@@ -1,4 +1,4 @@
-"""Operator layer: stencils, pairings, right inverses, payload round trips."""
+"""Operator layer: stencils, circulance, pairings, right inverses."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ from emergence import (BadSpec, NotRightInvertible, Operator, SpaceMismatch,
                        identity_operator, lagrangian_value,
                        make_discrete_operator, operator_residual, plain_space,
                        right_inverse, scale, sym_part, zero_operator)
-from emergence.operator_core import (PairingForm, circulant_symbol,
-                                     frobenius, is_idempotent_power,
-                                     operator_from_payload,
-                                     operator_to_payload, plane_wave, power)
+from emergence.operator_core import (PairingForm, circulant,
+                                     circulant_symbol, frobenius,
+                                     is_idempotent_power, plane_wave, power)
 
 # --- spaces -----------------------------------------------------------------
 
@@ -46,17 +45,21 @@ def test_operator_shape_is_checked(line8):
         Operator(np.eye(3), line8)
 
 
-# --- arithmetic and tags -----------------------------------------------------
+# --- arithmetic and circulance -----------------------------------------------
 
 
-def test_circulant_tag_propagation(line8):
+def test_circulance_is_read_from_the_entries(line8):
     shift = make_discrete_operator(line8, "shift", axis=0)
     dense = Operator(np.arange(64.0).reshape(8, 8), line8)
-    assert "circulant" in compose(shift, shift).tags
-    assert "circulant" in add(shift, identity_operator(line8)).tags
-    assert "circulant" in scale(2.5, shift).tags
-    assert "circulant" not in add(shift, dense).tags
-    assert "circulant" not in compose(shift, dense).tags
+    symbol = circulant_symbol(shift)
+    for op, expected in ((scale(2.5, shift), 2.5 * symbol),
+                         (compose(shift, shift), symbol * symbol),
+                         (add(shift, identity_operator(line8)), symbol + 1.0),
+                         (Operator(shift.matrix.copy(), line8), symbol)):
+        assert np.allclose(circulant_symbol(op), expected, atol=1e-12)
+    for op in (dense, add(shift, dense), compose(shift, dense)):
+        with pytest.raises(BadSpec):
+            circulant_symbol(op)
 
 
 def test_power_requires_nonnegative_integer(line8):
@@ -111,6 +114,96 @@ def test_mixed_second_partial_is_product_of_centrals(torus8):
     d0 = make_discrete_operator(torus8, "partial", axis=0, scheme="central")
     d1 = make_discrete_operator(torus8, "partial", axis=1, scheme="central")
     assert np.array_equal(mixed.matrix, d0.matrix @ d1.matrix)
+
+
+def _shift_oracle(geometry, axis, step):
+    # the permutation matrix of phi(x) -> phi(x + step e_axis), row by row
+    n = geometry.size
+    cols = np.roll(np.arange(n).reshape(geometry.dims), -step, axis=axis)
+    m = np.zeros((n, n))
+    m[np.arange(n), cols.ravel()] = 1.0
+    return m
+
+
+def _stencil_oracles(space, eta):
+    """Every builder kind rebuilt from shift matrices: (kind, params, M)."""
+    g = space.geometry
+    d = len(g.dims)
+    eye = np.eye(g.size)
+
+    def partial(axis, scheme):
+        h = g.spacing[axis]
+        if scheme == "central":
+            return (_shift_oracle(g, axis, 1)
+                    - _shift_oracle(g, axis, -1)) / (2.0 * h)
+        return (_shift_oracle(g, axis, 1) - eye) / h
+
+    def second(mu, nu):
+        if mu != nu:
+            return partial(mu, "central") @ partial(nu, "central")
+        h = g.spacing[mu]
+        return (_shift_oracle(g, mu, 1) - 2.0 * eye
+                + _shift_oracle(g, mu, -1)) / (h * h)
+
+    def box(coeff):
+        out = np.zeros((g.size, g.size))
+        for mu in range(d):
+            for nu in range(d):
+                if coeff[mu, nu] != 0.0:
+                    out = out + coeff[mu, nu] * second(mu, nu)
+        return out
+
+    oracles = [("box", {}, box(np.eye(d)))]
+    for axis in range(d):
+        for step in (1, -1, 3):
+            oracles.append(("shift", {"axis": axis, "step": step},
+                            _shift_oracle(g, axis, step)))
+        for scheme in ("central", "forward"):
+            oracles.append(("partial", {"axis": axis, "scheme": scheme},
+                            partial(axis, scheme)))
+    for mu in range(d):
+        for nu in range(d):
+            for kind in ("second_partial", "d1_basis"):
+                oracles.append((kind, {"mu": mu, "nu": nu}, second(mu, nu)))
+    if d == 2:
+        oracles.append(("box", {"eta": eta}, box(eta)))
+        eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        eta_up = np.linalg.inv(eta)
+        coeff = 2.0 * (eps2 @ (0.7 * eps2) @ eta_up)
+        box_up = box(eta_up)
+        out = np.zeros((g.size, g.size))
+        for mu in range(2):
+            for nu in range(2):
+                if coeff[mu, nu] != 0.0:
+                    out = out + coeff[mu, nu] * (second(mu, nu)
+                                                 - 0.25 * eta[mu, nu] * box_up)
+        oracles.append(("d2_background", {"field_strength": 0.7, "eta": eta},
+                        out))
+    return oracles
+
+
+@pytest.mark.parametrize("dims,spacing", [((8,), (1.0,)),
+                                          ((2, 8), (1.0, 1.0)),
+                                          ((4, 4), (0.5, 2.0))])
+def test_stencils_match_the_shift_matrix_oracle(dims, spacing):
+    # on (2, 8) the two neighbours along axis 0 coincide, so central
+    # differences along it cancel
+    space = grid_space(dims, spacing=spacing)
+    sheared = np.array([[1.3, 0.4], [0.4, 0.9]])
+    for kind, params, expected in _stencil_oracles(space, sheared):
+        built = make_discrete_operator(space, kind, **params)
+        assert np.array_equal(built.matrix, expected), (kind, params)
+
+
+def test_circulant_gathers_from_the_first_column():
+    space = grid_space((3, 4))
+    stencil = np.arange(12.0).reshape(3, 4)
+    m = circulant(space.geometry, stencil)
+    assert np.array_equal(m[:, 0], stencil.ravel())
+    shift = make_discrete_operator(space, "shift", axis=1)
+    assert np.array_equal(m @ shift.matrix, shift.matrix @ m)
+    with pytest.raises(BadSpec):
+        circulant(space.geometry, np.zeros(5))
 
 
 def test_antisymmetric_background_equals_minus_box(torus8):
@@ -226,7 +319,7 @@ def test_spectral_right_inverse_of_shift_is_exact(line8):
     shift = make_discrete_operator(line8, "shift", axis=0)
     r = right_inverse(shift)
     assert frobenius(Operator(shift.matrix @ r.matrix - np.eye(8), line8)) < 1e-12
-    assert "circulant" in r.tags
+    assert np.array_equal(r.matrix, circulant(line8.geometry, r.matrix[:, 0]))
 
 
 def test_massive_box_inverts_massless_does_not(line8):
@@ -261,43 +354,19 @@ def test_spectral_route_needs_tags_and_geometry(flat4, line8):
     dense = Operator(np.eye(4), flat4)
     with pytest.raises(BadSpec):
         circulant_symbol(dense)
-    untagged = Operator(np.eye(8), line8)
+    # circulance is read from the entries: a varying diagonal is not
+    not_circulant = Operator(np.diag(np.arange(1.0, 9.0)), line8)
     with pytest.raises(BadSpec):
-        circulant_symbol(untagged)
+        circulant_symbol(not_circulant)
 
 
-# --- payload round trips ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind,params", [
-    ("shift", {"axis": 0, "step": 2}),
-    ("partial", {"axis": 0, "scheme": "central"}),
-    ("second_partial", {"mu": 0, "nu": 0}),
-    ("box", {}),
-    ("d1_basis", {"mu": 0, "nu": 1}),
-])
-def test_builder_payload_round_trip(kind, params):
-    space = grid_space((4, 4)) if kind == "d1_basis" else grid_space((8,))
-    op = make_discrete_operator(space, kind, **params)
-    back = operator_from_payload(space, operator_to_payload(op))
-    assert np.array_equal(op.matrix, back.matrix)
-    assert op.tags == back.tags
-
-
-def test_dense_payload_round_trip(flat4, rng):
-    a = Operator(rng.standard_normal((4, 4)), flat4)
-    back = operator_from_payload(flat4, operator_to_payload(a))
-    assert np.array_equal(a.matrix, back.matrix)
-
-
-def test_projection_payload_is_dense(rng):
-    space = grid_space((8,), scalar_kind="complex")
-    proj = make_discrete_operator(space, "projection",
-                                  basis=[plane_wave(space, (1,))])
-    payload = operator_to_payload(proj)
-    assert payload["kind"] == "constant"
-    back = operator_from_payload(space, payload)
-    assert np.allclose(back.matrix, proj.matrix)
+def test_hand_built_circulant_takes_the_spectral_route(line8):
+    # a copied matrix keeps no provenance; the refusal still names the
+    # vanishing frequency
+    box = make_discrete_operator(line8, "box")
+    with pytest.raises(NotRightInvertible) as info:
+        right_inverse(Operator(box.matrix.copy(), line8))
+    assert info.value.frequency == (0,)
 
 
 def test_zero_operator_annihilates(line8, rng):
