@@ -33,11 +33,10 @@ from .operator_core import (Operator, lagrangian_value, operator_residual,
                             right_inverse, sym_part)
 from .parameter_algebra import (CoefficientFunction, NonnegativeReals,
                                 solve_action_on_identity)
-from .theories import (DerivedForm, OperatorFamily, PolynomialFamily,
-                       ScalarTimesFixed, compose_families, evaluate_family,
-                       evaluate_polynomial, factor_last_variable,
-                       monomial_operator, polynomial_family, scalar_family,
-                       sum_families)
+from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
+                       compose_families, evaluate_family, evaluate_polynomial,
+                       factor_last_variable, monomial_operator,
+                       polynomial_family, scalar_family, sum_families)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
@@ -174,7 +173,7 @@ class EmergenceMap:
         return self.parameter_map(eps)
 
     def target_operator(self, eps) -> Operator:
-        return _evaluate_target(self.target, self.parameter_map(eps))
+        return evaluate_family(self.target, self.parameter_map(eps))
 
     def to_json_dict(self, n_probes: int = 3) -> dict:
         rng = np.random.default_rng(self.certificate.seed)
@@ -191,12 +190,6 @@ class EmergenceMap:
             "provenance_digest": self.provenance.digest(),
             "probes": probes,
         }
-
-
-def _evaluate_target(target, assignment) -> Operator:
-    if isinstance(target, PolynomialFamily):
-        return evaluate_polynomial(target, assignment)
-    return evaluate_family(target, assignment)
 
 
 def _param_json(value):
@@ -235,7 +228,7 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     def one(draw):
         eps, phi = draw
         a = evaluate_family(source, eps)
-        b = _evaluate_target(target, parameter_map(eps))
+        b = evaluate_family(target, parameter_map(eps))
         l1 = lagrangian_value(a, phi)
         l2 = lagrangian_value(b, phi)
         fn_res = abs(l1 - l2) / max(1.0, abs(l1))
@@ -253,10 +246,10 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
 
 
 def _certify(source, target, parameter_map, kind, provenance, label,
-             n_samples, tol, seed, jobs=None) -> EmergenceMap:
+             n_samples, tol, seed) -> EmergenceMap:
     """Attach a certificate or refuse: constructors never return failures."""
     cert = verify_emergence(source, target, parameter_map, n_samples, tol,
-                            seed, jobs)
+                            seed)
     if not cert.passed:
         raise HypothesisViolated(
             f"synthesized map for {label!r} failed certification "
@@ -371,17 +364,6 @@ def _monomial_solver(source, coefficient, post, algebra, space, weight,
 # --- composition / sum / accumulation ----------------------------------------------
 
 
-def _target_view(emap: EmergenceMap) -> OperatorFamily:
-    """Present any map target as an operator family over its assignments."""
-    target = emap.target
-    if isinstance(target, OperatorFamily):
-        return target
-    return OperatorFamily(1, target.algebra,
-                          DerivedForm(lambda a: evaluate_polynomial(target, a),
-                                      "polynomial_view"),
-                          target.space, label=target.label)
-
-
 def _check_constituents(source, maps):
     for m in maps:
         if not m.certificate.passed:
@@ -405,7 +387,7 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
         raise NotMultiplicative(
             "composition split needs a verified multiplicative source")
     _check_constituents(source, (map2, map3))
-    composed = compose_families(_target_view(map2), _target_view(map3))
+    composed = compose_families(map2.target, map3.target)
 
     def fmap(eps, _f2=map2.parameter_map, _f3=map3.parameter_map):
         root = source.algebra.sqrt_select(eps)
@@ -420,7 +402,7 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
 
 def _sum_maps(source, map2, map3, justification, tol, n_samples, seed):
     _check_constituents(source, (map2, map3))
-    summed = sum_families(_target_view(map2), _target_view(map3))
+    summed = sum_families(map2.target, map3.target)
 
     def fmap(eps, _f2=map2.parameter_map, _f3=map3.parameter_map):
         half = source.algebra.scale(0.5, eps)
@@ -503,16 +485,8 @@ def _fold_weights(s: int) -> tuple:
 def _constant_offset(poly: PolynomialFamily, constants) -> np.ndarray | None:
     if not constants:
         return None
-    total = np.zeros((poly.space.dim, poly.space.dim), dtype=poly.space.dtype)
-    zero = poly.algebra.zero()
-    for alpha, f in constants:
-        value = f(zero)
-        mono = monomial_operator(poly, alpha).matrix
-        if np.isscalar(value):
-            total = total + value * mono
-        else:
-            total = total + poly.algebra.act(value, Operator(mono, poly.space)).matrix
-    return total
+    return evaluate_polynomial(replace(poly, terms=tuple(constants)),
+                               poly.algebra.zero()).matrix
 
 
 def _synthesize(source, poly, offset, weight, post, tol):
@@ -588,7 +562,7 @@ def _split_constants(poly: PolynomialFamily):
 
 
 def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
-                 n_samples, seed, jobs, label):
+                 n_samples, seed, label):
     _gate_claims(source)
     if not source.space.matches(poly.space):
         raise SpaceMismatch("source and target live on different field spaces")
@@ -653,23 +627,23 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
     if prov is None:
         raise BadSpec("polynomial family has no terms")
     return _certify(source, poly, parameter_map, "per_term", prov, label,
-                    n_samples, tol, seed, jobs)
+                    n_samples, tol, seed)
 
 
 def emerge_univariate(source: OperatorFamily, poly: PolynomialFamily,
                       tol: float = DEFAULT_TOL,
-                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                      jobs: int | None = None) -> EmergenceMap:
+                      n_samples: int = DEFAULT_SAMPLES,
+                      seed: int = 0) -> EmergenceMap:
     """Per-term synthesis for a single-variable polynomial target."""
     if poly.slots != 1:
         raise BadSpec("emerge_univariate needs a single-variable target")
-    return _emerge_impl(source, poly, tol, n_samples, seed, jobs,
+    return _emerge_impl(source, poly, tol, n_samples, seed,
                         label=f"univariate from {source.label}")
 
 
 def emerge(source: OperatorFamily, poly: PolynomialFamily,
            tol: float = DEFAULT_TOL, n_samples: int = DEFAULT_SAMPLES,
-           seed: int = 0, jobs: int | None = None) -> EmergenceMap:
+           seed: int = 0) -> EmergenceMap:
     """Synthesize a certified emergence map onto a polynomial family.
 
     Recursion on the number of slot variables: the last variable is factored
@@ -677,7 +651,7 @@ def emerge(source: OperatorFamily, poly: PolynomialFamily,
     right inverse, and the single-variable base case distributes the source
     over the active terms by exact dyadic halving.
     """
-    return _emerge_impl(source, poly, tol, n_samples, seed, jobs,
+    return _emerge_impl(source, poly, tol, n_samples, seed,
                         label=f"emerge from {source.label}")
 
 
@@ -711,7 +685,6 @@ def _vec_sym(matrix: np.ndarray, real_unknowns: bool) -> np.ndarray:
 
 
 def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
-                       solver: str = "least_squares",
                        tol: float = DEFAULT_TOL):
     """Independent oracle: fit the per-term parameters at one ``eps``.
 
@@ -743,7 +716,7 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
         fixed = fixed + sym_part(Operator(piece, poly.space)).matrix
 
     linear_kinds = all(f.kind in ("linear", "affine") for _, f in active)
-    if solver == "least_squares" and linear_kinds:
+    if linear_kinds:
         columns = []
         for alpha, f in active:
             mono = monomial_operator(poly, alpha)

@@ -271,9 +271,14 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     symbol and refuses exactly those operators whose symbol vanishes
     somewhere, reporting the offending frequency.  Every other operator takes
     the pseudoinverse route, which refuses rank-deficient inputs with the
-    residual.  Either way the product is verified.
+    residual.  Either way the product is verified.  An operator with a NaN
+    or infinite entry is refused before either route runs.
     """
     n = a.space.dim
+    finite = np.isfinite(a.matrix)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NotRightInvertible(f"operator has a non-finite entry at {index}")
     if _is_circulant(a):
         method = "spectral"
         geometry = a.space.geometry
@@ -294,7 +299,7 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
         method = "pseudoinverse"
         r = Operator(np.linalg.pinv(a.matrix), a.space)
     residual = float(np.linalg.norm(a.matrix @ r.matrix - np.eye(n), "fro"))
-    if residual > tol * max(1.0, float(np.linalg.norm(a.matrix, "fro"))):
+    if not residual <= tol * max(1.0, float(np.linalg.norm(a.matrix, "fro"))):
         raise NotRightInvertible(
             f"candidate right inverse failed verification ({method})",
             residual=residual)

@@ -391,7 +391,8 @@ class BooleanComplex(ParameterAlgebra):
 
     The principal componentwise square root fixes every idempotent, and the
     faithful representation expands each component over a block of the field
-    space: ``rho(eps) = diag(eps_1 I_b, ..., eps_m I_b)``.
+    space: ``rho(eps) = diag(eps_1 I_b, ..., eps_m I_b)``, so ``act`` scales
+    each block of rows by its component.
     """
 
     name = "boolean_complex"
@@ -433,7 +434,8 @@ class BooleanComplex(ParameterAlgebra):
     def act(self, a, op: Operator) -> Operator:
         if op.space.dim != self.masks * self.block:
             raise BadSpec("operator dimension disagrees with masks*block")
-        return Operator(self.representation_matrix(a) @ op.matrix, op.space)
+        return Operator(np.repeat(self._as_array(a), self.block)[:, None]
+                        * op.matrix, op.space)
 
     def basis(self):
         return [np.eye(self.masks, dtype=complex)[i] for i in range(self.masks)]

@@ -40,8 +40,8 @@ from .operator_core import (Operator, add, grid_space, identity_operator,
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, RealScalars,
                                 check_action_compatibility)
-from .theories import (evaluate_polynomial, polynomial_family,
-                       representation_family, scalar_family, verify_structure)
+from .theories import (evaluate_polynomial, polynomial_family, scalar_family,
+                       verify_structure)
 
 #: construction-time tolerance; shipped results are re-verified at the
 #: spec's own tolerance, so a strict --tol can fail a cert without making
@@ -275,6 +275,23 @@ def check_feasible(background: dict, h, threshold: float = 1e-6):
     return theta, gap
 
 
+# --- synthesis and certification ---------------------------------------------------
+
+
+def _build_and_certify(source, poly, spec: ScenarioSpec,
+                       jobs: int | None = None):
+    """Synthesize at :data:`BUILD_TOL` on at most 40 draws, then certify.
+
+    The certificate is drawn afresh at the spec's own ``tol`` over its
+    ``samples``; returns ``(map, certificate)``.
+    """
+    emap = emerge(source, poly, tol=BUILD_TOL,
+                  n_samples=min(spec.samples, 40), seed=spec.seed)
+    cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
+                            spec.tol, spec.seed, jobs)
+    return emap, cert
+
+
 # --- regulated engine cross-check ---------------------------------------------------
 
 
@@ -301,11 +318,7 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
         {(1, 0): CoefficientFunction.constant(-1.0, domain="real"),
          (0, 1): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="regulated_surrogate")
-    emap = emerge(source, poly, tol=BUILD_TOL,
-                  n_samples=min(spec.samples, 40), seed=spec.seed)
-    cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
-                            spec.tol, spec.seed, jobs)
-    return emap, cert
+    return _build_and_certify(source, poly, spec, jobs)
 
 
 # --- gravity scenario runners ---------------------------------------------------------
@@ -481,10 +494,7 @@ def run_idempotent_instance(spec: ScenarioSpec,
                                  {(1,): CoefficientFunction.linear(1.0,
                                                                    domain="real")},
                                  algebra, label="linear_identity")
-    map_uni = emerge(source, poly_uni, tol=BUILD_TOL,
-                     n_samples=min(spec.samples, 40), seed=spec.seed)
-    cert_uni = verify_emergence(source, poly_uni, map_uni.parameter_map,
-                                spec.samples, spec.tol, spec.seed, jobs)
+    map_uni, cert_uni = _build_and_certify(source, poly_uni, spec, jobs)
     oracle_uni = _oracle_agreement(source, poly_uni, map_uni, eps_probe)
 
     shift = make_discrete_operator(space, "shift", axis=0)
@@ -494,10 +504,7 @@ def run_idempotent_instance(spec: ScenarioSpec,
         [shift, box1],
         {(0, 0): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="bivariate_constant_monomial")
-    map_bi = emerge(source, poly_bi, tol=BUILD_TOL,
-                    n_samples=min(spec.samples, 40), seed=spec.seed)
-    cert_bi = verify_emergence(source, poly_bi, map_bi.parameter_map,
-                               spec.samples, spec.tol, spec.seed, jobs)
+    map_bi, cert_bi = _build_and_certify(source, poly_bi, spec, jobs)
     oracle_bi = _oracle_agreement(source, poly_bi, map_bi, eps_probe)
 
     round_trips = [abs(map_uni(e)[(1,)] - e) for e in eps_probe]
@@ -569,18 +576,14 @@ def run_boolean_scenario(spec: ScenarioSpec,
 
     psi0 = Operator(np.diag(rng.uniform(1.0, 2.0, dim).astype(complex)),
                     space)
-    source = representation_family(algebra, algebra.representation_matrix,
-                                   psi0, label="masked_theory")
+    source = scalar_family(algebra, psi0, label="masked_theory")
     source, _ = verify_structure(
         source.with_claims("additive", "scalar_invariant"),
         n_samples=12, seed=spec.seed)
     poly = polynomial_family([psi0],
                              {(1,): CoefficientFunction.linear(1.0)},
                              algebra, label="mask_times_base")
-    emap = emerge(source, poly, tol=BUILD_TOL,
-                  n_samples=min(spec.samples, 40), seed=spec.seed)
-    cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
-                            spec.tol, spec.seed, jobs)
+    emap, cert = _build_and_certify(source, poly, spec, jobs)
     recovery = 0.0
     for a in idems:
         got = emap(a)[(1,)]

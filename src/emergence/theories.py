@@ -39,14 +39,6 @@ class ScalarTimesFixed:
 
 
 @dataclass(frozen=True, eq=False)
-class RepresentationForm:
-    """``eps -> rho(eps) o base`` for a matrix representation ``rho``."""
-
-    rho: object  # callable eps -> ndarray
-    base: Operator
-
-
-@dataclass(frozen=True, eq=False)
 class SumTree:
     left: "OperatorFamily"
     right: "OperatorFamily"
@@ -63,14 +55,6 @@ class Tabulated:
     """A finite lookup table of (parameter, operator) pairs."""
 
     entries: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class DerivedForm:
-    """Engine-internal closure form (offset-shifted or transported sources)."""
-
-    fn: object  # callable eps -> Operator
-    description: str
 
 
 # --- operator families ----------------------------------------------------------
@@ -104,27 +88,24 @@ def scalar_family(algebra, base: Operator, exponent: int = 1,
                           base.space, label=label or "scalar_times_fixed")
 
 
-def representation_family(algebra, rho, base: Operator,
-                          label: str = "") -> OperatorFamily:
-    return OperatorFamily(1, algebra, RepresentationForm(rho, base), base.space,
-                          label=label or "representation")
-
-
 def tabulated_family(algebra, entries, space, label: str = "") -> OperatorFamily:
     """Family defined only on the tabulated parameters."""
     return OperatorFamily(1, algebra, Tabulated(tuple(entries)), space,
                           label=label or "tabulated")
 
 
-def evaluate_family(family: OperatorFamily, eps) -> Operator:
-    """Evaluate ``eps -> Psi(eps)``."""
+def evaluate_family(family, eps) -> Operator:
+    """Evaluate ``eps -> Psi(eps)`` for an operator or polynomial family.
+
+    A polynomial family takes what :func:`evaluate_polynomial` takes: a
+    shared parameter or a per-term table.
+    """
+    if isinstance(family, PolynomialFamily):
+        return evaluate_polynomial(family, eps)
     form = family.form
     if isinstance(form, ScalarTimesFixed):
         value = form.coefficient(eps) if form.coefficient is not None else eps
         return family.algebra.act(value, form.fixed)
-    if isinstance(form, RepresentationForm):
-        return Operator(np.asarray(form.rho(eps)) @ form.base.matrix,
-                        form.base.space)
     if isinstance(form, SumTree):
         eps = tuple(eps)
         return add(evaluate_family(form.left, eps[0]),
@@ -138,25 +119,29 @@ def evaluate_family(family: OperatorFamily, eps) -> Operator:
             if family.algebra.distance(key, eps) <= 1e-12:
                 return op
         raise UnknownParameter(f"parameter off the table for {family.label!r}")
-    if isinstance(form, DerivedForm):
-        return form.fn(eps)
     raise BadSpec(f"unknown family form {type(form).__name__}")
 
 
-def sum_families(left: OperatorFamily, right: OperatorFamily) -> OperatorFamily:
-    """Pointwise sum; parameters pair up, degrees add."""
+def _degree(family) -> int:
+    """A polynomial family counts as one parameter of degree 1."""
+    return family.degree if isinstance(family, OperatorFamily) else 1
+
+
+def sum_families(left, right) -> OperatorFamily:
+    """Pointwise sum of operator or polynomial families; degrees add."""
     if not left.space.matches(right.space):
         raise BadSpec("summed families must share a field space")
-    return OperatorFamily(left.degree + right.degree,
+    return OperatorFamily(_degree(left) + _degree(right),
                           ProductAlgebra((left.algebra, right.algebra)),
                           SumTree(left, right), left.space,
                           label=f"({left.label} + {right.label})")
 
 
-def compose_families(left: OperatorFamily, right: OperatorFamily) -> OperatorFamily:
+def compose_families(left, right) -> OperatorFamily:
+    """Pointwise composition of operator or polynomial families."""
     if not left.space.matches(right.space):
         raise BadSpec("composed families must share a field space")
-    return OperatorFamily(left.degree + right.degree,
+    return OperatorFamily(_degree(left) + _degree(right),
                           ProductAlgebra((left.algebra, right.algebra)),
                           CompositionTree(left, right), left.space,
                           label=f"({left.label} o {right.label})")

@@ -216,7 +216,10 @@ def test_text_rendering_of_error_reports():
 
 
 @pytest.mark.parametrize("name,expected_code", [
+    ("gravity_from_noncommutativity", EXIT_PASS),
+    ("noncommutativity_from_gravity", EXIT_PASS),
     ("idempotent", EXIT_PASS),
+    ("boolean", EXIT_PASS),
     ("idempotent_projector", EXIT_ERROR),
     ("gravity_empty", EXIT_PASS),
 ])

@@ -350,6 +350,23 @@ def test_pseudoinverse_route_verifies_the_product(flat4, rng):
     assert info.value.residual is not None and info.value.residual > 0.1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operators_are_refused(flat4, line8, bad):
+    for a in (Operator(np.diag([1.0, bad, 1.0, 1.0]), flat4),
+              Operator(np.diag([1.0] * 7 + [bad]), line8),
+              Operator(np.full((8, 8), bad), line8)):
+        with pytest.raises(NotRightInvertible, match="non-finite"):
+            right_inverse(a)
+
+
+def test_nan_residual_fails_verification(flat4, monkeypatch):
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda m: np.full(m.shape, np.nan))
+    with pytest.raises(NotRightInvertible) as info:
+        right_inverse(Operator(np.eye(4), flat4))
+    assert math.isnan(info.value.residual)
+
+
 def test_spectral_route_needs_tags_and_geometry(flat4, line8):
     dense = Operator(np.eye(4), flat4)
     with pytest.raises(BadSpec):

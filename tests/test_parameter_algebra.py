@@ -126,6 +126,20 @@ def test_boolean_action_checks_dimension():
         alg.act(alg.one(), identity_operator(plain_space(3, "complex")))
 
 
+def test_boolean_action_agrees_with_the_representation_matrix():
+    alg = BooleanComplex(masks=3, block=4)
+    space = plain_space(12, "complex")
+    rng = np.random.default_rng(5)
+    a = alg.sample(rng)
+    rho = alg.representation_matrix(a)
+    x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    got = alg.act(a, Operator(x, space)).matrix
+    assert np.max(np.abs(got - rho @ x)) <= 1e-15 * np.max(np.abs(rho @ x))
+    real = rng.standard_normal((12, 12))
+    got = alg.act(a, Operator(real, space)).matrix
+    assert got.tobytes() == (rho @ real).tobytes()
+
+
 def test_boolean_orbit_recovery_is_exact():
     alg = BooleanComplex(masks=4, block=2)
     space = plain_space(8, "complex")

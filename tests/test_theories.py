@@ -14,8 +14,7 @@ from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
                        make_discrete_operator, plain_space, polynomial_family,
                        scalar_family, sum_families, verify_structure)
 from emergence.theories import (STRUCTURE_FLAGS, monomial_operator,
-                                reassemble_last_variable,
-                                representation_family, tabulated_family)
+                                reassemble_last_variable, tabulated_family)
 
 # --- family forms and evaluation ------------------------------------------------
 
@@ -32,13 +31,6 @@ def test_scalar_family_applies_its_coefficient(line8):
                         coefficient=CoefficientFunction.affine(2.0, 1.0,
                                                                domain="real"))
     assert np.array_equal(evaluate_family(fam, 3.0).matrix, 7.0 * np.eye(8))
-
-
-def test_representation_family_left_multiplies(line8):
-    fam = representation_family(RealScalars(),
-                                lambda e: np.diag(np.full(8, float(e))),
-                                identity_operator(line8))
-    assert np.array_equal(evaluate_family(fam, 2.0).matrix, 2.0 * np.eye(8))
 
 
 def test_sum_and_composition_trees(line8):
@@ -168,6 +160,18 @@ def test_uninvertible_slots_are_recorded_not_fatal(line8):
                              RealScalars())
     assert poly.right_inverses == {}
     assert "frequency (0,)" in poly.right_inverse_failures[0]
+
+
+def test_non_finite_slots_are_recorded_not_fatal(flat4):
+    ident = Operator(np.eye(4), flat4)
+    poly = polynomial_family(
+        [ident, Operator(np.diag([1.0, np.nan, 1.0, 1.0]), flat4),
+         Operator(np.diag([1.0, np.inf, 1.0, 1.0]), flat4)],
+        {(1, 1, 1): CoefficientFunction.linear(1.0, domain="real")},
+        RealScalars())
+    assert sorted(poly.right_inverses) == [0]
+    assert sorted(poly.right_inverse_failures) == [1, 2]
+    assert "non-finite" in poly.right_inverse_failures[1]
 
 
 def test_monomial_operator_skips_absent_variables(line8):
