@@ -7,11 +7,10 @@ sampled certificate; a negative answer is a typed diagnosis of which
 precondition failed.
 """
 
-from .engine import (Certificate, EmergenceMap, ProvenanceNode, ReconcileReport,
+from .engine import (Certificate, EmergenceMap, ProvenanceNode,
                      brute_force_emerge, emerge, emerge_accumulate,
                      emerge_composition, emerge_monomial, emerge_sum,
-                     emerge_univariate, identity_emergence,
-                     reconcile_shared_parameter, verify_emergence)
+                     emerge_univariate, identity_emergence, verify_emergence)
 from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge, EmergenceError,
                      EmptyAccumulation, HypothesisViolated, InfeasibleTarget,
                      NoPreimage, NoSquareRoot, NotInIdentityOrbit,
@@ -50,7 +49,7 @@ __all__ = [
     "NotInIdentityOrbit", "NotMultiplicative", "NotRightInvertible",
     "NotScalarForm", "NotScalarInvariant", "NotWellDefined", "Operator",
     "OperatorFamily", "ParameterAlgebra", "ParseError", "PolynomialFamily",
-    "ProductAlgebra", "ProvenanceNode", "RealScalars", "ReconcileReport",
+    "ProductAlgebra", "ProvenanceNode", "RealScalars",
     "SCENARIO_RUNNERS", "ScenarioResult", "ScenarioSpec", "SchemaError",
     "SpaceMismatch", "TheoryPair", "TuplePower", "Univariate",
     "UnknownParameter",
@@ -63,7 +62,7 @@ __all__ = [
     "factor_last_variable", "grid_space", "identity_emergence",
     "identity_operator", "lagrangian_value", "make_discrete_operator",
     "operator_residual", "plain_space", "polynomial_family",
-    "reconcile_shared_parameter", "right_inverse", "run_scenario_spec",
+    "right_inverse", "run_scenario_spec",
     "scalar_family", "scale", "solve_action_on_identity", "sum_families",
     "sym_part", "verify_emergence", "verify_structure", "zero_operator",
 ]

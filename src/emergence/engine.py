@@ -321,7 +321,7 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
         post = np.linalg.matrix_power(right_inverse(slot).matrix, exponent)
     target = scalar_family(algebra, slot, exponent, coefficient=coefficient,
                            label=f"{coefficient.kind} * slot^{exponent}")
-    fmap = _monomial_solver(source, coefficient, post, algebra, source.space,
+    fmap = _monomial_solver(source, coefficient, post, algebra,
                             weight=1.0, offset=None,
                             term_label=f"slot^{exponent}", tol=tol)
     prov = _monomial_node((exponent,), coefficient, 1.0)
@@ -330,31 +330,56 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
                     n_samples, tol, seed)
 
 
-def _monomial_solver(source, coefficient, post, algebra, space, weight,
-                     offset, term_label, tol):
+def _transport(matrix: np.ndarray, post) -> np.ndarray:
+    """``matrix @ post`` whose diagonal is correctly rounded sums.
+
+    Orbit coordinates are read from the diagonal alone, so fixing its bits
+    keeps the parameter map independent of the BLAS kernel.
+    """
+    if post is None:
+        return matrix
+    out = matrix @ post
+    for i in range(out.shape[0]):
+        products = matrix[i] * post[:, i]
+        out.real[i, i] = math.fsum(products.real.tolist())
+        if np.iscomplexobj(out):
+            out.imag[i, i] = math.fsum(products.imag.tolist())
+    return out
+
+
+def _monomial_solver(source, coefficient, post, algebra, weight, offset,
+                     term_label, tol):
     """Pointwise solver ``eps -> delta`` for one active term.
 
-    Evaluates the (possibly weighted, offset-shifted, transported) source
-    slice, reads it as an identity-orbit element of the target action, and
-    pulls back through the coefficient.
+    The working slice is ``(Psi1(weight*eps) - weight*offset) @ post``.  The
+    source scales rows, so ``act(c, F) @ post = act(c, F @ post)``: the fixed
+    operator and the offset are transported once here, and each call is one
+    action and one subtraction.  The slice is read as an identity-orbit
+    element of the target action and pulled back through the coefficient.
     """
+    form = source.form
+    if not isinstance(form, ScalarTimesFixed):
+        raise BadSpec("synthesis needs a scalar-times-fixed source, one that "
+                      "is linear in its parameter")
+    transported = replace(source, form=ScalarTimesFixed(
+        Operator(_transport(form.fixed.matrix, post), source.space),
+        form.coefficient))
+    offset = None if offset is None else weight * _transport(offset, post)
 
-    def solve(eps, _w=weight, _post=post, _offset=offset, _g=coefficient):
-        scaled = source.algebra.scale(_w, eps) if _w != 1.0 else eps
-        m = evaluate_family(source, scaled).matrix
-        if _offset is not None:
-            m = m - _w * _offset
-        if _post is not None:
-            m = m @ _post
+    def solve(eps):
+        scaled = source.algebra.scale(weight, eps) if weight != 1.0 else eps
+        m = evaluate_family(transported, scaled).matrix
+        if offset is not None:
+            m = m - offset
         try:
-            c = solve_action_on_identity(algebra, Operator(m, space), tol=tol)
+            c = solve_action_on_identity(algebra, m, tol=tol)
         except NotInIdentityOrbit as exc:
             raise NotScalarForm(
                 f"term {term_label}: transported source slice is not in the "
                 f"identity orbit of the parameter action",
                 residual=exc.residual) from exc
         try:
-            return _g.preimage(c)
+            return coefficient.preimage(c)
         except NoPreimage as exc:
             raise NoPreimage(f"term {term_label}: {exc}") from exc
 
@@ -515,7 +540,7 @@ def _synth_univariate(source, poly, offset, weight, post, tol):
             term_post = r_pow if post is None else post @ r_pow
         total_w = weight * w
         solvers.append((alpha, _monomial_solver(
-            source, f, term_post, poly.algebra, poly.space, total_w, offset,
+            source, f, term_post, poly.algebra, total_w, offset,
             term_label=f"{alpha} (power {exponent})", tol=tol)))
         children.append(_monomial_node(alpha, f, total_w))
     if len(terms) == 1:
@@ -776,71 +801,3 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
     for alpha, _ in constants:
         out[alpha] = zero
     return out
-
-
-# --- shared-parameter reconciliation ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReconcileReport:
-    """Outcome of a failed shared-parameter search."""
-
-    ok: bool
-    residual: float
-    samples: int
-    message: str = ""
-
-
-def reconcile_shared_parameter(emap: EmergenceMap, tol: float = DEFAULT_TOL):
-    """Search for one shared parameter reproducing a per-term assignment.
-
-    Least squares over the shared coordinates at sampled parameters; on
-    success returns a shared-assignment map with a fresh certificate, on
-    failure a report with the irreducibility residual.  The fit linearizes
-    the coefficients, which is exact for linear and affine kinds.
-    """
-    if emap.assignment_kind != "per_term":
-        raise BadSpec("reconciliation needs a per-term assignment")
-    poly = emap.target
-    algebra = poly.algebra
-    basis = algebra.basis()
-    real_unknowns = algebra.scalar_kind != "complex"
-    zero_mat = sym_part(evaluate_polynomial(poly, algebra.zero())).matrix
-    columns = []
-    for e in basis:
-        mat = sym_part(evaluate_polynomial(poly, e)).matrix
-        columns.append(_vec_sym(mat - zero_mat, real_unknowns))
-    a = np.stack(columns, axis=1)
-
-    def solve_at(eps):
-        per_term = sym_part(evaluate_polynomial(poly, emap(eps))).matrix
-        rhs = _vec_sym(per_term - zero_mat, real_unknowns)
-        x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        return x, float(np.linalg.norm(a @ x - rhs))
-
-    cert = emap.certificate
-    rng = np.random.default_rng(cert.seed)
-    probes = min(max(cert.samples, 1), 16)
-    worst = 0.0
-    for _ in range(probes):
-        _, res = solve_at(emap.source.algebra.sample(rng))
-        worst = max(worst, res)
-    if worst > tol:
-        return ReconcileReport(False, worst, probes,
-                               "per-term assignment is not reproducible by "
-                               "a shared parameter")
-
-    def shared_map(eps):
-        x, _ = solve_at(eps)
-        return algebra.from_coords(x)
-
-    fresh = verify_emergence(emap.source, poly, shared_map, cert.samples,
-                             cert.tolerance, cert.seed)
-    if not fresh.passed:
-        return ReconcileReport(False, max(fresh.max_functional_residual,
-                                          fresh.max_operator_residual),
-                               fresh.samples,
-                               "shared fit found but failed certification")
-    return EmergenceMap(emap.source, poly, shared_map, "shared",
-                        emap.provenance, fresh,
-                        label=f"{emap.label}|shared")

@@ -1,15 +1,20 @@
 """Carriers of fundamental parameters and their actions on operators.
 
 A parameter algebra supplies addition, multiplication, scalar rescaling, a
-selected square root, and an action ``act(eps, A)`` on operators.  The
-engine leans on three facts that are verified, not assumed, for each shipped
-instance:
+selected square root, and an action ``act(eps, A)`` on operators.  Every
+leaf carrier acts by scaling rows: it states ``row_scale(eps)``, a scalar or
+one entry per row, and :meth:`ParameterAlgebra.act` applies it; products
+act component by component.
+
+The engine leans on three facts that are verified, not assumed, for each
+shipped instance:
 
 * the action is additive and multiplicative in the parameter (the two
   required compatibility identities, plus an optional product-composition
   identity whose joint validity forces commutative multiplication);
 * the orbit map ``eps -> act(eps, I)`` is injective, so parameters can be
-  recovered from operators by a least-squares solve over the algebra basis;
+  recovered from operators: coordinate ``k`` is the mean of the operator's
+  diagonal over the rows that basis element ``k`` scales;
 * square roots split a parameter across a composition, halves split it
   across a sum.
 
@@ -62,11 +67,24 @@ class ParameterAlgebra:
     def sqrt_select(self, a):
         raise NotImplementedError
 
-    def act(self, a, op: Operator) -> Operator:
+    def row_scale(self, a):
+        """What ``act(a, .)`` multiplies the rows by: a scalar or one per row."""
         raise NotImplementedError
 
+    def act(self, a, op: Operator) -> Operator:
+        s = self.row_scale(a)
+        if np.ndim(s) == 0:
+            return Operator(s * op.matrix, op.space)
+        if s.shape != (op.space.dim,):
+            raise BadSpec(f"{self.name} scales {s.shape[0]} rows, the operator "
+                          f"has {op.space.dim}")
+        return Operator(s[:, None] * op.matrix, op.space)
+
     def basis(self) -> list:
-        """Elements whose orbit at the identity spans the action image."""
+        """Elements whose row scales are disjoint 0/1 row indicators.
+
+        Their orbit at the identity spans the action image.
+        """
         raise BadSpec(f"{self.name} has no identity-orbit basis")
 
     def from_coords(self, coords: np.ndarray):
@@ -106,8 +124,8 @@ class ComplexScalars(ParameterAlgebra):
     def sqrt_select(self, a):
         return cmath.sqrt(complex(a))
 
-    def act(self, a, op: Operator) -> Operator:
-        return Operator(complex(a) * op.matrix, op.space)
+    def row_scale(self, a):
+        return complex(a)
 
     def basis(self):
         return [1 + 0j]
@@ -150,8 +168,8 @@ class RealScalars(ParameterAlgebra):
                                "square root")
         return math.sqrt(a)
 
-    def act(self, a, op: Operator) -> Operator:
-        return Operator(float(a) * op.matrix, op.space)
+    def row_scale(self, a):
+        return float(a)
 
     def basis(self):
         return [1.0]
@@ -197,8 +215,8 @@ class NonnegativeReals(ParameterAlgebra):
     def sqrt_select(self, a):
         return math.sqrt(self._check(a))
 
-    def act(self, a, op: Operator) -> Operator:
-        return Operator(self._check(a) * op.matrix, op.space)
+    def row_scale(self, a):
+        return self._check(a)
 
     def basis(self):
         return [1.0]
@@ -362,8 +380,8 @@ class CentralizerDiagonal(ParameterAlgebra):
             raise NoSquareRoot("diagonal has a negative entry; no real square root")
         return np.sqrt(d)
 
-    def act(self, a, op: Operator) -> Operator:
-        return Operator(self._as_array(a)[:, None] * op.matrix, op.space)
+    def row_scale(self, a):
+        return self._as_array(a)
 
     def basis(self):
         out = []
@@ -391,8 +409,8 @@ class BooleanComplex(ParameterAlgebra):
 
     The principal componentwise square root fixes every idempotent, and the
     faithful representation expands each component over a block of the field
-    space: ``rho(eps) = diag(eps_1 I_b, ..., eps_m I_b)``, so ``act`` scales
-    each block of rows by its component.
+    space: ``rho(eps) = diag(eps_1 I_b, ..., eps_m I_b)``, so ``row_scale``
+    repeats each component over its block of rows.
     """
 
     name = "boolean_complex"
@@ -428,14 +446,8 @@ class BooleanComplex(ParameterAlgebra):
     def sqrt_select(self, a):
         return np.sqrt(self._as_array(a))
 
-    def representation_matrix(self, a) -> np.ndarray:
-        return np.diag(np.repeat(self._as_array(a), self.block))
-
-    def act(self, a, op: Operator) -> Operator:
-        if op.space.dim != self.masks * self.block:
-            raise BadSpec("operator dimension disagrees with masks*block")
-        return Operator(np.repeat(self._as_array(a), self.block)[:, None]
-                        * op.matrix, op.space)
+    def row_scale(self, a):
+        return np.repeat(self._as_array(a), self.block)
 
     def basis(self):
         return [np.eye(self.masks, dtype=complex)[i] for i in range(self.masks)]
@@ -505,19 +517,41 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
                                optional_ok, comm if optional_ok else None)
 
 
+def _support_mean(values: np.ndarray):
+    """Mean of ``values``; real and imaginary parts are correctly rounded sums.
+
+    A non-finite entry or an overflowing sum gives NaN, which the orbit
+    check then refuses.
+    """
+    if not np.isfinite(values).all():
+        return math.nan
+    try:
+        mean = math.fsum(values.real.tolist()) / len(values)
+        if np.iscomplexobj(values):
+            return complex(mean, math.fsum(values.imag.tolist()) / len(values))
+    except OverflowError:
+        return math.nan
+    return mean
+
+
 def solve_action_on_identity(algebra: ParameterAlgebra, target,
                              tol: float = 1e-10):
-    """Recover ``c`` with ``act(c, I) = target`` by least squares.
+    """Recover ``c`` with ``act(c, I) = target`` in closed form.
 
-    ``target`` is an operator (or matrix).  For tuple algebras pass a list
-    with one probe operator per slot; recovery is slot-by-slot because the
-    product action alone cannot separate the components.
+    ``target`` is an operator (or matrix).  Coordinate ``k`` is the mean of
+    the target's diagonal over the rows that ``row_scale(basis()[k])``
+    scales; for a basis of disjoint 0/1 row indicators that is the
+    least-squares orbit element, and it is the same bits on every machine.
+    For tuple algebras pass a list with one probe operator per slot;
+    recovery is slot-by-slot because the product action alone cannot
+    separate the components.
 
     Raises
     ------
     NotInIdentityOrbit
-        If the residual of the best orbit element exceeds ``tol`` relative
-        to the target norm.
+        If ``|target - act(c, I)|_F`` exceeds ``tol`` relative to the target
+        norm; a target with a NaN or infinite entry, or whose norm
+        overflows, always does.
     """
     if isinstance(algebra, TuplePower):
         if not isinstance(target, (list, tuple)):
@@ -528,32 +562,17 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
     matrix = target.matrix if isinstance(target, Operator) else np.asarray(target)
-    space = target.space if isinstance(target, Operator) else None
-    if space is None:
-        from .operator_core import plain_space
-        space = plain_space(matrix.shape[0],
-                            "complex" if np.iscomplexobj(matrix) else "real")
-    ident = identity_operator(space)
-    if isinstance(algebra, BooleanComplex):
-        # the indicator basis has disjoint supports, so the least-squares
-        # minimizer is the per-block mean of the diagonal; exact arithmetic
-        # for idempotent masks (the general routine would round)
-        diag = np.diagonal(matrix).astype(complex)
-        coords = diag.reshape(algebra.masks, algebra.block).mean(axis=1)
-    else:
-        basis = algebra.basis()
-        columns = np.column_stack(
-            [algebra.act(e, ident).matrix.ravel() for e in basis])
-        rhs = matrix.ravel()
-        if np.iscomplexobj(columns) or np.iscomplexobj(rhs):
-            columns = columns.astype(complex)
-            rhs = rhs.astype(complex)
-        coords, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
+    n = matrix.shape[0]
+    diag = np.diagonal(matrix)
+    coords = [_support_mean(diag[np.flatnonzero(np.broadcast_to(
+        algebra.row_scale(e), (n,)))]) for e in algebra.basis()]
     candidate = algebra.from_coords(coords)
-    residual = float(np.linalg.norm(
-        algebra.act(candidate, ident).matrix - matrix, "fro"))
-    scale_ = max(1.0, float(np.linalg.norm(matrix, "fro")))
-    if residual > tol * scale_:
+    scale_ = algebra.row_scale(candidate)
+    off_orbit = np.array(matrix, dtype=np.result_type(matrix, scale_, float))
+    off_orbit[np.diag_indices(n)] -= scale_
+    residual = float(np.linalg.norm(off_orbit, "fro"))
+    bound = tol * max(1.0, float(np.linalg.norm(matrix, "fro")))
+    if not (residual <= bound and math.isfinite(bound)):
         raise NotInIdentityOrbit(
             f"operator is not in the identity orbit of {algebra.name}",
             residual=residual)

@@ -257,9 +257,33 @@ def _kernel(coretype, flag=None):
         reason=f"the CPU lacks {flag} for the {coretype} kernel"))
 
 
+#: specs beyond the shipped configs: larger gravity grids, whose parameter
+#: maps once read BLAS rounding, and Boolean masks with multi-row blocks
+KERNEL_SPECS = {
+    "gravity_from_noncommutativity_16x16": {
+        "name": "gravity_from_noncommutativity", "grid": [16, 16],
+        "theta_values": [0.1, 0.5, 1.0], "samples": 30, "seed": 3},
+    "noncommutativity_from_gravity_16x16": {
+        "name": "noncommutativity_from_gravity", "grid": [16, 16],
+        "h_scales": [0.1, 0.5, 1.0], "samples": 30, "seed": 3},
+    "boolean_8x8": {"name": "boolean", "grid": [8], "masks": 8, "block": 8,
+                    "samples": 30, "seed": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_configs(tmp_path_factory):
+    """Config path per name: the shipped configs and :data:`KERNEL_SPECS`."""
+    root = tmp_path_factory.mktemp("kernel_specs")
+    paths = {name: shipped_config_path(name) for name in SHIPPED_CONFIGS}
+    for name, spec in KERNEL_SPECS.items():
+        paths[name] = write_config(root, spec, f"{name}.json")
+    return paths
+
+
 @functools.lru_cache(maxsize=None)
-def _cli_report_bytes(name, coretype=None) -> bytes:
-    """Report bytes of a shipped config from a fresh CLI process.
+def _cli_report_bytes(config, coretype=None) -> bytes:
+    """Report bytes of a config file from a fresh CLI process.
 
     ``coretype`` pins the OpenBLAS kernel in the child's environment only;
     ``None`` keeps whatever kernel the test run itself uses.
@@ -273,8 +297,7 @@ def _cli_report_bytes(name, coretype=None) -> bytes:
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     proc = subprocess.run(
-        [sys.executable, "-m", "emergence.cli", "--config",
-         shipped_config_path(name)],
+        [sys.executable, "-m", "emergence.cli", "--config", config],
         env=env, capture_output=True, timeout=300)
     assert proc.returncode in (EXIT_PASS, EXIT_ERROR), proc.stderr
     return proc.stdout
@@ -286,6 +309,8 @@ def _cli_report_bytes(name, coretype=None) -> bytes:
     _kernel("Haswell", "avx2"),
     _kernel("SkylakeX", "avx512f"),
 ])
-@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
-def test_reports_are_identical_across_blas_kernels(name, coretype):
-    assert _cli_report_bytes(name, coretype) == _cli_report_bytes(name)
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS + tuple(KERNEL_SPECS))
+def test_reports_are_identical_across_blas_kernels(name, coretype,
+                                                   kernel_configs):
+    config = kernel_configs[name]
+    assert _cli_report_bytes(config, coretype) == _cli_report_bytes(config)

@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 
 from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
-                       DegreeMismatch, DimensionTooLarge, EmergenceMap,
+                       DegreeMismatch, DimensionTooLarge,
                        EmptyAccumulation, HypothesisViolated, NoPreimage,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
                        NotRightInvertible, NotScalarForm, NotScalarInvariant,
-                       Operator, ProvenanceNode, RealScalars, SpaceMismatch,
+                       Operator, RealScalars, SpaceMismatch,
                        TuplePower, add, brute_force_emerge, compose, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
                        emerge_sum, emerge_univariate, identity_emergence,
                        identity_operator, make_discrete_operator,
                        operator_residual, plain_space, polynomial_family,
-                       reconcile_shared_parameter, scalar_family, scale,
-                       sum_families, verify_emergence, verify_structure)
+                       scalar_family, scale, sum_families, verify_emergence,
+                       verify_structure)
 from emergence.engine import (REPORT_FLOOR, Certificate, _fold_weights,
                               residual_bound)
-from emergence.theories import evaluate_polynomial
+from emergence.theories import evaluate_polynomial, tabulated_family
 
 # --- shared builders ----------------------------------------------------------
 
@@ -490,6 +490,20 @@ def test_distributing_needs_a_verified_structure_flag(line8):
     assert "distributing" in str(info.value)
 
 
+def test_synthesis_refuses_sources_that_are_not_scalar_times_fixed(line8):
+    ident = identity_operator(line8)
+    summed = sum_families(identity_source(line8), identity_source(line8))
+    tabulated = tabulated_family(RealScalars(), [(1.0, ident)], line8)
+    for source in (summed, tabulated):
+        poly = polynomial_family([ident], {(1,): lin()}, RealScalars(),
+                                 coefficient_degree=source.degree)
+        with pytest.raises(BadSpec) as info:
+            emerge(source, poly)
+        assert "scalar-times-fixed" in str(info.value)
+    with pytest.raises(BadSpec):
+        emerge_monomial(tabulated, lin(), ident, 1)
+
+
 def test_vanishing_active_coefficients_are_refused(line8):
     source = verified(identity_source(line8), "additive")
     poly = polynomial_family(
@@ -707,51 +721,3 @@ def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
     assert got is not None
     assert got[(1,)] == pytest.approx(1.5, abs=1e-3)
     assert got[(1,)] >= 0.0
-
-
-# --- shared-parameter reconciliation ---------------------------------------------------
-
-
-def test_reconcile_finds_the_shared_third(line8):
-    source = verified(identity_source(line8), "additive")
-    poly = polynomial_family(
-        [identity_operator(line8)], {(1,): lin(1.0), (2,): lin(2.0)},
-        RealScalars())
-    per_term = emerge(source, poly)
-    shared = reconcile_shared_parameter(per_term)
-    assert isinstance(shared, EmergenceMap)
-    assert shared.assignment_kind == "shared"
-    assert shared.label.endswith("|shared")
-    assert shared(1.2) == pytest.approx(0.4, abs=1e-10)
-    assert shared.certificate.passed
-    assert shared.provenance.digest() == per_term.provenance.digest()
-
-
-def test_reconcile_keeps_already_shared_assignments(line8):
-    slot = massive_box(line8)
-    source = scalar_family(RealScalars(), slot)
-    poly = polynomial_family([slot], {(1,): lin()}, RealScalars())
-    shared = reconcile_shared_parameter(emerge_univariate(source, poly))
-    assert isinstance(shared, EmergenceMap)
-    assert shared(0.9) == pytest.approx(0.9, abs=1e-10)
-
-
-def test_reconcile_reports_irreducible_assignments(line8):
-    poly = polynomial_family(
-        [identity_operator(line8), massive_box(line8)],
-        {(1, 0): lin(), (0, 1): lin()}, RealScalars())
-    source = identity_source(line8)
-    stub_cert = Certificate(4, 0.0, 0.0, 1e-8, True, 0)
-    emap = EmergenceMap(source, poly,
-                        lambda eps: {(1, 0): eps, (0, 1): 2.0 * eps},
-                        "per_term", ProvenanceNode("monomial"), stub_cert)
-    report = reconcile_shared_parameter(emap)
-    assert not report.ok
-    assert report.residual > 1e-6
-    assert "not reproducible" in report.message
-
-
-def test_reconcile_rejects_shared_inputs(line8):
-    source = identity_source(line8)
-    with pytest.raises(BadSpec):
-        reconcile_shared_parameter(identity_emergence(source))

@@ -116,8 +116,10 @@ def test_boolean_sqrt_fixes_idempotents_exactly():
 
 def test_boolean_representation_expands_blocks():
     alg = BooleanComplex(masks=2, block=3)
-    rho = alg.representation_matrix(np.array([2.0, 5.0], dtype=complex))
-    assert np.array_equal(np.diag(rho).real, [2, 2, 2, 5, 5, 5])
+    a = np.array([2.0, 5.0], dtype=complex)
+    assert np.array_equal(alg.row_scale(a).real, [2, 2, 2, 5, 5, 5])
+    acted = alg.act(a, identity_operator(plain_space(6, "complex")))
+    assert np.array_equal(acted.matrix, np.diag(np.repeat(a, 3)))
 
 
 def test_boolean_action_checks_dimension():
@@ -131,7 +133,7 @@ def test_boolean_action_agrees_with_the_representation_matrix():
     space = plain_space(12, "complex")
     rng = np.random.default_rng(5)
     a = alg.sample(rng)
-    rho = alg.representation_matrix(a)
+    rho = np.diag(np.repeat(a, alg.block))
     x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     got = alg.act(a, Operator(x, space)).matrix
     assert np.max(np.abs(got - rho @ x)) <= 1e-15 * np.max(np.abs(rho @ x))
@@ -263,6 +265,60 @@ def test_orbit_solve_refuses_off_orbit_targets():
 def test_orbit_solve_accepts_bare_matrices():
     got = solve_action_on_identity(ComplexScalars(), (2 + 1j) * np.eye(3))
     assert got == pytest.approx(2 + 1j)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_orbit_solve_refuses_non_finite_targets(value):
+    with pytest.raises(NotInIdentityOrbit):
+        solve_action_on_identity(RealScalars(), np.diag([value, 1.0, 1.0]))
+    boolean = BooleanComplex(masks=2, block=2)
+    with pytest.raises(NotInIdentityOrbit):
+        solve_action_on_identity(
+            boolean, np.diag([value, 1.0, 1.0, 1.0]).astype(complex))
+
+
+def test_orbit_solve_refuses_targets_whose_norm_overflows():
+    with np.errstate(over="ignore"), pytest.raises(NotInIdentityOrbit):
+        solve_action_on_identity(RealScalars(), np.diag([1e308, 1e308]))
+
+
+def _lstsq_orbit_element(algebra, matrix):
+    """The least-squares orbit element, solved densely by LAPACK."""
+    space = plain_space(matrix.shape[0], algebra.scalar_kind)
+    ident = identity_operator(space)
+    columns = np.column_stack([algebra.act(e, ident).matrix.ravel()
+                               for e in algebra.basis()]).astype(complex)
+    coords, *_ = np.linalg.lstsq(columns, matrix.ravel().astype(complex),
+                                 rcond=None)
+    return algebra.from_coords(coords)
+
+
+def _wide_coupling_pattern():
+    p = np.zeros((9, 9))
+    for comp in ([0, 3, 5], [1, 2], [4], [6, 7, 8]):
+        p[np.ix_(comp, comp)] = 1.0 / len(comp)
+    return p
+
+
+@pytest.mark.parametrize("algebra,n", [
+    (RealScalars(), 6), (ComplexScalars(), 6), (NonnegativeReals(), 6),
+    (CentralizerDiagonal(_coupling_pattern()), 4),
+    (CentralizerDiagonal(_wide_coupling_pattern()), 9),
+    (BooleanComplex(masks=3, block=4), 12),
+], ids=["real", "complex", "nonnegative", "centralizer", "centralizer_wide",
+        "boolean_blocks"])
+def test_closed_form_orbit_solve_agrees_with_dense_least_squares(algebra, n):
+    ident = identity_operator(plain_space(n, algebra.scalar_kind))
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        noise = rng.standard_normal((n, n))
+        if algebra.scalar_kind == "complex":
+            noise = noise + 1j * rng.standard_normal((n, n))
+        target = algebra.act(algebra.sample(rng), ident).matrix + 1e-3 * noise
+        got = solve_action_on_identity(algebra, target, tol=1.0)
+        reference = _lstsq_orbit_element(algebra, target)
+        scale_ = max(1.0, float(np.linalg.norm(algebra.to_vector(reference))))
+        assert algebra.distance(got, reference) <= 1e-12 * scale_
 
 
 # --- action compatibility ---------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_idempotent_identity_variant_certifies():
     assert names == ["univariate_identity", "bivariate_constant_monomial"]
 
 
+def test_idempotent_probe_assignments_are_their_parameters_bit_for_bit():
+    spec = ScenarioSpec(name="idempotent", grid=(8,), samples=100, seed=42)
+    maps = run_idempotent_instance(spec).maps
+    probes = [probe for m in maps for probe in m["probes"]]
+    assert len(probes) == 6
+    for probe in probes:
+        (assignment,) = probe["assignment"].values()
+        assert assignment == probe["parameter"]
+
+
 def test_idempotent_projector_variant_raises():
     spec = ScenarioSpec(name="idempotent", grid=(8,), variant="projector",
                         samples=8)
