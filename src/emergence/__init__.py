@@ -32,11 +32,10 @@ from .parameter_algebra import (BooleanComplex, CentralizerDiagonal,
                                 validate_functional_calculus)
 from .scenarios import (SCENARIO_RUNNERS, ScenarioResult, ScenarioSpec,
                         build_gravity_background, run_scenario_spec)
-from .theories import (OperatorFamily, PolynomialFamily, TheoryPair,
-                       check_structure, compose_families, evaluate_family,
-                       evaluate_polynomial, factor_last_variable,
-                       polynomial_family, scalar_family, sum_families,
-                       verify_structure)
+from .theories import (OperatorFamily, PolynomialFamily, check_structure,
+                       compose_families, evaluate_family, evaluate_polynomial,
+                       factor_last_variable, polynomial_family, scalar_family,
+                       sum_families, verify_structure)
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,7 @@ __all__ = [
     "OperatorFamily", "ParameterAlgebra", "ParseError", "PolynomialFamily",
     "ProductAlgebra", "ProvenanceNode", "RealScalars",
     "SCENARIO_RUNNERS", "ScenarioResult", "ScenarioSpec", "SchemaError",
-    "SpaceMismatch", "TheoryPair", "TuplePower", "Univariate",
+    "SpaceMismatch", "TuplePower", "Univariate",
     "UnknownParameter",
     "add", "adjoint_wrt_pairing", "bisect_preimage", "brute_force_emerge",
     "build_gravity_background", "canonical_calculus",

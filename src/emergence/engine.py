@@ -29,8 +29,9 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      NoPreimage, NotInIdentityOrbit, NotMultiplicative,
                      NotRightInvertible, NotScalarForm, NotScalarInvariant,
                      SpaceMismatch)
-from .operator_core import (Operator, lagrangian_value, operator_residual,
-                            right_inverse, sym_part)
+from .operator_core import (Operator, compose, lagrangian_value,
+                            operator_residual, power, reflect, right_inverse,
+                            scale, subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, NonnegativeReals,
                                 solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
@@ -316,9 +317,7 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
             "monomial coefficient must be nowhere vanishing",
             evidence={"coefficient": coefficient.describe()})
     algebra = algebra if algebra is not None else source.algebra
-    post = None
-    if exponent > 0:
-        post = np.linalg.matrix_power(right_inverse(slot).matrix, exponent)
+    post = power(right_inverse(slot), exponent) if exponent > 0 else None
     target = scalar_family(algebra, slot, exponent, coefficient=coefficient,
                            label=f"{coefficient.kind} * slot^{exponent}")
     fmap = _monomial_solver(source, coefficient, post, algebra,
@@ -330,20 +329,32 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
                     n_samples, tol, seed)
 
 
-def _transport(matrix: np.ndarray, post) -> np.ndarray:
-    """``matrix @ post`` whose diagonal is correctly rounded sums.
+def _exact_sum(products: np.ndarray):
+    """Correctly rounded sum, real and imaginary parts apart."""
+    real = math.fsum(products.real.ravel().tolist())
+    if np.iscomplexobj(products):
+        return complex(real, math.fsum(products.imag.ravel().tolist()))
+    return real
+
+
+def _transport(op: Operator, post: Operator | None) -> Operator:
+    """``op o post`` whose diagonal is correctly rounded sums.
 
     Orbit coordinates are read from the diagonal alone, so fixing its bits
-    keeps the parameter map independent of the BLAS kernel.
+    keeps the parameter map independent of the BLAS kernel.  A product of
+    circulants has one diagonal value, the sum of ``f[k] p[-k]`` over the
+    stencils: the same products the dense row-times-column sum adds.  A
+    product of diagonals has one product per diagonal entry, already exact.
     """
     if post is None:
-        return matrix
-    out = matrix @ post
-    for i in range(out.shape[0]):
-        products = matrix[i] * post[:, i]
-        out.real[i, i] = math.fsum(products.real.tolist())
-        if np.iscomplexobj(out):
-            out.imag[i, i] = math.fsum(products.imag.tolist())
+        return op
+    out = compose(op, post)
+    if out.structure == "stencil":
+        out.body.flat[0] = _exact_sum(op.body * reflect(post.body))
+    elif out.structure == "dense":
+        left, right = op.matrix, post.matrix
+        for i in range(out.space.dim):
+            out.body[i, i] = _exact_sum(left[i] * right[:, i])
     return out
 
 
@@ -362,15 +373,15 @@ def _monomial_solver(source, coefficient, post, algebra, weight, offset,
         raise BadSpec("synthesis needs a scalar-times-fixed source, one that "
                       "is linear in its parameter")
     transported = replace(source, form=ScalarTimesFixed(
-        Operator(_transport(form.fixed.matrix, post), source.space),
-        form.coefficient))
-    offset = None if offset is None else weight * _transport(offset, post)
+        _transport(form.fixed, post), form.coefficient))
+    offset = None if offset is None else scale(weight,
+                                               _transport(offset, post))
 
     def solve(eps):
         scaled = source.algebra.scale(weight, eps) if weight != 1.0 else eps
-        m = evaluate_family(transported, scaled).matrix
+        m = evaluate_family(transported, scaled)
         if offset is not None:
-            m = m - offset
+            m = subtract(m, offset)
         try:
             c = solve_action_on_identity(algebra, m, tol=tol)
         except NotInIdentityOrbit as exc:
@@ -507,11 +518,11 @@ def _fold_weights(s: int) -> tuple:
     return tuple(w)
 
 
-def _constant_offset(poly: PolynomialFamily, constants) -> np.ndarray | None:
+def _constant_offset(poly: PolynomialFamily, constants) -> Operator | None:
     if not constants:
         return None
     return evaluate_polynomial(replace(poly, terms=tuple(constants)),
-                               poly.algebra.zero()).matrix
+                               poly.algebra.zero())
 
 
 def _synthesize(source, poly, offset, weight, post, tol):
@@ -535,9 +546,8 @@ def _synth_univariate(source, poly, offset, weight, post, tol):
         exponent = alpha[0]
         term_post = post
         if exponent > 0:
-            r_pow = np.linalg.matrix_power(
-                poly.right_inverses[0].matrix, exponent)
-            term_post = r_pow if post is None else post @ r_pow
+            r_pow = power(poly.right_inverses[0], exponent)
+            term_post = r_pow if post is None else compose(post, r_pow)
         total_w = weight * w
         solvers.append((alpha, _monomial_solver(
             source, f, term_post, poly.algebra, total_w, offset,
@@ -559,9 +569,8 @@ def _synth_multivariate(source, poly, offset, weight, post, tol):
     for (sub, j), w in zip(groups, weights):
         child_post = post
         if j > 0:
-            r_pow = np.linalg.matrix_power(
-                poly.right_inverses[last].matrix, j)
-            child_post = r_pow if post is None else post @ r_pow
+            r_pow = power(poly.right_inverses[last], j)
+            child_post = r_pow if post is None else compose(post, r_pow)
         sub_solvers, sub_prov = _synthesize(source, sub, offset, weight * w,
                                             child_post, tol)
         solvers.extend((alpha + (j,), g) for alpha, g in sub_solvers)

@@ -1,22 +1,32 @@
-"""Dense operator algebra on discretized field spaces.
+"""Operator algebra on discretized field spaces, stored by structure.
 
-A field configuration is a vector in ``C^n`` or ``R^n``; an operator is an
-``n x n`` matrix acting on it, and nothing else.  The physics enters through
-the pairing
+A field configuration is a vector in ``C^n`` or ``R^n``; an operator is a
+linear map on it, held in one of three bodies:
+
+* ``"stencil"``: a circulant on a periodic grid, stored as its grid-shaped
+  first column, ``M[i, j] = stencil[x_i - x_j]``.  Every constant-coefficient
+  finite-difference operator is one (shifts, first/second differences,
+  metric boxes and the curvature/noncommutativity backgrounds built from
+  them), and so are their right inverses.
+* ``"diagonal"``: a diagonal, stored as the vector of its entries.
+* ``"dense"``: any other ``n x n`` matrix.
+
+The algebra keeps a body wherever it closes: sums and scalings act on the
+bodies, compositions convolve stencils and multiply diagonals, adjoints
+reflect stencils, quadratic forms are convolutions and Frobenius norms are
+``sqrt(n)`` times a stencil's norm.  Mixed structures fall back to dense
+matrices, which :attr:`Operator.matrix` derives from any body.  The physics
+enters through the pairing
 
     <phi, psi> = w phi^T psi        (symmetric bilinear)
     <phi, psi> = w conj(phi)^T psi  (hermitian sesquilinear)
 
 with ``w > 0`` the volume element of one site (``prod(spacing)`` on a grid,
 ``1`` on a geometry-free space), so adjoints are plain or conjugate
-transposes, and through constant-coefficient finite-difference stencils on
-periodic grids: shifts, first/second differences, metric boxes and the
-curvature/noncommutativity backgrounds built from them.  Each stencil is a
-grid-shaped first column expanded by :func:`circulant`.  Whether an operator
-is circulant is read from its entries, however it was built; circulants on a
-grid get right inverses exactly (up to rounding) from the discrete Fourier
-symbol, and a vanishing symbol is reported with its frequency instead of
-silently regularized.
+transposes.  Circulants get right inverses exactly (up to rounding) from the
+discrete Fourier symbol, and a vanishing symbol is reported with its
+frequency instead of silently regularized; a dense matrix whose entries are
+circulant takes the same route.  Diagonals are inverted entry by entry.
 """
 
 from __future__ import annotations
@@ -138,28 +148,67 @@ def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear map on a field space: its dense matrix and nothing else.
+    """A linear map on a field space, stored by its structure.
 
-    Structure such as circulance is a property of the entries and is read
-    from them when needed (see :func:`circulant_symbol`).
+    ``body`` is the ``n x n`` matrix when ``structure`` is ``"dense"`` (the
+    default, so ``Operator(matrix, space)`` is dense), the grid-shaped first
+    column of a circulant when it is ``"stencil"``, and the vector of
+    diagonal entries when it is ``"diagonal"``.
     """
 
-    matrix: np.ndarray
+    body: np.ndarray
     space: FieldSpace
+    structure: str = "dense"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape != (self.space.dim, self.space.dim):
-            raise BadSpec("operator matrix shape disagrees with its space")
-        object.__setattr__(self, "matrix", m)
+        body = np.asarray(self.body)
+        n = self.space.dim
+        if self.structure == "dense":
+            shape = (n, n)
+        elif self.structure == "stencil":
+            if self.space.geometry is None:
+                raise BadSpec("stencil operators need a grid geometry")
+            shape = self.space.geometry.dims
+        elif self.structure == "diagonal":
+            shape = (n,)
+        else:
+            raise BadSpec(f"unknown operator structure {self.structure!r}")
+        if body.shape != shape:
+            raise BadSpec(f"{self.structure} operator body has shape "
+                          f"{body.shape}, its space needs {shape}")
+        object.__setattr__(self, "body", body)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``n x n`` matrix, derived from the body."""
+        if self.structure == "stencil":
+            return circulant(self.space.geometry, self.body)
+        if self.structure == "diagonal":
+            return np.diag(self.body)
+        return self.body
+
+
+def _unit(space: FieldSpace, value: float) -> Operator:
+    """``value`` times the identity: a stencil on a grid, else a diagonal."""
+    if space.geometry is None:
+        return Operator(np.full(space.dim, value, dtype=space.dtype), space,
+                        "diagonal")
+    stencil = np.zeros(space.geometry.dims, dtype=space.dtype)
+    stencil.flat[0] = value
+    return Operator(stencil, space, "stencil")
 
 
 def identity_operator(space: FieldSpace) -> Operator:
-    return Operator(np.eye(space.dim, dtype=space.dtype), space)
+    return _unit(space, 1.0)
 
 
 def zero_operator(space: FieldSpace) -> Operator:
-    return Operator(np.zeros((space.dim, space.dim), dtype=space.dtype), space)
+    return _unit(space, 0.0)
+
+
+def diagonal_operator(space: FieldSpace, entries) -> Operator:
+    """The diagonal operator with the given entries, one per site."""
+    return Operator(np.asarray(entries), space, "diagonal")
 
 
 def _require_same_space(a: Operator, b: Operator):
@@ -167,25 +216,66 @@ def _require_same_space(a: Operator, b: Operator):
         raise SpaceMismatch("operators live on different field spaces")
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Periodic convolution ``c[x] = sum_y a[x - y] b[y]`` of grid arrays.
+
+    Summed over the nonzero entries of the sparser factor, one shifted copy
+    of the other per entry: a finite-difference stencil has a handful, so
+    composing or applying one costs a few passes over the grid, and an entry
+    made of one product is exact.
+    """
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    axes = tuple(range(b.ndim))
+    out = np.zeros(b.shape, dtype=np.result_type(a, b))
+    for index in zip(*np.nonzero(a)):
+        out += a[index] * np.roll(b, index, axis=axes)
+    return out
+
+
+def reflect(stencil: np.ndarray) -> np.ndarray:
+    """``stencil[-x]``, the stencil of the transposed circulant."""
+    return np.roll(np.flip(stencil), 1, axis=tuple(range(stencil.ndim)))
+
+
 def compose(a: Operator, b: Operator) -> Operator:
     """Operator composition ``(a o b)(phi) = a(b(phi))``."""
     _require_same_space(a, b)
+    if a.structure == b.structure == "stencil":
+        return Operator(_convolve(a.body, b.body), a.space, "stencil")
+    if a.structure == b.structure == "diagonal":
+        return Operator(a.body * b.body, a.space, "diagonal")
     return Operator(a.matrix @ b.matrix, a.space)
 
 
-def add(a: Operator, b: Operator) -> Operator:
+def _entrywise(ufunc, a: Operator, b: Operator) -> Operator:
     _require_same_space(a, b)
-    return Operator(a.matrix + b.matrix, a.space)
+    if a.structure == b.structure:
+        return Operator(ufunc(a.body, b.body), a.space, a.structure)
+    return Operator(ufunc(a.matrix, b.matrix), a.space)
+
+
+def add(a: Operator, b: Operator) -> Operator:
+    return _entrywise(np.add, a, b)
+
+
+def subtract(a: Operator, b: Operator) -> Operator:
+    return _entrywise(np.subtract, a, b)
 
 
 def scale(c, a: Operator) -> Operator:
-    return Operator(c * a.matrix, a.space)
+    return Operator(c * a.body, a.space, a.structure)
 
 
 def power(a: Operator, n: int) -> Operator:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise BadSpec("operator powers take a nonnegative integer exponent")
-    return Operator(np.linalg.matrix_power(a.matrix, int(n)), a.space)
+    if n == 0:
+        return identity_operator(a.space)
+    out = a
+    for _ in range(int(n) - 1):
+        out = compose(out, a)
+    return out
 
 
 def adjoint_wrt_pairing(a: Operator) -> Operator:
@@ -193,15 +283,34 @@ def adjoint_wrt_pairing(a: Operator) -> Operator:
 
     The Gram matrix ``w I`` commutes with everything, so ``G^-1 A^* G = A^*``:
     the plain transpose for a symmetric bilinear pairing and the conjugate
-    transpose for a hermitian one.
+    transpose for a hermitian one.  A circulant's transpose is its reflected
+    stencil and a diagonal is its own transpose.
     """
-    star = a.matrix.T if a.space.pairing.symmetry == "symmetric" else a.matrix.conj().T
-    return Operator(star, a.space)
+    if a.structure == "dense":
+        star = a.body.T
+    elif a.structure == "stencil":
+        star = reflect(a.body)
+    else:
+        star = a.body
+    if a.space.pairing.symmetry == "hermitian":
+        star = star.conj()
+    return Operator(star, a.space, a.structure)
 
 
 def sym_part(a: Operator) -> Operator:
     """Pairing-symmetric part; carries exactly the quadratic-form content."""
-    return Operator(0.5 * (a.matrix + adjoint_wrt_pairing(a).matrix), a.space)
+    return Operator(0.5 * (a.body + adjoint_wrt_pairing(a).body), a.space,
+                    a.structure)
+
+
+def _apply(a: Operator, phi: np.ndarray) -> np.ndarray:
+    """``A phi`` for one field configuration."""
+    if a.structure == "stencil":
+        dims = a.space.geometry.dims
+        return _convolve(a.body, phi.reshape(dims)).ravel()
+    if a.structure == "diagonal":
+        return a.body * phi
+    return a.body @ phi
 
 
 def lagrangian_value(a: Operator, phi: np.ndarray):
@@ -210,20 +319,42 @@ def lagrangian_value(a: Operator, phi: np.ndarray):
     if phi.shape != (a.space.dim,):
         raise SpaceMismatch("field configuration has the wrong dimension")
     left = phi.conj() if a.space.pairing.symmetry == "hermitian" else phi
-    value = a.space.pairing.weight * (left @ (a.matrix @ phi))
+    value = a.space.pairing.weight * (left @ _apply(a, phi))
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 def frobenius(a: Operator) -> float:
-    return float(np.linalg.norm(a.matrix, "fro"))
+    """Frobenius norm; a circulant repeats its stencil in each of n rows."""
+    norm = float(np.linalg.norm(a.body))
+    return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
+
+
+def diagonal(a: Operator) -> np.ndarray:
+    """The diagonal entries, one per site."""
+    if a.structure == "stencil":
+        return np.full(a.space.dim, a.body.flat[0])
+    if a.structure == "diagonal":
+        return a.body
+    return np.diagonal(a.body)
+
+
+def distance_to_diagonal(a: Operator, entries) -> float:
+    """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site."""
+    entries = np.broadcast_to(entries, (a.space.dim,))
+    if a.structure != "stencil":
+        return frobenius(subtract(a, diagonal_operator(a.space, entries)))
+    # the off-diagonal entries repeat in every row; the diagonal is body[0]
+    off = a.body.copy()
+    off.flat[0] = 0
+    return math.hypot(math.sqrt(a.space.dim) * float(np.linalg.norm(off)),
+                      float(np.linalg.norm(a.body.flat[0] - entries)))
 
 
 def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``A^(2n) == A^n`` holds (relative Frobenius residual)."""
-    an = np.linalg.matrix_power(a.matrix, int(n))
-    a2n = an @ an
-    return bool(np.linalg.norm(a2n - an, "fro")
-                <= tol * max(1.0, np.linalg.norm(an, "fro")))
+    an = power(a, int(n))
+    return bool(frobenius(subtract(compose(an, an), an))
+                <= tol * max(1.0, frobenius(an)))
 
 
 # --- circulants and right inverses -------------------------------------------
@@ -248,20 +379,30 @@ def circulant(geometry: GridGeometry, stencil) -> np.ndarray:
 
 
 def _is_circulant(a: Operator) -> bool:
-    """Whether ``a`` lives on a grid and equals the circulant of its first column."""
+    """Whether dense ``a`` is on a grid and is the circulant of its first column."""
     geometry = a.space.geometry
-    if geometry is None:
+    if geometry is None or a.structure != "dense":
         return False
-    m = a.matrix
+    m = a.body
     gap = float(np.linalg.norm(m - circulant(geometry, m[:, 0]), "fro"))
     return gap <= 1e-12 * max(1.0, float(np.linalg.norm(m, "fro")))
 
 
+def _stencil(a: Operator) -> np.ndarray | None:
+    """The stencil of ``a`` when it is a circulant on a grid, else None."""
+    if a.structure == "stencil":
+        return a.body
+    if _is_circulant(a):
+        return a.body[:, 0].reshape(a.space.geometry.dims)
+    return None
+
+
 def circulant_symbol(a: Operator) -> np.ndarray:
     """Discrete Fourier symbol of a circulant operator (shape = grid dims)."""
-    if not _is_circulant(a):
+    stencil = _stencil(a)
+    if stencil is None:
         raise BadSpec("spectral route needs a circulant operator on a grid")
-    return np.fft.fftn(a.matrix[:, 0].reshape(a.space.geometry.dims))
+    return np.fft.fftn(stencil)
 
 
 def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
@@ -269,20 +410,28 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
 
     Circulant operators on a grid take the spectral route, which inverts the
     symbol and refuses exactly those operators whose symbol vanishes
-    somewhere, reporting the offending frequency.  Every other operator takes
-    the pseudoinverse route, which refuses rank-deficient inputs with the
-    residual.  Either way the product is verified.  An operator with a NaN
-    or infinite entry is refused before either route runs.
+    somewhere, reporting the offending frequency.  Diagonals are inverted
+    entry by entry and a zero entry is refused with its index.  Every other
+    operator takes the pseudoinverse route, which refuses rank-deficient
+    inputs with the residual.  Either way the product is verified.  An
+    operator with a NaN or infinite entry is refused before any route runs.
     """
-    n = a.space.dim
-    finite = np.isfinite(a.matrix)
+    finite = np.isfinite(a.body)
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NotRightInvertible(f"operator has a non-finite entry at {index}")
-    if _is_circulant(a):
+    stencil = _stencil(a)
+    if a.structure == "diagonal":
+        method = "reciprocal"
+        zeros = np.flatnonzero(a.body == 0)
+        if zeros.size:
+            raise NotRightInvertible(
+                f"diagonal entry {int(zeros[0])} is zero")
+        r = Operator(1.0 / a.body, a.space, "diagonal")
+    elif stencil is not None:
         method = "spectral"
         geometry = a.space.geometry
-        symbol = np.fft.fftn(a.matrix[:, 0].reshape(geometry.dims))
+        symbol = np.fft.fftn(stencil)
         scale_ = max(1.0, float(np.max(np.abs(symbol))))
         flat = np.abs(symbol).ravel()
         k = int(np.argmin(flat))
@@ -291,15 +440,15 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
             raise NotRightInvertible(
                 f"circulant symbol vanishes at frequency {freq}",
                 frequency=freq, residual=float(flat[k]))
-        stencil = np.fft.ifftn(1.0 / symbol)
-        if a.space.scalar_kind == "real" and np.max(np.abs(stencil.imag)) <= 1e-12:
-            stencil = stencil.real
-        r = Operator(circulant(geometry, stencil), a.space)
+        inverse = np.fft.ifftn(1.0 / symbol)
+        if a.space.scalar_kind == "real" and np.max(np.abs(inverse.imag)) <= 1e-12:
+            inverse = inverse.real
+        r = Operator(inverse, a.space, "stencil")
     else:
         method = "pseudoinverse"
-        r = Operator(np.linalg.pinv(a.matrix), a.space)
-    residual = float(np.linalg.norm(a.matrix @ r.matrix - np.eye(n), "fro"))
-    if not residual <= tol * max(1.0, float(np.linalg.norm(a.matrix, "fro"))):
+        r = Operator(np.linalg.pinv(a.body), a.space)
+    residual = frobenius(subtract(compose(a, r), identity_operator(a.space)))
+    if not residual <= tol * max(1.0, frobenius(a)):
         raise NotRightInvertible(
             f"candidate right inverse failed verification ({method})",
             residual=residual)
@@ -342,10 +491,9 @@ def _second_partial(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
         return (_shift(geometry, mu, +1)
                 - 2.0 * _shift(geometry, mu, 0)
                 + _shift(geometry, mu, -1)) / (h * h)
-    # first column of the product of the two central-difference circulants
-    product = (circulant(geometry, _partial(geometry, mu, "central"))
-               @ _partial(geometry, nu, "central").ravel())
-    return product.reshape(geometry.dims)
+    # the stencil of the product of the two central-difference circulants
+    return _convolve(_partial(geometry, mu, "central"),
+                     _partial(geometry, nu, "central"))
 
 
 def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
@@ -394,7 +542,7 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     ``second_partial(mu, nu)``, ``box(eta=None)``, ``d1_basis(mu, nu)``,
     ``d2_background(field_strength, eta=None)``, ``projection(basis)``,
     ``constant(matrix)``.  Everything except ``projection``/``constant`` is a
-    constant-coefficient stencil, expanded once by :func:`circulant`.
+    constant-coefficient stencil and is stored as one; those two are dense.
     """
     geometry = space.geometry
     if geometry is None:
@@ -434,7 +582,7 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     if params:
         raise BadSpec(f"unused parameters for kind {kind!r}: {sorted(params)}")
     if stencil is not None:
-        matrix = circulant(geometry, stencil)
+        return Operator(stencil, space, "stencil")
     return Operator(matrix, space)
 
 
@@ -443,8 +591,7 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
 
 def operator_residual(a: Operator, b: Operator) -> float:
     """Frobenius distance between the quadratic forms of two operators."""
-    _require_same_space(a, b)
-    return float(np.linalg.norm(sym_part(a).matrix - sym_part(b).matrix, "fro"))
+    return frobenius(subtract(sym_part(a), sym_part(b)))
 
 
 def plane_wave(space: FieldSpace, freq: tuple[int, ...]) -> np.ndarray:

@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit, NotWellDefined)
-from .operator_core import Operator, identity_operator
+from .operator_core import (Operator, add, compose, diagonal,
+                            distance_to_diagonal, frobenius,
+                            identity_operator, plain_space, scale, subtract)
 
 # --- algebra instances --------------------------------------------------------
 
@@ -72,12 +74,17 @@ class ParameterAlgebra:
         raise NotImplementedError
 
     def act(self, a, op: Operator) -> Operator:
+        """Scale the rows of ``op``; a scalar keeps its structure, and so
+        does a diagonal, but scaling a circulant's rows unevenly makes it
+        dense."""
         s = self.row_scale(a)
         if np.ndim(s) == 0:
-            return Operator(s * op.matrix, op.space)
+            return scale(s, op)
         if s.shape != (op.space.dim,):
             raise BadSpec(f"{self.name} scales {s.shape[0]} rows, the operator "
                           f"has {op.space.dim}")
+        if op.structure == "diagonal":
+            return Operator(s * op.body, op.space, "diagonal")
         return Operator(s[:, None] * op.matrix, op.space)
 
     def basis(self) -> list:
@@ -502,15 +509,15 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
         a, b = algebra.sample(rng), algebra.sample(rng)
         x = operators[int(rng.integers(len(operators)))]
         y = operators[int(rng.integers(len(operators)))]
-        lhs = algebra.act(algebra.add(a, b), x).matrix
-        rhs = algebra.act(a, x).matrix + algebra.act(b, x).matrix
-        req = max(req, float(np.linalg.norm(lhs - rhs, "fro")))
-        lhs = algebra.act(algebra.mul(a, b), x).matrix
-        rhs = algebra.act(a, algebra.act(b, x)).matrix
-        req = max(req, float(np.linalg.norm(lhs - rhs, "fro")))
-        lhs = algebra.act(algebra.mul(a, b), Operator(x.matrix @ y.matrix, x.space)).matrix
-        rhs = algebra.act(a, x).matrix @ algebra.act(b, y).matrix
-        opt = max(opt, float(np.linalg.norm(lhs - rhs, "fro")))
+        lhs = algebra.act(algebra.add(a, b), x)
+        rhs = add(algebra.act(a, x), algebra.act(b, x))
+        req = max(req, frobenius(subtract(lhs, rhs)))
+        lhs = algebra.act(algebra.mul(a, b), x)
+        rhs = algebra.act(a, algebra.act(b, x))
+        req = max(req, frobenius(subtract(lhs, rhs)))
+        lhs = algebra.act(algebra.mul(a, b), compose(x, y))
+        rhs = compose(algebra.act(a, x), algebra.act(b, y))
+        opt = max(opt, frobenius(subtract(lhs, rhs)))
         comm = max(comm, algebra.distance(algebra.mul(a, b), algebra.mul(b, a)))
     optional_ok = opt <= tol
     return CompatibilityReport(req <= tol, False, n_samples, req, opt,
@@ -538,8 +545,8 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
                              tol: float = 1e-10):
     """Recover ``c`` with ``act(c, I) = target`` in closed form.
 
-    ``target`` is an operator (or matrix).  Coordinate ``k`` is the mean of
-    the target's diagonal over the rows that ``row_scale(basis()[k])``
+    ``target`` is an operator (or dense matrix).  Coordinate ``k`` is the mean
+    of the target's diagonal over the rows that ``row_scale(basis()[k])``
     scales; for a basis of disjoint 0/1 row indicators that is the
     least-squares orbit element, and it is the same bits on every machine.
     For tuple algebras pass a list with one probe operator per slot;
@@ -561,17 +568,17 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
             raise DegreeMismatch("probe count disagrees with the tuple degree")
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
-    matrix = target.matrix if isinstance(target, Operator) else np.asarray(target)
-    n = matrix.shape[0]
-    diag = np.diagonal(matrix)
+    if not isinstance(target, Operator):
+        matrix = np.asarray(target)
+        target = Operator(matrix, plain_space(
+            matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
+    n = target.space.dim
+    diag = diagonal(target)
     coords = [_support_mean(diag[np.flatnonzero(np.broadcast_to(
         algebra.row_scale(e), (n,)))]) for e in algebra.basis()]
     candidate = algebra.from_coords(coords)
-    scale_ = algebra.row_scale(candidate)
-    off_orbit = np.array(matrix, dtype=np.result_type(matrix, scale_, float))
-    off_orbit[np.diag_indices(n)] -= scale_
-    residual = float(np.linalg.norm(off_orbit, "fro"))
-    bound = tol * max(1.0, float(np.linalg.norm(matrix, "fro")))
+    residual = distance_to_diagonal(target, algebra.row_scale(candidate))
+    bound = tol * max(1.0, frobenius(target))
     if not (residual <= bound and math.isfinite(bound)):
         raise NotInIdentityOrbit(
             f"operator is not in the identity orbit of {algebra.name}",
@@ -753,18 +760,19 @@ def canonical_calculus(algebra: ParameterAlgebra, f: CoefficientFunction,
         val = f(eps)
         if abs(complex(val)) < 1e-14:
             continue
-        candidates.append(algebra.act(eps, ident).matrix / val)
+        candidates.append(scale(1.0 / val, algebra.act(eps, ident)))
     if not candidates:
         raise NotWellDefined("no usable probe parameters")
     ref = candidates[0]
-    worst = max(float(np.linalg.norm(c - ref, "fro")) for c in candidates)
-    if worst > tol * max(1.0, float(np.linalg.norm(ref, "fro"))):
+    worst = max(frobenius(subtract(c, ref)) for c in candidates)
+    if worst > tol * max(1.0, frobenius(ref)):
         raise NotWellDefined(
             "assigned operator depends on the probe parameter "
             f"(spread {worst:.3e})")
-    matrix = ref.real if (space.scalar_kind == "real"
-                          and np.max(np.abs(np.imag(ref))) <= 1e-13) else ref
-    return Operator(matrix, space)
+    if (space.scalar_kind == "real"
+            and np.max(np.abs(np.imag(ref.body))) <= 1e-13):
+        ref = Operator(np.real(ref.body), space, ref.structure)
+    return ref
 
 
 def validate_functional_calculus(algebra: ParameterAlgebra,
@@ -781,10 +789,10 @@ def validate_functional_calculus(algebra: ParameterAlgebra,
     for _ in range(n_samples):
         eps = algebra.sample(rng)
         x = operators[int(rng.integers(len(operators)))]
-        lhs = assigned.matrix @ (f(eps) * x.matrix)
-        rhs = algebra.act(eps, x).matrix
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, "fro"))
-                    / max(1.0, float(np.linalg.norm(rhs, "fro"))))
+        lhs = compose(assigned, scale(f(eps), x))
+        rhs = algebra.act(eps, x)
+        worst = max(worst, frobenius(subtract(lhs, rhs))
+                    / max(1.0, frobenius(rhs)))
     return ValidationReport(worst <= tol, False, n_samples, worst)
 
 

@@ -27,16 +27,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
 from .engine import (EmergenceMap, brute_force_emerge, emerge,
                      residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
-from .operator_core import (Operator, add, grid_space, identity_operator,
-                            is_idempotent_power, lagrangian_value,
-                            make_discrete_operator, operator_residual,
-                            plain_space, plane_wave, scale, sym_part)
+from .operator_core import (Operator, add, diagonal_operator, grid_space,
+                            identity_operator, is_idempotent_power,
+                            lagrangian_value, make_discrete_operator,
+                            operator_residual, plain_space, plane_wave, scale,
+                            sym_part)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, RealScalars,
                                 check_action_compatibility)
@@ -184,38 +186,39 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
 def gravity_operator(background: dict, h) -> Operator:
     """``h . D1`` for a symmetric perturbation ``h = (h00, h01, h11)``."""
     d1 = background["d1"]
-    matrix = (h[0] * d1[(0, 0)].matrix
-              + h[1] * (d1[(0, 1)].matrix + d1[(1, 0)].matrix)
-              + h[2] * d1[(1, 1)].matrix)
-    return Operator(matrix, background["space"])
+    return add(add(scale(h[0], d1[(0, 0)]),
+                   scale(h[1], add(d1[(0, 1)], d1[(1, 0)]))),
+               scale(h[2], d1[(1, 1)]))
 
 
 def _sym_flat(op: Operator) -> np.ndarray:
-    return sym_part(op).matrix.ravel()
+    """The flattened stencil of a circulant's symmetric part."""
+    return sym_part(op).body.ravel()
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum, so independent of summation order."""
-    return math.fsum(values[np.flatnonzero(values)].tolist())
+def _exact_sum(values: np.ndarray, repeats: int) -> float:
+    """``repeats * sum(values)``, correctly rounded, so order-independent."""
+    return float(repeats * sum(map(Fraction, values[np.flatnonzero(values)]
+                                   .tolist())))
 
 
-def _least_squares(design: np.ndarray, rhs: np.ndarray):
+def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
     """Deterministic ``min |design @ x - rhs|`` for a design of few columns.
 
-    Solves the normal equations, whose entries are correctly rounded sums,
-    by Gaussian elimination in a fixed order, so the result is the same
-    bits on every BLAS kernel.  A column that is (numerically) dependent on
-    earlier ones gets coefficient zero; for an all-zero column that is the
-    minimum-norm answer.  Returns ``(x, gap)`` with the gap the Euclidean
-    norm of the fit's residual.
+    The rows are stencil entries of circulants, each standing for the
+    ``repeats`` matrix entries it fills, so every sum over the matrices is
+    ``repeats`` times the sum over the stencils; that is summed exactly and
+    rounded once, the same float as a correctly rounded sum over the
+    matrices.  Solves the normal equations by Gaussian elimination in a
+    fixed order, so the result is the same bits on every BLAS kernel.  A
+    column that is (numerically) dependent on earlier ones gets coefficient
+    zero; for an all-zero column that is the minimum-norm answer.  Returns
+    ``(x, gap)`` with the gap the Frobenius norm of the fit's residual.
     """
     k = design.shape[1]
-    # all pairwise products in one array; freeing a block this large also
-    # raises glibc's dynamic mmap threshold, which keeps the dense algebra
-    # that follows from page-faulting on every n x n temporary
-    pairs = design[:, :, None] * design[:, None, :]
-    gram = [[_exact_sum(pairs[:, i, j]) for j in range(k)] for i in range(k)]
-    b = [_exact_sum(design[:, j] * rhs) for j in range(k)]
+    gram = [[_exact_sum(design[:, i] * design[:, j], repeats)
+             for j in range(k)] for i in range(k)]
+    b = [_exact_sum(design[:, j] * rhs, repeats) for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):
@@ -234,7 +237,7 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray):
     residual = -rhs
     for j in range(k):
         residual = residual + x[j] * design[:, j]
-    return tuple(x), math.sqrt(_exact_sum(residual * residual))
+    return tuple(x), math.sqrt(_exact_sum(residual * residual, repeats))
 
 
 def feasible_metric_perturbation(background: dict, theta: float):
@@ -250,14 +253,14 @@ def feasible_metric_perturbation(background: dict, theta: float):
         _sym_flat(d1[(1, 1)]),
     ], axis=1)
     rhs = theta * _sym_flat(background["d2"])
-    return _least_squares(design, rhs)
+    return _least_squares(design, rhs, background["space"].dim)
 
 
 def noncommutativity_coefficient(background: dict, h):
     """Least-squares coupling with ``theta * D2`` matching ``h . D1``."""
     column = _sym_flat(background["d2"])[:, None]
     rhs = _sym_flat(gravity_operator(background, h))
-    (theta,), gap = _least_squares(column, rhs)
+    (theta,), gap = _least_squares(column, rhs, background["space"].dim)
     return theta, gap
 
 
@@ -552,15 +555,15 @@ def run_boolean_scenario(spec: ScenarioSpec,
         sqrt_res = max(sqrt_res, float(np.max(np.abs(
             algebra.sqrt_select(a) - np.asarray(a)))))
 
-    diag_ops = [Operator(np.diag(rng.uniform(0.5, 2.0, dim)
-                                 .astype(complex)), space)
+    diag_ops = [diagonal_operator(space, rng.uniform(0.5, 2.0, dim)
+                                  .astype(complex))
                 for _ in range(2)]
     compat = check_action_compatibility(algebra, diag_ops, n_samples=12,
                                         seed=spec.seed)
     # representation compatibility on idempotents is exact for diagonal
     # operators: the mask square collapses onto the mask itself.  Masks and
     # operators are diagonal, so their row-scale vectors carry every entry
-    d0, d1 = (np.diagonal(op.matrix) for op in diag_ops)
+    d0, d1 = (op.body for op in diag_ops)
     rep_res = 0.0
     for a in idems:
         rho = algebra.row_scale(a)
@@ -575,8 +578,7 @@ def run_boolean_scenario(spec: ScenarioSpec,
     disjoint_res = float(np.max(np.abs(
         algebra.row_scale(mask_a) * algebra.row_scale(mask_b) - disjoint)))
 
-    psi0 = Operator(np.diag(rng.uniform(1.0, 2.0, dim).astype(complex)),
-                    space)
+    psi0 = diagonal_operator(space, rng.uniform(1.0, 2.0, dim).astype(complex))
     source = scalar_family(algebra, psi0, label="masked_theory")
     source, _ = verify_structure(
         source.with_claims("additive", "scalar_invariant"),

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BadSpec, DegreeMismatch, NotRightInvertible,
-                     UnknownParameter, Univariate)
-from .operator_core import (DEFAULT_TOL, Operator, add, compose, power,
-                            right_inverse, zero_operator)
+from .errors import BadSpec, NotRightInvertible, UnknownParameter, Univariate
+from .operator_core import (DEFAULT_TOL, Operator, add, compose, frobenius,
+                            identity_operator, power, right_inverse, scale,
+                            subtract, zero_operator)
 from .parameter_algebra import (CoefficientFunction, ParameterAlgebra,
                                 ProductAlgebra)
 
@@ -174,10 +174,12 @@ class StructureReport:
 def _law_residual(family: OperatorFamily, law: str, a, b, fa, fb) -> float:
     """``|Psi(a op b) - Psi(a) op Psi(b)|_F``, given ``fa, fb = Psi(a), Psi(b)``."""
     if law == "additive":
-        lhs, rhs = evaluate_family(family, family.algebra.add(a, b)), fa + fb
+        lhs = evaluate_family(family, family.algebra.add(a, b))
+        rhs = add(fa, fb)
     else:
-        lhs, rhs = evaluate_family(family, family.algebra.mul(a, b)), fa @ fb
-    return float(np.linalg.norm(lhs.matrix - rhs, "fro"))
+        lhs = evaluate_family(family, family.algebra.mul(a, b))
+        rhs = compose(fa, fb)
+    return frobenius(subtract(lhs, rhs))
 
 
 def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
@@ -215,8 +217,8 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
 
             def res(rng):
                 a, b = family.algebra.sample(rng), family.algebra.sample(rng)
-                fa = evaluate_family(family, a).matrix
-                fb = evaluate_family(family, b).matrix
+                fa = evaluate_family(family, a)
+                fb = evaluate_family(family, b)
                 return max(_law_residual(family, law, a, b, fa, fb)
                            for law in laws)
         else:  # scalar_invariant
@@ -224,10 +226,9 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
                 a = family.algebra.sample(rng)
                 worst = 0.0
                 for c in half_like + [float(rng.uniform(0.1, 1.9))]:
-                    lhs = evaluate_family(
-                        family, family.algebra.scale(c, a)).matrix
-                    rhs = c * evaluate_family(family, a).matrix
-                    worst = max(worst, float(np.linalg.norm(lhs - rhs, "fro")))
+                    lhs = evaluate_family(family, family.algebra.scale(c, a))
+                    rhs = scale(c, evaluate_family(family, a))
+                    worst = max(worst, frobenius(subtract(lhs, rhs)))
                 return worst
 
         worst = residual_pair(res)
@@ -329,20 +330,16 @@ def monomial_operator(poly: PolynomialFamily, alpha) -> Operator:
     """The slot product for one multi-index, skipping exponent-0 factors.
 
     Skipping matters: a variable that never appears must not even multiply
-    by the identity matrix, so reduced and unreduced polynomials evaluate
-    bitwise identically.
+    by the identity, so reduced and unreduced polynomials evaluate bitwise
+    identically.
     """
-    alpha = tuple(alpha)
     out = None
-    for op, e in zip(poly.operators, alpha):
+    for op, e in zip(poly.operators, tuple(alpha)):
         if e == 0:
             continue
-        p = np.linalg.matrix_power(op.matrix, e)
-        out = p if out is None else out @ p
-    if out is None:
-        return Operator(np.eye(poly.space.dim, dtype=poly.space.dtype),
-                        poly.space)
-    return Operator(out, poly.space)
+        p = power(op, e)
+        out = p if out is None else compose(out, p)
+    return out if out is not None else identity_operator(poly.space)
 
 
 def evaluate_polynomial(poly: PolynomialFamily, assignment) -> Operator:
@@ -361,11 +358,9 @@ def evaluate_polynomial(poly: PolynomialFamily, assignment) -> Operator:
         else:
             delta = assignment
         coeff = f(delta)
-        piece = poly.algebra.act(coeff, monomial_operator(poly, alpha)) \
-            if not np.isscalar(coeff) else None
-        if piece is None:
-            piece = Operator(coeff * monomial_operator(poly, alpha).matrix,
-                             poly.space)
+        mono = monomial_operator(poly, alpha)
+        piece = scale(coeff, mono) if np.isscalar(coeff) \
+            else poly.algebra.act(coeff, mono)
         total = piece if total is None else add(total, piece)
     return total if total is not None else zero_operator(poly.space)
 
@@ -393,27 +388,3 @@ def factor_last_variable(poly: PolynomialFamily):
                               poly.coefficient_degree, inverses, failures,
                               label=f"{poly.label}|last^{j}"), j)
             for j in sorted(groups)]
-
-
-def reassemble_last_variable(poly: PolynomialFamily, factored) -> dict:
-    """Inverse bookkeeping of :func:`factor_last_variable` (for tests)."""
-    terms = {}
-    for sub, j in factored:
-        for alpha, f in sub.terms:
-            terms[alpha + (j,)] = f
-    return terms
-
-
-@dataclass(frozen=True, eq=False)
-class TheoryPair:
-    """A source family and the polynomial family it should emerge from."""
-
-    source: OperatorFamily
-    target: PolynomialFamily
-
-    def __post_init__(self):
-        if not self.source.space.matches(self.target.space):
-            raise BadSpec("paired theories must share a field space")
-        if self.target.coefficient_degree % max(1, self.source.degree) != 0:
-            raise DegreeMismatch("coefficient degree must be a multiple of "
-                                 "the source degree")

@@ -6,15 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emergence import (BadSpec, NotRightInvertible, Operator, SpaceMismatch,
-                       add, adjoint_wrt_pairing, compose, grid_space,
-                       identity_operator, lagrangian_value,
+from emergence import (BadSpec, BooleanComplex, ComplexScalars,
+                       NotRightInvertible, Operator, RealScalars,
+                       SpaceMismatch, add, adjoint_wrt_pairing, compose,
+                       grid_space, identity_operator, lagrangian_value,
                        make_discrete_operator, operator_residual, plain_space,
                        right_inverse, scale, sym_part, zero_operator)
 from emergence.operator_core import (PairingForm, circulant,
-                                     circulant_symbol, frobenius,
-                                     is_idempotent_power, plane_wave, power)
+                                     circulant_symbol, diagonal_operator,
+                                     frobenius, is_idempotent_power,
+                                     plane_wave, power)
 
 # --- spaces -----------------------------------------------------------------
 
@@ -354,7 +358,9 @@ def test_pseudoinverse_route_verifies_the_product(flat4, rng):
 def test_non_finite_operators_are_refused(flat4, line8, bad):
     for a in (Operator(np.diag([1.0, bad, 1.0, 1.0]), flat4),
               Operator(np.diag([1.0] * 7 + [bad]), line8),
-              Operator(np.full((8, 8), bad), line8)):
+              Operator(np.full((8, 8), bad), line8),
+              diagonal_operator(flat4, [1.0, bad, 1.0, 1.0]),
+              Operator(np.array([1.0] * 7 + [bad]), line8, "stencil")):
         with pytest.raises(NotRightInvertible, match="non-finite"):
             right_inverse(a)
 
@@ -386,7 +392,83 @@ def test_hand_built_circulant_takes_the_spectral_route(line8):
     assert info.value.frequency == (0,)
 
 
+def test_diagonal_right_inverse_is_the_reciprocal(flat4, line8):
+    for space in (flat4, line8):
+        d = diagonal_operator(space, np.linspace(-2.0, 3.0, space.dim) + 0.1)
+        r = right_inverse(d)
+        assert r.structure == "diagonal"
+        assert np.array_equal(r.body, 1.0 / d.body)
+    with pytest.raises(NotRightInvertible, match="diagonal entry 2 is zero"):
+        right_inverse(diagonal_operator(flat4, [1.0, 1.0, 0.0, 1.0]))
+
+
 def test_zero_operator_annihilates(line8, rng):
     z = zero_operator(line8)
     phi = line8.sample_field(rng)
     assert lagrangian_value(z, phi) == 0.0
+
+
+# --- structured bodies against the dense oracle ------------------------------
+
+
+def _random_body(space, structure, density, rng):
+    """Gaussian entries, each kept with probability ``density``."""
+    shape = space.geometry.dims if structure == "stencil" else (space.dim,)
+    body = rng.standard_normal(shape)
+    if space.scalar_kind == "complex":
+        body = body + 1j * rng.standard_normal(shape)
+    return Operator(body * (rng.random(shape) < density), space, structure)
+
+
+def _agree(got, expected):
+    gap = np.linalg.norm(np.asarray(got) - np.asarray(expected))
+    assert gap <= 1e-12 * max(1.0, float(np.linalg.norm(expected)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(8, 8), (16, 16), (64,)]),
+       scalar_kind=st.sampled_from(["real", "complex"]),
+       symmetry=st.sampled_from(["symmetric", "hermitian"]),
+       structures=st.tuples(*[st.sampled_from(["stencil", "diagonal"])] * 2),
+       density=st.sampled_from([0.02, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_structured_algebra_agrees_with_the_dense_oracle(
+        dims, scalar_kind, symmetry, structures, density, seed):
+    spacing = (0.5, 2.0)[:len(dims)]
+    space = grid_space(dims, spacing, scalar_kind, symmetry)
+    rng = np.random.default_rng(seed)
+    a, b = (_random_body(space, s, density, rng) for s in structures)
+    da, db = Operator(a.matrix, space), Operator(b.matrix, space)
+    c = complex(rng.standard_normal(), rng.standard_normal()) \
+        if scalar_kind == "complex" else float(rng.standard_normal())
+    kept = a.structure if a.structure == b.structure else "dense"
+    for got, expected, structure in (
+            (compose(a, b), compose(da, db), kept),
+            (add(a, b), add(da, db), kept),
+            (scale(c, a), scale(c, da), a.structure),
+            (power(a, 3), power(da, 3), a.structure),
+            (sym_part(a), sym_part(da), a.structure),
+            (adjoint_wrt_pairing(a), adjoint_wrt_pairing(da), a.structure)):
+        assert got.structure == structure
+        _agree(got.matrix, expected.matrix)
+    phi = space.sample_field(rng)
+    _agree(lagrangian_value(a, phi), lagrangian_value(da, phi))
+    _agree(operator_residual(a, b), operator_residual(da, db))
+    _agree(frobenius(a), frobenius(da))
+    # diagonally dominant, so every symbol and entry stays away from zero
+    unit = identity_operator(space) if a.structure == "stencil" \
+        else diagonal_operator(space, np.ones(space.dim))
+    massive = add(a, scale(1.0 + float(np.sum(np.abs(a.body))), unit))
+    r = right_inverse(massive)
+    assert r.structure == a.structure
+    _agree(r.matrix, right_inverse(Operator(massive.matrix, space)).matrix)
+    algebra = ComplexScalars() if scalar_kind == "complex" else RealScalars()
+    acted = algebra.act(c, a)
+    assert acted.structure == a.structure
+    _agree(acted.matrix, algebra.act(c, da).matrix)
+    masks = BooleanComplex(8, space.dim // 8)
+    eps = masks.sample(rng)
+    acted = masks.act(eps, a)
+    assert acted.structure == ("diagonal" if a.structure == "diagonal"
+                               else "dense")
+    _agree(acted.matrix, masks.act(eps, da).matrix)

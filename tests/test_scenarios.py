@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, InfeasibleTarget, NotScalarForm, ScenarioSpec,
-                       build_gravity_background, run_scenario_spec)
-from emergence.scenarios import (_sym_flat, check_feasible,
+from emergence import (BadSpec, InfeasibleTarget, NotScalarForm, Operator,
+                       ScenarioSpec, build_gravity_background,
+                       run_scenario_spec, sym_part)
+from emergence import operator_core
+from emergence.scenarios import (check_feasible,
                                  feasible_metric_perturbation,
                                  gravity_operator,
                                  noncommutativity_coefficient,
@@ -96,8 +98,13 @@ def test_coefficient_recovery_inverts_the_operator_build():
     assert np.allclose(target.matrix, -0.4 * background["box_eta"].matrix)
 
 
+def _sym_flat(op):
+    return sym_part(op).matrix.ravel()
+
+
 def _lapack_fits(background, theta, h):
-    """The LAPACK least-squares fits the deterministic ones replace."""
+    """The LAPACK least-squares fits the deterministic ones replace, over
+    the dense matrices."""
     d1 = background["d1"]
     columns = np.stack([_sym_flat(d1[(0, 0)]),
                         _sym_flat(d1[(0, 1)]) + _sym_flat(d1[(1, 0)]),
@@ -177,6 +184,31 @@ def test_mirrored_runner_rejects_indefinite_perturbations():
                         theta_values=(), h_scales=(-1.0,))
     with pytest.raises(BadSpec):
         run_noncommutativity_from_gravity(spec)
+
+
+def test_gravity_scenarios_build_no_dense_matrix(monkeypatch):
+    # every gravity operator is a circulant: neither runner may expand one
+    # into its n x n matrix, through circulant() or the dense view
+    builds = []
+    expand = operator_core.circulant
+    dense_view = Operator.matrix.fget
+
+    def counted_circulant(geometry, stencil):
+        builds.append("circulant")
+        return expand(geometry, stencil)
+
+    def counted_matrix(op):
+        builds.append(f"{op.structure} matrix")
+        return dense_view(op)
+
+    monkeypatch.setattr(operator_core, "circulant", counted_circulant)
+    monkeypatch.setattr(Operator, "matrix", property(counted_matrix))
+    for spec in (gravity_spec(grid=(24, 24), samples=5),
+                 gravity_spec(name="noncommutativity_from_gravity",
+                              grid=(24, 24), theta_values=(),
+                              h_scales=(0.5, 1.0), samples=5)):
+        assert run_scenario_spec(spec).passed
+    assert builds == []
 
 
 # --- idempotent runner --------------------------------------------------------------

@@ -7,14 +7,14 @@ import pytest
 
 from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
                        DegreeMismatch, NonnegativeReals, Operator,
-                       PolynomialFamily, RealScalars, TheoryPair, Univariate,
+                       PolynomialFamily, RealScalars, Univariate,
                        UnknownParameter, add, check_structure,
                        compose_families, evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
                        make_discrete_operator, plain_space, polynomial_family,
                        scalar_family, sum_families, verify_structure)
 from emergence.theories import (STRUCTURE_FLAGS, monomial_operator,
-                                reassemble_last_variable, tabulated_family)
+                                tabulated_family)
 
 # --- family forms and evaluation ------------------------------------------------
 
@@ -214,7 +214,9 @@ def test_factor_last_variable_round_trips(line8):
     sub0, _ = factored[0]
     assert [alpha for alpha, _ in sub0.terms] == [(1,)]
     assert sub0.slots == 1
-    assert reassemble_last_variable(poly, factored) == poly.term_map()
+    reassembled = {alpha + (j,): f for sub, j in factored
+                   for alpha, f in sub.terms}
+    assert reassembled == poly.term_map()
 
 
 def test_factoring_needs_a_second_variable(line8):
@@ -224,26 +226,6 @@ def test_factoring_needs_a_second_variable(line8):
         RealScalars())
     with pytest.raises(Univariate):
         factor_last_variable(poly)
-
-
-def test_theory_pair_checks_spaces_and_degrees(line8, line4):
-    source = scalar_family(RealScalars(), identity_operator(line8))
-    poly = polynomial_family(
-        [identity_operator(line8)],
-        {(1,): CoefficientFunction.linear(1.0, domain="real")},
-        RealScalars())
-    pair = TheoryPair(source, poly)
-    assert pair.source is source
-    other = polynomial_family(
-        [identity_operator(line4)],
-        {(1,): CoefficientFunction.linear(1.0, domain="real")},
-        RealScalars())
-    with pytest.raises(BadSpec):
-        TheoryPair(source, other)
-    wide = sum_families(source, scalar_family(RealScalars(),
-                                              identity_operator(line8)))
-    with pytest.raises(DegreeMismatch):
-        TheoryPair(wide, poly)
 
 
 def test_complex_polynomials_evaluate_over_complex_carriers():
