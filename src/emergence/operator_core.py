@@ -31,6 +31,7 @@ circulant takes the same route.  Diagonals are inverted entry by entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -216,20 +217,33 @@ def _require_same_space(a: Operator, b: Operator):
         raise SpaceMismatch("operators live on different field spaces")
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray, block: int = 0) -> np.ndarray:
     """Periodic convolution ``c[x] = sum_y a[x - y] b[y]`` of grid arrays.
 
-    Summed over the nonzero entries of the sparser factor, one shifted copy
-    of the other per entry: a finite-difference stencil has a handful, so
-    composing or applying one costs a few passes over the grid, and an entry
-    made of one product is exact.
+    The first ``block`` axes pair the factors up (broadcast); the rest is the
+    grid.  Summed in row-major order over the union of the sparser factor's
+    nonzero entries, one shifted pass over the other per entry: a
+    finite-difference stencil has a handful, so composing or applying one
+    costs a few passes over the grid, and an entry made of one product is
+    exact.  A pair with a zero entry there adds an exact ``0 * y``.
     """
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    axes = tuple(range(b.ndim))
-    out = np.zeros(b.shape, dtype=np.result_type(a, b))
-    for index in zip(*np.nonzero(a)):
-        out += a[index] * np.roll(b, index, axis=axes)
+    lead = (slice(None),) * block
+    support_a, support_b = (np.any(x != 0, axis=tuple(range(block)))
+                            for x in (a, b))
+    if np.count_nonzero(support_a) > np.count_nonzero(support_b):
+        a, b, support_a = b, a, support_b
+    grid = b.shape[block:]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    for index in zip(*np.nonzero(support_a)):
+        coeff = a[lead + index][(...,) + (None,) * len(grid)]
+        # out[x] += coeff * b[x - index] in at most two slabs per axis
+        for cut in itertools.product(*(
+                ((slice(i, n), slice(0, n - i)),
+                 (slice(0, i), slice(n - i, n)))[:1 + (i > 0)]
+                for n, i in zip(grid, index))):
+            dst, src = zip(*cut)
+            out[lead + dst] += coeff * b[lead + src]
     return out
 
 
@@ -303,24 +317,36 @@ def sym_part(a: Operator) -> Operator:
                     a.structure)
 
 
-def _apply(a: Operator, phi: np.ndarray) -> np.ndarray:
-    """``A phi`` for one field configuration."""
-    if a.structure == "stencil":
-        dims = a.space.geometry.dims
-        return _convolve(a.body, phi.reshape(dims)).ravel()
-    if a.structure == "diagonal":
-        return a.body * phi
-    return a.body @ phi
+def lagrangian_value(a, phi):
+    """The Lagrangian density sum ``<phi, A phi>`` of a field or a block.
 
-
-def lagrangian_value(a: Operator, phi: np.ndarray):
-    """The Lagrangian density sum ``<phi, A phi>`` for one configuration."""
+    ``phi`` is one field ``(n,)``, giving a number, or a block ``(s, n)``,
+    giving ``s`` values; ``a`` is one operator or ``s`` of them, one per
+    field.  Stencil blocks take one shifted-copy pass per entry of their
+    union support, diagonal blocks one product, dense or mixed blocks one
+    batched product; the pairing is a row sum, not a BLAS call.
+    """
+    ops = [a] if isinstance(a, Operator) else list(a)
+    space = ops[0].space
     phi = np.asarray(phi)
-    if phi.shape != (a.space.dim,):
-        raise SpaceMismatch("field configuration has the wrong dimension")
-    left = phi.conj() if a.space.pairing.symmetry == "hermitian" else phi
-    value = a.space.pairing.weight * (left @ _apply(a, phi))
-    return complex(value) if np.iscomplexobj(value) else float(value)
+    fields = phi.reshape(1, -1) if phi.ndim == 1 else phi
+    if (phi.ndim not in (1, 2) or fields.shape[1:] != (space.dim,)
+            or len(ops) not in (1, len(fields))
+            or not all(op.space.matches(space) for op in ops)):
+        raise SpaceMismatch("fields and operators do not share one space")
+    structures = {op.structure for op in ops}
+    if structures == {"stencil"}:
+        applied = _convolve(np.stack([op.body for op in ops]),
+                            fields.reshape(-1, *space.geometry.dims), block=1)
+    elif structures == {"diagonal"}:
+        applied = np.stack([op.body for op in ops]) * fields
+    else:
+        applied = np.matmul(np.stack([op.matrix for op in ops]),
+                            fields[..., None])
+    left = fields.conj() if space.pairing.symmetry == "hermitian" else fields
+    values = space.pairing.weight * np.sum(
+        left * applied.reshape(len(fields), -1), axis=1)
+    return values if phi.ndim == 2 else values[0].item()
 
 
 def frobenius(a: Operator) -> float:

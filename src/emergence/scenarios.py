@@ -214,7 +214,16 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
     column that is (numerically) dependent on earlier ones gets coefficient
     zero; for an all-zero column that is the minimum-norm answer.  Returns
     ``(x, gap)`` with the gap the Frobenius norm of the fit's residual.
+    A non-finite entry (an overflowing coupling) raises HypothesisViolated.
     """
+    for name, data in (("design", design), ("rhs", rhs)):
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            index = [int(i) for i in bad[0]]
+            raise HypothesisViolated(
+                f"least-squares {name} entry {index} is not finite; the "
+                "couplings overflow",
+                evidence={"operand": name, "index": index})
     k = design.shape[1]
     gram = [[_exact_sum(design[:, i] * design[:, j], repeats)
              for j in range(k)] for i in range(k)]
@@ -328,12 +337,10 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
 
 
 def _functional_residual(left: Operator, right: Operator, fields) -> float:
-    worst = 0.0
-    for phi in fields:
-        l1 = lagrangian_value(left, phi)
-        l2 = lagrangian_value(right, phi)
-        worst = max(worst, abs(l1 - l2) / max(1.0, abs(l1)))
-    return float(worst)
+    """Worst relative Lagrangian gap over the fields; NaN if any is NaN."""
+    l1 = lagrangian_value(left, fields)
+    l2 = lagrangian_value(right, fields)
+    return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
 
 
 def run_gravity_from_noncommutativity(spec: ScenarioSpec,

@@ -167,6 +167,24 @@ def test_refused_synthesis_exits_two(tmp_path, capsys):
     assert "NotScalarForm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overflowing", [
+    {"name": "gravity_from_noncommutativity", "theta_values": [1e308]},
+    {"name": "noncommutativity_from_gravity", "h_scales": [1e308]},
+])
+def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
+                                                         tmp_path, capsys):
+    config = write_config(tmp_path, {"grid": [8, 8], **overflowing})
+    out = str(tmp_path / "report.json")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["--config", config, "--out", out])
+    assert code == EXIT_ERROR
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
+    jsonschema.validate(report, _schema("report.schema.json"))
+    assert report["error"]["type"] == "HypothesisViolated"
+    assert report["error"]["evidence"] == {"operand": "rhs", "index": [0]}
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_reports_go_to_stdout_by_default(capsys):
     code = main(["--scenario", "idempotent", "--samples", "5"])
     assert code == EXIT_PASS

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -21,7 +22,8 @@ from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
                        operator_residual, plain_space, polynomial_family,
                        scalar_family, scale, sum_families, verify_emergence,
                        verify_structure)
-from emergence.engine import (REPORT_FLOOR, Certificate, _fold_weights,
+from emergence.engine import (CERTIFY_BLOCK, REPORT_FLOOR, Certificate,
+                              ProvenanceNode, _certify, _fold_weights,
                               residual_bound)
 from emergence.theories import evaluate_polynomial, tabulated_family
 
@@ -557,14 +559,38 @@ def test_scaling_mismatch_fails_without_raising(line8):
 
 
 def test_verification_is_job_count_independent(line8):
+    # 37 draws: the last block is short
+    assert 37 % CERTIFY_BLOCK
     source = identity_source(line8)
     poly = polynomial_family([identity_operator(line8)], {(1,): lin()},
                              RealScalars())
-    serial = verify_emergence(source, poly, lambda eps: eps, n_samples=40,
-                              seed=9)
-    threaded = verify_emergence(source, poly, lambda eps: eps, n_samples=40,
-                                seed=9, jobs=4)
-    assert serial == threaded
+    # a mismatched map, so the maxima depend on which draw is worst
+    serial, two, four = (verify_emergence(source, poly, lambda eps: 1.5 * eps,
+                                          n_samples=37, seed=9, jobs=jobs)
+                         for jobs in (None, 2, 4))
+    assert serial == two == four
+    assert serial.max_functional_residual > 0.0
+
+
+def _nan_on_call(k):
+    """A parameter map that is the identity except on its ``k``-th call."""
+    calls = itertools.count(1)
+    return lambda eps: math.nan if next(calls) == k else eps
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_a_nan_residual_in_a_later_block_fails_the_certificate(line8, jobs):
+    source = identity_source(line8)
+    k = CERTIFY_BLOCK + 4
+    cert = verify_emergence(source, source, _nan_on_call(k),
+                            n_samples=2 * CERTIFY_BLOCK + 5, jobs=jobs)
+    assert not cert.passed
+    assert math.isnan(cert.max_functional_residual)
+    assert math.isnan(cert.max_operator_residual)
+    provenance = ProvenanceNode("monomial")
+    with pytest.raises(HypothesisViolated, match="nan"):
+        _certify(source, source, _nan_on_call(k), "monomial", provenance,
+                 "nan_map", 2 * CERTIFY_BLOCK + 5, 1e-8, 0)
 
 
 def test_constructors_refuse_to_return_failing_maps(flat4):

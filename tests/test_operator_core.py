@@ -298,9 +298,15 @@ def test_hermitian_pairing_conjugates_left_argument(rng):
     assert value.real > 0.0
 
 
-def test_lagrangian_checks_field_dimension(line8):
+def test_lagrangian_checks_field_dimension(line8, line4):
+    ident = identity_operator(line8)
+    for ops, phi in ((ident, np.zeros(5)), (ident, np.zeros((3, 5))),
+                     (ident, np.zeros((2, 4, 2))), (ident, np.zeros(())),
+                     ([ident] * 3, np.zeros((2, 8)))):
+        with pytest.raises(SpaceMismatch):
+            lagrangian_value(ops, phi)
     with pytest.raises(SpaceMismatch):
-        lagrangian_value(identity_operator(line8), np.zeros(5))
+        lagrangian_value([ident, identity_operator(line4)], np.zeros((2, 8)))
 
 
 # --- idempotent powers ---------------------------------------------------------
@@ -420,6 +426,13 @@ def _random_body(space, structure, density, rng):
     return Operator(body * (rng.random(shape) < density), space, structure)
 
 
+def _random_operator(space, structure, density, rng):
+    if structure != "dense":
+        return _random_body(space, structure, density, rng)
+    return Operator(_random_body(space, "stencil", density, rng).matrix
+                    + np.diag(rng.standard_normal(space.dim)), space)
+
+
 def _agree(got, expected):
     gap = np.linalg.norm(np.asarray(got) - np.asarray(expected))
     assert gap <= 1e-12 * max(1.0, float(np.linalg.norm(expected)))
@@ -472,3 +485,34 @@ def test_structured_algebra_agrees_with_the_dense_oracle(
     assert acted.structure == ("diagonal" if a.structure == "diagonal"
                                else "dense")
     _agree(acted.matrix, masks.act(eps, da).matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(8, 8), (6, 10), (64,)]),
+       scalar_kind=st.sampled_from(["real", "complex"]),
+       symmetry=st.sampled_from(["symmetric", "hermitian"]),
+       structures=st.sampled_from([
+           ("stencil",) * 5, ("diagonal",) * 3, ("dense",) * 3,
+           ("stencil", "diagonal", "dense", "stencil")]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_lagrangian_agrees_with_each_fields_dense_pairing(
+        dims, scalar_kind, symmetry, structures, seed):
+    spacing = (0.5, 2.0)[:len(dims)]
+    space = grid_space(dims, spacing, scalar_kind, symmetry)
+    rng = np.random.default_rng(seed)
+    # each operator its own density, so stencil supports differ
+    ops = [_random_operator(space, s, rng.choice([0.05, 0.3, 1.0]), rng)
+           for s in structures]
+    fields = np.stack([space.sample_field(rng) for _ in ops])
+    got = lagrangian_value(ops, fields)
+    alone = [lagrangian_value(op, phi) for op, phi in zip(ops, fields)]
+    for op, phi, value in zip(ops, fields, got):
+        left = phi.conj() if symmetry == "hermitian" else phi
+        _agree(value, space.pairing.weight * (left @ op.matrix @ phi))
+    if len(set(structures)) == 1:
+        # a zero from another field's stencil support adds an exact 0 * y
+        assert np.array_equal(got, alone)
+    assert np.array_equal(lagrangian_value(ops[:1], fields[:1]), alone[:1])
+    shared = lagrangian_value(ops[0], fields)
+    for phi, value in zip(fields, shared):
+        assert value == lagrangian_value(ops[0], phi)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from emergence import (BadSpec, InfeasibleTarget, NotScalarForm, Operator,
                        ScenarioSpec, build_gravity_background,
                        run_scenario_spec, sym_part)
-from emergence import operator_core
+from emergence import engine, operator_core, scenarios
 from emergence.scenarios import (check_feasible,
                                  feasible_metric_perturbation,
                                  gravity_operator,
@@ -209,6 +210,43 @@ def test_gravity_scenarios_build_no_dense_matrix(monkeypatch):
                               h_scales=(0.5, 1.0), samples=5)):
         assert run_scenario_spec(spec).passed
     assert builds == []
+
+
+def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
+    # per-field evaluation would take about 2 x samples calls per check
+    calls, budget = [], []
+    lagrangian = operator_core.lagrangian_value
+    verify, residual = engine.verify_emergence, scenarios._functional_residual
+
+    def counted_lagrangian(a, phi):
+        calls.append(np.shape(phi))
+        return lagrangian(a, phi)
+
+    def budgeted_verify(source, target, parameter_map, n_samples, *rest):
+        budget.append(2 * math.ceil(n_samples / engine.CERTIFY_BLOCK))
+        return verify(source, target, parameter_map, n_samples, *rest)
+
+    def budgeted_residual(left, right, fields):
+        budget.append(2)
+        return residual(left, right, fields)
+
+    for module in (engine, scenarios):
+        monkeypatch.setattr(module, "lagrangian_value", counted_lagrangian)
+        monkeypatch.setattr(module, "verify_emergence", budgeted_verify)
+    monkeypatch.setattr(scenarios, "_functional_residual", budgeted_residual)
+    spec = gravity_spec(grid=(24, 24), theta_values=(0.1, 0.5, 1.0),
+                        samples=100)
+    assert run_scenario_spec(spec).passed
+    assert 0 < len(calls) <= sum(budget) < 40
+
+
+def test_gravity_functional_residual_keeps_a_late_nan():
+    background = build_gravity_background((8, 8))
+    fields = np.random.default_rng(5).standard_normal((40, 64))
+    free = background["box_m"]
+    assert scenarios._functional_residual(free, free, fields) == 0.0
+    fields[33, 7] = np.nan
+    assert math.isnan(scenarios._functional_residual(free, free, fields))
 
 
 # --- idempotent runner --------------------------------------------------------------
