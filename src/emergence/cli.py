@@ -16,6 +16,7 @@ Environment variables are never consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,23 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator(name: str):
+    """The schema's validator, checked and built once per process."""
+    schema = _schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str):
+    """``jsonschema.validate`` against a shipped schema, with its error."""
+    error = jsonschema.exceptions.best_match(
+        _validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def shipped_config_path(name: str) -> str:
     """Filesystem path of a shipped scenario config (by scenario name)."""
     path = resources.files("emergence").joinpath("configs", f"{name}.json")
@@ -86,7 +104,7 @@ def load_config(path: str) -> ScenarioSpec:
             f"config {path} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})")
     try:
-        jsonschema.validate(data, _schema("scenario.schema.json"))
+        _validate(data, "scenario.schema.json")
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise SchemaError(f"config {path} violates the scenario schema "
@@ -191,7 +209,7 @@ def _atomic_write(path: str, text: str):
 def emit_report(report: dict, out: str | None, format: str = "json"):
     """Render and deliver a report (stdout when no path is given)."""
     if format == "json":
-        jsonschema.validate(report, _schema("report.schema.json"))
+        _validate(report, "report.schema.json")
         text = render_json(report)
     else:
         text = render_text(report)

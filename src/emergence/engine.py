@@ -29,9 +29,9 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      NoPreimage, NotInIdentityOrbit, NotMultiplicative,
                      NotRightInvertible, NotScalarForm, NotScalarInvariant,
                      SpaceMismatch)
-from .operator_core import (Operator, compose, lagrangian_value,
-                            operator_residual, power, reflect, right_inverse,
-                            scale, subtract, sym_part)
+from .operator_core import (Operator, compose, frobenius_coordinates,
+                            lagrangian_value, operator_residual, power,
+                            reflect, right_inverse, scale, subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, NonnegativeReals,
                                 solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
@@ -716,23 +716,17 @@ def identity_emergence(source: OperatorFamily, tol: float = DEFAULT_TOL,
 # --- brute-force oracle ---------------------------------------------------------------
 
 
-def _vec_sym(matrix: np.ndarray, real_unknowns: bool) -> np.ndarray:
-    sym = 0.5 * (matrix + matrix.T) if not np.iscomplexobj(matrix) \
-        else 0.5 * (matrix + matrix.conj().T)
-    flat = sym.ravel()
-    if real_unknowns and np.iscomplexobj(flat):
-        return np.concatenate([flat.real, flat.imag])
-    return flat
-
-
 def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
                        tol: float = DEFAULT_TOL):
     """Independent oracle: fit the per-term parameters at one ``eps``.
 
-    Linear and affine coefficients reduce to one dense least-squares solve
-    over the symmetric parts; other coefficient kinds fall back to a nested
-    grid search over at most two scalar parameters.  Returns the per-term
-    assignment when the residual is within tolerance, ``None`` otherwise.
+    Linear and affine coefficients reduce to one least-squares solve over
+    the symmetric parts, in the coordinates of their bodies when all share
+    one structure (a stencil entry stands for its n matrix entries, the
+    zeros off a diagonal drop out) and of their dense matrices otherwise;
+    other coefficient kinds fall back to a nested grid search over at most
+    two scalar parameters.  Returns the per-term assignment when the
+    residual is within tolerance, ``None`` otherwise.
     """
     active, constants = _split_constants(poly)
     algebra = poly.algebra
@@ -745,32 +739,35 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
     if dim > 8:
         raise DimensionTooLarge(
             f"parameter dimension {dim} exceeds the oracle bound 8")
-    real_unknowns = algebra.scalar_kind != "complex"
-    target_mat = sym_part(evaluate_family(source, eps)).matrix
-    fixed = np.zeros_like(target_mat)
+    target = evaluate_family(source, eps)
     zero = algebra.zero()
+    offsets = []
     for alpha, f in constants:
         value = f(zero)
         mono = monomial_operator(poly, alpha)
-        piece = value * mono.matrix if np.isscalar(value) \
-            else algebra.act(value, mono).matrix
-        fixed = fixed + sym_part(Operator(piece, poly.space)).matrix
+        offsets.append(scale(value, mono) if np.isscalar(value)
+                       else algebra.act(value, mono))
 
     linear_kinds = all(f.kind in ("linear", "affine") for _, f in active)
     if linear_kinds:
-        columns = []
+        pieces = []
         for alpha, f in active:
             mono = monomial_operator(poly, alpha)
             slope = f.params[0]
             off = f.params[1] if f.kind == "affine" else 0.0
             if off:
-                fixed = fixed + off * sym_part(mono).matrix
-            for e in basis:
-                scaled = algebra.scale(slope, e)
-                piece = algebra.act(scaled, mono).matrix
-                columns.append(_vec_sym(piece, real_unknowns))
-        rhs = _vec_sym(target_mat - fixed, real_unknowns)
-        a = np.stack(columns, axis=1)
+                offsets.append(scale(off, mono))
+            pieces.extend(algebra.act(algebra.scale(slope, e), mono)
+                          for e in basis)
+        ops = [sym_part(op) for op in (target, *offsets, *pieces)]
+        if len({op.structure for op in ops}) == 1:
+            cols = np.stack([frobenius_coordinates(op) for op in ops], axis=1)
+        else:
+            cols = np.stack([op.matrix.ravel() for op in ops], axis=1)
+        if algebra.scalar_kind != "complex" and np.iscomplexobj(cols):
+            cols = np.concatenate([cols.real, cols.imag])
+        a = cols[:, 1 + len(offsets):]
+        rhs = cols[:, 0] - cols[:, 1:1 + len(offsets)].sum(axis=1)
         x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
         residual = float(np.linalg.norm(a @ x - rhs))
         if residual > tol:
@@ -792,8 +789,7 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
         table = {alpha: values[i] for i, (alpha, _) in enumerate(active)}
         for alpha, _ in constants:
             table[alpha] = zero
-        mat = sym_part(evaluate_polynomial(poly, table)).matrix
-        return float(np.linalg.norm(mat - target_mat, "fro"))
+        return operator_residual(evaluate_polynomial(poly, table), target)
 
     cone = isinstance(algebra, NonnegativeReals)
     lo = 0.0 if cone else -4.0

@@ -355,6 +355,17 @@ def frobenius(a: Operator) -> float:
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
+def frobenius_coordinates(a: Operator) -> np.ndarray:
+    """A vector whose 2-norm is the Frobenius norm of ``a``.
+
+    A stencil times ``sqrt(n)`` (each entry fills n matrix entries), a
+    diagonal's entries (the zeros off it drop out) or the raveled matrix.
+    """
+    if a.structure == "stencil":
+        return math.sqrt(a.space.dim) * a.body.ravel()
+    return a.body.ravel()
+
+
 def diagonal(a: Operator) -> np.ndarray:
     """The diagonal entries, one per site."""
     if a.structure == "stencil":

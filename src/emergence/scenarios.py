@@ -196,8 +196,18 @@ def _sym_flat(op: Operator) -> np.ndarray:
     return sym_part(op).body.ravel()
 
 
-def _exact_sum(values: np.ndarray, repeats: int) -> float:
-    """``repeats * sum(values)``, correctly rounded, so order-independent."""
+def _exact_sum(values: np.ndarray, repeats: int, operand: str) -> float:
+    """``repeats * sum(values)``, correctly rounded, so order-independent.
+
+    ``values`` are products of the least squares' ``operand``; one that
+    overflowed (an overflowing coupling) raises HypothesisViolated.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise HypothesisViolated(
+            f"least-squares {operand} product entry {int(bad[0])} is not "
+            "finite; the couplings overflow",
+            evidence={"operand": operand, "index": [int(bad[0])]})
     return float(repeats * sum(map(Fraction, values[np.flatnonzero(values)]
                                    .tolist())))
 
@@ -214,7 +224,8 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
     column that is (numerically) dependent on earlier ones gets coefficient
     zero; for an all-zero column that is the minimum-norm answer.  Returns
     ``(x, gap)`` with the gap the Frobenius norm of the fit's residual.
-    A non-finite entry (an overflowing coupling) raises HypothesisViolated.
+    A non-finite entry or product (an overflowing coupling) raises
+    HypothesisViolated.
     """
     for name, data in (("design", design), ("rhs", rhs)):
         bad = np.argwhere(~np.isfinite(data))
@@ -225,9 +236,9 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
                 "couplings overflow",
                 evidence={"operand": name, "index": index})
     k = design.shape[1]
-    gram = [[_exact_sum(design[:, i] * design[:, j], repeats)
+    gram = [[_exact_sum(design[:, i] * design[:, j], repeats, "design")
              for j in range(k)] for i in range(k)]
-    b = [_exact_sum(design[:, j] * rhs, repeats) for j in range(k)]
+    b = [_exact_sum(design[:, j] * rhs, repeats, "rhs") for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):
@@ -246,7 +257,8 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
     residual = -rhs
     for j in range(k):
         residual = residual + x[j] * design[:, j]
-    return tuple(x), math.sqrt(_exact_sum(residual * residual, repeats))
+    return tuple(x), math.sqrt(_exact_sum(residual * residual, repeats,
+                                          "residual"))
 
 
 def feasible_metric_perturbation(background: dict, theta: float):

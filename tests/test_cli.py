@@ -168,12 +168,20 @@ def test_refused_synthesis_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overflowing", [
-    {"name": "gravity_from_noncommutativity", "theta_values": [1e308]},
-    {"name": "noncommutativity_from_gravity", "h_scales": [1e308]},
+    ({"name": "gravity_from_noncommutativity", "theta_values": [1e308]},
+     {"operand": "rhs", "index": [0]}),
+    ({"name": "noncommutativity_from_gravity", "h_scales": [1e308]},
+     {"operand": "rhs", "index": [0]}),
+    # finite entries whose squared residual overflows
+    ({"name": "gravity_from_noncommutativity", "theta_values": [1e200]},
+     {"operand": "residual", "index": [0]}),
+    ({"name": "noncommutativity_from_gravity", "h_scales": [1e200]},
+     {"operand": "residual", "index": [0]}),
 ])
 def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
                                                          tmp_path, capsys):
-    config = write_config(tmp_path, {"grid": [8, 8], **overflowing})
+    couplings, evidence = overflowing
+    config = write_config(tmp_path, {"grid": [8, 8], **couplings})
     out = str(tmp_path / "report.json")
     with pytest.warns(RuntimeWarning, match="overflow"):
         code = main(["--config", config, "--out", out])
@@ -181,7 +189,7 @@ def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
     report = json.loads(Path(out).read_text(encoding="utf-8"))
     jsonschema.validate(report, _schema("report.schema.json"))
     assert report["error"]["type"] == "HypothesisViolated"
-    assert report["error"]["evidence"] == {"operand": "rhs", "index": [0]}
+    assert report["error"]["evidence"] == evidence
     assert "not finite" in capsys.readouterr().err
 
 

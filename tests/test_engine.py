@@ -9,23 +9,26 @@ import math
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
-                       DegreeMismatch, DimensionTooLarge,
+from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
+                       ComplexScalars, DegreeMismatch, DimensionTooLarge,
                        EmptyAccumulation, HypothesisViolated, NoPreimage,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
                        NotRightInvertible, NotScalarForm, NotScalarInvariant,
                        Operator, RealScalars, SpaceMismatch,
                        TuplePower, add, brute_force_emerge, compose, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
-                       emerge_sum, emerge_univariate, identity_emergence,
-                       identity_operator, make_discrete_operator,
+                       emerge_sum, emerge_univariate, evaluate_family,
+                       grid_space, identity_emergence, identity_operator,
+                       make_discrete_operator,
                        operator_residual, plain_space, polynomial_family,
                        scalar_family, scale, sum_families, verify_emergence,
                        verify_structure)
 from emergence.engine import (CERTIFY_BLOCK, REPORT_FLOOR, Certificate,
                               ProvenanceNode, _certify, _fold_weights,
                               residual_bound)
-from emergence.theories import evaluate_polynomial, tabulated_family
+from emergence.operator_core import diagonal_operator
+from emergence.theories import (evaluate_polynomial, monomial_operator,
+                                tabulated_family)
 
 # --- shared builders ----------------------------------------------------------
 
@@ -709,7 +712,6 @@ def test_oracle_refuses_large_parameter_spaces(line8):
     with pytest.raises(DimensionTooLarge):
         brute_force_emerge(source, tuple_poly, (1.0, 1.0))
 
-    from emergence import BooleanComplex
     space = plain_space(5, "complex")
     wide = polynomial_family(
         [identity_operator(space), identity_operator(space)],
@@ -747,3 +749,184 @@ def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
     assert got is not None
     assert got[(1,)] == pytest.approx(1.5, abs=1e-3)
     assert got[(1,)] >= 0.0
+
+
+# --- structured oracle against a dense least squares ------------------------------------
+
+
+def dense_oracle(source, poly, eps, tol=1e-8):
+    """The oracle's linear fit, on n x n matrices and nothing else."""
+    algebra = poly.algebra
+    basis = algebra.basis()
+    hermitian = poly.space.pairing.symmetry == "hermitian"
+
+    def flat(op):
+        m = op.matrix
+        return (0.5 * (m + (m.conj().T if hermitian else m.T))).ravel()
+
+    rhs = flat(evaluate_family(source, eps))
+    columns, fitted = [], []
+    for alpha, f in poly.terms:
+        mono = monomial_operator(poly, alpha)
+        if f.kind == "constant":
+            rhs = rhs - flat(scale(f.params[0], mono))
+            continue
+        if f.kind == "affine":
+            rhs = rhs - flat(scale(f.params[1], mono))
+        fitted.append(alpha)
+        columns += [flat(algebra.act(algebra.scale(f.params[0], e), mono))
+                    for e in basis]
+    a = np.stack(columns, axis=1)
+    if algebra.scalar_kind != "complex":
+        a = np.concatenate([a.real, a.imag])
+        rhs = np.concatenate([rhs.real, rhs.imag])
+    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    if np.linalg.norm(a @ x - rhs) > tol:
+        return None
+    k = len(basis)
+    out = {alpha: algebra.from_coords(x[i * k:(i + 1) * k])
+           for i, alpha in enumerate(fitted)}
+    out.update((alpha, algebra.zero()) for alpha, f in poly.terms
+               if f.kind == "constant")
+    return out
+
+
+def _fitting(algebra, operators, terms, assignment, eps):
+    """``(source, poly, eps)``: the source at the unit parameter is the
+    polynomial at ``assignment``, so a fit at ``eps`` exists."""
+    poly = polynomial_family(operators, terms, algebra)
+    table = dict(assignment)
+    table.update((alpha, algebra.zero()) for alpha, f in poly.terms
+                 if f.is_constant)
+    return scalar_family(algebra, evaluate_polynomial(poly, table)), poly, eps
+
+
+def _stencil_real():
+    space = grid_space((8,))
+    return _fitting(
+        RealScalars(), [make_discrete_operator(space, "shift", axis=0),
+                        massive_box(space)],
+        {(1, 0): CoefficientFunction.affine(2.0, 0.5, domain="real"),
+         (0, 1): lin(), (0, 0): CoefficientFunction.constant(1.5, "real")},
+        {(1, 0): 0.3, (0, 1): -0.7}, 1.0)
+
+
+def _stencil_complex():
+    # a bilinear pairing keeps the symmetric part complex-linear
+    space = grid_space((8,), scalar_kind="complex", symmetry="symmetric")
+    return _fitting(
+        ComplexScalars(), [make_discrete_operator(space, "shift", axis=0),
+                           massive_box(space)],
+        {(1, 0): CoefficientFunction.linear(2.0),
+         (0, 1): CoefficientFunction.affine(1.0, 0.5)},
+        {(1, 0): 0.2 + 0.1j, (0, 1): -0.4j}, 1.0)
+
+
+def _stencil_real_unknowns_complex_entries():
+    # a hermitian part i(S - S^T)/2: real unknowns fit real and imaginary
+    space = grid_space((8,), scalar_kind="complex")
+    turn = scale(1j, make_discrete_operator(space, "shift", axis=0))
+    return _fitting(RealScalars(), [turn, massive_box(space)],
+                    {(1, 0): lin(), (0, 1): lin()},
+                    {(1, 0): 1.25, (0, 1): -0.5}, 1.0)
+
+
+def _diagonal_boolean():
+    algebra = BooleanComplex(masks=3, block=2)
+    space = plain_space(6, "complex")
+    base = diagonal_operator(space, np.arange(1.0, 7.0).astype(complex))
+    return _fitting(algebra, [base],
+                    {(1,): CoefficientFunction.linear(2.0),
+                     (0,): CoefficientFunction.constant(0.5)},
+                    {(1,): np.array([1.0, -0.5, 2.0], dtype=complex)},
+                    algebra.one())
+
+
+def _diagonal_real():
+    space = plain_space(5)
+    base = diagonal_operator(space, np.linspace(1.0, 3.0, 5))
+    return _fitting(RealScalars(), [base],
+                    {(1,): CoefficientFunction.affine(3.0, -1.0, "real")},
+                    {(1,): 0.75}, 2.0)
+
+
+def _dense_real():
+    space = plain_space(5)
+    rng = np.random.default_rng(4)
+    ops = [Operator(rng.standard_normal((5, 5)), space) for _ in range(2)]
+    return _fitting(
+        RealScalars(), ops,
+        {(1, 0): lin(), (0, 1): CoefficientFunction.affine(1.5, -0.25,
+                                                           "real"),
+         (0, 0): CoefficientFunction.constant(2.0, "real")},
+        {(1, 0): -1.1, (0, 1): 0.6}, 1.0)
+
+
+def _mixed_boolean():
+    # uneven row scales make the slot dense; the constant stays a stencil
+    algebra = BooleanComplex(masks=2, block=4)
+    space = grid_space((8,), scalar_kind="complex")
+    return _fitting(algebra, [make_discrete_operator(space, "shift", axis=0)],
+                    {(1,): CoefficientFunction.linear(1.0),
+                     (0,): CoefficientFunction.constant(0.5)},
+                    {(1,): np.array([0.5, 2.0], dtype=complex)},
+                    algebra.one())
+
+
+def _mixed_real():
+    space = grid_space((6,))
+    projector = make_discrete_operator(space, "projection",
+                                       basis=[np.arange(6.0)])
+    return _fitting(RealScalars(),
+                    [make_discrete_operator(space, "shift", axis=0),
+                     add(projector, identity_operator(space))],
+                    {(1, 0): lin(), (0, 1): lin()},
+                    {(1, 0): 0.4, (0, 1): 1.7}, 1.0)
+
+
+def _outside_span(build, fixed):
+    """``build``'s polynomial against a source outside its span."""
+    _, poly, eps = build()
+    return scalar_family(poly.algebra, fixed(poly.space)), poly, eps
+
+
+ORACLE_CASES = {
+    "stencil-real": _stencil_real,
+    "stencil-complex": _stencil_complex,
+    "stencil-real-unknowns-complex-entries":
+        _stencil_real_unknowns_complex_entries,
+    "diagonal-boolean": _diagonal_boolean,
+    "diagonal-real": _diagonal_real,
+    "dense-real": _dense_real,
+    "mixed-boolean": _mixed_boolean,
+    "mixed-real": _mixed_real,
+}
+
+MISMATCH_CASES = {
+    "stencil": lambda: _outside_span(_stencil_real, lambda space: (
+        make_discrete_operator(space, "shift", axis=0, step=2))),
+    "diagonal-boolean": lambda: _outside_span(_diagonal_boolean, lambda s: (
+        diagonal_operator(s, np.array([1, 2, 3, 4, 5, 7], dtype=complex)))),
+    "dense": lambda: _outside_span(_dense_real, lambda space: Operator(
+        np.random.default_rng(9).standard_normal((5, 5)), space)),
+    "mixed": lambda: _outside_span(_mixed_boolean, lambda space: (
+        make_discrete_operator(space, "shift", axis=0, step=3))),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_structured_oracle_agrees_with_a_dense_fit(case):
+    source, poly, eps = ORACLE_CASES[case]()
+    got = brute_force_emerge(source, poly, eps)
+    want = dense_oracle(source, poly, eps)
+    assert want is not None and got is not None
+    assert got.keys() == want.keys() == dict(poly.terms).keys()
+    for alpha in want:
+        assert np.allclose(got[alpha], want[alpha], rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", MISMATCH_CASES)
+def test_structured_and_dense_oracles_refuse_span_mismatches(case):
+    source, poly, eps = MISMATCH_CASES[case]()
+    assert dense_oracle(source, poly, eps) is None
+    assert brute_force_emerge(source, poly, eps) is None

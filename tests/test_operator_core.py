@@ -17,7 +17,8 @@ from emergence import (BadSpec, BooleanComplex, ComplexScalars,
                        right_inverse, scale, sym_part, zero_operator)
 from emergence.operator_core import (PairingForm, circulant,
                                      circulant_symbol, diagonal_operator,
-                                     frobenius, is_idempotent_power,
+                                     frobenius, frobenius_coordinates,
+                                     is_idempotent_power,
                                      plane_wave, power)
 
 # --- spaces -----------------------------------------------------------------
@@ -468,6 +469,7 @@ def test_structured_algebra_agrees_with_the_dense_oracle(
     _agree(lagrangian_value(a, phi), lagrangian_value(da, phi))
     _agree(operator_residual(a, b), operator_residual(da, db))
     _agree(frobenius(a), frobenius(da))
+    _agree(np.linalg.norm(frobenius_coordinates(a)), frobenius(da))
     # diagonally dominant, so every symbol and entry stays away from zero
     unit = identity_operator(space) if a.structure == "stencil" \
         else diagonal_operator(space, np.ones(space.dim))

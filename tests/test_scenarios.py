@@ -187,9 +187,10 @@ def test_mirrored_runner_rejects_indefinite_perturbations():
         run_noncommutativity_from_gravity(spec)
 
 
-def test_gravity_scenarios_build_no_dense_matrix(monkeypatch):
-    # every gravity operator is a circulant: neither runner may expand one
-    # into its n x n matrix, through circulant() or the dense view
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """Records every expansion of an operator into its n x n matrix,
+    through circulant() or the dense view."""
     builds = []
     expand = operator_core.circulant
     dense_view = Operator.matrix.fget
@@ -204,12 +205,29 @@ def test_gravity_scenarios_build_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(operator_core, "circulant", counted_circulant)
     monkeypatch.setattr(Operator, "matrix", property(counted_matrix))
+    return builds
+
+
+def test_gravity_scenarios_build_no_dense_matrix(dense_builds):
+    # every gravity operator is a circulant: neither runner may expand one
     for spec in (gravity_spec(grid=(24, 24), samples=5),
                  gravity_spec(name="noncommutativity_from_gravity",
                               grid=(24, 24), theta_values=(),
                               h_scales=(0.5, 1.0), samples=5)):
         assert run_scenario_spec(spec).passed
-    assert builds == []
+    assert dense_builds == []
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(name="boolean", grid=(8,), masks=8, block=32, samples=5,
+                 seed=1),
+    ScenarioSpec(name="idempotent", grid=(64,), samples=5, seed=1),
+], ids=["boolean", "idempotent"])
+def test_oracle_checked_runners_build_no_dense_matrix(spec, dense_builds):
+    # Boolean operators are diagonals and the identity runner's are
+    # circulants; the brute-force oracle fits them on their bodies too
+    assert run_scenario_spec(spec).passed
+    assert dense_builds == []
 
 
 def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
