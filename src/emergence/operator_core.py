@@ -31,6 +31,7 @@ circulant takes the same route.  Diagonals are inverted entry by entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,39 +218,40 @@ def _require_same_space(a: Operator, b: Operator):
         raise SpaceMismatch("operators live on different field spaces")
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, block: int = 0) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic convolution ``c[x] = sum_y a[x - y] b[y]`` of grid arrays.
 
-    The first ``block`` axes pair the factors up (broadcast); the rest is the
-    grid.  Summed in row-major order over the union of the sparser factor's
-    nonzero entries, one shifted pass over the other per entry: a
-    finite-difference stencil has a handful, so composing or applying one
-    costs a few passes over the grid, and an entry made of one product is
-    exact.  A pair with a zero entry there adds an exact ``0 * y``.
+    Summed in row-major order over the nonzero entries of the sparser
+    factor, one shifted pass over the other per entry: a finite-difference
+    stencil has a handful, so composing two costs a few passes over the
+    grid, and an entry made of one product is exact.
     """
-    lead = (slice(None),) * block
-    support_a, support_b = (np.any(x != 0, axis=tuple(range(block)))
-                            for x in (a, b))
-    if np.count_nonzero(support_a) > np.count_nonzero(support_b):
-        a, b, support_a = b, a, support_b
-    grid = b.shape[block:]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape),
-                   dtype=np.result_type(a, b))
-    for index in zip(*np.nonzero(support_a)):
-        coeff = a[lead + index][(...,) + (None,) * len(grid)]
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros(a.shape, dtype=np.result_type(a, b))
+    for index in zip(*np.nonzero(a)):
+        coeff = a[index]
         # out[x] += coeff * b[x - index] in at most two slabs per axis
         for cut in itertools.product(*(
                 ((slice(i, n), slice(0, n - i)),
                  (slice(0, i), slice(n - i, n)))[:1 + (i > 0)]
-                for n, i in zip(grid, index))):
+                for n, i in zip(a.shape, index))):
             dst, src = zip(*cut)
-            out[lead + dst] += coeff * b[lead + src]
+            out[dst] += coeff * b[src]
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _reflect_index(dims: tuple[int, ...]) -> np.ndarray:
+    """Row-major index of ``-x`` for each site ``x`` of a grid of ``dims``."""
+    index = np.ravel_multi_index(tuple(-np.indices(dims)), dims, mode="wrap")
+    index.setflags(write=False)
+    return index
 
 
 def reflect(stencil: np.ndarray) -> np.ndarray:
     """``stencil[-x]``, the stencil of the transposed circulant."""
-    return np.roll(np.flip(stencil), 1, axis=tuple(range(stencil.ndim)))
+    return stencil.ravel()[_reflect_index(stencil.shape)]
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -322,9 +324,13 @@ def lagrangian_value(a, phi):
 
     ``phi`` is one field ``(n,)``, giving a number, or a block ``(s, n)``,
     giving ``s`` values; ``a`` is one operator or ``s`` of them, one per
-    field.  Stencil blocks take one shifted-copy pass per entry of their
-    union support, diagonal blocks one product, dense or mixed blocks one
-    batched product; the pairing is a row sum, not a BLAS call.
+    field.  A stencil block never applies its operators: for each offset
+    ``k`` of the stencils' union support it correlates each field with
+    itself, ``corr_k = sum_x left[x] phi[x - k]``, and the value is
+    ``w sum_k s[k] corr_k``.  The origin is always among the offsets, so a
+    NaN field is NaN under every stencil, the zero one included.  Diagonal
+    blocks take one product, dense or mixed blocks one batched product; the
+    pairing is a row sum, not a BLAS call.
     """
     ops = [a] if isinstance(a, Operator) else list(a)
     space = ops[0].space
@@ -335,17 +341,26 @@ def lagrangian_value(a, phi):
             or not all(op.space.matches(space) for op in ops)):
         raise SpaceMismatch("fields and operators do not share one space")
     structures = {op.structure for op in ops}
-    if structures == {"stencil"}:
-        applied = _convolve(np.stack([op.body for op in ops]),
-                            fields.reshape(-1, *space.geometry.dims), block=1)
-    elif structures == {"diagonal"}:
-        applied = np.stack([op.body for op in ops]) * fields
-    else:
-        applied = np.matmul(np.stack([op.matrix for op in ops]),
-                            fields[..., None])
     left = fields.conj() if space.pairing.symmetry == "hermitian" else fields
-    values = space.pairing.weight * np.sum(
-        left * applied.reshape(len(fields), -1), axis=1)
+    if structures == {"stencil"}:
+        stencils = np.stack([op.body for op in ops])
+        grid = fields.reshape(-1, *space.geometry.dims)
+        axes = tuple(range(1, grid.ndim))
+        support = np.any(stencils != 0, axis=0)
+        support.flat[0] = True
+        values = np.zeros(len(fields), dtype=np.result_type(stencils, fields))
+        for k in zip(*np.nonzero(support)):
+            shifted = np.roll(grid, k, axis=axes).reshape(len(fields), -1)
+            values += stencils[(slice(None),) + k] * np.sum(left * shifted,
+                                                            axis=1)
+    else:
+        if structures == {"diagonal"}:
+            applied = np.stack([op.body for op in ops]) * fields
+        else:
+            applied = np.matmul(np.stack([op.matrix for op in ops]),
+                                fields[..., None])
+        values = np.sum(left * applied.reshape(len(fields), -1), axis=1)
+    values = space.pairing.weight * values
     return values if phi.ndim == 2 else values[0].item()
 
 
@@ -627,8 +642,8 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
 
 
 def operator_residual(a: Operator, b: Operator) -> float:
-    """Frobenius distance between the quadratic forms of two operators."""
-    return frobenius(subtract(sym_part(a), sym_part(b)))
+    """Frobenius distance between quadratic forms, ``|sym_part(a - b)|_F``."""
+    return frobenius(sym_part(subtract(a, b)))
 
 
 def plane_wave(space: FieldSpace, freq: tuple[int, ...]) -> np.ndarray:

@@ -26,8 +26,11 @@ fallback for monotone real kinds.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +99,21 @@ class ParameterAlgebra:
 
     def from_coords(self, coords: np.ndarray):
         raise BadSpec(f"{self.name} has no identity-orbit basis")
+
+    @cached_property
+    def orbit_plan(self):
+        """The basis' row supports, built on first use: ``(rows, order, ends)``.
+
+        Basis element ``k`` scales rows ``order[ends[k]:ends[k + 1]]`` of
+        ``rows``.  None when the row scales are scalars, which cover every
+        row of any operator.
+        """
+        scales = [self.row_scale(e) for e in self.basis()]
+        if all(np.ndim(s) == 0 for s in scales):
+            return None
+        supports = [np.flatnonzero(s) for s in scales]
+        ends = [0, *itertools.accumulate(len(s) for s in supports)]
+        return len(scales[0]), np.concatenate(supports), ends
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -524,23 +542,6 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
                                optional_ok, comm if optional_ok else None)
 
 
-def _support_mean(values: np.ndarray):
-    """Mean of ``values``; real and imaginary parts are correctly rounded sums.
-
-    A non-finite entry or an overflowing sum gives NaN, which the orbit
-    check then refuses.
-    """
-    if not np.isfinite(values).all():
-        return math.nan
-    try:
-        mean = math.fsum(values.real.tolist()) / len(values)
-        if np.iscomplexobj(values):
-            return complex(mean, math.fsum(values.imag.tolist()) / len(values))
-    except OverflowError:
-        return math.nan
-    return mean
-
-
 def solve_action_on_identity(algebra: ParameterAlgebra, target,
                              tol: float = 1e-10):
     """Recover ``c`` with ``act(c, I) = target`` in closed form.
@@ -548,17 +549,22 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     ``target`` is an operator (or dense matrix).  Coordinate ``k`` is the mean
     of the target's diagonal over the rows that ``row_scale(basis()[k])``
     scales; for a basis of disjoint 0/1 row indicators that is the
-    least-squares orbit element, and it is the same bits on every machine.
-    For tuple algebras pass a list with one probe operator per slot;
-    recovery is slot-by-slot because the product action alone cannot
-    separate the components.
+    least-squares orbit element.  The diagonal is gathered once in the
+    algebra's :attr:`~ParameterAlgebra.orbit_plan` order and each mean is a
+    correctly rounded ``fsum`` (real and imaginary parts apart) over its
+    span, so it is the same bits on every machine.  For tuple algebras pass
+    a list with one probe operator per slot; recovery is slot-by-slot
+    because the product action alone cannot separate the components.
 
     Raises
     ------
+    BadSpec
+        If the algebra scales a different number of rows than the target
+        has.
     NotInIdentityOrbit
         If ``|target - act(c, I)|_F`` exceeds ``tol`` relative to the target
-        norm; a target with a NaN or infinite entry, or whose norm
-        overflows, always does.
+        norm; a target with a NaN or infinite entry, or whose support sums
+        or norm overflow, always does.
     """
     if isinstance(algebra, TuplePower):
         if not isinstance(target, (list, tuple)):
@@ -573,9 +579,23 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
         target = Operator(matrix, plain_space(
             matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
     n = target.space.dim
-    diag = diagonal(target)
-    coords = [_support_mean(diag[np.flatnonzero(np.broadcast_to(
-        algebra.row_scale(e), (n,)))]) for e in algebra.basis()]
+    rows, order, ends = algebra.orbit_plan or (n, None, [0, n])
+    if rows != n:
+        raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
+                      f"has {n}")
+    values = diagonal(target) if order is None else diagonal(target)[order]
+    # a non-finite entry or an overflowing sum leaves NaN coordinates, which
+    # the orbit check then refuses
+    coords = [math.nan] * (len(ends) - 1)
+    if np.isfinite(values).all():
+        parts = [values.real.tolist()]
+        if np.iscomplexobj(values):
+            parts.append(values.imag.tolist())
+        with contextlib.suppress(OverflowError):
+            means = [[math.fsum(p[a:b]) / (b - a)
+                      for a, b in zip(ends, ends[1:])] for p in parts]
+            coords = means[0] if len(means) == 1 else [
+                complex(*z) for z in zip(*means)]
     candidate = algebra.from_coords(coords)
     residual = distance_to_diagonal(target, algebra.row_scale(candidate))
     bound = tol * max(1.0, frobenius(target))

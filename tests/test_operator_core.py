@@ -490,20 +490,23 @@ def test_structured_algebra_agrees_with_the_dense_oracle(
 
 
 @settings(max_examples=40, deadline=None)
-@given(dims=st.sampled_from([(8, 8), (6, 10), (64,)]),
+@given(dims=st.sampled_from([(8, 8), (6, 10), (64,), (4, 4, 6)]),
        scalar_kind=st.sampled_from(["real", "complex"]),
        symmetry=st.sampled_from(["symmetric", "hermitian"]),
        structures=st.sampled_from([
            ("stencil",) * 5, ("diagonal",) * 3, ("dense",) * 3,
+           ("stencil", "zero", "stencil"),
            ("stencil", "diagonal", "dense", "stencil")]),
        seed=st.integers(0, 2**32 - 1))
 def test_block_lagrangian_agrees_with_each_fields_dense_pairing(
         dims, scalar_kind, symmetry, structures, seed):
-    spacing = (0.5, 2.0)[:len(dims)]
+    spacing = (0.5, 2.0, 1.5)[:len(dims)]
     space = grid_space(dims, spacing, scalar_kind, symmetry)
     rng = np.random.default_rng(seed)
-    # each operator its own density, so stencil supports differ
-    ops = [_random_operator(space, s, rng.choice([0.05, 0.3, 1.0]), rng)
+    # each operator its own density, so stencil supports differ; "zero" is
+    # the all-zero stencil, whose support is empty
+    ops = [zero_operator(space) if s == "zero" else
+           _random_operator(space, s, rng.choice([0.05, 0.3, 1.0]), rng)
            for s in structures]
     fields = np.stack([space.sample_field(rng) for _ in ops])
     got = lagrangian_value(ops, fields)
@@ -511,10 +514,27 @@ def test_block_lagrangian_agrees_with_each_fields_dense_pairing(
     for op, phi, value in zip(ops, fields, got):
         left = phi.conj() if symmetry == "hermitian" else phi
         _agree(value, space.pairing.weight * (left @ op.matrix @ phi))
-    if len(set(structures)) == 1:
+    if len({op.structure for op in ops}) == 1:
         # a zero from another field's stencil support adds an exact 0 * y
         assert np.array_equal(got, alone)
     assert np.array_equal(lagrangian_value(ops[:1], fields[:1]), alone[:1])
     shared = lagrangian_value(ops[0], fields)
     for phi, value in zip(fields, shared):
         assert value == lagrangian_value(ops[0], phi)
+
+
+@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
+def test_a_nan_field_is_nan_under_every_operator(rng, scalar_kind):
+    space = grid_space((6, 10), scalar_kind=scalar_kind)
+    ops = [zero_operator(space), identity_operator(space),
+           make_discrete_operator(space, "partial", axis=1),
+           make_discrete_operator(space, "box"),
+           diagonal_operator(space, np.zeros(space.dim)),
+           Operator(np.zeros((space.dim, space.dim)), space)]
+    fields = np.stack([space.sample_field(rng) for _ in range(4)])
+    fields[2, 17] = np.nan
+    # each operator shared by the block, then one stencil per field
+    for block in [[op] for op in ops] + [ops[:4]]:
+        values = lagrangian_value(block, fields)
+        assert np.isnan(values[2])
+        assert np.isfinite(np.delete(values, 2)).all()

@@ -16,9 +16,11 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        ProductAlgebra, RealScalars, TuplePower,
                        bisect_preimage, canonical_calculus,
                        check_action_compatibility, embed_parameters,
-                       identity_operator, plain_space,
+                       grid_space, identity_operator, plain_space,
                        solve_action_on_identity,
                        validate_functional_calculus)
+from emergence.operator_core import (diagonal, diagonal_operator,
+                                     distance_to_diagonal, frobenius)
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -300,13 +302,16 @@ def _wide_coupling_pattern():
     return p
 
 
-@pytest.mark.parametrize("algebra,n", [
+orbit_algebras = pytest.mark.parametrize("algebra,n", [
     (RealScalars(), 6), (ComplexScalars(), 6), (NonnegativeReals(), 6),
     (CentralizerDiagonal(_coupling_pattern()), 4),
     (CentralizerDiagonal(_wide_coupling_pattern()), 9),
     (BooleanComplex(masks=3, block=4), 12),
 ], ids=["real", "complex", "nonnegative", "centralizer", "centralizer_wide",
         "boolean_blocks"])
+
+
+@orbit_algebras
 def test_closed_form_orbit_solve_agrees_with_dense_least_squares(algebra, n):
     ident = identity_operator(plain_space(n, algebra.scalar_kind))
     rng = np.random.default_rng(17)
@@ -319,6 +324,100 @@ def test_closed_form_orbit_solve_agrees_with_dense_least_squares(algebra, n):
         reference = _lstsq_orbit_element(algebra, target)
         scale_ = max(1.0, float(np.linalg.norm(algebra.to_vector(reference))))
         assert algebra.distance(got, reference) <= 1e-12 * scale_
+
+
+@pytest.mark.parametrize("algebra,rows", [
+    (BooleanComplex(masks=4, block=2), 8),
+    (CentralizerDiagonal(np.eye(4)), 4),
+], ids=["boolean", "centralizer"])
+@pytest.mark.parametrize("shift", [-2, 1])
+def test_orbit_solve_refuses_a_target_of_another_dimension(algebra, rows,
+                                                           shift):
+    n = rows + shift
+    with pytest.raises(BadSpec) as info:
+        solve_action_on_identity(algebra, np.eye(n))
+    assert str(info.value) == (f"{algebra.name} scales {rows} rows, the "
+                               f"operator has {n}")
+
+
+def _per_basis_orbit_solve(algebra, target, tol):
+    """The per-basis reference: each element's row support found afresh,
+    then a correctly rounded mean over it."""
+    n = target.space.dim
+    diag = diagonal(target)
+    coords = []
+    for e in algebra.basis():
+        values = diag[np.flatnonzero(np.broadcast_to(algebra.row_scale(e),
+                                                     (n,)))]
+        mean = math.nan
+        if np.isfinite(values).all():
+            try:
+                mean = math.fsum(values.real.tolist()) / len(values)
+                if np.iscomplexobj(values):
+                    mean = complex(mean,
+                                   math.fsum(values.imag.tolist()) / len(values))
+            except OverflowError:
+                mean = math.nan
+        coords.append(mean)
+    candidate = algebra.from_coords(coords)
+    residual = distance_to_diagonal(target, algebra.row_scale(candidate))
+    bound = tol * max(1.0, frobenius(target))
+    if not (residual <= bound and math.isfinite(bound)):
+        raise NotInIdentityOrbit("reference refuses", residual=residual)
+    return candidate
+
+
+def _outcome(solve, algebra, target):
+    """``("value", real, imag)`` of the coordinates, or ``("refused",)``."""
+    try:
+        v = algebra.to_vector(solve(algebra, target, tol=1.0))
+    except NotInIdentityOrbit:
+        return ("refused",)
+    return ("value", np.real(v).tolist(), np.imag(v).tolist())
+
+
+def _orbit_targets(algebra, n, rng):
+    """Stencil, diagonal and dense targets near the orbit, with entries
+    spread over many magnitudes so that naive sums would round."""
+    kind = algebra.scalar_kind
+    ident = identity_operator(plain_space(n, kind))
+
+    def spread(shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(
+                -8, 8, shape)
+        return x
+
+    for _ in range(4):
+        acted = algebra.act(algebra.sample(rng), ident).matrix
+        body = spread((n,))
+        yield Operator(body, grid_space((n,), scalar_kind=kind), "stencil")
+        yield diagonal_operator(ident.space, np.diagonal(acted) + body)
+        yield Operator(acted + 1e-3 * spread((n, n)), ident.space)
+
+
+@orbit_algebras
+def test_orbit_plan_matches_the_per_basis_solve_bit_for_bit(algebra, n):
+    rng = np.random.default_rng(29)
+    targets = list(_orbit_targets(algebra, n, rng))
+    first = np.flatnonzero(np.broadcast_to(
+        algebra.row_scale(algebra.basis()[0]), (n,)))
+    for value in (math.nan, math.inf, 1e308):
+        # NaN and inf in exactly one support; 1e308 on a whole support
+        # (at least two rows) overflows its sum
+        entries = np.diagonal(targets[-1].matrix).copy()
+        entries[first if value == 1e308 else first[:1]] = value
+        targets.append(diagonal_operator(targets[-1].space, entries))
+        targets.append(Operator(targets[-1].matrix, targets[-1].space))
+    refused = 0
+    for target in targets:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(solve_action_on_identity, algebra, target)
+            expected = _outcome(_per_basis_orbit_solve, algebra, target)
+        assert got == expected
+        refused += got == ("refused",)
+    assert refused >= 6
 
 
 # --- action compatibility ---------------------------------------------------------------

@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, InfeasibleTarget, NotScalarForm, Operator,
-                       ScenarioSpec, build_gravity_background,
-                       run_scenario_spec, sym_part)
+from emergence import (BadSpec, BooleanComplex, InfeasibleTarget,
+                       NotScalarForm, Operator, ScenarioSpec,
+                       build_gravity_background, run_scenario_spec, sym_part)
 from emergence import engine, operator_core, scenarios
 from emergence.scenarios import (check_feasible,
                                  feasible_metric_perturbation,
@@ -228,6 +228,34 @@ def test_oracle_checked_runners_build_no_dense_matrix(spec, dense_builds):
     # circulants; the brute-force oracle fits them on their bodies too
     assert run_scenario_spec(spec).passed
     assert dense_builds == []
+
+
+def test_boolean_orbit_plan_is_built_once(monkeypatch):
+    # synthesis and a 100-draw certificate recover a parameter on every
+    # parameter-map call; the row supports come from a plan cached on the
+    # algebra.  The brute-force oracle, outside this scope, reads the basis
+    # itself on purpose.
+    calls, inside = [], []
+    basis, build = BooleanComplex.basis, scenarios._build_and_certify
+
+    def counted_basis(self):
+        if inside:
+            calls.append(self)
+        return basis(self)
+
+    def scoped_build(*args, **kwargs):
+        inside.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BooleanComplex, "basis", counted_basis)
+    monkeypatch.setattr(scenarios, "_build_and_certify", scoped_build)
+    spec = ScenarioSpec(name="boolean", grid=(8,), masks=8, block=32,
+                        samples=100, seed=1)
+    assert run_scenario_spec(spec).passed
+    assert len(calls) <= 1
 
 
 def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
