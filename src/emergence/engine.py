@@ -29,9 +29,10 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      NoPreimage, NotInIdentityOrbit, NotMultiplicative,
                      NotRightInvertible, NotScalarForm, NotScalarInvariant,
                      SpaceMismatch)
-from .operator_core import (Operator, compose, frobenius_coordinates,
-                            lagrangian_value, operator_residual, power,
-                            reflect, right_inverse, scale, subtract, sym_part)
+from .operator_core import (FieldBlock, Operator, compose,
+                            frobenius_coordinates, lagrangian_value,
+                            operator_residual, power, reflect, right_inverse,
+                            scale, subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, NonnegativeReals,
                                 solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
@@ -234,7 +235,8 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
         pairs = [(evaluate_family(source, eps),
                   evaluate_family(target, parameter_map(eps)))
                  for eps, _ in chunk]
-        fields = np.stack([phi for _, phi in chunk])
+        # one block per chunk: both sides share its self-correlations
+        fields = FieldBlock(np.stack([phi for _, phi in chunk]), source.space)
         l1, l2 = (lagrangian_value(ops, fields) for ops in zip(*pairs))
         fn_res = np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))
         op_res = [operator_residual(a, b) for a, b in pairs]

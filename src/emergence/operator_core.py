@@ -319,49 +319,88 @@ def sym_part(a: Operator) -> Operator:
                     a.structure)
 
 
+class FieldBlock:
+    """A block of fields on one space and their self-correlations.
+
+    ``fields`` is ``(s, n)``; the block keeps a read-only view of it, not a
+    copy, and ``left``, the fields conjugated for a hermitian pairing.  For a
+    grid offset ``k``, :meth:`correlation` returns ``corr_k = sum_x left[x]
+    phi[x - k]`` for every field, computed on first use and kept.  The
+    correlations do not depend on any operator, so every stencil Lagrangian
+    evaluated on one block shares them.  They live and die with the block:
+    its builder decides how long fields are reused, and nothing is cached
+    anywhere else.
+    """
+
+    def __init__(self, fields, space: FieldSpace):
+        fields = np.asarray(fields).view()
+        if fields.ndim != 2 or fields.shape[1] != space.dim:
+            raise SpaceMismatch("fields and operators do not share one space")
+        fields.flags.writeable = False
+        self.fields = fields
+        self.space = space
+        self.left = (fields.conj() if space.pairing.symmetry == "hermitian"
+                     else fields)
+        self._correlations = {}
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def correlation(self, offset: tuple) -> np.ndarray:
+        """``corr_k`` per field for the grid offset ``k``, computed once."""
+        corr = self._correlations.get(offset)
+        if corr is None:
+            corr = self._correlations[offset] = self._correlate(offset)
+        return corr
+
+    def _correlate(self, offset: tuple) -> np.ndarray:
+        grid = self.fields.reshape(-1, *self.space.geometry.dims)
+        shifted = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
+        return np.sum(self.left * shifted.reshape(len(self), -1), axis=1)
+
+
 def lagrangian_value(a, phi):
     """The Lagrangian density sum ``<phi, A phi>`` of a field or a block.
 
-    ``phi`` is one field ``(n,)``, giving a number, or a block ``(s, n)``,
-    giving ``s`` values; ``a`` is one operator or ``s`` of them, one per
-    field.  A stencil block never applies its operators: for each offset
-    ``k`` of the stencils' union support it correlates each field with
-    itself, ``corr_k = sum_x left[x] phi[x - k]``, and the value is
-    ``w sum_k s[k] corr_k``.  The origin is always among the offsets, so a
-    NaN field is NaN under every stencil, the zero one included.  Diagonal
-    blocks take one product, dense or mixed blocks one batched product; the
-    pairing is a row sum, not a BLAS call.
+    ``phi`` is one field ``(n,)``, giving a number, or a block of ``s``
+    fields, giving ``s`` values: a :class:`FieldBlock` or an ``(s, n)``
+    array, which gets a fresh block of its own, so nothing is reused across
+    calls unless the caller shares a block.  ``a`` is one operator or ``s``
+    of them, one per field.  A stencil block never applies its operators:
+    the value is ``w sum_k s[k] corr_k`` over the offsets ``k`` of this
+    call's union stencil support, in row-major order, with the block's
+    correlations, so a shared block gives the same bits as a fresh one.  The
+    origin is always among the offsets, so a NaN field is NaN under every
+    stencil, the zero one included.  Diagonal blocks take one product, dense
+    or mixed blocks one batched product; the pairing is a row sum, not a
+    BLAS call.
     """
     ops = [a] if isinstance(a, Operator) else list(a)
     space = ops[0].space
-    phi = np.asarray(phi)
-    fields = phi.reshape(1, -1) if phi.ndim == 1 else phi
-    if (phi.ndim not in (1, 2) or fields.shape[1:] != (space.dim,)
-            or len(ops) not in (1, len(fields))
-            or not all(op.space.matches(space) for op in ops)):
+    block = phi if isinstance(phi, FieldBlock) else FieldBlock(
+        np.reshape(phi, (1, -1)) if np.ndim(phi) == 1 else phi, space)
+    if (len(ops) not in (1, len(block))
+            or not all(op.space.matches(block.space) for op in ops)):
         raise SpaceMismatch("fields and operators do not share one space")
     structures = {op.structure for op in ops}
-    left = fields.conj() if space.pairing.symmetry == "hermitian" else fields
+    fields = block.fields
     if structures == {"stencil"}:
         stencils = np.stack([op.body for op in ops])
-        grid = fields.reshape(-1, *space.geometry.dims)
-        axes = tuple(range(1, grid.ndim))
         support = np.any(stencils != 0, axis=0)
         support.flat[0] = True
         values = np.zeros(len(fields), dtype=np.result_type(stencils, fields))
         for k in zip(*np.nonzero(support)):
-            shifted = np.roll(grid, k, axis=axes).reshape(len(fields), -1)
-            values += stencils[(slice(None),) + k] * np.sum(left * shifted,
-                                                            axis=1)
+            values += stencils[(slice(None),) + k] * block.correlation(k)
     else:
         if structures == {"diagonal"}:
             applied = np.stack([op.body for op in ops]) * fields
         else:
             applied = np.matmul(np.stack([op.matrix for op in ops]),
                                 fields[..., None])
-        values = np.sum(left * applied.reshape(len(fields), -1), axis=1)
+        values = np.sum(block.left * applied.reshape(len(fields), -1), axis=1)
     values = space.pairing.weight * values
-    return values if phi.ndim == 2 else values[0].item()
+    return values if isinstance(phi, FieldBlock) or np.ndim(phi) == 2 \
+        else values[0].item()
 
 
 def frobenius(a: Operator) -> float:
@@ -392,14 +431,20 @@ def diagonal(a: Operator) -> np.ndarray:
 
 def distance_to_diagonal(a: Operator, entries) -> float:
     """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site."""
-    entries = np.broadcast_to(entries, (a.space.dim,))
     if a.structure != "stencil":
-        return frobenius(subtract(a, diagonal_operator(a.space, entries)))
+        return frobenius(subtract(a, diagonal_operator(
+            a.space, np.broadcast_to(entries, (a.space.dim,)))))
     # the off-diagonal entries repeat in every row; the diagonal is body[0]
     off = a.body.copy()
     off.flat[0] = 0
+    v = a.body.flat[0]
+    if np.ndim(entries) == 0 and v == entries:
+        gap = 0.0  # the norm of n exact zeros, without building them
+    else:
+        gap = float(np.linalg.norm(v - np.broadcast_to(entries,
+                                                       (a.space.dim,))))
     return math.hypot(math.sqrt(a.space.dim) * float(np.linalg.norm(off)),
-                      float(np.linalg.norm(a.body.flat[0] - entries)))
+                      gap)
 
 
 def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:

@@ -552,9 +552,12 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     least-squares orbit element.  The diagonal is gathered once in the
     algebra's :attr:`~ParameterAlgebra.orbit_plan` order and each mean is a
     correctly rounded ``fsum`` (real and imaginary parts apart) over its
-    span, so it is the same bits on every machine.  For tuple algebras pass
-    a list with one probe operator per slot; recovery is slot-by-slot
-    because the product action alone cannot separate the components.
+    span, so it is the same bits on every machine.  A stencil target's
+    diagonal is one value ``v``, so it skips the gather: a span of ``L`` rows
+    sums to the correctly rounded ``L * v``, the same float.  For tuple
+    algebras pass a list with one probe operator per slot; recovery is
+    slot-by-slot because the product action alone cannot separate the
+    components.
 
     Raises
     ------
@@ -583,19 +586,31 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     if rows != n:
         raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
                       f"has {n}")
-    values = diagonal(target) if order is None else diagonal(target)[order]
+    spans = list(zip(ends, ends[1:]))
+    means = None  # per part (real, then imaginary), one mean per span
+    if target.structure == "stencil":
+        # every diagonal entry is v = body[0], and the fsum of L copies of v
+        # is the correctly rounded product L * v: no gather, same bits
+        v = target.body.flat[0]
+        sums = [[(b - a) * float(x) for a, b in spans]
+                for x in ((v.real, v.imag) if np.iscomplexobj(v) else (v,))]
+        if all(math.isfinite(t) for row in sums for t in row):
+            means = [[t / (b - a) for t, (a, b) in zip(row, spans)]
+                     for row in sums]
+    else:
+        values = diagonal(target) if order is None else diagonal(target)[order]
+        if np.isfinite(values).all():
+            parts = [values.real.tolist()]
+            if np.iscomplexobj(values):
+                parts.append(values.imag.tolist())
+            with contextlib.suppress(OverflowError):
+                means = [[math.fsum(p[a:b]) / (b - a) for a, b in spans]
+                         for p in parts]
     # a non-finite entry or an overflowing sum leaves NaN coordinates, which
     # the orbit check then refuses
-    coords = [math.nan] * (len(ends) - 1)
-    if np.isfinite(values).all():
-        parts = [values.real.tolist()]
-        if np.iscomplexobj(values):
-            parts.append(values.imag.tolist())
-        with contextlib.suppress(OverflowError):
-            means = [[math.fsum(p[a:b]) / (b - a)
-                      for a, b in zip(ends, ends[1:])] for p in parts]
-            coords = means[0] if len(means) == 1 else [
-                complex(*z) for z in zip(*means)]
+    coords = ([math.nan] * len(spans) if means is None
+              else means[0] if len(means) == 1
+              else [complex(*z) for z in zip(*means)])
     candidate = algebra.from_coords(coords)
     residual = distance_to_diagonal(target, algebra.row_scale(candidate))
     bound = tol * max(1.0, frobenius(target))

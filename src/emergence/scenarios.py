@@ -34,8 +34,8 @@ import numpy as np
 from .engine import (EmergenceMap, brute_force_emerge, emerge,
                      residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
-from .operator_core import (Operator, add, diagonal_operator, grid_space,
-                            identity_operator, is_idempotent_power,
+from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
+                            grid_space, identity_operator, is_idempotent_power,
                             lagrangian_value, make_discrete_operator,
                             operator_residual, plain_space, plane_wave, scale,
                             sym_part)
@@ -348,8 +348,16 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
 # --- gravity scenario runners ---------------------------------------------------------
 
 
+def _field_block(space, rng, samples: int) -> FieldBlock:
+    """The spec's fixed fields as one block, so every Lagrangian evaluated
+    on them shares their self-correlations."""
+    return FieldBlock(np.stack([space.sample_field(rng)
+                                for _ in range(samples)]), space)
+
+
 def _functional_residual(left: Operator, right: Operator, fields) -> float:
-    """Worst relative Lagrangian gap over the fields; NaN if any is NaN."""
+    """Worst relative Lagrangian gap over the fields (an array or a
+    :class:`~emergence.operator_core.FieldBlock`); NaN if any is NaN."""
     l1 = lagrangian_value(left, fields)
     l2 = lagrangian_value(right, fields)
     return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
@@ -362,7 +370,7 @@ def run_gravity_from_noncommutativity(spec: ScenarioSpec,
                                           spec.field_strength, spec.mass)
     space = background["space"]
     rng = np.random.default_rng(spec.seed)
-    fields = [space.sample_field(rng) for _ in range(spec.samples)]
+    fields = _field_block(space, rng, spec.samples)
     free = scale(-1.0, background["box_m"])
     samples = []
     worst_round_trip = 0.0
@@ -413,7 +421,7 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
     space = background["space"]
     eta_up = np.linalg.inv(background["eta"])
     rng = np.random.default_rng(spec.seed)
-    fields = [space.sample_field(rng) for _ in range(spec.samples)]
+    fields = _field_block(space, rng, spec.samples)
     free = scale(-1.0, background["box_m"])
     samples = []
     worst_round_trip = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,44 @@ def test_reports_match_the_golden_files(name, expected_code, tmp_path,
         expected = fh.read()
     with open(out, "rb") as fh:
         assert fh.read() == expected
+
+
+#: sha256 of the gravity runners' report bytes at 100 samples and the
+#: couplings 0.1, 0.5 and 1.0; report version 2 is kernel-independent, so
+#: these hold on every machine
+GRAVITY_REPORT_DIGESTS = {
+    ("gravity_from_noncommutativity", (6, 10), 1):
+        "02eb3f764990d690a77faae942659901c5e639039f92e4c66259665019eb5279",
+    ("gravity_from_noncommutativity", (6, 10), 11):
+        "3bb8e9cfd953f53ce3b182280f71cd57f248d40f67966895a5b1a27ec826c70e",
+    ("gravity_from_noncommutativity", (16, 16), 1):
+        "40da11591402678eaf3dac91d2a9bb244896418aaf4299ef71f61636f5807e25",
+    ("gravity_from_noncommutativity", (16, 16), 11):
+        "d77180635b10fcdab1f743d276e0617852f01b8fff03b94dc8bd7e1e3e504fd0",
+    ("noncommutativity_from_gravity", (6, 10), 1):
+        "cc673f8e71bab17e08e633f19d3b93eda5d1a16dde0efa1523998a197072a94c",
+    ("noncommutativity_from_gravity", (6, 10), 11):
+        "143bde73c315d4b34a261f5f12b970d3329da8f98208737f9e9ce174f45b664f",
+    ("noncommutativity_from_gravity", (16, 16), 1):
+        "733bdf6130fdfc546e171a091cd19c313a571885d2169ca15403142986c5011a",
+    ("noncommutativity_from_gravity", (16, 16), 11):
+        "7fa8772ce8a804779e0b64edfc9a4e07d173f65967f902bf8220fc8c8f10bf2f",
+}
+
+
+@pytest.mark.parametrize("name,grid,seed", sorted(GRAVITY_REPORT_DIGESTS))
+def test_gravity_reports_keep_their_bytes(name, grid, seed, tmp_path,
+                                          capsys):
+    couplings = ("theta_values" if name == "gravity_from_noncommutativity"
+                 else "h_scales")
+    config = write_config(tmp_path, {"name": name, "grid": list(grid),
+                                     couplings: [0.1, 0.5, 1.0],
+                                     "samples": 100, "seed": seed})
+    out = tmp_path / "report.json"
+    assert main(["--config", config, "--out", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GRAVITY_REPORT_DIGESTS[name, grid, seed]
 
 
 # --- BLAS-kernel independence ---------------------------------------------------------

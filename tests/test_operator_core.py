@@ -15,7 +15,7 @@ from emergence import (BadSpec, BooleanComplex, ComplexScalars,
                        grid_space, identity_operator, lagrangian_value,
                        make_discrete_operator, operator_residual, plain_space,
                        right_inverse, scale, sym_part, zero_operator)
-from emergence.operator_core import (PairingForm, circulant,
+from emergence.operator_core import (FieldBlock, PairingForm, circulant,
                                      circulant_symbol, diagonal_operator,
                                      frobenius, frobenius_coordinates,
                                      is_idempotent_power,
@@ -538,3 +538,100 @@ def test_a_nan_field_is_nan_under_every_operator(rng, scalar_kind):
         values = lagrangian_value(block, fields)
         assert np.isnan(values[2])
         assert np.isfinite(np.delete(values, 2)).all()
+
+
+# --- field blocks ----------------------------------------------------------------
+
+
+def _block_calls(space, rng):
+    """Operator lists to evaluate on one block of 5 fields: shared and
+    per-field stencils with different supports, diagonals, dense and mixed
+    lists, and the all-zero stencil."""
+    def op(structure, density):
+        return _random_operator(space, structure, density, rng)
+
+    return [
+        [op("stencil", 0.05)],
+        [op("stencil", 0.3) for _ in range(5)],
+        [identity_operator(space)],
+        [make_discrete_operator(space, "box")],
+        [zero_operator(space)],
+        [op("stencil", 1.0)],
+        [op("diagonal", 0.5)],
+        [op("diagonal", 1.0) for _ in range(5)],
+        [op("dense", 0.3)],
+        [op("stencil", 0.3), op("diagonal", 1.0), op("dense", 0.05),
+         zero_operator(space), op("stencil", 0.05)],
+    ]
+
+
+@pytest.mark.parametrize("dims", [(64,), (6, 10), (4, 4, 6)])
+@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
+@pytest.mark.parametrize("symmetry", ["symmetric", "hermitian"])
+def test_a_shared_block_gives_the_bits_of_a_fresh_array(dims, scalar_kind,
+                                                        symmetry):
+    spacing = (0.5, 2.0, 1.5)[:len(dims)]
+    space = grid_space(dims, spacing, scalar_kind, symmetry)
+    rng = np.random.default_rng(31)
+    calls = _block_calls(space, rng)
+    fields = np.stack([space.sample_field(rng) for _ in range(5)])
+    fresh = [lagrangian_value(ops, fields) for ops in calls]
+    # each call order fills the correlations in a different order
+    for order in (range(len(calls)), reversed(range(len(calls))),
+                  rng.permutation(len(calls)), [5, 5, 0, 1, 0, 9, 1]):
+        block = FieldBlock(fields, space)
+        for i in order:
+            assert np.array_equal(lagrangian_value(calls[i], block), fresh[i])
+
+
+@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
+def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
+                                                                scalar_kind):
+    space = grid_space((6, 10), scalar_kind=scalar_kind)
+    fields = np.stack([space.sample_field(rng) for _ in range(4)])
+    fields[2, 17] = np.nan
+    block = FieldBlock(fields, space)
+    for op in (make_discrete_operator(space, "box"),
+               make_discrete_operator(space, "partial", axis=1)):
+        lagrangian_value(op, block)
+    values = lagrangian_value(zero_operator(space), block)
+    assert np.isnan(values[2])
+    assert np.array_equal(np.delete(values, 2), np.zeros(3))
+
+
+def test_a_block_from_another_space_is_refused(rng):
+    space = grid_space((6, 10))
+    fields = np.stack([space.sample_field(rng) for _ in range(3)])
+    box = make_discrete_operator(space, "box")
+    for other in (grid_space((10, 6)), grid_space((6, 10), spacing=(2.0, 1.0)),
+                  grid_space((6, 10), symmetry="hermitian"), plain_space(60)):
+        with pytest.raises(SpaceMismatch):
+            lagrangian_value(box, FieldBlock(fields, other))
+    for bad in (fields[:, :-1], fields[0], fields[None]):
+        with pytest.raises(SpaceMismatch):
+            FieldBlock(bad, space)
+    with pytest.raises(SpaceMismatch):
+        lagrangian_value([box] * 2, FieldBlock(fields, space))
+
+
+def test_a_plain_array_reuses_no_correlation(rng, monkeypatch):
+    space = grid_space((6, 10))
+    fields = np.stack([space.sample_field(rng) for _ in range(3)])
+    box = make_discrete_operator(space, "box")
+    computed = []
+    correlate = FieldBlock._correlate
+
+    def counted(self, offset):
+        computed.append(offset)
+        return correlate(self, offset)
+
+    monkeypatch.setattr(FieldBlock, "_correlate", counted)
+    support = np.count_nonzero(box.body)
+    lagrangian_value(box, fields)
+    lagrangian_value(box, fields)
+    assert len(computed) == 2 * support
+    block = FieldBlock(fields, space)
+    lagrangian_value(box, block)
+    lagrangian_value(scale(2.0, box), block)
+    assert len(computed) == 3 * support
+    assert block.fields.flags.writeable is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -360,19 +361,33 @@ def _per_basis_orbit_solve(algebra, target, tol):
                 mean = math.nan
         coords.append(mean)
     candidate = algebra.from_coords(coords)
-    residual = distance_to_diagonal(target, algebra.row_scale(candidate))
+    residual = _broadcast_distance(target, algebra.row_scale(candidate))
     bound = tol * max(1.0, frobenius(target))
     if not (residual <= bound and math.isfinite(bound)):
         raise NotInIdentityOrbit("reference refuses", residual=residual)
     return candidate
 
 
+def _broadcast_distance(target, entries):
+    """``|A - diag(entries)|_F`` with the entries broadcast to every row,
+    as distance_to_diagonal took it before its exact scalar shortcut."""
+    entries = np.broadcast_to(entries, (target.space.dim,))
+    if target.structure != "stencil":
+        return distance_to_diagonal(target, entries)
+    off = target.body.copy()
+    off.flat[0] = 0
+    return math.hypot(math.sqrt(target.space.dim) * float(np.linalg.norm(off)),
+                      float(np.linalg.norm(target.body.flat[0] - entries)))
+
+
 def _outcome(solve, algebra, target):
-    """``("value", real, imag)`` of the coordinates, or ``("refused",)``."""
+    """``("value", real, imag)`` of the coordinates, or ``("refused",
+    residual)`` with the residual's exact bits (every NaN alike)."""
     try:
         v = algebra.to_vector(solve(algebra, target, tol=1.0))
-    except NotInIdentityOrbit:
-        return ("refused",)
+    except NotInIdentityOrbit as exc:
+        return ("refused", "nan" if math.isnan(exc.residual)
+                else exc.residual.hex())
     return ("value", np.real(v).tolist(), np.imag(v).tolist())
 
 
@@ -410,14 +425,29 @@ def test_orbit_plan_matches_the_per_basis_solve_bit_for_bit(algebra, n):
         entries[first if value == 1e308 else first[:1]] = value
         targets.append(diagonal_operator(targets[-1].space, entries))
         targets.append(Operator(targets[-1].matrix, targets[-1].space))
+    # a stencil's origin is its whole diagonal, so the sums over its spans
+    # are products: NaN and inf propagate, n * 1e308 overflows on this grid,
+    # and the largest float over n sits at the edge, one ulp either side
+    edge = sys.float_info.max / n
+    grid = grid_space((n,), scalar_kind=algebra.scalar_kind)
+    for value in (math.nan, math.inf, -math.inf, 1e308, -1e308, edge,
+                  math.nextafter(edge, math.inf),
+                  math.nextafter(edge, 0.0)):
+        origins = [value] if algebra.scalar_kind == "real" else [
+            complex(value, 0.5), complex(0.5, value)]
+        for origin in origins:
+            body = (1e-3 * rng.standard_normal(n)).astype(grid.dtype)
+            body[0] = origin
+            targets.append(Operator(body, grid, "stencil"))
+    assert n * 1e308 == math.inf
     refused = 0
     for target in targets:
         with np.errstate(over="ignore", invalid="ignore"):
             got = _outcome(solve_action_on_identity, algebra, target)
             expected = _outcome(_per_basis_orbit_solve, algebra, target)
         assert got == expected
-        refused += got == ("refused",)
-    assert refused >= 6
+        refused += got[0] == "refused"
+    assert refused >= 12
 
 
 # --- action compatibility ---------------------------------------------------------------

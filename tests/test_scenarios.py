@@ -260,12 +260,13 @@ def test_boolean_orbit_plan_is_built_once(monkeypatch):
 
 def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     # per-field evaluation would take about 2 x samples calls per check
-    calls, budget = [], []
+    calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
     verify, residual = engine.verify_emergence, scenarios._functional_residual
+    correlate = operator_core.FieldBlock._correlate
 
     def counted_lagrangian(a, phi):
-        calls.append(np.shape(phi))
+        calls.append(len(phi))
         return lagrangian(a, phi)
 
     def budgeted_verify(source, target, parameter_map, n_samples, *rest):
@@ -276,14 +277,36 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
         budget.append(2)
         return residual(left, right, fields)
 
+    def counted_correlate(block, offset):
+        computed.append((block, offset))
+        return correlate(block, offset)
+
     for module in (engine, scenarios):
         monkeypatch.setattr(module, "lagrangian_value", counted_lagrangian)
         monkeypatch.setattr(module, "verify_emergence", budgeted_verify)
     monkeypatch.setattr(scenarios, "_functional_residual", budgeted_residual)
-    spec = gravity_spec(grid=(24, 24), theta_values=(0.1, 0.5, 1.0),
-                        samples=100)
-    assert run_scenario_spec(spec).passed
-    assert 0 < len(calls) <= sum(budget) < 40
+    monkeypatch.setattr(operator_core.FieldBlock, "_correlate",
+                        counted_correlate)
+    for spec in (gravity_spec(grid=(24, 24), theta_values=(0.1, 0.5, 1.0),
+                              samples=100),
+                 gravity_spec(name="noncommutativity_from_gravity",
+                              grid=(24, 24), theta_values=(),
+                              h_scales=(0.1, 0.5, 1.0), samples=100)):
+        del calls[:], budget[:], computed[:]
+        assert run_scenario_spec(spec).passed
+        assert 0 < len(calls) <= sum(budget) < 40
+        # every block computes each offset at most once: the runner's one
+        # block of 100 fields serves all its checks, and a certification
+        # chunk of 16 draws serves both sides
+        keys = [(id(block), tuple(map(int, k))) for block, k in computed]
+        assert len(set(keys)) == len(keys)
+        sizes = [len(block) for block in {id(b): b for b, _ in computed}
+                 .values()]
+        assert sizes.count(100) == 1
+        assert max(size for size in sizes if size != 100) \
+            == engine.CERTIFY_BLOCK
+        # on a flat metric every runner operator is a five-point stencil
+        assert sum(len(block) == 100 for block, _ in computed) == 5
 
 
 def test_gravity_functional_residual_keeps_a_late_nan():
