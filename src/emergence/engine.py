@@ -217,19 +217,14 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
-def verify_emergence(source: OperatorFamily, target, parameter_map,
-                     n_samples: int = 100, tol: float = DEFAULT_TOL,
-                     seed: int = 0, jobs: int | None = None) -> Certificate:
-    """Sample parameters and fields; report both residual maxima.
-
-    Deterministic for a given seed regardless of ``jobs``: the sample set is
-    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, and
-    the reduction is a maximum that keeps NaN, so any non-finite residual
-    fails.  Failure is a non-passing certificate, never an exception.
-    """
+def _residual_maxima(source, target, parameter_map, n_samples, seed,
+                     start=0, jobs: int | None = None) -> np.ndarray:
+    """``[functional, operator]`` maxima, keeping NaN, over draws ``start``
+    on of the ``n_samples`` drawn with ``seed``; a draw's residuals do not
+    depend on its block, so segments combine by ``np.maximum``."""
     rng = np.random.default_rng(seed)
     draws = [(source.algebra.sample(rng), source.space.sample_field(rng))
-             for _ in range(n_samples)]
+             for _ in range(n_samples)][start:]
 
     def block(chunk):
         pairs = [(evaluate_family(source, eps),
@@ -243,16 +238,34 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
         return float(np.max(fn_res)), float(np.max(op_res))
 
     blocks = [draws[i:i + CERTIFY_BLOCK]
-              for i in range(0, n_samples, CERTIFY_BLOCK)]
+              for i in range(0, len(draws), CERTIFY_BLOCK)]
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(block, blocks))
     else:
         results = [block(b) for b in blocks]
-    fn_max = float(np.max([r[0] for r in results], initial=0.0))
-    op_max = float(np.max([r[1] for r in results], initial=0.0))
+    return np.max(np.reshape(results, (-1, 2)), axis=0, initial=0.0)
+
+
+def _certificate(maxima, n_samples, tol, seed) -> Certificate:
+    fn_max, op_max = map(float, maxima)
     return Certificate(n_samples, fn_max, op_max, tol,
                        fn_max <= tol and op_max <= tol, seed)
+
+
+def verify_emergence(source: OperatorFamily, target, parameter_map,
+                     n_samples: int = 100, tol: float = DEFAULT_TOL,
+                     seed: int = 0, jobs: int | None = None) -> Certificate:
+    """Sample parameters and fields; report both residual maxima.
+
+    Deterministic for a given seed regardless of ``jobs``: the sample set is
+    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, and
+    the reduction is a maximum that keeps NaN, so any non-finite residual
+    fails.  Failure is a non-passing certificate, never an exception.
+    """
+    maxima = _residual_maxima(source, target, parameter_map, n_samples, seed,
+                              jobs=jobs)
+    return _certificate(maxima, n_samples, tol, seed)
 
 
 def _certify(source, target, parameter_map, kind, provenance, label,

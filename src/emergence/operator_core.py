@@ -368,12 +368,12 @@ def lagrangian_value(a, phi):
     calls unless the caller shares a block.  ``a`` is one operator or ``s``
     of them, one per field.  A stencil block never applies its operators:
     the value is ``w sum_k s[k] corr_k`` over the offsets ``k`` of this
-    call's union stencil support, in row-major order, with the block's
-    correlations, so a shared block gives the same bits as a fresh one.  The
-    origin is always among the offsets, so a NaN field is NaN under every
-    stencil, the zero one included.  Diagonal blocks take one product, dense
-    or mixed blocks one batched product; the pairing is a row sum, not a
-    BLAS call.
+    call's union stencil support (each body's nonzeros; only their entries
+    are read), in row-major order, with the block's correlations, so a
+    shared block gives the same bits as a fresh one.  The origin is always
+    among the offsets, so a NaN field is NaN under every stencil, the zero
+    one included.  Diagonal blocks take one product, dense or mixed blocks
+    one batched product; the pairing is a row sum, not a BLAS call.
     """
     ops = [a] if isinstance(a, Operator) else list(a)
     space = ops[0].space
@@ -385,12 +385,16 @@ def lagrangian_value(a, phi):
     structures = {op.structure for op in ops}
     fields = block.fields
     if structures == {"stencil"}:
-        stencils = np.stack([op.body for op in ops])
-        support = np.any(stencils != 0, axis=0)
+        support = np.zeros(space.geometry.dims, dtype=bool)
         support.flat[0] = True
-        values = np.zeros(len(fields), dtype=np.result_type(stencils, fields))
-        for k in zip(*np.nonzero(support)):
-            values += stencils[(slice(None),) + k] * block.correlation(k)
+        for op in ops:
+            support |= op.body.astype(bool)
+        flat = np.flatnonzero(support)
+        entries = np.array([op.body.take(flat) for op in ops]).T
+        values = np.zeros(len(fields), dtype=np.result_type(entries, fields))
+        for k, entry in zip(zip(*np.unravel_index(flat, support.shape)),
+                            entries):
+            values += entry * block.correlation(k)
     else:
         if structures == {"diagonal"}:
             applied = np.stack([op.body for op in ops]) * fields
@@ -431,6 +435,8 @@ def diagonal(a: Operator) -> np.ndarray:
 
 def distance_to_diagonal(a: Operator, entries) -> float:
     """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site."""
+    if a.structure == "diagonal":
+        return float(np.linalg.norm(a.body - entries))
     if a.structure != "stencil":
         return frobenius(subtract(a, diagonal_operator(
             a.space, np.broadcast_to(entries, (a.space.dim,)))))

@@ -301,6 +301,36 @@ def test_gravity_reports_keep_their_bytes(name, grid, seed, tmp_path,
     assert digest == GRAVITY_REPORT_DIGESTS[name, grid, seed]
 
 
+#: sha256 of the Boolean (8 masks, block 32) and identity idempotent (64
+#: sites) report bytes at 100 samples: both certify their maps on the same
+#: draws as their scenario certificates
+MAP_REPORT_SPECS = {
+    "boolean": {"name": "boolean", "grid": [8], "masks": 8, "block": 32},
+    "idempotent": {"name": "idempotent", "grid": [64], "variant": "identity"},
+}
+MAP_REPORT_DIGESTS = {
+    ("boolean", 1):
+        "5403eeaf8ed40577937eb77c1a3ebd6c39bfb3104075feac6befc6e75a362f24",
+    ("boolean", 11):
+        "856dbdb85d5721e08ede72300d6e900cad53abf0d82f683f9865bed9e0dd2099",
+    ("idempotent", 1):
+        "660e5d38e60a2c6191da974d3038bd101e37f7f76ee1889ebee84a05e03f9b51",
+    ("idempotent", 11):
+        "fac0c2cc14340f485ea15b1bb8f1b2736d2d5ff2640de5629795c6e3dc2605af",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(MAP_REPORT_DIGESTS))
+def test_map_reports_keep_their_bytes(name, seed, tmp_path, capsys):
+    config = write_config(tmp_path, {**MAP_REPORT_SPECS[name],
+                                     "samples": 100, "seed": seed})
+    out = tmp_path / "report.json"
+    assert main(["--config", config, "--out", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == MAP_REPORT_DIGESTS[name, seed]
+
+
 # --- BLAS-kernel independence ---------------------------------------------------------
 
 

@@ -17,9 +17,10 @@ from emergence import (BadSpec, BooleanComplex, ComplexScalars,
                        right_inverse, scale, sym_part, zero_operator)
 from emergence.operator_core import (FieldBlock, PairingForm, circulant,
                                      circulant_symbol, diagonal_operator,
-                                     frobenius, frobenius_coordinates,
-                                     is_idempotent_power,
-                                     plane_wave, power)
+                                     distance_to_diagonal, frobenius,
+                                     frobenius_coordinates,
+                                     is_idempotent_power, plane_wave, power,
+                                     subtract)
 
 # --- spaces -----------------------------------------------------------------
 
@@ -584,6 +585,41 @@ def test_a_shared_block_gives_the_bits_of_a_fresh_array(dims, scalar_kind,
             assert np.array_equal(lagrangian_value(calls[i], block), fresh[i])
 
 
+def _stacked_stencil_values(ops, block):
+    """A stencil block's values as they were taken by stacking every body
+    and scanning the stack for the union support."""
+    stencils = np.stack([op.body for op in ops])
+    support = np.any(stencils != 0, axis=0)
+    support.flat[0] = True
+    values = np.zeros(len(block), dtype=np.result_type(stencils, block.fields))
+    for k in zip(*np.nonzero(support)):
+        values += stencils[(slice(None),) + k] * block.correlation(k)
+    return block.space.pairing.weight * values
+
+
+@pytest.mark.parametrize("dims", [(64,), (6, 10), (4, 4, 6)])
+@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
+def test_stencil_blocks_match_the_stacked_support_bit_for_bit(dims,
+                                                              scalar_kind):
+    space = grid_space(dims, scalar_kind=scalar_kind, symmetry="hermitian")
+    rng = np.random.default_rng(37)
+    fields = np.stack([space.sample_field(rng) for _ in range(5)])
+    fields[3, 2] = np.nan
+    box = make_discrete_operator(space, "box")
+    real_box = Operator(box.body.real.copy(), space, "stencil")
+    calls = [c for c in _block_calls(space, rng)
+             if {op.structure for op in c} == {"stencil"}]
+    calls += [[scale(c, box) for c in rng.standard_normal(5)],
+              [real_box, box, zero_operator(space), real_box, box],
+              [Operator(np.full(dims, np.inf), space, "stencil")]]
+    for ops in calls:
+        with np.errstate(invalid="ignore"):
+            got = lagrangian_value(ops, FieldBlock(fields, space))
+            want = _stacked_stencil_values(ops, FieldBlock(fields, space))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("scalar_kind", ["real", "complex"])
 def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
                                                                 scalar_kind):
@@ -635,3 +671,33 @@ def test_a_plain_array_reuses_no_correlation(rng, monkeypatch):
     lagrangian_value(scale(2.0, box), block)
     assert len(computed) == 3 * support
     assert block.fields.flags.writeable is False
+
+
+# --- distance to a diagonal ------------------------------------------------------
+
+
+@pytest.mark.parametrize("body_kind", ["real", "complex"])
+def test_diagonal_distance_matches_the_operator_composition(body_kind):
+    n = 12
+    rng = np.random.default_rng(41)
+    space = plain_space(n, body_kind)
+    body = space.sample_field(rng)
+    site_real = rng.standard_normal(n)
+    site_complex = site_real + 1j * rng.standard_normal(n)
+    entries = [0.0, 1.5, -2.25j + 0.5, np.float64(0.75), math.nan, math.inf,
+               -math.inf, complex(math.inf, 1.0), site_real, site_complex]
+    for bad in (math.nan, math.inf, -math.inf):
+        for site in (site_real, site_complex):
+            spoiled = site.copy()
+            spoiled[4] = bad
+            entries.append(spoiled)
+    targets = [diagonal_operator(space, body),
+               diagonal_operator(space, np.where(np.arange(n) == 7, math.inf,
+                                                 body))]
+    for a in targets:
+        for e in entries:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = distance_to_diagonal(a, e)
+                want = frobenius(subtract(a, diagonal_operator(
+                    space, np.broadcast_to(e, (n,)))))
+            assert np.array_equal(got, want, equal_nan=True), e

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, BooleanComplex, InfeasibleTarget,
-                       NotScalarForm, Operator, ScenarioSpec,
+from emergence import (BadSpec, BooleanComplex, HypothesisViolated,
+                       InfeasibleTarget, NotScalarForm, Operator, ScenarioSpec,
                        build_gravity_background, run_scenario_spec, sym_part)
 from emergence import engine, operator_core, scenarios
 from emergence.scenarios import (check_feasible,
@@ -262,16 +262,21 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     # per-field evaluation would take about 2 x samples calls per check
     calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
-    verify, residual = engine.verify_emergence, scenarios._functional_residual
+    maxima, residual = engine._residual_maxima, scenarios._functional_residual
     correlate = operator_core.FieldBlock._correlate
 
     def counted_lagrangian(a, phi):
         calls.append(len(phi))
         return lagrangian(a, phi)
 
-    def budgeted_verify(source, target, parameter_map, n_samples, *rest):
-        budget.append(2 * math.ceil(n_samples / engine.CERTIFY_BLOCK))
-        return verify(source, target, parameter_map, n_samples, *rest)
+    # each certification segment (the map's first 40 draws, then the other
+    # 60) costs two block calls per chunk of its own draws
+    def budgeted_maxima(source, target, parameter_map, n_samples, seed,
+                        start=0, jobs=None):
+        budget.append(2 * math.ceil((n_samples - start)
+                                    / engine.CERTIFY_BLOCK))
+        return maxima(source, target, parameter_map, n_samples, seed, start,
+                      jobs)
 
     def budgeted_residual(left, right, fields):
         budget.append(2)
@@ -283,7 +288,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
 
     for module in (engine, scenarios):
         monkeypatch.setattr(module, "lagrangian_value", counted_lagrangian)
-        monkeypatch.setattr(module, "verify_emergence", budgeted_verify)
+        monkeypatch.setattr(module, "_residual_maxima", budgeted_maxima)
     monkeypatch.setattr(scenarios, "_functional_residual", budgeted_residual)
     monkeypatch.setattr(operator_core.FieldBlock, "_correlate",
                         counted_correlate)
@@ -294,7 +299,9 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
                               h_scales=(0.1, 0.5, 1.0), samples=100)):
         del calls[:], budget[:], computed[:]
         assert run_scenario_spec(spec).passed
-        assert 0 < len(calls) <= sum(budget) < 40
+        assert budget.count(2 * math.ceil(40 / engine.CERTIFY_BLOCK)) == 1
+        assert budget.count(2 * math.ceil(60 / engine.CERTIFY_BLOCK)) == 1
+        assert 0 < len(calls) <= sum(budget) <= 28
         # every block computes each offset at most once: the runner's one
         # block of 100 fields serves all its checks, and a certification
         # chunk of 16 draws serves both sides
@@ -316,6 +323,100 @@ def test_gravity_functional_residual_keeps_a_late_nan():
     assert scenarios._functional_residual(free, free, fields) == 0.0
     fields[33, 7] = np.nan
     assert math.isnan(scenarios._functional_residual(free, free, fields))
+
+
+# --- one-pass certification ----------------------------------------------------------
+
+#: one spec per map-building runner; the idempotent runner builds two maps
+ONE_PASS_SPECS = [
+    dict(name="boolean", grid=(8,), masks=4, block=4),
+    dict(name="gravity_from_noncommutativity", grid=(8, 8),
+         theta_values=(0.5,)),
+    dict(name="noncommutativity_from_gravity", grid=(8, 8), h_scales=(0.5,)),
+    dict(name="idempotent", grid=(8,)),
+]
+ONE_PASS_MAPS = [spec["name"] for spec in ONE_PASS_SPECS] + ["idempotent"]
+
+
+def _certificate_bits(cert):
+    return (cert.samples, cert.max_functional_residual.hex(),
+            cert.max_operator_residual.hex(), cert.tolerance, cert.passed,
+            cert.seed)
+
+
+@pytest.mark.parametrize("samples", [8, 100])
+@pytest.mark.parametrize("seed", [1, 11])
+def test_one_pass_certificates_match_separate_verification(monkeypatch, seed,
+                                                           samples):
+    build, checked = scenarios._build_and_certify, []
+
+    def compared(source, poly, spec, jobs=None):
+        emap, cert = build(source, poly, spec, jobs)
+        m = min(spec.samples, 40)
+        for got, n, tol in ((emap.certificate, m, scenarios.BUILD_TOL),
+                            (cert, spec.samples, spec.tol)):
+            want = engine.verify_emergence(source, poly, emap.parameter_map,
+                                           n, tol, spec.seed)
+            assert _certificate_bits(got) == _certificate_bits(want)
+        checked.append(spec.name)
+        return emap, cert
+
+    monkeypatch.setattr(scenarios, "_build_and_certify", compared)
+    for fields in ONE_PASS_SPECS:
+        spec = ScenarioSpec(**fields, samples=samples, seed=seed)
+        assert run_scenario_spec(spec).passed
+    assert sorted(checked) == sorted(ONE_PASS_MAPS)
+
+
+def _recording_solver(monkeypatch, spoil=lambda call, solve, eps: solve(eps)):
+    """Route every per-term solve through ``spoil``; returns the list of
+    parameters the solves were called with, in call order."""
+    solver, calls = engine._monomial_solver, []
+
+    def recording(*args, **kwargs):
+        solve = solver(*args, **kwargs)
+
+        def recorded(eps):
+            calls.append(np.asarray(eps).tobytes())
+            return spoil(len(calls), solve, eps)
+        return recorded
+
+    monkeypatch.setattr(engine, "_monomial_solver", recording)
+    return calls
+
+
+def test_each_draw_is_mapped_once_per_build(monkeypatch):
+    # every target here has one active term: one solve per map call
+    calls, counts = _recording_solver(monkeypatch), []
+    build = scenarios._build_and_certify
+
+    def counted(source, poly, spec, jobs=None):
+        del calls[:]
+        out = build(source, poly, spec, jobs)
+        counts.append((len(calls), len(set(calls))))
+        return out
+
+    monkeypatch.setattr(scenarios, "_build_and_certify", counted)
+    for fields in ONE_PASS_SPECS:
+        run_scenario_spec(ScenarioSpec(**fields, samples=100, seed=1))
+    assert counts == [(100, 100)] * len(ONE_PASS_MAPS)
+
+
+def test_a_build_failure_refuses_before_any_later_draw(monkeypatch):
+    # draw 10 breaks the map at BUILD_TOL; draw 50 would leave the orbit
+    def spoil(call, solve, eps):
+        if call == 50:
+            raise NotScalarForm("a later draw leaves the orbit", residual=1.0)
+        return 2.0 * solve(eps) if call == 10 else solve(eps)
+
+    calls = _recording_solver(monkeypatch, spoil)
+    spec = ScenarioSpec(name="idempotent", grid=(8,), samples=100, seed=1)
+    with pytest.raises(HypothesisViolated) as info:
+        run_idempotent_instance(spec)
+    cert = info.value.evidence["certificate"]
+    assert (cert.samples, cert.tolerance, cert.passed) \
+        == (40, scenarios.BUILD_TOL, False)
+    assert len(calls) == 40
 
 
 # --- idempotent runner --------------------------------------------------------------
