@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,9 @@ DEFAULT_TOL = 1e-8
 
 #: certification draws per block Lagrangian call (small: memory stays low)
 CERTIFY_BLOCK = 16
+
+#: the last verification: weak references to its inputs, seed, draws, maxima
+_last_verified = None
 
 #: smallest residual a report writes; rounding noise below it depends on
 #: the BLAS kernel, so reports state only that the residual is under it
@@ -217,11 +221,25 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
-def _residual_maxima(source, target, parameter_map, n_samples, seed,
-                     start=0, jobs: int | None = None) -> np.ndarray:
-    """``[functional, operator]`` maxima, keeping NaN, over draws ``start``
-    on of the ``n_samples`` drawn with ``seed``; a draw's residuals do not
-    depend on its block, so segments combine by ``np.maximum``."""
+def verify_emergence(source: OperatorFamily, target, parameter_map,
+                     n_samples: int = 100, tol: float = DEFAULT_TOL,
+                     seed: int = 0, jobs: int | None = None) -> Certificate:
+    """Sample parameters and fields; report both residual maxima.
+
+    Deterministic for a given seed regardless of ``jobs``: the sample set is
+    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, and
+    the reduction is a maximum that keeps NaN, so any non-finite residual
+    fails.  Failure is a non-passing certificate, never an exception.  A
+    call on the last call's inputs (held weakly, taken as unchanged) and int
+    seed with at least its samples keeps its maxima and evaluates only the
+    later draws: a seed repeats its draws, each scored apart from its block.
+    """
+    global _last_verified
+    refs, last_seed, start, head = _last_verified or ((), None, 0, 0.0)
+    inputs, repeatable = (source, target, parameter_map), isinstance(seed, int)
+    if not (repeatable and last_seed == seed and start <= n_samples
+            and all(ref() is x for ref, x in zip(refs, inputs))):
+        start, head = 0, 0.0
     rng = np.random.default_rng(seed)
     draws = [(source.algebra.sample(rng), source.space.sample_field(rng))
              for _ in range(n_samples)][start:]
@@ -244,28 +262,15 @@ def _residual_maxima(source, target, parameter_map, n_samples, seed,
             results = list(pool.map(block, blocks))
     else:
         results = [block(b) for b in blocks]
-    return np.max(np.reshape(results, (-1, 2)), axis=0, initial=0.0)
-
-
-def _certificate(maxima, n_samples, tol, seed) -> Certificate:
-    fn_max, op_max = map(float, maxima)
+    fn_max, op_max = map(float, np.maximum(head, np.max(
+        np.reshape(results, (-1, 2)), axis=0, initial=0.0)))
+    try:  # inputs that take no weak reference are not kept
+        _last_verified = (tuple(map(weakref.ref, inputs)), seed, n_samples,
+                          (fn_max, op_max)) if repeatable else None
+    except TypeError:
+        _last_verified = None
     return Certificate(n_samples, fn_max, op_max, tol,
                        fn_max <= tol and op_max <= tol, seed)
-
-
-def verify_emergence(source: OperatorFamily, target, parameter_map,
-                     n_samples: int = 100, tol: float = DEFAULT_TOL,
-                     seed: int = 0, jobs: int | None = None) -> Certificate:
-    """Sample parameters and fields; report both residual maxima.
-
-    Deterministic for a given seed regardless of ``jobs``: the sample set is
-    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, and
-    the reduction is a maximum that keeps NaN, so any non-finite residual
-    fails.  Failure is a non-passing certificate, never an exception.
-    """
-    maxima = _residual_maxima(source, target, parameter_map, n_samples, seed,
-                              jobs=jobs)
-    return _certificate(maxima, n_samples, tol, seed)
 
 
 def _certify(source, target, parameter_map, kind, provenance, label,

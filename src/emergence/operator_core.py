@@ -368,12 +368,12 @@ def lagrangian_value(a, phi):
     calls unless the caller shares a block.  ``a`` is one operator or ``s``
     of them, one per field.  A stencil block never applies its operators:
     the value is ``w sum_k s[k] corr_k`` over the offsets ``k`` of this
-    call's union stencil support (each body's nonzeros; only their entries
-    are read), in row-major order, with the block's correlations, so a
-    shared block gives the same bits as a fresh one.  The origin is always
-    among the offsets, so a NaN field is NaN under every stencil, the zero
-    one included.  Diagonal blocks take one product, dense or mixed blocks
-    one batched product; the pairing is a row sum, not a BLAS call.
+    call's union stencil support, in row-major order, with the block's
+    correlations, so a shared block gives the same bits as a fresh one.  The
+    origin is always among the offsets, so a NaN field is NaN under every
+    stencil, the zero one included.  Diagonal blocks take one product, dense
+    or mixed blocks one batched product; the pairing is a row sum, not a
+    BLAS call.
     """
     ops = [a] if isinstance(a, Operator) else list(a)
     space = ops[0].space
@@ -385,16 +385,12 @@ def lagrangian_value(a, phi):
     structures = {op.structure for op in ops}
     fields = block.fields
     if structures == {"stencil"}:
-        support = np.zeros(space.geometry.dims, dtype=bool)
+        stencils = np.stack([op.body for op in ops])
+        support = np.any(stencils != 0, axis=0)
         support.flat[0] = True
-        for op in ops:
-            support |= op.body.astype(bool)
-        flat = np.flatnonzero(support)
-        entries = np.array([op.body.take(flat) for op in ops]).T
-        values = np.zeros(len(fields), dtype=np.result_type(entries, fields))
-        for k, entry in zip(zip(*np.unravel_index(flat, support.shape)),
-                            entries):
-            values += entry * block.correlation(k)
+        values = np.zeros(len(fields), dtype=np.result_type(stencils, fields))
+        for k in zip(*np.nonzero(support)):
+            values += stencils[(slice(None),) + k] * block.correlation(k)
     else:
         if structures == {"diagonal"}:
             applied = np.stack([op.body for op in ops]) * fields

@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import (EmergenceMap, _certificate, _residual_maxima,
-                     brute_force_emerge, emerge, residual_bound)
+from .engine import (EmergenceMap, brute_force_emerge, emerge,
+                     residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
 from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
                             grid_space, identity_operator, is_idempotent_power,
@@ -304,21 +304,16 @@ def check_feasible(background: dict, h, threshold: float = 1e-6):
 
 def _build_and_certify(source, poly, spec: ScenarioSpec,
                        jobs: int | None = None):
-    """Synthesize and certify in one pass over the spec's draws.
+    """Synthesize at :data:`BUILD_TOL` on at most 40 draws, then certify.
 
-    The map's certificate is ``emerge``'s at :data:`BUILD_TOL` on the first
-    ``m = min(samples, 40)`` draws, which refuses before any later draw is
-    evaluated; the scenario certificate, at ``tol`` over all ``samples``,
-    adds only the later draws.  Returns ``(map, certificate)``.
+    The certificate at the spec's own ``tol`` over its ``samples`` (same
+    seed) evaluates only the draws after the map's; returns the two.
     """
-    m = min(spec.samples, 40)
-    emap = emerge(source, poly, tol=BUILD_TOL, n_samples=m, seed=spec.seed)
-    head = emap.certificate
-    tail = _residual_maxima(source, poly, emap.parameter_map, spec.samples,
-                            spec.seed, m, jobs)
-    maxima = np.maximum([head.max_functional_residual,
-                         head.max_operator_residual], tail)
-    return emap, _certificate(maxima, spec.samples, spec.tol, spec.seed)
+    emap = emerge(source, poly, tol=BUILD_TOL,
+                  n_samples=min(spec.samples, 40), seed=spec.seed)
+    cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
+                            spec.tol, spec.seed, jobs)
+    return emap, cert
 
 
 # --- regulated engine cross-check ---------------------------------------------------

@@ -596,6 +596,78 @@ def test_a_nan_residual_in_a_later_block_fails_the_certificate(line8, jobs):
                  "nan_map", 2 * CERTIFY_BLOCK + 5, 1e-8, 0)
 
 
+class _CountedMap:
+    """A parameter map that counts its calls; it takes no weak reference."""
+
+    __slots__ = ("fmap", "calls")
+
+    def __init__(self, fmap):
+        self.fmap, self.calls = fmap, 0
+
+    def __call__(self, eps):
+        self.calls += 1
+        return self.fmap(eps)
+
+
+def test_a_wider_verification_evaluates_only_the_later_draws(line8):
+    source = identity_source(line8)
+    poly = polynomial_family([identity_operator(line8)], {(1,): lin()},
+                             RealScalars())
+    fresh = verify_emergence(source, poly, lambda eps: 1.5 * eps,
+                             n_samples=37, seed=9)
+    counted = _CountedMap(lambda eps: 1.5 * eps)
+    fmap = lambda eps: counted(eps)  # noqa: E731
+    for n, jobs, evaluated in ((20, None, 20), (37, 2, 17), (37, None, 0)):
+        before = counted.calls
+        cert = verify_emergence(source, poly, fmap, n, 1e-3, 9, jobs)
+        assert counted.calls - before == evaluated
+    assert (cert.samples, cert.max_functional_residual,
+            cert.max_operator_residual, cert.seed) \
+        == (37, fresh.max_functional_residual, fresh.max_operator_residual, 9)
+    assert (cert.tolerance, cert.passed) == (1e-3, False)
+
+
+def test_a_nan_in_the_kept_draws_fails_the_wider_verification(line8):
+    source = identity_source(line8)
+    fmap = _nan_on_call(5)
+    assert math.isnan(verify_emergence(source, source, fmap, n_samples=20)
+                      .max_operator_residual)
+    cert = verify_emergence(source, source, fmap, n_samples=40)
+    assert not cert.passed
+    assert math.isnan(cert.max_functional_residual)
+    assert math.isnan(cert.max_operator_residual)
+
+
+def test_verification_keeps_only_its_last_call_on_the_same_inputs(line8):
+    source, other = identity_source(line8), identity_source(line8)
+    counted = _CountedMap(lambda eps: eps)
+    fmap, gmap = (lambda eps: counted(eps)), (lambda eps: counted(eps))
+
+    def evaluated(*args, **kwargs):
+        before = counted.calls
+        verify_emergence(*args, **kwargs)
+        return counted.calls - before
+
+    assert evaluated(source, source, fmap, 20, seed=3) == 20
+    assert evaluated(source, source, fmap, 30, seed=3) == 10
+    assert evaluated(source, source, fmap, 25, seed=3) == 25  # fewer draws
+    assert evaluated(source, source, fmap, 30, seed=4) == 30  # another seed
+    assert evaluated(source, other, fmap, 30, seed=4) == 30  # another target
+    assert evaluated(other, other, fmap, 30, seed=4) == 30  # another source
+    assert evaluated(other, other, gmap, 30, seed=4) == 30  # another map
+    assert evaluated(other, other, fmap, 30, seed=4) == 30  # not the last
+    # an unseeded generator does not repeat its draws
+    assert evaluated(other, other, fmap, 30, seed=None) == 30
+    assert evaluated(other, other, fmap, 30, seed=None) == 30
+    # a map that takes no weak reference is not kept, and does not fail
+    assert evaluated(other, other, counted, 30, seed=4) == 30
+    assert evaluated(other, other, counted, 30, seed=4) == 30
+    # a map that died is not mistaken for a new one at its address
+    for _ in range(5):
+        fmap = lambda eps: counted(eps)  # noqa: E731
+        assert evaluated(other, other, fmap, 20, seed=3) == 20
+
+
 def test_constructors_refuse_to_return_failing_maps(flat4):
     ripple = Operator(np.eye(4) + 0.004 * np.diag([1.0, -1.0, 1.0, -1.0]),
                       flat4)

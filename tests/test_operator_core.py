@@ -585,41 +585,6 @@ def test_a_shared_block_gives_the_bits_of_a_fresh_array(dims, scalar_kind,
             assert np.array_equal(lagrangian_value(calls[i], block), fresh[i])
 
 
-def _stacked_stencil_values(ops, block):
-    """A stencil block's values as they were taken by stacking every body
-    and scanning the stack for the union support."""
-    stencils = np.stack([op.body for op in ops])
-    support = np.any(stencils != 0, axis=0)
-    support.flat[0] = True
-    values = np.zeros(len(block), dtype=np.result_type(stencils, block.fields))
-    for k in zip(*np.nonzero(support)):
-        values += stencils[(slice(None),) + k] * block.correlation(k)
-    return block.space.pairing.weight * values
-
-
-@pytest.mark.parametrize("dims", [(64,), (6, 10), (4, 4, 6)])
-@pytest.mark.parametrize("scalar_kind", ["real", "complex"])
-def test_stencil_blocks_match_the_stacked_support_bit_for_bit(dims,
-                                                              scalar_kind):
-    space = grid_space(dims, scalar_kind=scalar_kind, symmetry="hermitian")
-    rng = np.random.default_rng(37)
-    fields = np.stack([space.sample_field(rng) for _ in range(5)])
-    fields[3, 2] = np.nan
-    box = make_discrete_operator(space, "box")
-    real_box = Operator(box.body.real.copy(), space, "stencil")
-    calls = [c for c in _block_calls(space, rng)
-             if {op.structure for op in c} == {"stencil"}]
-    calls += [[scale(c, box) for c in rng.standard_normal(5)],
-              [real_box, box, zero_operator(space), real_box, box],
-              [Operator(np.full(dims, np.inf), space, "stencil")]]
-    for ops in calls:
-        with np.errstate(invalid="ignore"):
-            got = lagrangian_value(ops, FieldBlock(fields, space))
-            want = _stacked_stencil_values(ops, FieldBlock(fields, space))
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
-
-
 @pytest.mark.parametrize("scalar_kind", ["real", "complex"])
 def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
                                                                 scalar_kind):

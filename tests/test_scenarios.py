@@ -262,21 +262,23 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     # per-field evaluation would take about 2 x samples calls per check
     calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
-    maxima, residual = engine._residual_maxima, scenarios._functional_residual
+    verify, residual = engine.verify_emergence, scenarios._functional_residual
     correlate = operator_core.FieldBlock._correlate
 
     def counted_lagrangian(a, phi):
         calls.append(len(phi))
         return lagrangian(a, phi)
 
-    # each certification segment (the map's first 40 draws, then the other
-    # 60) costs two block calls per chunk of its own draws
-    def budgeted_maxima(source, target, parameter_map, n_samples, seed,
-                        start=0, jobs=None):
-        budget.append(2 * math.ceil((n_samples - start)
+    # a certification costs two block calls per chunk of the draws the map's
+    # earlier certificate did not cover: its first 40, then the other 60
+    certified = {}
+
+    def budgeted_verify(source, target, parameter_map, n_samples, *rest):
+        done = certified.get(parameter_map, 0)
+        certified[parameter_map] = n_samples
+        budget.append(2 * math.ceil((n_samples - done)
                                     / engine.CERTIFY_BLOCK))
-        return maxima(source, target, parameter_map, n_samples, seed, start,
-                      jobs)
+        return verify(source, target, parameter_map, n_samples, *rest)
 
     def budgeted_residual(left, right, fields):
         budget.append(2)
@@ -288,7 +290,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
 
     for module in (engine, scenarios):
         monkeypatch.setattr(module, "lagrangian_value", counted_lagrangian)
-        monkeypatch.setattr(module, "_residual_maxima", budgeted_maxima)
+        monkeypatch.setattr(module, "verify_emergence", budgeted_verify)
     monkeypatch.setattr(scenarios, "_functional_residual", budgeted_residual)
     monkeypatch.setattr(operator_core.FieldBlock, "_correlate",
                         counted_correlate)
@@ -298,6 +300,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
                               grid=(24, 24), theta_values=(),
                               h_scales=(0.1, 0.5, 1.0), samples=100)):
         del calls[:], budget[:], computed[:]
+        certified.clear()
         assert run_scenario_spec(spec).passed
         assert budget.count(2 * math.ceil(40 / engine.CERTIFY_BLOCK)) == 1
         assert budget.count(2 * math.ceil(60 / engine.CERTIFY_BLOCK)) == 1
@@ -355,8 +358,10 @@ def test_one_pass_certificates_match_separate_verification(monkeypatch, seed,
         m = min(spec.samples, 40)
         for got, n, tol in ((emap.certificate, m, scenarios.BUILD_TOL),
                             (cert, spec.samples, spec.tol)):
-            want = engine.verify_emergence(source, poly, emap.parameter_map,
-                                           n, tol, spec.seed)
+            # a new map object: nothing is kept from the calls above
+            want = engine.verify_emergence(
+                source, poly, lambda eps: emap.parameter_map(eps), n, tol,
+                spec.seed)
             assert _certificate_bits(got) == _certificate_bits(want)
         checked.append(spec.name)
         return emap, cert
