@@ -15,8 +15,8 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge, EmergenceError,
                      EmptyAccumulation, HypothesisViolated, InfeasibleTarget,
                      NoPreimage, NoSquareRoot, NotInIdentityOrbit,
                      NotMultiplicative, NotRightInvertible, NotScalarForm,
-                     NotScalarInvariant, NotWellDefined, ParseError,
-                     SchemaError, SpaceMismatch, Univariate, UnknownParameter)
+                     NotScalarInvariant, ParseError, SchemaError,
+                     SpaceMismatch, Univariate)
 from .operator_core import (FieldSpace, Operator, add, adjoint_wrt_pairing,
                             compose, grid_space, identity_operator,
                             lagrangian_value, make_discrete_operator,
@@ -26,10 +26,8 @@ from .parameter_algebra import (BooleanComplex, CentralizerDiagonal,
                                 CoefficientFunction, ComplexScalars,
                                 NonnegativeReals, ParameterAlgebra,
                                 ProductAlgebra, RealScalars, TuplePower,
-                                bisect_preimage, canonical_calculus,
                                 check_action_compatibility,
-                                embed_parameters, solve_action_on_identity,
-                                validate_functional_calculus)
+                                solve_action_on_identity)
 from .scenarios import (SCENARIO_RUNNERS, ScenarioResult, ScenarioSpec,
                         build_gravity_background, run_scenario_spec)
 from .theories import (OperatorFamily, PolynomialFamily, check_structure,
@@ -46,16 +44,15 @@ __all__ = [
     "EmptyAccumulation", "FieldSpace", "HypothesisViolated",
     "InfeasibleTarget", "NoPreimage", "NoSquareRoot", "NonnegativeReals",
     "NotInIdentityOrbit", "NotMultiplicative", "NotRightInvertible",
-    "NotScalarForm", "NotScalarInvariant", "NotWellDefined", "Operator",
+    "NotScalarForm", "NotScalarInvariant", "Operator",
     "OperatorFamily", "ParameterAlgebra", "ParseError", "PolynomialFamily",
     "ProductAlgebra", "ProvenanceNode", "RealScalars",
     "SCENARIO_RUNNERS", "ScenarioResult", "ScenarioSpec", "SchemaError",
     "SpaceMismatch", "TuplePower", "Univariate",
-    "UnknownParameter",
-    "add", "adjoint_wrt_pairing", "bisect_preimage", "brute_force_emerge",
-    "build_gravity_background", "canonical_calculus",
+    "add", "adjoint_wrt_pairing", "brute_force_emerge",
+    "build_gravity_background",
     "check_action_compatibility", "check_structure", "compose",
-    "compose_families", "embed_parameters", "emerge", "emerge_accumulate",
+    "compose_families", "emerge", "emerge_accumulate",
     "emerge_composition", "emerge_monomial", "emerge_sum",
     "emerge_univariate", "evaluate_family", "evaluate_polynomial",
     "factor_last_variable", "grid_space", "identity_emergence",

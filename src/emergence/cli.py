@@ -112,12 +112,6 @@ def load_config(path: str) -> ScenarioSpec:
     return ScenarioSpec.from_dict(data)
 
 
-def save_config(spec: ScenarioSpec, path: str):
-    """Write a spec so that :func:`load_config` reads back an equal value."""
-    _atomic_write(path, json.dumps(spec.canonical_dict(), indent=2,
-                                   sort_keys=True) + "\n")
-
-
 # --- reports -------------------------------------------------------------------------
 
 

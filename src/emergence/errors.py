@@ -60,19 +60,11 @@ class NoPreimage(EmergenceError):
     """A coefficient function has no preimage for the requested value."""
 
 
-class NotWellDefined(EmergenceError):
-    """A canonical functional-calculus element depends on the sample point."""
-
-
 class DegreeMismatch(EmergenceError):
-    """Parameter degrees are incompatible (embedding or synthesis entry)."""
+    """Parameter degrees are incompatible (tuple probes or synthesis entry)."""
 
 
 # --- theory layer -----------------------------------------------------------
-
-class UnknownParameter(EmergenceError):
-    """A tabulated family was evaluated off its table."""
-
 
 class Univariate(EmergenceError):
     """Last-variable factoring was requested on a single-variable polynomial."""

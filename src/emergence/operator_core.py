@@ -25,8 +25,8 @@ with ``w > 0`` the volume element of one site (``prod(spacing)`` on a grid,
 ``1`` on a geometry-free space), so adjoints are plain or conjugate
 transposes.  Circulants get right inverses exactly (up to rounding) from the
 discrete Fourier symbol, and a vanishing symbol is reported with its
-frequency instead of silently regularized; a dense matrix whose entries are
-circulant takes the same route.  Diagonals are inverted entry by entry.
+frequency instead of silently regularized.  Diagonals are inverted entry by
+entry.
 """
 
 from __future__ import annotations
@@ -477,37 +477,10 @@ def circulant(geometry: GridGeometry, stencil) -> np.ndarray:
     return stencil.ravel()[index]
 
 
-def _is_circulant(a: Operator) -> bool:
-    """Whether dense ``a`` is on a grid and is the circulant of its first column."""
-    geometry = a.space.geometry
-    if geometry is None or a.structure != "dense":
-        return False
-    m = a.body
-    gap = float(np.linalg.norm(m - circulant(geometry, m[:, 0]), "fro"))
-    return gap <= 1e-12 * max(1.0, float(np.linalg.norm(m, "fro")))
-
-
-def _stencil(a: Operator) -> np.ndarray | None:
-    """The stencil of ``a`` when it is a circulant on a grid, else None."""
-    if a.structure == "stencil":
-        return a.body
-    if _is_circulant(a):
-        return a.body[:, 0].reshape(a.space.geometry.dims)
-    return None
-
-
-def circulant_symbol(a: Operator) -> np.ndarray:
-    """Discrete Fourier symbol of a circulant operator (shape = grid dims)."""
-    stencil = _stencil(a)
-    if stencil is None:
-        raise BadSpec("spectral route needs a circulant operator on a grid")
-    return np.fft.fftn(stencil)
-
-
 def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     """A verified right inverse: ``A o R = I`` within ``tol`` (Frobenius).
 
-    Circulant operators on a grid take the spectral route, which inverts the
+    Stencil operators (circulants) take the spectral route, which inverts the
     symbol and refuses exactly those operators whose symbol vanishes
     somewhere, reporting the offending frequency.  Diagonals are inverted
     entry by entry and a zero entry is refused with its index.  Every other
@@ -519,7 +492,6 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NotRightInvertible(f"operator has a non-finite entry at {index}")
-    stencil = _stencil(a)
     if a.structure == "diagonal":
         method = "reciprocal"
         zeros = np.flatnonzero(a.body == 0)
@@ -527,10 +499,10 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
             raise NotRightInvertible(
                 f"diagonal entry {int(zeros[0])} is zero")
         r = Operator(1.0 / a.body, a.space, "diagonal")
-    elif stencil is not None:
+    elif a.structure == "stencil":
         method = "spectral"
         geometry = a.space.geometry
-        symbol = np.fft.fftn(stencil)
+        symbol = np.fft.fftn(a.body)
         scale_ = max(1.0, float(np.max(np.abs(symbol))))
         flat = np.abs(symbol).ravel()
         k = int(np.argmin(flat))

@@ -19,8 +19,7 @@ shipped instance:
   across a sum.
 
 Coefficient functions (the parameter-dependent weights of polynomial
-theories) live here too, with analytic preimages per kind and a bisection
-fallback for monotone real kinds.
+theories) live here too, with analytic preimages per kind.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
-                     NotInIdentityOrbit, NotWellDefined)
+                     NotInIdentityOrbit)
 from .operator_core import (Operator, add, compose, diagonal,
-                            distance_to_diagonal, frobenius,
-                            identity_operator, plain_space, scale, subtract)
+                            distance_to_diagonal, frobenius, plain_space,
+                            scale, subtract)
 
 # --- algebra instances --------------------------------------------------------
 
@@ -738,109 +737,3 @@ class CoefficientFunction:
                 "nowhere_vanishing": self.nowhere_vanishing,
                 "params": [[float(np.real(p)), float(np.imag(complex(p)))]
                            for p in self.params]}
-
-
-def bisect_preimage(f, value: float, lo: float, hi: float,
-                    tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bracketing bisection for monotone real coefficient functions.
-
-    A generic fallback: callers supply a bracket with a sign change of
-    ``f(x) - value``.
-    """
-    flo, fhi = f(lo) - value, f(hi) - value
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if flo * fhi > 0:
-        raise NoPreimage("bisection bracket does not straddle the value")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - value
-        if fm == 0 or hi - lo < tol:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-# --- functional calculus ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    vacuous: bool
-    samples: int
-    max_residual: float
-    warning: str | None = None
-
-
-def canonical_calculus(algebra: ParameterAlgebra, f: CoefficientFunction,
-                       space, seed: int = 0, n_probes: int = 4,
-                       tol: float = 1e-10) -> Operator:
-    """The canonical assigned operator ``act(eps, I) / f(eps)`` when well defined.
-
-    Well-definedness means the quotient is independent of the probe
-    parameter; only the thin family of coefficient functions proportional to
-    the parameter admits it, everything else raises NotWellDefined.
-    """
-    rng = np.random.default_rng(seed)
-    ident = identity_operator(space)
-    candidates = []
-    for _ in range(n_probes):
-        eps = algebra.sample(rng)
-        val = f(eps)
-        if abs(complex(val)) < 1e-14:
-            continue
-        candidates.append(scale(1.0 / val, algebra.act(eps, ident)))
-    if not candidates:
-        raise NotWellDefined("no usable probe parameters")
-    ref = candidates[0]
-    worst = max(frobenius(subtract(c, ref)) for c in candidates)
-    if worst > tol * max(1.0, frobenius(ref)):
-        raise NotWellDefined(
-            "assigned operator depends on the probe parameter "
-            f"(spread {worst:.3e})")
-    if (space.scalar_kind == "real"
-            and np.max(np.abs(np.imag(ref.body))) <= 1e-13):
-        ref = Operator(np.real(ref.body), space, ref.structure)
-    return ref
-
-
-def validate_functional_calculus(algebra: ParameterAlgebra,
-                                 f: CoefficientFunction, assigned: Operator,
-                                 operators, n_samples: int, seed: int = 0,
-                                 tol: float = 1e-10) -> ValidationReport:
-    """Check the defining identity ``assigned o (f(eps) X) = act(eps, X)``."""
-    operators = list(operators)
-    if n_samples <= 0 or not operators:
-        return ValidationReport(True, True, 0, 0.0,
-                                warning="no samples drawn; identity unchecked")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        eps = algebra.sample(rng)
-        x = operators[int(rng.integers(len(operators)))]
-        lhs = compose(assigned, scale(f(eps), x))
-        rhs = algebra.act(eps, x)
-        worst = max(worst, frobenius(subtract(lhs, rhs))
-                    / max(1.0, frobenius(rhs)))
-    return ValidationReport(worst <= tol, False, n_samples, worst)
-
-
-# --- degree embedding -------------------------------------------------------------
-
-
-def embed_parameters(base: ParameterAlgebra, element, to_degree: int):
-    """Zero-pad a parameter tuple into a higher tuple power.
-
-    A bare element counts as degree 1.  Shrinking raises DegreeMismatch.
-    """
-    current = element if isinstance(element, tuple) else (element,)
-    if to_degree < len(current):
-        raise DegreeMismatch(
-            f"cannot embed degree {len(current)} into degree {to_degree}")
-    return current + (base.zero(),) * (to_degree - len(current))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadSpec, NotRightInvertible, UnknownParameter, Univariate
+from .errors import BadSpec, NotRightInvertible, Univariate
 from .operator_core import (DEFAULT_TOL, Operator, add, compose, frobenius,
                             identity_operator, power, right_inverse, scale,
                             subtract, zero_operator)
@@ -48,13 +48,6 @@ class SumTree:
 class CompositionTree:
     left: "OperatorFamily"
     right: "OperatorFamily"
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulated:
-    """A finite lookup table of (parameter, operator) pairs."""
-
-    entries: tuple
 
 
 # --- operator families ----------------------------------------------------------
@@ -88,12 +81,6 @@ def scalar_family(algebra, base: Operator, exponent: int = 1,
                           base.space, label=label or "scalar_times_fixed")
 
 
-def tabulated_family(algebra, entries, space, label: str = "") -> OperatorFamily:
-    """Family defined only on the tabulated parameters."""
-    return OperatorFamily(1, algebra, Tabulated(tuple(entries)), space,
-                          label=label or "tabulated")
-
-
 def evaluate_family(family, eps) -> Operator:
     """Evaluate ``eps -> Psi(eps)`` for an operator or polynomial family.
 
@@ -114,11 +101,6 @@ def evaluate_family(family, eps) -> Operator:
         eps = tuple(eps)
         return compose(evaluate_family(form.left, eps[0]),
                        evaluate_family(form.right, eps[1]))
-    if isinstance(form, Tabulated):
-        for key, op in form.entries:
-            if family.algebra.distance(key, eps) <= 1e-12:
-                return op
-        raise UnknownParameter(f"parameter off the table for {family.label!r}")
     raise BadSpec(f"unknown family form {type(form).__name__}")
 
 

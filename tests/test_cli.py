@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from emergence import ParseError, ScenarioSpec, SchemaError
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
                            main, parse_args, render_json, render_text,
-                           save_config, shipped_config_path)
+                           shipped_config_path)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED_CONFIGS = ("gravity_from_noncommutativity",
@@ -74,9 +75,9 @@ def test_unreadable_path_is_a_parse_error(tmp_path):
 def test_specs_round_trip_through_files(tmp_path):
     spec = ScenarioSpec(name="gravity_from_noncommutativity", grid=(8, 8),
                         theta_values=(0.1, 0.5), samples=25, seed=7)
-    path = str(tmp_path / "saved.json")
-    save_config(spec, path)
-    assert load_config(path) == spec
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(spec.canonical_dict()))
+    assert load_config(str(path)) == spec
 
 
 def test_shipped_configs_exist_and_load():
@@ -85,6 +86,14 @@ def test_shipped_configs_exist_and_load():
         assert spec.samples == 100
     with pytest.raises(SchemaError):
         shipped_config_path("wormhole")
+
+
+def test_the_export_list_names_every_public_attribute():
+    import emergence
+    public = {name for name, value in vars(emergence).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert sorted(emergence.__all__) == sorted(public)
 
 
 # --- argument handling --------------------------------------------------------------

@@ -15,7 +15,8 @@ from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
                        NotRightInvertible, NotScalarForm, NotScalarInvariant,
                        Operator, RealScalars, SpaceMismatch,
-                       TuplePower, add, brute_force_emerge, compose, emerge,
+                       TuplePower, add, brute_force_emerge, compose,
+                       compose_families, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
                        emerge_sum, emerge_univariate, evaluate_family,
                        grid_space, identity_emergence, identity_operator,
@@ -27,8 +28,7 @@ from emergence.engine import (CERTIFY_BLOCK, REPORT_FLOOR, Certificate,
                               ProvenanceNode, _certify, _fold_weights,
                               residual_bound)
 from emergence.operator_core import diagonal_operator
-from emergence.theories import (evaluate_polynomial, monomial_operator,
-                                tabulated_family)
+from emergence.theories import evaluate_polynomial, monomial_operator
 
 # --- shared builders ----------------------------------------------------------
 
@@ -498,15 +498,15 @@ def test_distributing_needs_a_verified_structure_flag(line8):
 def test_synthesis_refuses_sources_that_are_not_scalar_times_fixed(line8):
     ident = identity_operator(line8)
     summed = sum_families(identity_source(line8), identity_source(line8))
-    tabulated = tabulated_family(RealScalars(), [(1.0, ident)], line8)
-    for source in (summed, tabulated):
+    composed = compose_families(identity_source(line8), identity_source(line8))
+    for source in (summed, composed):
         poly = polynomial_family([ident], {(1,): lin()}, RealScalars(),
                                  coefficient_degree=source.degree)
         with pytest.raises(BadSpec) as info:
             emerge(source, poly)
         assert "scalar-times-fixed" in str(info.value)
     with pytest.raises(BadSpec):
-        emerge_monomial(tabulated, lin(), ident, 1)
+        emerge_monomial(composed, lin(), ident, 1)
 
 
 def test_vanishing_active_coefficients_are_refused(line8):

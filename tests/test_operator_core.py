@@ -16,7 +16,7 @@ from emergence import (BadSpec, BooleanComplex, ComplexScalars,
                        make_discrete_operator, operator_residual, plain_space,
                        right_inverse, scale, sym_part, zero_operator)
 from emergence.operator_core import (FieldBlock, PairingForm, circulant,
-                                     circulant_symbol, diagonal_operator,
+                                     diagonal_operator,
                                      distance_to_diagonal, frobenius,
                                      frobenius_coordinates,
                                      is_idempotent_power, plane_wave, power,
@@ -57,15 +57,14 @@ def test_operator_shape_is_checked(line8):
 def test_circulance_is_read_from_the_entries(line8):
     shift = make_discrete_operator(line8, "shift", axis=0)
     dense = Operator(np.arange(64.0).reshape(8, 8), line8)
-    symbol = circulant_symbol(shift)
+    symbol = np.fft.fftn(shift.body)
     for op, expected in ((scale(2.5, shift), 2.5 * symbol),
                          (compose(shift, shift), symbol * symbol),
-                         (add(shift, identity_operator(line8)), symbol + 1.0),
-                         (Operator(shift.matrix.copy(), line8), symbol)):
-        assert np.allclose(circulant_symbol(op), expected, atol=1e-12)
+                         (add(shift, identity_operator(line8)), symbol + 1.0)):
+        assert op.structure == "stencil"
+        assert np.allclose(np.fft.fftn(op.body), expected, atol=1e-12)
     for op in (dense, add(shift, dense), compose(shift, dense)):
-        with pytest.raises(BadSpec):
-            circulant_symbol(op)
+        assert op.structure == "dense"
 
 
 def test_power_requires_nonnegative_integer(line8):
@@ -381,23 +380,17 @@ def test_nan_residual_fails_verification(flat4, monkeypatch):
     assert math.isnan(info.value.residual)
 
 
-def test_spectral_route_needs_tags_and_geometry(flat4, line8):
-    dense = Operator(np.eye(4), flat4)
-    with pytest.raises(BadSpec):
-        circulant_symbol(dense)
-    # circulance is read from the entries: a varying diagonal is not
-    not_circulant = Operator(np.diag(np.arange(1.0, 9.0)), line8)
-    with pytest.raises(BadSpec):
-        circulant_symbol(not_circulant)
-
-
-def test_hand_built_circulant_takes_the_spectral_route(line8):
-    # a copied matrix keeps no provenance; the refusal still names the
-    # vanishing frequency
+def test_spectral_route_needs_tags_and_geometry(line8):
+    # a dense matrix with circulant entries takes the pseudoinverse route:
+    # the refusal carries the verification residual, not a frequency
     box = make_discrete_operator(line8, "box")
-    with pytest.raises(NotRightInvertible) as info:
+    with pytest.raises(NotRightInvertible, match="pseudoinverse") as info:
         right_inverse(Operator(box.matrix.copy(), line8))
-    assert info.value.frequency == (0,)
+    assert info.value.frequency is None
+    assert math.isfinite(info.value.residual)
+    massive = add(box, identity_operator(line8))
+    assert right_inverse(massive).structure == "stencil"
+    assert right_inverse(Operator(massive.matrix, line8)).structure == "dense"
 
 
 def test_diagonal_right_inverse_is_the_reciprocal(flat4, line8):

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        CoefficientFunction, ComplexScalars, DegreeMismatch,
                        NonnegativeReals, NoPreimage, NoSquareRoot,
-                       NotInIdentityOrbit, NotWellDefined, Operator,
+                       NotInIdentityOrbit, Operator,
                        ProductAlgebra, RealScalars, TuplePower,
-                       bisect_preimage, canonical_calculus,
-                       check_action_compatibility, embed_parameters,
+                       check_action_compatibility,
                        grid_space, identity_operator, plain_space,
-                       solve_action_on_identity,
-                       validate_functional_calculus)
+                       solve_action_on_identity)
 from emergence.operator_core import (diagonal, diagonal_operator,
                                      distance_to_diagonal, frobenius)
 
@@ -203,14 +201,6 @@ def test_product_algebra_combines_heterogeneous_components():
         ProductAlgebra(())
     with pytest.raises(BadSpec):
         alg.mul((1.0,), (2.0, 3.0))
-
-
-def test_embedding_zero_pads_and_refuses_to_shrink():
-    base = RealScalars()
-    assert embed_parameters(base, 2.0, 3) == (2.0, 0.0, 0.0)
-    assert embed_parameters(base, (1.0, 2.0), 2) == (1.0, 2.0)
-    with pytest.raises(DegreeMismatch):
-        embed_parameters(base, (1.0, 2.0), 1)
 
 
 # --- centralizer diagonals ----------------------------------------------------------
@@ -545,47 +535,8 @@ def test_affine_preimage_round_trips(x):
     assert f.preimage(f(x)) == pytest.approx(x, abs=1e-9)
 
 
-def test_bisection_fallback_finds_the_logarithm():
-    got = bisect_preimage(CoefficientFunction.exponential(), 2.0, 0.0, 2.0)
-    assert got == pytest.approx(math.log(2.0), abs=1e-10)
-    with pytest.raises(NoPreimage):
-        bisect_preimage(CoefficientFunction.exponential(), 2.0, 3.0, 4.0)
-
-
 def test_describe_is_json_ready():
     desc = CoefficientFunction.affine(2.0, 1.0, domain="real").describe()
     assert desc == {"kind": "affine", "domain": "real",
                     "nowhere_vanishing": True,
                     "params": [[2.0, 0.0], [1.0, 0.0]]}
-
-
-# --- canonical functional calculus -------------------------------------------------------
-
-
-def test_canonical_calculus_inverts_linear_slopes():
-    space = plain_space(3)
-    assigned = canonical_calculus(RealScalars(),
-                                  CoefficientFunction.linear(4.0), space)
-    assert np.allclose(assigned.matrix, 0.25 * np.eye(3), atol=1e-12)
-    report = validate_functional_calculus(
-        RealScalars(), CoefficientFunction.linear(4.0), assigned,
-        [identity_operator(space)], n_samples=16)
-    assert report.ok and report.max_residual < 1e-12
-
-
-@pytest.mark.parametrize("f", [
-    CoefficientFunction.exponential(),
-    CoefficientFunction.affine(1.0, 1.0),
-    CoefficientFunction.monomial_power(2),
-])
-def test_canonical_calculus_refuses_nonproportional_kinds(f):
-    with pytest.raises(NotWellDefined):
-        canonical_calculus(RealScalars(), f, plain_space(3))
-
-
-def test_functional_calculus_validation_is_vacuous_without_operators():
-    report = validate_functional_calculus(
-        RealScalars(), CoefficientFunction.linear(1.0),
-        identity_operator(plain_space(2)), [], n_samples=8)
-    assert report.ok and report.vacuous
-    assert report.warning is not None

@@ -8,13 +8,12 @@ import pytest
 from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
                        DegreeMismatch, NonnegativeReals, Operator,
                        PolynomialFamily, RealScalars, Univariate,
-                       UnknownParameter, add, check_structure,
+                       add, check_structure,
                        compose_families, evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
                        make_discrete_operator, plain_space, polynomial_family,
                        scalar_family, sum_families, verify_structure)
-from emergence.theories import (STRUCTURE_FLAGS, monomial_operator,
-                                tabulated_family)
+from emergence.theories import STRUCTURE_FLAGS, monomial_operator
 
 # --- family forms and evaluation ------------------------------------------------
 
@@ -53,14 +52,6 @@ def test_family_combinators_check_spaces(line8, line4):
         sum_families(a, b)
     with pytest.raises(BadSpec):
         compose_families(a, b)
-
-
-def test_tabulated_family_is_partial(line8):
-    ident = identity_operator(line8)
-    fam = tabulated_family(RealScalars(), [(1.0, ident)], line8)
-    assert evaluate_family(fam, 1.0) is ident
-    with pytest.raises(UnknownParameter):
-        evaluate_family(fam, 2.0)
 
 
 def test_unknown_claim_flags_are_rejected(line8):
