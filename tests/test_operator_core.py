@@ -393,6 +393,19 @@ def test_spectral_route_needs_tags_and_geometry(line8):
     assert right_inverse(Operator(massive.matrix, line8)).structure == "dense"
 
 
+def test_hand_built_circulant_takes_the_spectral_route(line8):
+    # a circulant built by hand from a copied first column, tagged as a
+    # stencil, is inverted spectrally: the refusal names the vanishing
+    # frequency
+    box = make_discrete_operator(line8, "box")
+    column = box.matrix[:, 0].copy().reshape(line8.geometry.dims)
+    hand_built = Operator(column, line8, "stencil")
+    assert np.array_equal(hand_built.matrix, box.matrix)
+    with pytest.raises(NotRightInvertible) as info:
+        right_inverse(hand_built)
+    assert info.value.frequency == (0,)
+
+
 def test_diagonal_right_inverse_is_the_reciprocal(flat4, line8):
     for space in (flat4, line8):
         d = diagonal_operator(space, np.linspace(-2.0, 3.0, space.dim) + 0.1)
