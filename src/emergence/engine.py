@@ -33,13 +33,14 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
 from .operator_core import (FieldBlock, Operator, compose,
                             frobenius_coordinates, lagrangian_value,
                             operator_residual, power, reflect, right_inverse,
-                            scale, subtract, sym_part)
-from .parameter_algebra import (CoefficientFunction, NonnegativeReals,
+                            scale, stack_operators, subtract, sym_part)
+from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
                                 solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
                        compose_families, evaluate_family, evaluate_polynomial,
-                       factor_last_variable, monomial_operator,
-                       polynomial_family, scalar_family, sum_families)
+                       evaluates_blocks, factor_last_variable,
+                       monomial_operator, polynomial_family, scalar_family,
+                       sum_families)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
@@ -221,18 +222,39 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
+def _stacks(source, target, parameter_map, params):
+    """Both families' operators at a block of draws, one stack each.
+
+    A source that :func:`~emergence.theories.evaluates_blocks` is evaluated
+    on the block as arrays, and so is the target when the map has a block
+    form, ``parameter_map.block(draws)``; whatever has none is evaluated
+    draw by draw and stacked.  A draw's bodies are the same bits either way.
+    """
+    draws = Draws.stack(params) if evaluates_blocks(source) else None
+    if draws is None:
+        left = stack_operators(evaluate_family(source, e) for e in params)
+    else:
+        left = evaluate_family(source, draws)
+        block = getattr(parameter_map, "block", None)
+        if block is not None and evaluates_blocks(target):
+            return left, evaluate_family(target, block(draws))
+    return left, stack_operators(evaluate_family(target, parameter_map(e))
+                                 for e in params)
+
+
 def verify_emergence(source: OperatorFamily, target, parameter_map,
                      n_samples: int = 100, tol: float = DEFAULT_TOL,
                      seed: int = 0, jobs: int | None = None) -> Certificate:
     """Sample parameters and fields; report both residual maxima.
 
     Deterministic for a given seed regardless of ``jobs``: the sample set is
-    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, and
-    the reduction is a maximum that keeps NaN, so any non-finite residual
-    fails.  Failure is a non-passing certificate, never an exception.  A
-    call on the last call's inputs (held weakly, taken as unchanged) and int
-    seed with at least its samples keeps its maxima and evaluates only the
-    later draws: a seed repeats its draws, each scored apart from its block.
+    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, each
+    evaluated as stacked arrays (see :func:`_stacks`), and the reduction is
+    a maximum that keeps NaN, so any non-finite residual fails.  Failure is
+    a non-passing certificate, never an exception.  A call on the last
+    call's inputs (held weakly, taken as unchanged) and int seed with at
+    least its samples keeps its maxima and evaluates only the later draws:
+    a seed repeats its draws, each scored apart from its block.
     """
     global _last_verified
     refs, last_seed, start, head = _last_verified or ((), None, 0, 0.0)
@@ -245,14 +267,14 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
              for _ in range(n_samples)][start:]
 
     def block(chunk):
-        pairs = [(evaluate_family(source, eps),
-                  evaluate_family(target, parameter_map(eps)))
-                 for eps, _ in chunk]
+        left, right = _stacks(source, target, parameter_map,
+                              [eps for eps, _ in chunk])
         # one block per chunk: both sides share its self-correlations
         fields = FieldBlock(np.stack([phi for _, phi in chunk]), source.space)
-        l1, l2 = (lagrangian_value(ops, fields) for ops in zip(*pairs))
+        l1 = lagrangian_value(left, fields)
+        l2 = lagrangian_value(right, fields)
         fn_res = np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))
-        op_res = [operator_residual(a, b) for a, b in pairs]
+        op_res = operator_residual(left, right)
         return float(np.max(fn_res)), float(np.max(op_res))
 
     blocks = [draws[i:i + CERTIFY_BLOCK]
@@ -385,9 +407,62 @@ def _transport(op: Operator, post: Operator | None) -> Operator:
     return out
 
 
+class _BlockMap:
+    """A parameter map with a block form: ``block(draws)`` maps a
+    :class:`~emergence.parameter_algebra.Draws` at once, and draw ``i`` of
+    the result is ``self(draws[i])`` to the bit.  A block refuses as the
+    per-draw map does: the earliest failing draw, and within it the first
+    failing term, raises, by running the draws one at a time again."""
+
+    def block(self, draws: Draws):
+        try:
+            return self._block(draws)
+        except Exception:
+            for eps in draws:
+                self(eps)
+            raise
+
+
+class _MonomialSolve(_BlockMap):
+    """The solver ``eps -> delta`` of one active term (see
+    :func:`_monomial_solver`); calling it solves one draw."""
+
+    def __init__(self, source, transported, offset, coefficient, algebra,
+                 weight, term_label, tol):
+        self.source, self.transported, self.offset = source, transported, offset
+        self.coefficient, self.algebra, self.weight = coefficient, algebra, weight
+        self.term_label, self.tol = term_label, tol
+
+    def _slice(self, eps):
+        if self.weight != 1.0:
+            scale_ = self.source.algebra.scale
+            eps = (Draws.stack(scale_(self.weight, e) for e in eps)
+                   if isinstance(eps, Draws) else scale_(self.weight, eps))
+        m = evaluate_family(self.transported, eps)
+        return m if self.offset is None else subtract(m, self.offset)
+
+    def __call__(self, eps):
+        try:
+            c = solve_action_on_identity(self.algebra, self._slice(eps),
+                                         tol=self.tol)
+        except NotInIdentityOrbit as exc:
+            raise NotScalarForm(
+                f"term {self.term_label}: transported source slice is not in "
+                f"the identity orbit of the parameter action",
+                residual=exc.residual) from exc
+        try:
+            return self.coefficient.preimage(c)
+        except NoPreimage as exc:
+            raise NoPreimage(f"term {self.term_label}: {exc}") from exc
+
+    def _block(self, draws):
+        return self.coefficient.preimage(solve_action_on_identity(
+            self.algebra, self._slice(draws), tol=self.tol))
+
+
 def _monomial_solver(source, coefficient, post, algebra, weight, offset,
-                     term_label, tol):
-    """Pointwise solver ``eps -> delta`` for one active term.
+                     term_label, tol) -> _MonomialSolve:
+    """Solver ``eps -> delta`` for one active term, with a block form.
 
     The working slice is ``(Psi1(weight*eps) - weight*offset) @ post``.  The
     source scales rows, so ``act(c, F) @ post = act(c, F @ post)``: the fixed
@@ -403,25 +478,8 @@ def _monomial_solver(source, coefficient, post, algebra, weight, offset,
         _transport(form.fixed, post), form.coefficient))
     offset = None if offset is None else scale(weight,
                                                _transport(offset, post))
-
-    def solve(eps):
-        scaled = source.algebra.scale(weight, eps) if weight != 1.0 else eps
-        m = evaluate_family(transported, scaled)
-        if offset is not None:
-            m = subtract(m, offset)
-        try:
-            c = solve_action_on_identity(algebra, m, tol=tol)
-        except NotInIdentityOrbit as exc:
-            raise NotScalarForm(
-                f"term {term_label}: transported source slice is not in the "
-                f"identity orbit of the parameter action",
-                residual=exc.residual) from exc
-        try:
-            return coefficient.preimage(c)
-        except NoPreimage as exc:
-            raise NoPreimage(f"term {term_label}: {exc}") from exc
-
-    return solve
+    return _MonomialSolve(source, transported, offset, coefficient, algebra,
+                          weight, term_label, tol)
 
 
 # --- composition / sum / accumulation ----------------------------------------------
@@ -622,6 +680,29 @@ def _split_constants(poly: PolynomialFamily):
     return active, constants
 
 
+class _PerTermMap(_BlockMap):
+    """``eps -> {alpha: delta}``: each active term's solver, and the
+    algebra's zero for each constant term."""
+
+    def __init__(self, solvers, constants, zero):
+        self.solvers, self.constants, self.zero = solvers, constants, zero
+
+    def __call__(self, eps):
+        table = {alpha: g(eps) for alpha, g in self.solvers}
+        for alpha in self.constants:
+            table[alpha] = self.zero
+        return table
+
+    def _block(self, draws):
+        table = {alpha: g.block(draws) if hasattr(g, "block")
+                 else Draws.stack(g(e) for e in draws)
+                 for alpha, g in self.solvers}
+        zeros = Draws.stack([self.zero] * len(draws))
+        for alpha in self.constants:
+            table[alpha] = zeros
+        return table
+
+
 def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
                  n_samples, seed, label):
     _gate_claims(source)
@@ -671,12 +752,8 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
     else:
         solvers, core_prov = [], None
 
-    def parameter_map(eps, _solvers=tuple(solvers)):
-        table = {alpha: g(eps) for alpha, g in _solvers}
-        for alpha, _ in constants:
-            table[alpha] = zero
-        return table
-
+    parameter_map = _PerTermMap(tuple(solvers),
+                                tuple(alpha for alpha, _ in constants), zero)
     if constants:
         const_leaves = tuple(
             _monomial_node(alpha, f, 1.0, detail="constant_coefficient")

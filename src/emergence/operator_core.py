@@ -148,6 +148,26 @@ def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
 # --- operators ---------------------------------------------------------------
 
 
+def _check_body(op, lead: int):
+    """Check ``op.body`` against its structure, after ``lead`` draw axes."""
+    body = np.asarray(op.body)
+    n = op.space.dim
+    if op.structure == "dense":
+        shape = (n, n)
+    elif op.structure == "stencil":
+        if op.space.geometry is None:
+            raise BadSpec("stencil operators need a grid geometry")
+        shape = op.space.geometry.dims
+    elif op.structure == "diagonal":
+        shape = (n,)
+    else:
+        raise BadSpec(f"unknown operator structure {op.structure!r}")
+    if body.ndim != lead + len(shape) or body.shape[lead:] != shape:
+        raise BadSpec(f"{op.structure} operator body has shape "
+                      f"{body.shape[lead:]}, its space needs {shape}")
+    object.__setattr__(op, "body", body)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """A linear map on a field space, stored by its structure.
@@ -163,22 +183,7 @@ class Operator:
     structure: str = "dense"
 
     def __post_init__(self):
-        body = np.asarray(self.body)
-        n = self.space.dim
-        if self.structure == "dense":
-            shape = (n, n)
-        elif self.structure == "stencil":
-            if self.space.geometry is None:
-                raise BadSpec("stencil operators need a grid geometry")
-            shape = self.space.geometry.dims
-        elif self.structure == "diagonal":
-            shape = (n,)
-        else:
-            raise BadSpec(f"unknown operator structure {self.structure!r}")
-        if body.shape != shape:
-            raise BadSpec(f"{self.structure} operator body has shape "
-                          f"{body.shape}, its space needs {shape}")
-        object.__setattr__(self, "body", body)
+        _check_body(self, 0)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -188,6 +193,69 @@ class Operator:
         if self.structure == "diagonal":
             return np.diag(self.body)
         return self.body
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorStack:
+    """The operators of a block of draws on one space, one body per draw.
+
+    ``body[i]`` is what an :class:`Operator` of ``structure`` holds for
+    draw ``i``.  Sums, differences, adjoints, symmetric parts, Frobenius
+    norms, Lagrangians and residuals act on every draw at once, with the
+    elementwise arithmetic each draw's operator would get, so draw ``i``
+    keeps the bits it has on its own.
+    """
+
+    body: np.ndarray
+    space: FieldSpace
+    structure: str = "dense"
+
+    def __post_init__(self):
+        _check_body(self, 1)
+
+    def __len__(self) -> int:
+        return len(self.body)
+
+    def __getitem__(self, i) -> Operator:
+        return Operator(self.body[i], self.space, self.structure)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``(s, n, n)`` matrices."""
+        if self.structure == "dense":
+            return self.body
+        return np.stack([op.matrix for op in self])
+
+
+def stack_operators(ops) -> OperatorStack:
+    """Per-draw operators as one stack: their bodies when they share a
+    structure, else their dense matrices."""
+    ops = list(ops)
+    space = ops[0].space
+    if not all(op.space.matches(space) for op in ops):
+        raise SpaceMismatch("operators live on different field spaces")
+    structures = {op.structure for op in ops}
+    if len(structures) == 1:
+        return OperatorStack(np.stack([op.body for op in ops]), space,
+                             structures.pop())
+    return OperatorStack(np.stack([op.matrix for op in ops]), space)
+
+
+def scale_rows(scales: np.ndarray, a: Operator) -> OperatorStack:
+    """The stack whose draw ``i`` is ``a`` with its rows scaled by
+    ``scales[i]``.
+
+    ``scales`` is ``(s, 1)``, one factor per draw, which keeps ``a``'s
+    structure, or ``(s, n)``, one per row, which keeps a diagonal and makes
+    anything else dense; each draw gets the products that :func:`scale` or
+    a row scaling of that one draw takes.
+    """
+    if scales.shape[1] == 1:
+        factors = scales.reshape((len(scales),) + (1,) * a.body.ndim)
+        return OperatorStack(factors * a.body, a.space, a.structure)
+    if a.structure == "diagonal":
+        return OperatorStack(scales * a.body, a.space, "diagonal")
+    return OperatorStack(scales[:, :, None] * a.matrix, a.space)
 
 
 def _unit(space: FieldSpace, value: float) -> Operator:
@@ -249,9 +317,15 @@ def _reflect_index(dims: tuple[int, ...]) -> np.ndarray:
     return index
 
 
-def reflect(stencil: np.ndarray) -> np.ndarray:
-    """``stencil[-x]``, the stencil of the transposed circulant."""
-    return stencil.ravel()[_reflect_index(stencil.shape)]
+def reflect(stencil: np.ndarray, dims: tuple | None = None) -> np.ndarray:
+    """``stencil[-x]``, the stencil of the transposed circulant.
+
+    ``dims`` are the grid's (default: the stencil's shape); any axes before
+    them are draw axes, each reflected apart.
+    """
+    dims = stencil.shape if dims is None else dims
+    flat = stencil.reshape(stencil.shape[:stencil.ndim - len(dims)] + (-1,))
+    return flat[..., _reflect_index(dims)]
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -264,11 +338,13 @@ def compose(a: Operator, b: Operator) -> Operator:
     return Operator(a.matrix @ b.matrix, a.space)
 
 
-def _entrywise(ufunc, a: Operator, b: Operator) -> Operator:
+def _entrywise(ufunc, a, b):
+    """``ufunc`` on two operators; with a stack on either side, per draw."""
     _require_same_space(a, b)
+    kind = OperatorStack if OperatorStack in (type(a), type(b)) else Operator
     if a.structure == b.structure:
-        return Operator(ufunc(a.body, b.body), a.space, a.structure)
-    return Operator(ufunc(a.matrix, b.matrix), a.space)
+        return kind(ufunc(a.body, b.body), a.space, a.structure)
+    return kind(ufunc(a.matrix, b.matrix), a.space)
 
 
 def add(a: Operator, b: Operator) -> Operator:
@@ -294,29 +370,30 @@ def power(a: Operator, n: int) -> Operator:
     return out
 
 
-def adjoint_wrt_pairing(a: Operator) -> Operator:
+def adjoint_wrt_pairing(a):
     """Adjoint with respect to the space's pairing.
 
     The Gram matrix ``w I`` commutes with everything, so ``G^-1 A^* G = A^*``:
     the plain transpose for a symmetric bilinear pairing and the conjugate
     transpose for a hermitian one.  A circulant's transpose is its reflected
-    stencil and a diagonal is its own transpose.
+    stencil and a diagonal is its own transpose.  A stack gets each draw's
+    adjoint.
     """
     if a.structure == "dense":
-        star = a.body.T
+        star = np.swapaxes(a.body, -1, -2)
     elif a.structure == "stencil":
-        star = reflect(a.body)
+        star = reflect(a.body, a.space.geometry.dims)
     else:
         star = a.body
     if a.space.pairing.symmetry == "hermitian":
         star = star.conj()
-    return Operator(star, a.space, a.structure)
+    return type(a)(star, a.space, a.structure)
 
 
-def sym_part(a: Operator) -> Operator:
+def sym_part(a):
     """Pairing-symmetric part; carries exactly the quadratic-form content."""
-    return Operator(0.5 * (a.body + adjoint_wrt_pairing(a).body), a.space,
-                    a.structure)
+    return type(a)(0.5 * (a.body + adjoint_wrt_pairing(a).body), a.space,
+                   a.structure)
 
 
 class FieldBlock:
@@ -355,8 +432,11 @@ class FieldBlock:
 
     def _correlate(self, offset: tuple) -> np.ndarray:
         grid = self.fields.reshape(-1, *self.space.geometry.dims)
-        shifted = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
-        return np.sum(self.left * shifted.reshape(len(self), -1), axis=1)
+        products = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
+        # in place: one block-sized temporary, not two
+        products = products.reshape(len(self), -1)
+        np.multiply(self.left, products, out=products)
+        return np.sum(products, axis=1)
 
 
 def lagrangian_value(a, phi):
@@ -365,47 +445,75 @@ def lagrangian_value(a, phi):
     ``phi`` is one field ``(n,)``, giving a number, or a block of ``s``
     fields, giving ``s`` values: a :class:`FieldBlock` or an ``(s, n)``
     array, which gets a fresh block of its own, so nothing is reused across
-    calls unless the caller shares a block.  ``a`` is one operator or ``s``
-    of them, one per field.  A stencil block never applies its operators:
-    the value is ``w sum_k s[k] corr_k`` over the offsets ``k`` of this
-    call's union stencil support, in row-major order, with the block's
-    correlations, so a shared block gives the same bits as a fresh one.  The
-    origin is always among the offsets, so a NaN field is NaN under every
-    stencil, the zero one included.  Diagonal blocks take one product, dense
-    or mixed blocks one batched product; the pairing is a row sum, not a
-    BLAS call.
+    calls unless the caller shares a block.  ``a`` is one operator, or an
+    :class:`OperatorStack` (or a list, stacked here) of ``s``, one per
+    field.  A stencil stack never applies its operators: the value is
+    ``w sum_k s[k] corr_k`` over the offsets ``k`` of the stack's union
+    stencil support, in row-major order, with the block's correlations, so
+    a shared block gives the same bits as a fresh one.  The origin is always
+    among the offsets, so a NaN field is NaN under every stencil, the zero
+    one included.  Diagonal stacks take one product, dense ones one batched
+    product; the pairing is a row sum, not a BLAS call.
     """
-    ops = [a] if isinstance(a, Operator) else list(a)
-    space = ops[0].space
+    if isinstance(a, Operator):
+        a = OperatorStack(a.body[None], a.space, a.structure)
+    elif not isinstance(a, OperatorStack):
+        a = stack_operators(a)
+    space = a.space
     block = phi if isinstance(phi, FieldBlock) else FieldBlock(
         np.reshape(phi, (1, -1)) if np.ndim(phi) == 1 else phi, space)
-    if (len(ops) not in (1, len(block))
-            or not all(op.space.matches(block.space) for op in ops)):
+    if len(a) not in (1, len(block)) or not space.matches(block.space):
         raise SpaceMismatch("fields and operators do not share one space")
-    structures = {op.structure for op in ops}
     fields = block.fields
-    if structures == {"stencil"}:
-        stencils = np.stack([op.body for op in ops])
-        support = np.any(stencils != 0, axis=0)
+    if a.structure == "stencil":
+        support = np.any(a.body != 0, axis=0)
         support.flat[0] = True
-        values = np.zeros(len(fields), dtype=np.result_type(stencils, fields))
+        values = np.zeros(len(fields), dtype=np.result_type(a.body, fields))
         for k in zip(*np.nonzero(support)):
-            values += stencils[(slice(None),) + k] * block.correlation(k)
+            values += a.body[(slice(None),) + k] * block.correlation(k)
     else:
-        if structures == {"diagonal"}:
-            applied = np.stack([op.body for op in ops]) * fields
+        if a.structure == "diagonal":
+            applied = a.body * fields
         else:
-            applied = np.matmul(np.stack([op.matrix for op in ops]),
-                                fields[..., None])
+            applied = np.matmul(a.body, fields[..., None])
         values = np.sum(block.left * applied.reshape(len(fields), -1), axis=1)
     values = space.pairing.weight * values
     return values if isinstance(phi, FieldBlock) or np.ndim(phi) == 2 \
         else values[0].item()
 
 
-def frobenius(a: Operator) -> float:
-    """Frobenius norm; a circulant repeats its stencil in each of n rows."""
-    norm = float(np.linalg.norm(a.body))
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-D array, with the same bits.
+
+    That norm is the square root of a BLAS dot product (of the real and the
+    imaginary parts apart, added), and a row-times-column ``matmul`` takes
+    the same dot product row by row.  Some kernels sum differently from an
+    8-byte offset, so each row starts 16-byte aligned, as a freshly
+    allocated body does.
+    """
+    s, m = rows.shape
+    pad = -m * rows.itemsize % 16 // rows.itemsize
+    if pad or rows.ctypes.data % 16 or not rows.flags.c_contiguous:
+        padded = np.empty((s, m + pad), rows.dtype)
+        padded[:, :m] = rows
+        rows = padded[:, :m]
+    square = None
+    for part in ((rows.real, rows.imag) if np.iscomplexobj(rows)
+                 else (rows,)):
+        dot = np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
+        square = dot if square is None else square + dot
+    return np.sqrt(square)
+
+
+def frobenius(a):
+    """Frobenius norm; a circulant repeats its stencil in each of n rows.
+
+    A stack gets one norm per draw, each the bits of that draw's own.
+    """
+    if isinstance(a, OperatorStack):
+        norm = _row_norms(a.body.reshape(len(a), -1))
+    else:
+        norm = float(np.linalg.norm(a.body))
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
@@ -420,33 +528,36 @@ def frobenius_coordinates(a: Operator) -> np.ndarray:
     return a.body.ravel()
 
 
-def diagonal(a: Operator) -> np.ndarray:
-    """The diagonal entries, one per site."""
-    if a.structure == "stencil":
-        return np.full(a.space.dim, a.body.flat[0])
-    if a.structure == "diagonal":
-        return a.body
-    return np.diagonal(a.body)
+def distance_to_diagonal(a, entries):
+    """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site.
 
-
-def distance_to_diagonal(a: Operator, entries) -> float:
-    """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site."""
+    A stack takes ``entries`` with one row per draw, ``(s, 1)`` or
+    ``(s, n)`` as :func:`scale_rows` takes them, and gives one distance per
+    draw; one operator is a stack of one.  A stencil's off-diagonal entries
+    repeat in every row and its diagonal is ``body[0]``; the diagonal term
+    is an exact ``0.0`` when a scalar entry equals it.
+    """
+    if isinstance(a, Operator):
+        stack = OperatorStack(a.body[None], a.space, a.structure)
+        return float(distance_to_diagonal(stack, np.reshape(entries,
+                                                            (1, -1)))[0])
+    s, n = len(a), a.space.dim
     if a.structure == "diagonal":
-        return float(np.linalg.norm(a.body - entries))
+        return _row_norms(a.body - entries)
     if a.structure != "stencil":
-        return frobenius(subtract(a, diagonal_operator(
-            a.space, np.broadcast_to(entries, (a.space.dim,)))))
-    # the off-diagonal entries repeat in every row; the diagonal is body[0]
-    off = a.body.copy()
-    off.flat[0] = 0
-    v = a.body.flat[0]
-    if np.ndim(entries) == 0 and v == entries:
-        gap = 0.0  # the norm of n exact zeros, without building them
-    else:
-        gap = float(np.linalg.norm(v - np.broadcast_to(entries,
-                                                       (a.space.dim,))))
-    return math.hypot(math.sqrt(a.space.dim) * float(np.linalg.norm(off)),
-                      gap)
+        diag = np.zeros((s, n, n), dtype=entries.dtype)
+        diag[:, np.arange(n), np.arange(n)] = np.broadcast_to(entries, (s, n))
+        return _row_norms((a.body - diag).reshape(s, -1))
+    flat = a.body.reshape(s, -1)
+    off = flat.copy()
+    off[:, 0] = 0
+    v = flat[:, 0]
+    gap = _row_norms(v[:, None] - np.broadcast_to(entries, (s, n)))
+    if entries.shape[1] == 1:
+        gap = np.where(v == entries[:, 0], 0.0, gap)
+    # math.hypot per draw: numpy's hypot may round otherwise
+    return np.array([math.hypot(x, y) for x, y in zip(
+        (math.sqrt(n) * _row_norms(off)).tolist(), gap.tolist())])
 
 
 def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:
@@ -660,8 +771,11 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
 # --- small conveniences used across the library -------------------------------
 
 
-def operator_residual(a: Operator, b: Operator) -> float:
-    """Frobenius distance between quadratic forms, ``|sym_part(a - b)|_F``."""
+def operator_residual(a, b):
+    """Frobenius distance between quadratic forms, ``|sym_part(a - b)|_F``.
+
+    Two stacks give one distance per draw.
+    """
     return frobenius(sym_part(subtract(a, b)))
 
 

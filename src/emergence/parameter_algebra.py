@@ -25,7 +25,6 @@ theories) live here too, with analytic preimages per kind.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,9 +34,37 @@ import numpy as np
 
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
-from .operator_core import (Operator, add, compose, diagonal,
+from .operator_core import (Operator, OperatorStack, add, compose,
                             distance_to_diagonal, frobenius, plain_space,
-                            scale, subtract)
+                            scale, scale_rows, subtract)
+
+# --- blocks of draws ------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """The parameters of a block of draws, in draw order.
+
+    ``values[i]`` is draw ``i``'s parameter, so a scalar carrier's block is
+    a vector and a Boolean or centralizer block a matrix.  A block is a
+    type of its own because such a parameter is itself an array: a block is
+    never told from an array's shape.  Iterating gives the per-draw
+    parameters (Python numbers for a vector of scalars).
+    """
+
+    values: np.ndarray
+
+    @classmethod
+    def stack(cls, params) -> "Draws":
+        return cls(np.array(list(params)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values.tolist() if self.values.ndim == 1
+                    else self.values)
+
 
 # --- algebra instances --------------------------------------------------------
 
@@ -75,10 +102,22 @@ class ParameterAlgebra:
         """What ``act(a, .)`` multiplies the rows by: a scalar or one per row."""
         raise NotImplementedError
 
-    def act(self, a, op: Operator) -> Operator:
+    def row_scales(self, draws: Draws) -> np.ndarray:
+        """:meth:`row_scale` of each draw, one row per draw: ``(s, 1)`` for
+        scalars, ``(s, n)`` for one per row."""
+        return np.array([np.atleast_1d(self.row_scale(a)) for a in draws])
+
+    def act(self, a, op: Operator):
         """Scale the rows of ``op``; a scalar keeps its structure, and so
         does a diagonal, but scaling a circulant's rows unevenly makes it
-        dense."""
+        dense.  A :class:`Draws` gives an
+        :class:`~emergence.operator_core.OperatorStack`, one draw each."""
+        if isinstance(a, Draws):
+            scales = self.row_scales(a)
+            if scales.shape[1] not in (1, op.space.dim):
+                raise BadSpec(f"{self.name} scales {scales.shape[1]} rows, "
+                              f"the operator has {op.space.dim}")
+            return scale_rows(scales, op)
         s = self.row_scale(a)
         if np.ndim(s) == 0:
             return scale(s, op)
@@ -98,6 +137,10 @@ class ParameterAlgebra:
 
     def from_coords(self, coords: np.ndarray):
         raise BadSpec(f"{self.name} has no identity-orbit basis")
+
+    def block_from_coords(self, coords: np.ndarray) -> Draws:
+        """:meth:`from_coords` of each row of ``coords``, as a block."""
+        return Draws.stack(self.from_coords(c.tolist()) for c in coords)
 
     @cached_property
     def orbit_plan(self):
@@ -195,11 +238,19 @@ class RealScalars(ParameterAlgebra):
     def row_scale(self, a):
         return float(a)
 
+    def row_scales(self, draws):
+        if draws.values.dtype != np.float64:
+            return super().row_scales(draws)
+        return draws.values[:, None]
+
     def basis(self):
         return [1.0]
 
     def from_coords(self, coords):
         return float(np.real(coords[0]))
+
+    def block_from_coords(self, coords):
+        return Draws(np.real(coords[:, 0]).astype(float))
 
     def sample(self, rng):
         return float(rng.standard_normal())
@@ -473,11 +524,20 @@ class BooleanComplex(ParameterAlgebra):
     def row_scale(self, a):
         return np.repeat(self._as_array(a), self.block)
 
+    def row_scales(self, draws):
+        v = np.asarray(draws.values, dtype=complex)
+        if v.shape[1:] != (self.masks,):
+            raise BadSpec("boolean element has the wrong length")
+        return np.repeat(v, self.block, axis=1)
+
     def basis(self):
         return [np.eye(self.masks, dtype=complex)[i] for i in range(self.masks)]
 
     def from_coords(self, coords):
         return np.asarray(coords, dtype=complex)
+
+    def block_from_coords(self, coords):
+        return Draws(np.asarray(coords, dtype=complex))
 
     def sample(self, rng):
         return rng.standard_normal(self.masks) + 1j * rng.standard_normal(self.masks)
@@ -545,18 +605,22 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
                              tol: float = 1e-10):
     """Recover ``c`` with ``act(c, I) = target`` in closed form.
 
-    ``target`` is an operator (or dense matrix).  Coordinate ``k`` is the mean
-    of the target's diagonal over the rows that ``row_scale(basis()[k])``
-    scales; for a basis of disjoint 0/1 row indicators that is the
-    least-squares orbit element.  The diagonal is gathered once in the
-    algebra's :attr:`~ParameterAlgebra.orbit_plan` order and each mean is a
-    correctly rounded ``fsum`` (real and imaginary parts apart) over its
-    span, so it is the same bits on every machine.  A stencil target's
-    diagonal is one value ``v``, so it skips the gather: a span of ``L`` rows
-    sums to the correctly rounded ``L * v``, the same float.  For tuple
-    algebras pass a list with one probe operator per slot; recovery is
-    slot-by-slot because the product action alone cannot separate the
-    components.
+    ``target`` is an operator (or dense matrix), or an
+    :class:`~emergence.operator_core.OperatorStack` of one per draw, which
+    gives a :class:`Draws`; one operator is solved as a stack of one, so
+    every draw of a stack gets the bits it gets alone.  Coordinate ``k`` is
+    the mean of the target's diagonal over the rows that
+    ``row_scale(basis()[k])`` scales; for a basis of disjoint 0/1 row
+    indicators that is the least-squares orbit element.  The diagonals are
+    gathered once in the algebra's :attr:`~ParameterAlgebra.orbit_plan`
+    order and taken to Python lists once, and each mean is a correctly
+    rounded ``fsum`` (real and imaginary parts apart) over its span, so it
+    is the same bits on every machine.  A stencil target's diagonal is one
+    value ``v``, so it skips the gather: a span of ``L`` rows sums to the
+    correctly rounded ``L * v``, the same float, one vectorized ``(L * v) /
+    L`` over the draws.  For tuple algebras pass a list with one probe
+    operator per slot; recovery is slot-by-slot because the product action
+    alone cannot separate the components.
 
     Raises
     ------
@@ -566,7 +630,8 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     NotInIdentityOrbit
         If ``|target - act(c, I)|_F`` exceeds ``tol`` relative to the target
         norm; a target with a NaN or infinite entry, or whose support sums
-        or norm overflow, always does.
+        or norm overflow, always does.  A stack raises for its earliest
+        failing draw, with that draw's residual.
     """
     if isinstance(algebra, TuplePower):
         if not isinstance(target, (list, tuple)):
@@ -576,47 +641,71 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
             raise DegreeMismatch("probe count disagrees with the tuple degree")
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
+    if isinstance(target, OperatorStack):
+        return _solve_stack(algebra, target, tol)
     if not isinstance(target, Operator):
         matrix = np.asarray(target)
         target = Operator(matrix, plain_space(
             matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
-    n = target.space.dim
+    (candidate,) = _solve_stack(algebra, OperatorStack(
+        target.body[None], target.space, target.structure), tol)
+    return candidate
+
+
+def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
+                 tol: float) -> Draws:
+    s, n = len(target), target.space.dim
     rows, order, ends = algebra.orbit_plan or (n, None, [0, n])
     if rows != n:
         raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
                       f"has {n}")
-    spans = list(zip(ends, ends[1:]))
-    means = None  # per part (real, then imaginary), one mean per span
+    lengths = np.diff(ends)
     if target.structure == "stencil":
-        # every diagonal entry is v = body[0], and the fsum of L copies of v
-        # is the correctly rounded product L * v: no gather, same bits
-        v = target.body.flat[0]
-        sums = [[(b - a) * float(x) for a, b in spans]
+        v = target.body.reshape(s, -1)[:, 0]
+        sums = [lengths * x[:, None]
                 for x in ((v.real, v.imag) if np.iscomplexobj(v) else (v,))]
-        if all(math.isfinite(t) for row in sums for t in row):
-            means = [[t / (b - a) for t, (a, b) in zip(row, spans)]
-                     for row in sums]
+        finite = np.logical_and.reduce([np.isfinite(t).all(axis=1)
+                                        for t in sums])
+        means = [t / lengths for t in sums]
     else:
-        values = diagonal(target) if order is None else diagonal(target)[order]
-        if np.isfinite(values).all():
-            parts = [values.real.tolist()]
-            if np.iscomplexobj(values):
-                parts.append(values.imag.tolist())
-            with contextlib.suppress(OverflowError):
-                means = [[math.fsum(p[a:b]) / (b - a) for a, b in spans]
-                         for p in parts]
+        values = (target.body if target.structure == "diagonal"
+                  else np.diagonal(target.body, axis1=1, axis2=2))
+        values = values if order is None else values[:, order]
+        finite = np.isfinite(values).all(axis=1)
+        parts = [values.real] + ([values.imag] if np.iscomplexobj(values)
+                                 else [])
+        if (lengths == lengths[0]).all():
+            spans = [p.reshape(s, len(lengths), lengths[0]).tolist()
+                     for p in parts]
+        else:
+            spans = [[[row[a:b] for a, b in zip(ends, ends[1:])]
+                      for row in p.tolist()] for p in parts]
+        means = [np.full((s, len(lengths)), math.nan) for _ in parts]
+        counts = lengths.tolist()
+        for i in np.flatnonzero(finite).tolist():
+            try:
+                for mean, part in zip(means, spans):
+                    mean[i] = [math.fsum(x) / m
+                               for x, m in zip(part[i], counts)]
+            except OverflowError:
+                finite[i] = False
     # a non-finite entry or an overflowing sum leaves NaN coordinates, which
     # the orbit check then refuses
-    coords = ([math.nan] * len(spans) if means is None
-              else means[0] if len(means) == 1
-              else [complex(*z) for z in zip(*means)])
-    candidate = algebra.from_coords(coords)
-    residual = distance_to_diagonal(target, algebra.row_scale(candidate))
-    bound = tol * max(1.0, frobenius(target))
-    if not (residual <= bound and math.isfinite(bound)):
+    coords = means[0]
+    if len(means) == 2:
+        coords = np.empty(coords.shape, complex)
+        coords.real, coords.imag = means
+    coords[~finite] = math.nan
+    candidate = algebra.block_from_coords(coords)
+    residual = distance_to_diagonal(target, algebra.row_scales(candidate))
+    norm = frobenius(target)
+    # max(1.0, norm) as one draw takes it, so a NaN norm gives 1.0
+    bound = tol * np.where(norm > 1.0, norm, 1.0)
+    failed = np.flatnonzero(~((residual <= bound) & np.isfinite(bound)))
+    if failed.size:
         raise NotInIdentityOrbit(
             f"operator is not in the identity orbit of {algebra.name}",
-            residual=residual)
+            residual=float(residual[failed[0]]))
     return candidate
 
 
@@ -672,7 +761,25 @@ class CoefficientFunction:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
+    def _numpy_exact(self, draws: Draws) -> bool:
+        """Whether numpy's elementwise arithmetic on the block gives each
+        draw's bits.  Per-draw arrays take numpy's arithmetic already, and
+        real numbers round the same either way; a complex product or
+        quotient of Python numbers follows CPython's formulas, which
+        numpy's loops need not match."""
+        return self.kind in ("constant", "linear", "affine") and (
+            draws.values.ndim > 1 or (draws.values.dtype == np.float64 and
+                                      not any(isinstance(p, complex)
+                                              for p in self.params)))
+
     def __call__(self, delta):
+        """The coefficient at ``delta``; a :class:`Draws` gives a block."""
+        if isinstance(delta, Draws):
+            if self.kind == "constant":
+                return Draws(np.full(len(delta), self.params[0]))
+            if self._numpy_exact(delta):
+                return Draws(self(delta.values))
+            return Draws.stack(self(d) for d in delta)
         if self.kind == "constant":
             return self.params[0]
         if self.kind == "linear":
@@ -686,13 +793,25 @@ class CoefficientFunction:
         raise BadSpec(f"unknown coefficient kind {self.kind!r}")
 
     def _check_domain(self, delta):
-        if isinstance(delta, np.ndarray):
+        if isinstance(delta, Draws):
+            x = delta.values
+            if x.ndim > 1:  # one array per draw, checked row by row
+                return Draws(self._check_domain(x))
+            # real numbers, as _numpy_exact admits them
             if self.domain == "nonneg":
-                if np.any(np.real(delta) < -1e-15) or np.max(np.abs(np.imag(delta))) > 1e-12:
+                if np.any(x < -1e-15):
+                    raise NoPreimage("preimage falls outside the nonnegative cone")
+                return Draws(np.maximum(x, 0.0))
+            return Draws(x if self.domain == "real" else x.astype(complex))
+        if isinstance(delta, np.ndarray):
+            imag = np.max(np.abs(np.imag(delta)),
+                          axis=-1 if delta.ndim else None)
+            if self.domain == "nonneg":
+                if np.any(np.real(delta) < -1e-15) or np.any(imag > 1e-12):
                     raise NoPreimage("preimage falls outside the nonnegative cone")
                 return np.maximum(np.real(delta), 0.0)
             if self.domain == "real":
-                if np.max(np.abs(np.imag(delta))) > 1e-12:
+                if np.any(imag > 1e-12):
                     raise NoPreimage("preimage falls outside the real carrier")
                 return np.real(delta).astype(float)
             return np.asarray(delta, dtype=complex)
@@ -708,7 +827,17 @@ class CoefficientFunction:
         return complex(delta)
 
     def preimage(self, value):
-        """A ``delta`` with ``f(delta) = value``; raises NoPreimage."""
+        """A ``delta`` with ``f(delta) = value``; raises NoPreimage.
+
+        A :class:`Draws` gives a block, and raises if any draw would.
+        """
+        if isinstance(value, Draws):
+            if self.kind in ("linear", "affine") and self._numpy_exact(value):
+                x = value.values
+                if self.kind == "affine":
+                    x = x - self.params[1]
+                return self._check_domain(Draws(x / self.params[0]))
+            return Draws.stack(self.preimage(v) for v in value)
         if self.kind == "constant":
             ref = max(1.0, abs(self.params[0]))
             if abs(value - self.params[0]) > 1e-12 * ref:

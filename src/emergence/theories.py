@@ -21,8 +21,8 @@ import numpy as np
 from .errors import BadSpec, NotRightInvertible, Univariate
 from .operator_core import (DEFAULT_TOL, Operator, add, compose, frobenius,
                             identity_operator, power, right_inverse, scale,
-                            subtract, zero_operator)
-from .parameter_algebra import (CoefficientFunction, ParameterAlgebra,
+                            scale_rows, subtract, zero_operator)
+from .parameter_algebra import (CoefficientFunction, Draws, ParameterAlgebra,
                                 ProductAlgebra)
 
 STRUCTURE_FLAGS = ("additive", "multiplicative", "homomorphic", "scalar_invariant")
@@ -81,11 +81,15 @@ def scalar_family(algebra, base: Operator, exponent: int = 1,
                           base.space, label=label or "scalar_times_fixed")
 
 
-def evaluate_family(family, eps) -> Operator:
+def evaluate_family(family, eps):
     """Evaluate ``eps -> Psi(eps)`` for an operator or polynomial family.
 
     A polynomial family takes what :func:`evaluate_polynomial` takes: a
-    shared parameter or a per-term table.
+    shared parameter or a per-term table.  Where :func:`evaluates_blocks`
+    holds, a :class:`~emergence.parameter_algebra.Draws` (or a table of
+    them) gives an :class:`~emergence.operator_core.OperatorStack`, each
+    draw's body the bits that draw gets on its own: a scalar-times-fixed
+    family is the draws' row scales times the fixed body.
     """
     if isinstance(family, PolynomialFamily):
         return evaluate_polynomial(family, eps)
@@ -93,6 +97,8 @@ def evaluate_family(family, eps) -> Operator:
     if isinstance(form, ScalarTimesFixed):
         value = form.coefficient(eps) if form.coefficient is not None else eps
         return family.algebra.act(value, form.fixed)
+    if isinstance(eps, Draws):
+        raise BadSpec("sum and composition trees evaluate one draw at a time")
     if isinstance(form, SumTree):
         eps = tuple(eps)
         return add(evaluate_family(form.left, eps[0]),
@@ -102,6 +108,15 @@ def evaluate_family(family, eps) -> Operator:
         return compose(evaluate_family(form.left, eps[0]),
                        evaluate_family(form.right, eps[1]))
     raise BadSpec(f"unknown family form {type(form).__name__}")
+
+
+def evaluates_blocks(family) -> bool:
+    """Whether :func:`evaluate_family` takes a block of draws: a polynomial
+    or scalar-times-fixed family on a leaf carrier.  Sum and composition
+    trees are evaluated one draw at a time."""
+    return not isinstance(family.algebra, ProductAlgebra) and (
+        isinstance(family, PolynomialFamily)
+        or isinstance(family.form, ScalarTimesFixed))
 
 
 def _degree(family) -> int:
@@ -324,12 +339,14 @@ def monomial_operator(poly: PolynomialFamily, alpha) -> Operator:
     return out if out is not None else identity_operator(poly.space)
 
 
-def evaluate_polynomial(poly: PolynomialFamily, assignment) -> Operator:
+def evaluate_polynomial(poly: PolynomialFamily, assignment):
     """Evaluate with a shared parameter or a per-term table.
 
     A dict maps multi-indices to per-term parameters ("every occurrence
     exactly once"); anything else is a shared parameter fed to every
-    coefficient.
+    coefficient.  :class:`~emergence.parameter_algebra.Draws` in place of
+    parameters give a stack, the same term-ordered sum of coefficient times
+    monomial for every draw, each monomial built once.
     """
     total = None
     for alpha, f in poly.terms:
@@ -341,8 +358,12 @@ def evaluate_polynomial(poly: PolynomialFamily, assignment) -> Operator:
             delta = assignment
         coeff = f(delta)
         mono = monomial_operator(poly, alpha)
-        piece = scale(coeff, mono) if np.isscalar(coeff) \
-            else poly.algebra.act(coeff, mono)
+        if isinstance(coeff, Draws) and coeff.values.ndim == 1:
+            piece = scale_rows(coeff.values[:, None], mono)
+        elif np.isscalar(coeff):
+            piece = scale(coeff, mono)
+        else:
+            piece = poly.algebra.act(coeff, mono)
         total = piece if total is None else add(total, piece)
     return total if total is not None else zero_operator(poly.space)
 

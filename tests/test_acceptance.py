@@ -6,7 +6,6 @@ Thresholds and runtime budgets are asserted as stated; nothing is loosened.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from emergence import (BooleanComplex, CentralizerDiagonal,
                        Operator, ProductAlgebra, RealScalars, TuplePower,
                        add, brute_force_emerge, compose, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
-                       emerge_sum, emerge_univariate, evaluate_family,
+                       emerge_sum, evaluate_family,
                        evaluate_polynomial, grid_space, identity_emergence,
                        identity_operator, make_discrete_operator,
                        operator_residual, plain_space, polynomial_family,

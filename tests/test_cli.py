@@ -356,9 +356,18 @@ CPU_FLAGS = _cpu_flags() if os.path.isfile("/proc/cpuinfo") else set()
 
 def _kernel(coretype, flag=None):
     """An ``OPENBLAS_CORETYPE`` to run under, skipped without its ISA."""
-    return pytest.param(coretype, marks=pytest.mark.skipif(
-        flag is not None and flag not in CPU_FLAGS,
-        reason=f"the CPU lacks {flag} for the {coretype} kernel"))
+    return pytest.param((("OPENBLAS_CORETYPE", coretype),), id=coretype,
+                        marks=pytest.mark.skipif(
+                            flag is not None and flag not in CPU_FLAGS,
+                            reason=f"the CPU lacks {flag} for the "
+                                   f"{coretype} kernel"))
+
+
+#: numpy's SIMD loops dispatched below AVX-512, as on a CPU without it: the
+#: batched complex products of a Boolean block run through other loops
+NUMPY_BELOW_AVX512 = pytest.param(
+    (("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4"),),
+    id="numpy_below_avx512")
 
 
 #: specs beyond the shipped configs: larger gravity grids, whose parameter
@@ -386,11 +395,12 @@ def kernel_configs(tmp_path_factory):
 
 
 @functools.lru_cache(maxsize=None)
-def _cli_report_bytes(config, coretype=None) -> bytes:
+def _cli_report_bytes(config, setting=()) -> bytes:
     """Report bytes of a config file from a fresh CLI process.
 
-    ``coretype`` pins the OpenBLAS kernel in the child's environment only;
-    ``None`` keeps whatever kernel the test run itself uses.
+    ``setting`` holds ``(variable, value)`` pairs for the child's
+    environment only, such as the OpenBLAS kernel it pins; none keeps the
+    environment the test run itself has.
     """
     import emergence
     env = dict(os.environ)
@@ -398,8 +408,7 @@ def _cli_report_bytes(config, coretype=None) -> bytes:
         emergence.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+    env.update(setting)
     proc = subprocess.run(
         [sys.executable, "-m", "emergence.cli", "--config", config],
         env=env, capture_output=True, timeout=300)
@@ -407,14 +416,15 @@ def _cli_report_bytes(config, coretype=None) -> bytes:
     return proc.stdout
 
 
-@pytest.mark.parametrize("coretype", [
+@pytest.mark.parametrize("setting", [
     _kernel("Prescott", "pni"),
     _kernel("Sandybridge", "avx"),
     _kernel("Haswell", "avx2"),
     _kernel("SkylakeX", "avx512f"),
+    NUMPY_BELOW_AVX512,
 ])
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS + tuple(KERNEL_SPECS))
-def test_reports_are_identical_across_blas_kernels(name, coretype,
+def test_reports_are_identical_across_blas_kernels(name, setting,
                                                    kernel_configs):
     config = kernel_configs[name]
-    assert _cli_report_bytes(config, coretype) == _cli_report_bytes(config)
+    assert _cli_report_bytes(config, setting) == _cli_report_bytes(config)

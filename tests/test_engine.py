@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
+from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
+                       CoefficientFunction,
                        ComplexScalars, DegreeMismatch, DimensionTooLarge,
                        EmptyAccumulation, HypothesisViolated, NoPreimage,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
@@ -28,6 +30,7 @@ from emergence.engine import (CERTIFY_BLOCK, REPORT_FLOOR, Certificate,
                               ProvenanceNode, _certify, _fold_weights,
                               residual_bound)
 from emergence.operator_core import diagonal_operator
+from emergence.parameter_algebra import Draws
 from emergence.theories import evaluate_polynomial, monomial_operator
 
 # --- shared builders ----------------------------------------------------------
@@ -666,6 +669,174 @@ def test_verification_keeps_only_its_last_call_on_the_same_inputs(line8):
     for _ in range(5):
         fmap = lambda eps: counted(eps)  # noqa: E731
         assert evaluated(other, other, fmap, 20, seed=3) == 20
+
+
+# --- block certification against the per-draw path ------------------------------
+
+
+def _hex(value):
+    """The exact bits of a parameter: its real and imaginary parts."""
+    values = np.asarray(value, dtype=complex).ravel()
+    return [(x.real.hex(), x.imag.hex()) for x in values.tolist()]
+
+
+class _Spiked(RealScalars):
+    """Real scalars whose ``k``-th sample is ``value`` (the rest are drawn)."""
+
+    def __init__(self, k, value):
+        self.k, self.value, self.calls = k, value, 0
+
+    def sample(self, rng):
+        drawn = super().sample(rng)
+        self.calls += 1
+        return self.value if self.calls == self.k else drawn
+
+
+def _stencil_target(dims, kind, symmetry):
+    """A stencil source and a two-slot target with a constant term."""
+    space = grid_space(dims, scalar_kind=kind, symmetry=symmetry)
+    algebra, domain, factor = ((RealScalars(), "real", -2.0) if kind == "real"
+                               else (ComplexScalars(), "complex", -2.0 + 1j))
+    # m^2 - box: its symbol is at least m^2, so it is right-invertible
+    box = add(scale(-1.0, make_discrete_operator(space, "box")),
+              identity_operator(space))
+    source = verified(scalar_family(algebra, box), "additive",
+                      "scalar_invariant")
+    poly = polynomial_family(
+        [box, scale(factor, box)],
+        {(1, 0): CoefficientFunction.constant(0.75, domain),
+         (0, 1): CoefficientFunction.affine(2.0, 0.5, domain)}, algebra)
+    return source, poly
+
+
+def _boolean_target():
+    algebra = BooleanComplex(masks=8, block=4)
+    space = plain_space(32, "complex")
+    base = diagonal_operator(space, np.linspace(1.0, 2.0, 32).astype(complex))
+    source = verified(scalar_family(algebra, base), "additive",
+                      "scalar_invariant")
+    return source, polynomial_family(
+        [base], {(1,): CoefficientFunction.linear(2.0)}, algebra)
+
+
+def _centralizer_target():
+    # coupled components of sizes 1, 2 and 3: orbit spans of unequal length
+    projector = np.zeros((6, 6))
+    for comp in ([0], [1, 2], [3, 4, 5]):
+        projector[np.ix_(comp, comp)] = 1.0 / len(comp)
+    algebra = CentralizerDiagonal(projector)
+    base = diagonal_operator(plain_space(6), np.linspace(1.0, 2.0, 6))
+    source = verified(scalar_family(algebra, base), "additive",
+                      "scalar_invariant")
+    return source, polynomial_family(
+        [base], {(1,): CoefficientFunction.linear(2.0, "real")}, algebra)
+
+
+BLOCK_CASES = {
+    f"{'x'.join(map(str, dims))}-{kind}-{symmetry}":
+        (lambda dims=dims, kind=kind, symmetry=symmetry:
+         _stencil_target(dims, kind, symmetry))
+    for dims in ((64,), (6, 10), (4, 4, 6))
+    for kind, symmetry in (("real", "symmetric"), ("complex", "symmetric"),
+                           ("complex", "hermitian"))
+}
+BLOCK_CASES["boolean-8x4"] = _boolean_target
+BLOCK_CASES["centralizer-1-2-3"] = _centralizer_target
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_maps_and_bodies_match_the_per_draw_path(case):
+    source, poly = BLOCK_CASES[case]()
+    emap = emerge(source, poly, n_samples=8, seed=2)
+    rng = np.random.default_rng(5)
+    params = [source.algebra.sample(rng) for _ in range(CERTIFY_BLOCK + 3)]
+    draws = Draws.stack(params)
+    block = emap.parameter_map.block(draws)
+    tables = [emap(eps) for eps in params]
+    for alpha, _ in poly.terms:
+        assert [_hex(v) for v in block[alpha].values] \
+            == [_hex(t[alpha]) for t in tables]
+    for family, at, each in ((source, draws, params),
+                             (poly, block, tables)):
+        stack = evaluate_family(family, at)
+        for i, value in enumerate(each):
+            one = evaluate_family(family, value)
+            assert stack.structure == one.structure
+            assert np.array_equal(stack.body[i], one.body)
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_certificates_match_the_per_draw_path(case, jobs):
+    source, poly = BLOCK_CASES[case]()
+    emap = emerge(source, poly, n_samples=8, seed=2)
+    # a map with no block form is evaluated draw by draw
+    got, want = (verify_emergence(source, poly, fmap, 2 * CERTIFY_BLOCK + 5,
+                                  seed=3, jobs=jobs)
+                 for fmap in (emap.parameter_map,
+                              lambda eps: emap.parameter_map(eps)))
+    assert (got.max_functional_residual.hex(),
+            got.max_operator_residual.hex(), got.passed) \
+        == (want.max_functional_residual.hex(),
+            want.max_operator_residual.hex(), want.passed)
+    assert got.passed
+
+
+def _outcome(*args, **kwargs):
+    """A certificate's raw maxima, or the refusal's type, text and residual."""
+    try:
+        cert = verify_emergence(*args, **kwargs)
+    except NotScalarForm as exc:
+        return type(exc).__name__, str(exc), float(exc.residual).hex()
+    return cert.max_functional_residual.hex(), cert.max_operator_residual.hex()
+
+
+# numpy warns of the overflows and invalid products a spike makes, from the
+# pool's threads too; the warnings are not what these tests compare
+SPIKE_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+
+
+@SPIKE_WARNINGS
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("case", ["64-real-symmetric", "6x10-complex-hermitian"])
+def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs):
+    source, poly = BLOCK_CASES[case]()
+    emap = emerge(source, poly, n_samples=8, seed=2)
+    k = CERTIFY_BLOCK + 5  # mid-chunk
+    outcomes = []
+    for fmap in (emap.parameter_map, lambda eps: emap.parameter_map(eps)):
+        spiked = replace(source, algebra=_Spiked(k, value))
+        outcomes.append(_outcome(spiked, poly, fmap, 2 * CERTIFY_BLOCK + 5,
+                                 seed=3, jobs=jobs))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "NotScalarForm"
+
+
+@SPIKE_WARNINGS
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_spiked_boolean_draw_refuses_as_the_per_draw_path(value):
+    source, poly = _boolean_target()
+    emap = emerge(source, poly, n_samples=8, seed=2)
+    algebra = source.algebra
+    spike = np.full(algebra.masks, value, dtype=complex)
+    draws = Draws.stack([algebra.one(), spike, algebra.one()])
+    with pytest.raises(NotScalarForm) as per_draw:
+        emap(spike)
+    with pytest.raises(NotScalarForm) as block:
+        emap.parameter_map.block(draws)
+    assert str(block.value) == str(per_draw.value)
+    assert _hex(block.value.residual) == _hex(per_draw.value.residual)
+
+
+def test_a_nan_map_value_gives_the_per_draw_nan_certificate(line8):
+    # a map without a block form, NaN mid-chunk: the stacked residuals keep it
+    source = identity_source(line8)
+    k = CERTIFY_BLOCK + 4
+    cert = verify_emergence(source, source, _nan_on_call(k), n_samples=40)
+    assert math.isnan(cert.max_functional_residual)
+    assert math.isnan(cert.max_operator_residual)
 
 
 def test_constructors_refuse_to_return_failing_maps(flat4):

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emergence import (BadSpec, BooleanComplex, ComplexScalars,
+from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
+                       ComplexScalars,
                        NotRightInvertible, Operator, RealScalars,
                        SpaceMismatch, add, adjoint_wrt_pairing, compose,
                        grid_space, identity_operator, lagrangian_value,
@@ -20,7 +25,7 @@ from emergence.operator_core import (FieldBlock, PairingForm, circulant,
                                      distance_to_diagonal, frobenius,
                                      frobenius_coordinates,
                                      is_idempotent_power, plane_wave, power,
-                                     subtract)
+                                     scale_rows, stack_operators, subtract)
 
 # --- spaces -----------------------------------------------------------------
 
@@ -447,7 +452,7 @@ def _agree(got, expected):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dims=st.sampled_from([(8, 8), (16, 16), (64,)]),
+@given(dims=st.sampled_from([(8, 8), (16, 16), (64,), (4, 4, 6)]),
        scalar_kind=st.sampled_from(["real", "complex"]),
        symmetry=st.sampled_from(["symmetric", "hermitian"]),
        structures=st.tuples(*[st.sampled_from(["stencil", "diagonal"])] * 2),
@@ -455,7 +460,7 @@ def _agree(got, expected):
        seed=st.integers(0, 2**32 - 1))
 def test_structured_algebra_agrees_with_the_dense_oracle(
         dims, scalar_kind, symmetry, structures, density, seed):
-    spacing = (0.5, 2.0)[:len(dims)]
+    spacing = (0.5, 2.0, 1.5)[:len(dims)]
     space = grid_space(dims, spacing, scalar_kind, symmetry)
     rng = np.random.default_rng(seed)
     a, b = (_random_body(space, s, density, rng) for s in structures)
@@ -494,6 +499,84 @@ def test_structured_algebra_agrees_with_the_dense_oracle(
     assert acted.structure == ("diagonal" if a.structure == "diagonal"
                                else "dense")
     _agree(acted.matrix, masks.act(eps, da).matrix)
+
+
+def _hexes(values):
+    return [(x.real.hex(), x.imag.hex())
+            for x in np.asarray(values, dtype=complex).tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(5,), (7, 3), (6, 10), (4, 4, 6)]),
+       scalar_kind=st.sampled_from(["real", "complex"]),
+       symmetry=st.sampled_from(["symmetric", "hermitian"]),
+       structures=st.sampled_from([("stencil",) * 2, ("diagonal",) * 2,
+                                   ("dense",) * 2, ("stencil", "dense")]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
+                                       structures, seed):
+    # odd sizes put every other row of a real stack 8 bytes off alignment
+    space = grid_space(dims, (0.5, 2.0, 1.5)[:len(dims)], scalar_kind,
+                       symmetry)
+    rng = np.random.default_rng(seed)
+    s = 5
+    left, right = ([_random_operator(space, kind, rng.choice([0.3, 1.0]), rng)
+                    for _ in range(s)] for kind in structures)
+    a, b = stack_operators(left), stack_operators(right)
+    assert _hexes(operator_residual(a, b)) == _hexes(
+        [operator_residual(x, y) for x, y in zip(left, right)])
+    assert _hexes(frobenius(a)) == _hexes([frobenius(x) for x in left])
+    for got, each in ((sym_part(a), map(sym_part, left)),
+                      (adjoint_wrt_pairing(a), map(adjoint_wrt_pairing, left)),
+                      (subtract(a, b), map(subtract, left, right))):
+        for body, one in zip(got.body, each):
+            assert np.array_equal(body, one.body)
+    fields = np.stack([space.sample_field(rng) for _ in range(s)])
+    assert np.array_equal(lagrangian_value(a, fields),
+                          lagrangian_value(left, fields))
+    scalars = rng.standard_normal(s).astype(space.dtype)
+    scalars[1] = a[1].body.flat[0] if structures[0] == "stencil" else 0.0
+    per_row = rng.standard_normal((s, space.dim)).astype(space.dtype)
+    for entries, each in ((scalars[:, None], scalars.tolist()),
+                          (per_row, list(per_row))):
+        assert _hexes(distance_to_diagonal(a, entries)) == _hexes(
+            [distance_to_diagonal(x, e) for x, e in zip(left, each)])
+        rows = scale_rows(entries, left[0])
+        carrier = (CentralizerDiagonal(np.eye(space.dim))
+                   if scalar_kind == "real" else BooleanComplex(space.dim))
+        for body, e in zip(rows.body, each):
+            one = (scale(e, left[0]) if np.ndim(e) == 0 else
+                   carrier.act(e, left[0]))
+            assert (rows.structure, body.dtype) == (one.structure,
+                                                    one.body.dtype)
+            assert np.array_equal(body, one.body)
+
+
+#: the norms of odd-length real rows of a stack, each against a fresh copy
+ALIGNMENT_SCRIPT = """
+import numpy as np
+from emergence import Operator, plain_space
+from emergence.operator_core import frobenius, stack_operators
+rng = np.random.default_rng(3)
+for n in (3, 7, 21, 33, 101):
+    ops = [Operator(rng.standard_normal(n), plain_space(n), "diagonal")
+           for _ in range(6)]
+    got = frobenius(stack_operators(ops)).tolist()
+    assert got == [frobenius(Operator(op.body.copy(), op.space, "diagonal"))
+                   for op in ops], n
+"""
+
+
+def test_stack_norms_keep_their_bits_where_a_kernel_reads_alignment():
+    # OpenBLAS's SSE3 dot product sums a row that starts 8 bytes off a
+    # 16-byte boundary in another order; every other row of an odd-length
+    # real stack would start there
+    import emergence
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=str(
+        Path(emergence.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", ALIGNMENT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(max_examples=40, deadline=None)

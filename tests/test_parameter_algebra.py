@@ -18,8 +18,10 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        check_action_compatibility,
                        grid_space, identity_operator, plain_space,
                        solve_action_on_identity)
-from emergence.operator_core import (diagonal, diagonal_operator,
-                                     distance_to_diagonal, frobenius)
+from emergence.operator_core import (diagonal_operator,
+                                     distance_to_diagonal, frobenius,
+                                     stack_operators)
+from emergence.parameter_algebra import Draws
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -335,7 +337,7 @@ def _per_basis_orbit_solve(algebra, target, tol):
     """The per-basis reference: each element's row support found afresh,
     then a correctly rounded mean over it."""
     n = target.space.dim
-    diag = diagonal(target)
+    diag = np.diagonal(target.matrix)
     coords = []
     for e in algebra.basis():
         values = diag[np.flatnonzero(np.broadcast_to(algebra.row_scale(e),
@@ -438,6 +440,95 @@ def test_orbit_plan_matches_the_per_basis_solve_bit_for_bit(algebra, n):
         assert got == expected
         refused += got[0] == "refused"
     assert refused >= 12
+
+
+@orbit_algebras
+def test_a_stack_of_targets_is_solved_as_each_draw_alone(algebra, n):
+    rng = np.random.default_rng(31)
+    targets = list(_orbit_targets(algebra, n, rng))
+    # refusals of every kind, after the first draws of each structure
+    for value in (math.nan, math.inf, 1e308):
+        targets.append(diagonal_operator(targets[1].space, np.full(n, value)))
+    grid = targets[0].space
+    for value in (math.nan, -math.inf, 1e308, sys.float_info.max / n):
+        body = np.zeros(n, dtype=grid.dtype)
+        body[0] = value
+        targets.append(Operator(body, grid, "stencil"))
+    for structure in ("stencil", "diagonal", "dense"):
+        group = [t for t in targets if t.structure == structure]
+        with np.errstate(over="ignore", invalid="ignore"):
+            each = [_outcome(solve_action_on_identity, algebra, t)
+                    for t in group]
+            stack = stack_operators(group)
+            refused = [o for o in each if o[0] == "refused"]
+            try:
+                got = solve_action_on_identity(algebra, stack, tol=1.0)
+            except NotInIdentityOrbit as exc:
+                residual = exc.residual
+                assert ("refused", "nan" if math.isnan(residual)
+                        else residual.hex()) == refused[0]
+            else:
+                assert not refused
+            kept = stack_operators(t for t, o in zip(group, each)
+                                   if o[0] == "value")
+            got = solve_action_on_identity(algebra, kept, tol=1.0)
+        assert isinstance(got, Draws) and len(got) == len(kept)
+        values = [o for o in each if o[0] == "value"]
+        for v, o in zip(got, values):
+            v = algebra.to_vector(v)
+            assert ("value", np.real(v).tolist(), np.imag(v).tolist()) == o
+
+
+@orbit_algebras
+def test_block_row_scales_and_coordinates_are_each_draws(algebra, n):
+    rng = np.random.default_rng(37)
+    params = [algebra.sample(rng) for _ in range(5)]
+    draws = Draws.stack(params)
+    assert [np.atleast_1d(algebra.row_scale(a)).tolist() for a in params] \
+        == algebra.row_scales(draws).tolist()
+    coords = np.array([algebra.to_vector(a)[:len(algebra.basis())]
+                       for a in params])
+    coords[2] = math.nan
+    block = algebra.block_from_coords(coords)
+    for got, row in zip(block, coords):
+        want = algebra.from_coords(row.tolist())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _bits_or_refusal(fn, value):
+    try:
+        got = fn(value)
+    except (NoPreimage, ArithmeticError, TypeError, ValueError) as exc:
+        return ("refused", type(exc).__name__)
+    return np.asarray(got).dtype.kind, np.asarray(got).tobytes()
+
+
+@pytest.mark.parametrize("domain", ["real", "nonneg", "complex"])
+@pytest.mark.parametrize("coefficient", [
+    CoefficientFunction.constant(1.5), CoefficientFunction.linear(3.0),
+    CoefficientFunction.linear(1.0 - 2.0j), CoefficientFunction.affine(
+        -3.0, 0.25), CoefficientFunction.exponential(),
+    CoefficientFunction.monomial_power(3)],
+    ids=["constant", "linear", "linear_complex", "affine", "exp", "power"])
+def test_block_coefficients_take_each_draws_bits(coefficient, domain):
+    f = CoefficientFunction(coefficient.kind, coefficient.params,
+                            coefficient.nowhere_vanishing, domain)
+    reals = [0.0, -0.0, 2.5, -1e-16, -3.0, 1e308, math.nan, math.inf]
+    blocks = [reals, [complex(x, 0.5) for x in reals[:6]],
+              [np.array([x, 1.0, -x]) for x in reals]]
+    for values in blocks:
+        draws = Draws.stack(values)
+        with np.errstate(all="ignore"):
+            for fn in (f, f.preimage):
+                each = [_bits_or_refusal(fn, v) for v in draws]
+                got = _bits_or_refusal(fn, draws)
+                if got[0] == "refused":
+                    assert got[0] in [e[0] for e in each]
+                    continue
+                assert all(e[0] != "refused" for e in each)
+                block = fn(draws)
+                assert [(np.asarray(v).dtype.kind, np.asarray(v).tobytes())
+                        for v in block] == each
 
 
 # --- action compatibility ---------------------------------------------------------------

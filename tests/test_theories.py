@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
-                       DegreeMismatch, NonnegativeReals, Operator,
-                       PolynomialFamily, RealScalars, Univariate,
+                       NonnegativeReals, Operator, RealScalars, Univariate,
                        add, check_structure,
                        compose_families, evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
-                       make_discrete_operator, plain_space, polynomial_family,
+                       make_discrete_operator, polynomial_family,
                        scalar_family, sum_families, verify_structure)
 from emergence.theories import STRUCTURE_FLAGS, monomial_operator
 
@@ -77,6 +76,24 @@ def test_scalar_invariance_shortcut_is_exact(line8):
     report = check_structure(fam, flags=("scalar_invariant",))
     (check,) = report.checks
     assert check.exact and check.passed and check.max_residual == 0.0
+
+
+@pytest.mark.parametrize("coefficient,holds", [
+    (CoefficientFunction.linear(2.0, domain="real"), True),
+    (CoefficientFunction.exponential(), False),
+], ids=["linear", "exponential"])
+def test_scalar_invariance_is_sampled_through_a_coefficient(line8,
+                                                           coefficient,
+                                                           holds):
+    # a coefficient skips the exact shortcut: Psi(c eps) = c Psi(eps) is
+    # sampled, and holds for a linear coefficient only
+    fam = scalar_family(RealScalars(), make_discrete_operator(line8, "box"),
+                        coefficient=coefficient)
+    report = check_structure(fam, flags=("scalar_invariant",), n_samples=10)
+    (check,) = report.checks
+    assert not check.exact
+    assert check.passed is holds
+    assert (check.max_residual <= 1e-12) is holds
 
 
 def test_massive_wave_operator_is_not_multiplicative(line8):
