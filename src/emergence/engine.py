@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,9 +46,6 @@ DEFAULT_TOL = 1e-8
 
 #: certification draws per block Lagrangian call (small: memory stays low)
 CERTIFY_BLOCK = 16
-
-#: the last verification: weak references to its inputs, seed, draws, maxima
-_last_verified = None
 
 #: smallest residual a report writes; rounding noise below it depends on
 #: the BLAS kernel, so reports state only that the residual is under it
@@ -244,53 +240,53 @@ def _stacks(source, target, parameter_map, params):
 
 def verify_emergence(source: OperatorFamily, target, parameter_map,
                      n_samples: int = 100, tol: float = DEFAULT_TOL,
-                     seed: int = 0, jobs: int | None = None) -> Certificate:
+                     seed: int = 0, jobs: int | None = None,
+                     covered: Certificate | None = None) -> Certificate:
     """Sample parameters and fields; report both residual maxima.
 
-    Deterministic for a given seed regardless of ``jobs``: the sample set is
-    drawn up front and walked in blocks of :data:`CERTIFY_BLOCK` draws, each
-    evaluated as stacked arrays (see :func:`_stacks`), and the reduction is
-    a maximum that keeps NaN, so any non-finite residual fails.  Failure is
-    a non-passing certificate, never an exception.  A call on the last
-    call's inputs (held weakly, taken as unchanged) and int seed with at
-    least its samples keeps its maxima and evaluates only the later draws:
-    a seed repeats its draws, each scored apart from its block.
+    Deterministic for a given seed regardless of ``jobs``: each chunk of
+    :data:`CERTIFY_BLOCK` draws is drawn just before it is evaluated as
+    stacked arrays (see :func:`_stacks`); the maximum keeps NaN, so any
+    non-finite residual fails, as a non-passing certificate, never an
+    exception.  ``covered``, a certificate of the same source, target and
+    map with this int seed and at most ``n_samples``, stands in for its
+    draws (drawn, not evaluated): a seed repeats them, each scored alone.
     """
-    global _last_verified
-    refs, last_seed, start, head = _last_verified or ((), None, 0, 0.0)
-    inputs, repeatable = (source, target, parameter_map), isinstance(seed, int)
-    if not (repeatable and last_seed == seed and start <= n_samples
-            and all(ref() is x for ref, x in zip(refs, inputs))):
-        start, head = 0, 0.0
+    start, head = 0, (0.0, 0.0)
+    if (covered is not None and isinstance(seed, int)
+            and covered.seed == seed and covered.samples <= n_samples):
+        start = covered.samples
+        head = (covered.max_functional_residual, covered.max_operator_residual)
     rng = np.random.default_rng(seed)
-    draws = [(source.algebra.sample(rng), source.space.sample_field(rng))
-             for _ in range(n_samples)][start:]
+    errors = np.geterr()  # pool threads do not inherit the caller's state
+
+    def draw():
+        return source.algebra.sample(rng), source.space.sample_field(rng)
+
+    for _ in range(start):  # covered draws advance the generator only
+        draw()
+    chunks = ([draw() for _ in range(min(CERTIFY_BLOCK, n_samples - i))]
+              for i in range(start, n_samples, CERTIFY_BLOCK))
 
     def block(chunk):
-        left, right = _stacks(source, target, parameter_map,
-                              [eps for eps, _ in chunk])
-        # one block per chunk: both sides share its self-correlations
-        fields = FieldBlock(np.stack([phi for _, phi in chunk]), source.space)
-        l1 = lagrangian_value(left, fields)
-        l2 = lagrangian_value(right, fields)
-        fn_res = np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))
-        op_res = operator_residual(left, right)
+        with np.errstate(**errors):
+            left, right = _stacks(source, target, parameter_map,
+                                  [eps for eps, _ in chunk])
+            # one block per chunk: both sides share its self-correlations
+            fields = FieldBlock(np.stack([p for _, p in chunk]), source.space)
+            l1 = lagrangian_value(left, fields)
+            l2 = lagrangian_value(right, fields)
+            fn_res = np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))
+            op_res = operator_residual(left, right)
         return float(np.max(fn_res)), float(np.max(op_res))
 
-    blocks = [draws[i:i + CERTIFY_BLOCK]
-              for i in range(0, len(draws), CERTIFY_BLOCK)]
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(block, blocks))
+            results = list(pool.map(block, list(chunks)))
     else:
-        results = [block(b) for b in blocks]
+        results = [block(chunk) for chunk in chunks]
     fn_max, op_max = map(float, np.maximum(head, np.max(
         np.reshape(results, (-1, 2)), axis=0, initial=0.0)))
-    try:  # inputs that take no weak reference are not kept
-        _last_verified = (tuple(map(weakref.ref, inputs)), seed, n_samples,
-                          (fn_max, op_max)) if repeatable else None
-    except TypeError:
-        _last_verified = None
     return Certificate(n_samples, fn_max, op_max, tol,
                        fn_max <= tol and op_max <= tol, seed)
 

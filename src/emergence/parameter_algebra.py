@@ -840,9 +840,11 @@ class CoefficientFunction:
             return Draws.stack(self.preimage(v) for v in value)
         if self.kind == "constant":
             ref = max(1.0, abs(self.params[0]))
-            if abs(value - self.params[0]) > 1e-12 * ref:
+            # an array value (a Boolean or centralizer one) hits it entrywise
+            if np.any(np.abs(value - self.params[0]) > 1e-12 * ref):
                 raise NoPreimage("constant coefficient cannot reach the value")
-            return self._check_domain(0.0)
+            return self._check_domain(np.zeros_like(value) if np.ndim(value)
+                                      else 0.0)
         if self.kind == "linear":
             return self._check_domain(value / self.params[0])
         if self.kind == "affine":

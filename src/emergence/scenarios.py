@@ -307,12 +307,14 @@ def _build_and_certify(source, poly, spec: ScenarioSpec,
     """Synthesize at :data:`BUILD_TOL` on at most 40 draws, then certify.
 
     The certificate at the spec's own ``tol`` over its ``samples`` (same
-    seed) evaluates only the draws after the map's; returns the two.
+    seed) takes the map's as ``covered``: it evaluates only the later
+    draws.  Returns the map and the certificate.
     """
     emap = emerge(source, poly, tol=BUILD_TOL,
                   n_samples=min(spec.samples, 40), seed=spec.seed)
     cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
-                            spec.tol, spec.seed, jobs)
+                            spec.tol, spec.seed, jobs,
+                            covered=emap.certificate)
     return emap, cert
 
 
@@ -326,11 +328,13 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
     The physical antisymmetric-background operator has the constant zero
     mode, so the transported synthesis uses the regulated pair
     ``(box_m, -f * box_m)``; the recovered per-term coefficient is
-    ``-(1 + eps)/f`` on the regulated ray.
+    ``-(1 + eps)/f`` on the regulated ray.  Returns the report's
+    certificates, provenance digests and maps: one each, or none when the
+    field strength or the mass is zero.
     """
     f = background["field_strength"]
     if f == 0.0 or background["mass"] == 0.0:
-        return None, None
+        return (), (), ()
     algebra = RealScalars()
     slot_x = background["box_m"]
     slot_y = scale(-f, background["box_m"])
@@ -342,7 +346,8 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
         {(1, 0): CoefficientFunction.constant(-1.0, domain="real"),
          (0, 1): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="regulated_surrogate")
-    return _build_and_certify(source, poly, spec, jobs)
+    emap, cert = _build_and_certify(source, poly, spec, jobs)
+    return (cert,), (emap.provenance.digest(),), (emap.to_json_dict(),)
 
 
 # --- gravity scenario runners ---------------------------------------------------------
@@ -400,10 +405,8 @@ def run_gravity_from_noncommutativity(spec: ScenarioSpec,
     # sanity: the zero perturbation reproduces the free theory
     free_res = _functional_residual(
         add(free, gravity_operator(background, (0.0, 0.0, 0.0))), free, fields)
-    emap, cert = _gravity_cross_check(background, spec, jobs)
-    certificates = (cert,) if cert is not None else ()
-    digests = (emap.provenance.digest(),) if emap is not None else ()
-    maps = (emap.to_json_dict(),) if emap is not None else ()
+    del fields  # not alive during certification
+    certificates, digests, maps = _gravity_cross_check(background, spec, jobs)
     passed = all_ok and free_res <= spec.tol \
         and all(c.passed for c in certificates)
     return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
@@ -451,10 +454,8 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
         })
         worst_round_trip = max(worst_round_trip, round_trip)
         all_ok = all_ok and ok
-    emap, cert = _gravity_cross_check(background, spec, jobs)
-    certificates = (cert,) if cert is not None else ()
-    digests = (emap.provenance.digest(),) if emap is not None else ()
-    maps = (emap.to_json_dict(),) if emap is not None else ()
+    del fields  # not alive during certification
+    certificates, digests, maps = _gravity_cross_check(background, spec, jobs)
     passed = all_ok and all(c.passed for c in certificates)
     return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
                           tuple(samples), certificates, digests, maps,

@@ -124,6 +124,15 @@ def test_monomial_preimage_respects_coefficient_domain(line8):
     assert "slot^1" in str(info.value)
 
 
+def test_a_constant_coefficient_refuses_array_values_it_misses():
+    # a Boolean parameter is an array: every entry must hit the constant
+    space = plain_space(8, "complex")
+    source = scalar_family(BooleanComplex(4, 2), identity_operator(space))
+    with pytest.raises(NoPreimage, match="slot\\^0"):
+        emerge_monomial(source, CoefficientFunction.constant(2.0),
+                        identity_operator(space), 0)
+
+
 def test_monomial_rejects_vanishing_coefficients(line8):
     source = identity_source(line8)
     with pytest.raises(HypothesisViolated) as info:
@@ -600,9 +609,7 @@ def test_a_nan_residual_in_a_later_block_fails_the_certificate(line8, jobs):
 
 
 class _CountedMap:
-    """A parameter map that counts its calls; it takes no weak reference."""
-
-    __slots__ = ("fmap", "calls")
+    """A parameter map that counts its calls."""
 
     def __init__(self, fmap):
         self.fmap, self.calls = fmap, 0
@@ -612,63 +619,93 @@ class _CountedMap:
         return self.fmap(eps)
 
 
-def test_a_wider_verification_evaluates_only_the_later_draws(line8):
-    source = identity_source(line8)
-    poly = polynomial_family([identity_operator(line8)], {(1,): lin()},
+def _mismatched(space):
+    """A source, a target and a counted map that misses it by half, so the
+    maxima depend on which draw is worst."""
+    source = identity_source(space)
+    poly = polynomial_family([identity_operator(space)], {(1,): lin()},
                              RealScalars())
-    fresh = verify_emergence(source, poly, lambda eps: 1.5 * eps,
-                             n_samples=37, seed=9)
-    counted = _CountedMap(lambda eps: 1.5 * eps)
-    fmap = lambda eps: counted(eps)  # noqa: E731
-    for n, jobs, evaluated in ((20, None, 20), (37, 2, 17), (37, None, 0)):
-        before = counted.calls
-        cert = verify_emergence(source, poly, fmap, n, 1e-3, 9, jobs)
-        assert counted.calls - before == evaluated
-    assert (cert.samples, cert.max_functional_residual,
-            cert.max_operator_residual, cert.seed) \
-        == (37, fresh.max_functional_residual, fresh.max_operator_residual, 9)
+    return source, poly, _CountedMap(lambda eps: 1.5 * eps)
+
+
+def _evaluated(*args, **kwargs):
+    """A certificate and the number of map calls it made."""
+    fmap = args[2]
+    before = fmap.calls
+    cert = verify_emergence(*args, **kwargs)
+    return cert, fmap.calls - before
+
+
+def _bits(cert):
+    return (cert.samples, cert.max_functional_residual.hex(),
+            cert.max_operator_residual.hex(), cert.tolerance, cert.passed,
+            cert.seed)
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_a_covered_certificate_evaluates_only_the_later_draws(line8, jobs):
+    source, poly, fmap = _mismatched(line8)
+    fresh = verify_emergence(source, poly, fmap, 37, 1e-3, 9)
+    covered, evaluated = _evaluated(source, poly, fmap, 20, seed=9)
+    assert evaluated == 20
+    cert, evaluated = _evaluated(source, poly, fmap, 37, 1e-3, 9, jobs,
+                                 covered=covered)
+    assert evaluated == 17
+    assert _bits(cert) == _bits(fresh)
     assert (cert.tolerance, cert.passed) == (1e-3, False)
+    # a certificate that covers every draw leaves none to evaluate
+    again, evaluated = _evaluated(source, poly, fmap, 37, 1e-3, 9, jobs,
+                                  covered=cert)
+    assert evaluated == 0
+    assert _bits(again) == _bits(fresh)
 
 
-def test_a_nan_in_the_kept_draws_fails_the_wider_verification(line8):
+def test_a_covered_certificate_that_does_not_fit_is_evaluated_in_full(line8):
+    source, poly, fmap = _mismatched(line8)
+    covered = verify_emergence(source, poly, fmap, 20, seed=3)
+    unseeded = verify_emergence(source, poly, fmap, 20, seed=None)
+    for n_samples, seed, given in ((30, 4, covered),  # another seed
+                                   (19, 3, covered),  # too many samples
+                                   (30, None, unseeded)):  # no repeatable seed
+        cert, evaluated = _evaluated(source, poly, fmap, n_samples,
+                                     seed=seed, covered=given)
+        assert evaluated == n_samples
+        if seed is not None:
+            assert _bits(cert) == _bits(
+                verify_emergence(source, poly, fmap, n_samples, seed=seed))
+
+
+def test_identical_calls_without_a_covered_certificate_evaluate_every_draw(
+        line8):
+    source, poly, fmap = _mismatched(line8)
+    first, evaluated = _evaluated(source, poly, fmap, 30, seed=3)
+    assert evaluated == 30
+    second, evaluated = _evaluated(source, poly, fmap, 30, seed=3)
+    assert evaluated == 30
+    assert _bits(first) == _bits(second)
+
+
+def test_a_nan_in_the_covered_draws_fails_the_wider_certificate(line8):
     source = identity_source(line8)
-    fmap = _nan_on_call(5)
-    assert math.isnan(verify_emergence(source, source, fmap, n_samples=20)
-                      .max_operator_residual)
-    cert = verify_emergence(source, source, fmap, n_samples=40)
+    covered = verify_emergence(source, source, _nan_on_call(5), n_samples=20)
+    assert math.isnan(covered.max_operator_residual)
+    # the later draws are exact: only the covered NaN can fail the result
+    cert = verify_emergence(source, source, lambda eps: eps, n_samples=40,
+                            covered=covered)
     assert not cert.passed
     assert math.isnan(cert.max_functional_residual)
     assert math.isnan(cert.max_operator_residual)
 
 
-def test_verification_keeps_only_its_last_call_on_the_same_inputs(line8):
-    source, other = identity_source(line8), identity_source(line8)
-    counted = _CountedMap(lambda eps: eps)
-    fmap, gmap = (lambda eps: counted(eps)), (lambda eps: counted(eps))
-
-    def evaluated(*args, **kwargs):
-        before = counted.calls
-        verify_emergence(*args, **kwargs)
-        return counted.calls - before
-
-    assert evaluated(source, source, fmap, 20, seed=3) == 20
-    assert evaluated(source, source, fmap, 30, seed=3) == 10
-    assert evaluated(source, source, fmap, 25, seed=3) == 25  # fewer draws
-    assert evaluated(source, source, fmap, 30, seed=4) == 30  # another seed
-    assert evaluated(source, other, fmap, 30, seed=4) == 30  # another target
-    assert evaluated(other, other, fmap, 30, seed=4) == 30  # another source
-    assert evaluated(other, other, gmap, 30, seed=4) == 30  # another map
-    assert evaluated(other, other, fmap, 30, seed=4) == 30  # not the last
-    # an unseeded generator does not repeat its draws
-    assert evaluated(other, other, fmap, 30, seed=None) == 30
-    assert evaluated(other, other, fmap, 30, seed=None) == 30
-    # a map that takes no weak reference is not kept, and does not fail
-    assert evaluated(other, other, counted, 30, seed=4) == 30
-    assert evaluated(other, other, counted, 30, seed=4) == 30
-    # a map that died is not mistaken for a new one at its address
-    for _ in range(5):
-        fmap = lambda eps: counted(eps)  # noqa: E731
-        assert evaluated(other, other, fmap, 20, seed=3) == 20
+@pytest.mark.parametrize("n_samples", [37, 40, 41, 100])
+def test_covered_draws_give_the_bits_of_a_full_call(line8, n_samples):
+    source, poly, fmap = _mismatched(line8)
+    covered = verify_emergence(source, poly, fmap, 40, seed=5)
+    got, evaluated = _evaluated(source, poly, fmap, n_samples, seed=5,
+                                covered=covered)
+    assert evaluated == (n_samples - 40 if n_samples >= 40 else n_samples)
+    assert _bits(got) == _bits(verify_emergence(source, poly, fmap,
+                                                n_samples, seed=5))
 
 
 # --- block certification against the per-draw path ------------------------------
@@ -791,13 +828,8 @@ def _outcome(*args, **kwargs):
     return cert.max_functional_residual.hex(), cert.max_operator_residual.hex()
 
 
-# numpy warns of the overflows and invalid products a spike makes, from the
-# pool's threads too; the warnings are not what these tests compare
-SPIKE_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-
-
-@SPIKE_WARNINGS
+# numpy warns of the overflows and invalid products a spike makes; the
+# caller's error state silences them, on the pool's threads too
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
 @pytest.mark.parametrize("case", ["64-real-symmetric", "6x10-complex-hermitian"])
@@ -808,13 +840,14 @@ def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs):
     outcomes = []
     for fmap in (emap.parameter_map, lambda eps: emap.parameter_map(eps)):
         spiked = replace(source, algebra=_Spiked(k, value))
-        outcomes.append(_outcome(spiked, poly, fmap, 2 * CERTIFY_BLOCK + 5,
-                                 seed=3, jobs=jobs))
+        with np.errstate(all="ignore"):
+            outcomes.append(_outcome(spiked, poly, fmap,
+                                     2 * CERTIFY_BLOCK + 5, seed=3,
+                                     jobs=jobs))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "NotScalarForm"
 
 
-@SPIKE_WARNINGS
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_spiked_boolean_draw_refuses_as_the_per_draw_path(value):
     source, poly = _boolean_target()
@@ -822,10 +855,11 @@ def test_a_spiked_boolean_draw_refuses_as_the_per_draw_path(value):
     algebra = source.algebra
     spike = np.full(algebra.masks, value, dtype=complex)
     draws = Draws.stack([algebra.one(), spike, algebra.one()])
-    with pytest.raises(NotScalarForm) as per_draw:
-        emap(spike)
-    with pytest.raises(NotScalarForm) as block:
-        emap.parameter_map.block(draws)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotScalarForm) as per_draw:
+            emap(spike)
+        with pytest.raises(NotScalarForm) as block:
+            emap.parameter_map.block(draws)
     assert str(block.value) == str(per_draw.value)
     assert _hex(block.value.residual) == _hex(per_draw.value.residual)
 

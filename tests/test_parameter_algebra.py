@@ -617,6 +617,10 @@ def test_constant_preimage_only_hits_its_value():
     assert f.preimage(4.0) == 0.0
     with pytest.raises(NoPreimage):
         f.preimage(5.0)
+    # an array value hits it only when every entry does
+    assert np.array_equal(f.preimage(np.full(3, 4.0)), np.zeros(3))
+    with pytest.raises(NoPreimage):
+        f.preimage(np.array([4.0, 5.0, 4.0]))
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0,

@@ -269,16 +269,15 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
         calls.append(len(phi))
         return lagrangian(a, phi)
 
-    # a certification costs two block calls per chunk of the draws the map's
-    # earlier certificate did not cover: its first 40, then the other 60
-    certified = {}
-
-    def budgeted_verify(source, target, parameter_map, n_samples, *rest):
-        done = certified.get(parameter_map, 0)
-        certified[parameter_map] = n_samples
+    # a certification costs two block calls per chunk of the draws its
+    # covered certificate leaves: the map's first 40, then the other 60
+    def budgeted_verify(source, target, parameter_map, n_samples, *rest,
+                        covered=None):
+        done = covered.samples if covered is not None else 0
         budget.append(2 * math.ceil((n_samples - done)
                                     / engine.CERTIFY_BLOCK))
-        return verify(source, target, parameter_map, n_samples, *rest)
+        return verify(source, target, parameter_map, n_samples, *rest,
+                      covered=covered)
 
     def budgeted_residual(left, right, fields):
         budget.append(2)
@@ -300,7 +299,6 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
                               grid=(24, 24), theta_values=(),
                               h_scales=(0.1, 0.5, 1.0), samples=100)):
         del calls[:], budget[:], computed[:]
-        certified.clear()
         assert run_scenario_spec(spec).passed
         assert budget.count(2 * math.ceil(40 / engine.CERTIFY_BLOCK)) == 1
         assert budget.count(2 * math.ceil(60 / engine.CERTIFY_BLOCK)) == 1
