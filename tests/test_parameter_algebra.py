@@ -240,6 +240,92 @@ def test_centralizer_action_scales_rows():
     assert np.allclose(recovered, d, atol=1e-12)
 
 
+# --- leaf carrier arithmetic ------------------------------------------------------
+
+
+def _c(*values):
+    return np.array(values, dtype=complex)
+
+
+def _f(*values):
+    return np.array(values, dtype=float)
+
+
+# carrier, operands (a, b, c), then the expected zero, one, add(a, b),
+# mul(a, b), scale(c, b), row_scale(a) and to_vector(a)
+LEAF_ARITHMETIC = [
+    (ComplexScalars(), (2, 1.5 + 0.5j, 3),
+     (0j, 1 + 0j, 3.5 + 0.5j, 3 + 1j, 4.5 + 1.5j, 2 + 0j, _c(2))),
+    (RealScalars(), (2, np.float64(1.5), 3),
+     (0.0, 1.0, 3.5, 3.0, 4.5, 2.0, _f(2))),
+    (NonnegativeReals(), (2, np.float64(1.5), 3),
+     (0.0, 1.0, 3.5, 3.0, 4.5, 2.0, _f(2))),
+    (CentralizerDiagonal(_coupling_pattern()),
+     ([2, 2, 3, 5], _f(1, 1, 0.5, 2), 3),
+     (_f(0, 0, 0, 0), _f(1, 1, 1, 1), _f(3, 3, 3.5, 7), _f(2, 2, 1.5, 10),
+      _f(3, 3, 1.5, 6), _f(2, 2, 3, 5), _f(2, 2, 3, 5))),
+    (BooleanComplex(masks=2, block=3), ([1, 0], _c(2 + 1j, 0.5), 2),
+     (_c(0, 0), _c(1, 1), _c(3 + 1j, 0.5), _c(2 + 1j, 0), _c(4 + 2j, 1),
+      _c(1, 1, 1, 0, 0, 0), _c(1, 0))),
+]
+
+NEGATIVE = "nonnegative-real carrier got a negative value"
+NOT_CONSTANT = "diagonal is not constant on a coupled component"
+LEAF_REFUSALS = [
+    (NonnegativeReals(), "add", (-1.0, 2.0), NEGATIVE),
+    (NonnegativeReals(), "mul", (2.0, -1.0), NEGATIVE),
+    (NonnegativeReals(), "scale", (2.0, -1.0), NEGATIVE),  # element
+    (NonnegativeReals(), "scale", (-1.0, 2.0), NEGATIVE),  # factor
+    (NonnegativeReals(), "row_scale", (-1.0,), NEGATIVE),
+    (BooleanComplex(masks=2), "add", ([1, 0, 1], [1, 1]),
+     "boolean element has the wrong length"),
+    (BooleanComplex(masks=2, block=3), "row_scale", ([1, 0, 1],),
+     "boolean element has the wrong length"),
+    (CentralizerDiagonal(_coupling_pattern()), "mul",
+     ([1.0, 2.0, 3.0, 4.0], np.ones(4)), NOT_CONSTANT),
+    (CentralizerDiagonal(_coupling_pattern()), "to_vector",
+     ([1.0, 2.0, 3.0, 4.0],), NOT_CONSTANT),
+    (CentralizerDiagonal(_coupling_pattern()), "scale",
+     (2.0, [1.0, 1.0, 3.0]), "centralizer element has the wrong length"),
+]
+
+
+def _same(got, want):
+    """Same type, and the same bits (a zero's sign included)."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("algebra, operands, expected", LEAF_ARITHMETIC,
+                         ids=lambda x: getattr(x, "name", None))
+def test_leaf_carrier_arithmetic_keeps_values_and_types(algebra, operands,
+                                                        expected):
+    a, b, c = operands
+    got = (algebra.zero(), algebra.one(), algebra.add(a, b),
+           algebra.mul(a, b), algebra.scale(c, b), algebra.row_scale(a),
+           algebra.to_vector(a))
+    for value, want in zip(got, expected):
+        _same(value, want)
+
+
+@pytest.mark.parametrize("algebra, method, args, message", LEAF_REFUSALS)
+def test_leaf_carrier_refusals_keep_type_and_message(algebra, method, args,
+                                                     message):
+    with pytest.raises(BadSpec) as info:
+        getattr(algebra, method)(*args)
+    assert type(info.value) is BadSpec
+    assert str(info.value) == message
+
+
+def test_cone_coordinates_are_read_unchecked():
+    # a solved coordinate may sit a rounding error below the cone
+    _same(NonnegativeReals().to_vector(-1e-17), _f(-1e-17))
+
+
 # --- identity-orbit solve -------------------------------------------------------------
 
 
