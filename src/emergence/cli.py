@@ -5,7 +5,8 @@ One scenario per invocation.  Exit codes:
 * 0: every certificate passed,
 * 1: a certificate failed at the requested tolerance,
 * 2: synthesis refused (a precondition failed; the report carries the error),
-* 64: usage or configuration problems.
+* 64: usage or configuration problems, a report path that cannot be
+  written included.
 
 Reports are deterministic for a given config (no timestamps, sorted keys,
 residuals written as kernel-independent bounds) and written atomically, so
@@ -217,18 +218,27 @@ def emit_report(report: dict, out: str | None, format: str = "json"):
 
 
 def run_scenario(config: RunConfig) -> int:
-    """Run one scenario and emit its report; returns the exit code."""
+    """Run one scenario and emit its report; returns the exit code.
+
+    A report that cannot be written is a usage problem: exit 64.
+    """
     spec = config.spec
+    result = error = None
     try:
         result = run_scenario_spec(spec, jobs=config.jobs)
     except EmergenceError as exc:
-        report = build_report(spec, error=exc)
-        emit_report(report, config.out, config.format)
-        print(f"synthesis error: {type(exc).__name__}: {exc}",
+        error = exc
+    try:
+        emit_report(build_report(spec, result=result, error=error),
+                    config.out, config.format)
+    except OSError as exc:
+        print(f"usage error: cannot write the report to {config.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if error is not None:
+        print(f"synthesis error: {type(error).__name__}: {error}",
               file=sys.stderr)
         return EXIT_ERROR
-    report = build_report(spec, result=result)
-    emit_report(report, config.out, config.format)
     if not result.passed:
         print("certified failure: at least one check missed its tolerance",
               file=sys.stderr)

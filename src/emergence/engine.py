@@ -843,6 +843,11 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
 
     linear_kinds = all(f.kind in ("linear", "affine") for _, f in active)
     if linear_kinds:
+        # under a hermitian pairing the symmetric part is only real-linear
+        # in a complex parameter: fit its real and imaginary parts apart
+        split = (algebra.scalar_kind == "complex"
+                 and poly.space.pairing.symmetry == "hermitian")
+        units = (1.0, 1j) if split else (1.0,)
         pieces = []
         for alpha, f in active:
             mono = monomial_operator(poly, alpha)
@@ -850,14 +855,15 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
             off = f.params[1] if f.kind == "affine" else 0.0
             if off:
                 offsets.append(scale(off, mono))
-            pieces.extend(algebra.act(algebra.scale(slope, e), mono)
-                          for e in basis)
+            pieces.extend(algebra.act(algebra.scale(slope * u, e), mono)
+                          for u in units for e in basis)
         ops = [sym_part(op) for op in (target, *offsets, *pieces)]
         if len({op.structure for op in ops}) == 1:
             cols = np.stack([frobenius_coordinates(op) for op in ops], axis=1)
         else:
             cols = np.stack([op.matrix.ravel() for op in ops], axis=1)
-        if algebra.scalar_kind != "complex" and np.iscomplexobj(cols):
+        if (split or algebra.scalar_kind != "complex") \
+                and np.iscomplexobj(cols):
             cols = np.concatenate([cols.real, cols.imag])
         a = cols[:, 1 + len(offsets):]
         rhs = cols[:, 0] - cols[:, 1:1 + len(offsets)].sum(axis=1)
@@ -866,8 +872,11 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
         if residual > tol:
             return None
         out = {}
+        k = len(basis)
         for i, (alpha, _) in enumerate(active):
-            coords = x[i * len(basis):(i + 1) * len(basis)]
+            coords = x[i * k * len(units):(i + 1) * k * len(units)]
+            if split:
+                coords = coords[:k] + 1j * coords[k:]
             out[alpha] = algebra.from_coords(coords)
         for alpha, _ in constants:
             out[alpha] = zero

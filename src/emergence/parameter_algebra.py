@@ -1,10 +1,12 @@
 """Carriers of fundamental parameters and their actions on operators.
 
 A parameter algebra supplies addition, multiplication, scalar rescaling, a
-selected square root, and an action ``act(eps, A)`` on operators.  Every
-leaf carrier acts by scaling rows: it states ``row_scale(eps)``, a scalar or
-one entry per row, and :meth:`ParameterAlgebra.act` applies it; products
-act component by component.
+selected square root, and an action ``act(eps, A)`` on operators.  A leaf
+carrier states what one element is (``_element``, a cast that also
+refuses non-elements) and :class:`ParameterAlgebra` does the arithmetic
+once.  Every leaf carrier acts by scaling rows, by ``row_scale(eps)``: the
+element itself, a scalar or one entry per row, except that a Boolean
+element is repeated over its blocks.  Products act component by component.
 
 The engine leans on three facts that are verified, not assumed, for each
 shipped instance:
@@ -70,7 +72,15 @@ class Draws:
 
 
 class ParameterAlgebra:
-    """Base interface; see module docstring for the contract."""
+    """Base interface; see module docstring for the contract.
+
+    A leaf carrier states what one element is: :meth:`_element` casts and
+    checks it, and :meth:`_factor` casts a scalar factor where that differs
+    from the scalar kind's cast.  The arithmetic (``zero`` is ``0 * one``),
+    the row scales and the coordinates follow from those here, once for
+    every carrier; the carrier adds its unit, square root, basis and
+    sampler.
+    """
 
     name: str = "abstract"
     scalar_kind: str = "complex"
@@ -80,27 +90,35 @@ class ParameterAlgebra:
     #: false for tuple/product carriers whose action is successive)
     action_linear: bool = True
 
-    def zero(self):
+    def _element(self, a):
+        """``a`` cast to the carrier's element type; refuses a non-element."""
         raise NotImplementedError
+
+    def _factor(self, c):
+        """A scalar factor of :meth:`scale`, cast to the scalar kind."""
+        return complex(c) if self.scalar_kind == "complex" else float(c)
+
+    def zero(self):
+        return self.scale(0, self.one())
 
     def one(self):
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return self._element(a) + self._element(b)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self._element(a) * self._element(b)
 
     def scale(self, c, a):
-        raise NotImplementedError
+        return self._factor(c) * self._element(a)
 
     def sqrt_select(self, a):
         raise NotImplementedError
 
     def row_scale(self, a):
         """What ``act(a, .)`` multiplies the rows by: a scalar or one per row."""
-        raise NotImplementedError
+        return self._element(a)
 
     def row_scales(self, draws: Draws) -> np.ndarray:
         """:meth:`row_scale` of each draw, one row per draw: ``(s, 1)`` for
@@ -161,7 +179,7 @@ class ParameterAlgebra:
         raise NotImplementedError
 
     def to_vector(self, a) -> np.ndarray:
-        raise NotImplementedError
+        return np.atleast_1d(self._element(a))
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.to_vector(a) - self.to_vector(b)))
@@ -173,26 +191,14 @@ class ComplexScalars(ParameterAlgebra):
     name = "complex_scalars"
     scalar_kind = "complex"
 
-    def zero(self):
-        return 0j
+    def _element(self, a):
+        return complex(a)
 
     def one(self):
         return 1 + 0j
 
-    def add(self, a, b):
-        return complex(a) + complex(b)
-
-    def mul(self, a, b):
-        return complex(a) * complex(b)
-
-    def scale(self, c, a):
-        return complex(c) * complex(a)
-
     def sqrt_select(self, a):
         return cmath.sqrt(complex(a))
-
-    def row_scale(self, a):
-        return complex(a)
 
     def basis(self):
         return [1 + 0j]
@@ -203,9 +209,6 @@ class ComplexScalars(ParameterAlgebra):
     def sample(self, rng):
         return complex(rng.standard_normal() + 1j * rng.standard_normal())
 
-    def to_vector(self, a):
-        return np.array([complex(a)])
-
 
 class RealScalars(ParameterAlgebra):
     """The real numbers; square roots exist only on the nonnegative half."""
@@ -213,20 +216,11 @@ class RealScalars(ParameterAlgebra):
     name = "real_scalars"
     scalar_kind = "real"
 
-    def zero(self):
-        return 0.0
+    def _element(self, a):
+        return float(a)
 
     def one(self):
         return 1.0
-
-    def add(self, a, b):
-        return float(a) + float(b)
-
-    def mul(self, a, b):
-        return float(a) * float(b)
-
-    def scale(self, c, a):
-        return float(c) * float(a)
 
     def sqrt_select(self, a):
         a = float(a)
@@ -234,9 +228,6 @@ class RealScalars(ParameterAlgebra):
             raise NoSquareRoot("negative real parameters have no real "
                                "square root")
         return math.sqrt(a)
-
-    def row_scale(self, a):
-        return float(a)
 
     def row_scales(self, draws):
         if draws.values.dtype != np.float64:
@@ -255,43 +246,30 @@ class RealScalars(ParameterAlgebra):
     def sample(self, rng):
         return float(rng.standard_normal())
 
-    def to_vector(self, a):
-        return np.array([float(a)])
-
 
 class NonnegativeReals(ParameterAlgebra):
-    """The cone of nonnegative reals: a semiring, no subtraction."""
+    """The cone of nonnegative reals: a semiring, no subtraction.
+
+    A scalar factor must lie in the cone too.  Coordinates are read
+    unchecked, since a solved one may sit a rounding error below it.
+    """
 
     name = "nonnegative_reals"
     scalar_kind = "real"
 
-    @staticmethod
-    def _check(x):
-        x = float(x)
+    def _element(self, a):
+        x = float(a)
         if x < 0:
             raise BadSpec("nonnegative-real carrier got a negative value")
         return x
 
-    def zero(self):
-        return 0.0
+    _factor = _element
 
     def one(self):
         return 1.0
 
-    def add(self, a, b):
-        return self._check(a) + self._check(b)
-
-    def mul(self, a, b):
-        return self._check(a) * self._check(b)
-
-    def scale(self, c, a):
-        return self._check(c) * self._check(a)
-
     def sqrt_select(self, a):
-        return math.sqrt(self._check(a))
-
-    def row_scale(self, a):
-        return self._check(a)
+        return math.sqrt(self._element(a))
 
     def basis(self):
         return [1.0]
@@ -425,7 +403,7 @@ class CentralizerDiagonal(ParameterAlgebra):
             groups.setdefault(find(i), []).append(i)
         return sorted(groups.values())
 
-    def _as_array(self, a):
+    def _element(self, a):
         d = np.asarray(a, dtype=float)
         if d.shape != (self.dim,):
             raise BadSpec("centralizer element has the wrong length")
@@ -434,29 +412,14 @@ class CentralizerDiagonal(ParameterAlgebra):
                 raise BadSpec("diagonal is not constant on a coupled component")
         return d
 
-    def zero(self):
-        return np.zeros(self.dim)
-
     def one(self):
         return np.ones(self.dim)
 
-    def add(self, a, b):
-        return self._as_array(a) + self._as_array(b)
-
-    def mul(self, a, b):
-        return self._as_array(a) * self._as_array(b)
-
-    def scale(self, c, a):
-        return float(c) * self._as_array(a)
-
     def sqrt_select(self, a):
-        d = self._as_array(a)
+        d = self._element(a)
         if np.any(d < 0):
             raise NoSquareRoot("diagonal has a negative entry; no real square root")
         return np.sqrt(d)
-
-    def row_scale(self, a):
-        return self._as_array(a)
 
     def basis(self):
         out = []
@@ -474,9 +437,6 @@ class CentralizerDiagonal(ParameterAlgebra):
 
     def sample(self, rng):
         return self.from_coords(rng.uniform(0.1, 2.5, size=len(self.components)))
-
-    def to_vector(self, a):
-        return self._as_array(a)
 
 
 class BooleanComplex(ParameterAlgebra):
@@ -497,32 +457,20 @@ class BooleanComplex(ParameterAlgebra):
         self.masks = int(masks)
         self.block = int(block)
 
-    def _as_array(self, a):
+    def _element(self, a):
         v = np.asarray(a, dtype=complex)
         if v.shape != (self.masks,):
             raise BadSpec("boolean element has the wrong length")
         return v
 
-    def zero(self):
-        return np.zeros(self.masks, dtype=complex)
-
     def one(self):
         return np.ones(self.masks, dtype=complex)
 
-    def add(self, a, b):
-        return self._as_array(a) + self._as_array(b)
-
-    def mul(self, a, b):
-        return self._as_array(a) * self._as_array(b)
-
-    def scale(self, c, a):
-        return complex(c) * self._as_array(a)
-
     def sqrt_select(self, a):
-        return np.sqrt(self._as_array(a))
+        return np.sqrt(self._element(a))
 
     def row_scale(self, a):
-        return np.repeat(self._as_array(a), self.block)
+        return np.repeat(self._element(a), self.block)
 
     def row_scales(self, draws):
         v = np.asarray(draws.values, dtype=complex)
@@ -544,9 +492,6 @@ class BooleanComplex(ParameterAlgebra):
 
     def sample_idempotent(self, rng):
         return rng.integers(0, 2, size=self.masks).astype(complex)
-
-    def to_vector(self, a):
-        return self._as_array(a)
 
 
 # --- compatibility and recovery ------------------------------------------------

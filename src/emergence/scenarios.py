@@ -356,8 +356,10 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
 def _field_block(space, rng, samples: int) -> FieldBlock:
     """The spec's fixed fields as one block, so every Lagrangian evaluated
     on them shares their self-correlations."""
-    return FieldBlock(np.stack([space.sample_field(rng)
-                                for _ in range(samples)]), space)
+    block = np.empty((samples, space.dim), space.dtype)
+    for row in block:  # filled in place: one copy of the block at a time
+        row[:] = space.sample_field(rng)
+    return FieldBlock(block, space)
 
 
 def _functional_residual(left: Operator, right: Operator, fields) -> float:

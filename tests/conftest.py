@@ -1,11 +1,19 @@
-"""Shared fixtures: small spaces and a seeded generator."""
+"""Shared fixtures: small spaces and a seeded generator.
+
+Hypothesis runs derandomized and without an example database, so every run
+draws the same examples and none is replayed from an earlier run.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from emergence import grid_space, plain_space
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

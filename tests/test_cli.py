@@ -239,6 +239,20 @@ def test_interrupted_style_writes_leave_no_temp_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "dir"])
+def test_an_unwritable_report_path_exits_64(where, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    code = main(["--scenario", "idempotent", "--samples", "5",
+                 "--out", str(tmp_path / where)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # a directory as --out gets its temp file beside it, then removed
+    assert sorted(os.listdir(tmp_path)) == ["dir"]
+    assert os.listdir(tmp_path / "dir") == []
+
+
 def test_text_rendering_of_error_reports():
     spec = ScenarioSpec(name="idempotent", grid=(8,))
     from emergence.errors import NotScalarForm

@@ -9,11 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        CoefficientFunction,
                        ComplexScalars, DegreeMismatch, DimensionTooLarge,
-                       EmptyAccumulation, HypothesisViolated, NoPreimage,
+                       EmergenceError, EmptyAccumulation, HypothesisViolated, NoPreimage,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
                        NotRightInvertible, NotScalarForm, NotScalarInvariant,
                        Operator, RealScalars, SpaceMismatch,
@@ -1001,6 +1003,19 @@ def test_oracle_refuses_large_parameter_spaces(line8):
         brute_force_emerge(boolean_source, wide, np.ones(5, dtype=complex))
 
 
+def test_oracle_fits_a_complex_parameter_under_a_hermitian_pairing():
+    # the symmetric part of eps * (shift + I) is real-linear in eps only
+    space = grid_space((8,), scalar_kind="complex")
+    slot = add(make_discrete_operator(space, "shift", axis=0),
+               identity_operator(space))
+    source = scalar_family(ComplexScalars(), slot)
+    poly = polynomial_family([slot], {(1,): CoefficientFunction.linear(2.0)},
+                             ComplexScalars())
+    got = brute_force_emerge(source, poly, 1.0 - 0.5j)
+    assert got is not None
+    assert got[(1,)] == pytest.approx(0.5 - 0.25j, abs=1e-12)
+
+
 def test_oracle_grid_search_fits_an_exponential(line8):
     source = scalar_family(
         RealScalars(), identity_operator(line8),
@@ -1026,6 +1041,86 @@ def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
     assert got is not None
     assert got[(1,)] == pytest.approx(1.5, abs=1e-3)
     assert got[(1,)] >= 0.0
+
+
+# --- generated synthesis against the oracle ----------------------------------------------
+
+
+@st.composite
+def slot_operators(draw, space):
+    """A stencil of ``make_discrete_operator`` plus a mass term, or the mass
+    term alone."""
+    axes = st.integers(0, len(space.geometry.dims) - 1)
+    kind = draw(st.sampled_from(["mass", "shift", "partial",
+                                 "second_partial", "box", "d2_background"]))
+    mass = scale(draw(st.sampled_from([0.5, 1.0, 3.0])),
+                 identity_operator(space))
+    if kind == "mass":
+        return mass
+    if kind == "d2_background" and len(space.geometry.dims) != 2:
+        kind = "box"
+    params = {
+        "shift": lambda: {"axis": draw(axes), "step": draw(st.integers(1, 2))},
+        "partial": lambda: {"axis": draw(axes), "scheme": draw(
+            st.sampled_from(["central", "forward"]))},
+        "second_partial": lambda: {"mu": draw(axes), "nu": draw(axes)},
+        "box": dict,
+        "d2_background": lambda: {"field_strength": 1.0},
+    }[kind]()
+    return add(make_discrete_operator(space, kind, **params), mass)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A source and a polynomial target of at most 3 terms of degree <= 2
+    in <= 2 slots; the source is one of the target's monomials, so a
+    one-term target is reachable."""
+    dims = draw(st.one_of(st.integers(8, 32).map(lambda n: (n,)),
+                          st.just((6, 10))))
+    algebra, kind, symmetry = draw(st.sampled_from([
+        (RealScalars(), "real", "symmetric"),
+        (RealScalars(), "complex", "symmetric"),
+        (RealScalars(), "complex", "hermitian"),
+        (ComplexScalars(), "complex", "symmetric"),
+        (ComplexScalars(), "complex", "hermitian")]))
+    space = grid_space(dims, scalar_kind=kind, symmetry=symmetry)
+    slots = [draw(slot_operators(space)) for _ in range(draw(st.integers(1, 2)))]
+    indices = [a for a in itertools.product(range(3), repeat=len(slots))
+               if sum(a) <= 2]
+    alphas = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3,
+                           unique=True))
+    domain = algebra.scalar_kind
+    slopes = st.sampled_from([1.0, 2.0, -0.5])
+    coefficients = st.one_of(
+        slopes.map(lambda a: CoefficientFunction.linear(a, domain)),
+        st.tuples(slopes, st.sampled_from([0.5, -1.0])).map(
+            lambda ab: CoefficientFunction.affine(*ab, domain)))
+    poly = polynomial_family(slots, {a: draw(coefficients) for a in alphas},
+                             algebra)
+    base = monomial_operator(poly, draw(st.sampled_from(alphas)))
+    source, _ = verify_structure(
+        scalar_family(algebra, base).with_claims("additive"))
+    return source, poly
+
+
+ORACLE_EPS = {"real": (0.7, -1.3, 2.2), "complex": (0.7, -1.3 + 0.5j, 2.2j)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_synthesis_agrees_with_the_oracle_or_refuses(case):
+    source, poly = case
+    try:
+        emap = emerge(source, poly, n_samples=8)
+    except EmergenceError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    event("certified")
+    for eps in ORACLE_EPS[poly.algebra.scalar_kind]:
+        oracle = brute_force_emerge(source, poly, eps)
+        assert oracle is not None
+        assert operator_residual(evaluate_polynomial(poly, emap(eps)),
+                                 evaluate_polynomial(poly, oracle)) <= 1e-8
 
 
 # --- structured oracle against a dense least squares ------------------------------------
