@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,23 +29,21 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      NoPreimage, NotInIdentityOrbit, NotMultiplicative,
                      NotRightInvertible, NotScalarForm, NotScalarInvariant,
                      SpaceMismatch)
-from .operator_core import (FieldBlock, Operator, compose,
-                            frobenius_coordinates, lagrangian_value,
-                            operator_residual, power, reflect, right_inverse,
-                            scale, stack_operators, subtract, sym_part)
+from .operator_core import (FieldBlock, Operator, block_rows, compose,
+                            frobenius_coordinates, identity_operator,
+                            lagrangian_value, operator_residual, power,
+                            reflect, right_inverse, scale, stack_operators,
+                            subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
                                 solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
-                       compose_families, evaluate_family, evaluate_polynomial,
-                       evaluates_blocks, factor_last_variable,
-                       monomial_operator, polynomial_family, scalar_family,
-                       sum_families)
+                       compose_families, evaluate_draws, evaluate_family,
+                       evaluate_polynomial, evaluates_blocks,
+                       factor_last_variable, monomial_operator,
+                       polynomial_family, scalar_family, sum_families)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
-
-#: certification draws per block Lagrangian call (small: memory stays low)
-CERTIFY_BLOCK = 16
 
 #: smallest residual a report writes; rounding noise below it depends on
 #: the BLAS kernel, so reports state only that the residual is under it
@@ -92,6 +90,11 @@ class Certificate:
     the reporting floor :data:`REPORT_FLOOR` (or, for a tolerance that is
     not a power of ten, in the decade just below the bound); the verdict is
     always taken on the raw value.
+
+    ``rng_state`` is the generator's state after the certificate's draws,
+    as :func:`verify_emergence` left it; a wider call that takes the
+    certificate as ``covered`` resumes from it.  It is neither compared nor
+    written.
     """
 
     samples: int
@@ -100,6 +103,7 @@ class Certificate:
     tolerance: float
     passed: bool
     seed: int
+    rng_state: dict | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,11 +187,11 @@ class EmergenceMap:
 
     def to_json_dict(self, n_probes: int = 3) -> dict:
         rng = np.random.default_rng(self.certificate.seed)
-        probes = []
-        for _ in range(n_probes):
-            eps = self.source.algebra.sample(rng)
-            probes.append({"parameter": _param_json(eps),
-                           "assignment": _param_json(self.parameter_map(eps))})
+        params = [self.source.algebra.sample(rng) for _ in range(n_probes)]
+        probes = [{"parameter": _param_json(eps),
+                   "assignment": _param_json(value)}
+                  for eps, value in zip(params, map_draws(
+                      self.source, self.parameter_map, params))]
         return {
             "label": self.label,
             "assignment_kind": self.assignment_kind,
@@ -218,6 +222,59 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
+def map_draws(source: OperatorFamily, parameter_map, params) -> list:
+    """``[parameter_map(eps) for eps in params]``, with the same bits.
+
+    A map with a block form, ``parameter_map.block(draws)``, on a source
+    that :func:`~emergence.theories.evaluates_blocks`, maps every draw in
+    one call and refuses as the per-draw calls would; any other map is
+    called draw by draw.
+    """
+    params = list(params)
+    block = getattr(parameter_map, "block", None)
+    if block is None or not params or not evaluates_blocks(source):
+        return [parameter_map(eps) for eps in params]
+    return _split(block(Draws.stack(params)), len(params))
+
+
+def _split(value, count: int) -> list:
+    """A block map's value as ``count`` per-draw values: a table of
+    :class:`Draws` as one table per draw, in the same key order."""
+    if isinstance(value, dict):
+        columns = {key: _split(v, count) for key, v in value.items()}
+        return [{key: column[i] for key, column in columns.items()}
+                for i in range(count)]
+    return list(value)
+
+
+def _dense_stacks(family) -> bool:
+    """Whether a chunk of ``family`` may stack dense matrices: it is
+    evaluated draw by draw, or a fixed body is dense, or its bodies mix
+    structures, or per-row scales make a non-diagonal body dense."""
+    if not evaluates_blocks(family):
+        return True
+    if isinstance(family, PolynomialFamily):
+        bodies = list(family.operators)
+        if any(not any(alpha) for alpha, _ in family.terms):
+            bodies.append(identity_operator(family.space))
+    else:
+        bodies = [family.form.fixed]
+    structures = {op.structure for op in bodies}
+    if "dense" in structures or len(structures) > 1:
+        return True
+    per_row = np.ndim(family.algebra.row_scale(family.algebra.one())) > 0
+    return per_row and structures != {"diagonal"}
+
+
+def _draw_bytes(source, target) -> int:
+    """What one certification draw counts against the block budget: the
+    space's ``n`` entries, or ``n**2`` when either family may stack dense
+    matrices, at the space's item size."""
+    n = source.space.dim
+    entries = n * n if _dense_stacks(source) or _dense_stacks(target) else n
+    return entries * np.dtype(source.space.dtype).itemsize
+
+
 def _stacks(source, target, parameter_map, params):
     """Both families' operators at a block of draws, one stack each.
 
@@ -226,14 +283,11 @@ def _stacks(source, target, parameter_map, params):
     form, ``parameter_map.block(draws)``; whatever has none is evaluated
     draw by draw and stacked.  A draw's bodies are the same bits either way.
     """
-    draws = Draws.stack(params) if evaluates_blocks(source) else None
-    if draws is None:
-        left = stack_operators(evaluate_family(source, e) for e in params)
-    else:
-        left = evaluate_family(source, draws)
-        block = getattr(parameter_map, "block", None)
-        if block is not None and evaluates_blocks(target):
-            return left, evaluate_family(target, block(draws))
+    left = evaluate_draws(source, params)
+    block = getattr(parameter_map, "block", None)
+    if (block is not None and evaluates_blocks(source)
+            and evaluates_blocks(target)):
+        return left, evaluate_family(target, block(Draws.stack(params)))
     return left, stack_operators(evaluate_family(target, parameter_map(e))
                                  for e in params)
 
@@ -244,29 +298,33 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
                      covered: Certificate | None = None) -> Certificate:
     """Sample parameters and fields; report both residual maxima.
 
-    Deterministic for a given seed regardless of ``jobs``: each chunk of
-    :data:`CERTIFY_BLOCK` draws is drawn just before it is evaluated as
-    stacked arrays (see :func:`_stacks`); the maximum keeps NaN, so any
-    non-finite residual fails, as a non-passing certificate, never an
-    exception.  ``covered``, a certificate of the same source, target and
-    map with this int seed and at most ``n_samples``, stands in for its
-    draws (drawn, not evaluated): a seed repeats them, each scored alone.
+    Deterministic for a given seed regardless of ``jobs`` and of the chunk
+    size: each chunk of as many draws as one block holds
+    (:func:`~emergence.operator_core.block_rows`) is drawn just before it
+    is evaluated as stacked arrays (see :func:`_stacks`), and each draw gets
+    the bits it gets alone; the maximum keeps NaN, so any non-finite
+    residual fails, as a non-passing certificate, never an exception.
+    ``covered``, a certificate of the same source, target and map with this
+    int seed, at most ``n_samples`` and a generator state, stands in for its
+    draws: the generator resumes from its state, so only the later draws are
+    made and evaluated.  The result carries the state after its draws.
     """
+    rng = np.random.default_rng(seed)
     start, head = 0, (0.0, 0.0)
-    if (covered is not None and isinstance(seed, int)
-            and covered.seed == seed and covered.samples <= n_samples):
+    if (covered is not None and covered.rng_state is not None
+            and isinstance(seed, int) and covered.seed == seed
+            and covered.samples <= n_samples):
         start = covered.samples
         head = (covered.max_functional_residual, covered.max_operator_residual)
-    rng = np.random.default_rng(seed)
+        rng.bit_generator.state = covered.rng_state
     errors = np.geterr()  # pool threads do not inherit the caller's state
+    size = block_rows(_draw_bytes(source, target))
 
     def draw():
         return source.algebra.sample(rng), source.space.sample_field(rng)
 
-    for _ in range(start):  # covered draws advance the generator only
-        draw()
-    chunks = ([draw() for _ in range(min(CERTIFY_BLOCK, n_samples - i))]
-              for i in range(start, n_samples, CERTIFY_BLOCK))
+    chunks = ([draw() for _ in range(min(size, n_samples - i))]
+              for i in range(start, n_samples, size))
 
     def block(chunk):
         with np.errstate(**errors):
@@ -288,7 +346,8 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     fn_max, op_max = map(float, np.maximum(head, np.max(
         np.reshape(results, (-1, 2)), axis=0, initial=0.0)))
     return Certificate(n_samples, fn_max, op_max, tol,
-                       fn_max <= tol and op_max <= tol, seed)
+                       fn_max <= tol and op_max <= tol, seed,
+                       rng.bit_generator.state)
 
 
 def _certify(source, target, parameter_map, kind, provenance, label,
@@ -331,8 +390,9 @@ def _same_source(a: OperatorFamily, b: OperatorFamily, seed: int = 11) -> bool:
     for _ in range(3):
         eps = a.algebra.sample(rng)
         try:
-            if operator_residual(evaluate_family(a, eps),
-                                 evaluate_family(b, eps)) > 1e-10:
+            # a NaN residual is no agreement
+            if not operator_residual(evaluate_family(a, eps),
+                                     evaluate_family(b, eps)) <= 1e-10:
                 return False
         except EmergenceError:
             return False

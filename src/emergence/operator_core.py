@@ -42,6 +42,10 @@ from .errors import BadSpec, NotRightInvertible, SpaceMismatch
 
 DEFAULT_TOL = 1e-10
 
+#: bytes that one block of draws or fields may take per array: certification
+#: chunks and correlation row groups are sized by it (see :func:`block_rows`)
+BLOCK_BYTES = 1 << 22
+
 # --- spaces -----------------------------------------------------------------
 
 
@@ -258,6 +262,12 @@ def scale_rows(scales: np.ndarray, a: Operator) -> OperatorStack:
     return OperatorStack(scales[:, :, None] * a.matrix, a.space)
 
 
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes one block holds: as many as
+    :data:`BLOCK_BYTES` takes, and at least one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
+
+
 def _unit(space: FieldSpace, value: float) -> Operator:
     """``value`` times the identity: a stencil on a grid, else a diagonal."""
     if space.geometry is None:
@@ -431,12 +441,20 @@ class FieldBlock:
         return corr
 
     def _correlate(self, offset: tuple) -> np.ndarray:
-        grid = self.fields.reshape(-1, *self.space.geometry.dims)
-        products = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
-        # in place: one block-sized temporary, not two
-        products = products.reshape(len(self), -1)
-        np.multiply(self.left, products, out=products)
-        return np.sum(products, axis=1)
+        """One row group of :func:`block_rows` fields at a time: each rolled
+        copy is multiplied in place, and each field's sum is its own row's,
+        so the bits do not depend on the grouping."""
+        dims = self.space.geometry.dims
+        out = np.empty(len(self), np.result_type(self.left, self.fields))
+        step = block_rows(self.fields[:1].nbytes)
+        for start in range(0, len(self), step):
+            rows = slice(start, start + step)
+            grid = self.fields[rows].reshape(-1, *dims)
+            products = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
+            products = products.reshape(len(grid), -1)
+            np.multiply(self.left[rows], products, out=products)
+            out[rows] = np.sum(products, axis=1)
+        return out
 
 
 def lagrangian_value(a, phi):

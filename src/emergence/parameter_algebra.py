@@ -524,23 +524,23 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
     if n_samples <= 0 or not operators:
         return CompatibilityReport(True, True, 0, 0.0, 0.0, True, None)
     rng = np.random.default_rng(seed)
-    req = 0.0
-    opt = 0.0
-    comm = 0.0
+    req, opt, comm = [], [], []
     for _ in range(n_samples):
         a, b = algebra.sample(rng), algebra.sample(rng)
         x = operators[int(rng.integers(len(operators)))]
         y = operators[int(rng.integers(len(operators)))]
         lhs = algebra.act(algebra.add(a, b), x)
         rhs = add(algebra.act(a, x), algebra.act(b, x))
-        req = max(req, frobenius(subtract(lhs, rhs)))
+        req.append(frobenius(subtract(lhs, rhs)))
         lhs = algebra.act(algebra.mul(a, b), x)
         rhs = algebra.act(a, algebra.act(b, x))
-        req = max(req, frobenius(subtract(lhs, rhs)))
+        req.append(frobenius(subtract(lhs, rhs)))
         lhs = algebra.act(algebra.mul(a, b), compose(x, y))
         rhs = compose(algebra.act(a, x), algebra.act(b, y))
-        opt = max(opt, frobenius(subtract(lhs, rhs)))
-        comm = max(comm, algebra.distance(algebra.mul(a, b), algebra.mul(b, a)))
+        opt.append(frobenius(subtract(lhs, rhs)))
+        comm.append(algebra.distance(algebra.mul(a, b), algebra.mul(b, a)))
+    # np.max keeps a NaN, so a NaN residual fails
+    req, opt, comm = (float(np.max(r)) for r in (req, opt, comm))
     optional_ok = opt <= tol
     return CompatibilityReport(req <= tol, False, n_samples, req, opt,
                                optional_ok, comm if optional_ok else None)
@@ -558,9 +558,10 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     ``row_scale(basis()[k])`` scales; for a basis of disjoint 0/1 row
     indicators that is the least-squares orbit element.  The diagonals are
     gathered once in the algebra's :attr:`~ParameterAlgebra.orbit_plan`
-    order and taken to Python lists once, and each mean is a correctly
-    rounded ``fsum`` (real and imaginary parts apart) over its span, so it
-    is the same bits on every machine.  A stencil target's diagonal is one
+    order, and each mean is a correctly rounded sum (real and imaginary
+    parts apart) over its span, so it is the same bits on every machine:
+    equal-length spans take :func:`_exact_span_sums` where it answers, and
+    every other span ``math.fsum``.  A stencil target's diagonal is one
     value ``v``, so it skips the gather: a span of ``L`` rows sums to the
     correctly rounded ``L * v``, the same float, one vectorized ``(L * v) /
     L`` over the draws.  For tuple algebras pass a list with one probe
@@ -597,6 +598,38 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     return candidate
 
 
+def _exact_span_sums(spans: np.ndarray):
+    """Correctly rounded sums of the last axis, exact in int64 where that
+    provably holds: ``(sums, answered)``.
+
+    A span whose nonzero entries have ``frexp`` exponents ``low..high`` is
+    scaled by ``2**(53 - low)``, which makes every entry an integer below
+    ``2**(high - low + 53)`` in magnitude; where ``L`` of them sum below
+    ``2**63``, the int64 sum is exact, its conversion to float rounds once,
+    to nearest even, and scaling back by ``2**(low - 53)`` is exact.  That
+    is ``math.fsum``'s result to the bit.  A span is answered only when
+    ``-969 <= low`` and ``high <= 1000`` (so its entries are finite and
+    normal, and the scales and the result are normal floats) and its sum is
+    not zero (whose sign ``fsum`` decides); every other span is left to
+    ``fsum``, with ``sums`` holding 0 there.
+    """
+    spans = np.ascontiguousarray(spans, dtype=float)
+    # the biased exponent field: frexp's exponent plus 1022 for a normal
+    # entry, 0 for a zero or subnormal one, 2047 for inf or NaN
+    biased = (spans.view(np.int64) >> 52) & 0x7FF
+    low = np.min(np.where(spans != 0, biased, 0x7FF), axis=-1)
+    high = np.max(biased, axis=-1)
+    headroom = 63 - 53 - (spans.shape[-1] - 1).bit_length()
+    answered = (low >= 53) & (high <= 2022) & (high - low <= headroom)
+    shift = np.where(answered, 1075 - low, 0)
+    integers = (np.where(answered[..., None], spans, 0.0)
+                * np.ldexp(1.0, shift)[..., None]).astype(np.int64)
+    total = integers.sum(axis=-1)
+    answered &= total != 0
+    sums = total.astype(float) * np.ldexp(1.0, -shift)
+    return np.where(answered, sums, 0.0), answered
+
+
 def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
                  tol: float) -> Draws:
     s, n = len(target), target.space.dim
@@ -619,19 +652,25 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
         finite = np.isfinite(values).all(axis=1)
         parts = [values.real] + ([values.imag] if np.iscomplexobj(values)
                                  else [])
-        if (lengths == lengths[0]).all():
-            spans = [p.reshape(s, len(lengths), lengths[0]).tolist()
-                     for p in parts]
-        else:
-            spans = [[[row[a:b] for a, b in zip(ends, ends[1:])]
-                      for row in p.tolist()] for p in parts]
-        means = [np.full((s, len(lengths)), math.nan) for _ in parts]
+        means, left = [], []
+        for part in parts:
+            if (lengths == lengths[0]).all():
+                sums, answered = _exact_span_sums(
+                    part.reshape(s, len(lengths), lengths[0]))
+            else:
+                sums = np.zeros((s, len(lengths)))
+                answered = np.zeros(sums.shape, bool)
+            means.append(sums / lengths)
+            left.append(~answered)
+        # the spans the int64 sums leave take fsum: the same bits
         counts = lengths.tolist()
-        for i in np.flatnonzero(finite).tolist():
+        for i in np.flatnonzero(finite & np.any(left, axis=(0, 2))).tolist():
             try:
-                for mean, part in zip(means, spans):
-                    mean[i] = [math.fsum(x) / m
-                               for x, m in zip(part[i], counts)]
+                for mean, part, todo in zip(means, parts, left):
+                    row = part[i].tolist()
+                    for k in np.flatnonzero(todo[i]).tolist():
+                        mean[i, k] = (math.fsum(row[ends[k]:ends[k + 1]])
+                                      / counts[k])
             except OverflowError:
                 finite[i] = False
     # a non-finite entry or an overflowing sum leaves NaN coordinates, which

@@ -28,9 +28,10 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        operator_residual, plain_space, polynomial_family,
                        scalar_family, scale, sum_families, verify_emergence,
                        verify_structure)
-from emergence.engine import (CERTIFY_BLOCK, REPORT_FLOOR, Certificate,
-                              ProvenanceNode, _certify, _fold_weights,
-                              residual_bound)
+from emergence import operator_core
+from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
+                              _certify, _draw_bytes, _fold_weights,
+                              _same_source, residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
 from emergence.theories import evaluate_polynomial, monomial_operator
@@ -211,6 +212,18 @@ def test_constituents_must_match_the_source(line8):
         emerge_composition(source, identity_emergence(source),
                            identity_emergence(doubled))
     assert "different source" in str(info.value)
+
+
+def test_a_nan_residual_is_not_the_same_source():
+    # inf - inf on the diagonal: two such families cannot be told to agree
+    def family():
+        return scalar_family(RealScalars(), diagonal_operator(
+            plain_space(4), [1.0, math.inf, 2.0, 3.0]))
+
+    a = family()
+    assert _same_source(a, a)
+    with np.errstate(invalid="ignore"):
+        assert not _same_source(a, family())
 
 
 # --- sum ---------------------------------------------------------------------------
@@ -575,12 +588,23 @@ def test_scaling_mismatch_fails_without_raising(line8):
     assert cert.max_operator_residual > 0.1
 
 
-def test_verification_is_job_count_independent(line8):
-    # 37 draws: the last block is short
-    assert 37 % CERTIFY_BLOCK
+#: draws per certification chunk where a test sets the budget for it
+CHUNK = 16
+
+
+def _chunks_of(monkeypatch, source, target, draws=CHUNK):
+    """Set the byte budget so a certification chunk of these families holds
+    ``draws`` draws: small spaces then cross chunk boundaries too."""
+    monkeypatch.setattr(operator_core, "BLOCK_BYTES",
+                        draws * _draw_bytes(source, target))
+
+
+def test_verification_is_job_count_independent(line8, monkeypatch):
     source = identity_source(line8)
     poly = polynomial_family([identity_operator(line8)], {(1,): lin()},
                              RealScalars())
+    # 37 draws in chunks of 16: the last chunk is short
+    _chunks_of(monkeypatch, source, poly)
     # a mismatched map, so the maxima depend on which draw is worst
     serial, two, four = (verify_emergence(source, poly, lambda eps: 1.5 * eps,
                                           n_samples=37, seed=9, jobs=jobs)
@@ -596,18 +620,20 @@ def _nan_on_call(k):
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
-def test_a_nan_residual_in_a_later_block_fails_the_certificate(line8, jobs):
+def test_a_nan_residual_in_a_later_block_fails_the_certificate(line8, jobs,
+                                                              monkeypatch):
     source = identity_source(line8)
-    k = CERTIFY_BLOCK + 4
+    _chunks_of(monkeypatch, source, source)
+    k = CHUNK + 4
     cert = verify_emergence(source, source, _nan_on_call(k),
-                            n_samples=2 * CERTIFY_BLOCK + 5, jobs=jobs)
+                            n_samples=2 * CHUNK + 5, jobs=jobs)
     assert not cert.passed
     assert math.isnan(cert.max_functional_residual)
     assert math.isnan(cert.max_operator_residual)
     provenance = ProvenanceNode("monomial")
     with pytest.raises(HypothesisViolated, match="nan"):
         _certify(source, source, _nan_on_call(k), "monomial", provenance,
-                 "nan_map", 2 * CERTIFY_BLOCK + 5, 1e-8, 0)
+                 "nan_map", 2 * CHUNK + 5, 1e-8, 0)
 
 
 class _CountedMap:
@@ -685,6 +711,27 @@ def test_identical_calls_without_a_covered_certificate_evaluate_every_draw(
     second, evaluated = _evaluated(source, poly, fmap, 30, seed=3)
     assert evaluated == 30
     assert _bits(first) == _bits(second)
+
+
+def test_a_covered_certificate_without_a_generator_state_is_evaluated_in_full(
+        line8):
+    source, poly, fmap = _mismatched(line8)
+    made = verify_emergence(source, poly, fmap, 20, seed=3)
+    assert made.rng_state is not None
+    # the same numbers, written by hand: nothing to resume from
+    by_hand = Certificate(made.samples, made.max_functional_residual,
+                          made.max_operator_residual, made.tolerance,
+                          made.passed, made.seed)
+    assert by_hand == made  # the state is not compared
+    assert by_hand.to_json_dict() == made.to_json_dict()
+    assert "rng_state" not in made.to_json_dict()
+    cert, evaluated = _evaluated(source, poly, fmap, 30, seed=3,
+                                 covered=by_hand)
+    assert evaluated == 30
+    resumed, evaluated = _evaluated(source, poly, fmap, 30, seed=3,
+                                    covered=made)
+    assert evaluated == 10
+    assert _bits(cert) == _bits(resumed)
 
 
 def test_a_nan_in_the_covered_draws_fails_the_wider_certificate(line8):
@@ -788,7 +835,7 @@ def test_block_maps_and_bodies_match_the_per_draw_path(case):
     source, poly = BLOCK_CASES[case]()
     emap = emerge(source, poly, n_samples=8, seed=2)
     rng = np.random.default_rng(5)
-    params = [source.algebra.sample(rng) for _ in range(CERTIFY_BLOCK + 3)]
+    params = [source.algebra.sample(rng) for _ in range(CHUNK + 3)]
     draws = Draws.stack(params)
     block = emap.parameter_map.block(draws)
     tables = [emap(eps) for eps in params]
@@ -806,11 +853,12 @@ def test_block_maps_and_bodies_match_the_per_draw_path(case):
 
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("case", BLOCK_CASES)
-def test_block_certificates_match_the_per_draw_path(case, jobs):
+def test_block_certificates_match_the_per_draw_path(case, jobs, monkeypatch):
     source, poly = BLOCK_CASES[case]()
     emap = emerge(source, poly, n_samples=8, seed=2)
+    _chunks_of(monkeypatch, source, poly)
     # a map with no block form is evaluated draw by draw
-    got, want = (verify_emergence(source, poly, fmap, 2 * CERTIFY_BLOCK + 5,
+    got, want = (verify_emergence(source, poly, fmap, 2 * CHUNK + 5,
                                   seed=3, jobs=jobs)
                  for fmap in (emap.parameter_map,
                               lambda eps: emap.parameter_map(eps)))
@@ -835,16 +883,18 @@ def _outcome(*args, **kwargs):
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
 @pytest.mark.parametrize("case", ["64-real-symmetric", "6x10-complex-hermitian"])
-def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs):
+def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs,
+                                                    monkeypatch):
     source, poly = BLOCK_CASES[case]()
     emap = emerge(source, poly, n_samples=8, seed=2)
-    k = CERTIFY_BLOCK + 5  # mid-chunk
+    _chunks_of(monkeypatch, source, poly)
+    k = CHUNK + 5  # mid-chunk
     outcomes = []
     for fmap in (emap.parameter_map, lambda eps: emap.parameter_map(eps)):
         spiked = replace(source, algebra=_Spiked(k, value))
         with np.errstate(all="ignore"):
             outcomes.append(_outcome(spiked, poly, fmap,
-                                     2 * CERTIFY_BLOCK + 5, seed=3,
+                                     2 * CHUNK + 5, seed=3,
                                      jobs=jobs))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "NotScalarForm"
@@ -866,10 +916,12 @@ def test_a_spiked_boolean_draw_refuses_as_the_per_draw_path(value):
     assert _hex(block.value.residual) == _hex(per_draw.value.residual)
 
 
-def test_a_nan_map_value_gives_the_per_draw_nan_certificate(line8):
+def test_a_nan_map_value_gives_the_per_draw_nan_certificate(line8,
+                                                           monkeypatch):
     # a map without a block form, NaN mid-chunk: the stacked residuals keep it
     source = identity_source(line8)
-    k = CERTIFY_BLOCK + 4
+    _chunks_of(monkeypatch, source, source)
+    k = CHUNK + 4
     cert = verify_emergence(source, source, _nan_on_call(k), n_samples=40)
     assert math.isnan(cert.max_functional_residual)
     assert math.isnan(cert.max_operator_residual)

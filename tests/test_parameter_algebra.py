@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
@@ -21,7 +21,8 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
 from emergence.operator_core import (diagonal_operator,
                                      distance_to_diagonal, frobenius,
                                      stack_operators)
-from emergence.parameter_algebra import Draws
+from emergence import parameter_algebra
+from emergence.parameter_algebra import Draws, _exact_span_sums
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -581,6 +582,141 @@ def test_block_row_scales_and_coordinates_are_each_draws(algebra, n):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+# --- exact span sums against fsum ----------------------------------------------
+
+
+@st.composite
+def span_rows(draw):
+    """A row of 1-300 floats of one kind, around one binade."""
+    length = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["narrow", "ties", "cancel", "subnormal",
+                                 "huge", "mixed"]))
+    base = draw(st.sampled_from([0, -30, 40, -960, -969, -970, -1020,
+                                 990, 1000, 1001, 1022]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], length)
+    mantissas = 1.0 + rng.integers(0, 2**52, length) * 2.0**-52
+    if kind == "narrow":  # a few binades: where the int64 sums answer
+        row = signs * np.ldexp(mantissas, base - rng.integers(0, 4, length))
+    elif kind == "ties":  # sums half an ulp off: round half to even
+        row = np.ldexp(signs * rng.choice([1.0, 1.0 + 2.0**-52, 1.5, 3.0],
+                                          length), base - 2)
+    elif kind == "cancel":  # pairs that cancel, with a small remainder
+        half = signs[:(length + 1) // 2] * np.ldexp(
+            mantissas[:(length + 1) // 2], base)
+        row = np.concatenate([half, -half])[:length]
+        row[-1] += np.ldexp(1.0, base - 40)
+    elif kind == "subnormal":
+        row = signs * rng.integers(1, 2**20, length) * 5e-324
+    elif kind == "huge":  # near 2**1023: sums may overflow
+        row = signs * np.ldexp(mantissas, 1023 - rng.integers(0, 3, length))
+    else:  # binades far apart
+        row = signs * np.ldexp(mantissas, rng.integers(-1074, 1023, length))
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_rows())
+def test_exact_span_sums_are_fsum_to_the_bit(row):
+    sums, answered = _exact_span_sums(row[None, :])
+    event(f"answered {bool(answered[0])}")
+    if answered[0]:
+        try:
+            want = math.fsum(row.tolist())
+        except OverflowError:  # pragma: no cover - answered sums never do
+            pytest.fail("an answered span overflows fsum")
+        # hex keeps the sign of zero too
+        assert sums[0].hex() == want.hex()
+    else:
+        assert sums[0] == 0.0
+
+
+def test_exact_span_sums_answer_narrow_spans_and_refuse_the_edges():
+    rng = np.random.default_rng(3)
+    narrow = (1.0 + rng.standard_normal((50, 8, 32)) * 1e-3) * 1.5
+    sums, answered = _exact_span_sums(narrow)
+    assert answered.all()
+    assert [x.hex() for x in sums.ravel().tolist()] == [
+        math.fsum(span).hex() for span in narrow.reshape(-1, 32).tolist()]
+    # 2 + 2**-52 is a tie at its binade; so is 1 + 2**-53, which the int64
+    # sums leave to fsum: its binades are 53 apart
+    ties, answered = _exact_span_sums(np.array([[1.0, 1.0 + 2.0**-52],
+                                                [1.0, 2.0**-53]]))
+    assert ties[0] == 2.0 == math.fsum([1.0, 1.0 + 2.0**-52])
+    assert answered.tolist() == [True, False]
+    edges = np.array([[1.0, -1.0],  # a zero sum: fsum picks its sign
+                      [0.0, -0.0],
+                      [5e-324, 1e-320],  # subnormal
+                      [2.0**-1000, 2.0**-1000],  # scales not normal
+                      [1e308, 1e308],  # overflows
+                      [1.0, math.inf],
+                      [math.nan, 1.0],
+                      [1.0, 2.0**-53]])  # binades too far apart
+    _, answered = _exact_span_sums(edges)
+    assert not answered.any()
+
+
+def _diagonal_stack(algebra, n, rng, spikes):
+    """Diagonal targets near the orbit, in narrow binades, plus ``spikes``:
+    entries that make one span's sum overflow or not finite."""
+    ident = identity_operator(plain_space(n, algebra.scalar_kind))
+    targets = []
+    for _ in range(6):
+        entries = np.diagonal(algebra.act(algebra.sample(rng),
+                                          ident).matrix).copy()
+        entries = entries * (1.0 + 1e-9 * rng.standard_normal(n))
+        targets.append(entries)
+    for value in spikes:
+        entries = targets[1].copy()
+        entries[:2] = value
+        targets.append(entries)
+    return stack_operators(diagonal_operator(ident.space, t) for t in targets)
+
+
+@pytest.mark.parametrize("algebra,n", [
+    (BooleanComplex(masks=4, block=8), 32), (RealScalars(), 16),
+    (ComplexScalars(), 7), (CentralizerDiagonal(np.eye(5)), 5)],
+    ids=["boolean", "real", "complex", "centralizer"])
+def test_orbit_solve_with_int64_sums_keeps_the_fsum_bits(algebra, n,
+                                                        monkeypatch):
+    rng = np.random.default_rng(41)
+    stack = _diagonal_stack(algebra, n, rng,
+                            (1.7e308, -1.7e308, math.inf, math.nan))
+
+    def each(target):
+        return [_outcome(solve_action_on_identity, algebra, one)
+                for one in target]
+
+    def whole(target):
+        try:
+            return [np.asarray(v).tobytes() for v in
+                    solve_action_on_identity(algebra, target, tol=1.0)]
+        except NotInIdentityOrbit as exc:
+            return ("refused", exc.residual.hex())
+
+    kept = stack_operators(list(stack)[:6])
+    exact, answered = parameter_algebra._exact_span_sums, []
+
+    def recorded(spans):
+        sums, done = exact(spans)
+        answered.extend(done.ravel().tolist())
+        return sums, done
+
+    def unanswered(spans):
+        return (np.zeros(spans.shape[:-1]), np.zeros(spans.shape[:-1], bool))
+
+    outcomes = []
+    for sums in (recorded, unanswered):  # int64 where it answers, then fsum
+        monkeypatch.setattr(parameter_algebra, "_exact_span_sums", sums)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes.append((each(stack), whole(stack), whole(kept)))
+    assert outcomes[0] == outcomes[1]
+    # the overflowing and non-finite spans are refused either way
+    assert [o[0] for o in outcomes[0][0]] == ["value"] * 6 + ["refused"] * 4
+    assert outcomes[0][1][0] == "refused"
+    assert sum(answered) > len(answered) / 2
+
+
 def _bits_or_refusal(fn, value):
     try:
         got = fn(value)
@@ -634,6 +770,16 @@ def test_compatibility_holds_for_boolean_diagonal_actions():
     assert report.ok and not report.vacuous
     assert report.optional_ok
     assert report.commutativity_residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_nan_compatibility_residual_fails():
+    # inf entries make every required residual NaN (inf - inf)
+    space = plain_space(4)
+    ops = [diagonal_operator(space, [1.0, math.inf, 2.0, 3.0])]
+    with np.errstate(invalid="ignore"):
+        report = check_action_compatibility(RealScalars(), ops, n_samples=5)
+    assert math.isnan(report.required_residual)
+    assert not report.ok
 
 
 def test_compatibility_flags_noncommutative_style_actions():

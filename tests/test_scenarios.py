@@ -259,7 +259,10 @@ def test_boolean_orbit_plan_is_built_once(monkeypatch):
 
 
 def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
-    # per-field evaluation would take about 2 x samples calls per check
+    # per-field evaluation would take about 2 x samples calls per check;
+    # the byte budget holds 16 draws (or fields) of the real 24x24 grid
+    chunk = 16
+    monkeypatch.setattr(operator_core, "BLOCK_BYTES", chunk * 24 * 24 * 8)
     calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
     verify, residual = engine.verify_emergence, scenarios._functional_residual
@@ -274,8 +277,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     def budgeted_verify(source, target, parameter_map, n_samples, *rest,
                         covered=None):
         done = covered.samples if covered is not None else 0
-        budget.append(2 * math.ceil((n_samples - done)
-                                    / engine.CERTIFY_BLOCK))
+        budget.append(2 * math.ceil((n_samples - done) / chunk))
         return verify(source, target, parameter_map, n_samples, *rest,
                       covered=covered)
 
@@ -300,8 +302,8 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
                               h_scales=(0.1, 0.5, 1.0), samples=100)):
         del calls[:], budget[:], computed[:]
         assert run_scenario_spec(spec).passed
-        assert budget.count(2 * math.ceil(40 / engine.CERTIFY_BLOCK)) == 1
-        assert budget.count(2 * math.ceil(60 / engine.CERTIFY_BLOCK)) == 1
+        assert budget.count(2 * math.ceil(40 / chunk)) == 1
+        assert budget.count(2 * math.ceil(60 / chunk)) == 1
         assert 0 < len(calls) <= sum(budget) <= 28
         # every block computes each offset at most once: the runner's one
         # block of 100 fields serves all its checks, and a certification
@@ -311,8 +313,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
         sizes = [len(block) for block in {id(b): b for b, _ in computed}
                  .values()]
         assert sizes.count(100) == 1
-        assert max(size for size in sizes if size != 100) \
-            == engine.CERTIFY_BLOCK
+        assert max(size for size in sizes if size != 100) == chunk
         # on a flat metric every runner operator is a five-point stencil
         assert sum(len(block) == 100 for block, _ in computed) == 5
 
@@ -369,6 +370,48 @@ def test_one_pass_certificates_match_separate_verification(monkeypatch, seed,
         spec = ScenarioSpec(**fields, samples=samples, seed=seed)
         assert run_scenario_spec(spec).passed
     assert sorted(checked) == sorted(ONE_PASS_MAPS)
+
+
+def test_a_scenario_certificate_resumes_after_its_maps_draws(monkeypatch):
+    verify, sample = engine.verify_emergence, operator_core.FieldSpace.sample_field
+    fields, calls = [], []
+
+    def counted_sample(space, rng):
+        fields[-1] += 1
+        return sample(space, rng)
+
+    def counted_verify(*args, **kwargs):
+        fields.append(0)
+        calls.append((args, kwargs))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(operator_core.FieldSpace, "sample_field",
+                        counted_sample)
+    for module in (engine, scenarios):
+        monkeypatch.setattr(module, "verify_emergence", counted_verify)
+    spec = ScenarioSpec(name="boolean", grid=(8,), masks=4, block=4,
+                        samples=100, seed=7)
+    (cert,) = run_scenario_spec(spec).certificates
+    # the map's 40 draws are resumed from its certificate, not redrawn
+    assert fields == [40, 60]
+    (source, poly, fmap, *_), _ = calls[-1]
+    full = verify(source, poly, fmap, spec.samples, spec.tol, spec.seed)
+    assert _certificate_bits(cert) == _certificate_bits(full)
+    assert cert.rng_state == full.rng_state
+
+
+@pytest.mark.parametrize("fields", ONE_PASS_SPECS,
+                         ids=[spec["name"] for spec in ONE_PASS_SPECS])
+def test_chunk_size_does_not_change_a_certificate(fields, monkeypatch):
+    spec = ScenarioSpec(**fields, samples=100, seed=1)
+    outcomes = []
+    # one draw (and one field) per block, then every draw of a call at once
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(operator_core, "BLOCK_BYTES", budget)
+        result = run_scenario_spec(spec)
+        outcomes.append(([_certificate_bits(c) for c in result.certificates],
+                         json.dumps(result.to_json_dict(), sort_keys=True)))
+    assert outcomes[0] == outcomes[1]
 
 
 def _recording_solver(monkeypatch, spoil=lambda call, solve, eps: solve(eps)):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from emergence import (BadSpec, CoefficientFunction, ComplexScalars,
-                       NonnegativeReals, Operator, RealScalars, Univariate,
-                       add, check_structure,
+from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
+                       ComplexScalars, NonnegativeReals, Operator, RealScalars,
+                       Univariate, add, check_structure, compose,
                        compose_families, evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
-                       make_discrete_operator, polynomial_family,
+                       make_discrete_operator, plain_space, polynomial_family,
                        scalar_family, sum_families, verify_structure)
+from emergence.operator_core import diagonal_operator, frobenius, subtract
 from emergence.theories import STRUCTURE_FLAGS, monomial_operator
 
 # --- family forms and evaluation ------------------------------------------------
@@ -113,6 +116,59 @@ def test_homomorphic_flag_bundles_both_identities(line8):
     fam, report = verify_structure(fam, n_samples=20)
     assert "homomorphic" in fam.verified
     assert report.passed_flags() == {"homomorphic"}
+
+
+def _law_families():
+    grid = grid_space((6, 4), scalar_kind="complex", symmetry="hermitian")
+    box = make_discrete_operator(grid, "box")
+    plain = plain_space(12, "complex")
+    masks = diagonal_operator(plain, np.linspace(1.0, 2.0, 12) + 0.5j)
+    line = grid_space((8,))
+    shift = make_discrete_operator(line, "shift", axis=0)
+    return {
+        "real-stencil": scalar_family(RealScalars(), shift),
+        "complex-hermitian": scalar_family(ComplexScalars(), box),
+        "boolean-diagonal": scalar_family(BooleanComplex(4, 3), masks),
+        "real-coefficient": scalar_family(
+            RealScalars(), shift,
+            coefficient=CoefficientFunction.affine(2.0, 0.5, "real")),
+        # a sum tree is evaluated draw by draw
+        "sum-tree": sum_families(scalar_family(RealScalars(), shift),
+                                 scalar_family(RealScalars(), shift)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_law_families()))
+def test_block_sampled_laws_give_the_per_draw_residuals(name):
+    family = _law_families()[name]
+    algebra = family.algebra
+    report = check_structure(family, ["homomorphic"], n_samples=12, seed=4)
+    rng = np.random.default_rng(4)
+    residuals = []
+    for _ in range(12):
+        a, b = algebra.sample(rng), algebra.sample(rng)
+        fa, fb = evaluate_family(family, a), evaluate_family(family, b)
+        residuals.append(frobenius(subtract(
+            evaluate_family(family, algebra.add(a, b)), add(fa, fb))))
+        residuals.append(frobenius(subtract(
+            evaluate_family(family, algebra.mul(a, b)), compose(fa, fb))))
+    (check,) = report.checks
+    assert check.max_residual.hex() == max(residuals).hex()
+
+
+def test_a_nan_law_residual_fails_its_flag():
+    # an infinite entry: Psi(a + b) - (Psi(a) + Psi(b)) is inf - inf there
+    family = scalar_family(RealScalars(), diagonal_operator(
+        plain_space(4), [1.0, math.inf, 2.0, 3.0]))
+    with np.errstate(invalid="ignore"):
+        report = check_structure(family, ["additive", "multiplicative"],
+                                 n_samples=5)
+        checked, _ = verify_structure(family.with_claims("additive"),
+                                      n_samples=5)
+    for check in report.checks:
+        assert not check.passed
+        assert math.isnan(check.max_residual)
+    assert "additive" not in checked.verified
 
 
 def test_check_structure_rejects_unknown_flags(line8):
