@@ -30,8 +30,9 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      NotRightInvertible, NotScalarForm, NotScalarInvariant,
                      SpaceMismatch)
 from .operator_core import (FieldBlock, Operator, block_rows, compose,
-                            frobenius_coordinates, identity_operator,
-                            lagrangian_value, operator_residual, power,
+                            exact_sums, frobenius_coordinates,
+                            identity_operator, lagrangian_value,
+                            operator_residual, power,
                             reflect, right_inverse, scale, stack_operators,
                             subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
@@ -292,6 +293,14 @@ def _stacks(source, target, parameter_map, params):
                                  for e in params)
 
 
+def functional_residual(left, right, fields) -> float:
+    """Worst ``|l1 - l2| / max(1, |l1|)`` of the two Lagrangians over the
+    fields (an array, a FieldBlock, or one per draw of stacks); NaN wins."""
+    l1 = lagrangian_value(left, fields)
+    l2 = lagrangian_value(right, fields)
+    return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
+
+
 def verify_emergence(source: OperatorFamily, target, parameter_map,
                      n_samples: int = 100, tol: float = DEFAULT_TOL,
                      seed: int = 0, jobs: int | None = None,
@@ -332,11 +341,8 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
                                   [eps for eps, _ in chunk])
             # one block per chunk: both sides share its self-correlations
             fields = FieldBlock(np.stack([p for _, p in chunk]), source.space)
-            l1 = lagrangian_value(left, fields)
-            l2 = lagrangian_value(right, fields)
-            fn_res = np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))
-            op_res = operator_residual(left, right)
-        return float(np.max(fn_res)), float(np.max(op_res))
+            return (functional_residual(left, right, fields),
+                    float(np.max(operator_residual(left, right))))
 
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -434,32 +440,21 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
                     n_samples, tol, seed)
 
 
-def _exact_sum(products: np.ndarray):
-    """Correctly rounded sum, real and imaginary parts apart."""
-    real = math.fsum(products.real.ravel().tolist())
-    if np.iscomplexobj(products):
-        return complex(real, math.fsum(products.imag.ravel().tolist()))
-    return real
-
-
 def _transport(op: Operator, post: Operator | None) -> Operator:
-    """``op o post`` whose diagonal is correctly rounded sums.
+    """``op o post`` whose diagonal is correctly rounded sums, so the orbit
+    coordinates read from it do not depend on the BLAS kernel.
 
-    Orbit coordinates are read from the diagonal alone, so fixing its bits
-    keeps the parameter map independent of the BLAS kernel.  A product of
-    circulants has one diagonal value, the sum of ``f[k] p[-k]`` over the
-    stencils: the same products the dense row-times-column sum adds.  A
-    product of diagonals has one product per diagonal entry, already exact.
+    A product of circulants has one diagonal value, the sum of
+    ``f[k] p[-k]`` over the stencils: the products a dense row-times-column
+    sum adds.  A product of diagonals is exact as it is.
     """
     if post is None:
         return op
     out = compose(op, post)
     if out.structure == "stencil":
-        out.body.flat[0] = _exact_sum(op.body * reflect(post.body))
+        out.body.flat[0] = exact_sums(np.ravel(op.body * reflect(post.body)))
     elif out.structure == "dense":
-        left, right = op.matrix, post.matrix
-        for i in range(out.space.dim):
-            out.body[i, i] = _exact_sum(left[i] * right[:, i])
+        np.fill_diagonal(out.body, exact_sums(op.matrix * post.matrix.T))
     return out
 
 

@@ -31,6 +31,7 @@ entry.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -807,3 +808,71 @@ def plane_wave(space: FieldSpace, freq: tuple[int, ...]) -> np.ndarray:
     for k, n, c in zip(freq, dims, coords):
         phase = phase + 2.0 * math.pi * k * c / n
     return np.exp(1j * phase).ravel()
+
+
+def exact_sum(values, repeats: int = 1) -> float:
+    """``repeats * sum(values)`` rounded once; NaN if not a finite float.
+
+    The exact sum of the real ``values`` is rounded to nearest even, so it
+    does not depend on their order or the machine; a zero sum is ``+0.0``.
+    A plain sum is ``math.fsum`` unless a partial sum overflows; otherwise
+    the values are added as integer multiples of ``2**-1074``, times
+    ``repeats``, and Python's int division by ``2**1074`` rounds once.
+    """
+    values = np.asarray(values, dtype=float)
+    values = values[values != 0].tolist()
+    if not np.isfinite(values).all():
+        return math.nan
+    if repeats == 1:
+        with contextlib.suppress(OverflowError):  # a partial sum overflows
+            return math.fsum(values)
+    total = int(repeats) * sum(p << 1075 - q.bit_length() for p, q in
+                               map(float.as_integer_ratio, values))
+    try:
+        return total / (1 << 1074)
+    except OverflowError:
+        return math.nan
+
+
+def _int64_sums(rows: np.ndarray):
+    """Correctly rounded sums of the last axis, exact in int64 where that
+    provably holds: ``(sums, answered)``, ``sums`` 0 where not answered.
+
+    Scaled by ``2**(53 - low)``, a row whose nonzero entries have ``frexp``
+    exponents ``low..high`` is integers below ``2**(high - low + 53)``;
+    where ``L`` of them sum below ``2**63`` the int64 sum is exact, and its
+    rounding to float and the scaling back give :func:`exact_sum`'s bits.
+    A zero sum, a subnormal or non-finite entry and scales that are not
+    normal floats (``low < -969`` or ``high > 1000``) are not answered.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    # the biased exponent field: frexp's exponent plus 1022 for a normal
+    # entry, 0 for a zero or subnormal one, 2047 for inf or NaN
+    biased = (rows.view(np.int64) >> 52) & 0x7FF
+    low = np.min(np.where(rows != 0, biased, 0x7FF), axis=-1, initial=0x7FF)
+    high = np.max(biased, axis=-1, initial=0)
+    headroom = 63 - 53 - (rows.shape[-1] - 1).bit_length()
+    answered = (low >= 53) & (high <= 2022) & (high - low <= headroom)
+    shift = np.where(answered, 1075 - low, 0)
+    integers = (np.where(answered[..., None], rows, 0.0)
+                * np.ldexp(1.0, shift)[..., None]).astype(np.int64)
+    total = integers.sum(axis=-1)
+    answered &= total != 0
+    sums = total.astype(float) * np.ldexp(1.0, -shift)
+    return np.where(answered, sums, 0.0), answered
+
+
+def exact_sums(rows) -> np.ndarray:
+    """:func:`exact_sum` of each row of the last axis, real and imaginary
+    parts apart: an array of the leading shape, NaN where a sum is not a
+    finite float.  Rows the int64 route answers take it, the same bits."""
+    rows = np.asarray(rows)
+    if np.iscomplexobj(rows):  # the parts side by side, read as complex
+        return np.stack([exact_sums(rows.real), exact_sums(rows.imag)],
+                        axis=-1).view(complex)[..., 0]
+    sums, answered = _int64_sums(rows)
+    out, flat = sums.reshape(-1), rows.reshape(sums.size, rows.shape[-1])
+    for i in np.flatnonzero(~answered).tolist():
+        if flat[i].any():  # a row of zeros sums to the 0.0 it holds
+            out[i] = exact_sum(flat[i])
+    return out.reshape(rows.shape[:-1])

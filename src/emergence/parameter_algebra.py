@@ -27,7 +27,6 @@ theories) live here too, with analytic preimages per kind.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,8 +36,8 @@ import numpy as np
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
 from .operator_core import (Operator, OperatorStack, add, compose,
-                            distance_to_diagonal, frobenius, plain_space,
-                            scale, scale_rows, subtract)
+                            distance_to_diagonal, exact_sums, frobenius,
+                            plain_space, scale, scale_rows, subtract)
 
 # --- blocks of draws ------------------------------------------------------------
 
@@ -162,18 +161,22 @@ class ParameterAlgebra:
 
     @cached_property
     def orbit_plan(self):
-        """The basis' row supports, built on first use: ``(rows, order, ends)``.
+        """The basis' padded row supports, built on first use.
 
-        Basis element ``k`` scales rows ``order[ends[k]:ends[k + 1]]`` of
-        ``rows``.  None when the row scales are scalars, which cover every
-        row of any operator.
+        ``(rows, order, lengths)``: basis element ``k`` scales rows
+        ``order[k, :lengths[k]]`` of ``rows``, and each support is padded to
+        the longest with ``rows``, one past the last row.  None when the row
+        scales are scalars, which cover every row of any operator.
         """
         scales = [self.row_scale(e) for e in self.basis()]
         if all(np.ndim(s) == 0 for s in scales):
             return None
         supports = [np.flatnonzero(s) for s in scales]
-        ends = [0, *itertools.accumulate(len(s) for s in supports)]
-        return len(scales[0]), np.concatenate(supports), ends
+        lengths = np.array([len(s) for s in supports])
+        order = np.full((len(supports), lengths.max()), len(scales[0]))
+        for k, support in enumerate(supports):
+            order[k, :len(support)] = support
+        return len(scales[0]), order, lengths
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -558,15 +561,14 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     ``row_scale(basis()[k])`` scales; for a basis of disjoint 0/1 row
     indicators that is the least-squares orbit element.  The diagonals are
     gathered once in the algebra's :attr:`~ParameterAlgebra.orbit_plan`
-    order, and each mean is a correctly rounded sum (real and imaginary
-    parts apart) over its span, so it is the same bits on every machine:
-    equal-length spans take :func:`_exact_span_sums` where it answers, and
-    every other span ``math.fsum``.  A stencil target's diagonal is one
+    order, padded with zeros to one length, and each mean is a correctly
+    rounded sum over its span (:func:`~emergence.operator_core.exact_sums`),
+    the same bits on every machine.  A stencil target's diagonal is one
     value ``v``, so it skips the gather: a span of ``L`` rows sums to the
-    correctly rounded ``L * v``, the same float, one vectorized ``(L * v) /
-    L`` over the draws.  For tuple algebras pass a list with one probe
-    operator per slot; recovery is slot-by-slot because the product action
-    alone cannot separate the components.
+    correctly rounded ``L * v``, one ``(L * v) / L`` over the draws, real
+    and imaginary parts apart.  For tuple algebras pass a list with one
+    probe operator per slot; recovery is slot-by-slot because the product
+    action alone cannot separate the components.
 
     Raises
     ------
@@ -598,88 +600,31 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     return candidate
 
 
-def _exact_span_sums(spans: np.ndarray):
-    """Correctly rounded sums of the last axis, exact in int64 where that
-    provably holds: ``(sums, answered)``.
-
-    A span whose nonzero entries have ``frexp`` exponents ``low..high`` is
-    scaled by ``2**(53 - low)``, which makes every entry an integer below
-    ``2**(high - low + 53)`` in magnitude; where ``L`` of them sum below
-    ``2**63``, the int64 sum is exact, its conversion to float rounds once,
-    to nearest even, and scaling back by ``2**(low - 53)`` is exact.  That
-    is ``math.fsum``'s result to the bit.  A span is answered only when
-    ``-969 <= low`` and ``high <= 1000`` (so its entries are finite and
-    normal, and the scales and the result are normal floats) and its sum is
-    not zero (whose sign ``fsum`` decides); every other span is left to
-    ``fsum``, with ``sums`` holding 0 there.
-    """
-    spans = np.ascontiguousarray(spans, dtype=float)
-    # the biased exponent field: frexp's exponent plus 1022 for a normal
-    # entry, 0 for a zero or subnormal one, 2047 for inf or NaN
-    biased = (spans.view(np.int64) >> 52) & 0x7FF
-    low = np.min(np.where(spans != 0, biased, 0x7FF), axis=-1)
-    high = np.max(biased, axis=-1)
-    headroom = 63 - 53 - (spans.shape[-1] - 1).bit_length()
-    answered = (low >= 53) & (high <= 2022) & (high - low <= headroom)
-    shift = np.where(answered, 1075 - low, 0)
-    integers = (np.where(answered[..., None], spans, 0.0)
-                * np.ldexp(1.0, shift)[..., None]).astype(np.int64)
-    total = integers.sum(axis=-1)
-    answered &= total != 0
-    sums = total.astype(float) * np.ldexp(1.0, -shift)
-    return np.where(answered, sums, 0.0), answered
-
-
 def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
                  tol: float) -> Draws:
     s, n = len(target), target.space.dim
-    rows, order, ends = algebra.orbit_plan or (n, None, [0, n])
+    rows, order, lengths = algebra.orbit_plan or (n, None, np.array([n]))
     if rows != n:
         raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
                       f"has {n}")
-    lengths = np.diff(ends)
-    if target.structure == "stencil":
-        v = target.body.reshape(s, -1)[:, 0]
-        sums = [lengths * x[:, None]
-                for x in ((v.real, v.imag) if np.iscomplexobj(v) else (v,))]
-        finite = np.logical_and.reduce([np.isfinite(t).all(axis=1)
-                                        for t in sums])
-        means = [t / lengths for t in sums]
+    stencil = target.structure == "stencil"
+    if stencil:
+        spans = target.body.reshape(s, -1)[:, :1]
     else:
         values = (target.body if target.structure == "diagonal"
                   else np.diagonal(target.body, axis1=1, axis2=2))
-        values = values if order is None else values[:, order]
-        finite = np.isfinite(values).all(axis=1)
-        parts = [values.real] + ([values.imag] if np.iscomplexobj(values)
-                                 else [])
-        means, left = [], []
-        for part in parts:
-            if (lengths == lengths[0]).all():
-                sums, answered = _exact_span_sums(
-                    part.reshape(s, len(lengths), lengths[0]))
-            else:
-                sums = np.zeros((s, len(lengths)))
-                answered = np.zeros(sums.shape, bool)
-            means.append(sums / lengths)
-            left.append(~answered)
-        # the spans the int64 sums leave take fsum: the same bits
-        counts = lengths.tolist()
-        for i in np.flatnonzero(finite & np.any(left, axis=(0, 2))).tolist():
-            try:
-                for mean, part, todo in zip(means, parts, left):
-                    row = part[i].tolist()
-                    for k in np.flatnonzero(todo[i]).tolist():
-                        mean[i, k] = (math.fsum(row[ends[k]:ends[k + 1]])
-                                      / counts[k])
-            except OverflowError:
-                finite[i] = False
+        # the padding gathers a zero, which adds nothing to a sum
+        spans = values[:, None] if order is None else np.concatenate(
+            [values, np.zeros((s, 1), values.dtype)], axis=1)[:, order]
+    # a stencil's span of L rows sums to the correctly rounded L * v
+    means = [(lengths * part if stencil else exact_sums(part)) / lengths
+             for part in ((spans.real, spans.imag) if np.iscomplexobj(spans)
+                          else (spans,))]
+    # the parts side by side, read as one coordinate
+    coords = np.stack(means, axis=-1).view(spans.dtype)[..., 0]
     # a non-finite entry or an overflowing sum leaves NaN coordinates, which
     # the orbit check then refuses
-    coords = means[0]
-    if len(means) == 2:
-        coords = np.empty(coords.shape, complex)
-        coords.real, coords.imag = means
-    coords[~finite] = math.nan
+    coords[~np.isfinite(coords).all(axis=1)] = math.nan
     candidate = algebra.block_from_coords(coords)
     residual = distance_to_diagonal(target, algebra.row_scales(candidate))
     norm = frobenius(target)

@@ -27,16 +27,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
-from .engine import (EmergenceMap, brute_force_emerge, emerge, map_draws,
-                     residual_bound, verify_emergence)
+from .engine import (EmergenceMap, brute_force_emerge, emerge,
+                     functional_residual, map_draws, residual_bound,
+                     verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
 from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
-                            grid_space, identity_operator, is_idempotent_power,
-                            lagrangian_value, make_discrete_operator,
+                            exact_sum, grid_space, identity_operator,
+                            is_idempotent_power, make_discrete_operator,
                             operator_residual, plain_space, plane_wave, scale,
                             sym_part)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
@@ -197,19 +197,18 @@ def _sym_flat(op: Operator) -> np.ndarray:
 
 
 def _exact_sum(values: np.ndarray, repeats: int, operand: str) -> float:
-    """``repeats * sum(values)``, correctly rounded, so order-independent.
-
-    ``values`` are products of the least squares' ``operand``; one that
-    overflowed (an overflowing coupling) raises HypothesisViolated.
-    """
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    """``repeats * sum(values)``, correctly rounded, of products of the
+    least squares' ``operand``; a product or a sum that overflows (an
+    overflowing coupling) raises HypothesisViolated."""
+    total = exact_sum(values, repeats)
+    if math.isnan(total):
+        bad = np.flatnonzero(~np.isfinite(values))[:1].tolist()
         raise HypothesisViolated(
-            f"least-squares {operand} product entry {int(bad[0])} is not "
-            "finite; the couplings overflow",
-            evidence={"operand": operand, "index": [int(bad[0])]})
-    return float(repeats * sum(map(Fraction, values[np.flatnonzero(values)]
-                                   .tolist())))
+            f"least-squares {operand} "
+            f"{f'product entry {bad[0]}' if bad else 'sum'} is not finite; "
+            "the couplings overflow",
+            evidence={"operand": operand, **({"index": bad} if bad else {})})
+    return total
 
 
 def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
@@ -362,14 +361,6 @@ def _field_block(space, rng, samples: int) -> FieldBlock:
     return FieldBlock(block, space)
 
 
-def _functional_residual(left: Operator, right: Operator, fields) -> float:
-    """Worst relative Lagrangian gap over the fields (an array or a
-    :class:`~emergence.operator_core.FieldBlock`); NaN if any is NaN."""
-    l1 = lagrangian_value(left, fields)
-    l2 = lagrangian_value(right, fields)
-    return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
-
-
 def run_gravity_from_noncommutativity(spec: ScenarioSpec,
                                       jobs: int | None = None) -> ScenarioResult:
     """Round trip coupling -> feasible perturbation -> recovered coupling."""
@@ -388,7 +379,7 @@ def run_gravity_from_noncommutativity(spec: ScenarioSpec,
         recovered, gap = noncommutativity_coefficient(background, h)
         left = add(free, gravity_operator(background, h))
         right = add(free, scale(recovered, background["d2"]))
-        fn_res = _functional_residual(left, right, fields)
+        fn_res = functional_residual(left, right, fields)
         round_trip = abs(recovered - theta)
         ok = (gap <= spec.feasibility_threshold
               and round_trip <= spec.tol and fn_res <= spec.tol)
@@ -405,7 +396,7 @@ def run_gravity_from_noncommutativity(spec: ScenarioSpec,
         worst_round_trip = max(worst_round_trip, round_trip)
         all_ok = all_ok and ok
     # sanity: the zero perturbation reproduces the free theory
-    free_res = _functional_residual(
+    free_res = functional_residual(
         add(free, gravity_operator(background, (0.0, 0.0, 0.0))), free, fields)
     del fields  # not alive during certification
     certificates, digests, maps = _gravity_cross_check(background, spec, jobs)
@@ -441,7 +432,7 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
         round_trip = max(abs(a - b) for a, b in zip(h, h_back))
         left = add(free, scale(theta, background["d2"]))
         right = add(free, gravity_operator(background, h_back))
-        fn_res = _functional_residual(left, right, fields)
+        fn_res = functional_residual(left, right, fields)
         ok = (gap <= spec.feasibility_threshold
               and round_trip <= spec.tol and fn_res <= spec.tol)
         samples.append({

@@ -31,7 +31,7 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
 from emergence import operator_core
 from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
                               _certify, _draw_bytes, _fold_weights,
-                              _same_source, residual_bound)
+                              _same_source, _transport, residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
 from emergence.theories import evaluate_polynomial, monomial_operator
@@ -417,6 +417,51 @@ def test_right_inverse_transport_is_recorded(line8):
     leaf_details = {leaf.detail for leaf in transported[0].leaves()}
     assert "unital_identity" in leaf_details
     assert all(leaf.kind == "monomial" for leaf in emap.provenance.leaves())
+
+
+def _fsum_transport_diagonal(op, post):
+    """The per-row reference: each diagonal entry of ``op o post`` the
+    ``math.fsum`` of its row-times-column products, real and imaginary
+    parts apart."""
+    left, right = op.matrix, post.matrix
+    diagonal = []
+    for i in range(op.space.dim):
+        products = left[i] * right[:, i]
+        real = math.fsum(products.real.tolist())
+        diagonal.append(complex(real, math.fsum(products.imag.tolist()))
+                        if np.iscomplexobj(products) else real)
+    return np.array(diagonal)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("structures,result", [
+    (("stencil", "stencil"), "stencil"), (("dense", "dense"), "dense"),
+    (("stencil", "diagonal"), "dense"), (("diagonal", "diagonal"), "diagonal"),
+], ids=["stencil", "dense", "mixed", "diagonal"])
+def test_transport_diagonal_is_the_fsum_of_its_products(structures, result,
+                                                        kind):
+    space = grid_space((6, 4), scalar_kind=kind)
+    rng = np.random.default_rng(17)
+
+    def body(structure):
+        shape = {"stencil": (6, 4), "diagonal": (24,),
+                 "dense": (24, 24)}[structure]
+        # entries over sixty binades, so the sums cancel and round
+        parts = [rng.standard_normal(shape)
+                 * np.ldexp(1.0, rng.integers(-30, 30, shape))
+                 for _ in range(2 if kind == "complex" else 1)]
+        return parts[0] + 1j * parts[1] if kind == "complex" else parts[0]
+
+    op, post = (Operator(body(s), space, s) for s in structures)
+    got = _transport(op, post)
+    assert got.structure == result
+    want = _fsum_transport_diagonal(op, post)
+    assert np.diagonal(got.matrix).tobytes() == want.tobytes()
+    # off the diagonal it is the plain composition
+    off = ~np.eye(24, dtype=bool)
+    assert (got.matrix[off].tobytes()
+            == compose(op, post).matrix[off].tobytes())
+    assert _transport(op, None) is op
 
 
 def test_wave_background_with_constant_first_slot(line8):

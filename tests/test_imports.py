@@ -64,3 +64,32 @@ def test_every_top_level_import_is_used(path):
     unused = [f"line {line}: {name}" for name, line in _bound_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _exact_sum_references(tree: ast.Module) -> list:
+    """Lines that import ``fractions`` or name ``fsum``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(n == "fsum" or n.split(".")[0] == "fractions" for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_operator_core_sums_exactly():
+    # correctly rounded sums have one home: operator_core.exact_sum(s)
+    package = ROOT / "src" / "emergence"
+    found = {path.name: _exact_sum_references(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
+    core = found.pop("operator_core.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert core

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        check_action_compatibility,
                        grid_space, identity_operator, plain_space,
                        solve_action_on_identity)
-from emergence.operator_core import (diagonal_operator,
-                                     distance_to_diagonal, frobenius,
-                                     stack_operators)
-from emergence import parameter_algebra
-from emergence.parameter_algebra import Draws, _exact_span_sums
+from emergence import operator_core
+from emergence.operator_core import (_int64_sums, diagonal_operator,
+                                     distance_to_diagonal, exact_sum,
+                                     exact_sums, frobenius, stack_operators)
+from emergence.parameter_algebra import Draws
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -582,17 +583,19 @@ def test_block_row_scales_and_coordinates_are_each_draws(algebra, n):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-# --- exact span sums against fsum ----------------------------------------------
+# --- exact span sums against fsum and the rational sum -------------------------
 
 
 @st.composite
 def span_rows(draw):
-    """A row of 1-300 floats of one kind, around one binade."""
+    """A row of 1-300 floats of one kind, around one binade, some of them
+    zeros of either sign when ``zeros`` is drawn."""
     length = draw(st.integers(1, 300))
     kind = draw(st.sampled_from(["narrow", "ties", "cancel", "subnormal",
                                  "huge", "mixed"]))
     base = draw(st.sampled_from([0, -30, 40, -960, -969, -970, -1020,
                                  990, 1000, 1001, 1022]))
+    zeros = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signs = rng.choice([-1.0, 1.0], length)
     mantissas = 1.0 + rng.integers(0, 2**52, length) * 2.0**-52
@@ -612,13 +615,26 @@ def span_rows(draw):
         row = signs * np.ldexp(mantissas, 1023 - rng.integers(0, 3, length))
     else:  # binades far apart
         row = signs * np.ldexp(mantissas, rng.integers(-1074, 1023, length))
+    if zeros:
+        row[rng.random(length) < 0.5] = signs[0] * 0.0
     return row
+
+
+def _rational_sum(row, repeats=1) -> float:
+    """The reference: ``repeats`` times the exact rational sum, rounded
+    once; NaN where that is not a finite float."""
+    if not np.isfinite(row).all():
+        return math.nan
+    try:
+        return float(repeats * sum(map(Fraction, np.ravel(row).tolist())))
+    except OverflowError:
+        return math.nan
 
 
 @settings(max_examples=400, deadline=None)
 @given(span_rows())
 def test_exact_span_sums_are_fsum_to_the_bit(row):
-    sums, answered = _exact_span_sums(row[None, :])
+    sums, answered = _int64_sums(row[None, :])
     event(f"answered {bool(answered[0])}")
     if answered[0]:
         try:
@@ -627,24 +643,60 @@ def test_exact_span_sums_are_fsum_to_the_bit(row):
             pytest.fail("an answered span overflows fsum")
         # hex keeps the sign of zero too
         assert sums[0].hex() == want.hex()
+        assert exact_sums(row[None, :])[0].hex() == want.hex()
     else:
         assert sums[0] == 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_rows(), st.sampled_from([1, 3, 64, 576, 2**18]), st.data())
+def test_exact_sums_are_the_rational_sum_to_the_bit(row, repeats, data):
+    # hex keeps the sign of zero, and NaN where the sum is not finite
+    assert exact_sum(row, repeats).hex() == _rational_sum(row, repeats).hex()
+    # 1-D gives a 0-d sum; N-D one sum per row of the last axis, and the
+    # imaginary parts apart
+    assert exact_sums(row).shape == ()
+    assert float(exact_sums(row)).hex() == _rational_sum(row).hex()
+    other = data.draw(span_rows())[:len(row)]
+    other = np.concatenate([other, np.zeros(len(row) - len(other))])
+    rows = np.stack([row, other, -row, other[::-1]]).reshape(2, 2, -1)
+    got = exact_sums(rows)
+    assert got.shape == (2, 2)
+    assert [x.hex() for x in got.ravel().tolist()] == [
+        _rational_sum(r).hex() for r in rows.reshape(4, -1)]
+    mixed = exact_sums(rows + 1j * rows[::-1])
+    assert (mixed.real.tobytes(), mixed.imag.tobytes()) == (
+        got.tobytes(), got[::-1].tobytes())
+
+
+def test_exact_sums_are_nan_where_the_sum_is_not_a_finite_float():
+    assert exact_sum([1e308, 1e308, -1e308]) == 1e308  # a partial overflows
+    assert exact_sum([1e306, -1e306, 0.5], 576) == 288.0
+    assert exact_sum([0.1, 0.2], 2**60) == _rational_sum([0.1, 0.2], 2**60)
+    assert exact_sum([-0.0, -0.0]).hex() == exact_sum([]).hex() == "0x0.0p+0"
+    for row, repeats in (([1e308, 1e308], 1), ([1e306], 576),
+                         ([1.0, math.inf], 1), ([math.inf, -math.inf], 1),
+                         ([math.nan], 3)):
+        assert math.isnan(exact_sum(row, repeats))
+    sums = exact_sums(np.array([[1.0, math.inf], [1.0, 2.0], [1e308, 1e308]]))
+    assert math.isnan(sums[0]) and sums[1] == 3.0 and math.isnan(sums[2])
+    assert exact_sums(np.zeros((3, 0))).tolist() == [0.0] * 3
 
 
 def test_exact_span_sums_answer_narrow_spans_and_refuse_the_edges():
     rng = np.random.default_rng(3)
     narrow = (1.0 + rng.standard_normal((50, 8, 32)) * 1e-3) * 1.5
-    sums, answered = _exact_span_sums(narrow)
+    sums, answered = _int64_sums(narrow)
     assert answered.all()
     assert [x.hex() for x in sums.ravel().tolist()] == [
         math.fsum(span).hex() for span in narrow.reshape(-1, 32).tolist()]
     # 2 + 2**-52 is a tie at its binade; so is 1 + 2**-53, which the int64
-    # sums leave to fsum: its binades are 53 apart
-    ties, answered = _exact_span_sums(np.array([[1.0, 1.0 + 2.0**-52],
-                                                [1.0, 2.0**-53]]))
+    # sums leave to exact_sum: its binades are 53 apart
+    ties, answered = _int64_sums(np.array([[1.0, 1.0 + 2.0**-52],
+                                           [1.0, 2.0**-53]]))
     assert ties[0] == 2.0 == math.fsum([1.0, 1.0 + 2.0**-52])
     assert answered.tolist() == [True, False]
-    edges = np.array([[1.0, -1.0],  # a zero sum: fsum picks its sign
+    edges = np.array([[1.0, -1.0],  # a zero sum: exact_sum gives +0.0
                       [0.0, -0.0],
                       [5e-324, 1e-320],  # subnormal
                       [2.0**-1000, 2.0**-1000],  # scales not normal
@@ -652,7 +704,7 @@ def test_exact_span_sums_answer_narrow_spans_and_refuse_the_edges():
                       [1.0, math.inf],
                       [math.nan, 1.0],
                       [1.0, 2.0**-53]])  # binades too far apart
-    _, answered = _exact_span_sums(edges)
+    _, answered = _int64_sums(edges)
     assert not answered.any()
 
 
@@ -695,7 +747,7 @@ def test_orbit_solve_with_int64_sums_keeps_the_fsum_bits(algebra, n,
             return ("refused", exc.residual.hex())
 
     kept = stack_operators(list(stack)[:6])
-    exact, answered = parameter_algebra._exact_span_sums, []
+    exact, answered = operator_core._int64_sums, []
 
     def recorded(spans):
         sums, done = exact(spans)
@@ -706,8 +758,9 @@ def test_orbit_solve_with_int64_sums_keeps_the_fsum_bits(algebra, n,
         return (np.zeros(spans.shape[:-1]), np.zeros(spans.shape[:-1], bool))
 
     outcomes = []
-    for sums in (recorded, unanswered):  # int64 where it answers, then fsum
-        monkeypatch.setattr(parameter_algebra, "_exact_span_sums", sums)
+    # int64 where it answers, then exact_sum for every span
+    for sums in (recorded, unanswered):
+        monkeypatch.setattr(operator_core, "_int64_sums", sums)
         with np.errstate(over="ignore", invalid="ignore"):
             outcomes.append((each(stack), whole(stack), whole(kept)))
     assert outcomes[0] == outcomes[1]

@@ -265,7 +265,7 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     monkeypatch.setattr(operator_core, "BLOCK_BYTES", chunk * 24 * 24 * 8)
     calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
-    verify, residual = engine.verify_emergence, scenarios._functional_residual
+    verify, residual = engine.verify_emergence, scenarios.functional_residual
     correlate = operator_core.FieldBlock._correlate
 
     def counted_lagrangian(a, phi):
@@ -289,10 +289,11 @@ def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
         computed.append((block, offset))
         return correlate(block, offset)
 
+    # the runners' residuals and the certificates' both evaluate in engine
+    monkeypatch.setattr(engine, "lagrangian_value", counted_lagrangian)
     for module in (engine, scenarios):
-        monkeypatch.setattr(module, "lagrangian_value", counted_lagrangian)
         monkeypatch.setattr(module, "verify_emergence", budgeted_verify)
-    monkeypatch.setattr(scenarios, "_functional_residual", budgeted_residual)
+    monkeypatch.setattr(scenarios, "functional_residual", budgeted_residual)
     monkeypatch.setattr(operator_core.FieldBlock, "_correlate",
                         counted_correlate)
     for spec in (gravity_spec(grid=(24, 24), theta_values=(0.1, 0.5, 1.0),
@@ -322,9 +323,9 @@ def test_gravity_functional_residual_keeps_a_late_nan():
     background = build_gravity_background((8, 8))
     fields = np.random.default_rng(5).standard_normal((40, 64))
     free = background["box_m"]
-    assert scenarios._functional_residual(free, free, fields) == 0.0
+    assert engine.functional_residual(free, free, fields) == 0.0
     fields[33, 7] = np.nan
-    assert math.isnan(scenarios._functional_residual(free, free, fields))
+    assert math.isnan(engine.functional_residual(free, free, fields))
 
 
 # --- one-pass certification ----------------------------------------------------------
