@@ -191,8 +191,8 @@ class EmergenceMap:
         params = [self.source.algebra.sample(rng) for _ in range(n_probes)]
         probes = [{"parameter": _param_json(eps),
                    "assignment": _param_json(value)}
-                  for eps, value in zip(params, map_draws(
-                      self.source, self.parameter_map, params))]
+                  for eps, value in zip(params, map_draws(self.parameter_map,
+                                                          params))]
         return {
             "label": self.label,
             "assignment_kind": self.assignment_kind,
@@ -223,19 +223,18 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
-def map_draws(source: OperatorFamily, parameter_map, params) -> list:
+def map_draws(parameter_map, params) -> list:
     """``[parameter_map(eps) for eps in params]``, with the same bits.
 
-    A map with a block form, ``parameter_map.block(draws)``, on a source
-    that :func:`~emergence.theories.evaluates_blocks`, maps every draw in
-    one call and refuses as the per-draw calls would; any other map is
-    called draw by draw.
+    A map with a block form, ``parameter_map.block(params)``, maps every
+    draw in one call and refuses as the calls one draw at a time would; any
+    other map is called draw by draw.
     """
     params = list(params)
     block = getattr(parameter_map, "block", None)
-    if block is None or not params or not evaluates_blocks(source):
+    if block is None or not params:
         return [parameter_map(eps) for eps in params]
-    return _split(block(Draws.stack(params)), len(params))
+    return _split(block(params), len(params))
 
 
 def _split(value, count: int) -> list:
@@ -279,16 +278,15 @@ def _draw_bytes(source, target) -> int:
 def _stacks(source, target, parameter_map, params):
     """Both families' operators at a block of draws, one stack each.
 
-    A source that :func:`~emergence.theories.evaluates_blocks` is evaluated
-    on the block as arrays, and so is the target when the map has a block
-    form, ``parameter_map.block(draws)``; whatever has none is evaluated
-    draw by draw and stacked.  A draw's bodies are the same bits either way.
+    The source is evaluated by :func:`~emergence.theories.evaluate_draws`,
+    and the target at the map's block form, ``parameter_map.block(params)``,
+    when it has one; a map without one is called draw by draw and its
+    operators stacked.  A draw's bodies are the same bits either way.
     """
     left = evaluate_draws(source, params)
     block = getattr(parameter_map, "block", None)
-    if (block is not None and evaluates_blocks(source)
-            and evaluates_blocks(target)):
-        return left, evaluate_family(target, block(Draws.stack(params)))
+    if block is not None:
+        return left, evaluate_family(target, block(params))
     return left, stack_operators(evaluate_family(target, parameter_map(e))
                                  for e in params)
 
@@ -459,24 +457,31 @@ def _transport(op: Operator, post: Operator | None) -> Operator:
 
 
 class _BlockMap:
-    """A parameter map with a block form: ``block(draws)`` maps a
-    :class:`~emergence.parameter_algebra.Draws` at once, and draw ``i`` of
-    the result is ``self(draws[i])`` to the bit.  A block refuses as the
-    per-draw map does: the earliest failing draw, and within it the first
-    failing term, raises, by running the draws one at a time again."""
+    """A parameter map with a block form: ``block(params)`` maps a block of
+    draws (any iterable of parameters) at once, and a call on one draw is
+    draw 0 of its block of one, so draw ``i`` of a block is ``self(eps_i)``
+    to the bit.  A block refuses as its draws do one at a time: when it
+    raises, its draws are run again as blocks of one, so the earliest
+    failing draw, and within it the first failing term, raises."""
 
-    def block(self, draws: Draws):
+    def __call__(self, eps):
+        return _split(self._block([eps]), 1)[0]
+
+    def block(self, params):
+        params = list(params)
         try:
-            return self._block(draws)
+            return self._block(params)
         except Exception:
-            for eps in draws:
-                self(eps)
+            for eps in params:
+                self._block([eps])
             raise
 
 
 class _MonomialSolve(_BlockMap):
     """The solver ``eps -> delta`` of one active term (see
-    :func:`_monomial_solver`); calling it solves one draw."""
+    :func:`_monomial_solver`), on a block of draws: each draw's slice is
+    read as an identity-orbit element and pulled back through the
+    coefficient."""
 
     def __init__(self, source, transported, offset, coefficient, algebra,
                  weight, term_label, tol):
@@ -484,18 +489,15 @@ class _MonomialSolve(_BlockMap):
         self.coefficient, self.algebra, self.weight = coefficient, algebra, weight
         self.term_label, self.tol = term_label, tol
 
-    def _slice(self, eps):
+    def _block(self, params):
         if self.weight != 1.0:
-            scale_ = self.source.algebra.scale
-            eps = (Draws.stack(scale_(self.weight, e) for e in eps)
-                   if isinstance(eps, Draws) else scale_(self.weight, eps))
-        m = evaluate_family(self.transported, eps)
-        return m if self.offset is None else subtract(m, self.offset)
-
-    def __call__(self, eps):
+            params = [self.source.algebra.scale(self.weight, e)
+                      for e in params]
+        m = evaluate_draws(self.transported, params)
+        if self.offset is not None:
+            m = subtract(m, self.offset)
         try:
-            c = solve_action_on_identity(self.algebra, self._slice(eps),
-                                         tol=self.tol)
+            c = solve_action_on_identity(self.algebra, m, tol=self.tol)
         except NotInIdentityOrbit as exc:
             raise NotScalarForm(
                 f"term {self.term_label}: transported source slice is not in "
@@ -506,10 +508,6 @@ class _MonomialSolve(_BlockMap):
         except NoPreimage as exc:
             raise NoPreimage(f"term {self.term_label}: {exc}") from exc
 
-    def _block(self, draws):
-        return self.coefficient.preimage(solve_action_on_identity(
-            self.algebra, self._slice(draws), tol=self.tol))
-
 
 def _monomial_solver(source, coefficient, post, algebra, weight, offset,
                      term_label, tol) -> _MonomialSolve:
@@ -517,7 +515,7 @@ def _monomial_solver(source, coefficient, post, algebra, weight, offset,
 
     The working slice is ``(Psi1(weight*eps) - weight*offset) @ post``.  The
     source scales rows, so ``act(c, F) @ post = act(c, F @ post)``: the fixed
-    operator and the offset are transported once here, and each call is one
+    operator and the offset are transported once here, and each block is one
     action and one subtraction.  The slice is read as an identity-orbit
     element of the target action and pulled back through the coefficient.
     """
@@ -738,17 +736,11 @@ class _PerTermMap(_BlockMap):
     def __init__(self, solvers, constants, zero):
         self.solvers, self.constants, self.zero = solvers, constants, zero
 
-    def __call__(self, eps):
-        table = {alpha: g(eps) for alpha, g in self.solvers}
-        for alpha in self.constants:
-            table[alpha] = self.zero
-        return table
-
-    def _block(self, draws):
-        table = {alpha: g.block(draws) if hasattr(g, "block")
-                 else Draws.stack(g(e) for e in draws)
+    def _block(self, params):
+        table = {alpha: g.block(params) if hasattr(g, "block")
+                 else Draws.stack(g(e) for e in params)
                  for alpha, g in self.solvers}
-        zeros = Draws.stack([self.zero] * len(draws))
+        zeros = Draws.stack([self.zero] * len(params))
         for alpha in self.constants:
             table[alpha] = zeros
         return table

@@ -722,38 +722,24 @@ class CoefficientFunction:
         raise BadSpec(f"unknown coefficient kind {self.kind!r}")
 
     def _check_domain(self, delta):
-        if isinstance(delta, Draws):
-            x = delta.values
-            if x.ndim > 1:  # one array per draw, checked row by row
-                return Draws(self._check_domain(x))
-            # real numbers, as _numpy_exact admits them
-            if self.domain == "nonneg":
-                if np.any(x < -1e-15):
-                    raise NoPreimage("preimage falls outside the nonnegative cone")
-                return Draws(np.maximum(x, 0.0))
-            return Draws(x if self.domain == "real" else x.astype(complex))
-        if isinstance(delta, np.ndarray):
-            imag = np.max(np.abs(np.imag(delta)),
-                          axis=-1 if delta.ndim else None)
-            if self.domain == "nonneg":
-                if np.any(np.real(delta) < -1e-15) or np.any(imag > 1e-12):
-                    raise NoPreimage("preimage falls outside the nonnegative cone")
-                return np.maximum(np.real(delta), 0.0)
-            if self.domain == "real":
-                if np.any(imag > 1e-12):
-                    raise NoPreimage("preimage falls outside the real carrier")
-                return np.real(delta).astype(float)
-            return np.asarray(delta, dtype=complex)
+        """``delta`` cast into the coefficient's domain, as the kind it was
+        given: a :class:`Draws`, an array, or a number for a number.
+        Raises NoPreimage if an entry lies outside the domain."""
+        x = np.asarray(delta.values if isinstance(delta, Draws) else delta)
+        imag = np.abs(np.imag(x))
         if self.domain == "nonneg":
-            d = float(np.real(delta))
-            if d < -1e-15 or abs(np.imag(complex(delta))) > 1e-12:
+            if np.any(np.real(x) < -1e-15) or np.any(imag > 1e-12):
                 raise NoPreimage("preimage falls outside the nonnegative cone")
-            return max(d, 0.0)
-        if self.domain == "real":
-            if abs(np.imag(complex(delta))) > 1e-12:
+            x = np.maximum(np.real(x), 0.0)
+        elif self.domain == "real":
+            if np.any(imag > 1e-12):
                 raise NoPreimage("preimage falls outside the real carrier")
-            return float(np.real(delta))
-        return complex(delta)
+            x = np.real(x).astype(float)
+        else:
+            x = x.astype(complex)
+        if isinstance(delta, Draws):
+            return Draws(x)
+        return x if np.ndim(delta) else x.item()
 
     def preimage(self, value):
         """A ``delta`` with ``f(delta) = value``; raises NoPreimage.

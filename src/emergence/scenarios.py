@@ -461,8 +461,8 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
 def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
     """Worst quadratic-form distance between synthesis and brute force."""
     residuals = []
-    for eps, assignment in zip(eps_values, map_draws(
-            source, emap.parameter_map, eps_values)):
+    for eps, assignment in zip(eps_values, map_draws(emap.parameter_map,
+                                                     eps_values)):
         fitted = brute_force_emerge(source, poly, eps)
         if fitted is None:
             return float("inf")
@@ -610,8 +610,8 @@ def run_boolean_scenario(spec: ScenarioSpec,
     emap, cert = _build_and_certify(source, poly, spec, jobs)
     recovery = float(np.max([
         np.max(np.abs(np.asarray(table[(1,)]) - np.asarray(a)))
-        for a, table in zip(idems, map_draws(source, emap.parameter_map,
-                                             idems))], initial=0.0))
+        for a, table in zip(idems, map_draws(emap.parameter_map, idems))],
+        initial=0.0))
     oracle = _oracle_agreement(source, poly, emap,
                                [algebra.sample(rng) for _ in range(3)])
     samples = [{

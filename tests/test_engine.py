@@ -18,7 +18,7 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        EmergenceError, EmptyAccumulation, HypothesisViolated, NoPreimage,
                        NoSquareRoot, NonnegativeReals, NotMultiplicative,
                        NotRightInvertible, NotScalarForm, NotScalarInvariant,
-                       Operator, RealScalars, SpaceMismatch,
+                       Operator, ProductAlgebra, RealScalars, SpaceMismatch,
                        TuplePower, add, brute_force_emerge, compose,
                        compose_families, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
@@ -31,7 +31,8 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
 from emergence import operator_core
 from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
                               _certify, _draw_bytes, _fold_weights,
-                              _same_source, _transport, residual_bound)
+                              _same_source, _transport, map_draws,
+                              residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
 from emergence.theories import evaluate_polynomial, monomial_operator
@@ -802,7 +803,10 @@ def test_covered_draws_give_the_bits_of_a_full_call(line8, n_samples):
                                                 n_samples, seed=5))
 
 
-# --- block certification against the per-draw path ------------------------------
+# --- a block of draws against blocks of one --------------------------------------
+# A call of a synthesized map is its block call on one draw, so the tests named
+# ``..._per_draw_path`` compare an N-draw block with N blocks of one: a draw's
+# bits, and a refusal, do not depend on the block the draw is mapped in.
 
 
 def _hex(value):
@@ -902,7 +906,7 @@ def test_block_certificates_match_the_per_draw_path(case, jobs, monkeypatch):
     source, poly = BLOCK_CASES[case]()
     emap = emerge(source, poly, n_samples=8, seed=2)
     _chunks_of(monkeypatch, source, poly)
-    # a map with no block form is evaluated draw by draw
+    # a map with no block form is called draw by draw: blocks of one
     got, want = (verify_emergence(source, poly, fmap, 2 * CHUNK + 5,
                                   seed=3, jobs=jobs)
                  for fmap in (emap.parameter_map,
@@ -959,6 +963,37 @@ def test_a_spiked_boolean_draw_refuses_as_the_per_draw_path(value):
             emap.parameter_map.block(draws)
     assert str(block.value) == str(per_draw.value)
     assert _hex(block.value.residual) == _hex(per_draw.value.residual)
+
+
+def _product_source(algebra):
+    """A source on a product carrier and a one-term real target: the map
+    reads the product's action on the identity as one real scalar."""
+    space = plain_space(4)
+    poly = polynomial_family([identity_operator(space)],
+                             {(1,): lin(1.0, "real")}, RealScalars())
+    return scalar_family(algebra, identity_operator(space)), poly
+
+
+@pytest.mark.parametrize("algebra", [
+    TuplePower(RealScalars(), 2), ProductAlgebra((RealScalars(), RealScalars()))],
+    ids=lambda algebra: algebra.name)
+def test_a_product_algebra_source_maps_to_its_action_on_the_identity(algebra):
+    source, poly = _product_source(algebra)
+    emap = emerge(source, poly)
+    assert emap.certificate.passed
+    assert emap((2.0, 3.0)) == {(1,): 6.0}
+    rng = np.random.default_rng(4)
+    params = [algebra.sample(rng) for _ in range(CHUNK + 3)]
+    assert [_hex(t[(1,)]) for t in map_draws(emap.parameter_map, params)] \
+        == [_hex(emap(eps)[(1,)]) for eps in params]
+
+
+def test_a_complex_component_of_a_product_source_refuses_as_not_scalar():
+    # the complex component leaves the real identity orbit: a typed refusal
+    source, poly = _product_source(
+        ProductAlgebra((RealScalars(), ComplexScalars())))
+    with pytest.raises(NotScalarForm):
+        emerge(source, poly)
 
 
 def test_a_nan_map_value_gives_the_per_draw_nan_certificate(line8,
@@ -1169,11 +1204,11 @@ def slot_operators(draw, space):
 
 @st.composite
 def oracle_cases(draw):
-    """A source and a polynomial target of at most 3 terms of degree <= 2
-    in <= 2 slots; the source is one of the target's monomials, so a
-    one-term target is reachable."""
-    dims = draw(st.one_of(st.integers(8, 32).map(lambda n: (n,)),
-                          st.just((6, 10))))
+    """A source and a polynomial target of at most 3 terms of degree <= 3
+    in <= 2 slots, on a line of 8-64 sites, 6x10 or 4x4x6; the source is
+    one of the target's monomials, so a one-term target is reachable."""
+    dims = draw(st.one_of(st.integers(8, 64).map(lambda n: (n,)),
+                          st.sampled_from([(6, 10), (4, 4, 6)])))
     algebra, kind, symmetry = draw(st.sampled_from([
         (RealScalars(), "real", "symmetric"),
         (RealScalars(), "complex", "symmetric"),
@@ -1182,8 +1217,8 @@ def oracle_cases(draw):
         (ComplexScalars(), "complex", "hermitian")]))
     space = grid_space(dims, scalar_kind=kind, symmetry=symmetry)
     slots = [draw(slot_operators(space)) for _ in range(draw(st.integers(1, 2)))]
-    indices = [a for a in itertools.product(range(3), repeat=len(slots))
-               if sum(a) <= 2]
+    indices = [a for a in itertools.product(range(4), repeat=len(slots))
+               if sum(a) <= 3]
     alphas = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3,
                            unique=True))
     domain = algebra.scalar_kind
@@ -1213,11 +1248,17 @@ def test_synthesis_agrees_with_the_oracle_or_refuses(case):
         event(f"refused: {type(exc).__name__}")
         return
     event("certified")
-    for eps in ORACLE_EPS[poly.algebra.scalar_kind]:
+    params = ORACLE_EPS[poly.algebra.scalar_kind]
+    tables = [emap(eps) for eps in params]
+    for eps, table in zip(params, tables):
         oracle = brute_force_emerge(source, poly, eps)
         assert oracle is not None
-        assert operator_residual(evaluate_polynomial(poly, emap(eps)),
+        assert operator_residual(evaluate_polynomial(poly, table),
                                  evaluate_polynomial(poly, oracle)) <= 1e-8
+    # one block of the draws gives each draw's bits
+    assert [{alpha: _hex(v) for alpha, v in t.items()}
+            for t in map_draws(emap.parameter_map, params)] \
+        == [{alpha: _hex(v) for alpha, v in t.items()} for t in tables]
 
 
 # --- structured oracle against a dense least squares ------------------------------------
