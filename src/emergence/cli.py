@@ -254,7 +254,10 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; each ``parse_args``
+    call fills a fresh namespace."""
     parser = _Parser(prog="emergence",
                      description="Run an emergence scenario and report "
                                  "certificates.")

@@ -188,7 +188,7 @@ class EmergenceMap:
 
     def to_json_dict(self, n_probes: int = 3) -> dict:
         rng = np.random.default_rng(self.certificate.seed)
-        params = [self.source.algebra.sample(rng) for _ in range(n_probes)]
+        params = self.source.algebra.samples(rng, n_probes)
         probes = [{"parameter": _param_json(eps),
                    "assignment": _param_json(value)}
                   for eps, value in zip(params, map_draws(self.parameter_map,
@@ -276,7 +276,8 @@ def _draw_bytes(source, target) -> int:
 
 
 def _stacks(source, target, parameter_map, params):
-    """Both families' operators at a block of draws, one stack each.
+    """Both families' operators at a block of draws (a list of parameters
+    or a :class:`Draws`), one stack each.
 
     The source is evaluated by :func:`~emergence.theories.evaluate_draws`,
     and the target at the map's block form, ``parameter_map.block(params)``,
@@ -299,6 +300,27 @@ def functional_residual(left, right, fields) -> float:
     return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
 
 
+def _draw_chunk(algebra, space, rng, m: int):
+    """The next ``m`` certification draws: their parameters and an
+    ``(m, n)`` array of their fields.
+
+    A carrier that makes its samples of standard normals alone
+    (:attr:`~emergence.parameter_algebra.ParameterAlgebra.block_normals`)
+    draws the chunk with one generator call, row ``i`` holding draw ``i``'s
+    parameter normals and then its field's: the variates, and the generator
+    state after them, of the per-draw calls in their order, and its
+    parameters are a :class:`Draws`.  Any other carrier draws a parameter
+    and a field at a time.
+    """
+    k = algebra.block_normals
+    if k is None:
+        pairs = [(algebra.sample(rng), space.sample_field(rng))
+                 for _ in range(m)]
+        return [eps for eps, _ in pairs], np.stack([p for _, p in pairs])
+    z = rng.standard_normal((m, k + space.normals))
+    return algebra.from_normals(z[:, :k]), space.fields_from_normals(z[:, k:])
+
+
 def verify_emergence(source: OperatorFamily, target, parameter_map,
                      n_samples: int = 100, tol: float = DEFAULT_TOL,
                      seed: int = 0, jobs: int | None = None,
@@ -311,10 +333,11 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     is evaluated as stacked arrays (see :func:`_stacks`), and each draw gets
     the bits it gets alone; the maximum keeps NaN, so any non-finite
     residual fails, as a non-passing certificate, never an exception.
-    ``covered``, a certificate of the same source, target and map with this
-    int seed, at most ``n_samples`` and a generator state, stands in for its
-    draws: the generator resumes from its state, so only the later draws are
-    made and evaluated.  The result carries the state after its draws.
+    :func:`_draw_chunk` makes each chunk's draws.  ``covered``, a
+    certificate of the same source, target and map with this int seed, at
+    most ``n_samples`` and a generator state, stands in for its draws: the
+    generator resumes from its state, so only the later draws are made and
+    evaluated.  The result carries the state after its draws.
     """
     rng = np.random.default_rng(seed)
     start, head = 0, (0.0, 0.0)
@@ -326,19 +349,16 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
         rng.bit_generator.state = covered.rng_state
     errors = np.geterr()  # pool threads do not inherit the caller's state
     size = block_rows(_draw_bytes(source, target))
-
-    def draw():
-        return source.algebra.sample(rng), source.space.sample_field(rng)
-
-    chunks = ([draw() for _ in range(min(size, n_samples - i))]
+    chunks = (_draw_chunk(source.algebra, source.space, rng,
+                          min(size, n_samples - i))
               for i in range(start, n_samples, size))
 
     def block(chunk):
+        params, fields = chunk
         with np.errstate(**errors):
-            left, right = _stacks(source, target, parameter_map,
-                                  [eps for eps, _ in chunk])
+            left, right = _stacks(source, target, parameter_map, params)
             # one block per chunk: both sides share its self-correlations
-            fields = FieldBlock(np.stack([p for _, p in chunk]), source.space)
+            fields = FieldBlock(fields, source.space)
             return (functional_residual(left, right, fields),
                     float(np.max(operator_residual(left, right))))
 
@@ -452,7 +472,8 @@ def _transport(op: Operator, post: Operator | None) -> Operator:
     if out.structure == "stencil":
         out.body.flat[0] = exact_sums(np.ravel(op.body * reflect(post.body)))
     elif out.structure == "dense":
-        np.fill_diagonal(out.body, exact_sums(op.matrix * post.matrix.T))
+        # row i's products held transposed, the layout exact_sums runs on
+        np.fill_diagonal(out.body, exact_sums((op.matrix.T * post.matrix).T))
     return out
 
 
@@ -866,7 +887,21 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
     zeros off a diagonal drop out) and of their dense matrices otherwise;
     other coefficient kinds fall back to a nested grid search over at most
     two scalar parameters.  Returns the per-term assignment when the
-    residual is within tolerance, ``None`` otherwise.
+    residual is within tolerance, ``None`` otherwise.  A block of one of
+    :func:`_brute_force_fits`.
+    """
+    (fit,) = _brute_force_fits(source, poly, [eps], tol)
+    return fit
+
+
+def _brute_force_fits(source, poly, params, tol: float = DEFAULT_TOL) -> list:
+    """:func:`brute_force_emerge` at each parameter of the list ``params``.
+
+    What does not depend on the draw is built once: the offsets, and on the
+    linear route the basis pieces (one stack per term), their symmetric
+    parts and their design columns.  Each draw adds its target column and
+    takes its own least-squares solve, so each fit has the bits it has
+    alone.  The grid search runs draw by draw.
     """
     active, constants = _split_constants(poly)
     algebra = poly.algebra
@@ -879,7 +914,7 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
     if dim > 8:
         raise DimensionTooLarge(
             f"parameter dimension {dim} exceeds the oracle bound 8")
-    target = evaluate_family(source, eps)
+    targets = [evaluate_family(source, eps) for eps in params]
     zero = algebra.zero()
     offsets = []
     for alpha, f in constants:
@@ -888,27 +923,54 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
         offsets.append(scale(value, mono) if np.isscalar(value)
                        else algebra.act(value, mono))
 
+    def assignment(values) -> dict:
+        out = dict(zip((alpha for alpha, _ in active), values))
+        for alpha, _ in constants:
+            out[alpha] = zero
+        return out
+
     linear_kinds = all(f.kind in ("linear", "affine") for _, f in active)
-    if linear_kinds:
-        # under a hermitian pairing the symmetric part is only real-linear
-        # in a complex parameter: fit its real and imaginary parts apart
-        split = (algebra.scalar_kind == "complex"
-                 and poly.space.pairing.symmetry == "hermitian")
-        units = (1.0, 1j) if split else (1.0,)
-        pieces = []
-        for alpha, f in active:
-            mono = monomial_operator(poly, alpha)
-            slope = f.params[0]
-            off = f.params[1] if f.kind == "affine" else 0.0
-            if off:
-                offsets.append(scale(off, mono))
-            pieces.extend(algebra.act(algebra.scale(slope * u, e), mono)
-                          for u in units for e in basis)
-        ops = [sym_part(op) for op in (target, *offsets, *pieces)]
-        if len({op.structure for op in ops}) == 1:
-            cols = np.stack([frobenius_coordinates(op) for op in ops], axis=1)
-        else:
-            cols = np.stack([op.matrix.ravel() for op in ops], axis=1)
+    if not linear_kinds:
+        if len(active) > 2 or len(basis) != 1:
+            raise DimensionTooLarge(
+                "grid search supports at most two scalar parameters")
+        return [_grid_fit(poly, len(active), assignment, target, tol)
+                for target in targets]
+
+    # under a hermitian pairing the symmetric part is only real-linear
+    # in a complex parameter: fit its real and imaginary parts apart
+    split = (algebra.scalar_kind == "complex"
+             and poly.space.pairing.symmetry == "hermitian")
+    units = (1.0, 1j) if split else (1.0,)
+    pieces = []
+    for alpha, f in active:
+        mono = monomial_operator(poly, alpha)
+        slope = f.params[0]
+        off = f.params[1] if f.kind == "affine" else 0.0
+        if off:
+            offsets.append(scale(off, mono))
+        pieces.append(algebra.act(Draws.stack(
+            algebra.scale(slope * u, e) for u in units for e in basis), mono))
+    fixed = [sym_part(op) for op in (*offsets, *pieces)]
+    structures = {op.structure for op in fixed}
+    # the fixed columns in body coordinates, or as dense matrices
+    design = {}
+    k = len(basis)
+
+    def coordinates(op, dense):
+        """One row for an operator, one per draw of a stack."""
+        if dense:
+            return op.matrix.reshape(-1, op.space.dim ** 2)
+        return np.atleast_2d(frobenius_coordinates(op))
+
+    def fit(target):
+        target = sym_part(target)
+        dense = len(structures | {target.structure}) > 1
+        if dense not in design:
+            design[dense] = [row for op in fixed
+                             for row in coordinates(op, dense)]
+        column = coordinates(target, dense)[0]
+        cols = np.stack([column, *design[dense]], axis=1)
         if (split or algebra.scalar_kind != "complex") \
                 and np.iscomplexobj(cols):
             cols = np.concatenate([cols.real, cols.imag])
@@ -918,31 +980,28 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
         residual = float(np.linalg.norm(a @ x - rhs))
         if residual > tol:
             return None
-        out = {}
-        k = len(basis)
-        for i, (alpha, _) in enumerate(active):
+        values = []
+        for i in range(len(active)):
             coords = x[i * k * len(units):(i + 1) * k * len(units)]
             if split:
                 coords = coords[:k] + 1j * coords[k:]
-            out[alpha] = algebra.from_coords(coords)
-        for alpha, _ in constants:
-            out[alpha] = zero
-        return out
+            values.append(algebra.from_coords(coords))
+        return assignment(values)
 
-    # grid search over scalar parameters for nonlinear coefficients
-    if len(active) > 2 or len(basis) != 1:
-        raise DimensionTooLarge(
-            "grid search supports at most two scalar parameters")
+    return [fit(target) for target in targets]
+
+
+def _grid_fit(poly, count, assignment, target, tol):
+    """The oracle's nested grid search over ``count`` scalar parameters,
+    for nonlinear coefficients: the per-term assignment, or None."""
 
     def objective(values):
-        table = {alpha: values[i] for i, (alpha, _) in enumerate(active)}
-        for alpha, _ in constants:
-            table[alpha] = zero
-        return operator_residual(evaluate_polynomial(poly, table), target)
+        return operator_residual(evaluate_polynomial(poly, assignment(values)),
+                                 target)
 
-    cone = isinstance(algebra, NonnegativeReals)
+    cone = isinstance(poly.algebra, NonnegativeReals)
     lo = 0.0 if cone else -4.0
-    boxes = [(lo, 4.0)] * len(active)
+    boxes = [(lo, 4.0)] * count
     best, best_val = None, np.inf
     for _ in range(4):
         axes = [np.linspace(a, b, 33) for a, b in boxes]
@@ -958,7 +1017,4 @@ def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
             boxes = [(max(0.0, a), b) for a, b in boxes]
     if best_val > tol:
         return None
-    out = {alpha: best[i] for i, (alpha, _) in enumerate(active)}
-    for alpha, _ in constants:
-        out[alpha] = zero
-    return out
+    return assignment(best)

@@ -124,12 +124,26 @@ class FieldSpace:
                     and self.pairing == other.pairing
                     and self.geometry == other.geometry))
 
-    def sample_field(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a random field configuration (standard normal components)."""
-        phi = rng.standard_normal(self.dim)
+    @property
+    def normals(self) -> int:
+        """How many standard normals one field takes: ``n``, or ``2n`` for
+        a complex field."""
+        return self.dim * (2 if self.scalar_kind == "complex" else 1)
+
+    def fields_from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The fields drawn as the rows of ``z``, ``(s, normals)``, as one
+        C-contiguous ``(s, n)`` array: a complex field takes its real parts
+        first, then its imaginary parts.  A contiguous real ``z`` is the
+        block itself, not a copy."""
         if self.scalar_kind == "complex":
-            phi = phi + 1j * rng.standard_normal(self.dim)
-        return phi
+            return z[:, :self.dim] + 1j * z[:, self.dim:]
+        return np.ascontiguousarray(z)
+
+    def sample_field(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw a random field configuration (standard normal components):
+        a block of one."""
+        return self.fields_from_normals(
+            rng.standard_normal((1, self.normals)))[0]
 
 
 def grid_space(dims, spacing=None, scalar_kind="real", symmetry=None) -> FieldSpace:
@@ -246,9 +260,9 @@ def stack_operators(ops) -> OperatorStack:
     return OperatorStack(np.stack([op.matrix for op in ops]), space)
 
 
-def scale_rows(scales: np.ndarray, a: Operator) -> OperatorStack:
+def scale_rows(scales: np.ndarray, a) -> OperatorStack:
     """The stack whose draw ``i`` is ``a`` with its rows scaled by
-    ``scales[i]``.
+    ``scales[i]``; ``a`` is one operator, or a stack of one per draw.
 
     ``scales`` is ``(s, 1)``, one factor per draw, which keeps ``a``'s
     structure, or ``(s, n)``, one per row, which keeps a diagonal and makes
@@ -256,7 +270,8 @@ def scale_rows(scales: np.ndarray, a: Operator) -> OperatorStack:
     a row scaling of that one draw takes.
     """
     if scales.shape[1] == 1:
-        factors = scales.reshape((len(scales),) + (1,) * a.body.ndim)
+        ndim = a.body.ndim - isinstance(a, OperatorStack)
+        factors = scales.reshape((len(scales),) + (1,) * ndim)
         return OperatorStack(factors * a.body, a.space, a.structure)
     if a.structure == "diagonal":
         return OperatorStack(scales * a.body, a.space, "diagonal")
@@ -340,12 +355,18 @@ def reflect(stencil: np.ndarray, dims: tuple | None = None) -> np.ndarray:
 
 
 def compose(a: Operator, b: Operator) -> Operator:
-    """Operator composition ``(a o b)(phi) = a(b(phi))``."""
+    """Operator composition ``(a o b)(phi) = a(b(phi))``.
+
+    Two stacks compose draw by draw: diagonals in one product, anything
+    else one draw at a time, so each draw gets the bits it gets alone.
+    """
     _require_same_space(a, b)
+    if a.structure == b.structure == "diagonal":
+        return type(a)(a.body * b.body, a.space, "diagonal")
+    if isinstance(a, OperatorStack):
+        return stack_operators(map(compose, a, b))
     if a.structure == b.structure == "stencil":
         return Operator(_convolve(a.body, b.body), a.space, "stencil")
-    if a.structure == b.structure == "diagonal":
-        return Operator(a.body * b.body, a.space, "diagonal")
     return Operator(a.matrix @ b.matrix, a.space)
 
 
@@ -536,15 +557,18 @@ def frobenius(a):
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
-def frobenius_coordinates(a: Operator) -> np.ndarray:
+def frobenius_coordinates(a) -> np.ndarray:
     """A vector whose 2-norm is the Frobenius norm of ``a``.
 
     A stencil times ``sqrt(n)`` (each entry fills n matrix entries), a
     diagonal's entries (the zeros off it drop out) or the raveled matrix.
+    A stack gets one row per draw.
     """
+    body = (a.body.reshape(len(a), -1) if isinstance(a, OperatorStack)
+            else a.body.ravel())
     if a.structure == "stencil":
-        return math.sqrt(a.space.dim) * a.body.ravel()
-    return a.body.ravel()
+        return math.sqrt(a.space.dim) * body
+    return body
 
 
 def distance_to_diagonal(a, entries):
@@ -844,35 +868,44 @@ def _int64_sums(rows: np.ndarray):
     rounding to float and the scaling back give :func:`exact_sum`'s bits.
     A zero sum, a subnormal or non-finite entry and scales that are not
     normal floats (``low < -969`` or ``high > 1000``) are not answered.
+
+    The work runs on ``rows.T``, entry ``k`` of every row on slice ``k`` of
+    its leading axis, so each reduction is over whole slices, not along
+    short rows.  Rows held transposed in memory (``rows.T`` contiguous)
+    are not copied.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
+    entries = np.ascontiguousarray(rows.T, dtype=float)
     # the biased exponent field: frexp's exponent plus 1022 for a normal
     # entry, 0 for a zero or subnormal one, 2047 for inf or NaN
-    biased = (rows.view(np.int64) >> 52) & 0x7FF
-    low = np.min(np.where(rows != 0, biased, 0x7FF), axis=-1, initial=0x7FF)
-    high = np.max(biased, axis=-1, initial=0)
-    headroom = 63 - 53 - (rows.shape[-1] - 1).bit_length()
+    biased = (entries.view(np.int64) >> 52) & 0x7FF
+    low = np.min(np.where(entries != 0, biased, 0x7FF), axis=0, initial=0x7FF)
+    high = np.max(biased, axis=0, initial=0)
+    headroom = 63 - 53 - (len(entries) - 1).bit_length()
     answered = (low >= 53) & (high <= 2022) & (high - low <= headroom)
     shift = np.where(answered, 1075 - low, 0)
-    integers = (np.where(answered[..., None], rows, 0.0)
-                * np.ldexp(1.0, shift)[..., None]).astype(np.int64)
-    total = integers.sum(axis=-1)
+    integers = (np.where(answered, entries, 0.0)
+                * np.ldexp(1.0, shift)).astype(np.int64)
+    total = integers.sum(axis=0)
     answered &= total != 0
     sums = total.astype(float) * np.ldexp(1.0, -shift)
-    return np.where(answered, sums, 0.0), answered
+    return np.where(answered, sums, 0.0).T, answered.T
 
 
 def exact_sums(rows) -> np.ndarray:
     """:func:`exact_sum` of each row of the last axis, real and imaginary
     parts apart: an array of the leading shape, NaN where a sum is not a
-    finite float.  Rows the int64 route answers take it, the same bits."""
+    finite float.  Rows the int64 route answers take it, the same bits;
+    it is fastest on rows held transposed (see :func:`_int64_sums`)."""
     rows = np.asarray(rows)
     if np.iscomplexobj(rows):  # the parts side by side, read as complex
         return np.stack([exact_sums(rows.real), exact_sums(rows.imag)],
                         axis=-1).view(complex)[..., 0]
     sums, answered = _int64_sums(rows)
-    out, flat = sums.reshape(-1), rows.reshape(sums.size, rows.shape[-1])
-    for i in np.flatnonzero(~answered).tolist():
+    out = sums.reshape(-1)
+    missing = np.flatnonzero(~answered).tolist()
+    if missing:
+        flat = rows.reshape(out.size, rows.shape[-1])
+    for i in missing:
         if flat[i].any():  # a row of zeros sums to the 0.0 it holds
             out[i] = exact_sum(flat[i])
     return out.reshape(rows.shape[:-1])

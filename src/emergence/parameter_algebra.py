@@ -8,6 +8,17 @@ once.  Every leaf carrier acts by scaling rows, by ``row_scale(eps)``: the
 element itself, a scalar or one entry per row, except that a Boolean
 element is repeated over its blocks.  Products act component by component.
 
+``RealScalars``, ``ComplexScalars`` and ``BooleanComplex`` make a sample of
+standard normals alone: each states how many one sample takes and builds a
+block of samples from an array of them, and a single sample is a block of
+one, so a certification chunk is drawn with one generator call, in the
+order per-draw calls would draw it.  ``NonnegativeReals``,
+``CentralizerDiagonal``, product carriers and any carrier whose type
+overrides ``sample`` draw one sample at a time.  The compatibility check
+evaluates its samples in blocks, one per pair of operator structures,
+whenever the carrier acts by row scales, and sample by sample for a
+carrier with an ``act`` of its own.
+
 The engine leans on three facts that are verified, not assumed, for each
 shipped instance:
 
@@ -37,7 +48,8 @@ from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
 from .operator_core import (Operator, OperatorStack, add, compose,
                             distance_to_diagonal, exact_sums, frobenius,
-                            plain_space, scale, scale_rows, subtract)
+                            plain_space, scale, scale_rows, stack_operators,
+                            subtract)
 
 # --- blocks of draws ------------------------------------------------------------
 
@@ -57,6 +69,9 @@ class Draws:
 
     @classmethod
     def stack(cls, params) -> "Draws":
+        """The per-draw parameters as a block; a block stays as it is."""
+        if isinstance(params, Draws):
+            return params
         return cls(np.array(list(params)))
 
     def __len__(self) -> int:
@@ -88,6 +103,9 @@ class ParameterAlgebra:
     #: whether act(eps, A) is linear in eps (true for every base carrier,
     #: false for tuple/product carriers whose action is successive)
     action_linear: bool = True
+    #: standard normals one sample takes, for a carrier that makes its
+    #: samples of them alone (see :meth:`from_normals`); None otherwise
+    normals: int | None = None
 
     def _element(self, a):
         """``a`` cast to the carrier's element type; refuses a non-element."""
@@ -128,7 +146,8 @@ class ParameterAlgebra:
         """Scale the rows of ``op``; a scalar keeps its structure, and so
         does a diagonal, but scaling a circulant's rows unevenly makes it
         dense.  A :class:`Draws` gives an
-        :class:`~emergence.operator_core.OperatorStack`, one draw each."""
+        :class:`~emergence.operator_core.OperatorStack`, one draw each, and
+        acts on one operator or on a stack of one per draw."""
         if isinstance(a, Draws):
             scales = self.row_scales(a)
             if scales.shape[1] not in (1, op.space.dim):
@@ -178,8 +197,33 @@ class ParameterAlgebra:
             order[k, :len(support)] = support
         return len(scales[0]), order, lengths
 
-    def sample(self, rng: np.random.Generator):
+    def from_normals(self, z: np.ndarray) -> Draws:
+        """The samples drawn as the rows of ``z``, ``(s, normals)``, each
+        row in the order one :meth:`sample` draws its normals."""
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator):
+        """One sample: a block of one, from :meth:`from_normals`."""
+        (a,) = self.from_normals(rng.standard_normal((1, self.normals)))
+        return a
+
+    def samples(self, rng: np.random.Generator, count: int) -> list:
+        """``[self.sample(rng) for _ in range(count)]``, the same draws:
+        one generator call where :attr:`block_normals` allows it."""
+        k = self.block_normals
+        if k is None:
+            return [self.sample(rng) for _ in range(count)]
+        return list(self.from_normals(rng.standard_normal((count, k))))
+
+    @property
+    def block_normals(self) -> int | None:
+        """:attr:`normals` when a block of samples may be drawn as one array
+        of normals, the variates a per-draw :meth:`sample` loop takes: the
+        carrier's type draws through :meth:`from_normals` and keeps this
+        :meth:`sample`.  None for any other carrier."""
+        if type(self).sample is not ParameterAlgebra.sample:
+            return None
+        return self.normals
 
     def to_vector(self, a) -> np.ndarray:
         return np.atleast_1d(self._element(a))
@@ -193,6 +237,7 @@ class ComplexScalars(ParameterAlgebra):
 
     name = "complex_scalars"
     scalar_kind = "complex"
+    normals = 2
 
     def _element(self, a):
         return complex(a)
@@ -209,8 +254,8 @@ class ComplexScalars(ParameterAlgebra):
     def from_coords(self, coords):
         return complex(coords[0])
 
-    def sample(self, rng):
-        return complex(rng.standard_normal() + 1j * rng.standard_normal())
+    def from_normals(self, z):
+        return Draws(z[:, 0] + 1j * z[:, 1])
 
 
 class RealScalars(ParameterAlgebra):
@@ -218,6 +263,7 @@ class RealScalars(ParameterAlgebra):
 
     name = "real_scalars"
     scalar_kind = "real"
+    normals = 1
 
     def _element(self, a):
         return float(a)
@@ -246,8 +292,8 @@ class RealScalars(ParameterAlgebra):
     def block_from_coords(self, coords):
         return Draws(np.real(coords[:, 0]).astype(float))
 
-    def sample(self, rng):
-        return float(rng.standard_normal())
+    def from_normals(self, z):
+        return Draws(z[:, 0].copy())
 
 
 class NonnegativeReals(ParameterAlgebra):
@@ -459,6 +505,7 @@ class BooleanComplex(ParameterAlgebra):
             raise BadSpec("boolean algebra needs masks >= 1 and block >= 1")
         self.masks = int(masks)
         self.block = int(block)
+        self.normals = 2 * self.masks
 
     def _element(self, a):
         v = np.asarray(a, dtype=complex)
@@ -490,8 +537,8 @@ class BooleanComplex(ParameterAlgebra):
     def block_from_coords(self, coords):
         return Draws(np.asarray(coords, dtype=complex))
 
-    def sample(self, rng):
-        return rng.standard_normal(self.masks) + 1j * rng.standard_normal(self.masks)
+    def from_normals(self, z):
+        return Draws(z[:, :self.masks] + 1j * z[:, self.masks:])
 
     def sample_idempotent(self, rng):
         return rng.integers(0, 2, size=self.masks).astype(complex)
@@ -522,31 +569,63 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
     is reported separately; when it passes alongside the required two, the
     multiplication must be commutative (the standard two-products argument)
     and the observed commutator residual is included.
+
+    Each sample draws ``a``, ``b`` and the indices of its two operators, in
+    that order.  The samples whose two operators have the same structures
+    are evaluated as one block, :class:`Draws` acting on stacks of their
+    operators, each sample with the bits it gets alone; a carrier with an
+    ``act`` of its own is evaluated sample by sample.
     """
     operators = list(operators)
     if n_samples <= 0 or not operators:
         return CompatibilityReport(True, True, 0, 0.0, 0.0, True, None)
     rng = np.random.default_rng(seed)
-    req, opt, comm = [], [], []
-    for _ in range(n_samples):
-        a, b = algebra.sample(rng), algebra.sample(rng)
-        x = operators[int(rng.integers(len(operators)))]
-        y = operators[int(rng.integers(len(operators)))]
-        lhs = algebra.act(algebra.add(a, b), x)
-        rhs = add(algebra.act(a, x), algebra.act(b, x))
-        req.append(frobenius(subtract(lhs, rhs)))
-        lhs = algebra.act(algebra.mul(a, b), x)
-        rhs = algebra.act(a, algebra.act(b, x))
-        req.append(frobenius(subtract(lhs, rhs)))
-        lhs = algebra.act(algebra.mul(a, b), compose(x, y))
-        rhs = compose(algebra.act(a, x), algebra.act(b, y))
-        opt.append(frobenius(subtract(lhs, rhs)))
-        comm.append(algebra.distance(algebra.mul(a, b), algebra.mul(b, a)))
+    samples = [(*algebra.samples(rng, 2),
+                operators[int(rng.integers(len(operators)))],
+                operators[int(rng.integers(len(operators)))])
+               for _ in range(n_samples)]
+    # one row per sample: additive, multiplicative, composition residual
+    residuals = np.empty((n_samples, 3))
+    if type(algebra).act is ParameterAlgebra.act:
+        groups: dict = {}
+        for k, (_, _, x, y) in enumerate(samples):
+            groups.setdefault((x.structure, y.structure), []).append(k)
+        for rows in groups.values():
+            a, b = (Draws.stack(samples[k][side] for k in rows)
+                    for side in (0, 1))
+            x, y = (stack_operators(samples[k][side] for k in rows)
+                    for side in (2, 3))
+            residuals[rows] = np.stack(_identity_residuals(
+                algebra, a, b, x, y), axis=1)
+    else:
+        for k, sample in enumerate(samples):
+            residuals[k] = _identity_residuals(algebra, *sample)
+    comm = [algebra.distance(algebra.mul(a, b), algebra.mul(b, a))
+            for a, b, _, _ in samples]
     # np.max keeps a NaN, so a NaN residual fails
-    req, opt, comm = (float(np.max(r)) for r in (req, opt, comm))
+    req, opt, comm = (float(np.max(r)) for r in (
+        residuals[:, :2], residuals[:, 2], comm))
     optional_ok = opt <= tol
     return CompatibilityReport(req <= tol, False, n_samples, req, opt,
                                optional_ok, comm if optional_ok else None)
+
+
+def _identity_residuals(algebra, a, b, x, y) -> tuple:
+    """The Frobenius residuals of the three identities for parameters ``a``
+    and ``b`` and operators ``x`` and ``y``: numbers for one sample, one per
+    draw for :class:`Draws` and stacks of one operator per draw, whose sums
+    and products the carrier takes draw by draw."""
+    if isinstance(a, Draws):
+        total = Draws.stack(map(algebra.add, a, b))
+        product = Draws.stack(map(algebra.mul, a, b))
+    else:
+        total, product = algebra.add(a, b), algebra.mul(a, b)
+    ax, bx = algebra.act(a, x), algebra.act(b, x)
+    additive = subtract(algebra.act(total, x), add(ax, bx))
+    multiplicative = subtract(algebra.act(product, x), algebra.act(a, bx))
+    composition = subtract(algebra.act(product, compose(x, y)),
+                           compose(ax, algebra.act(b, y)))
+    return tuple(frobenius(r) for r in (additive, multiplicative, composition))
 
 
 def solve_action_on_identity(algebra: ParameterAlgebra, target,
@@ -613,9 +692,10 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
     else:
         values = (target.body if target.structure == "diagonal"
                   else np.diagonal(target.body, axis1=1, axis2=2))
-        # the padding gathers a zero, which adds nothing to a sum
+        # the padding gathers a zero, which adds nothing to a sum; the
+        # spans are gathered transposed, the layout exact_sums runs on
         spans = values[:, None] if order is None else np.concatenate(
-            [values, np.zeros((s, 1), values.dtype)], axis=1)[:, order]
+            [values, np.zeros((s, 1), values.dtype)], axis=1).T[order.T].T
     # a stencil's span of L rows sums to the correctly rounded L * v
     means = [(lengths * part if stencil else exact_sums(part)) / lengths
              for part in ((spans.real, spans.imag) if np.iscomplexobj(spans)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import (EmergenceMap, brute_force_emerge, emerge,
+from .engine import (EmergenceMap, _brute_force_fits, emerge,
                      functional_residual, map_draws, residual_bound,
                      verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
@@ -40,7 +40,7 @@ from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
                             operator_residual, plain_space, plane_wave, scale,
                             sym_part)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
-                                ComplexScalars, RealScalars,
+                                ComplexScalars, Draws, RealScalars,
                                 check_action_compatibility)
 from .theories import (evaluate_polynomial, polynomial_family, scalar_family,
                        verify_structure)
@@ -354,11 +354,11 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
 
 def _field_block(space, rng, samples: int) -> FieldBlock:
     """The spec's fixed fields as one block, so every Lagrangian evaluated
-    on them shares their self-correlations."""
-    block = np.empty((samples, space.dim), space.dtype)
-    for row in block:  # filled in place: one copy of the block at a time
-        row[:] = space.sample_field(rng)
-    return FieldBlock(block, space)
+    on them shares their self-correlations.  One generator call draws the
+    variates of the per-field calls in their order; real fields are that
+    array itself, so one copy of the block is alive at a time."""
+    return FieldBlock(space.fields_from_normals(
+        rng.standard_normal((samples, space.normals))), space)
 
 
 def run_gravity_from_noncommutativity(spec: ScenarioSpec,
@@ -459,16 +459,20 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
 
 
 def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
-    """Worst quadratic-form distance between synthesis and brute force."""
-    residuals = []
-    for eps, assignment in zip(eps_values, map_draws(emap.parameter_map,
-                                                     eps_values)):
-        fitted = brute_force_emerge(source, poly, eps)
-        if fitted is None:
-            return float("inf")
-        residuals.append(operator_residual(evaluate_polynomial(poly, assignment),
-                                           evaluate_polynomial(poly, fitted)))
-    return float(np.max(residuals, initial=0.0))  # a NaN stays
+    """Worst quadratic-form distance between synthesis and brute force.
+
+    Both sides are the polynomial at every probe's per-term assignment,
+    evaluated as one stack each, every draw with the bits it gets alone.
+    """
+    assignments = map_draws(emap.parameter_map, eps_values)
+    fitted = _brute_force_fits(source, poly, eps_values)
+    if None in fitted:
+        return float("inf")
+    left, right = (evaluate_polynomial(poly, {
+        alpha: Draws.stack(table[alpha] for table in tables)
+        for alpha, _ in poly.terms}) for tables in (assignments, fitted))
+    # a NaN stays
+    return float(np.max(operator_residual(left, right), initial=0.0))
 
 
 def run_idempotent_instance(spec: ScenarioSpec,
@@ -613,7 +617,7 @@ def run_boolean_scenario(spec: ScenarioSpec,
         for a, table in zip(idems, map_draws(emap.parameter_map, idems))],
         initial=0.0))
     oracle = _oracle_agreement(source, poly, emap,
-                               [algebra.sample(rng) for _ in range(3)])
+                               algebra.samples(rng, 3))
     samples = [{
         "instance": "mask_recovery",
         "idempotent_residual": idem_res,

@@ -121,7 +121,8 @@ def evaluates_blocks(family) -> bool:
 
 
 def evaluate_draws(family, params):
-    """The family at each parameter of ``params``, as one
+    """The family at each parameter of ``params`` (a list or a
+    :class:`~emergence.parameter_algebra.Draws`), as one
     :class:`~emergence.operator_core.OperatorStack`: evaluated on the block
     where :func:`evaluates_blocks` holds, else draw by draw and stacked.
     Each draw's body is the bits it gets alone."""
@@ -194,7 +195,7 @@ def _law_residuals(family: OperatorFamily, laws, pairs) -> list:
             rhs = add(fa, fb)
         else:
             lhs = evaluate_draws(family, list(map(algebra.mul, a, b)))
-            rhs = stack_operators(map(compose, fa, fb))
+            rhs = compose(fa, fb)
         out.append(frobenius(subtract(lhs, rhs)))
     return out
 
@@ -226,8 +227,8 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
         if flag in ("additive", "multiplicative", "homomorphic"):
             laws = (("additive", "multiplicative") if flag == "homomorphic"
                     else (flag,))
-            pairs = [(family.algebra.sample(rng), family.algebra.sample(rng))
-                     for _ in range(n_samples)]
+            draws = family.algebra.samples(rng, 2 * n_samples)
+            pairs = list(zip(draws[0::2], draws[1::2]))
             residuals = _law_residuals(family, laws, pairs)
         else:  # scalar_invariant
             residuals = []

@@ -109,6 +109,23 @@ def test_overrides_replace_spec_fields():
     assert config.out is None and config.format == "json"
 
 
+def test_calls_sharing_the_parser_keep_their_own_arguments(capsys):
+    first = parse_args(["--scenario", "idempotent", "--samples", "7",
+                        "--out", "a.json"])
+    second = parse_args(["--scenario", "boolean", "--format", "text"])
+    assert (first.spec.name, first.spec.samples, first.out, first.format) \
+        == ("idempotent", 7, "a.json", "json")
+    assert (second.spec.name, second.out, second.format) \
+        == ("boolean", None, "text")
+    assert second.spec.samples == parse_args(
+        ["--scenario", "boolean"]).spec.samples
+    # a bad argument after a good one is still a usage error
+    assert main(["--scenario", "idempotent", "--samples", "x"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert parse_args(["--scenario", "idempotent"]).spec.samples \
+        != first.spec.samples
+
+
 def test_run_config_rejects_unknown_formats():
     spec = ScenarioSpec(name="idempotent", grid=(8,))
     with pytest.raises(SchemaError):

@@ -30,9 +30,9 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        verify_structure)
 from emergence import operator_core
 from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
-                              _certify, _draw_bytes, _fold_weights,
-                              _same_source, _transport, map_draws,
-                              residual_bound)
+                              _brute_force_fits, _certify, _draw_bytes,
+                              _draw_chunk, _fold_weights, _same_source,
+                              _transport, map_draws, residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
 from emergence.theories import evaluate_polynomial, monomial_operator
@@ -941,10 +941,13 @@ def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs,
     outcomes = []
     for fmap in (emap.parameter_map, lambda eps: emap.parameter_map(eps)):
         spiked = replace(source, algebra=_Spiked(k, value))
+        # a carrier whose type overrides its sample is drawn draw by draw
+        assert spiked.algebra.block_normals is None
         with np.errstate(all="ignore"):
             outcomes.append(_outcome(spiked, poly, fmap,
                                      2 * CHUNK + 5, seed=3,
                                      jobs=jobs))
+        assert spiked.algebra.calls >= k
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "NotScalarForm"
 
@@ -1005,6 +1008,116 @@ def test_a_nan_map_value_gives_the_per_draw_nan_certificate(line8,
     cert = verify_emergence(source, source, _nan_on_call(k), n_samples=40)
     assert math.isnan(cert.max_functional_residual)
     assert math.isnan(cert.max_operator_residual)
+
+
+# --- a chunk drawn in one call against the per-draw stream ---------------------------
+
+#: each carrier that draws standard normals alone, with its per-draw sample
+#: written out as the reference stream: the generator calls one draw made
+NORMAL_CARRIERS = {
+    "real": (RealScalars, lambda rng: float(rng.standard_normal())),
+    "complex": (ComplexScalars, lambda rng: complex(
+        rng.standard_normal() + 1j * rng.standard_normal())),
+    "boolean-3x2": (lambda: BooleanComplex(3, 2), lambda rng: (
+        rng.standard_normal(3) + 1j * rng.standard_normal(3))),
+}
+
+
+def _field_by_calls(space, rng):
+    """One field as per-draw calls drew it: the real parts, then the
+    imaginary ones."""
+    phi = rng.standard_normal(space.dim)
+    if space.scalar_kind == "complex":
+        phi = phi + 1j * rng.standard_normal(space.dim)
+    return phi
+
+
+def _tagged(values):
+    values = np.asarray(values)
+    return values.dtype, values.shape, values.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 5, 100])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("carrier", NORMAL_CARRIERS)
+def test_a_chunk_drawn_in_one_call_is_the_per_draw_stream(carrier, kind,
+                                                         seed, m):
+    make, sample = NORMAL_CARRIERS[carrier]
+    algebra, space = make(), plain_space(6, kind)
+    assert algebra.block_normals is not None
+    block_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+    params, fields = _draw_chunk(algebra, space, block_rng, m)
+    each = [(sample(loop_rng), _field_by_calls(space, loop_rng))
+            for _ in range(m)]
+    assert isinstance(params, Draws)
+    assert _tagged(params.values) == _tagged([eps for eps, _ in each])
+    assert _tagged(fields) == _tagged([phi for _, phi in each])
+    # real fields sliced out of the draws are made contiguous
+    assert fields.flags.c_contiguous
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+    # a sample and a field alone are blocks of one: the same stream again
+    rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(m):
+        eps, want = algebra.sample(rng), sample(loop_rng)
+        assert type(eps) is type(want)
+        assert _tagged(eps) == _tagged(want)
+        assert _tagged(space.sample_field(rng)) \
+            == _tagged(_field_by_calls(space, loop_rng))
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    # and m samples in one call are m samples one at a time
+    got = algebra.samples(rng, m)
+    want = [sample(loop_rng) for _ in range(m)]
+    assert [type(eps) for eps in got] == [type(eps) for eps in want]
+    assert _tagged(got) == _tagged(want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_carriers_that_draw_otherwise_are_drawn_draw_by_draw():
+    space = plain_space(6)
+    carriers = [NonnegativeReals(),
+                CentralizerDiagonal(identity_operator(space)),
+                TuplePower(RealScalars(), 2),
+                _Spiked(3, math.nan)]
+    for algebra in carriers:
+        assert algebra.block_normals is None
+        block_rng, loop_rng = (np.random.default_rng(4) for _ in range(2))
+        params, fields = _draw_chunk(algebra, space, block_rng, 5)
+        if isinstance(algebra, _Spiked):
+            algebra.calls = 0
+        each = [(algebra.sample(loop_rng), space.sample_field(loop_rng))
+                for _ in range(5)]
+        assert [_hex(eps) for eps in params] \
+            == [_hex(eps) for eps, _ in each]
+        assert _tagged(fields) == _tagged([phi for _, phi in each])
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        if isinstance(algebra, _Spiked):
+            algebra.calls = 0
+        got = algebra.samples(block_rng, 5)
+        if isinstance(algebra, _Spiked):
+            algebra.calls = 0
+        assert [_hex(eps) for eps in got] \
+            == [_hex(algebra.sample(loop_rng)) for _ in range(5)]
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["64-real-symmetric", "6x10-complex-hermitian",
+                                  "boolean-8x4", "centralizer-1-2-3"])
+def test_a_covered_certificate_resumes_across_a_chunk_boundary(case,
+                                                               monkeypatch):
+    source, poly = BLOCK_CASES[case]()
+    emap = emerge(source, poly, n_samples=8, seed=2)
+    _chunks_of(monkeypatch, source, poly)
+    # 20 draws end 4 into the second chunk; the resumed call's chunks start
+    # there, a fresh call's at 0, 16 and 32
+    covered = verify_emergence(source, poly, emap.parameter_map, 20, seed=3)
+    for n_samples in (CHUNK + 5, 2 * CHUNK + 5):
+        resumed = verify_emergence(source, poly, emap.parameter_map,
+                                   n_samples, seed=3, covered=covered)
+        fresh = verify_emergence(source, poly, emap.parameter_map,
+                                 n_samples, seed=3)
+        assert _bits(resumed) == _bits(fresh)
+        assert resumed.rng_state == fresh.rng_state
 
 
 def test_constructors_refuse_to_return_failing_maps(flat4):
@@ -1440,3 +1553,47 @@ def test_structured_and_dense_oracles_refuse_span_mismatches(case):
     source, poly, eps = MISMATCH_CASES[case]()
     assert dense_oracle(source, poly, eps) is None
     assert brute_force_emerge(source, poly, eps) is None
+
+
+# --- the oracle's list form against its blocks of one -----------------------------------
+
+
+def _grid_exponential():
+    # eps * I against exp(delta) * I: a fit where eps > 0, none where not
+    space = grid_space((8,))
+    poly = polynomial_family(
+        [identity_operator(space)],
+        {(1,): CoefficientFunction.exponential(domain="real")},
+        RealScalars())
+    return scalar_family(RealScalars(), identity_operator(space)), poly, 2.0
+
+
+#: the list form's cases, each with a tolerance
+LIST_CASES = {**{name: (build, 1e-8) for name, build in ORACLE_CASES.items()},
+              **{f"mismatch-{name}": (build, 1e-8)
+                 for name, build in MISMATCH_CASES.items()},
+              "grid-exponential": (_grid_exponential, 1e-2)}
+
+#: which draws fit where some do and some do not: a span mismatch fits its
+#: zero draw alone, the grid search only positive draws
+ACCEPTED = {"mismatch-stencil": [False, True, False, False],
+            "grid-exponential": [True, False, False, True]}
+
+
+@pytest.mark.parametrize("case", LIST_CASES)
+def test_the_oracle_fits_a_list_as_its_blocks_of_one(case):
+    build, tol = LIST_CASES[case]
+    source, poly, eps = build()
+    algebra = source.algebra
+    params = [eps, algebra.zero(), algebra.scale(-0.5, eps),
+              algebra.scale(2.0, eps)]
+    fits = _brute_force_fits(source, poly, params, tol)
+    each = [brute_force_emerge(source, poly, p, tol) for p in params]
+    assert [None if f is None else {alpha: _hex(v) for alpha, v in f.items()}
+            for f in fits] \
+        == [None if f is None else {alpha: _hex(v) for alpha, v in f.items()}
+            for f in each]
+    if case in ACCEPTED:
+        assert [f is not None for f in fits] == ACCEPTED[case]
+    elif case in ORACLE_CASES:
+        assert fits[0] is not None

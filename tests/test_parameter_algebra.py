@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -20,10 +21,12 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        grid_space, identity_operator, plain_space,
                        solve_action_on_identity)
 from emergence import operator_core
-from emergence.operator_core import (_int64_sums, diagonal_operator,
-                                     distance_to_diagonal, exact_sum,
-                                     exact_sums, frobenius, stack_operators)
-from emergence.parameter_algebra import Draws
+from emergence.operator_core import (_int64_sums, add, compose,
+                                     diagonal_operator, distance_to_diagonal,
+                                     exact_sum, exact_sums, frobenius,
+                                     make_discrete_operator, stack_operators,
+                                     subtract)
+from emergence.parameter_algebra import CompatibilityReport, Draws
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e6, max_value=1e6)
@@ -708,6 +711,27 @@ def test_exact_span_sums_answer_narrow_spans_and_refuse_the_edges():
     assert not answered.any()
 
 
+def test_exact_sums_are_fsum_per_row_of_every_kind():
+    rng = np.random.default_rng(8)
+    rows = [np.zeros(32),
+            np.full(32, 5e-324) * rng.integers(1, 9, 32),  # subnormal
+            rng.standard_normal(32) * 2.0 ** rng.integers(-40, 40, 32),  # wide
+            1.5 + rng.standard_normal(32) * 1e-3,  # narrow: int64 sums
+            rng.uniform(1.0, 2.0, 32) * rng.choice([-1.0, 1.0], 32),  # signs
+            np.concatenate([[math.inf], np.ones(31)]),
+            np.concatenate([np.ones(31), [math.nan]])]
+    block = np.stack(rows * 9).reshape(9, len(rows), 32)
+    want = [math.fsum(row) if np.isfinite(row).all() else math.nan
+            for row in block.reshape(-1, 32).tolist()]
+    # hex keeps the sign of zero, and NaN where the sum is not finite; rows
+    # held transposed in memory give the same sums
+    for rows in (block, np.ascontiguousarray(block.T).T):
+        assert [x.hex() for x in exact_sums(rows).ravel().tolist()] \
+            == [x.hex() for x in want]
+    _, answered = _int64_sums(block)
+    assert answered[:, 3].all() and not answered[:, [0, 1, 2, 5, 6]].any()
+
+
 def _diagonal_stack(algebra, n, rng, spikes):
     """Diagonal targets near the orbit, in narrow binades, plus ``spikes``:
     entries that make one span's sum overflow or not finite."""
@@ -835,6 +859,85 @@ def test_a_nan_compatibility_residual_fails():
     assert not report.ok
 
 
+def _compatibility_by_draws(algebra, operators, n_samples, seed=0,
+                            tol=1e-12):
+    """The reference: every identity of every sample evaluated on its own
+    operators, one sample after another."""
+    rng = np.random.default_rng(seed)
+    req, opt, comm = [], [], []
+    for _ in range(n_samples):
+        a, b = algebra.sample(rng), algebra.sample(rng)
+        x = operators[int(rng.integers(len(operators)))]
+        y = operators[int(rng.integers(len(operators)))]
+        lhs = algebra.act(algebra.add(a, b), x)
+        rhs = add(algebra.act(a, x), algebra.act(b, x))
+        req.append(frobenius(subtract(lhs, rhs)))
+        lhs = algebra.act(algebra.mul(a, b), x)
+        rhs = algebra.act(a, algebra.act(b, x))
+        req.append(frobenius(subtract(lhs, rhs)))
+        lhs = algebra.act(algebra.mul(a, b), compose(x, y))
+        rhs = compose(algebra.act(a, x), algebra.act(b, y))
+        opt.append(frobenius(subtract(lhs, rhs)))
+        comm.append(algebra.distance(algebra.mul(a, b), algebra.mul(b, a)))
+    req, opt, comm = (float(np.max(r)) for r in (req, opt, comm))
+    return CompatibilityReport(req <= tol, False, n_samples, req, opt,
+                               opt <= tol, comm if opt <= tol else None)
+
+
+def _report_bits(report):
+    return [value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(report)]
+
+
+def _compatibility_cases():
+    grid = grid_space((6, 4))
+    rng = np.random.default_rng(3)
+    box = make_discrete_operator(grid, "box")
+    stencils = [box, make_discrete_operator(grid, "shift", axis=0, step=1),
+                add(box, identity_operator(grid))]
+    flat = plain_space(5)
+    dense = [Operator(rng.standard_normal((5, 5)), flat) for _ in range(3)]
+    boolean = plain_space(6, "complex")
+    diagonals = [diagonal_operator(boolean, rng.uniform(0.5, 2.0, 6)
+                                   .astype(complex)) for _ in range(2)]
+    return {
+        "boolean-diagonals": (BooleanComplex(3, 2), diagonals),
+        "real-stencils": (RealScalars(), stencils),
+        "complex-stencils": (ComplexScalars(), stencils),
+        "real-dense": (RealScalars(), dense),
+        "complex-dense": (ComplexScalars(), dense),
+        # a stencil and a dense operator: compositions of mixed structure
+        "complex-mixed": (ComplexScalars(), [box, Operator(box.matrix, grid)]),
+        "nonnegative-dense": (NonnegativeReals(), dense),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("case", _compatibility_cases())
+def test_block_compatibility_is_the_per_draw_report(case, seed):
+    algebra, operators = _compatibility_cases()[case]
+    got = check_action_compatibility(algebra, operators, n_samples=13,
+                                     seed=seed)
+    assert _report_bits(got) == _report_bits(
+        _compatibility_by_draws(algebra, operators, 13, seed))
+    assert got.ok and not got.vacuous
+
+
+@pytest.mark.parametrize("algebra", [RealScalars(), ComplexScalars()])
+def test_a_nan_operator_fails_block_compatibility_as_per_draw(algebra):
+    space = plain_space(4, algebra.scalar_kind)
+    rng = np.random.default_rng(1)
+    nan = Operator(rng.standard_normal((4, 4)), space)
+    nan.body[1, 2] = math.nan
+    ops = [nan, diagonal_operator(space, [1.0, 2.0, 3.0, 4.0])]
+    with np.errstate(invalid="ignore"):
+        got = check_action_compatibility(algebra, ops, n_samples=9, seed=2)
+        want = _compatibility_by_draws(algebra, ops, 9, seed=2)
+    assert _report_bits(got) == _report_bits(want)
+    assert math.isnan(got.required_residual)
+    assert not got.ok
+
+
 def test_compatibility_flags_noncommutative_style_actions():
     # a deliberately broken carrier: action by a non-diagonal conjugation
     class Twisted(RealScalars):
@@ -846,6 +949,9 @@ def test_compatibility_flags_noncommutative_style_actions():
     report = check_action_compatibility(Twisted(), ops, n_samples=10)
     assert not report.ok
     assert report.required_residual > 1e-6
+    # a carrier with an act of its own is evaluated sample by sample
+    assert _report_bits(report) == _report_bits(
+        _compatibility_by_draws(Twisted(), ops, 10))
 
 
 # --- coefficient functions ------------------------------------------------------------

@@ -374,20 +374,22 @@ def test_one_pass_certificates_match_separate_verification(monkeypatch, seed,
 
 
 def test_a_scenario_certificate_resumes_after_its_maps_draws(monkeypatch):
-    verify, sample = engine.verify_emergence, operator_core.FieldSpace.sample_field
+    verify = engine.verify_emergence
+    draw = operator_core.FieldSpace.fields_from_normals
     fields, calls = [], []
 
-    def counted_sample(space, rng):
-        fields[-1] += 1
-        return sample(space, rng)
+    def counted_draw(space, z):
+        # a chunk draws its fields at once, a field alone is a block of one
+        fields[-1] += len(z)
+        return draw(space, z)
 
     def counted_verify(*args, **kwargs):
         fields.append(0)
         calls.append((args, kwargs))
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(operator_core.FieldSpace, "sample_field",
-                        counted_sample)
+    monkeypatch.setattr(operator_core.FieldSpace, "fields_from_normals",
+                        counted_draw)
     for module in (engine, scenarios):
         monkeypatch.setattr(module, "verify_emergence", counted_verify)
     spec = ScenarioSpec(name="boolean", grid=(8,), masks=4, block=4,
