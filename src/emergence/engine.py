@@ -262,8 +262,7 @@ def _dense_stacks(family) -> bool:
     structures = {op.structure for op in bodies}
     if "dense" in structures or len(structures) > 1:
         return True
-    per_row = np.ndim(family.algebra.row_scale(family.algebra.one())) > 0
-    return per_row and structures != {"diagonal"}
+    return family.algebra.per_row and structures != {"diagonal"}
 
 
 def _draw_bytes(source, target) -> int:

@@ -48,7 +48,7 @@ from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
 from .operator_core import (Operator, OperatorStack, add, compose,
                             distance_to_diagonal, exact_sums, frobenius,
-                            plain_space, scale, scale_rows, stack_operators,
+                            plain_space, scale_rows, stack_operators,
                             subtract)
 
 # --- blocks of draws ------------------------------------------------------------
@@ -142,27 +142,26 @@ class ParameterAlgebra:
         scalars, ``(s, n)`` for one per row."""
         return np.array([np.atleast_1d(self.row_scale(a)) for a in draws])
 
+    @cached_property
+    def per_row(self) -> bool:
+        """Whether :meth:`row_scale` gives one factor per row, not a scalar."""
+        return np.ndim(self.row_scale(self.one())) > 0
+
     def act(self, a, op: Operator):
         """Scale the rows of ``op``; a scalar keeps its structure, and so
         does a diagonal, but scaling a circulant's rows unevenly makes it
         dense.  A :class:`Draws` gives an
         :class:`~emergence.operator_core.OperatorStack`, one draw each, and
-        acts on one operator or on a stack of one per draw."""
-        if isinstance(a, Draws):
-            scales = self.row_scales(a)
-            if scales.shape[1] not in (1, op.space.dim):
-                raise BadSpec(f"{self.name} scales {scales.shape[1]} rows, "
-                              f"the operator has {op.space.dim}")
-            return scale_rows(scales, op)
-        s = self.row_scale(a)
-        if np.ndim(s) == 0:
-            return scale(s, op)
-        if s.shape != (op.space.dim,):
-            raise BadSpec(f"{self.name} scales {s.shape[0]} rows, the operator "
-                          f"has {op.space.dim}")
-        if op.structure == "diagonal":
-            return Operator(s * op.body, op.space, "diagonal")
-        return Operator(s[:, None] * op.matrix, op.space)
+        acts on one operator or on a stack of one per draw; one element is
+        draw 0 of its block of one.  A per-row carrier must scale exactly
+        the operator's rows."""
+        scales = self.row_scales(a if isinstance(a, Draws)
+                                 else Draws.stack([a]))
+        if scales.shape[1] != (op.space.dim if self.per_row else 1):
+            raise BadSpec(f"{self.name} scales {scales.shape[1]} rows, "
+                          f"the operator has {op.space.dim}")
+        out = scale_rows(scales, op)
+        return out if isinstance(a, Draws) else out[0]
 
     def basis(self) -> list:
         """Elements whose row scales are disjoint 0/1 row indicators.

@@ -328,12 +328,12 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
     mode, so the transported synthesis uses the regulated pair
     ``(box_m, -f * box_m)``; the recovered per-term coefficient is
     ``-(1 + eps)/f`` on the regulated ray.  Returns the report's
-    certificates, provenance digests and maps: one each, or none when the
-    field strength or the mass is zero.
+    ``(map, certificate)`` pairs: one, or none when the field strength or
+    the mass is zero.
     """
     f = background["field_strength"]
     if f == 0.0 or background["mass"] == 0.0:
-        return (), (), ()
+        return ()
     algebra = RealScalars()
     slot_x = background["box_m"]
     slot_y = scale(-f, background["box_m"])
@@ -345,114 +345,109 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
         {(1, 0): CoefficientFunction.constant(-1.0, domain="real"),
          (0, 1): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="regulated_surrogate")
-    emap, cert = _build_and_certify(source, poly, spec, jobs)
-    return (cert,), (emap.provenance.digest(),), (emap.to_json_dict(),)
+    return (_build_and_certify(source, poly, spec, jobs),)
+
+
+def _result(spec: ScenarioSpec, samples, pairs, round_trip_max: float,
+            passed: bool, notes=()) -> ScenarioResult:
+    """A runner's report from its records and ``(map, certificate)`` pairs;
+    it passes when the runner's own checks and every certificate do."""
+    return ScenarioResult(
+        spec.name, spec.spec_hash(), spec.seed,
+        passed and all(cert.passed for _, cert in pairs), tuple(samples),
+        tuple(cert for _, cert in pairs),
+        tuple(emap.provenance.digest() for emap, _ in pairs),
+        tuple(emap.to_json_dict() for emap, _ in pairs),
+        round_trip_max, tuple(notes))
 
 
 # --- gravity scenario runners ---------------------------------------------------------
 
 
-def _field_block(space, rng, samples: int) -> FieldBlock:
-    """The spec's fixed fields as one block, so every Lagrangian evaluated
-    on them shares their self-correlations.  One generator call draws the
-    variates of the per-field calls in their order; real fields are that
-    array itself, so one copy of the block is alive at a time."""
-    return FieldBlock(space.fields_from_normals(
-        rng.standard_normal((samples, space.normals))), space)
+def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
+                        steps) -> ScenarioResult:
+    """The round trip both gravity directions share.
+
+    ``steps(background, free)`` yields ``(left, right, record)`` per
+    coupling: two perturbations of the free theory ``free`` that should
+    agree, and the sample's record.  Their functional residual on the
+    spec's fixed fields joins the record; a record that is a string names a
+    sanity check instead, which gates the verdict and is noted.
+    """
+    background = build_gravity_background(spec.grid, spec.eta,
+                                          spec.field_strength, spec.mass)
+    space = background["space"]
+    # the spec's fixed fields as one block, so every Lagrangian evaluated on
+    # them shares their self-correlations; one generator call draws the
+    # per-field calls' variates in their order, and real fields are that
+    # array itself, so one copy of the block is alive at a time
+    fields = FieldBlock(space.fields_from_normals(np.random.default_rng(
+        spec.seed).standard_normal((spec.samples, space.normals))), space)
+    samples, notes, worst_round_trip, all_ok = [], [], 0.0, True
+    for left, right, record in steps(background,
+                                     scale(-1.0, background["box_m"])):
+        fn_res = functional_residual(left, right, fields)
+        if isinstance(record, str):
+            all_ok = all_ok and fn_res <= spec.tol
+            notes.append(f"{record}={residual_bound(fn_res):.3e}")
+            continue
+        round_trip = record["round_trip_error"]
+        all_ok = (all_ok and record["span_gap"] <= spec.feasibility_threshold
+                  and round_trip <= spec.tol and fn_res <= spec.tol)
+        # only a vanishing coupling is degenerate: the mirrored direction
+        # starts from a positive-definite perturbation
+        samples.append({**record, "functional_residual": fn_res,
+                        "degenerate": record.get("theta") == 0.0})
+        worst_round_trip = max(worst_round_trip, round_trip)
+    del fields  # not alive during certification
+    return _result(spec, samples, _gravity_cross_check(background, spec, jobs),
+                   worst_round_trip, all_ok, notes)
 
 
 def run_gravity_from_noncommutativity(spec: ScenarioSpec,
                                       jobs: int | None = None) -> ScenarioResult:
     """Round trip coupling -> feasible perturbation -> recovered coupling."""
-    background = build_gravity_background(spec.grid, spec.eta,
-                                          spec.field_strength, spec.mass)
-    space = background["space"]
-    rng = np.random.default_rng(spec.seed)
-    fields = _field_block(space, rng, spec.samples)
-    free = scale(-1.0, background["box_m"])
-    samples = []
-    worst_round_trip = 0.0
-    all_ok = True
-    for theta in spec.theta_values:
-        degenerate = theta == 0.0
-        h, build_gap = feasible_metric_perturbation(background, theta)
-        recovered, gap = noncommutativity_coefficient(background, h)
-        left = add(free, gravity_operator(background, h))
-        right = add(free, scale(recovered, background["d2"]))
-        fn_res = functional_residual(left, right, fields)
-        round_trip = abs(recovered - theta)
-        ok = (gap <= spec.feasibility_threshold
-              and round_trip <= spec.tol and fn_res <= spec.tol)
-        samples.append({
-            "theta": float(theta),
-            "h": [float(x) for x in h],
-            "build_gap": build_gap,
-            "span_gap": gap,
-            "recovered_theta": recovered,
-            "round_trip_error": round_trip,
-            "functional_residual": fn_res,
-            "degenerate": bool(degenerate),
-        })
-        worst_round_trip = max(worst_round_trip, round_trip)
-        all_ok = all_ok and ok
-    # sanity: the zero perturbation reproduces the free theory
-    free_res = functional_residual(
-        add(free, gravity_operator(background, (0.0, 0.0, 0.0))), free, fields)
-    del fields  # not alive during certification
-    certificates, digests, maps = _gravity_cross_check(background, spec, jobs)
-    passed = all_ok and free_res <= spec.tol \
-        and all(c.passed for c in certificates)
-    return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
-                          tuple(samples), certificates, digests, maps,
-                          worst_round_trip,
-                          notes=("free_theory_residual="
-                                 f"{residual_bound(free_res):.3e}",))
+
+    def steps(background, free):
+        for theta in spec.theta_values:
+            h, build_gap = feasible_metric_perturbation(background, theta)
+            recovered, gap = noncommutativity_coefficient(background, h)
+            yield (add(free, gravity_operator(background, h)),
+                   add(free, scale(recovered, background["d2"])),
+                   {"theta": float(theta), "h": [float(x) for x in h],
+                    "build_gap": build_gap, "span_gap": gap,
+                    "recovered_theta": recovered,
+                    "round_trip_error": abs(recovered - theta)})
+        # sanity: the zero perturbation reproduces the free theory
+        yield (add(free, gravity_operator(background, (0.0, 0.0, 0.0))), free,
+               "free_theory_residual")
+
+    return _gravity_round_trip(spec, jobs, steps)
 
 
 def run_noncommutativity_from_gravity(spec: ScenarioSpec,
                                       jobs: int | None = None) -> ScenarioResult:
     """Mirrored round trip: perturbation -> coupling -> recovered perturbation."""
-    background = build_gravity_background(spec.grid, spec.eta,
-                                          spec.field_strength, spec.mass)
-    space = background["space"]
-    eta_up = np.linalg.inv(background["eta"])
-    rng = np.random.default_rng(spec.seed)
-    fields = _field_block(space, rng, spec.samples)
-    free = scale(-1.0, background["box_m"])
-    samples = []
-    worst_round_trip = 0.0
-    all_ok = True
-    for c in spec.h_scales:
-        if c <= 0:
-            raise BadSpec("perturbation scales must keep h positive definite")
-        h_mat = c * eta_up
-        h = (float(h_mat[0, 0]), float(h_mat[0, 1]), float(h_mat[1, 1]))
-        theta, gap = noncommutativity_coefficient(background, h)
-        h_back, back_gap = feasible_metric_perturbation(background, theta)
-        round_trip = max(abs(a - b) for a, b in zip(h, h_back))
-        left = add(free, scale(theta, background["d2"]))
-        right = add(free, gravity_operator(background, h_back))
-        fn_res = functional_residual(left, right, fields)
-        ok = (gap <= spec.feasibility_threshold
-              and round_trip <= spec.tol and fn_res <= spec.tol)
-        samples.append({
-            "h_scale": float(c),
-            "h": list(h),
-            "recovered_theta": theta,
-            "span_gap": gap,
-            "h_round_trip": list(h_back),
-            "round_trip_error": round_trip,
-            "functional_residual": fn_res,
-            "degenerate": False,
-        })
-        worst_round_trip = max(worst_round_trip, round_trip)
-        all_ok = all_ok and ok
-    del fields  # not alive during certification
-    certificates, digests, maps = _gravity_cross_check(background, spec, jobs)
-    passed = all_ok and all(c.passed for c in certificates)
-    return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
-                          tuple(samples), certificates, digests, maps,
-                          worst_round_trip)
+
+    def steps(background, free):
+        eta_up = np.linalg.inv(background["eta"])
+        for c in spec.h_scales:
+            if c <= 0:
+                raise BadSpec("perturbation scales must keep h positive "
+                              "definite")
+            h_mat = c * eta_up
+            h = (float(h_mat[0, 0]), float(h_mat[0, 1]), float(h_mat[1, 1]))
+            theta, gap = noncommutativity_coefficient(background, h)
+            h_back, back_gap = feasible_metric_perturbation(background, theta)
+            yield (add(free, scale(theta, background["d2"])),
+                   add(free, gravity_operator(background, h_back)),
+                   {"h_scale": float(c), "h": list(h),
+                    "recovered_theta": theta, "span_gap": gap,
+                    "h_round_trip": list(h_back),
+                    "round_trip_error": max(abs(a - b)
+                                            for a, b in zip(h, h_back))})
+
+    return _gravity_round_trip(spec, jobs, steps)
 
 
 # --- idempotent scenario -----------------------------------------------------------
@@ -473,6 +468,21 @@ def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
         for alpha, _ in poly.terms}) for tables in (assignments, fitted))
     # a NaN stays
     return float(np.max(operator_residual(left, right), initial=0.0))
+
+
+def _certified_instance(source, poly, spec: ScenarioSpec, jobs: int | None,
+                        probes, oracle_probes):
+    """Build and certify ``poly``'s map; return the ``(map, certificate)``
+    pair, the worst distance between a probe and the parameter the one
+    term recovers there, and the oracle residual at ``oracle_probes``."""
+    emap, cert = _build_and_certify(source, poly, spec, jobs)
+    ((alpha, _),) = poly.terms
+    recovery = float(np.max([
+        np.max(np.abs(np.asarray(table[alpha]) - np.asarray(a)))
+        for a, table in zip(probes, map_draws(emap.parameter_map, probes))],
+        initial=0.0))
+    return ((emap, cert), recovery,
+            _oracle_agreement(source, poly, emap, oracle_probes))
 
 
 def run_idempotent_instance(spec: ScenarioSpec,
@@ -517,47 +527,26 @@ def run_idempotent_instance(spec: ScenarioSpec,
         n_samples=12, seed=spec.seed)
     rng = np.random.default_rng(spec.seed)
     eps_probe = [float(rng.uniform(0.2, 2.0)) for _ in range(3)]
-
-    poly_uni = polynomial_family([ident],
-                                 {(1,): CoefficientFunction.linear(1.0,
-                                                                   domain="real")},
-                                 algebra, label="linear_identity")
-    map_uni, cert_uni = _build_and_certify(source, poly_uni, spec, jobs)
-    oracle_uni = _oracle_agreement(source, poly_uni, map_uni, eps_probe)
-
-    shift = make_discrete_operator(space, "shift", axis=0)
-    box1 = add(make_discrete_operator(space, "box"),
-               identity_operator(space))
-    poly_bi = polynomial_family(
-        [shift, box1],
-        {(0, 0): CoefficientFunction.linear(1.0, domain="real")},
-        algebra, label="bivariate_constant_monomial")
-    map_bi, cert_bi = _build_and_certify(source, poly_bi, spec, jobs)
-    oracle_bi = _oracle_agreement(source, poly_bi, map_bi, eps_probe)
-
-    round_trips = [abs(map_uni(e)[(1,)] - e) for e in eps_probe]
-    worst_rt = float(max(round_trips))
-    samples = [{
-        "instance": "univariate_identity",
-        "oracle_residual": float(oracle_uni),
-        "round_trip_error": float(max(round_trips)),
-        "degenerate": False,
-    }, {
-        "instance": "bivariate_constant_monomial",
-        "oracle_residual": float(oracle_bi),
-        "round_trip_error": float(max(abs(map_bi(e)[(0, 0)] - e)
-                                      for e in eps_probe)),
-        "degenerate": False,
-    }]
-    passed = (cert_uni.passed and cert_bi.passed
-              and oracle_uni <= spec.tol and oracle_bi <= spec.tol
-              and worst_rt <= spec.tol)
-    return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
-                          tuple(samples), (cert_uni, cert_bi),
-                          (map_uni.provenance.digest(),
-                           map_bi.provenance.digest()),
-                          (map_uni.to_json_dict(), map_bi.to_json_dict()),
-                          worst_rt)
+    instances = {
+        "univariate_identity": polynomial_family(
+            [ident], {(1,): CoefficientFunction.linear(1.0, domain="real")},
+            algebra, label="linear_identity"),
+        "bivariate_constant_monomial": polynomial_family(
+            [make_discrete_operator(space, "shift", axis=0),
+             add(make_discrete_operator(space, "box"), ident)],
+            {(0, 0): CoefficientFunction.linear(1.0, domain="real")},
+            algebra, label="bivariate_constant_monomial"),
+    }
+    samples, pairs, worst_round_trip, all_ok = [], [], 0.0, True
+    for instance, poly in instances.items():
+        pair, round_trip, oracle = _certified_instance(
+            source, poly, spec, jobs, eps_probe, eps_probe)
+        samples.append({"instance": instance, "oracle_residual": oracle,
+                        "round_trip_error": round_trip, "degenerate": False})
+        pairs.append(pair)
+        worst_round_trip = max(worst_round_trip, round_trip)
+        all_ok = all_ok and oracle <= spec.tol and round_trip <= spec.tol
+    return _result(spec, samples, pairs, worst_round_trip, all_ok)
 
 
 # --- boolean scenario ----------------------------------------------------------------
@@ -611,13 +600,8 @@ def run_boolean_scenario(spec: ScenarioSpec,
     poly = polynomial_family([psi0],
                              {(1,): CoefficientFunction.linear(1.0)},
                              algebra, label="mask_times_base")
-    emap, cert = _build_and_certify(source, poly, spec, jobs)
-    recovery = float(np.max([
-        np.max(np.abs(np.asarray(table[(1,)]) - np.asarray(a)))
-        for a, table in zip(idems, map_draws(emap.parameter_map, idems))],
-        initial=0.0))
-    oracle = _oracle_agreement(source, poly, emap,
-                               algebra.samples(rng, 3))
+    pair, recovery, oracle = _certified_instance(
+        source, poly, spec, jobs, idems, algebra.samples(rng, 3))
     samples = [{
         "instance": "mask_recovery",
         "idempotent_residual": idem_res,
@@ -625,17 +609,13 @@ def run_boolean_scenario(spec: ScenarioSpec,
         "representation_residual": rep_res,
         "disjoint_support_residual": disjoint_res,
         "recovery_error": recovery,
-        "oracle_residual": float(oracle),
+        "oracle_residual": oracle,
         "degenerate": False,
     }]
-    passed = (compat.ok and cert.passed and idem_res == 0.0
-              and sqrt_res <= 1e-12 and rep_res <= 1e-12
-              and disjoint_res == 0.0 and recovery <= spec.tol
-              and oracle <= spec.tol)
-    return ScenarioResult(spec.name, spec.spec_hash(), spec.seed, passed,
-                          tuple(samples), (cert,),
-                          (emap.provenance.digest(),),
-                          (emap.to_json_dict(),), float(recovery))
+    passed = (compat.ok and idem_res == 0.0 and sqrt_res <= 1e-12
+              and rep_res <= 1e-12 and disjoint_res == 0.0
+              and recovery <= spec.tol and oracle <= spec.tol)
+    return _result(spec, samples, (pair,), recovery, passed)
 
 
 # --- registry ------------------------------------------------------------------------

@@ -282,15 +282,8 @@ class PolynomialFamily:
         return len(self.operators)
 
     @property
-    def total_degree(self) -> int:
-        return max((sum(alpha) for alpha, _ in self.terms), default=0)
-
-    @property
     def space(self):
         return self.operators[0].space
-
-    def term_map(self) -> dict:
-        return dict(self.terms)
 
 
 def polynomial_family(operators, terms, algebra,

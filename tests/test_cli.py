@@ -350,6 +350,37 @@ def test_gravity_reports_keep_their_bytes(name, grid, seed, tmp_path,
     assert digest == GRAVITY_REPORT_DIGESTS[name, grid, seed]
 
 
+#: the same at a non-identity metric on the 6x10 grid; the first runner's
+#: zero coupling pins its degenerate flag too
+METRIC_REPORT_SPECS = {
+    "gravity_from_noncommutativity": {"theta_values": [0.0, 0.5, 1.0]},
+    "noncommutativity_from_gravity": {"h_scales": [0.5, 1.0]},
+}
+METRIC_REPORT_DIGESTS = {
+    ("gravity_from_noncommutativity", 1):
+        "80116def6f3522f16ff17bdf8fe3332c10e7c867b8490a262d1765175b2b445e",
+    ("gravity_from_noncommutativity", 11):
+        "a422efd86de35191ddc509ae7cd4b77489fce6af69ede07f5d38850e1230eb8b",
+    ("noncommutativity_from_gravity", 1):
+        "3fb6bdc54c097ce3a21c84778269ba31037a75920712412167e307c03229b530",
+    ("noncommutativity_from_gravity", 11):
+        "6e09dedf2ee08fc645b04e49efee9e0dcce574e93128036abdd1d2e89f4c9e36",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(METRIC_REPORT_DIGESTS))
+def test_gravity_reports_at_a_non_identity_metric_keep_their_bytes(
+        name, seed, tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "name": name, "grid": [6, 10], "eta": [[2.0, 0.3], [0.3, 1.0]],
+        **METRIC_REPORT_SPECS[name], "samples": 100, "seed": seed})
+    out = tmp_path / "report.json"
+    assert main(["--config", config, "--out", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == METRIC_REPORT_DIGESTS[name, seed]
+
+
 #: sha256 of the Boolean (8 masks, block 32) and identity idempotent (64
 #: sites) report bytes at 100 samples: both certify their maps on the same
 #: draws as their scenario certificates

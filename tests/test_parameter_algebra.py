@@ -18,8 +18,8 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        NotInIdentityOrbit, Operator,
                        ProductAlgebra, RealScalars, TuplePower,
                        check_action_compatibility,
-                       grid_space, identity_operator, plain_space,
-                       solve_action_on_identity)
+                       evaluate_family, grid_space, identity_operator,
+                       plain_space, scalar_family, solve_action_on_identity)
 from emergence import operator_core
 from emergence.operator_core import (_int64_sums, add, compose,
                                      diagonal_operator, distance_to_diagonal,
@@ -134,6 +134,30 @@ def test_boolean_action_checks_dimension():
     alg = BooleanComplex(masks=2, block=2)
     with pytest.raises(BadSpec):
         alg.act(alg.one(), identity_operator(plain_space(3, "complex")))
+
+
+def _one_row_refusals():
+    """Every way to act with a one-row Boolean carrier on five rows."""
+    alg = BooleanComplex(masks=1, block=1)
+    d = diagonal_operator(plain_space(5, "complex"), np.arange(1.0, 6.0))
+    return {
+        "single": lambda: alg.act(np.array([2.0]), d),
+        "block": lambda: alg.act(Draws.stack([[2.0]]), d),
+        "family": lambda: evaluate_family(scalar_family(alg, d),
+                                          Draws.stack([[2.0], [3.0]])),
+        "compatibility": lambda: check_action_compatibility(alg, [d],
+                                                            n_samples=4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_one_row_refusals()))
+def test_a_one_row_carrier_is_not_taken_for_a_scalar(case):
+    # a per-row carrier scales exactly the operator's rows: one row is not
+    # a scalar factor, in a single act or in a block
+    with pytest.raises(BadSpec) as info:
+        _one_row_refusals()[case]()
+    assert str(info.value) == ("boolean_complex scales 1 rows, the operator "
+                               "has 5")
 
 
 def test_boolean_action_agrees_with_the_representation_matrix():

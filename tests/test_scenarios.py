@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -489,6 +490,46 @@ def test_idempotent_probe_assignments_are_their_parameters_bit_for_bit():
     for probe in probes:
         (assignment,) = probe["assignment"].values()
         assert assignment == probe["parameter"]
+
+
+@pytest.mark.parametrize("spec", [
+    gravity_spec(theta_values=(0.0, 0.5, 1.0)),
+    gravity_spec(name="noncommutativity_from_gravity", theta_values=(),
+                 h_scales=(0.5, 1.0)),
+    ScenarioSpec(name="idempotent", grid=(8,), samples=10, seed=11),
+    ScenarioSpec(name="boolean", grid=(4,), masks=4, block=1, samples=10,
+                 seed=2),
+], ids=lambda spec: spec.name)
+def test_round_trip_max_is_the_worst_sample_round_trip(spec):
+    result = run_scenario_spec(spec)
+    # the Boolean runner's round trip is its mask recovery
+    errors = [s.get("round_trip_error", s.get("recovery_error"))
+              for s in result.samples]
+    assert None not in errors
+    assert result.round_trip_max == max(errors)
+
+
+def test_every_idempotent_instance_counts_toward_the_round_trip(monkeypatch):
+    build = scenarios._build_and_certify
+
+    def offset_bivariate(source, poly, spec, jobs=None):
+        emap, cert = build(source, poly, spec, jobs)
+        if poly.label != "bivariate_constant_monomial":
+            return emap, cert
+
+        def offset(eps):
+            return {alpha: value + 0.25
+                    for alpha, value in emap.parameter_map(eps).items()}
+        return dataclasses.replace(emap, parameter_map=offset), cert
+
+    monkeypatch.setattr(scenarios, "_build_and_certify", offset_bivariate)
+    spec = ScenarioSpec(name="idempotent", grid=(8,), samples=10, seed=11)
+    result = run_idempotent_instance(spec)
+    uni, bi = result.samples
+    assert uni["round_trip_error"] <= 1e-12
+    assert bi["round_trip_error"] == pytest.approx(0.25, rel=1e-12)
+    assert result.round_trip_max == bi["round_trip_error"]
+    assert not result.passed
 
 
 def test_idempotent_projector_variant_raises():
