@@ -32,16 +32,15 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
 from .operator_core import (FieldBlock, Operator, block_rows, compose,
                             exact_sums, frobenius_coordinates,
                             identity_operator, lagrangian_value,
-                            operator_residual, power,
-                            reflect, right_inverse, scale, stack_operators,
-                            subtract, sym_part)
+                            operator_residual, power, reflect,
+                            right_inverse, scale, subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
-                                solve_action_on_identity)
+                                ProductAlgebra, solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
                        compose_families, evaluate_draws, evaluate_family,
-                       evaluate_polynomial, evaluates_blocks,
-                       factor_last_variable, monomial_operator,
-                       polynomial_family, scalar_family, sum_families)
+                       evaluate_polynomial, factor_last_variable,
+                       monomial_operator, polynomial_family, scalar_family,
+                       sum_families)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
@@ -186,9 +185,9 @@ class EmergenceMap:
     def target_operator(self, eps) -> Operator:
         return evaluate_family(self.target, self.parameter_map(eps))
 
-    def to_json_dict(self, n_probes: int = 3) -> dict:
+    def to_json_dict(self) -> dict:
         rng = np.random.default_rng(self.certificate.seed)
-        params = self.source.algebra.samples(rng, n_probes)
+        params = self.source.algebra.samples(rng, 3)
         probes = [{"parameter": _param_json(eps),
                    "assignment": _param_json(value)}
                   for eps, value in zip(params, map_draws(self.parameter_map,
@@ -223,35 +222,44 @@ def _param_json(value):
 # --- verification -----------------------------------------------------------------
 
 
-def map_draws(parameter_map, params) -> list:
-    """``[parameter_map(eps) for eps in params]``, with the same bits.
-
-    A map with a block form, ``parameter_map.block(params)``, maps every
-    draw in one call and refuses as the calls one draw at a time would; any
-    other map is called draw by draw.
-    """
-    params = list(params)
+def map_block(parameter_map, params):
+    """The map at every parameter of ``params`` as one block of values,
+    draw ``i`` with the bits of ``parameter_map(eps_i)``: a map's block form,
+    ``parameter_map.block(params)``, which refuses as the calls one draw at
+    a time would, or else its calls, stacked by :meth:`Draws.stack`."""
     block = getattr(parameter_map, "block", None)
-    if block is None or not params:
-        return [parameter_map(eps) for eps in params]
-    return _split(block(params), len(params))
+    if block is not None:
+        return block(params)
+    return Draws.stack(parameter_map(eps) for eps in params)
+
+
+def map_draws(parameter_map, params) -> list:
+    """``[parameter_map(eps) for eps in params]``, with the same bits: the
+    block of :func:`map_block`, split into its draws."""
+    params = list(params)
+    return _split(map_block(parameter_map, params), len(params)) \
+        if params else []
 
 
 def _split(value, count: int) -> list:
-    """A block map's value as ``count`` per-draw values: a table of
-    :class:`Draws` as one table per draw, in the same key order."""
+    """A block of values as ``count`` per-draw values, the inverse of
+    stacking them: a table of blocks as one table per draw, in the same key
+    order, and a tuple of blocks as one tuple per draw."""
     if isinstance(value, dict):
         columns = {key: _split(v, count) for key, v in value.items()}
         return [{key: column[i] for key, column in columns.items()}
                 for i in range(count)]
+    if isinstance(value, tuple):
+        return list(zip(*(_split(v, count) for v in value)))
     return list(value)
 
 
 def _dense_stacks(family) -> bool:
-    """Whether a chunk of ``family`` may stack dense matrices: it is
-    evaluated draw by draw, or a fixed body is dense, or its bodies mix
-    structures, or per-row scales make a non-diagonal body dense."""
-    if not evaluates_blocks(family):
+    """Whether a chunk of ``family`` may stack dense matrices: it is a tree
+    or acts successively (a product carrier), or a fixed body is dense, or
+    its bodies mix structures, or per-row scales make a non-diagonal body
+    dense."""
+    if isinstance(family.algebra, ProductAlgebra):
         return True
     if isinstance(family, PolynomialFamily):
         bodies = list(family.operators)
@@ -266,29 +274,21 @@ def _dense_stacks(family) -> bool:
 
 
 def _draw_bytes(source, target) -> int:
-    """What one certification draw counts against the block budget: the
-    space's ``n`` entries, or ``n**2`` when either family may stack dense
-    matrices, at the space's item size."""
+    """What one certification draw holds at once against the block budget:
+    its field, and its operator in both stacks, their difference, its
+    adjoint and symmetric part and the norms' padded copy, ``n`` entries
+    each or ``n**2`` when either family may stack dense matrices."""
     n = source.space.dim
     entries = n * n if _dense_stacks(source) or _dense_stacks(target) else n
-    return entries * np.dtype(source.space.dtype).itemsize
+    return (n + 6 * entries) * np.dtype(source.space.dtype).itemsize
 
 
 def _stacks(source, target, parameter_map, params):
-    """Both families' operators at a block of draws (a list of parameters
-    or a :class:`Draws`), one stack each.
-
-    The source is evaluated by :func:`~emergence.theories.evaluate_draws`,
-    and the target at the map's block form, ``parameter_map.block(params)``,
-    when it has one; a map without one is called draw by draw and its
-    operators stacked.  A draw's bodies are the same bits either way.
-    """
-    left = evaluate_draws(source, params)
-    block = getattr(parameter_map, "block", None)
-    if block is not None:
-        return left, evaluate_family(target, block(params))
-    return left, stack_operators(evaluate_family(target, parameter_map(e))
-                                 for e in params)
+    """Both families' operators at a block of draws (a list or a
+    :class:`Draws`), one stack each: the source's :func:`evaluate_draws`,
+    the target's at :func:`map_block`."""
+    return (evaluate_draws(source, params),
+            evaluate_family(target, map_block(parameter_map, params)))
 
 
 def functional_residual(left, right, fields) -> float:
@@ -409,17 +409,14 @@ def _same_source(a: OperatorFamily, b: OperatorFamily, seed: int = 11) -> bool:
         return True
     if not a.space.matches(b.space):
         return False
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        eps = a.algebra.sample(rng)
-        try:
-            # a NaN residual is no agreement
-            if not operator_residual(evaluate_family(a, eps),
-                                     evaluate_family(b, eps)) <= 1e-10:
-                return False
-        except EmergenceError:
-            return False
-    return True
+    params = a.algebra.samples(np.random.default_rng(seed), 3)
+    try:
+        residual = operator_residual(evaluate_draws(a, params),
+                                     evaluate_draws(b, params))
+    except EmergenceError:
+        return False
+    # a NaN residual is no agreement
+    return bool(np.all(residual <= 1e-10))
 
 
 # --- monomial emergence -------------------------------------------------------------
@@ -427,8 +424,8 @@ def _same_source(a: OperatorFamily, b: OperatorFamily, seed: int = 11) -> bool:
 
 def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
                     slot: Operator, exponent: int, tol: float = DEFAULT_TOL,
-                    n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                    algebra=None) -> EmergenceMap:
+                    n_samples: int = DEFAULT_SAMPLES,
+                    seed: int = 0) -> EmergenceMap:
     """Emerge the source from the single-term target ``g(delta) slot^l``.
 
     The parameter map solves ``Psi1(eps) R^l`` for an identity-orbit element
@@ -444,11 +441,10 @@ def emerge_monomial(source: OperatorFamily, coefficient: CoefficientFunction,
         raise HypothesisViolated(
             "monomial coefficient must be nowhere vanishing",
             evidence={"coefficient": coefficient.describe()})
-    algebra = algebra if algebra is not None else source.algebra
     post = power(right_inverse(slot), exponent) if exponent > 0 else None
-    target = scalar_family(algebra, slot, exponent, coefficient=coefficient,
+    target = scalar_family(source.algebra, slot, exponent, coefficient,
                            label=f"{coefficient.kind} * slot^{exponent}")
-    fmap = _monomial_solver(source, coefficient, post, algebra,
+    fmap = _monomial_solver(source, coefficient, post, source.algebra,
                             weight=1.0, offset=None,
                             term_label=f"slot^{exponent}", tol=tol)
     prov = _monomial_node((exponent,), coefficient, 1.0)
@@ -554,6 +550,18 @@ def _monomial_solver(source, coefficient, post, algebra, weight, offset,
 # --- composition / sum / accumulation ----------------------------------------------
 
 
+class _PairMap(_BlockMap):
+    """``eps -> (F2(split(eps)), F3(split(eps)))`` onto a sum or composition
+    target, ``split`` a halving or a square root; a block gives two blocks."""
+
+    def __init__(self, split, maps):
+        self.split, self.maps = split, maps
+
+    def _block(self, params):
+        parts = [self.split(eps) for eps in params]
+        return tuple(map_block(f, parts) for f in self.maps)
+
+
 def _check_constituents(source, maps):
     for m in maps:
         if not m.certificate.passed:
@@ -578,11 +586,8 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
             "composition split needs a verified multiplicative source")
     _check_constituents(source, (map2, map3))
     composed = compose_families(map2.target, map3.target)
-
-    def fmap(eps, _f2=map2.parameter_map, _f3=map3.parameter_map):
-        root = source.algebra.sqrt_select(eps)
-        return (_f2(root), _f3(root))
-
+    fmap = _PairMap(source.algebra.sqrt_select,
+                    (map2.parameter_map, map3.parameter_map))
     prov = ProvenanceNode("composition", "",
                           (("branch", "principal_sqrt"),),
                           (map2.provenance, map3.provenance))
@@ -593,11 +598,8 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
 def _sum_maps(source, map2, map3, justification, tol, n_samples, seed):
     _check_constituents(source, (map2, map3))
     summed = sum_families(map2.target, map3.target)
-
-    def fmap(eps, _f2=map2.parameter_map, _f3=map3.parameter_map):
-        half = source.algebra.scale(0.5, eps)
-        return (_f2(half), _f3(half))
-
+    fmap = _PairMap(lambda eps: source.algebra.scale(0.5, eps),
+                    (map2.parameter_map, map3.parameter_map))
     prov = ProvenanceNode("sum", justification,
                           (("weights", [0.5, 0.5]),),
                           (map2.provenance, map3.provenance))
@@ -757,9 +759,7 @@ class _PerTermMap(_BlockMap):
         self.solvers, self.constants, self.zero = solvers, constants, zero
 
     def _block(self, params):
-        table = {alpha: g.block(params) if hasattr(g, "block")
-                 else Draws.stack(g(e) for e in params)
-                 for alpha, g in self.solvers}
+        table = {alpha: map_block(g, params) for alpha, g in self.solvers}
         zeros = Draws.stack([self.zero] * len(params))
         for alpha in self.constants:
             table[alpha] = zeros

@@ -68,11 +68,16 @@ class Draws:
     values: np.ndarray
 
     @classmethod
-    def stack(cls, params) -> "Draws":
-        """The per-draw parameters as a block; a block stays as it is."""
+    def stack(cls, params):
+        """The per-draw values as a block: per-term tables by key, anything
+        else, a tuple too, as one array.  A block stays as it is."""
         if isinstance(params, Draws):
             return params
-        return cls(np.array(list(params)))
+        params = list(params)
+        if params and isinstance(params[0], dict):
+            return {key: cls.stack([p[key] for p in params])
+                    for key in params[0]}
+        return cls(np.array(params))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -132,6 +137,10 @@ class ParameterAlgebra:
 
     def sqrt_select(self, a):
         raise NotImplementedError
+
+    #: the per-draw values as the block the carrier's families evaluate;
+    #: a product carrier stacks its values by position
+    stack = staticmethod(Draws.stack)
 
     def row_scale(self, a):
         """What ``act(a, .)`` multiplies the rows by: a scalar or one per row."""
@@ -338,7 +347,8 @@ class ProductAlgebra(ParameterAlgebra):
     """Heterogeneous product of parameter algebras; elements are tuples.
 
     This is the carrier of sum and composition family trees: one component
-    per branch, componentwise arithmetic, successive action.
+    per branch, componentwise arithmetic, successive action.  A block of
+    draws is a tuple of the components' blocks.
     """
 
     action_linear = False
@@ -351,7 +361,13 @@ class ProductAlgebra(ParameterAlgebra):
         kinds = {c.scalar_kind for c in self.components}
         self.scalar_kind = "complex" if "complex" in kinds else "real"
 
+    def stack(self, params):
+        columns = zip(*map(self._as_tuple, params))
+        return tuple(c.stack(v) for c, v in zip(self.components, columns))
+
     def _as_tuple(self, a):
+        if isinstance(a, Draws):
+            raise BadSpec(f"{self.name} takes one block per component")
         a = tuple(a)
         if len(a) != len(self.components):
             raise BadSpec(f"{self.name} expects {len(self.components)}-tuples")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import (EmergenceMap, _brute_force_fits, emerge,
-                     functional_residual, map_draws, residual_bound,
+                     functional_residual, map_block, residual_bound,
                      verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
 from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
@@ -459,13 +459,12 @@ def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
     Both sides are the polynomial at every probe's per-term assignment,
     evaluated as one stack each, every draw with the bits it gets alone.
     """
-    assignments = map_draws(emap.parameter_map, eps_values)
+    synthesized = map_block(emap.parameter_map, eps_values)
     fitted = _brute_force_fits(source, poly, eps_values)
     if None in fitted:
         return float("inf")
-    left, right = (evaluate_polynomial(poly, {
-        alpha: Draws.stack(table[alpha] for table in tables)
-        for alpha, _ in poly.terms}) for tables in (assignments, fitted))
+    left, right = (evaluate_polynomial(poly, block)
+                   for block in (synthesized, Draws.stack(fitted)))
     # a NaN stays
     return float(np.max(operator_residual(left, right), initial=0.0))
 
@@ -477,10 +476,9 @@ def _certified_instance(source, poly, spec: ScenarioSpec, jobs: int | None,
     term recovers there, and the oracle residual at ``oracle_probes``."""
     emap, cert = _build_and_certify(source, poly, spec, jobs)
     ((alpha, _),) = poly.terms
-    recovery = float(np.max([
-        np.max(np.abs(np.asarray(table[alpha]) - np.asarray(a)))
-        for a, table in zip(probes, map_draws(emap.parameter_map, probes))],
-        initial=0.0))
+    recovered = map_block(emap.parameter_map, probes)[alpha].values
+    recovery = float(np.max(np.abs(recovered - Draws.stack(probes).values),
+                            initial=0.0))
     return ((emap, cert), recovery,
             _oracle_agreement(source, poly, emap, oracle_probes))
 

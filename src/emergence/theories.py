@@ -21,8 +21,7 @@ import numpy as np
 from .errors import BadSpec, NotRightInvertible, Univariate
 from .operator_core import (DEFAULT_TOL, Operator, add, compose, frobenius,
                             identity_operator, power, right_inverse, scale,
-                            scale_rows, stack_operators, subtract,
-                            zero_operator)
+                            scale_rows, subtract, zero_operator)
 from .parameter_algebra import (CoefficientFunction, Draws, ParameterAlgebra,
                                 ProductAlgebra)
 
@@ -86,11 +85,11 @@ def evaluate_family(family, eps):
     """Evaluate ``eps -> Psi(eps)`` for an operator or polynomial family.
 
     A polynomial family takes what :func:`evaluate_polynomial` takes: a
-    shared parameter or a per-term table.  Where :func:`evaluates_blocks`
-    holds, a :class:`~emergence.parameter_algebra.Draws` (or a table of
-    them) gives an :class:`~emergence.operator_core.OperatorStack`, each
-    draw's body the bits that draw gets on its own: a scalar-times-fixed
-    family is the draws' row scales times the fixed body.
+    shared parameter or a per-term table; a tree takes one value per
+    branch.  A block of draws as the family's carrier stacks it (see
+    :func:`evaluate_draws`) gives an
+    :class:`~emergence.operator_core.OperatorStack`, each draw's body the
+    bits that draw gets on its own.
     """
     if isinstance(family, PolynomialFamily):
         return evaluate_polynomial(family, eps)
@@ -98,37 +97,21 @@ def evaluate_family(family, eps):
     if isinstance(form, ScalarTimesFixed):
         value = form.coefficient(eps) if form.coefficient is not None else eps
         return family.algebra.act(value, form.fixed)
+    if not isinstance(form, (SumTree, CompositionTree)):
+        raise BadSpec(f"unknown family form {type(form).__name__}")
     if isinstance(eps, Draws):
-        raise BadSpec("sum and composition trees evaluate one draw at a time")
-    if isinstance(form, SumTree):
-        eps = tuple(eps)
-        return add(evaluate_family(form.left, eps[0]),
-                   evaluate_family(form.right, eps[1]))
-    if isinstance(form, CompositionTree):
-        eps = tuple(eps)
-        return compose(evaluate_family(form.left, eps[0]),
-                       evaluate_family(form.right, eps[1]))
-    raise BadSpec(f"unknown family form {type(form).__name__}")
-
-
-def evaluates_blocks(family) -> bool:
-    """Whether :func:`evaluate_family` takes a block of draws: a polynomial
-    or scalar-times-fixed family on a leaf carrier.  Sum and composition
-    trees are evaluated one draw at a time."""
-    return not isinstance(family.algebra, ProductAlgebra) and (
-        isinstance(family, PolynomialFamily)
-        or isinstance(family.form, ScalarTimesFixed))
+        raise BadSpec("a sum or composition tree takes one block per "
+                      "branch, not one Draws")
+    left, right = eps
+    return (add if isinstance(form, SumTree) else compose)(
+        evaluate_family(form.left, left), evaluate_family(form.right, right))
 
 
 def evaluate_draws(family, params):
     """The family at each parameter of ``params`` (a list or a
-    :class:`~emergence.parameter_algebra.Draws`), as one
-    :class:`~emergence.operator_core.OperatorStack`: evaluated on the block
-    where :func:`evaluates_blocks` holds, else draw by draw and stacked.
-    Each draw's body is the bits it gets alone."""
-    if evaluates_blocks(family):
-        return evaluate_family(family, Draws.stack(params))
-    return stack_operators(evaluate_family(family, eps) for eps in params)
+    :class:`~emergence.parameter_algebra.Draws`) as one stack, each draw's
+    body the bits it gets alone: the block its carrier stacks, evaluated."""
+    return evaluate_family(family, family.algebra.stack(params))
 
 
 def _degree(family) -> int:
@@ -182,11 +165,16 @@ class StructureReport:
 
 def _law_residuals(family: OperatorFamily, laws, pairs) -> list:
     """``|Psi(a op b) - Psi(a) op Psi(b)|_F`` for each pair of draws and
-    law, each draw evaluated on the block with the bits it gets alone."""
+    law, or ``|Psi(c a) - c Psi(a)|_F`` for each pair ``(c, a)`` of the
+    scalar law: each side one block, each draw with the bits it gets alone."""
     if not pairs:
         return []
     algebra = family.algebra
     a, b = zip(*pairs)
+    if laws == ("scalar_invariant",):
+        return [frobenius(subtract(
+            evaluate_draws(family, list(map(algebra.scale, a, b))),
+            scale_rows(np.array(a)[:, None], evaluate_draws(family, b))))]
     fa, fb = evaluate_draws(family, a), evaluate_draws(family, b)
     out = []
     for law in laws:
@@ -206,13 +194,12 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
 
     ``scalar_times_fixed`` families over a linearly-acting carrier are
     scalar-invariant by construction; that check is recorded as exact
-    instead of sampled.  An additive or multiplicative law draws all its
-    pairs, then evaluates them as one block.  A NaN residual fails its flag.
+    instead of sampled.  Every law draws all its samples, then evaluates
+    them as one block.  A NaN residual fails its flag.
     """
     flags = tuple(flags) if flags is not None else tuple(sorted(family.claimed))
     rng = np.random.default_rng(seed)
     checks = []
-    half_like = [0.5, 2.0]
 
     for flag in flags:
         if flag not in STRUCTURE_FLAGS:
@@ -224,22 +211,20 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
             checks.append(FlagCheck(flag, True, 0.0, exact=True))
             continue
 
-        if flag in ("additive", "multiplicative", "homomorphic"):
+        if flag == "scalar_invariant":  # each draw, then its uniform factor
+            pairs = []
+            for _ in range(n_samples):
+                a = family.algebra.sample(rng)
+                pairs += [(c, a) for c in (0.5, 2.0, rng.uniform(0.1, 1.9))]
+            laws = (flag,)
+        else:
             laws = (("additive", "multiplicative") if flag == "homomorphic"
                     else (flag,))
             draws = family.algebra.samples(rng, 2 * n_samples)
             pairs = list(zip(draws[0::2], draws[1::2]))
-            residuals = _law_residuals(family, laws, pairs)
-        else:  # scalar_invariant
-            residuals = []
-            for _ in range(n_samples):
-                a = family.algebra.sample(rng)
-                for c in half_like + [float(rng.uniform(0.1, 1.9))]:
-                    lhs = evaluate_family(family, family.algebra.scale(c, a))
-                    rhs = scale(c, evaluate_family(family, a))
-                    residuals.append(frobenius(subtract(lhs, rhs)))
         # np.max keeps a NaN, where Python's max may drop it
-        worst = float(np.max(residuals, initial=0.0))
+        worst = float(np.max(_law_residuals(family, laws, pairs),
+                             initial=0.0))
         checks.append(FlagCheck(flag, worst <= tol, worst))
     return StructureReport(tuple(checks), n_samples, seed)
 

@@ -32,10 +32,13 @@ from emergence import operator_core
 from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
                               _brute_force_fits, _certify, _draw_bytes,
                               _draw_chunk, _fold_weights, _same_source,
-                              _transport, map_draws, residual_bound)
+                              _transport, map_block, map_draws,
+                              residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
-from emergence.theories import evaluate_polynomial, monomial_operator
+from emergence.theories import (CompositionTree, PolynomialFamily, SumTree,
+                                evaluate_draws, evaluate_polynomial,
+                                monomial_operator)
 
 # --- shared builders ----------------------------------------------------------
 
@@ -989,6 +992,122 @@ def test_a_product_algebra_source_maps_to_its_action_on_the_identity(algebra):
     params = [algebra.sample(rng) for _ in range(CHUNK + 3)]
     assert [_hex(t[(1,)]) for t in map_draws(emap.parameter_map, params)] \
         == [_hex(emap(eps)[(1,)]) for eps in params]
+
+
+def _pair_families():
+    """Families whose block is a tuple: sum and composition trees, nested,
+    on real and complex carriers, with a polynomial branch that takes a
+    per-term table, and tuple-power scalar-times-fixed families."""
+    line = grid_space((8,))
+    space = grid_space((6,), scalar_kind="complex", symmetry="hermitian")
+    shift = make_discrete_operator(line, "shift", axis=0)
+    partial, cshift = (make_discrete_operator(space, kind, axis=0)
+                       for kind in ("partial", "shift"))
+    masks = plain_space(6, "complex")
+    real, complex_ = (scalar_family(RealScalars(), partial),
+                      scalar_family(ComplexScalars(), cshift))
+    table = polynomial_family(
+        [partial, cshift], {(1, 0): lin(2.0, "complex"),
+                        (0, 1): CoefficientFunction.affine(1.5, 0.5),
+                        (0, 0): CoefficientFunction.constant(0.25)},
+        ComplexScalars())
+    return {
+        "sum-real": sum_families(scalar_family(RealScalars(), shift),
+                                 scalar_family(RealScalars(), shift)),
+        "composition-mixed": compose_families(real, complex_),
+        "nested": compose_families(sum_families(real, complex_),
+                                   sum_families(complex_, real)),
+        "table-in-a-pair": sum_families(table, compose_families(real,
+                                                                table)),
+        "boolean-in-a-pair": sum_families(
+            scalar_family(BooleanComplex(3, 2), diagonal_operator(
+                masks, np.linspace(1.0, 2.0, 6) + 0.5j)),
+            scalar_family(ComplexScalars(), diagonal_operator(
+                masks, np.linspace(2.0, 3.0, 6)))),
+        "tuple-power-real": scalar_family(TuplePower(RealScalars(), 2),
+                                          shift),
+        "tuple-power-complex": scalar_family(TuplePower(ComplexScalars(), 3),
+                                             partial),
+    }
+
+
+def _draw_value(family, rng):
+    """One draw's value for ``family``: a pair for a tree, a per-term table
+    for a polynomial family, else a sample of its carrier."""
+    if isinstance(family, PolynomialFamily):
+        return {alpha: family.algebra.sample(rng) for alpha, _ in family.terms}
+    if isinstance(family.form, (SumTree, CompositionTree)):
+        return (_draw_value(family.form.left, rng),
+                _draw_value(family.form.right, rng))
+    return family.algebra.sample(rng)
+
+
+@pytest.mark.parametrize("name", list(_pair_families()))
+def test_pairs_and_products_evaluate_a_block_with_each_draws_bits(name):
+    family = _pair_families()[name]
+    rng = np.random.default_rng(8)
+    params = [_draw_value(family, rng) for _ in range(CHUNK + 3)]
+    stack = evaluate_draws(family, params)
+    for i, eps in enumerate(params):
+        one = evaluate_family(family, eps)
+        assert (stack.structure, stack.body.dtype) == (one.structure,
+                                                       one.body.dtype)
+        assert stack.body[i].tobytes() == one.body.tobytes()
+    # a tree refuses one Draws for its pair, and so does a product carrier
+    with pytest.raises(BadSpec):
+        evaluate_family(family, Draws.stack(range(len(params))))
+
+
+def test_a_boolean_tuple_stacks_as_one_array_and_refusals_stay():
+    algebra = BooleanComplex(3, 2)
+    space = plain_space(6, "complex")
+    family = scalar_family(algebra, diagonal_operator(
+        space, np.linspace(1.0, 2.0, 6) + 0.5j))
+    masks = [(1.0, 0.0, 1.0), (0.5, 2.0, -1.0), (0.0, 1.0, 1.0)]
+    want = algebra.act(Draws(np.array(masks, dtype=complex)), family.form.fixed)
+    for got in (algebra.act(Draws.stack(masks), family.form.fixed),
+                evaluate_draws(family, masks),
+                evaluate_family(family, map_block(tuple, masks))):
+        assert got.body.tobytes() == want.body.tobytes()
+    assert map_block(tuple, masks).values.shape == (3, 3)
+    # inf - inf on the diagonal, and a carrier that refuses the operator
+    with np.errstate(invalid="ignore"):
+        nan = scalar_family(RealScalars(), diagonal_operator(
+            plain_space(4), [1.0, math.inf, 2.0, 3.0]))
+        assert _same_source(nan, nan)
+        assert not _same_source(nan, replace(nan))
+    refusing = replace(family, algebra=BooleanComplex(1, 6))
+    with pytest.raises(BadSpec):
+        evaluate_family(refusing, algebra.one())
+    assert not _same_source(family, refusing)
+    assert _same_source(family, replace(family))
+
+
+def _value_bits(value):
+    """A map value's exact bits, its tables and pairs kept as they are."""
+    if isinstance(value, dict):
+        return {key: _value_bits(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_value_bits(v) for v in value)
+    return _hex(value)
+
+
+def test_pair_maps_map_a_block_as_their_calls():
+    space = grid_space((8,))
+    source = verified(identity_source(space, NonnegativeReals()),
+                      "homomorphic", "scalar_invariant")
+    part = identity_emergence(source)
+    poly = polynomial_family([identity_operator(space)],
+                             {(1,): lin(2.0), (0,): lin(1.0)},
+                             NonnegativeReals())
+    table = emerge(source, poly)
+    params = source.algebra.samples(np.random.default_rng(3), CHUNK + 3)
+    for emap in (emerge_sum(source, part, table),
+                 emerge_composition(source, table, part),
+                 emerge_accumulate(source, [(part, table), (table, part)])):
+        assert isinstance(map_block(emap.parameter_map, params), tuple)
+        assert [_value_bits(v) for v in map_draws(emap.parameter_map, params)] \
+            == [_value_bits(emap(eps)) for eps in params]
 
 
 def test_a_complex_component_of_a_product_source_refuses_as_not_scalar():

@@ -93,3 +93,28 @@ def test_only_operator_core_sums_exactly():
     core = found.pop("operator_core.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert core
+
+
+def _block_lookups(node, where=None) -> list:
+    """``(function, line)`` of each ``getattr`` or ``hasattr`` call that
+    names ``"block"``, with the innermost function around it."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id in ("getattr", "hasattr")
+                and any(isinstance(arg, ast.Constant) and arg.value == "block"
+                        for arg in child.args)):
+            found.append((where, child.lineno))
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        found.extend(_block_lookups(child, inner))
+    return found
+
+
+def test_only_map_block_asks_for_a_block_form():
+    # the block-or-call choice is made once: engine.map_block
+    package = ROOT / "src" / "emergence"
+    found = [(path.name, where) for path in sorted(package.rglob("*.py"))
+             for where, _ in _block_lookups(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    assert found == [("engine.py", "map_block")]

@@ -132,7 +132,7 @@ def _law_families():
         "real-coefficient": scalar_family(
             RealScalars(), shift,
             coefficient=CoefficientFunction.affine(2.0, 0.5, "real")),
-        # a sum tree is evaluated draw by draw
+        # a sum tree adds its branches' blocks
         "sum-tree": sum_families(scalar_family(RealScalars(), shift),
                                  scalar_family(RealScalars(), shift)),
     }
