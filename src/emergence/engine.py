@@ -31,9 +31,9 @@ from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge,
                      SpaceMismatch)
 from .operator_core import (FieldBlock, Operator, block_rows, compose,
                             exact_sums, frobenius_coordinates,
-                            identity_operator, lagrangian_value,
-                            operator_residual, power, reflect,
-                            right_inverse, scale, subtract, sym_part)
+                            lagrangian_value, operator_residual, power,
+                            reflect, right_inverse, scale, stack_operators,
+                            subtract, sym_part)
 from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
                                 ProductAlgebra, solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
@@ -237,8 +237,7 @@ def map_draws(parameter_map, params) -> list:
     """``[parameter_map(eps) for eps in params]``, with the same bits: the
     block of :func:`map_block`, split into its draws."""
     params = list(params)
-    return _split(map_block(parameter_map, params), len(params)) \
-        if params else []
+    return _split(map_block(parameter_map, params), len(params))
 
 
 def _split(value, count: int) -> list:
@@ -254,33 +253,41 @@ def _split(value, count: int) -> list:
     return list(value)
 
 
-def _dense_stacks(family) -> bool:
-    """Whether a chunk of ``family`` may stack dense matrices: it is a tree
-    or acts successively (a product carrier), or a fixed body is dense, or
-    its bodies mix structures, or per-row scales make a non-diagonal body
-    dense."""
-    if isinstance(family.algebra, ProductAlgebra):
-        return True
-    if isinstance(family, PolynomialFamily):
-        bodies = list(family.operators)
-        if any(not any(alpha) for alpha, _ in family.terms):
-            bodies.append(identity_operator(family.space))
-    else:
-        bodies = [family.form.fixed]
+def _draw_entries(source, target) -> int:
+    """Entries one draw's operator takes in a certification chunk:
+    ``n**2`` when a chunk may stack dense matrices (either family is a tree
+    or acts successively, a product carrier; or a fixed body is dense; or
+    the bodies mix structures; or per-row scales make a non-diagonal body
+    dense), else ``n`` for diagonals and the size of the union support of
+    the stencils."""
+    n = source.space.dim
+    bodies = []
+    for family in (source, target):
+        if isinstance(family.algebra, ProductAlgebra):
+            return n * n
+        fixed = ([monomial_operator(family, alpha)
+                  for alpha, _ in family.terms]
+                 if isinstance(family, PolynomialFamily)
+                 else [family.form.fixed])
+        if family.algebra.per_row and any(op.structure != "diagonal"
+                                          for op in fixed):
+            return n * n
+        bodies += fixed
     structures = {op.structure for op in bodies}
-    if "dense" in structures or len(structures) > 1:
-        return True
-    return family.algebra.per_row and structures != {"diagonal"}
+    if structures == {"diagonal"}:
+        return n
+    if structures == {"stencil"}:
+        return len(stack_operators(bodies).support.offsets)
+    return n * n
 
 
 def _draw_bytes(source, target) -> int:
     """What one certification draw holds at once against the block budget:
-    its field, and its operator in both stacks, their difference, its
-    adjoint and symmetric part and the norms' padded copy, ``n`` entries
-    each or ``n**2`` when either family may stack dense matrices."""
-    n = source.space.dim
-    entries = n * n if _dense_stacks(source) or _dense_stacks(target) else n
-    return (n + 6 * entries) * np.dtype(source.space.dtype).itemsize
+    its field; its operator in both stacks, their difference, its adjoint
+    and symmetric part, each of :func:`_draw_entries` entries; and the
+    norms' copy, in grid order for a stencil, so at least ``n`` entries."""
+    n, k = source.space.dim, _draw_entries(source, target)
+    return (n + 5 * k + max(k, n)) * np.dtype(source.space.dtype).itemsize
 
 
 def _stacks(source, target, parameter_map, params):
@@ -478,7 +485,8 @@ class _BlockMap:
     draw 0 of its block of one, so draw ``i`` of a block is ``self(eps_i)``
     to the bit.  A block refuses as its draws do one at a time: when it
     raises, its draws are run again as blocks of one, so the earliest
-    failing draw, and within it the first failing term, raises."""
+    failing draw, and within it the first failing term, raises.  No draws
+    give an empty block: each solver's :class:`Draws` holds no values."""
 
     def __call__(self, eps):
         return _split(self._block([eps]), 1)[0]
@@ -506,6 +514,8 @@ class _MonomialSolve(_BlockMap):
         self.term_label, self.tol = term_label, tol
 
     def _block(self, params):
+        if not params:  # no draw to solve: the empty block
+            return Draws.stack([])
         if self.weight != 1.0:
             params = [self.source.algebra.scale(self.weight, e)
                       for e in params]

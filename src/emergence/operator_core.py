@@ -167,8 +167,91 @@ def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
 # --- operators ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _reflect_index(dims: tuple[int, ...]) -> np.ndarray:
+    """Row-major index of ``-x`` for each site ``x`` of a grid of ``dims``."""
+    index = np.ravel_multi_index(tuple(-np.indices(dims)), dims, mode="wrap")
+    index.setflags(write=False)
+    return index
+
+
+@dataclass(frozen=True, eq=False)
+class StencilSupport:
+    """Where a stencil stack keeps its entries: ascending row-major flat
+    offsets of a grid of ``dims`` that hold the origin, so entry 0 is the
+    diagonal, and are closed under negation, so a reflected stencil stays
+    inside.  A stack of supported stencils holds ``(s, k)`` entries instead
+    of ``(s, n)``; a full stencil, or one on more than half the grid, has
+    the support of all ``n`` offsets.  Supports are interned (see
+    :func:`_support`), so equal ones are one object.
+    """
+
+    dims: tuple
+    offsets: np.ndarray
+
+    @property
+    def full(self) -> bool:
+        return len(self.offsets) == math.prod(self.dims)
+
+    @functools.cached_property
+    def reflection(self) -> np.ndarray:
+        """The entry of ``-x`` for each entry ``x``."""
+        index = _reflect_index(self.dims).ravel()
+        return index if self.full else np.searchsorted(self.offsets,
+                                                        index[self.offsets])
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The entries of grid-shaped stencils (after any draw axes)."""
+        flat = grid.reshape(grid.shape[:grid.ndim - len(self.dims)] + (-1,))
+        return flat if self.full else flat[..., self.offsets]
+
+    def widen(self, entries: np.ndarray, wider: "StencilSupport"):
+        """``entries`` on this support, as entries on ``wider``, a superset:
+        the offsets this support lacks hold zeros."""
+        if wider is self:
+            return entries
+        out = np.zeros(entries.shape[:-1] + (len(wider.offsets),),
+                       entries.dtype)
+        out[..., self.offsets if wider.full
+            else np.searchsorted(wider.offsets, self.offsets)] = entries
+        return out
+
+    def scatter(self, entries: np.ndarray) -> np.ndarray:
+        """``entries`` as stencils of all ``n`` offsets, in row-major grid
+        order."""
+        return self.widen(entries, _support(self.dims, None))
+
+
+@functools.lru_cache(maxsize=64)
+def _interned(dims: tuple, key: bytes | None) -> StencilSupport:
+    offsets = (np.arange(math.prod(dims)) if key is None
+               else np.frombuffer(key, dtype=np.intp))
+    offsets.setflags(write=False)
+    return StencilSupport(dims, offsets)
+
+
+def _support(dims: tuple, offsets) -> StencilSupport:
+    """The interned support of the ascending ``offsets``; None is all, and
+    so is more than half the grid, where the entries save little and a
+    full support needs no index arrays."""
+    if offsets is not None and 2 * len(offsets) > math.prod(dims):
+        offsets = None
+    return _interned(dims, None if offsets is None else
+                     np.asarray(offsets, dtype=np.intp).tobytes())
+
+
+def _union(a: StencilSupport, b: StencilSupport) -> StencilSupport:
+    if a is b or b.full:
+        return b
+    if a.full:
+        return a
+    return _support(a.dims, np.union1d(a.offsets, b.offsets))
+
+
 def _check_body(op, lead: int):
-    """Check ``op.body`` against its structure, after ``lead`` draw axes."""
+    """Check ``op.body`` against its structure, after ``lead`` draw axes:
+    an operator's stencil is grid-shaped, a stack's is its support's
+    entries."""
     body = np.asarray(op.body)
     n = op.space.dim
     if op.structure == "dense":
@@ -177,6 +260,10 @@ def _check_body(op, lead: int):
         if op.space.geometry is None:
             raise BadSpec("stencil operators need a grid geometry")
         shape = op.space.geometry.dims
+        if lead:
+            if op.support is None or op.support.dims != shape:
+                raise BadSpec("a stencil stack needs a support on its grid")
+            shape = (len(op.support.offsets),)
     elif op.structure == "diagonal":
         shape = (n,)
     else:
@@ -213,21 +300,37 @@ class Operator:
             return np.diag(self.body)
         return self.body
 
+    @functools.cached_property
+    def support(self) -> StencilSupport | None:
+        """A stencil's support: its nonzero offsets, their negatives and the
+        origin (see :func:`_support`), read from the body on first use.
+        None for other structures."""
+        if self.structure != "stencil":
+            return None
+        dims = self.space.geometry.dims
+        used = self.body.ravel() != 0
+        used |= used[_reflect_index(dims).ravel()]
+        used[0] = True
+        return _support(dims, np.flatnonzero(used))
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorStack:
     """The operators of a block of draws on one space, one body per draw.
 
     ``body[i]`` is what an :class:`Operator` of ``structure`` holds for
-    draw ``i``.  Sums, differences, adjoints, symmetric parts, Frobenius
-    norms, Lagrangians and residuals act on every draw at once, with the
-    elementwise arithmetic each draw's operator would get, so draw ``i``
-    keeps the bits it has on its own.
+    draw ``i``, except that a stencil stack holds each draw's entries on
+    ``support`` (see :class:`StencilSupport`); indexing and
+    :attr:`matrix` give grid-shaped operators.  Sums, differences,
+    adjoints, symmetric parts, Frobenius norms, Lagrangians and residuals
+    act on every draw at once, with the elementwise arithmetic each draw's
+    operator would get, so draw ``i`` keeps the bits it has on its own.
     """
 
     body: np.ndarray
     space: FieldSpace
     structure: str = "dense"
+    support: StencilSupport | None = None
 
     def __post_init__(self):
         _check_body(self, 1)
@@ -236,7 +339,10 @@ class OperatorStack:
         return len(self.body)
 
     def __getitem__(self, i) -> Operator:
-        return Operator(self.body[i], self.space, self.structure)
+        body = self.body[i]
+        if self.structure == "stencil":
+            body = self.support.scatter(body).reshape(self.support.dims)
+        return Operator(body, self.space, self.structure)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -246,18 +352,33 @@ class OperatorStack:
         return np.stack([op.matrix for op in self])
 
 
+def as_stack(a) -> OperatorStack:
+    """A stack as it is, and one operator as a stack of one: a stencil's
+    entries gathered on its support."""
+    if isinstance(a, OperatorStack):
+        return a
+    body = a.body if a.support is None else a.support.gather(a.body)
+    return OperatorStack(body[None], a.space, a.structure, a.support)
+
+
 def stack_operators(ops) -> OperatorStack:
     """Per-draw operators as one stack: their bodies when they share a
-    structure, else their dense matrices."""
+    structure, stencils on the union of their supports, else their dense
+    matrices."""
     ops = list(ops)
     space = ops[0].space
     if not all(op.space.matches(space) for op in ops):
         raise SpaceMismatch("operators live on different field spaces")
     structures = {op.structure for op in ops}
-    if len(structures) == 1:
-        return OperatorStack(np.stack([op.body for op in ops]), space,
-                             structures.pop())
-    return OperatorStack(np.stack([op.matrix for op in ops]), space)
+    if len(structures) > 1:
+        return OperatorStack(np.stack([op.matrix for op in ops]), space)
+    support = None
+    if structures == {"stencil"}:
+        support = functools.reduce(_union, (op.support for op in ops))
+    return OperatorStack(np.stack([op.body if support is None
+                                   else support.gather(op.body)
+                                   for op in ops]), space, ops[0].structure,
+                         support)
 
 
 def scale_rows(scales: np.ndarray, a) -> OperatorStack:
@@ -265,14 +386,15 @@ def scale_rows(scales: np.ndarray, a) -> OperatorStack:
     ``scales[i]``; ``a`` is one operator, or a stack of one per draw.
 
     ``scales`` is ``(s, 1)``, one factor per draw, which keeps ``a``'s
-    structure, or ``(s, n)``, one per row, which keeps a diagonal and makes
-    anything else dense; each draw gets the products that :func:`scale` or
-    a row scaling of that one draw takes.
+    structure (and a stencil's support), or ``(s, n)``, one per row, which
+    keeps a diagonal and makes anything else dense; each draw gets the
+    products that :func:`scale` or a row scaling of that one draw takes.
     """
     if scales.shape[1] == 1:
-        ndim = a.body.ndim - isinstance(a, OperatorStack)
-        factors = scales.reshape((len(scales),) + (1,) * ndim)
-        return OperatorStack(factors * a.body, a.space, a.structure)
+        a = as_stack(a)
+        factors = scales.reshape(scales.shape + (1,) * (a.body.ndim - 2))
+        return OperatorStack(factors * a.body, a.space, a.structure,
+                             a.support)
     if a.structure == "diagonal":
         return OperatorStack(scales * a.body, a.space, "diagonal")
     return OperatorStack(scales[:, :, None] * a.matrix, a.space)
@@ -335,23 +457,11 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _reflect_index(dims: tuple[int, ...]) -> np.ndarray:
-    """Row-major index of ``-x`` for each site ``x`` of a grid of ``dims``."""
-    index = np.ravel_multi_index(tuple(-np.indices(dims)), dims, mode="wrap")
-    index.setflags(write=False)
-    return index
-
-
-def reflect(stencil: np.ndarray, dims: tuple | None = None) -> np.ndarray:
-    """``stencil[-x]``, the stencil of the transposed circulant.
-
-    ``dims`` are the grid's (default: the stencil's shape); any axes before
-    them are draw axes, each reflected apart.
-    """
-    dims = stencil.shape if dims is None else dims
-    flat = stencil.reshape(stencil.shape[:stencil.ndim - len(dims)] + (-1,))
-    return flat[..., _reflect_index(dims)]
+def reflect(stencil: np.ndarray) -> np.ndarray:
+    """``stencil[-x]``, the stencil of the transposed circulant; a stack's
+    stencils are reflected on their support (see
+    :attr:`StencilSupport.reflection`)."""
+    return stencil.ravel()[_reflect_index(stencil.shape)]
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -371,12 +481,22 @@ def compose(a: Operator, b: Operator) -> Operator:
 
 
 def _entrywise(ufunc, a, b):
-    """``ufunc`` on two operators; with a stack on either side, per draw."""
+    """``ufunc`` on two operators; with a stack on either side, per draw,
+    and two stencil stacks on the union of their supports."""
     _require_same_space(a, b)
-    kind = OperatorStack if OperatorStack in (type(a), type(b)) else Operator
-    if a.structure == b.structure:
-        return kind(ufunc(a.body, b.body), a.space, a.structure)
-    return kind(ufunc(a.matrix, b.matrix), a.space)
+    if type(a) is type(b) is Operator:
+        if a.structure == b.structure:
+            return Operator(ufunc(a.body, b.body), a.space, a.structure)
+        return Operator(ufunc(a.matrix, b.matrix), a.space)
+    a, b = as_stack(a), as_stack(b)
+    if a.structure != b.structure:
+        return OperatorStack(ufunc(a.matrix, b.matrix), a.space)
+    if a.support is None:
+        return OperatorStack(ufunc(a.body, b.body), a.space, a.structure)
+    support = _union(a.support, b.support)
+    return OperatorStack(ufunc(a.support.widen(a.body, support),
+                               b.support.widen(b.body, support)),
+                         a.space, a.structure, support)
 
 
 def add(a: Operator, b: Operator) -> Operator:
@@ -413,19 +533,27 @@ def adjoint_wrt_pairing(a):
     """
     if a.structure == "dense":
         star = np.swapaxes(a.body, -1, -2)
+    elif isinstance(a, OperatorStack) and a.support is not None:
+        star = a.body[:, a.support.reflection]
     elif a.structure == "stencil":
-        star = reflect(a.body, a.space.geometry.dims)
+        star = reflect(a.body)
     else:
         star = a.body
     if a.space.pairing.symmetry == "hermitian":
         star = star.conj()
-    return type(a)(star, a.space, a.structure)
+    return _like(a, star)
+
+
+def _like(a, body):
+    """An operator or stack like ``a``, with ``body``."""
+    if isinstance(a, OperatorStack):
+        return OperatorStack(body, a.space, a.structure, a.support)
+    return Operator(body, a.space, a.structure)
 
 
 def sym_part(a):
     """Pairing-symmetric part; carries exactly the quadratic-form content."""
-    return type(a)(0.5 * (a.body + adjoint_wrt_pairing(a).body), a.space,
-                   a.structure)
+    return _like(a, 0.5 * (a.body + adjoint_wrt_pairing(a).body))
 
 
 class FieldBlock:
@@ -488,17 +616,16 @@ def lagrangian_value(a, phi):
     calls unless the caller shares a block.  ``a`` is one operator, or an
     :class:`OperatorStack` (or a list, stacked here) of ``s``, one per
     field.  A stencil stack never applies its operators: the value is
-    ``w sum_k s[k] corr_k`` over the offsets ``k`` of the stack's union
-    stencil support, in row-major order, with the block's correlations, so
-    a shared block gives the same bits as a fresh one.  The origin is always
-    among the offsets, so a NaN field is NaN under every stencil, the zero
-    one included.  Diagonal stacks take one product, dense ones one batched
-    product; the pairing is a row sum, not a BLAS call.
+    ``w sum_k s[k] corr_k`` over the offsets ``k`` of its support where
+    some draw's entry is nonzero, and the origin, in row-major order, with
+    the block's correlations, so a shared block gives the same bits as a
+    fresh one.  As the origin is always among the offsets, a NaN field is
+    NaN under every stencil, the zero one included.  Diagonal stacks take
+    one product, dense ones one batched product; the pairing is a row sum,
+    not a BLAS call.
     """
-    if isinstance(a, Operator):
-        a = OperatorStack(a.body[None], a.space, a.structure)
-    elif not isinstance(a, OperatorStack):
-        a = stack_operators(a)
+    a = as_stack(a) if isinstance(a, (Operator, OperatorStack)) \
+        else stack_operators(a)
     space = a.space
     block = phi if isinstance(phi, FieldBlock) else FieldBlock(
         np.reshape(phi, (1, -1)) if np.ndim(phi) == 1 else phi, space)
@@ -506,11 +633,14 @@ def lagrangian_value(a, phi):
         raise SpaceMismatch("fields and operators do not share one space")
     fields = block.fields
     if a.structure == "stencil":
-        support = np.any(a.body != 0, axis=0)
-        support.flat[0] = True
+        used = np.any(a.body != 0, axis=0)
+        used[0] = True
+        used = np.flatnonzero(used)
+        offsets = np.unravel_index(a.support.offsets[used],
+                                   a.support.dims)
         values = np.zeros(len(fields), dtype=np.result_type(a.body, fields))
-        for k in zip(*np.nonzero(support)):
-            values += a.body[(slice(None),) + k] * block.correlation(k)
+        for j, k in zip(used, zip(*offsets)):
+            values += a.body[:, j] * block.correlation(k)
     else:
         if a.structure == "diagonal":
             applied = a.body * fields
@@ -545,26 +675,37 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(square)
 
 
+def _flat_bodies(a: OperatorStack) -> np.ndarray:
+    """Each draw's body as one row, a stencil's in grid order with the zeros
+    its support leaves out: the layout norms are taken in.  A BLAS dot sums
+    by position, so a norm over the support's entries alone would change
+    with the support that holds a stencil; in grid order it does not."""
+    if a.support is None:
+        return a.body.reshape(len(a), -1)
+    return a.support.scatter(a.body)
+
+
 def frobenius(a):
     """Frobenius norm; a circulant repeats its stencil in each of n rows.
 
     A stack gets one norm per draw, each the bits of that draw's own.
     """
     if isinstance(a, OperatorStack):
-        norm = _row_norms(a.body.reshape(len(a), -1))
+        norm = _row_norms(_flat_bodies(a))
     else:
         norm = float(np.linalg.norm(a.body))
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
 def frobenius_coordinates(a) -> np.ndarray:
-    """A vector whose 2-norm is the Frobenius norm of ``a``.
+    """A vector whose 2-norm is the Frobenius norm of ``a``, in the
+    coordinates of the full grid or matrix.
 
     A stencil times ``sqrt(n)`` (each entry fills n matrix entries), a
     diagonal's entries (the zeros off it drop out) or the raveled matrix.
     A stack gets one row per draw.
     """
-    body = (a.body.reshape(len(a), -1) if isinstance(a, OperatorStack)
+    body = (_flat_bodies(a) if isinstance(a, OperatorStack)
             else a.body.ravel())
     if a.structure == "stencil":
         return math.sqrt(a.space.dim) * body
@@ -577,13 +718,13 @@ def distance_to_diagonal(a, entries):
     A stack takes ``entries`` with one row per draw, ``(s, 1)`` or
     ``(s, n)`` as :func:`scale_rows` takes them, and gives one distance per
     draw; one operator is a stack of one.  A stencil's off-diagonal entries
-    repeat in every row and its diagonal is ``body[0]``; the diagonal term
-    is an exact ``0.0`` when a scalar entry equals it.
+    repeat in every row and its diagonal is entry 0 of its support; the
+    diagonal term is an exact ``0.0`` when a scalar entry equals it, and
+    the ``n`` repeated gaps are only made for the draws where it does not.
     """
     if isinstance(a, Operator):
-        stack = OperatorStack(a.body[None], a.space, a.structure)
-        return float(distance_to_diagonal(stack, np.reshape(entries,
-                                                            (1, -1)))[0])
+        return float(distance_to_diagonal(as_stack(a), np.reshape(
+            entries, (1, -1)))[0])
     s, n = len(a), a.space.dim
     if a.structure == "diagonal":
         return _row_norms(a.body - entries)
@@ -591,13 +732,19 @@ def distance_to_diagonal(a, entries):
         diag = np.zeros((s, n, n), dtype=entries.dtype)
         diag[:, np.arange(n), np.arange(n)] = np.broadcast_to(entries, (s, n))
         return _row_norms((a.body - diag).reshape(s, -1))
-    flat = a.body.reshape(s, -1)
-    off = flat.copy()
+    off = _flat_bodies(a)
+    if off is a.body:  # a full support holds the grid-ordered stencils
+        off = off.copy()
     off[:, 0] = 0
-    v = flat[:, 0]
-    gap = _row_norms(v[:, None] - np.broadcast_to(entries, (s, n)))
+    v = a.body[:, 0]
     if entries.shape[1] == 1:
-        gap = np.where(v == entries[:, 0], 0.0, gap)
+        # v != e also holds for a NaN
+        miss = np.flatnonzero(v != entries[:, 0])
+        gap = np.zeros(s)
+        gap[miss] = _row_norms(v[miss, None] - np.broadcast_to(
+            entries[miss], (len(miss), n)))
+    else:
+        gap = _row_norms(v[:, None] - entries)
     # math.hypot per draw: numpy's hypot may round otherwise
     return np.array([math.hypot(x, y) for x, y in zip(
         (math.sqrt(n) * _row_norms(off)).tolist(), gap.tolist())])

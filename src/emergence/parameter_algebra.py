@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
-from .operator_core import (Operator, OperatorStack, add, compose,
+from .operator_core import (Operator, OperatorStack, add, as_stack, compose,
                             distance_to_diagonal, exact_sums, frobenius,
                             plain_space, scale_rows, stack_operators,
                             subtract)
@@ -658,11 +658,12 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     order, padded with zeros to one length, and each mean is a correctly
     rounded sum over its span (:func:`~emergence.operator_core.exact_sums`),
     the same bits on every machine.  A stencil target's diagonal is one
-    value ``v``, so it skips the gather: a span of ``L`` rows sums to the
-    correctly rounded ``L * v``, one ``(L * v) / L`` over the draws, real
-    and imaginary parts apart.  For tuple algebras pass a list with one
-    probe operator per slot; recovery is slot-by-slot because the product
-    action alone cannot separate the components.
+    value ``v``, entry 0 of its support, so it skips the gather: a span of
+    ``L`` rows sums to the correctly rounded ``L * v`` (``+0.0`` for a zero
+    of either sign, as a correctly rounded sum is), one ``(L * v) / L``
+    over the draws, real and imaginary parts apart.  For tuple algebras
+    pass a list with one probe operator per slot; recovery is slot-by-slot
+    because the product action alone cannot separate the components.
 
     Raises
     ------
@@ -689,8 +690,7 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
         matrix = np.asarray(target)
         target = Operator(matrix, plain_space(
             matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
-    (candidate,) = _solve_stack(algebra, OperatorStack(
-        target.body[None], target.space, target.structure), tol)
+    (candidate,) = _solve_stack(algebra, as_stack(target), tol)
     return candidate
 
 
@@ -702,8 +702,8 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
         raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
                       f"has {n}")
     stencil = target.structure == "stencil"
-    if stencil:
-        spans = target.body.reshape(s, -1)[:, :1]
+    if stencil:  # the origin is entry 0 of the support
+        spans = target.body[:, :1]
     else:
         values = (target.body if target.structure == "diagonal"
                   else np.diagonal(target.body, axis1=1, axis2=2))
@@ -711,8 +711,10 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
         # spans are gathered transposed, the layout exact_sums runs on
         spans = values[:, None] if order is None else np.concatenate(
             [values, np.zeros((s, 1), values.dtype)], axis=1).T[order.T].T
-    # a stencil's span of L rows sums to the correctly rounded L * v
-    means = [(lengths * part if stencil else exact_sums(part)) / lengths
+    # a stencil's span of L rows sums to the correctly rounded L * v, and
+    # + 0.0 makes a zero sum +0.0, as exact_sums gives it
+    means = [(lengths * part + 0.0 if stencil else exact_sums(part))
+             / lengths
              for part in ((spans.real, spans.imag) if np.iscomplexobj(spans)
                           else (spans,))]
     # the parts side by side, read as one coordinate

@@ -160,7 +160,9 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     Returns the metric Laplacian, its mass-regulated version (the grid
     surrogate for well-defined Green functions; ``mass = 0`` is permitted
     but leaves it non-invertible), the second-derivative basis, and the
-    antisymmetric-background operator.
+    antisymmetric-background operator.  The two least-squares fits add
+    their designs and Gram sums under ``"feasible_fit"`` and
+    ``"coupling_fit"`` once they are built (see :func:`_least_squares`).
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != 2:
@@ -211,22 +213,31 @@ def _exact_sum(values: np.ndarray, repeats: int, operand: str) -> float:
     return total
 
 
-def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
+def _least_squares(background: dict, fit: str, columns, rhs: np.ndarray):
     """Deterministic ``min |design @ x - rhs|`` for a design of few columns.
 
-    The rows are stencil entries of circulants, each standing for the
-    ``repeats`` matrix entries it fills, so every sum over the matrices is
-    ``repeats`` times the sum over the stencils; that is summed exactly and
-    rounded once, the same float as a correctly rounded sum over the
-    matrices.  Solves the normal equations by Gaussian elimination in a
-    fixed order, so the result is the same bits on every BLAS kernel.  A
-    column that is (numerically) dependent on earlier ones gets coefficient
-    zero; for an all-zero column that is the minimum-norm answer.  Returns
-    ``(x, gap)`` with the gap the Frobenius norm of the fit's residual.
-    A non-finite entry or product (an overflowing coupling) raises
-    HypothesisViolated.
+    The design's columns, ``columns()``, are stencil entries of circulants
+    on the background's grid, each standing for the ``n`` matrix entries it
+    fills, so every sum over the matrices is ``n`` times the sum over the
+    stencils; that is summed exactly and rounded once, the same float as a
+    correctly rounded sum over the matrices.  Solves the normal equations
+    by Gaussian elimination in a fixed order, so the result is the same
+    bits on every BLAS kernel.  A column that is (numerically) dependent on
+    earlier ones gets coefficient zero; for an all-zero column that is the
+    minimum-norm answer.  Returns ``(x, gap)`` with the gap the Frobenius
+    norm of the fit's residual.  A non-finite entry or product (an
+    overflowing coupling) raises HypothesisViolated.
+
+    The design and its Gram sums depend on the background alone: they are
+    built at the background's first ``fit`` that gets past its rhs check
+    and kept in ``background[fit]``, so a later fit checks and sums only
+    its rhs, and refuses as it would with the design built afresh.
     """
-    for name, data in (("design", design), ("rhs", rhs)):
+    repeats = background["space"].dim
+    plan = background.get(fit)
+    design = np.stack(columns(), axis=1) if plan is None else plan[0]
+    operands = [("rhs", rhs)] if plan else [("design", design), ("rhs", rhs)]
+    for name, data in operands:
         bad = np.argwhere(~np.isfinite(data))
         if bad.size:
             index = [int(i) for i in bad[0]]
@@ -235,8 +246,11 @@ def _least_squares(design: np.ndarray, rhs: np.ndarray, repeats: int):
                 "couplings overflow",
                 evidence={"operand": name, "index": index})
     k = design.shape[1]
-    gram = [[_exact_sum(design[:, i] * design[:, j], repeats, "design")
-             for j in range(k)] for i in range(k)]
+    if plan is None:
+        gram = [[_exact_sum(design[:, i] * design[:, j], repeats, "design")
+                 for j in range(k)] for i in range(k)]
+        plan = background[fit] = (design, gram)
+    gram = [list(row) for row in plan[1]]
     b = [_exact_sum(design[:, j] * rhs, repeats, "rhs") for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
@@ -267,20 +281,18 @@ def feasible_metric_perturbation(background: dict, theta: float):
     quadratic forms at the minimizer.
     """
     d1 = background["d1"]
-    design = np.stack([
+    return _least_squares(background, "feasible_fit", lambda: [
         _sym_flat(d1[(0, 0)]),
         _sym_flat(d1[(0, 1)]) + _sym_flat(d1[(1, 0)]),
         _sym_flat(d1[(1, 1)]),
-    ], axis=1)
-    rhs = theta * _sym_flat(background["d2"])
-    return _least_squares(design, rhs, background["space"].dim)
+    ], theta * _sym_flat(background["d2"]))
 
 
 def noncommutativity_coefficient(background: dict, h):
     """Least-squares coupling with ``theta * D2`` matching ``h . D1``."""
-    column = _sym_flat(background["d2"])[:, None]
-    rhs = _sym_flat(gravity_operator(background, h))
-    (theta,), gap = _least_squares(column, rhs, background["space"].dim)
+    (theta,), gap = _least_squares(
+        background, "coupling_fit", lambda: [_sym_flat(background["d2"])],
+        _sym_flat(gravity_operator(background, h)))
     return theta, gap
 
 

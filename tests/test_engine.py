@@ -900,7 +900,42 @@ def test_block_maps_and_bodies_match_the_per_draw_path(case):
         for i, value in enumerate(each):
             one = evaluate_family(family, value)
             assert stack.structure == one.structure
-            assert np.array_equal(stack.body[i], one.body)
+            assert np.array_equal(stack[i].body, one.body)
+
+
+def _empty_block_maps():
+    """A synthesized map on every leaf carrier, and one onto a sum whose
+    carrier is a product."""
+    maps = {case: emerge(*BLOCK_CASES[case](), n_samples=8, seed=2)
+            for case in ("64-real-symmetric", "6x10-complex-symmetric",
+                         "boolean-8x4", "centralizer-1-2-3")}
+    space = grid_space((8,))
+    source = verified(identity_source(space, NonnegativeReals()),
+                      "scalar_invariant")
+    part = emerge(source, polynomial_family(
+        [identity_operator(space)], {(1,): lin(domain="nonneg")},
+        NonnegativeReals()), n_samples=8)
+    maps["nonnegative"] = part
+    maps["sum-on-a-product-carrier"] = emerge_sum(source, part, part,
+                                                  n_samples=8)
+    return maps
+
+
+def _leaf_blocks(value):
+    if isinstance(value, dict):
+        return [b for v in value.values() for b in _leaf_blocks(v)]
+    if isinstance(value, tuple):
+        return [b for v in value for b in _leaf_blocks(v)]
+    return [value]
+
+
+def test_a_map_of_no_draws_is_an_empty_block():
+    for case, emap in _empty_block_maps().items():
+        block = map_block(emap.parameter_map, [])
+        assert isinstance(block, tuple) == (case == "sum-on-a-product-carrier")
+        assert all(isinstance(b, Draws) and len(b) == 0
+                   for b in _leaf_blocks(block)), case
+        assert map_draws(emap.parameter_map, []) == []
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
@@ -953,6 +988,27 @@ def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs,
         assert spiked.algebra.calls >= k
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "NotScalarForm"
+
+
+def test_an_infinite_draw_fails_its_certificate_with_an_infinite_residual():
+    # on the full grid 0 * inf filled the draw's stencil with NaN off the
+    # nine-point support, and its operator residual was NaN; on the support
+    # it is inf, and the functional residual, inf / inf, is still NaN
+    space = grid_space((6, 10))
+    box = make_discrete_operator(space, "box", eta=((2.0, 0.3), (0.3, 1.0)))
+    source = scalar_family(_Spiked(5, math.inf), box)
+
+    def fmap(eps):
+        return eps if math.isfinite(eps) else 0.0
+
+    with np.errstate(all="ignore"), pytest.raises(HypothesisViolated) as info:
+        _certify(source, source, fmap, "shared", ProvenanceNode("monomial"),
+                 "spiked", 12, 1e-8, 3)
+    cert = info.value.evidence["certificate"]
+    assert (cert.samples, cert.passed) == (12, False)
+    assert math.isinf(cert.max_operator_residual)
+    assert math.isnan(cert.max_functional_residual)
+    assert "(functional nan, operator inf, tol 1.0e-08)" in str(info.value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -1052,7 +1108,7 @@ def test_pairs_and_products_evaluate_a_block_with_each_draws_bits(name):
         one = evaluate_family(family, eps)
         assert (stack.structure, stack.body.dtype) == (one.structure,
                                                        one.body.dtype)
-        assert stack.body[i].tobytes() == one.body.tobytes()
+        assert stack[i].body.tobytes() == one.body.tobytes()
     # a tree refuses one Draws for its pair, and so does a product carrier
     with pytest.raises(BadSpec):
         evaluate_family(family, Draws.stack(range(len(params))))

@@ -19,8 +19,11 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        SpaceMismatch, add, adjoint_wrt_pairing, compose,
                        grid_space, identity_operator, lagrangian_value,
                        make_discrete_operator, operator_residual, plain_space,
-                       right_inverse, scale, sym_part, zero_operator)
-from emergence.operator_core import (FieldBlock, PairingForm, circulant,
+                       right_inverse, scale, solve_action_on_identity,
+                       sym_part, zero_operator)
+from emergence import operator_core
+from emergence.operator_core import (FieldBlock, OperatorStack,
+                                     PairingForm, circulant,
                                      diagonal_operator,
                                      distance_to_diagonal, frobenius,
                                      frobenius_coordinates,
@@ -529,8 +532,8 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
     for got, each in ((sym_part(a), map(sym_part, left)),
                       (adjoint_wrt_pairing(a), map(adjoint_wrt_pairing, left)),
                       (subtract(a, b), map(subtract, left, right))):
-        for body, one in zip(got.body, each):
-            assert np.array_equal(body, one.body)
+        for draw, one in zip(got, each):
+            assert np.array_equal(draw.body, one.body)
     fields = np.stack([space.sample_field(rng) for _ in range(s)])
     assert np.array_equal(lagrangian_value(a, fields),
                           lagrangian_value(left, fields))
@@ -544,12 +547,12 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
         rows = scale_rows(entries, left[0])
         carrier = (CentralizerDiagonal(np.eye(space.dim))
                    if scalar_kind == "real" else BooleanComplex(space.dim))
-        for body, e in zip(rows.body, each):
+        for draw, e in zip(rows, each):
             one = (scale(e, left[0]) if np.ndim(e) == 0 else
                    carrier.act(e, left[0]))
-            assert (rows.structure, body.dtype) == (one.structure,
-                                                    one.body.dtype)
-            assert np.array_equal(body, one.body)
+            assert (draw.structure, draw.body.dtype) == (one.structure,
+                                                         one.body.dtype)
+            assert np.array_equal(draw.body, one.body)
 
 
 #: the norms of odd-length real rows of a stack, each against a fresh copy
@@ -577,6 +580,103 @@ def test_stack_norms_keep_their_bits_where_a_kernel_reads_alignment():
     proc = subprocess.run([sys.executable, "-c", ALIGNMENT_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: a metric with an off-diagonal term: its box is a nine-point stencil
+SKEW_ETA = ((2.0, 0.3), (0.3, 1.0))
+
+
+def _as_stored(op, storage):
+    """``op`` as a stack of one: on its support, as the full grid's stencil,
+    or as its dense matrix."""
+    if storage == "support":
+        return op
+    if storage == "full":
+        return OperatorStack(op.body.reshape(1, -1), op.space, "stencil",
+                             operator_core._support(op.body.shape, None))
+    return OperatorStack(op.matrix[None], op.space)
+
+
+def _stack_chain(box, shift, a_scales, b_scales):
+    """Every stack function, on the draws of ``box`` and of ``shift``."""
+    a, b = scale_rows(a_scales, box), scale_rows(b_scales, shift)
+    total = add(a, b)
+    return [a, b, total, subtract(a, b), adjoint_wrt_pairing(total),
+            sym_part(total), sym_part(subtract(a, b)), compose(total, b)]
+
+
+@pytest.mark.parametrize("scalar_kind,symmetry", [
+    ("real", "symmetric"), ("complex", "symmetric"), ("complex", "hermitian")])
+def test_support_stacks_agree_with_full_grid_and_dense_stacks(scalar_kind,
+                                                              symmetry):
+    space = grid_space((6, 10), (0.5, 2.0), scalar_kind, symmetry)
+    rng = np.random.default_rng(4)
+    s = 7
+
+    def draws(shape):
+        out = rng.standard_normal(shape)
+        if scalar_kind == "complex":
+            out = out + 1j * rng.standard_normal(shape)
+        return out.astype(space.dtype)
+
+    box = make_discrete_operator(space, "box", eta=SKEW_ETA)
+    # two steps along axis 0: a support with zeros at the origin and at +2
+    shift = make_discrete_operator(space, "shift", axis=0, step=2)
+    assert (len(box.support.offsets), len(shift.support.offsets)) == (9, 3)
+    a_scales, b_scales, fields = draws((s, 1)), draws((s, 1)), draws(
+        (s, space.dim))
+    chains = {storage: _stack_chain(_as_stored(box, storage),
+                                    _as_stored(shift, storage),
+                                    a_scales, b_scales)
+              for storage in ("support", "full", "dense")}
+    support, full, dense = chains.values()
+    assert [x.body.shape[1] for x in support[:4]] == [9, 3, 11, 11]
+    # a composition is stacked from each draw's operator, on its support
+    assert all(x.support.full for x in full[:-1])
+    for x, f, d in zip(support, full, dense):
+        # the same entries; a composition's dense products round otherwise
+        assert np.array_equal(x.matrix, f.matrix)
+        for got, want in zip(x, f):
+            assert np.array_equal(got.body, want.body)
+        if x is support[-1]:
+            _agree(x.matrix, d.body)
+        else:
+            assert np.array_equal(x.matrix, d.body)
+        # norms and coordinates are taken in grid order: the full-grid
+        # stack's bits, and the dense stack's up to rounding
+        assert _hexes(frobenius(x)) == _hexes(frobenius(f))
+        _agree(frobenius(x), frobenius(d))
+        assert np.array_equal(frobenius_coordinates(x),
+                              frobenius_coordinates(f))
+        diagonal = x.body[:, :1].copy()
+        diagonal[::2] += 0.5
+        for entries in (diagonal, fields):
+            assert _hexes(distance_to_diagonal(x, entries)) \
+                == _hexes(distance_to_diagonal(f, entries))
+            _agree(distance_to_diagonal(x, entries),
+                   distance_to_diagonal(d, entries))
+        assert _hexes(lagrangian_value(x, fields)) \
+            == _hexes(lagrangian_value(f, fields))
+        _agree(lagrangian_value(x, fields), lagrangian_value(d, fields))
+    # the orbit solve reads entry 0 of a support as the grid's origin
+    algebra = RealScalars() if scalar_kind == "real" else ComplexScalars()
+    ident = identity_operator(space)
+    got = [solve_action_on_identity(algebra, scale_rows(
+        a_scales, _as_stored(ident, storage))).values
+        for storage in ("support", "full", "dense")]
+    assert _hexes(got[0]) == _hexes(got[1]) == _hexes(got[2])
+    # an infinite draw: on the full grid 0 * inf fills it with NaN; its
+    # support holds only infinite real entries, so its residual is inf (a
+    # complex product with inf has a NaN part on the support too)
+    a_scales[2] = math.inf
+    with np.errstate(invalid="ignore"):
+        norms = [frobenius(_stack_chain(_as_stored(box, storage),
+                                        _as_stored(shift, storage),
+                                        a_scales, b_scales)[6])
+                 for storage in ("support", "full")]
+    assert math.isnan(norms[1][2])
+    assert (math.isinf if scalar_kind == "real" else math.isnan)(norms[0][2])
+    assert _hexes(np.delete(norms[0], 2)) == _hexes(np.delete(norms[1], 2))
 
 
 @settings(max_examples=40, deadline=None)

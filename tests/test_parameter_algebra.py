@@ -387,6 +387,26 @@ def test_orbit_solve_refuses_non_finite_targets(value):
             boolean, np.diag([value, 1.0, 1.0, 1.0]).astype(complex))
 
 
+@pytest.mark.parametrize("algebra", [RealScalars(), ComplexScalars()])
+@pytest.mark.parametrize("zero", [0.0, -0.0, complex(-0.0, -0.0)])
+def test_a_zero_diagonal_solves_to_plus_zero_in_every_structure(algebra,
+                                                                zero):
+    # the stencil route reads L * v once; a correctly rounded sum of zeros,
+    # as the diagonal and dense routes take it, is +0.0
+    space = grid_space((4, 4), scalar_kind=algebra.scalar_kind)
+    if algebra.scalar_kind == "real":
+        zero = zero.real
+    stencil = np.zeros((4, 4), dtype=space.dtype)
+    stencil.flat[0] = zero
+    op = Operator(stencil, space, "stencil")
+    got = [solve_action_on_identity(algebra, target) for target in (
+        op, diagonal_operator(space, np.full(16, zero, dtype=space.dtype)),
+        Operator(op.matrix, space))]
+    parts = [(complex(c).real, complex(c).imag) for c in got]
+    assert [tuple(np.signbit(p)) for p in parts] == [(False, False)] * 3
+    assert parts == [(0.0, 0.0)] * 3
+
+
 def test_orbit_solve_refuses_targets_whose_norm_overflows():
     with np.errstate(over="ignore"), pytest.raises(NotInIdentityOrbit):
         solve_action_on_identity(RealScalars(), np.diag([1e308, 1e308]))

@@ -262,10 +262,11 @@ def test_boolean_orbit_plan_is_built_once(monkeypatch):
 def test_gravity_lagrangians_are_evaluated_in_blocks(monkeypatch):
     # per-field evaluation would take about 2 x samples calls per check;
     # the byte budget holds 16 draws of the real 24x24 grid, each counted
-    # as its field and six stencil arrays
+    # as its field, five stencil arrays on the five-point support and the
+    # norms' grid-ordered copy
     chunk = 16
     monkeypatch.setattr(operator_core, "BLOCK_BYTES",
-                        chunk * 7 * 24 * 24 * 8)
+                        chunk * (2 * 24 * 24 + 5 * 5) * 8)
     calls, budget, computed = [], [], []
     lagrangian = operator_core.lagrangian_value
     verify, residual = engine.verify_emergence, scenarios.functional_residual
