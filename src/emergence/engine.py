@@ -256,10 +256,9 @@ def _split(value, count: int) -> list:
 def _draw_entries(source, target) -> int:
     """Entries one draw's operator takes in a certification chunk:
     ``n**2`` when a chunk may stack dense matrices (either family is a tree
-    or acts successively, a product carrier; or a fixed body is dense; or
-    the bodies mix structures; or per-row scales make a non-diagonal body
-    dense), else ``n`` for diagonals and the size of the union support of
-    the stencils."""
+    or acts successively, a product carrier; or the bodies mix structures;
+    or per-row scales make a non-diagonal body dense), else the size of a
+    draw's body in the stack of the fixed operators."""
     n = source.space.dim
     bodies = []
     for family in (source, target):
@@ -273,12 +272,9 @@ def _draw_entries(source, target) -> int:
                                           for op in fixed):
             return n * n
         bodies += fixed
-    structures = {op.structure for op in bodies}
-    if structures == {"diagonal"}:
-        return n
-    if structures == {"stencil"}:
-        return len(stack_operators(bodies).support.offsets)
-    return n * n
+    if len({op.structure for op in bodies}) > 1:
+        return n * n
+    return stack_operators(bodies).body[0].size
 
 
 def _draw_bytes(source, target) -> int:
@@ -471,12 +467,15 @@ def _transport(op: Operator, post: Operator | None) -> Operator:
     if post is None:
         return op
     out = compose(op, post)
+    if out.structure == "diagonal":
+        return out
+    body = np.array(out.body)
     if out.structure == "stencil":
-        out.body.flat[0] = exact_sums(np.ravel(op.body * reflect(post.body)))
-    elif out.structure == "dense":
+        body.flat[0] = exact_sums(np.ravel(op.body * reflect(post.body)))
+    else:
         # row i's products held transposed, the layout exact_sums runs on
-        np.fill_diagonal(out.body, exact_sums((op.matrix.T * post.matrix).T))
-    return out
+        np.fill_diagonal(body, exact_sums((op.matrix.T * post.matrix).T))
+    return Operator(body, out.space, out.structure)
 
 
 class _BlockMap:
@@ -907,10 +906,10 @@ def _brute_force_fits(source, poly, params, tol: float = DEFAULT_TOL) -> list:
     """:func:`brute_force_emerge` at each parameter of the list ``params``.
 
     What does not depend on the draw is built once: the offsets, and on the
-    linear route the basis pieces (one stack per term), their symmetric
-    parts and their design columns.  Each draw adds its target column and
-    takes its own least-squares solve, so each fit has the bits it has
-    alone.  The grid search runs draw by draw.
+    linear route the basis pieces (one stack per term) and their symmetric
+    parts.  Each draw stacks them after its target's, takes their
+    coordinates as its design and takes its own least-squares solve, so
+    each fit has the bits it has alone.  The grid search runs draw by draw.
     """
     active, constants = _split_constants(poly)
     algebra = poly.algebra
@@ -960,26 +959,15 @@ def _brute_force_fits(source, poly, params, tol: float = DEFAULT_TOL) -> list:
             offsets.append(scale(off, mono))
         pieces.append(algebra.act(Draws.stack(
             algebra.scale(slope * u, e) for u in units for e in basis), mono))
-    fixed = [sym_part(op) for op in (*offsets, *pieces)]
-    structures = {op.structure for op in fixed}
-    # the fixed columns in body coordinates, or as dense matrices
-    design = {}
+    # each fixed draw's symmetric part; with the target's, one stack whose
+    # coordinates are the columns: in body coordinates, or as dense
+    # matrices where the structures mix
+    fixed = [draw for op in (*offsets, *pieces) for draw in sym_part(op).stack]
     k = len(basis)
 
-    def coordinates(op, dense):
-        """One row for an operator, one per draw of a stack."""
-        if dense:
-            return op.matrix.reshape(-1, op.space.dim ** 2)
-        return np.atleast_2d(frobenius_coordinates(op))
-
     def fit(target):
-        target = sym_part(target)
-        dense = len(structures | {target.structure}) > 1
-        if dense not in design:
-            design[dense] = [row for op in fixed
-                             for row in coordinates(op, dense)]
-        column = coordinates(target, dense)[0]
-        cols = np.stack([column, *design[dense]], axis=1)
+        cols = np.ascontiguousarray(frobenius_coordinates(stack_operators(
+            [sym_part(target), *fixed])).T)
         if (split or algebra.scalar_kind != "complex") \
                 and np.iscomplexobj(cols):
             cols = np.concatenate([cols.real, cols.imag])

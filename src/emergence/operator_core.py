@@ -15,8 +15,11 @@ The algebra keeps a body wherever it closes: sums and scalings act on the
 bodies, compositions convolve stencils and multiply diagonals, adjoints
 reflect stencils, quadratic forms are convolutions and Frobenius norms are
 ``sqrt(n)`` times a stencil's norm.  Mixed structures fall back to dense
-matrices, which :attr:`Operator.matrix` derives from any body.  The physics
-enters through the pairing
+matrices, which :attr:`Operator.matrix` derives from any body.  Every
+function is written once, on an :class:`OperatorStack`, the operators of a
+block of draws; an :class:`Operator` is draw 0 of a stack of one, entering
+and leaving that form in one place (:func:`_one_path`), so it takes the
+bits each draw of a stack takes.  The physics enters through the pairing
 
     <phi, psi> = w phi^T psi        (symmetric bilinear)
     <phi, psi> = w conj(phi)^T psi  (hermitian sesquilinear)
@@ -200,27 +203,6 @@ class StencilSupport:
         return index if self.full else np.searchsorted(self.offsets,
                                                         index[self.offsets])
 
-    def gather(self, grid: np.ndarray) -> np.ndarray:
-        """The entries of grid-shaped stencils (after any draw axes)."""
-        flat = grid.reshape(grid.shape[:grid.ndim - len(self.dims)] + (-1,))
-        return flat if self.full else flat[..., self.offsets]
-
-    def widen(self, entries: np.ndarray, wider: "StencilSupport"):
-        """``entries`` on this support, as entries on ``wider``, a superset:
-        the offsets this support lacks hold zeros."""
-        if wider is self:
-            return entries
-        out = np.zeros(entries.shape[:-1] + (len(wider.offsets),),
-                       entries.dtype)
-        out[..., self.offsets if wider.full
-            else np.searchsorted(wider.offsets, self.offsets)] = entries
-        return out
-
-    def scatter(self, entries: np.ndarray) -> np.ndarray:
-        """``entries`` as stencils of all ``n`` offsets, in row-major grid
-        order."""
-        return self.widen(entries, _support(self.dims, None))
-
 
 @functools.lru_cache(maxsize=64)
 def _interned(dims: tuple, key: bytes | None) -> StencilSupport:
@@ -240,91 +222,37 @@ def _support(dims: tuple, offsets) -> StencilSupport:
                      np.asarray(offsets, dtype=np.intp).tobytes())
 
 
-def _union(a: StencilSupport, b: StencilSupport) -> StencilSupport:
+@functools.lru_cache(maxsize=256)
+def _union(a: StencilSupport | None, b: StencilSupport | None):
+    """Both supports' union, kept per pair (supports are interned)."""
     if a is b or b.full:
         return b
-    if a.full:
-        return a
-    return _support(a.dims, np.union1d(a.offsets, b.offsets))
+    return a if a.full else _support(a.dims, np.union1d(a.offsets, b.offsets))
 
 
-def _check_body(op, lead: int):
-    """Check ``op.body`` against its structure, after ``lead`` draw axes:
-    an operator's stencil is grid-shaped, a stack's is its support's
-    entries."""
-    body = np.asarray(op.body)
-    n = op.space.dim
-    if op.structure == "dense":
-        shape = (n, n)
-    elif op.structure == "stencil":
-        if op.space.geometry is None:
-            raise BadSpec("stencil operators need a grid geometry")
-        shape = op.space.geometry.dims
-        if lead:
-            if op.support is None or op.support.dims != shape:
-                raise BadSpec("a stencil stack needs a support on its grid")
-            shape = (len(op.support.offsets),)
-    elif op.structure == "diagonal":
-        shape = (n,)
-    else:
-        raise BadSpec(f"unknown operator structure {op.structure!r}")
-    if body.ndim != lead + len(shape) or body.shape[lead:] != shape:
-        raise BadSpec(f"{op.structure} operator body has shape "
-                      f"{body.shape[lead:]}, its space needs {shape}")
-    object.__setattr__(op, "body", body)
+@functools.lru_cache(maxsize=256)
+def _positions(narrow: StencilSupport, wide: StencilSupport) -> np.ndarray:
+    """Where the offsets of ``narrow`` sit among those of ``wide``."""
+    return (narrow.offsets if wide.full
+            else np.searchsorted(wide.offsets, narrow.offsets))
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A linear map on a field space, stored by its structure.
-
-    ``body`` is the ``n x n`` matrix when ``structure`` is ``"dense"`` (the
-    default, so ``Operator(matrix, space)`` is dense), the grid-shaped first
-    column of a circulant when it is ``"stencil"``, and the vector of
-    diagonal entries when it is ``"diagonal"``.
-    """
-
-    body: np.ndarray
-    space: FieldSpace
-    structure: str = "dense"
-
-    def __post_init__(self):
-        _check_body(self, 0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense ``n x n`` matrix, derived from the body."""
-        if self.structure == "stencil":
-            return circulant(self.space.geometry, self.body)
-        if self.structure == "diagonal":
-            return np.diag(self.body)
-        return self.body
-
-    @functools.cached_property
-    def support(self) -> StencilSupport | None:
-        """A stencil's support: its nonzero offsets, their negatives and the
-        origin (see :func:`_support`), read from the body on first use.
-        None for other structures."""
-        if self.structure != "stencil":
-            return None
-        dims = self.space.geometry.dims
-        used = self.body.ravel() != 0
-        used |= used[_reflect_index(dims).ravel()]
-        used[0] = True
-        return _support(dims, np.flatnonzero(used))
+def _read_only(body) -> np.ndarray:
+    body = np.asarray(body).view()
+    body.flags.writeable = False
+    return body
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorStack:
-    """The operators of a block of draws on one space, one body per draw.
+    """The operators of a block of draws on one space, one body per draw:
+    the form the algebra runs on.
 
-    ``body[i]`` is what an :class:`Operator` of ``structure`` holds for
-    draw ``i``, except that a stencil stack holds each draw's entries on
-    ``support`` (see :class:`StencilSupport`); indexing and
-    :attr:`matrix` give grid-shaped operators.  Sums, differences,
-    adjoints, symmetric parts, Frobenius norms, Lagrangians and residuals
-    act on every draw at once, with the elementwise arithmetic each draw's
-    operator would get, so draw ``i`` keeps the bits it has on its own.
+    ``body[i]`` is draw ``i``'s matrix (``"dense"``) or diagonal entries
+    (``"diagonal"``), or its stencil's entries on ``support`` (``"stencil"``,
+    see :class:`StencilSupport`); indexing gives grid-shaped operators.
+    Every function acts on all draws at once with the elementwise
+    arithmetic of each, so draw ``i`` keeps the bits of a stack of one.
     """
 
     body: np.ndarray
@@ -333,52 +261,157 @@ class OperatorStack:
     support: StencilSupport | None = None
 
     def __post_init__(self):
-        _check_body(self, 1)
+        # the body after the draw axis against the structure: a stencil's
+        # holds its entries on a support of its grid
+        body, n = np.asarray(self.body), self.space.dim
+        geometry = self.space.geometry
+        shape = {"dense": (n, n), "diagonal": (n,)}.get(self.structure)
+        if self.structure == "stencil":
+            if geometry is None or self.support is None \
+                    or self.support.dims != geometry.dims:
+                raise BadSpec("a stencil stack needs a support on its grid")
+            shape = (len(self.support.offsets),)
+        if shape is None:
+            raise BadSpec(f"unknown operator structure {self.structure!r}")
+        if body.shape[1:] != shape or body.ndim != 1 + len(shape):
+            raise BadSpec(f"{self.structure} operator body has shape "
+                          f"{body.shape[1:]}, its space needs {shape}")
+        object.__setattr__(self, "body", body)
 
     def __len__(self) -> int:
         return len(self.body)
 
     def __getitem__(self, i) -> Operator:
-        body = self.body[i]
-        if self.structure == "stencil":
-            body = self.support.scatter(body).reshape(self.support.dims)
-        return Operator(body, self.space, self.structure)
+        return Operator.of(OperatorStack(self.body[i][None], self.space,
+                                         self.structure, self.support))
+
+    @property
+    def stack(self) -> OperatorStack:
+        """A stack is its own stack (see :attr:`Operator.stack`)."""
+        return self
+
+    @property
+    def grids(self) -> np.ndarray:
+        """The bodies as :class:`Operator` holds them: a stencil's entries
+        scattered to grid-shaped stencils."""
+        if self.support is None:
+            return self.body
+        dims = self.support.dims
+        return self.entries_on(_support(dims, None)).reshape(
+            (len(self),) + dims)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense ``(s, n, n)`` matrices."""
         if self.structure == "dense":
             return self.body
-        return np.stack([op.matrix for op in self])
+        return np.stack([np.diag(x) if self.structure == "diagonal"
+                         else circulant(self.space.geometry, x)
+                         for x in self.grids])
+
+    def entries_on(self, support: StencilSupport | None) -> np.ndarray:
+        """The body, a stencil's entries widened to ``support``, a superset
+        of its own: the offsets it lacks hold zeros."""
+        if support is self.support:
+            return self.body
+        out = np.zeros((len(self), len(support.offsets)), self.body.dtype)
+        out[:, _positions(self.support, support)] = self.body
+        return out
 
 
-def as_stack(a) -> OperatorStack:
-    """A stack as it is, and one operator as a stack of one: a stencil's
-    entries gathered on its support."""
-    if isinstance(a, OperatorStack):
-        return a
-    body = a.body if a.support is None else a.support.gather(a.body)
-    return OperatorStack(body[None], a.space, a.structure, a.support)
+class Operator:
+    """A linear map on a field space: draw 0 of :attr:`stack`, a one-draw
+    :class:`OperatorStack`.
+
+    ``body`` is the ``n x n`` matrix when ``structure`` is ``"dense"`` (the
+    default), the grid-shaped first column of a circulant when it is
+    ``"stencil"``, and the vector of diagonal entries when it is
+    ``"diagonal"``: a read-only view of the body an operator is built from,
+    or, for one the algebra returns, scattered from its stack when read.
+    """
+
+    def __init__(self, body, space: FieldSpace, structure: str = "dense"):
+        body = _read_only(body)
+        vars(self).update(body=body, space=space, structure=structure, stack=(
+            _stencils(body[None], space) if structure == "stencil"
+            else OperatorStack(body[None], space, structure)))
+
+    @classmethod
+    def of(cls, stack: OperatorStack) -> Operator:
+        """Draw 0 of the one-draw ``stack``, held as it is."""
+        op = cls.__new__(cls)
+        vars(op).update(space=stack.space, structure=stack.structure,
+                        stack=stack)
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an operator is immutable; build a new one")
+
+    @functools.cached_property
+    def body(self) -> np.ndarray:
+        """The grid-shaped stencil, diagonal entries or matrix (read-only)."""
+        return _read_only(self.stack.grids[0])
+
+    @property
+    def support(self) -> StencilSupport | None:
+        """A stencil's support (see :func:`_stencils`); None otherwise."""
+        return self.stack.support
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``n x n`` matrix, derived from the body."""
+        return self.stack.matrix[0]
+
+
+def _stencils(grids: np.ndarray, space: FieldSpace) -> OperatorStack:
+    """Grid-shaped stencils, one per draw, as a stack on their support: the
+    offsets where some draw's entry is nonzero, their negatives and the
+    origin."""
+    dims = getattr(space.geometry, "dims", None)
+    if grids.shape[1:] != dims:
+        raise BadSpec(f"stencils on {dims} are not of shape {grids.shape[1:]}")
+    flat = grids.reshape(len(grids), -1)
+    used = np.logical_or.reduce(flat != 0, axis=0)
+    used |= used[_reflect_index(dims).ravel()]
+    used[0] = True
+    support = _support(dims, used.nonzero()[0])
+    return OperatorStack(flat if support.full else flat[:, support.offsets],
+                         space, "stencil", support)
+
+
+def _one_path(fn):
+    """``fn``, written on stacks, for operators too: the one place an
+    operator enters the stack form, as its stack of one, and leaves it:
+    with no stack among the arguments, the result is its draw 0, an
+    :class:`Operator`, a Python number for a norm, or a row."""
+
+    @functools.wraps(fn)
+    def one_path(*args):
+        out = fn(*[x.stack if isinstance(x, Operator) else x for x in args])
+        if any(isinstance(x, OperatorStack) for x in args):
+            return out
+        if isinstance(out, OperatorStack):
+            return Operator.of(out)
+        return out[0] if out.ndim > 1 else out[0].item()
+
+    return one_path
 
 
 def stack_operators(ops) -> OperatorStack:
     """Per-draw operators as one stack: their bodies when they share a
     structure, stencils on the union of their supports, else their dense
     matrices."""
-    ops = list(ops)
-    space = ops[0].space
-    if not all(op.space.matches(space) for op in ops):
+    stacks = [op.stack for op in ops]
+    space = stacks[0].space
+    if not all(x.space.matches(space) for x in stacks):
         raise SpaceMismatch("operators live on different field spaces")
-    structures = {op.structure for op in ops}
-    if len(structures) > 1:
-        return OperatorStack(np.stack([op.matrix for op in ops]), space)
-    support = None
-    if structures == {"stencil"}:
-        support = functools.reduce(_union, (op.support for op in ops))
-    return OperatorStack(np.stack([op.body if support is None
-                                   else support.gather(op.body)
-                                   for op in ops]), space, ops[0].structure,
-                         support)
+    if len({x.structure for x in stacks}) > 1:
+        return OperatorStack(np.concatenate([x.matrix for x in stacks]),
+                             space)
+    support = functools.reduce(_union, (x.support for x in stacks))
+    return OperatorStack(np.concatenate([x.entries_on(support)
+                                         for x in stacks]), space,
+                         stacks[0].structure, support)
 
 
 def scale_rows(scales: np.ndarray, a) -> OperatorStack:
@@ -390,8 +423,8 @@ def scale_rows(scales: np.ndarray, a) -> OperatorStack:
     keeps a diagonal and makes anything else dense; each draw gets the
     products that :func:`scale` or a row scaling of that one draw takes.
     """
+    a = a.stack
     if scales.shape[1] == 1:
-        a = as_stack(a)
         factors = scales.reshape(scales.shape + (1,) * (a.body.ndim - 2))
         return OperatorStack(factors * a.body, a.space, a.structure,
                              a.support)
@@ -411,9 +444,9 @@ def _unit(space: FieldSpace, value: float) -> Operator:
     if space.geometry is None:
         return Operator(np.full(space.dim, value, dtype=space.dtype), space,
                         "diagonal")
-    stencil = np.zeros(space.geometry.dims, dtype=space.dtype)
-    stencil.flat[0] = value
-    return Operator(stencil, space, "stencil")
+    return Operator.of(OperatorStack(np.full((1, 1), value, space.dtype),
+                                     space, "stencil",
+                                     _support(space.geometry.dims, [0])))
 
 
 def identity_operator(space: FieldSpace) -> Operator:
@@ -464,38 +497,29 @@ def reflect(stencil: np.ndarray) -> np.ndarray:
     return stencil.ravel()[_reflect_index(stencil.shape)]
 
 
-def compose(a: Operator, b: Operator) -> Operator:
-    """Operator composition ``(a o b)(phi) = a(b(phi))``.
-
-    Two stacks compose draw by draw: diagonals in one product, anything
-    else one draw at a time, so each draw gets the bits it gets alone.
-    """
+@_one_path
+def compose(a, b):
+    """Operator composition ``(a o b)(phi) = a(b(phi))``, draw by draw:
+    diagonals in one product, stencils convolved one draw at a time, and
+    anything else as dense matrices."""
     _require_same_space(a, b)
     if a.structure == b.structure == "diagonal":
-        return type(a)(a.body * b.body, a.space, "diagonal")
-    if isinstance(a, OperatorStack):
-        return stack_operators(map(compose, a, b))
+        return OperatorStack(a.body * b.body, a.space, "diagonal")
     if a.structure == b.structure == "stencil":
-        return Operator(_convolve(a.body, b.body), a.space, "stencil")
-    return Operator(a.matrix @ b.matrix, a.space)
+        return _stencils(np.stack([_convolve(x, y) for x, y in zip(
+            a.grids, b.grids)]), a.space)
+    return OperatorStack(np.matmul(a.matrix, b.matrix), a.space)
 
 
+@_one_path
 def _entrywise(ufunc, a, b):
-    """``ufunc`` on two operators; with a stack on either side, per draw,
-    and two stencil stacks on the union of their supports."""
+    """``ufunc`` on two stacks draw by draw (a stack of one against every
+    draw), stencils on the union of their supports."""
     _require_same_space(a, b)
-    if type(a) is type(b) is Operator:
-        if a.structure == b.structure:
-            return Operator(ufunc(a.body, b.body), a.space, a.structure)
-        return Operator(ufunc(a.matrix, b.matrix), a.space)
-    a, b = as_stack(a), as_stack(b)
     if a.structure != b.structure:
         return OperatorStack(ufunc(a.matrix, b.matrix), a.space)
-    if a.support is None:
-        return OperatorStack(ufunc(a.body, b.body), a.space, a.structure)
     support = _union(a.support, b.support)
-    return OperatorStack(ufunc(a.support.widen(a.body, support),
-                               b.support.widen(b.body, support)),
+    return OperatorStack(ufunc(a.entries_on(support), b.entries_on(support)),
                          a.space, a.structure, support)
 
 
@@ -507,8 +531,9 @@ def subtract(a: Operator, b: Operator) -> Operator:
     return _entrywise(np.subtract, a, b)
 
 
+@_one_path
 def scale(c, a: Operator) -> Operator:
-    return Operator(c * a.body, a.space, a.structure)
+    return OperatorStack(c * a.body, a.space, a.structure, a.support)
 
 
 def power(a: Operator, n: int) -> Operator:
@@ -522,38 +547,32 @@ def power(a: Operator, n: int) -> Operator:
     return out
 
 
+@_one_path
 def adjoint_wrt_pairing(a):
     """Adjoint with respect to the space's pairing.
 
     The Gram matrix ``w I`` commutes with everything, so ``G^-1 A^* G = A^*``:
     the plain transpose for a symmetric bilinear pairing and the conjugate
     transpose for a hermitian one.  A circulant's transpose is its reflected
-    stencil and a diagonal is its own transpose.  A stack gets each draw's
-    adjoint.
+    stencil, its entries permuted on its support, and a diagonal is its own
+    transpose.
     """
     if a.structure == "dense":
         star = np.swapaxes(a.body, -1, -2)
-    elif isinstance(a, OperatorStack) and a.support is not None:
-        star = a.body[:, a.support.reflection]
     elif a.structure == "stencil":
-        star = reflect(a.body)
+        star = a.body[:, a.support.reflection]
     else:
         star = a.body
     if a.space.pairing.symmetry == "hermitian":
         star = star.conj()
-    return _like(a, star)
+    return OperatorStack(star, a.space, a.structure, a.support)
 
 
-def _like(a, body):
-    """An operator or stack like ``a``, with ``body``."""
-    if isinstance(a, OperatorStack):
-        return OperatorStack(body, a.space, a.structure, a.support)
-    return Operator(body, a.space, a.structure)
-
-
+@_one_path
 def sym_part(a):
     """Pairing-symmetric part; carries exactly the quadratic-form content."""
-    return _like(a, 0.5 * (a.body + adjoint_wrt_pairing(a).body))
+    return OperatorStack(0.5 * (a.body + adjoint_wrt_pairing(a).body),
+                         a.space, a.structure, a.support)
 
 
 class FieldBlock:
@@ -570,10 +589,9 @@ class FieldBlock:
     """
 
     def __init__(self, fields, space: FieldSpace):
-        fields = np.asarray(fields).view()
+        fields = _read_only(fields)
         if fields.ndim != 2 or fields.shape[1] != space.dim:
             raise SpaceMismatch("fields and operators do not share one space")
-        fields.flags.writeable = False
         self.fields = fields
         self.space = space
         self.left = (fields.conj() if space.pairing.symmetry == "hermitian"
@@ -624,8 +642,7 @@ def lagrangian_value(a, phi):
     one product, dense ones one batched product; the pairing is a row sum,
     not a BLAS call.
     """
-    a = as_stack(a) if isinstance(a, (Operator, OperatorStack)) \
-        else stack_operators(a)
+    a = stack_operators(a) if isinstance(a, (list, tuple)) else a.stack
     space = a.space
     block = phi if isinstance(phi, FieldBlock) else FieldBlock(
         np.reshape(phi, (1, -1)) if np.ndim(phi) == 1 else phi, space)
@@ -675,67 +692,50 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(square)
 
 
-def _flat_bodies(a: OperatorStack) -> np.ndarray:
-    """Each draw's body as one row, a stencil's in grid order with the zeros
-    its support leaves out: the layout norms are taken in.  A BLAS dot sums
-    by position, so a norm over the support's entries alone would change
-    with the support that holds a stencil; in grid order it does not."""
-    if a.support is None:
-        return a.body.reshape(len(a), -1)
-    return a.support.scatter(a.body)
-
-
+@_one_path
 def frobenius(a):
-    """Frobenius norm; a circulant repeats its stencil in each of n rows.
-
-    A stack gets one norm per draw, each the bits of that draw's own.
-    """
-    if isinstance(a, OperatorStack):
-        norm = _row_norms(_flat_bodies(a))
-    else:
-        norm = float(np.linalg.norm(a.body))
+    """Frobenius norm, one per draw; a circulant repeats its stencil in
+    each of n rows.  A stencil is taken in grid order, as a BLAS dot sums
+    by position: on its support's entries the bits would follow the
+    support."""
+    norm = _row_norms(a.grids.reshape(len(a), -1))
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
+@_one_path
 def frobenius_coordinates(a) -> np.ndarray:
-    """A vector whose 2-norm is the Frobenius norm of ``a``, in the
-    coordinates of the full grid or matrix.
+    """A row per draw whose 2-norm is the Frobenius norm of that draw, in
+    the coordinates of the full grid or matrix.
 
     A stencil times ``sqrt(n)`` (each entry fills n matrix entries), a
     diagonal's entries (the zeros off it drop out) or the raveled matrix.
-    A stack gets one row per draw.
     """
-    body = (_flat_bodies(a) if isinstance(a, OperatorStack)
-            else a.body.ravel())
-    if a.structure == "stencil":
-        return math.sqrt(a.space.dim) * body
-    return body
+    body = a.grids.reshape(len(a), -1)
+    return math.sqrt(a.space.dim) * body if a.structure == "stencil" else body
 
 
+@_one_path
 def distance_to_diagonal(a, entries):
-    """``|A - diag(entries)|_F``; ``entries`` is a scalar or one per site.
+    """``|A - diag(entries)|_F``, one distance per draw.
 
-    A stack takes ``entries`` with one row per draw, ``(s, 1)`` or
-    ``(s, n)`` as :func:`scale_rows` takes them, and gives one distance per
-    draw; one operator is a stack of one.  A stencil's off-diagonal entries
-    repeat in every row and its diagonal is entry 0 of its support; the
-    diagonal term is an exact ``0.0`` when a scalar entry equals it, and
-    the ``n`` repeated gaps are only made for the draws where it does not.
+    ``entries`` has one row per draw, ``(s, 1)`` or ``(s, n)`` as
+    :func:`scale_rows` takes them; one operator takes a scalar or one entry
+    per site.  A stencil's off-diagonal entries repeat in every row and its
+    diagonal is entry 0 of its support; the diagonal term is an exact
+    ``0.0`` when a scalar entry equals it, and the ``n`` repeated gaps are
+    only made for the draws where it does not.
     """
-    if isinstance(a, Operator):
-        return float(distance_to_diagonal(as_stack(a), np.reshape(
-            entries, (1, -1)))[0])
     s, n = len(a), a.space.dim
+    entries = np.reshape(entries, (s, -1))
     if a.structure == "diagonal":
         return _row_norms(a.body - entries)
     if a.structure != "stencil":
         diag = np.zeros((s, n, n), dtype=entries.dtype)
         diag[:, np.arange(n), np.arange(n)] = np.broadcast_to(entries, (s, n))
         return _row_norms((a.body - diag).reshape(s, -1))
-    off = _flat_bodies(a)
-    if off is a.body:  # a full support holds the grid-ordered stencils
-        off = off.copy()
+    off = a.body.copy()
     off[:, 0] = 0
+    off = frobenius(OperatorStack(off, a.space, "stencil", a.support))
     v = a.body[:, 0]
     if entries.shape[1] == 1:
         # v != e also holds for a NaN
@@ -746,8 +746,8 @@ def distance_to_diagonal(a, entries):
     else:
         gap = _row_norms(v[:, None] - entries)
     # math.hypot per draw: numpy's hypot may round otherwise
-    return np.array([math.hypot(x, y) for x, y in zip(
-        (math.sqrt(n) * _row_norms(off)).tolist(), gap.tolist())])
+    return np.array([math.hypot(x, y) for x, y in zip(off.tolist(),
+                                                       gap.tolist())])
 
 
 def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:

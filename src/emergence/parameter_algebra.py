@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
-from .operator_core import (Operator, OperatorStack, add, as_stack, compose,
+from .operator_core import (Operator, OperatorStack, add, compose,
                             distance_to_diagonal, exact_sums, frobenius,
                             plain_space, scale_rows, stack_operators,
                             subtract)
@@ -684,29 +684,22 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
             raise DegreeMismatch("probe count disagrees with the tuple degree")
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
-    if isinstance(target, OperatorStack):
-        return _solve_stack(algebra, target, tol)
-    if not isinstance(target, Operator):
+    if not isinstance(target, (Operator, OperatorStack)):
         matrix = np.asarray(target)
         target = Operator(matrix, plain_space(
             matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
-    (candidate,) = _solve_stack(algebra, as_stack(target), tol)
-    return candidate
-
-
-def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
-                 tol: float) -> Draws:
-    s, n = len(target), target.space.dim
+    stack = target.stack
+    s, n = len(stack), stack.space.dim
     rows, order, lengths = algebra.orbit_plan or (n, None, np.array([n]))
     if rows != n:
         raise BadSpec(f"{algebra.name} scales {rows} rows, the operator "
                       f"has {n}")
-    stencil = target.structure == "stencil"
+    stencil = stack.structure == "stencil"
     if stencil:  # the origin is entry 0 of the support
-        spans = target.body[:, :1]
+        spans = stack.body[:, :1]
     else:
-        values = (target.body if target.structure == "diagonal"
-                  else np.diagonal(target.body, axis1=1, axis2=2))
+        values = (stack.body if stack.structure == "diagonal"
+                  else np.diagonal(stack.body, axis1=1, axis2=2))
         # the padding gathers a zero, which adds nothing to a sum; the
         # spans are gathered transposed, the layout exact_sums runs on
         spans = values[:, None] if order is None else np.concatenate(
@@ -723,8 +716,8 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
     # the orbit check then refuses
     coords[~np.isfinite(coords).all(axis=1)] = math.nan
     candidate = algebra.block_from_coords(coords)
-    residual = distance_to_diagonal(target, algebra.row_scales(candidate))
-    norm = frobenius(target)
+    residual = distance_to_diagonal(stack, algebra.row_scales(candidate))
+    norm = frobenius(stack)
     # max(1.0, norm) as one draw takes it, so a NaN norm gives 1.0
     bound = tol * np.where(norm > 1.0, norm, 1.0)
     failed = np.flatnonzero(~((residual <= bound) & np.isfinite(bound)))
@@ -732,7 +725,8 @@ def _solve_stack(algebra: ParameterAlgebra, target: OperatorStack,
         raise NotInIdentityOrbit(
             f"operator is not in the identity orbit of {algebra.name}",
             residual=float(residual[failed[0]]))
-    return candidate
+    return (candidate if isinstance(target, OperatorStack)
+            else next(iter(candidate)))
 
 
 # --- coefficient functions ------------------------------------------------------

@@ -198,13 +198,16 @@ def _sym_flat(op: Operator) -> np.ndarray:
     return sym_part(op).body.ravel()
 
 
-def _exact_sum(values: np.ndarray, repeats: int, operand: str) -> float:
+def _exact_sum(values: np.ndarray, repeats: int, operand: str,
+               rows=None) -> float:
     """``repeats * sum(values)``, correctly rounded, of products of the
-    least squares' ``operand``; a product or a sum that overflows (an
-    overflowing coupling) raises HypothesisViolated."""
+    least squares' ``operand`` on the grid's ``rows`` (all by default); a
+    product or a sum that overflows (an overflowing coupling) raises
+    HypothesisViolated."""
     total = exact_sum(values, repeats)
     if math.isnan(total):
-        bad = np.flatnonzero(~np.isfinite(values))[:1].tolist()
+        bad = np.flatnonzero(~np.isfinite(values))[:1]
+        bad = (bad if rows is None else rows[bad]).tolist()
         raise HypothesisViolated(
             f"least-squares {operand} "
             f"{f'product entry {bad[0]}' if bad else 'sum'} is not finite; "
@@ -228,10 +231,11 @@ def _least_squares(background: dict, fit: str, columns, rhs: np.ndarray):
     norm of the fit's residual.  A non-finite entry or product (an
     overflowing coupling) raises HypothesisViolated.
 
-    The design and its Gram sums depend on the background alone: they are
-    built at the background's first ``fit`` that gets past its rhs check
-    and kept in ``background[fit]``, so a later fit checks and sums only
-    its rhs, and refuses as it would with the design built afresh.
+    The design, its Gram sums and the rows where it is nonzero, the only
+    rows its products are summed on, depend on the background alone: they
+    are built at the background's first ``fit`` that gets past its rhs
+    check and kept in ``background[fit]``, so a later fit checks and sums
+    only its rhs, and refuses as it would with the design built afresh.
     """
     repeats = background["space"].dim
     plan = background.get(fit)
@@ -247,11 +251,14 @@ def _least_squares(background: dict, fit: str, columns, rhs: np.ndarray):
                 evidence={"operand": name, "index": index})
     k = design.shape[1]
     if plan is None:
-        gram = [[_exact_sum(design[:, i] * design[:, j], repeats, "design")
-                 for j in range(k)] for i in range(k)]
-        plan = background[fit] = (design, gram)
-    gram = [list(row) for row in plan[1]]
-    b = [_exact_sum(design[:, j] * rhs, repeats, "rhs") for j in range(k)]
+        rows = np.flatnonzero(np.any(design != 0, axis=1))
+        gram = [[_exact_sum(design[rows, i] * design[rows, j], repeats,
+                            "design", rows) for j in range(k)]
+                for i in range(k)]
+        plan = background[fit] = (design, gram, rows)
+    gram, rows = [list(row) for row in plan[1]], plan[2]
+    b = [_exact_sum(design[rows, j] * rhs[rows], repeats, "rhs", rows)
+         for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):

@@ -118,3 +118,32 @@ def test_only_map_block_asks_for_a_block_form():
              for where, _ in _block_lookups(ast.parse(
                  path.read_text(encoding="utf-8")))]
     assert found == [("engine.py", "map_block")]
+
+
+STACK_TYPES = {"Operator", "OperatorStack"}
+
+
+def _stack_type_checks(tree: ast.Module) -> list:
+    """``(function, line)`` of each ``isinstance`` against ``Operator`` or
+    ``OperatorStack`` and of each ``type(...)`` call, with the top-level
+    function around it."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)):
+                continue
+            named = {n.id for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, ast.Name)}
+            if node.func.id == "type" or (node.func.id == "isinstance"
+                                          and named & STACK_TYPES):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_one_operator_path_in_operator_core():
+    # one operator is a stack of one: it enters and leaves the stack form
+    # in one place, and no function of the algebra tells the two apart
+    path = ROOT / "src" / "emergence" / "operator_core.py"
+    found = _stack_type_checks(ast.parse(path.read_text(encoding="utf-8")))
+    assert found and {where for where, _ in found} == {"_one_path"}

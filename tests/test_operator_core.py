@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -57,6 +58,24 @@ def test_space_matching_is_structural(line8):
 def test_operator_shape_is_checked(line8):
     with pytest.raises(BadSpec):
         Operator(np.eye(3), line8)
+
+
+def test_an_operator_body_is_read_only(torus8):
+    # an operator's stack is gathered from its body once, so a write
+    # through the body would be silently lost: it raises instead
+    stencil = np.zeros(torus8.geometry.dims)
+    stencil[0, 1] = 1.0
+    shift = Operator(stencil, torus8, "stencil")
+    assert len(shift.support.offsets) == 3
+    built = (shift, add(shift, identity_operator(torus8)),
+             compose(shift, shift), diagonal_operator(torus8, np.ones(64)),
+             Operator(np.eye(64), torus8))
+    for op in built:
+        with pytest.raises(ValueError, match="read-only"):
+            op.body[(0,) * op.body.ndim] = 5.0
+        with pytest.raises(AttributeError):
+            op.body = np.zeros_like(op.body)
+    assert frobenius(shift) == math.sqrt(64)
 
 
 # --- arithmetic and circulance -----------------------------------------------
@@ -531,7 +550,8 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
     assert _hexes(frobenius(a)) == _hexes([frobenius(x) for x in left])
     for got, each in ((sym_part(a), map(sym_part, left)),
                       (adjoint_wrt_pairing(a), map(adjoint_wrt_pairing, left)),
-                      (subtract(a, b), map(subtract, left, right))):
+                      (subtract(a, b), map(subtract, left, right)),
+                      (compose(a, b), map(compose, left, right))):
         for draw, one in zip(got, each):
             assert np.array_equal(draw.body, one.body)
     fields = np.stack([space.sample_field(rng) for _ in range(s)])
@@ -553,6 +573,47 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
             assert (draw.structure, draw.body.dtype) == (one.structure,
                                                          one.body.dtype)
             assert np.array_equal(draw.body, one.body)
+
+
+@pytest.mark.parametrize("structure,shape", [
+    ("stencil", (5, 7)), ("stencil", (9,)), ("stencil", (3, 5, 3)),
+    ("diagonal", (7,)), ("diagonal", (33,)), ("dense", (5,)),
+    ("dense", (21,))])
+@pytest.mark.parametrize("scalar_kind,symmetry", [
+    ("real", "symmetric"), ("complex", "symmetric"), ("complex", "hermitian")])
+def test_single_operators_keep_the_bits_of_plain_numpy(structure, shape,
+                                                      scalar_kind, symmetry):
+    # the references are the arithmetic one operator's grid-shaped body
+    # takes in numpy: whatever path the algebra runs, these values stay,
+    # and a norm its bits (a zero off a stencil's support may lose its sign)
+    space = grid_space(shape, (0.5, 2.0, 1.5)[:len(shape)], scalar_kind,
+                       symmetry)
+    rng = np.random.default_rng(sum(shape))
+    ops = [_random_operator(space, structure, density, rng)
+           for density in (0.3, 1.0, 0.3)]
+    c = complex(rng.standard_normal(), rng.standard_normal()) \
+        if scalar_kind == "complex" else float(rng.standard_normal())
+    factor = math.sqrt(space.dim) if structure == "stencil" else 1.0
+    for a, b in itertools.pairwise(ops):
+        for got, want in ((add(a, b), a.body + b.body),
+                          (subtract(a, b), a.body - b.body),
+                          (scale(c, a), c * a.body)):
+            assert got.structure == structure
+            assert got.body.dtype == want.dtype
+            assert np.array_equal(got.body, want)
+        star = {"stencil": operator_core.reflect,
+                "diagonal": lambda body: body,
+                "dense": np.transpose}[structure](a.body)
+        if symmetry == "hermitian":
+            star = star.conj()
+        assert np.array_equal(adjoint_wrt_pairing(a).body, star)
+        assert np.array_equal(compose(a, b).body, {
+            "stencil": operator_core._convolve, "diagonal": np.multiply,
+            "dense": np.matmul}[structure](a.body, b.body))
+        for x in (a, add(a, b), scale(c, a), sym_part(a)):
+            norm = factor * float(np.linalg.norm(x.body))
+            assert type(frobenius(x)) is float
+            assert frobenius(x).hex() == norm.hex()
 
 
 #: the norms of odd-length real rows of a stack, each against a fresh copy

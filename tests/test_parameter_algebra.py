@@ -971,8 +971,9 @@ def test_block_compatibility_is_the_per_draw_report(case, seed):
 def test_a_nan_operator_fails_block_compatibility_as_per_draw(algebra):
     space = plain_space(4, algebra.scalar_kind)
     rng = np.random.default_rng(1)
-    nan = Operator(rng.standard_normal((4, 4)), space)
-    nan.body[1, 2] = math.nan
+    matrix = rng.standard_normal((4, 4))
+    matrix[1, 2] = math.nan
+    nan = Operator(matrix, space)
     ops = [nan, diagonal_operator(space, [1.0, 2.0, 3.0, 4.0])]
     with np.errstate(invalid="ignore"):
         got = check_action_compatibility(algebra, ops, n_samples=9, seed=2)
