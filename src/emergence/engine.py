@@ -40,7 +40,7 @@ from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
                        compose_families, evaluate_draws, evaluate_family,
                        evaluate_polynomial, factor_last_variable,
                        monomial_operator, polynomial_family, scalar_family,
-                       sum_families)
+                       sum_families, transported_slots)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
@@ -797,10 +797,7 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
             raise HypothesisViolated(
                 f"coefficient at {alpha} may vanish; preimages are not "
                 f"defined everywhere", evidence={"term": list(alpha)})
-    needed = set()
-    for alpha, _ in active:
-        needed.update(i for i, e in enumerate(alpha) if e > 0)
-    for i in sorted(needed):
+    for i in transported_slots(poly.terms):
         if i not in poly.right_inverses:
             raise NotRightInvertible(
                 f"slot {i} has no right inverse: "

@@ -253,6 +253,11 @@ class OperatorStack:
     see :class:`StencilSupport`); indexing gives grid-shaped operators.
     Every function acts on all draws at once with the elementwise
     arithmetic of each, so draw ``i`` keeps the bits of a stack of one.
+
+    The public constructor validates the body in full against the
+    structure, the space and the support.  A stack the algebra derives from
+    validated ones (a scaling, a sum, an adjoint, a draw) is built by
+    :meth:`_derive`, which checks only the body's shape.
     """
 
     body: np.ndarray
@@ -282,8 +287,28 @@ class OperatorStack:
         return len(self.body)
 
     def __getitem__(self, i) -> Operator:
-        return Operator.of(OperatorStack(self.body[i][None], self.space,
-                                         self.structure, self.support))
+        return Operator.of(self._derive(self.body[i][None]))
+
+    def _derive(self, body: np.ndarray,
+                support: StencilSupport | None = None) -> OperatorStack:
+        """A stack of this one's space and structure on ``body``, which the
+        algebra built from validated stacks: only its shape after the draw
+        axis is checked, against this stack's body or, given a union
+        ``support`` for a stencil, against that support's entries."""
+        if support is None:
+            support, shape = self.support, self.body.shape[1:]
+        else:
+            shape = (len(support.offsets),)
+        if body.shape[1:] != shape:
+            raise BadSpec(f"{self.structure} operator body has shape "
+                          f"{body.shape[1:]}, its operands need {shape}")
+        out = OperatorStack.__new__(OperatorStack)
+        fields = out.__dict__
+        fields["body"] = body
+        fields["space"] = self.space
+        fields["structure"] = self.structure
+        fields["support"] = support
+        return out
 
     @property
     def stack(self) -> OperatorStack:
@@ -296,9 +321,16 @@ class OperatorStack:
         scattered to grid-shaped stencils."""
         if self.support is None:
             return self.body
-        dims = self.support.dims
-        return self.entries_on(_support(dims, None)).reshape(
-            (len(self),) + dims)
+        return self.rows.reshape((len(self),) + self.support.dims)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """One row per draw: a stencil's entries scattered to every offset
+        of its grid in row-major order, a diagonal's entries or a raveled
+        matrix."""
+        if self.support is None:
+            return self.body.reshape(len(self), -1)
+        return self.entries_on(_support(self.support.dims, None))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -340,8 +372,10 @@ class Operator:
     def of(cls, stack: OperatorStack) -> Operator:
         """Draw 0 of the one-draw ``stack``, held as it is."""
         op = cls.__new__(cls)
-        vars(op).update(space=stack.space, structure=stack.structure,
-                        stack=stack)
+        fields = op.__dict__
+        fields["space"] = stack.space
+        fields["structure"] = stack.structure
+        fields["stack"] = stack
         return op
 
     def __setattr__(self, name, value):
@@ -387,8 +421,15 @@ def _one_path(fn):
 
     @functools.wraps(fn)
     def one_path(*args):
-        out = fn(*[x.stack if isinstance(x, Operator) else x for x in args])
-        if any(isinstance(x, OperatorStack) for x in args):
+        stacked, operands = False, []
+        for x in args:
+            if isinstance(x, Operator):
+                x = x.stack
+            elif isinstance(x, OperatorStack):
+                stacked = True
+            operands.append(x)
+        out = fn(*operands)
+        if stacked:
             return out
         if isinstance(out, OperatorStack):
             return Operator.of(out)
@@ -426,10 +467,9 @@ def scale_rows(scales: np.ndarray, a) -> OperatorStack:
     a = a.stack
     if scales.shape[1] == 1:
         factors = scales.reshape(scales.shape + (1,) * (a.body.ndim - 2))
-        return OperatorStack(factors * a.body, a.space, a.structure,
-                             a.support)
+        return a._derive(factors * a.body)
     if a.structure == "diagonal":
-        return OperatorStack(scales * a.body, a.space, "diagonal")
+        return a._derive(scales * a.body)
     return OperatorStack(scales[:, :, None] * a.matrix, a.space)
 
 
@@ -467,6 +507,30 @@ def _require_same_space(a: Operator, b: Operator):
         raise SpaceMismatch("operators live on different field spaces")
 
 
+@functools.lru_cache(maxsize=256)
+def _roll_slabs(dims: tuple, offset: tuple) -> tuple:
+    """``(dst, src)`` index pairs that copy a block of grids of ``dims``
+    rolled by ``offset``: at most two slabs per axis, after any leading
+    axes."""
+    cuts = []
+    for n, k in zip(dims, offset):
+        k = int(k) % n
+        cuts.append(((slice(k, n), slice(0, n - k)),
+                     (slice(0, k), slice(n - k, n)))[:1 + (k > 0)])
+    return tuple(((Ellipsis, *dst), (Ellipsis, *src)) for dst, src in
+                 (zip(*cut) for cut in itertools.product(*cuts)))
+
+
+def _roll(a: np.ndarray, offset: tuple) -> np.ndarray:
+    """``out[..., x + offset] = a[..., x]`` on the trailing ``len(offset)``
+    axes, periodically: numpy's roll, the same copy, with its slabs kept
+    per grid shape and offset.  Every roll in the package is this one."""
+    out = np.empty_like(a)
+    for dst, src in _roll_slabs(a.shape[a.ndim - len(offset):], offset):
+        out[dst] = a[src]
+    return out
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic convolution ``c[x] = sum_y a[x - y] b[y]`` of grid arrays.
 
@@ -479,14 +543,7 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     out = np.zeros(a.shape, dtype=np.result_type(a, b))
     for index in zip(*np.nonzero(a)):
-        coeff = a[index]
-        # out[x] += coeff * b[x - index] in at most two slabs per axis
-        for cut in itertools.product(*(
-                ((slice(i, n), slice(0, n - i)),
-                 (slice(0, i), slice(n - i, n)))[:1 + (i > 0)]
-                for n, i in zip(a.shape, index))):
-            dst, src = zip(*cut)
-            out[dst] += coeff * b[src]
+        out += a[index] * _roll(b, index)
     return out
 
 
@@ -504,7 +561,7 @@ def compose(a, b):
     anything else as dense matrices."""
     _require_same_space(a, b)
     if a.structure == b.structure == "diagonal":
-        return OperatorStack(a.body * b.body, a.space, "diagonal")
+        return a._derive(a.body * b.body)
     if a.structure == b.structure == "stencil":
         return _stencils(np.stack([_convolve(x, y) for x, y in zip(
             a.grids, b.grids)]), a.space)
@@ -519,8 +576,8 @@ def _entrywise(ufunc, a, b):
     if a.structure != b.structure:
         return OperatorStack(ufunc(a.matrix, b.matrix), a.space)
     support = _union(a.support, b.support)
-    return OperatorStack(ufunc(a.entries_on(support), b.entries_on(support)),
-                         a.space, a.structure, support)
+    return a._derive(ufunc(a.entries_on(support), b.entries_on(support)),
+                     support)
 
 
 def add(a: Operator, b: Operator) -> Operator:
@@ -533,7 +590,7 @@ def subtract(a: Operator, b: Operator) -> Operator:
 
 @_one_path
 def scale(c, a: Operator) -> Operator:
-    return OperatorStack(c * a.body, a.space, a.structure, a.support)
+    return a._derive(c * a.body)
 
 
 def power(a: Operator, n: int) -> Operator:
@@ -565,14 +622,13 @@ def adjoint_wrt_pairing(a):
         star = a.body
     if a.space.pairing.symmetry == "hermitian":
         star = star.conj()
-    return OperatorStack(star, a.space, a.structure, a.support)
+    return a._derive(star)
 
 
 @_one_path
 def sym_part(a):
     """Pairing-symmetric part; carries exactly the quadratic-form content."""
-    return OperatorStack(0.5 * (a.body + adjoint_wrt_pairing(a).body),
-                         a.space, a.structure, a.support)
+    return a._derive(0.5 * (a.body + adjoint_wrt_pairing(a).body))
 
 
 class FieldBlock:
@@ -618,8 +674,7 @@ class FieldBlock:
         for start in range(0, len(self), step):
             rows = slice(start, start + step)
             grid = self.fields[rows].reshape(-1, *dims)
-            products = np.roll(grid, offset, axis=tuple(range(1, grid.ndim)))
-            products = products.reshape(len(grid), -1)
+            products = _roll(grid, offset).reshape(len(grid), -1)
             np.multiply(self.left[rows], products, out=products)
             out[rows] = np.sum(products, axis=1)
         return out
@@ -676,11 +731,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     imaginary parts apart, added), and a row-times-column ``matmul`` takes
     the same dot product row by row.  Some kernels sum differently from an
     8-byte offset, so each row starts 16-byte aligned, as a freshly
-    allocated body does.
+    allocated body does; a C-contiguous array that owns its data is one,
+    and only the others have their address read.
     """
     s, m = rows.shape
     pad = -m * rows.itemsize % 16 // rows.itemsize
-    if pad or rows.ctypes.data % 16 or not rows.flags.c_contiguous:
+    flags = rows.flags
+    if pad or not flags.c_contiguous or (not flags.owndata
+                                         and rows.ctypes.data % 16):
         padded = np.empty((s, m + pad), rows.dtype)
         padded[:, :m] = rows
         rows = padded[:, :m]
@@ -698,7 +756,7 @@ def frobenius(a):
     each of n rows.  A stencil is taken in grid order, as a BLAS dot sums
     by position: on its support's entries the bits would follow the
     support."""
-    norm = _row_norms(a.grids.reshape(len(a), -1))
+    norm = _row_norms(a.rows)
     return math.sqrt(a.space.dim) * norm if a.structure == "stencil" else norm
 
 
@@ -710,7 +768,7 @@ def frobenius_coordinates(a) -> np.ndarray:
     A stencil times ``sqrt(n)`` (each entry fills n matrix entries), a
     diagonal's entries (the zeros off it drop out) or the raveled matrix.
     """
-    body = a.grids.reshape(len(a), -1)
+    body = a.rows
     return math.sqrt(a.space.dim) * body if a.structure == "stencil" else body
 
 
@@ -735,7 +793,7 @@ def distance_to_diagonal(a, entries):
         return _row_norms((a.body - diag).reshape(s, -1))
     off = a.body.copy()
     off[:, 0] = 0
-    off = frobenius(OperatorStack(off, a.space, "stencil", a.support))
+    off = frobenius(a._derive(off))
     v = a.body[:, 0]
     if entries.shape[1] == 1:
         # v != e also holds for a NaN
@@ -991,9 +1049,10 @@ def exact_sum(values, repeats: int = 1) -> float:
     ``repeats``, and Python's int division by ``2**1074`` rounds once.
     """
     values = np.asarray(values, dtype=float)
-    values = values[values != 0].tolist()
+    values = values[values != 0]
     if not np.isfinite(values).all():
         return math.nan
+    values = values.tolist()
     if repeats == 1:
         with contextlib.suppress(OverflowError):  # a partial sum overflows
             return math.fsum(values)
@@ -1049,10 +1108,10 @@ def exact_sums(rows) -> np.ndarray:
                         axis=-1).view(complex)[..., 0]
     sums, answered = _int64_sums(rows)
     out = sums.reshape(-1)
-    missing = np.flatnonzero(~answered).tolist()
-    if missing:
+    missing = np.flatnonzero(~answered)
+    if missing.size:
         flat = rows.reshape(out.size, rows.shape[-1])
-    for i in missing:
-        if flat[i].any():  # a row of zeros sums to the 0.0 it holds
+        # a row of zeros sums to the 0.0 it holds
+        for i in missing[flat[missing].any(axis=-1)].tolist():
             out[i] = exact_sum(flat[i])
     return out.reshape(rows.shape[:-1])

@@ -251,7 +251,8 @@ class PolynomialFamily:
 
     ``terms`` is a sorted tuple of ``(multi_index, CoefficientFunction)``;
     ``right_inverses`` maps slot index to a *verified* right inverse, and
-    ``right_inverse_failures`` keeps the diagnostic for slots that have none.
+    ``right_inverse_failures`` keeps the diagnostic for slots that have none;
+    :func:`polynomial_family` solves only the :func:`transported_slots`.
     """
 
     operators: tuple
@@ -271,15 +272,24 @@ class PolynomialFamily:
         return self.operators[0].space
 
 
+def transported_slots(terms) -> tuple:
+    """The slots synthesis transports through a right inverse, ascending:
+    those a term with a non-constant coefficient raises to a positive
+    power.  Constant terms become the offset and need none."""
+    return tuple(sorted({i for alpha, f in terms if not f.is_constant
+                         for i, e in enumerate(alpha) if e > 0}))
+
+
 def polynomial_family(operators, terms, algebra,
                       coefficient_degree: int = 1,
                       inverse_tol: float = DEFAULT_TOL,
                       label: str = "") -> PolynomialFamily:
-    """Validate and freeze a polynomial family, pre-solving right inverses.
+    """Validate and freeze a polynomial family, solving the right inverses
+    synthesis needs: those of the :func:`transported_slots`.
 
-    Slots that admit no right inverse are recorded with their diagnostic
-    rather than rejected; synthesis fails later only if such a slot is
-    actually needed.
+    Such a slot that admits no right inverse is recorded with its
+    diagnostic rather than rejected; synthesis refuses it later.  Other
+    slots are not attempted.
     """
     operators = tuple(operators)
     if not operators:
@@ -302,9 +312,9 @@ def polynomial_family(operators, terms, algebra,
         raise BadSpec("polynomial family needs at least one term")
     sorted_terms = tuple(sorted(seen.items()))
     inverses, failures = {}, {}
-    for i, op in enumerate(operators):
+    for i in transported_slots(sorted_terms):
         try:
-            inverses[i] = right_inverse(op, tol=inverse_tol)
+            inverses[i] = right_inverse(operators[i], tol=inverse_tol)
         except NotRightInvertible as exc:
             failures[i] = str(exc)
     return PolynomialFamily(operators, sorted_terms, algebra,

@@ -483,6 +483,28 @@ def test_wave_background_with_constant_first_slot(line8):
     assert emap.certificate.max_functional_residual <= 1e-8
 
 
+def test_a_slot_only_in_a_constant_term_needs_no_right_inverse():
+    # the constant slot has zero diagonal entries, so it has no right
+    # inverse; it is never attempted, and the offset it makes is still
+    # solved away on the identity orbit
+    space = plain_space(4)
+    algebra = CentralizerDiagonal(np.eye(4))
+    singular = diagonal_operator(space, [1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(NotRightInvertible):
+        operator_core.right_inverse(singular)
+    ident = identity_operator(space)
+    source = verified(scalar_family(algebra, ident), "additive",
+                      "scalar_invariant")
+    poly = polynomial_family(
+        [singular, ident],
+        {(1, 0): CoefficientFunction.constant(0.5, domain="real"),
+         (0, 1): lin()}, algebra)
+    assert set(poly.right_inverses) == {1}
+    assert poly.right_inverse_failures == {}
+    emap = emerge(source, poly)
+    assert emap.certificate.passed
+
+
 def test_absent_last_variable_delegates_bitwise(line8):
     slot = identity_operator(line8)
     other = make_discrete_operator(line8, "shift", axis=0)

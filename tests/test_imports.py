@@ -147,3 +147,23 @@ def test_one_operator_path_in_operator_core():
     path = ROOT / "src" / "emergence" / "operator_core.py"
     found = _stack_type_checks(ast.parse(path.read_text(encoding="utf-8")))
     assert found and {where for where, _ in found} == {"_one_path"}
+
+
+def _roll_calls(tree: ast.Module) -> list:
+    """Lines that call numpy's ``roll`` as ``np.roll`` or ``numpy.roll``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "roll"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+def test_operator_core_roll_is_the_only_roll():
+    # periodic shifts have one home: operator_core._roll, whose slabs are
+    # kept per grid shape and offset
+    package = ROOT / "src" / "emergence"
+    found = {path.name: _roll_calls(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _roll_calls(ast.parse("np.roll(a, 1)")) == [1]

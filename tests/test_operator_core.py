@@ -616,6 +616,99 @@ def test_single_operators_keep_the_bits_of_plain_numpy(structure, shape,
             assert frobenius(x).hex() == norm.hex()
 
 
+# --- the per-call paths: one roll, derived stacks ---------------------------
+
+
+@pytest.mark.parametrize("dims", [(7,), (6, 10), (4, 5, 3)])
+@pytest.mark.parametrize("leading", [(), (3,)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_roll_is_numpys_roll_bit_for_bit(dims, leading, kind):
+    rng = np.random.default_rng(len(dims) + len(leading))
+    a = rng.standard_normal(leading + dims)
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal(leading + dims)
+    axes = tuple(range(len(leading), a.ndim))
+    offsets = {tuple(0 for _ in dims), tuple(1 for _ in dims),
+               tuple(n - 1 for n in dims), tuple(-1 for _ in dims),
+               tuple(-n - 2 for n in dims), tuple(range(len(dims))),
+               tuple(-k for k in range(len(dims)))}
+    for offset in sorted(offsets):
+        got = operator_core._roll(a, offset)
+        want = np.roll(a, offset, axis=axes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), offset
+        assert not np.shares_memory(got, a)
+    # the slabs are kept per grid shape and offset, whatever leads
+    assert operator_core._roll(a[:1], offset).tobytes() \
+        == np.roll(a[:1], offset, axis=axes).tobytes()
+
+
+def _derived_cases(space, structure, rng):
+    """``(a, b, cases)``: a stack ``a`` of three draws of ``structure``, one
+    operator ``b`` (a stencil on another support) and ``(name, stack)`` for
+    each stack the algebra derives from them."""
+    c = (0.5 - 1.5j) if space.scalar_kind == "complex" else -1.5
+    if structure == "stencil":
+        # supports of 9, 3 and 3 offsets, the last apart from the others
+        a = stack_operators([
+            make_discrete_operator(space, "box", eta=SKEW_ETA),
+            scale(c, make_discrete_operator(space, "shift", axis=0, step=2)),
+            make_discrete_operator(space, "box", eta=SKEW_ETA)])
+        b = make_discrete_operator(space, "shift", axis=1, step=3)
+    else:
+        a = stack_operators([_random_operator(space, structure, 0.3, rng)
+                             for _ in range(3)])
+        b = _random_operator(space, structure, 0.6, rng)
+    s = len(a)
+    cases = [("scale", scale(c, a)),
+             ("scale_rows", scale_rows(rng.standard_normal((s, 1)), a)),
+             ("adjoint_wrt_pairing", adjoint_wrt_pairing(a)),
+             ("sym_part", sym_part(a)),
+             ("add", add(a, b)), ("subtract", subtract(b, a)),
+             ("draw", a[1].stack)]
+    if structure == "diagonal":
+        cases += [("scale_rows per row", scale_rows(
+                      rng.standard_normal((s, space.dim)), a)),
+                  ("compose", compose(a, b))]
+    return a, b, cases
+
+
+@pytest.mark.parametrize("structure", ["stencil", "diagonal", "dense"])
+@pytest.mark.parametrize("scalar_kind,symmetry", [
+    ("real", "symmetric"), ("complex", "hermitian")])
+def test_derived_stacks_pass_the_public_validation(structure, scalar_kind,
+                                                   symmetry):
+    space = grid_space((6, 10), (0.5, 2.0), scalar_kind, symmetry)
+    rng = np.random.default_rng(12)
+    a, b, cases = _derived_cases(space, structure, rng)
+    if structure == "stencil":
+        assert [len(x.support.offsets) for x in (a, b, add(a, b))] \
+            == [11, 3, 13]
+    for name, x in cases:
+        checked = OperatorStack(x.body, x.space, x.structure, x.support)
+        assert (checked.structure, checked.support) == (structure,
+                                                        x.support), name
+        assert np.array_equal(checked.body, x.body), name
+
+
+@pytest.mark.parametrize("structure", ["stencil", "diagonal", "dense"])
+def test_a_derived_body_of_the_wrong_shape_is_refused(structure):
+    space = grid_space((6, 10), (0.5, 2.0))
+    a, _, _ = _derived_cases(space, structure, np.random.default_rng(13))
+    with pytest.raises(BadSpec, match="operands need"):
+        a._derive(a.body[:, :-1])
+    with pytest.raises(BadSpec, match="operands need"):
+        a._derive(a.body[0])
+    # a factor that broadcasts past one draw's body is refused, not kept
+    with pytest.raises(BadSpec, match="operands need"):
+        scale(np.ones((2,) + a.body.shape), a)
+    if structure == "stencil":
+        wide = operator_core._support((6, 10), None)
+        with pytest.raises(BadSpec, match="operands need"):
+            a._derive(a.body, wide)
+        assert a._derive(a.entries_on(wide), wide).support is wide
+
+
 #: the norms of odd-length real rows of a stack, each against a fresh copy
 ALIGNMENT_SCRIPT = """
 import numpy as np

@@ -46,6 +46,23 @@ def test_flat_background_is_minus_the_laplacian():
                           -background["box_eta"].matrix)
 
 
+def test_the_regulated_surrogate_solves_one_right_inverse(monkeypatch):
+    # its first slot appears only in the constant term, the offset: only
+    # the second, -f box_m, is transported
+    solved = []
+
+    def counting(op, tol):
+        solved.append(op)
+        return operator_core.right_inverse(op, tol)
+
+    monkeypatch.setattr("emergence.theories.right_inverse", counting)
+    spec = gravity_spec(field_strength=0.5)
+    assert run_gravity_from_noncommutativity(spec).passed
+    box_m = build_gravity_background(spec.grid, mass=spec.mass)["box_m"]
+    assert len(solved) == 1
+    assert np.array_equal(solved[0].matrix, -0.5 * box_m.matrix)
+
+
 def test_massless_background_is_permitted():
     background = build_gravity_background((8, 8), mass=0.0)
     assert np.array_equal(background["box_m"].matrix,

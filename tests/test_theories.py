@@ -13,9 +13,11 @@ from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
                        compose_families, evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
                        make_discrete_operator, plain_space, polynomial_family,
-                       scalar_family, sum_families, verify_structure)
+                       right_inverse, scalar_family, sum_families,
+                       verify_structure)
 from emergence.operator_core import diagonal_operator, frobenius, subtract
-from emergence.theories import STRUCTURE_FLAGS, monomial_operator
+from emergence.theories import (STRUCTURE_FLAGS, monomial_operator,
+                                transported_slots)
 
 # --- family forms and evaluation ------------------------------------------------
 
@@ -236,6 +238,29 @@ def test_non_finite_slots_are_recorded_not_fatal(flat4):
     assert sorted(poly.right_inverses) == [0]
     assert sorted(poly.right_inverse_failures) == [1, 2]
     assert "non-finite" in poly.right_inverse_failures[1]
+
+
+def test_only_transported_slots_get_right_inverses(line8, monkeypatch):
+    # a constant term becomes the offset, and an exponent 0 needs nothing:
+    # only a non-constant term's positive powers are transported
+    solved = []
+
+    def counting(op, tol):
+        solved.append(op)
+        return right_inverse(op, tol)
+
+    monkeypatch.setattr("emergence.theories.right_inverse", counting)
+    ident, box = identity_operator(line8), _massive_box(line8)
+    const = CoefficientFunction.constant(2.0, domain="real")
+    lin = CoefficientFunction.linear(1.0, domain="real")
+    terms = {(1, 0): const, (0, 1): lin, (0, 0): lin, (2, 0): const}
+    assert transported_slots(terms.items()) == (1,)
+    poly = polynomial_family([box, ident], terms, RealScalars())
+    assert solved == [ident] and set(poly.right_inverses) == {1}
+    solved.clear()
+    poly = polynomial_family([box, ident], {(0, 0): lin}, RealScalars())
+    assert solved == [] and poly.right_inverses == {}
+    assert poly.right_inverse_failures == {}
 
 
 def test_monomial_operator_skips_absent_variables(line8):
