@@ -4,10 +4,12 @@ Given a source family ``eps -> Psi1(eps)`` and a target polynomial family,
 the engine constructs a parameter map ``F`` such that both Lagrangians agree
 on every field: ``<phi, Psi1(eps) phi> = <phi, Psi2(F(eps)) phi>``.  Maps are
 built per term: constant-coefficient terms are split off as a fixed offset,
-the remainder is distributed over the active terms by dyadic halving (exact
-in binary floating point), single terms are solved through the identity
-orbit of the parameter action, and higher slot variables are removed by
-right-inverse transport.
+and the active terms go through one recursion over the slots.  Each level
+groups the terms by the exponent ``j`` of the last slot, distributes the
+source over the groups by dyadic halving (exact in binary floating point)
+and transports each group by the ``j``-th power of that slot's right
+inverse; a group with no slot left is a single term, solved through the
+identity orbit of the parameter action.
 
 Every constructor samples its own result and attaches a
 :class:`Certificate`; a constructor never returns an uncertified map, it
@@ -683,73 +685,50 @@ def _fold_weights(s: int) -> tuple:
     return tuple(w)
 
 
-def _constant_offset(poly: PolynomialFamily, constants) -> Operator | None:
-    if not constants:
-        return None
-    return evaluate_polynomial(replace(poly, terms=tuple(constants)),
-                               poly.algebra.zero())
-
-
 def _synthesize(source, poly, offset, weight, post, tol):
-    """Core recursion: returns ``(solvers, provenance)``.
+    """Core recursion over the slots: returns ``(solvers, provenance)``.
 
     ``solvers`` is a list of ``(alpha, eps -> delta)`` covering the active
     terms of ``poly``; the working source at this level is
-    ``(Psi1(weight*eps) - weight*offset) @ post``.
+    ``(Psi1(weight*eps) - weight*offset) @ post``.  The terms are grouped
+    by the last slot's exponent ``j`` (with one slot each term is its own
+    group), each group takes its dyadic weight and is transported by
+    ``R_last**j``; a group that keeps a slot recurses, and a single term is
+    solved through the identity orbit.
     """
-    if poly.slots == 1:
-        return _synth_univariate(source, poly, offset, weight, post, tol)
-    return _synth_multivariate(source, poly, offset, weight, post, tol)
-
-
-def _synth_univariate(source, poly, offset, weight, post, tol):
-    terms = poly.terms
-    weights = _fold_weights(len(terms))
-    solvers = []
-    children = []
-    for (alpha, f), w in zip(terms, weights):
-        exponent = alpha[0]
-        term_post = post
-        if exponent > 0:
-            r_pow = power(poly.right_inverses[0], exponent)
-            term_post = r_pow if post is None else compose(post, r_pow)
-        total_w = weight * w
-        solvers.append((alpha, _monomial_solver(
-            source, f, term_post, poly.algebra, total_w, offset,
-            term_label=f"{alpha} (power {exponent})", tol=tol)))
-        children.append(_monomial_node(alpha, f, total_w))
-    if len(terms) == 1:
-        return solvers, children[0]
-    prov = ProvenanceNode("univariate", "additive_halving",
-                          (("weights", list(weights)),), tuple(children))
-    return solvers, prov
-
-
-def _synth_multivariate(source, poly, offset, weight, post, tol):
     last = poly.slots - 1
-    groups = factor_last_variable(poly)
+    groups = (factor_last_variable(poly) if last
+              else [(f, alpha[0]) for alpha, f in poly.terms])
     weights = _fold_weights(len(groups))
     solvers = []
     children = []
-    for (sub, j), w in zip(groups, weights):
-        child_post = post
+    for (group, j), w in zip(groups, weights):
+        group_post = post
         if j > 0:
             r_pow = power(poly.right_inverses[last], j)
-            child_post = r_pow if post is None else compose(post, r_pow)
-        sub_solvers, sub_prov = _synthesize(source, sub, offset, weight * w,
-                                            child_post, tol)
-        solvers.extend((alpha + (j,), g) for alpha, g in sub_solvers)
-        if j > 0:
-            leaf = _monomial_node((j,), None, weight * w,
-                                  detail="unital_identity")
-            sub_prov = ProvenanceNode(
-                "composition", "right_inverse_transport",
-                (("slot", last), ("exponent", j)), (sub_prov, leaf))
-        children.append(sub_prov)
+            group_post = r_pow if post is None else compose(post, r_pow)
+        if last:
+            sub_solvers, node = _synthesize(source, group, offset,
+                                            weight * w, group_post, tol)
+            solvers.extend((alpha + (j,), g) for alpha, g in sub_solvers)
+            if j > 0:
+                leaf = _monomial_node((j,), None, weight * w,
+                                      detail="unital_identity")
+                node = ProvenanceNode(
+                    "composition", "right_inverse_transport",
+                    (("slot", last), ("exponent", j)), (node, leaf))
+        else:
+            solvers.append(((j,), _monomial_solver(
+                source, group, group_post, poly.algebra, weight * w, offset,
+                term_label=f"{(j,)} (power {j})", tol=tol)))
+            node = _monomial_node((j,), group, weight * w)
+        children.append(node)
     if len(groups) == 1:
         return solvers, children[0]
-    prov = ProvenanceNode("multivariate", "additive_halving",
-                          (("slot", last), ("weights", list(weights))),
+    kind, data = (("multivariate", (("slot", last),)) if last
+                  else ("univariate", ()))
+    prov = ProvenanceNode(kind, "additive_halving",
+                          data + (("weights", list(weights)),),
                           tuple(children))
     return solvers, prov
 
@@ -809,13 +788,12 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
             "additive (or homomorphic, or scalar-invariant) source",
             evidence={"verified": sorted(source.verified)})
 
-    offset = _constant_offset(poly, constants)
     zero = poly.algebra.zero()
+    offset = (evaluate_polynomial(replace(poly, terms=tuple(constants)), zero)
+              if constants else None)
     if active:
-        active_poly = PolynomialFamily(
-            poly.operators, tuple(sorted(active)), poly.algebra,
-            poly.coefficient_degree, poly.right_inverses,
-            poly.right_inverse_failures, label=f"{poly.label}|active")
+        active_poly = replace(poly, terms=tuple(sorted(active)),
+                              label=f"{poly.label}|active")
         solvers, core_prov = _synthesize(source, active_poly, offset, 1.0,
                                          None, tol)
     else:
@@ -854,9 +832,9 @@ def emerge(source: OperatorFamily, poly: PolynomialFamily,
     """Synthesize a certified emergence map onto a polynomial family.
 
     Recursion on the number of slot variables: the last variable is factored
-    out, each cofactor group is transported by a power of the last slot's
-    right inverse, and the single-variable base case distributes the source
-    over the active terms by exact dyadic halving.
+    out, the source is distributed over the groups by exact dyadic halving,
+    and each group is transported by a power of the last slot's right
+    inverse, down to single terms solved through the identity orbit.
     """
     return _emerge_impl(source, poly, tol, n_samples, seed,
                         label=f"emerge from {source.label}")

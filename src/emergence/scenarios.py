@@ -169,6 +169,9 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
         raise BadSpec("the gravity scenarios need a 2D grid")
     eta_mat = np.asarray(eta, dtype=float)
     space = grid_space(grid)
+    # d2 checks the metric (symmetric, positive definite) before any inverse
+    d2 = make_discrete_operator(space, "d2_background",
+                                field_strength=field_strength, eta=eta_mat)
     eta_up = np.linalg.inv(eta_mat)
     box_eta = make_discrete_operator(space, "box", eta=eta_up)
     # the regulated wave operator is m^2 - d^2: its circulant symbol is
@@ -178,8 +181,6 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
                 scale(mass * mass, identity_operator(space)))
     d1 = {(mu, nu): make_discrete_operator(space, "d1_basis", mu=mu, nu=nu)
           for mu in range(2) for nu in range(2)}
-    d2 = make_discrete_operator(space, "d2_background",
-                                field_strength=field_strength, eta=eta_mat)
     return {"space": space, "box_eta": box_eta, "box_m": box_m, "d1": d1,
             "d2": d2, "eta": eta_mat, "field_strength": float(field_strength),
             "mass": float(mass)}
@@ -525,9 +526,11 @@ def run_idempotent_instance(spec: ScenarioSpec,
         poly = polynomial_family([identity_operator(space)],
                                  {(1,): CoefficientFunction.linear(1.0)},
                                  algebra, label="identity_slot")
-        # the per-term solve leaves the identity orbit: NotScalarForm
+        # the per-term solve leaves the identity orbit: NotScalarForm.  On
+        # 2 sites mode 2 is mode 0, so the projector is the identity and
+        # emerge certifies; the negative instance is then refused here
         emerge(source, poly, tol=BUILD_TOL, n_samples=8, seed=spec.seed)
-        raise HypothesisViolated(  # pragma: no cover - emerge always raises
+        raise HypothesisViolated(
             "projector instance unexpectedly synthesized")
 
     if spec.variant != "identity":

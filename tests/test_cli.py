@@ -5,18 +5,24 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emergence import ParseError, ScenarioSpec, SchemaError
+from emergence import ParseError, ScenarioSpec, SchemaError, errors
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
                            main, parse_args, render_json, render_text,
@@ -227,6 +233,123 @@ def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
     assert report["error"]["evidence"] == evidence
     err = capsys.readouterr().err
     assert "not finite" in err and "Traceback" not in err
+
+
+GRAVITY_COUPLINGS = {"gravity_from_noncommutativity": "theta_values",
+                     "noncommutativity_from_gravity": "h_scales"}
+
+
+def _run_in_process(data):
+    """``(exit code, report)`` of ``main`` on a config of ``data``, the
+    report checked against its schema; numpy's overflow warnings are
+    recorded, as a plain run prints them, not raised."""
+    with tempfile.TemporaryDirectory() as root, \
+            warnings.catch_warnings(record=True), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        out = os.path.join(root, "report.json")
+        code = main(["--config", write_config(Path(root), data),
+                     "--out", out])
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+    jsonschema.validate(report, _schema("report.schema.json"))
+    return code, report
+
+
+@pytest.mark.parametrize("eta", [[[1.0, 1.0], [1.0, 1.0]],
+                                 [[0.0, 0.0], [0.0, 0.0]]],
+                         ids=["rank_one", "zero"])
+@pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
+def test_a_singular_metric_is_refused_with_exit_two(name, eta):
+    code, report = _run_in_process({
+        "name": name, "grid": [6, 6], "eta": eta,
+        GRAVITY_COUPLINGS[name]: [0.5], "samples": 10, "seed": 1})
+    assert code == EXIT_ERROR
+    assert report["error"] == {"type": "BadSpec",
+                               "message": "metric must be positive definite"}
+
+
+def _rotated(first, second, angle):
+    """The symmetric 2x2 matrix of eigenvalues ``first``, ``second`` whose
+    first eigenvector is at ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    off = (first - second) * c * s
+    return [[first * c * c + second * s * s, off],
+            [off, first * s * s + second * c * c]]
+
+
+EIGENVALUES = st.floats(0.25, 4.0)
+ANGLES = st.floats(0.0, math.pi)
+GRIDS = st.lists(st.integers(3, 8), min_size=2, max_size=2)
+SEEDS = st.integers(0, 2**16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GRAVITY_COUPLINGS)), EIGENVALUES, EIGENVALUES,
+       ANGLES, GRIDS, SEEDS)
+def test_positive_definite_metrics_certify(name, first, second, angle, grid,
+                                           seed):
+    eta = _rotated(first, second, angle)
+    code, report = _run_in_process({
+        "name": name, "grid": grid, "eta": eta,
+        GRAVITY_COUPLINGS[name]: [0.1, 0.5, 1.0], "samples": 20,
+        "seed": seed})
+    assert code == EXIT_PASS, report
+
+
+#: metrics that are not positive definite: rank one or zero (exactly
+#: singular in floating point), indefinite, or negative definite
+BAD_METRICS = st.one_of(
+    st.builds(lambda c, sign: [[c, sign * c], [sign * c, c]],
+              st.floats(0.0, 4.0), st.sampled_from([1.0, -1.0])),
+    st.builds(lambda c, first: [[c, 0.0], [0.0, 0.0]] if first
+              else [[0.0, 0.0], [0.0, c]], st.floats(0.0, 4.0), st.booleans()),
+    st.builds(lambda a, b, angle: _rotated(a, -b, angle), EIGENVALUES,
+              EIGENVALUES, ANGLES),
+    st.builds(lambda a, b, angle: _rotated(-a, -b, angle), EIGENVALUES,
+              EIGENVALUES, ANGLES),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GRAVITY_COUPLINGS)), BAD_METRICS, GRIDS)
+def test_metrics_that_are_not_positive_definite_are_refused(name, eta, grid):
+    code, report = _run_in_process({
+        "name": name, "grid": grid, "eta": eta,
+        GRAVITY_COUPLINGS[name]: [0.5], "samples": 20, "seed": 1})
+    assert code == EXIT_ERROR
+    assert report["error"]["type"] == "BadSpec"
+
+
+#: coupling exponents ``k`` of ``10**k`` measured on 6x10 (seed 1, 20
+#: samples): the verdict is not monotone in the magnitude (exit 1 at 1e100,
+#: exit 2 at 1e250, exit 0 at 1e300), since the round trip and the
+#: least-squares residual are absolute, so only the exit contract is held
+MEASURED_EXPONENTS = (0, 2, 4, 6, 8, 10, 20, 50, 100, 150, 200, 250, 300,
+                      306)
+
+
+def _exits_with_a_report(name, exponent):
+    code, report = _run_in_process({
+        "name": name, "grid": [6, 10],
+        GRAVITY_COUPLINGS[name]: [10.0 ** exponent], "samples": 20,
+        "seed": 1})
+    assert report["status"] == {EXIT_PASS: "passed", EXIT_FAIL: "failed",
+                                EXIT_ERROR: "error"}[code]
+    if code == EXIT_ERROR:
+        assert issubclass(getattr(errors, report["error"]["type"]),
+                          errors.EmergenceError)
+
+
+@pytest.mark.parametrize("exponent", MEASURED_EXPONENTS)
+@pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
+def test_measured_coupling_magnitudes_exit_with_a_report(name, exponent):
+    _exits_with_a_report(name, exponent)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(GRAVITY_COUPLINGS)), st.floats(0.0, 306.0))
+def test_any_coupling_magnitude_exits_with_a_report(name, exponent):
+    _exits_with_a_report(name, exponent)
 
 
 def test_reports_go_to_stdout_by_default(capsys):

@@ -382,14 +382,21 @@ def test_univariate_rejects_multivariate_targets(line8):
         emerge_univariate(source, poly)
 
 
-def test_term_labels_point_at_the_failing_power(line8):
-    source = identity_source(line8)
+@pytest.mark.parametrize("slots,terms,message", [
+    ((1.0,), {(1,): lin(domain="nonneg")},
+     "term (1,) (power 1): preimage falls outside the nonnegative cone"),
+    # a multi-slot term is labelled by its first slot's exponent
+    ((1.0, 2.0), {(0, 1): lin(domain="nonneg"), (1, 0): lin()},
+     "term (0,) (power 0): preimage falls outside the nonnegative cone"),
+], ids=["one_slot", "two_slots"])
+def test_term_labels_point_at_the_failing_power(slots, terms, message, line8):
+    source = verified(identity_source(line8), "additive")
     poly = polynomial_family(
-        [identity_operator(line8)], {(1,): lin(domain="nonneg")},
+        [scale(c, identity_operator(line8)) for c in slots], terms,
         RealScalars())
     with pytest.raises(NoPreimage) as info:
-        emerge_univariate(source, poly)
-    assert "power 1" in str(info.value)
+        emerge(source, poly)
+    assert str(info.value) == message
 
 
 # --- multivariate emergence -----------------------------------------------------------
@@ -1390,6 +1397,49 @@ def test_provenance_digests_are_deterministic(line8):
     assert first.provenance.digest() == second.provenance.digest()
     assert len(first.provenance.digest()) == 64
     assert first.certificate == second.certificate
+
+
+#: provenance digests of certified maps onto ``m = 1.5 I - box`` slots
+#: ``[m, 2m, 0.5m]``, one linear term per slot; the tree records only
+#: exponents, coefficients and weights, so both grids give the same digest
+SLOT_DIGESTS = {
+    1: "e7a65f9a014bfbb8b285dff079337ef65906c6b4c375d8660e9af3d101f55fe9",
+    2: "f7dbb85e6d0ae2fa2b1d6a43dd6a8e45725413021773e9efd72e486ae7e5f528",
+    3: "be71ea97434c758c54615e0748c4459bb4595dda58440e3bf9333ec9c0ad7c85",
+}
+
+
+@pytest.mark.parametrize("grid", [(8,), (6, 4)], ids=["8", "6x4"])
+@pytest.mark.parametrize("slots", sorted(SLOT_DIGESTS))
+def test_synthesis_provenance_keeps_its_digest(slots, grid):
+    space = grid_space(grid)
+    m = add(scale(1.5, identity_operator(space)),
+            scale(-1.0, make_discrete_operator(space, "box")))
+    source = verified(scalar_family(RealScalars(), m), "additive")
+    poly = polynomial_family(
+        [m, scale(2.0, m), scale(0.5, m)][:slots],
+        {tuple(int(i == s) for i in range(slots)): lin()
+         for s in range(slots)}, RealScalars())
+    emap = emerge(source, poly)
+    assert emap.certificate.passed
+    assert emap.provenance.digest() == SLOT_DIGESTS[slots]
+
+
+def test_a_mixed_polynomial_keeps_its_provenance_digest(line8):
+    # univariate levels of two terms, single-group levels, transports by
+    # powers 1 and 2 and a constant offset in one tree
+    ident = identity_operator(line8)
+    source = verified(identity_source(line8), "additive")
+    poly = polynomial_family(
+        [ident, scale(2.0, ident), scale(0.5, ident)],
+        {(1, 0, 0): lin(), (2, 0, 0): lin(2.0), (0, 1, 0): lin(),
+         (1, 1, 0): lin(0.5), (0, 0, 2): lin(), (1, 0, 1): lin(3.0),
+         (0, 0, 0): CoefficientFunction.constant(0.5, domain="real")},
+        RealScalars())
+    emap = emerge(source, poly)
+    assert emap.certificate.passed
+    assert emap.provenance.digest() == (
+        "35627fd842220d541d5c65ae68149249eb31009807aee545570d2c22195b5b91")
 
 
 def test_map_serialization_is_json_ready(line8):

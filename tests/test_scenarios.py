@@ -559,6 +559,17 @@ def test_idempotent_projector_variant_raises():
         run_idempotent_instance(spec)
 
 
+def test_the_projector_on_two_sites_is_the_identity_and_is_refused():
+    # mode 2 is mode 0 on two sites, so the two modes span the space: the
+    # projector is the identity, emerge certifies, and the runner refuses
+    # its negative instance
+    spec = ScenarioSpec(name="idempotent", grid=(2,), variant="projector",
+                        samples=8, seed=1)
+    with pytest.raises(HypothesisViolated,
+                       match="projector instance unexpectedly synthesized"):
+        run_idempotent_instance(spec)
+
+
 def test_idempotent_unknown_variant_is_rejected():
     spec = ScenarioSpec(name="idempotent", grid=(8,), variant="oblique")
     with pytest.raises(BadSpec):
