@@ -288,14 +288,6 @@ def _draw_bytes(source, target) -> int:
     return (n + 5 * k + max(k, n)) * np.dtype(source.space.dtype).itemsize
 
 
-def _stacks(source, target, parameter_map, params):
-    """Both families' operators at a block of draws (a list or a
-    :class:`Draws`), one stack each: the source's :func:`evaluate_draws`,
-    the target's at :func:`map_block`."""
-    return (evaluate_draws(source, params),
-            evaluate_family(target, map_block(parameter_map, params)))
-
-
 def functional_residual(left, right, fields) -> float:
     """Worst ``|l1 - l2| / max(1, |l1|)`` of the two Lagrangians over the
     fields (an array, a FieldBlock, or one per draw of stacks); NaN wins."""
@@ -334,9 +326,10 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     Deterministic for a given seed regardless of ``jobs`` and of the chunk
     size: each chunk of as many draws as one block holds
     (:func:`~emergence.operator_core.block_rows`) is drawn just before it
-    is evaluated as stacked arrays (see :func:`_stacks`), and each draw gets
-    the bits it gets alone; the maximum keeps NaN, so any non-finite
-    residual fails, as a non-passing certificate, never an exception.
+    is evaluated as stacked arrays (the source's :func:`evaluate_draws`,
+    the target's at :func:`map_block`), and each draw gets the bits it gets
+    alone; the maximum keeps NaN, so any non-finite residual fails, as a
+    non-passing certificate, never an exception.
     :func:`_draw_chunk` makes each chunk's draws.  ``covered``, a
     certificate of the same source, target and map with this int seed, at
     most ``n_samples`` and a generator state, stands in for its draws: the
@@ -360,7 +353,8 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     def block(chunk):
         params, fields = chunk
         with np.errstate(**errors):
-            left, right = _stacks(source, target, parameter_map, params)
+            left = evaluate_draws(source, params)
+            right = evaluate_family(target, map_block(parameter_map, params))
             # one block per chunk: both sides share its self-correlations
             fields = FieldBlock(fields, source.space)
             return (functional_residual(left, right, fields),
@@ -481,13 +475,17 @@ def _transport(op: Operator, post: Operator | None) -> Operator:
 
 
 class _BlockMap:
-    """A parameter map with a block form: ``block(params)`` maps a block of
-    draws (any iterable of parameters) at once, and a call on one draw is
-    draw 0 of its block of one, so draw ``i`` of a block is ``self(eps_i)``
-    to the bit.  A block refuses as its draws do one at a time: when it
-    raises, its draws are run again as blocks of one, so the earliest
-    failing draw, and within it the first failing term, raises.  No draws
-    give an empty block: each solver's :class:`Draws` holds no values."""
+    """A parameter map over its block function: ``block(params)`` maps a
+    block of draws (any iterable of parameters) at once, and a call on one
+    draw is draw 0 of its block of one, so draw ``i`` of a block is
+    ``self(eps_i)`` to the bit.  A block refuses as its draws do one at a
+    time: when it raises, its draws are run again as blocks of one, so the
+    earliest failing draw, and within it the first failing term, raises.
+    No draws give an empty block: each solver's :class:`Draws` holds no
+    values."""
+
+    def __init__(self, solve):
+        self._block = solve
 
     def __call__(self, eps):
         return _split(self._block([eps]), 1)[0]
@@ -502,49 +500,16 @@ class _BlockMap:
             raise
 
 
-class _MonomialSolve(_BlockMap):
-    """The solver ``eps -> delta`` of one active term (see
-    :func:`_monomial_solver`), on a block of draws: each draw's slice is
-    read as an identity-orbit element and pulled back through the
-    coefficient."""
-
-    def __init__(self, source, transported, offset, coefficient, algebra,
-                 weight, term_label, tol):
-        self.source, self.transported, self.offset = source, transported, offset
-        self.coefficient, self.algebra, self.weight = coefficient, algebra, weight
-        self.term_label, self.tol = term_label, tol
-
-    def _block(self, params):
-        if not params:  # no draw to solve: the empty block
-            return Draws.stack([])
-        if self.weight != 1.0:
-            params = [self.source.algebra.scale(self.weight, e)
-                      for e in params]
-        m = evaluate_draws(self.transported, params)
-        if self.offset is not None:
-            m = subtract(m, self.offset)
-        try:
-            c = solve_action_on_identity(self.algebra, m, tol=self.tol)
-        except NotInIdentityOrbit as exc:
-            raise NotScalarForm(
-                f"term {self.term_label}: transported source slice is not in "
-                f"the identity orbit of the parameter action",
-                residual=exc.residual) from exc
-        try:
-            return self.coefficient.preimage(c)
-        except NoPreimage as exc:
-            raise NoPreimage(f"term {self.term_label}: {exc}") from exc
-
-
 def _monomial_solver(source, coefficient, post, algebra, weight, offset,
-                     term_label, tol) -> _MonomialSolve:
+                     term_label, tol) -> _BlockMap:
     """Solver ``eps -> delta`` for one active term, with a block form.
 
     The working slice is ``(Psi1(weight*eps) - weight*offset) @ post``.  The
     source scales rows, so ``act(c, F) @ post = act(c, F @ post)``: the fixed
     operator and the offset are transported once here, and each block is one
-    action and one subtraction.  The slice is read as an identity-orbit
-    element of the target action and pulled back through the coefficient.
+    action and one subtraction.  Each draw's slice is read as an
+    identity-orbit element of the target action and pulled back through the
+    coefficient.
     """
     form = source.form
     if not isinstance(form, ScalarTimesFixed):
@@ -554,23 +519,42 @@ def _monomial_solver(source, coefficient, post, algebra, weight, offset,
         _transport(form.fixed, post), form.coefficient))
     offset = None if offset is None else scale(weight,
                                                _transport(offset, post))
-    return _MonomialSolve(source, transported, offset, coefficient, algebra,
-                          weight, term_label, tol)
+
+    def solve(params):
+        if not params:  # no draw to solve: the empty block
+            return Draws.stack([])
+        if weight != 1.0:
+            params = [source.algebra.scale(weight, e) for e in params]
+        m = evaluate_draws(transported, params)
+        if offset is not None:
+            m = subtract(m, offset)
+        try:
+            c = solve_action_on_identity(algebra, m, tol=tol)
+        except NotInIdentityOrbit as exc:
+            raise NotScalarForm(
+                f"term {term_label}: transported source slice is not in "
+                f"the identity orbit of the parameter action",
+                residual=exc.residual) from exc
+        try:
+            return coefficient.preimage(c)
+        except NoPreimage as exc:
+            raise NoPreimage(f"term {term_label}: {exc}") from exc
+
+    return _BlockMap(solve)
 
 
 # --- composition / sum / accumulation ----------------------------------------------
 
 
-class _PairMap(_BlockMap):
+def _split_map(split, map2, map3) -> _BlockMap:
     """``eps -> (F2(split(eps)), F3(split(eps)))`` onto a sum or composition
     target, ``split`` a halving or a square root; a block gives two blocks."""
 
-    def __init__(self, split, maps):
-        self.split, self.maps = split, maps
+    def pair(params):
+        parts = [split(eps) for eps in params]
+        return tuple(map_block(m.parameter_map, parts) for m in (map2, map3))
 
-    def _block(self, params):
-        parts = [self.split(eps) for eps in params]
-        return tuple(map_block(f, parts) for f in self.maps)
+    return _BlockMap(pair)
 
 
 def _check_constituents(source, maps):
@@ -597,8 +581,7 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
             "composition split needs a verified multiplicative source")
     _check_constituents(source, (map2, map3))
     composed = compose_families(map2.target, map3.target)
-    fmap = _PairMap(source.algebra.sqrt_select,
-                    (map2.parameter_map, map3.parameter_map))
+    fmap = _split_map(source.algebra.sqrt_select, map2, map3)
     prov = ProvenanceNode("composition", "",
                           (("branch", "principal_sqrt"),),
                           (map2.provenance, map3.provenance))
@@ -609,8 +592,7 @@ def emerge_composition(source: OperatorFamily, map2: EmergenceMap,
 def _sum_maps(source, map2, map3, justification, tol, n_samples, seed):
     _check_constituents(source, (map2, map3))
     summed = sum_families(map2.target, map3.target)
-    fmap = _PairMap(lambda eps: source.algebra.scale(0.5, eps),
-                    (map2.parameter_map, map3.parameter_map))
+    fmap = _split_map(lambda eps: source.algebra.scale(0.5, eps), map2, map3)
     prov = ProvenanceNode("sum", justification,
                           (("weights", [0.5, 0.5]),),
                           (map2.provenance, map3.provenance))
@@ -685,16 +667,18 @@ def _fold_weights(s: int) -> tuple:
     return tuple(w)
 
 
-def _synthesize(source, poly, offset, weight, post, tol):
+def _synthesize(source, poly, offset, weight, post, tol, tail=()):
     """Core recursion over the slots: returns ``(solvers, provenance)``.
 
     ``solvers`` is a list of ``(alpha, eps -> delta)`` covering the active
-    terms of ``poly``; the working source at this level is
+    terms of ``poly``, each ``alpha`` ending in ``tail``, the exponents of
+    the slots factored out above; the working source at this level is
     ``(Psi1(weight*eps) - weight*offset) @ post``.  The terms are grouped
     by the last slot's exponent ``j`` (with one slot each term is its own
     group), each group takes its dyadic weight and is transported by
     ``R_last**j``; a group that keeps a slot recurses, and a single term is
-    solved through the identity orbit.
+    solved through the identity orbit, its refusals labelled by its whole
+    multi-index.
     """
     last = poly.slots - 1
     groups = (factor_last_variable(poly) if last
@@ -708,9 +692,9 @@ def _synthesize(source, poly, offset, weight, post, tol):
             r_pow = power(poly.right_inverses[last], j)
             group_post = r_pow if post is None else compose(post, r_pow)
         if last:
-            sub_solvers, node = _synthesize(source, group, offset,
-                                            weight * w, group_post, tol)
-            solvers.extend((alpha + (j,), g) for alpha, g in sub_solvers)
+            sub_solvers, node = _synthesize(source, group, offset, weight * w,
+                                            group_post, tol, (j,) + tail)
+            solvers.extend(sub_solvers)
             if j > 0:
                 leaf = _monomial_node((j,), None, weight * w,
                                       detail="unital_identity")
@@ -718,9 +702,10 @@ def _synthesize(source, poly, offset, weight, post, tol):
                     "composition", "right_inverse_transport",
                     (("slot", last), ("exponent", j)), (node, leaf))
         else:
-            solvers.append(((j,), _monomial_solver(
+            alpha = (j,) + tail
+            solvers.append((alpha, _monomial_solver(
                 source, group, group_post, poly.algebra, weight * w, offset,
-                term_label=f"{(j,)} (power {j})", tol=tol)))
+                term_label=f"{alpha} (power {j})", tol=tol)))
             node = _monomial_node((j,), group, weight * w)
         children.append(node)
     if len(groups) == 1:
@@ -737,21 +722,6 @@ def _split_constants(poly: PolynomialFamily):
     active = [(a, f) for a, f in poly.terms if not f.is_constant]
     constants = [(a, f) for a, f in poly.terms if f.is_constant]
     return active, constants
-
-
-class _PerTermMap(_BlockMap):
-    """``eps -> {alpha: delta}``: each active term's solver, and the
-    algebra's zero for each constant term."""
-
-    def __init__(self, solvers, constants, zero):
-        self.solvers, self.constants, self.zero = solvers, constants, zero
-
-    def _block(self, params):
-        table = {alpha: map_block(g, params) for alpha, g in self.solvers}
-        zeros = Draws.stack([self.zero] * len(params))
-        for alpha in self.constants:
-            table[alpha] = zeros
-        return table
 
 
 def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
@@ -799,8 +769,15 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
     else:
         solvers, core_prov = [], None
 
-    parameter_map = _PerTermMap(tuple(solvers),
-                                tuple(alpha for alpha, _ in constants), zero)
+    def table(params):
+        # eps -> {alpha: delta}: each active term's solver, and the
+        # algebra's zero for each constant term
+        out = {alpha: map_block(g, params) for alpha, g in solvers}
+        zeros = Draws.stack([zero] * len(params))
+        for alpha, _ in constants:
+            out[alpha] = zeros
+        return out
+
     if constants:
         const_leaves = tuple(
             _monomial_node(alpha, f, 1.0, detail="constant_coefficient")
@@ -811,7 +788,7 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
         prov = core_prov
     if prov is None:
         raise BadSpec("polynomial family has no terms")
-    return _certify(source, poly, parameter_map, "per_term", prov, label,
+    return _certify(source, poly, _BlockMap(table), "per_term", prov, label,
                     n_samples, tol, seed)
 
 

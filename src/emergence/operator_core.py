@@ -417,17 +417,23 @@ def _one_path(fn):
     """``fn``, written on stacks, for operators too: the one place an
     operator enters the stack form, as its stack of one, and leaves it:
     with no stack among the arguments, the result is its draw 0, an
-    :class:`Operator`, a Python number for a norm, or a row."""
+    :class:`Operator`, a Python number for a norm, or a row.  Stacks pair
+    draw by draw: a stack of one broadcasts against every draw, and other
+    draw counts must agree, else ``SpaceMismatch``."""
 
     @functools.wraps(fn)
     def one_path(*args):
-        stacked, operands = False, []
+        stacked, operands, counts = False, [], {1}
         for x in args:
             if isinstance(x, Operator):
                 x = x.stack
             elif isinstance(x, OperatorStack):
                 stacked = True
+                counts.add(len(x))
             operands.append(x)
+        if len(counts) > 2:
+            raise SpaceMismatch(f"operator stacks of {sorted(counts - {1})} "
+                                f"draws do not pair draw by draw")
         out = fn(*operands)
         if stacked:
             return out
@@ -564,7 +570,7 @@ def compose(a, b):
         return a._derive(a.body * b.body)
     if a.structure == b.structure == "stencil":
         return _stencils(np.stack([_convolve(x, y) for x, y in zip(
-            a.grids, b.grids)]), a.space)
+            *np.broadcast_arrays(a.grids, b.grids))]), a.space)
     return OperatorStack(np.matmul(a.matrix, b.matrix), a.space)
 
 

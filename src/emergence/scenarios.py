@@ -511,9 +511,10 @@ def run_idempotent_instance(spec: ScenarioSpec,
     bivariate); ``variant = "projector"`` is the negative instance whose
     per-term solve leaves the identity orbit and raises.
     """
-    grid = spec.grid if len(spec.grid) == 1 else (spec.grid[0],)
+    if len(spec.grid) != 1:
+        raise BadSpec("the idempotent scenario needs a 1D grid")
     if spec.variant == "projector":
-        space = grid_space(grid, scalar_kind="complex")
+        space = grid_space(spec.grid, scalar_kind="complex")
         modes = [plane_wave(space, (1,)), plane_wave(space, (2,))]
         proj = make_discrete_operator(space, "projection", basis=modes)
         if not is_idempotent_power(proj, 1):
@@ -535,7 +536,7 @@ def run_idempotent_instance(spec: ScenarioSpec,
 
     if spec.variant != "identity":
         raise BadSpec(f"unknown idempotent variant {spec.variant!r}")
-    space = grid_space(grid)
+    space = grid_space(spec.grid)
     algebra = RealScalars()
     ident = identity_operator(space)
     if not is_idempotent_power(ident, 1):

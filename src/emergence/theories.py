@@ -39,13 +39,11 @@ class ScalarTimesFixed:
 
 
 @dataclass(frozen=True, eq=False)
-class SumTree:
-    left: "OperatorFamily"
-    right: "OperatorFamily"
+class Tree:
+    """``(a, b) -> combine(Psi_left(a), Psi_right(b))``, ``combine`` the
+    operator sum or composition."""
 
-
-@dataclass(frozen=True, eq=False)
-class CompositionTree:
+    combine: object
     left: "OperatorFamily"
     right: "OperatorFamily"
 
@@ -97,14 +95,14 @@ def evaluate_family(family, eps):
     if isinstance(form, ScalarTimesFixed):
         value = form.coefficient(eps) if form.coefficient is not None else eps
         return family.algebra.act(value, form.fixed)
-    if not isinstance(form, (SumTree, CompositionTree)):
+    if not isinstance(form, Tree):
         raise BadSpec(f"unknown family form {type(form).__name__}")
     if isinstance(eps, Draws):
         raise BadSpec("a sum or composition tree takes one block per "
                       "branch, not one Draws")
     left, right = eps
-    return (add if isinstance(form, SumTree) else compose)(
-        evaluate_family(form.left, left), evaluate_family(form.right, right))
+    return form.combine(evaluate_family(form.left, left),
+                        evaluate_family(form.right, right))
 
 
 def evaluate_draws(family, params):
@@ -114,29 +112,26 @@ def evaluate_draws(family, params):
     return evaluate_family(family, family.algebra.stack(params))
 
 
-def _degree(family) -> int:
-    """A polynomial family counts as one parameter of degree 1."""
-    return family.degree if isinstance(family, OperatorFamily) else 1
+def _tree(combine, left, right, verb: str, symbol: str) -> OperatorFamily:
+    """The family ``combine``-ing two operator or polynomial families on one
+    space; a polynomial family counts as one parameter of degree 1."""
+    if not left.space.matches(right.space):
+        raise BadSpec(f"{verb} families must share a field space")
+    degree = sum(f.degree if isinstance(f, OperatorFamily) else 1
+                 for f in (left, right))
+    return OperatorFamily(degree, ProductAlgebra((left.algebra, right.algebra)),
+                          Tree(combine, left, right), left.space,
+                          label=f"({left.label} {symbol} {right.label})")
 
 
 def sum_families(left, right) -> OperatorFamily:
     """Pointwise sum of operator or polynomial families; degrees add."""
-    if not left.space.matches(right.space):
-        raise BadSpec("summed families must share a field space")
-    return OperatorFamily(_degree(left) + _degree(right),
-                          ProductAlgebra((left.algebra, right.algebra)),
-                          SumTree(left, right), left.space,
-                          label=f"({left.label} + {right.label})")
+    return _tree(add, left, right, "summed", "+")
 
 
 def compose_families(left, right) -> OperatorFamily:
     """Pointwise composition of operator or polynomial families."""
-    if not left.space.matches(right.space):
-        raise BadSpec("composed families must share a field space")
-    return OperatorFamily(_degree(left) + _degree(right),
-                          ProductAlgebra((left.algebra, right.algebra)),
-                          CompositionTree(left, right), left.space,
-                          label=f"({left.label} o {right.label})")
+    return _tree(compose, left, right, "composed", "o")
 
 
 # --- structure verification -------------------------------------------------------

@@ -268,6 +268,16 @@ def test_a_singular_metric_is_refused_with_exit_two(name, eta):
                                "message": "metric must be positive definite"}
 
 
+@pytest.mark.parametrize("variant", ["identity", "projector"])
+def test_the_idempotent_scenario_refuses_a_grid_that_is_not_1d(variant):
+    code, report = _run_in_process({
+        "name": "idempotent", "variant": variant, "grid": [8, 5],
+        "samples": 10, "seed": 1})
+    assert code == EXIT_ERROR
+    assert report["error"] == {
+        "type": "BadSpec", "message": "the idempotent scenario needs a 1D grid"}
+
+
 def _rotated(first, second, angle):
     """The symmetric 2x2 matrix of eigenvalues ``first``, ``second`` whose
     first eigenvector is at ``angle``."""

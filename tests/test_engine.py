@@ -36,9 +36,8 @@ from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
                               residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
-from emergence.theories import (CompositionTree, PolynomialFamily, SumTree,
-                                evaluate_draws, evaluate_polynomial,
-                                monomial_operator)
+from emergence.theories import (PolynomialFamily, Tree, evaluate_draws,
+                                evaluate_polynomial, monomial_operator)
 
 # --- shared builders ----------------------------------------------------------
 
@@ -385,9 +384,9 @@ def test_univariate_rejects_multivariate_targets(line8):
 @pytest.mark.parametrize("slots,terms,message", [
     ((1.0,), {(1,): lin(domain="nonneg")},
      "term (1,) (power 1): preimage falls outside the nonnegative cone"),
-    # a multi-slot term is labelled by its first slot's exponent
+    # a multi-slot term is labelled by its whole multi-index
     ((1.0, 2.0), {(0, 1): lin(domain="nonneg"), (1, 0): lin()},
-     "term (0,) (power 0): preimage falls outside the nonnegative cone"),
+     "term (0, 1) (power 0): preimage falls outside the nonnegative cone"),
 ], ids=["one_slot", "two_slots"])
 def test_term_labels_point_at_the_failing_power(slots, terms, message, line8):
     source = verified(identity_source(line8), "additive")
@@ -1121,7 +1120,7 @@ def _draw_value(family, rng):
     for a polynomial family, else a sample of its carrier."""
     if isinstance(family, PolynomialFamily):
         return {alpha: family.algebra.sample(rng) for alpha, _ in family.terms}
-    if isinstance(family.form, (SumTree, CompositionTree)):
+    if isinstance(family.form, Tree):
         return (_draw_value(family.form.left, rng),
                 _draw_value(family.form.right, rng))
     return family.algebra.sample(rng)

@@ -167,3 +167,30 @@ def test_operator_core_roll_is_the_only_roll():
         path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert _roll_calls(ast.parse("np.roll(a, 1)")) == [1]
+
+
+def _classes(module: str) -> list:
+    path = ROOT / "src" / "emergence" / module
+    return [node for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.ClassDef)]
+
+
+def test_block_map_is_the_only_parameter_map_class():
+    # a parameter map is a _BlockMap over its block function, never a
+    # subclass with a block of its own
+    classes = _classes("engine.py")
+    assert "_BlockMap" in {c.name for c in classes}
+    assert [c.name for c in classes
+            if any(isinstance(b, ast.Name) and b.id == "_BlockMap"
+                   for b in c.bases)] == []
+
+
+def test_theories_has_one_tree_form():
+    # a sum and a composition of families differ only in how they combine
+    # the two branches' operators
+    def fields(c):
+        return {s.target.id for s in c.body if isinstance(s, ast.AnnAssign)
+                and isinstance(s.target, ast.Name)}
+
+    assert [c.name for c in _classes("theories.py")
+            if {"left", "right"} <= fields(c)] == ["Tree"]

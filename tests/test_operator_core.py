@@ -575,6 +575,24 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
             assert np.array_equal(draw.body, one.body)
 
 
+@pytest.mark.parametrize("structure", ["stencil", "diagonal", "dense"])
+def test_a_one_draw_stack_broadcasts_and_other_counts_must_agree(structure):
+    space = grid_space((6, 6))
+    rng = np.random.default_rng(4)
+    single, *ops = [_random_operator(space, structure, 0.3, rng)
+                    for _ in range(4)]
+    one, three = stack_operators([single]), stack_operators(ops)
+    for fn in (compose, add, subtract):
+        for a, b, each in ((one, three, [(single, op) for op in ops]),
+                           (three, one, [(op, single) for op in ops])):
+            got = fn(a, b)
+            assert len(got) == 3
+            for draw, (x, y) in zip(got, each):
+                assert np.array_equal(draw.body, fn(x, y).body)
+        with pytest.raises(SpaceMismatch):
+            fn(stack_operators(ops[:2]), three)
+
+
 @pytest.mark.parametrize("structure,shape", [
     ("stencil", (5, 7)), ("stencil", (9,)), ("stencil", (3, 5, 3)),
     ("diagonal", (7,)), ("diagonal", (33,)), ("dense", (5,)),
