@@ -28,7 +28,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .engine import Certificate
+from .engine import json_form
 from .errors import EmergenceError, ParseError, SchemaError
 from .scenarios import SCENARIO_RUNNERS, ScenarioSpec, run_scenario_spec
 
@@ -127,20 +127,8 @@ def _error_record(exc: EmergenceError) -> dict:
         record["frequency"] = [int(k) for k in frequency]
     evidence = getattr(exc, "evidence", None)
     if evidence:
-        record["evidence"] = _json_safe(evidence)
+        record["evidence"] = json_form(evidence)
     return record
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, Certificate):
-        return value.to_json_dict()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 def build_report(spec: ScenarioSpec, result=None,

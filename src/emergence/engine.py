@@ -120,6 +120,12 @@ class Certificate:
         }
 
 
+def _digest(rendered: dict) -> str:
+    """sha256 of a rendered provenance tree's canonical JSON."""
+    blob = json.dumps(rendered, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class ProvenanceNode:
     """One step of the construction; leaves are always monomial solves."""
@@ -140,9 +146,7 @@ class ProvenanceNode:
         return out
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self.to_json_dict())
 
     def leaves(self):
         if not self.children:
@@ -190,35 +194,46 @@ class EmergenceMap:
     def to_json_dict(self) -> dict:
         rng = np.random.default_rng(self.certificate.seed)
         params = self.source.algebra.samples(rng, 3)
-        probes = [{"parameter": _param_json(eps),
-                   "assignment": _param_json(value)}
+        probes = [{"parameter": json_form(eps),
+                   "assignment": json_form(value)}
                   for eps, value in zip(params, map_draws(self.parameter_map,
                                                           params))]
+        provenance = self.provenance.to_json_dict()
         return {
             "label": self.label,
             "assignment_kind": self.assignment_kind,
             "certificate": self.certificate.to_json_dict(),
-            "provenance": self.provenance.to_json_dict(),
-            "provenance_digest": self.provenance.digest(),
+            "provenance": provenance,
+            "provenance_digest": _digest(provenance),
             "probes": probes,
         }
 
 
-def _param_json(value):
+def json_form(value):
+    """A report value as JSON, the one form every report value takes: a
+    dict's tuple keys joined by commas and other keys as ``str``; lists for
+    tuples and real arrays; ``{"real", "imag"}`` for a complex number or
+    array; a :class:`Certificate` by its ``to_json_dict()``; a numpy scalar
+    as the Python one it holds; and anything else that is not a JSON
+    scalar by its ``repr``."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
     if isinstance(value, dict):
-        return {",".join(str(i) for i in key): _param_json(v)
-                for key, v in value.items()}
+        return {",".join(map(str, key)) if isinstance(key, tuple)
+                else str(key): json_form(v) for key, v in value.items()}
     if isinstance(value, (tuple, list)):
-        return [_param_json(v) for v in value]
+        return [json_form(v) for v in value]
+    if isinstance(value, Certificate):
+        return value.to_json_dict()
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return {"real": value.real.tolist(), "imag": value.imag.tolist()}
         return value.tolist()
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, complex):
         return {"real": value.real, "imag": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
+    return value if isinstance(value, (str, int, float)) else repr(value)
 
 
 # --- verification -----------------------------------------------------------------
@@ -258,9 +273,10 @@ def _split(value, count: int) -> list:
 def _draw_entries(source, target) -> int:
     """Entries one draw's operator takes in a certification chunk:
     ``n**2`` when a chunk may stack dense matrices (either family is a tree
-    or acts successively, a product carrier; or the bodies mix structures;
-    or per-row scales make a non-diagonal body dense), else the size of a
-    draw's body in the stack of the fixed operators."""
+    or acts successively, a product carrier; or per-row scales make a
+    non-diagonal body dense), else the size of a draw's body in the stack
+    of the fixed operators, which is dense, ``n**2`` too, when their
+    structures mix."""
     n = source.space.dim
     bodies = []
     for family in (source, target):
@@ -274,8 +290,6 @@ def _draw_entries(source, target) -> int:
                                           for op in fixed):
             return n * n
         bodies += fixed
-    if len({op.structure for op in bodies}) > 1:
-        return n * n
     return stack_operators(bodies).body[0].size
 
 

@@ -149,22 +149,26 @@ class FieldSpace:
             rng.standard_normal((1, self.normals)))[0]
 
 
+def _pairing(scalar_kind: str, symmetry, weight: float = 1.0) -> PairingForm:
+    """A new space's pairing: by default hermitian on a complex space and
+    symmetric on a real one."""
+    if symmetry is None:
+        symmetry = "hermitian" if scalar_kind == "complex" else "symmetric"
+    return PairingForm(weight, symmetry)
+
+
 def grid_space(dims, spacing=None, scalar_kind="real", symmetry=None) -> FieldSpace:
     """Field space over a periodic grid; the pairing weight is ``prod(spacing)``."""
     geometry = GridGeometry(tuple(dims),
                             tuple(spacing) if spacing is not None
                             else (1.0,) * len(dims))
-    if symmetry is None:
-        symmetry = "hermitian" if scalar_kind == "complex" else "symmetric"
-    pairing = PairingForm(math.prod(geometry.spacing), symmetry)
-    return FieldSpace(geometry.size, scalar_kind, pairing, geometry)
+    return FieldSpace(geometry.size, scalar_kind, _pairing(
+        scalar_kind, symmetry, math.prod(geometry.spacing)), geometry)
 
 
 def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
     """Geometry-free field space with the unit-weight pairing."""
-    if symmetry is None:
-        symmetry = "hermitian" if scalar_kind == "complex" else "symmetric"
-    return FieldSpace(dim, scalar_kind, PairingForm(1.0, symmetry))
+    return FieldSpace(dim, scalar_kind, _pairing(scalar_kind, symmetry))
 
 
 # --- operators ---------------------------------------------------------------

@@ -31,14 +31,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import (EmergenceMap, _brute_force_fits, emerge,
-                     functional_residual, map_block, residual_bound,
-                     verify_emergence)
+                     functional_residual, json_form, map_block,
+                     residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
 from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
                             exact_sum, grid_space, identity_operator,
                             is_idempotent_power, make_discrete_operator,
                             operator_residual, plain_space, plane_wave, scale,
-                            sym_part)
+                            stack_operators, sym_part)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, Draws, RealScalars,
                                 check_action_compatibility)
@@ -55,13 +55,6 @@ BUILD_TOL = 1e-6
 RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 
 # --- specs and results -----------------------------------------------------------
-
-
-def _as_lists(value):
-    """JSON shape of a spec field: tuples become lists, recursively."""
-    if isinstance(value, (tuple, list)):
-        return [_as_lists(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ class ScenarioSpec:
             raise BadSpec("spec values must be finite (no NaN or infinity)")
 
     def canonical_dict(self) -> dict:
-        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: json_form(getattr(self, f.name)) for f in fields(self)}
 
     def spec_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,
@@ -161,8 +154,9 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     surrogate for well-defined Green functions; ``mass = 0`` is permitted
     but leaves it non-invertible), the second-derivative basis, and the
     antisymmetric-background operator.  The two least-squares fits add
-    their designs and Gram sums under ``"feasible_fit"`` and
-    ``"coupling_fit"`` once they are built (see :func:`_least_squares`).
+    their columns' symmetric parts and Gram sums under ``"feasible_fit"``
+    and ``"coupling_fit"`` once they are built (see
+    :func:`_least_squares`).
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != 2:
@@ -194,72 +188,66 @@ def gravity_operator(background: dict, h) -> Operator:
                scale(h[2], d1[(1, 1)]))
 
 
-def _sym_flat(op: Operator) -> np.ndarray:
-    """The flattened stencil of a circulant's symmetric part."""
-    return sym_part(op).body.ravel()
+def _least_squares(background: dict, fit: str, columns, rhs: Operator):
+    """Deterministic ``min_x |sum_j x_j sym(C_j) - rhs|_F`` for a few
+    circulants ``C_j``, the operators ``columns()``, and the symmetric
+    circulant ``rhs``, a quadratic form to match.
 
-
-def _exact_sum(values: np.ndarray, repeats: int, operand: str,
-               rows=None) -> float:
-    """``repeats * sum(values)``, correctly rounded, of products of the
-    least squares' ``operand`` on the grid's ``rows`` (all by default); a
-    product or a sum that overflows (an overflowing coupling) raises
-    HypothesisViolated."""
-    total = exact_sum(values, repeats)
-    if math.isnan(total):
-        bad = np.flatnonzero(~np.isfinite(values))[:1]
-        bad = (bad if rows is None else rows[bad]).tolist()
-        raise HypothesisViolated(
-            f"least-squares {operand} "
-            f"{f'product entry {bad[0]}' if bad else 'sum'} is not finite; "
-            "the couplings overflow",
-            evidence={"operand": operand, **({"index": bad} if bad else {})})
-    return total
-
-
-def _least_squares(background: dict, fit: str, columns, rhs: np.ndarray):
-    """Deterministic ``min |design @ x - rhs|`` for a design of few columns.
-
-    The design's columns, ``columns()``, are stencil entries of circulants
-    on the background's grid, each standing for the ``n`` matrix entries it
-    fills, so every sum over the matrices is ``n`` times the sum over the
-    stencils; that is summed exactly and rounded once, the same float as a
+    The columns' symmetric parts and ``rhs`` are lined up on one stencil
+    support (:func:`~emergence.operator_core.stack_operators`), and every
+    sum runs over its entries, each standing for the ``n`` matrix entries
+    it fills: the sum over the matrices is ``n`` times the sum over the
+    entries, summed exactly and rounded once, the same float as a
     correctly rounded sum over the matrices.  Solves the normal equations
     by Gaussian elimination in a fixed order, so the result is the same
     bits on every BLAS kernel.  A column that is (numerically) dependent on
     earlier ones gets coefficient zero; for an all-zero column that is the
     minimum-norm answer.  Returns ``(x, gap)`` with the gap the Frobenius
-    norm of the fit's residual.  A non-finite entry or product (an
-    overflowing coupling) raises HypothesisViolated.
+    norm of the fit's residual.  A non-finite entry, product or sum (an
+    overflowing coupling) raises HypothesisViolated, naming the support
+    offset (the grid row) where one is not finite.
 
-    The design, its Gram sums and the rows where it is nonzero, the only
-    rows its products are summed on, depend on the background alone: they
-    are built at the background's first ``fit`` that gets past its rhs
-    check and kept in ``background[fit]``, so a later fit checks and sums
-    only its rhs, and refuses as it would with the design built afresh.
+    The columns' symmetric parts and their Gram sums depend on the
+    background alone: they are built at the background's first ``fit``
+    that gets past its rhs check and kept in ``background[fit]``, so a
+    later fit checks and sums only its rhs, and refuses as it would with
+    the columns built afresh.
     """
-    repeats = background["space"].dim
     plan = background.get(fit)
-    design = np.stack(columns(), axis=1) if plan is None else plan[0]
-    operands = [("rhs", rhs)] if plan else [("design", design), ("rhs", rhs)]
-    for name, data in operands:
+    design = sym_part(stack_operators(columns())) if plan is None else plan[0]
+    lined = stack_operators([design, rhs])
+    offsets, entries, k = lined.support.offsets, lined.body, len(design)
+    operands = [("design", entries[:k].T)] if plan is None else []
+    for name, data in operands + [("rhs", entries[k])]:
         bad = np.argwhere(~np.isfinite(data))
         if bad.size:
-            index = [int(i) for i in bad[0]]
+            index = [int(offsets[bad[0][0]]), *(int(i) for i in bad[0][1:])]
             raise HypothesisViolated(
                 f"least-squares {name} entry {index} is not finite; the "
                 "couplings overflow",
                 evidence={"operand": name, "index": index})
-    k = design.shape[1]
+    repeats = background["space"].dim
+
+    def total(products: np.ndarray, operand: str) -> float:
+        """``repeats * sum(products)``, correctly rounded; a product or a
+        sum that overflows raises HypothesisViolated."""
+        out = exact_sum(products, repeats)
+        if math.isnan(out):
+            bad = offsets[~np.isfinite(products)][:1].tolist()
+            raise HypothesisViolated(
+                f"least-squares {operand} "
+                f"{f'product entry {bad[0]}' if bad else 'sum'} is not "
+                "finite; the couplings overflow",
+                evidence={"operand": operand,
+                          **({"index": bad} if bad else {})})
+        return out
+
     if plan is None:
-        rows = np.flatnonzero(np.any(design != 0, axis=1))
-        gram = [[_exact_sum(design[rows, i] * design[rows, j], repeats,
-                            "design", rows) for j in range(k)]
+        gram = [[total(entries[i] * entries[j], "design") for j in range(k)]
                 for i in range(k)]
-        plan = background[fit] = (design, gram, rows)
-    gram, rows = [list(row) for row in plan[1]], plan[2]
-    b = [_exact_sum(design[rows, j] * rhs[rows], repeats, "rhs", rows)
-         for j in range(k)]
+        plan = background[fit] = (design, gram)
+    gram = [list(row) for row in plan[1]]
+    b = [total(entries[j] * entries[k], "rhs") for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):
@@ -275,11 +263,10 @@ def _least_squares(background: dict, fit: str, columns, rhs: np.ndarray):
     for p in reversed(pivots):
         x[p] = (b[p] - sum(gram[p][j] * x[j]
                            for j in range(p + 1, k))) / gram[p][p]
-    residual = -rhs
+    residual = -entries[k]
     for j in range(k):
-        residual = residual + x[j] * design[:, j]
-    return tuple(x), math.sqrt(_exact_sum(residual * residual, repeats,
-                                          "residual"))
+        residual = residual + x[j] * entries[j]
+    return tuple(x), math.sqrt(total(residual * residual, "residual"))
 
 
 def feasible_metric_perturbation(background: dict, theta: float):
@@ -289,18 +276,18 @@ def feasible_metric_perturbation(background: dict, theta: float):
     quadratic forms at the minimizer.
     """
     d1 = background["d1"]
+    # theta * sym(D2), not sym(theta * D2): a symmetric part doubles before
+    # it halves, so the latter would overflow at half the coupling
     return _least_squares(background, "feasible_fit", lambda: [
-        _sym_flat(d1[(0, 0)]),
-        _sym_flat(d1[(0, 1)]) + _sym_flat(d1[(1, 0)]),
-        _sym_flat(d1[(1, 1)]),
-    ], theta * _sym_flat(background["d2"]))
+        d1[(0, 0)], add(d1[(0, 1)], d1[(1, 0)]), d1[(1, 1)],
+    ], scale(theta, sym_part(background["d2"])))
 
 
 def noncommutativity_coefficient(background: dict, h):
     """Least-squares coupling with ``theta * D2`` matching ``h . D1``."""
     (theta,), gap = _least_squares(
-        background, "coupling_fit", lambda: [_sym_flat(background["d2"])],
-        _sym_flat(gravity_operator(background, h)))
+        background, "coupling_fit", lambda: [background["d2"]],
+        sym_part(gravity_operator(background, h)))
     return theta, gap
 
 
@@ -372,13 +359,13 @@ def _result(spec: ScenarioSpec, samples, pairs, round_trip_max: float,
             passed: bool, notes=()) -> ScenarioResult:
     """A runner's report from its records and ``(map, certificate)`` pairs;
     it passes when the runner's own checks and every certificate do."""
+    maps = tuple(emap.to_json_dict() for emap, _ in pairs)
     return ScenarioResult(
         spec.name, spec.spec_hash(), spec.seed,
         passed and all(cert.passed for _, cert in pairs), tuple(samples),
         tuple(cert for _, cert in pairs),
-        tuple(emap.provenance.digest() for emap, _ in pairs),
-        tuple(emap.to_json_dict() for emap, _ in pairs),
-        round_trip_max, tuple(notes))
+        tuple(m["provenance_digest"] for m in maps), maps, round_trip_max,
+        tuple(notes))
 
 
 # --- gravity scenario runners ---------------------------------------------------------

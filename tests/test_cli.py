@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emergence import ParseError, ScenarioSpec, SchemaError, errors
+from emergence import (Operator, ParseError, ScenarioSpec, SchemaError,
+                       errors, scenarios)
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
                            main, parse_args, render_json, render_text,
@@ -579,6 +580,19 @@ NUMPY_BELOW_AVX512 = pytest.param(
     id="numpy_below_avx512")
 
 
+def _numpy_baseline_only():
+    """Every SIMD target this numpy dispatches disabled, so it runs its
+    baseline loops, as on a CPU with none of them; skipped when it
+    dispatches none.  Raw maxima may move here (the shipped Boolean
+    certificate's does), so only the report bytes are compared."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    return pytest.param(
+        (("NPY_DISABLE_CPU_FEATURES", " ".join(__cpu_dispatch__)),),
+        id="numpy_baseline_only",
+        marks=pytest.mark.skipif(not __cpu_dispatch__,
+                                 reason="numpy dispatches no SIMD target"))
+
+
 #: specs beyond the shipped configs: larger gravity grids, whose parameter
 #: maps once read BLAS rounding, and Boolean masks with multi-row blocks
 KERNEL_SPECS = {
@@ -631,9 +645,82 @@ def _cli_report_bytes(config, setting=()) -> bytes:
     _kernel("Haswell", "avx2"),
     _kernel("SkylakeX", "avx512f"),
     NUMPY_BELOW_AVX512,
+    _numpy_baseline_only(),
 ])
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS + tuple(KERNEL_SPECS))
 def test_reports_are_identical_across_blas_kernels(name, setting,
                                                    kernel_configs):
     config = kernel_configs[name]
     assert _cli_report_bytes(config, setting) == _cli_report_bytes(config)
+
+
+# --- dense twin -------------------------------------------------------------------------
+
+#: idempotent and Boolean specs whose operators the twin builds dense; the
+#: gravity fits take stencils and are left out
+TWIN_SPECS = [
+    *({"name": "idempotent", "grid": [n]} for n in (6, 8, 12)),
+    {"name": "idempotent", "grid": [8], "variant": "projector"},
+    *({"name": "boolean", "grid": [8], "masks": masks, "block": block}
+      for masks, block in ((4, 2), (8, 1), (3, 3))),
+]
+
+
+def _twin_report(spec, tmp_path, capsys) -> tuple:
+    """Exit code and parsed report of one run through the CLI."""
+    config = write_config(tmp_path, spec)
+    out = tmp_path / "report.json"
+    code = main(["--config", config, "--out", str(out)])
+    capsys.readouterr()
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def _assignments(report) -> list:
+    """Pops and returns the probe assignments of every map of a report."""
+    return [probe.pop("assignment")
+            for m in report.get("result", {}).get("maps", [])
+            for probe in m["probes"]]
+
+
+def _assert_close(a, b, rel=1e-14):
+    """Two JSON values of one shape whose numbers agree within ``rel``."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys()
+        for key in a:
+            _assert_close(a[key], b[key], rel)
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_close(x, y, rel)
+    else:
+        assert type(a) is type(b)
+        assert abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _densely(build):
+    """``build``, returning the dense matrix of the operator it builds."""
+
+    def dense(*args, **kwargs):
+        op = build(*args, **kwargs)
+        return Operator(op.matrix, op.space)
+    return dense
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("spec", TWIN_SPECS, ids=lambda spec: "-".join(
+    map(str, spec.values())))
+def test_dense_operators_give_the_structured_report(spec, seed, tmp_path,
+                                                    capsys, monkeypatch):
+    # the fast paths against the slow one, end to end: each operator the
+    # runners build as a stencil or a diagonal is rebuilt as its dense
+    # matrix; only the probe assignments may move, by rounding
+    spec = {**spec, "samples": 30, "seed": seed}
+    structured = _twin_report(spec, tmp_path, capsys)
+    for name in ("make_discrete_operator", "identity_operator",
+                 "diagonal_operator"):
+        monkeypatch.setattr(scenarios, name, _densely(getattr(scenarios,
+                                                              name)))
+    dense = _twin_report(spec, tmp_path, capsys)
+    assert dense[0] == structured[0]
+    _assert_close(_assignments(dense[1]), _assignments(structured[1]))
+    assert render_json(dense[1]) == render_json(structured[1])
