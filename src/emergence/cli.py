@@ -11,15 +11,19 @@ One scenario per invocation.  Exit codes:
 Reports are deterministic for a given config (no timestamps, sorted keys,
 residuals written as kernel-independent bounds) and written atomically, so
 interrupted runs never leave partial files.
-Environment variables are never consulted.
+Environment variables are never consulted.  On glibc, :func:`main` sets
+the C allocator's thresholds once per process (:func:`_keep_heap_warm`);
+reports do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -178,9 +182,15 @@ def render_text(report: dict) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it; the
+    report gets the mode a plain ``open`` would give it (``mkstemp``'s own
+    is ``0600``)."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -279,7 +289,29 @@ def parse_args(argv=None) -> RunConfig:
     return RunConfig(spec, args.out, args.format, args.jobs)
 
 
+@functools.cache
+def _keep_heap_warm():
+    """Start glibc's allocator where its adaptive thresholds would end.
+
+    A certification chunk's temporaries (0.1-0.5 MiB each) are otherwise
+    handed back to the kernel at the end of the chunk and faulted in again
+    by the next one.  Both thresholds are set, never one alone: setting
+    either turns glibc's dynamic mmap threshold off.  The trim threshold is
+    set only when the mmap threshold took; off glibc nothing is done.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at glibc's cap for its dynamic one on 64-bit,
+    # then M_TRIM_THRESHOLD (-1) at twice that, as the dynamic rule sets it
+    if mallopt(-3, 32 * 2**20):
+        mallopt(-1, 64 * 2**20)
+
+
 def main(argv=None) -> int:
+    _keep_heap_warm()
     try:
         config = parse_args(argv)
     except EmergenceError as exc:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import hashlib
 import io
 import json
 import math
 import os
+import platform
+import stat
 import subprocess
 import sys
 import tempfile
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emergence import (Operator, ParseError, ScenarioSpec, SchemaError,
+from emergence import (Operator, ParseError, ScenarioSpec, SchemaError, cli,
                        errors, scenarios)
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
@@ -399,6 +402,21 @@ def test_interrupted_style_writes_leave_no_temp_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_reports_get_the_mode_of_a_plain_write(umask, tmp_path):
+    out = tmp_path / "report.json"
+    plain = tmp_path / "plain.json"
+    previous = os.umask(umask)
+    try:
+        plain.write_text("{}\n", encoding="utf-8")
+        assert main(["--scenario", "idempotent", "--samples", "5",
+                     "--out", str(out)]) == EXIT_PASS
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == \
+        stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("where", ["missing/report.json", "dir"])
 def test_an_unwritable_report_path_exits_64(where, tmp_path, capsys):
     (tmp_path / "dir").mkdir()
@@ -420,6 +438,61 @@ def test_text_rendering_of_error_reports():
                                                     residual=0.5))
     text = render_text(report)
     assert "error NotScalarForm: left the orbit" in text
+
+
+# --- allocator setting ---------------------------------------------------------------
+
+
+class _Libc:
+    """A C library handle that records its ``mallopt`` calls."""
+
+    def __init__(self, accepted=1):
+        self.accepted = accepted
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so it takes argtypes
+            self.calls.append((param, value))
+            return self.accepted
+        self.mallopt = mallopt
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    handle = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: handle)
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    cli._keep_heap_warm.cache_clear()
+    yield handle
+    cli._keep_heap_warm.cache_clear()
+
+
+#: M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB
+THRESHOLDS = [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+
+def test_main_sets_the_allocator_thresholds_once_per_process(libc, tmp_path,
+                                                              monkeypatch):
+    out = tmp_path / "report.json"
+    argv = ["--scenario", "idempotent", "--samples", "5", "--out", str(out)]
+    assert main(argv) == EXIT_PASS
+    first = out.read_bytes()
+    assert main(argv) == EXIT_PASS
+    assert main(["--samples", "0"]) == EXIT_USAGE  # before arguments parse
+    assert libc.calls == THRESHOLDS
+    # off glibc nothing is set, and the report keeps its bytes
+    libc.calls.clear()
+    cli._keep_heap_warm.cache_clear()
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    assert main(argv) == EXIT_PASS
+    assert libc.calls == []
+    assert out.read_bytes() == first
+
+
+def test_a_refused_mmap_threshold_leaves_the_trim_threshold_alone(libc):
+    # setting either threshold turns glibc's dynamic one off: both or none
+    libc.accepted = 0
+    cli._keep_heap_warm()
+    assert libc.calls == THRESHOLDS[:1]
 
 
 # --- golden outputs -------------------------------------------------------------------
@@ -657,7 +730,7 @@ def test_reports_are_identical_across_blas_kernels(name, setting,
 # --- dense twin -------------------------------------------------------------------------
 
 #: idempotent and Boolean specs whose operators the twin builds dense; the
-#: gravity fits take stencils and are left out
+#: gravity fits take stencils, so only gravity certification has a twin
 TWIN_SPECS = [
     *({"name": "idempotent", "grid": [n]} for n in (6, 8, 12)),
     {"name": "idempotent", "grid": [8], "variant": "projector"},
@@ -675,11 +748,9 @@ def _twin_report(spec, tmp_path, capsys) -> tuple:
     return code, json.loads(out.read_text(encoding="utf-8"))
 
 
-def _assignments(report) -> list:
-    """Pops and returns the probe assignments of every map of a report."""
-    return [probe.pop("assignment")
-            for m in report.get("result", {}).get("maps", [])
-            for probe in m["probes"]]
+def _assignments(maps) -> list:
+    """Pops and returns the probe assignments of the rendered ``maps``."""
+    return [probe.pop("assignment") for m in maps for probe in m["probes"]]
 
 
 def _assert_close(a, b, rel=1e-14):
@@ -722,5 +793,30 @@ def test_dense_operators_give_the_structured_report(spec, seed, tmp_path,
                                                               name)))
     dense = _twin_report(spec, tmp_path, capsys)
     assert dense[0] == structured[0]
-    _assert_close(_assignments(dense[1]), _assignments(structured[1]))
+    _assert_close(*(_assignments(report.get("result", {}).get("maps", []))
+                    for _, report in (dense, structured)))
     assert render_json(dense[1]) == render_json(structured[1])
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("grid", [(6, 6), (8, 8), (6, 10)],
+                         ids=lambda grid: "x".join(map(str, grid)))
+@pytest.mark.parametrize("name", ["gravity_from_noncommutativity",
+                                  "noncommutativity_from_gravity"])
+def test_a_dense_regulated_slot_gives_the_structured_certificate(name, grid,
+                                                                 seed):
+    # the gravity fits take stencils, so the twin covers certification
+    # alone: the cross-check's slot rebuilt as its dense matrix certifies
+    # the same, and only the probe assignments may move, by rounding
+    spec = ScenarioSpec(name=name, grid=grid, samples=30, seed=seed)
+    background = scenarios.build_gravity_background(
+        spec.grid, spec.eta, spec.field_strength, spec.mass)
+    op = background["box_m"]
+    assert op.structure == "stencil"
+    dense = {**background, "box_m": Operator(op.matrix, op.space)}
+    pairs = [scenarios._gravity_cross_check(b, spec)[0]
+             for b in (dense, background)]
+    assert pairs[0][1].to_json_dict() == pairs[1][1].to_json_dict()
+    maps = [emap.to_json_dict() for emap, _ in pairs]
+    _assert_close(*(_assignments([m]) for m in maps))
+    assert maps[0] == maps[1]
