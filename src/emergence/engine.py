@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -375,6 +374,7 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
                     float(np.max(operator_residual(left, right))))
 
     if jobs is not None and jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(block, list(chunks)))
     else:

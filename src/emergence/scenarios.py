@@ -57,6 +57,12 @@ RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 # --- specs and results -----------------------------------------------------------
 
 
+def _integral(value):
+    """An integral float as its int; every other value as it is."""
+    return int(value) if isinstance(value, float) and value.is_integer() \
+        else value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A fully-resolved scenario description (what the CLI loads)."""
@@ -102,7 +108,14 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         kwargs = dict(data)
-        for key in ("grid", "theta_values", "h_scales"):
+        # the schema's integers include integral floats such as 2.0; both
+        # forms resolve to one spec, hash and report
+        for key in ("masks", "block", "samples", "seed"):
+            if key in kwargs:
+                kwargs[key] = _integral(kwargs[key])
+        if "grid" in kwargs:
+            kwargs["grid"] = tuple(map(_integral, kwargs["grid"]))
+        for key in ("theta_values", "h_scales"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         if "eta" in kwargs:

@@ -91,6 +91,25 @@ def test_specs_round_trip_through_files(tmp_path):
     assert load_config(str(path)) == spec
 
 
+@pytest.mark.parametrize("field,forms", [
+    ("samples", (10, 10.0)), ("seed", (3, 3.0)), ("masks", (4, 4.0)),
+    ("block", (2, 2.0)), ("grid", ([8], [8.0])),
+])
+def test_integral_floats_in_integer_fields_run_as_their_ints(field, forms,
+                                                             tmp_path):
+    # the schema's integers include 2.0; the run must not see the float
+    runs = []
+    for form in forms:
+        config = write_config(tmp_path, {"name": "boolean", "grid": [4],
+                                         "samples": 10, field: form})
+        out = tmp_path / "report.json"
+        runs.append((main(["--config", config, "--out", str(out)]),
+                     out.read_bytes()))
+        out.unlink()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_PASS
+
+
 def test_shipped_configs_exist_and_load():
     for name in SHIPPED_CONFIGS:
         spec = load_config(shipped_config_path(name))
@@ -415,6 +434,27 @@ def test_reports_get_the_mode_of_a_plain_write(umask, tmp_path):
         os.umask(previous)
     assert stat.S_IMODE(out.stat().st_mode) == \
         stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_writes_never_touch_the_umask(monkeypatch, tmp_path):
+    # the umask belongs to the whole process, so setting it races threads
+    def umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "report.json"
+    cli._atomic_write(str(out), "{}\n")
+    assert out.read_text(encoding="utf-8") == "{}\n"
+
+
+def test_atomic_writes_pass_over_a_taken_temporary_name(monkeypatch,
+                                                        tmp_path):
+    draws = iter([b"\0" * 8, b"\1" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    taken = tmp_path / f".report-{'00' * 8}"
+    taken.write_text("taken", encoding="utf-8")
+    cli._atomic_write(str(tmp_path / "report.json"), "{}\n")
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "report.json"]
+    assert taken.read_text(encoding="utf-8") == "taken"
 
 
 @pytest.mark.parametrize("where", ["missing/report.json", "dir"])
