@@ -166,9 +166,9 @@ def grid_space(dims, spacing=None, scalar_kind="real", symmetry=None) -> FieldSp
         scalar_kind, symmetry, math.prod(geometry.spacing)), geometry)
 
 
-def plain_space(dim, scalar_kind="real", symmetry=None) -> FieldSpace:
-    """Geometry-free field space with the unit-weight pairing."""
-    return FieldSpace(dim, scalar_kind, _pairing(scalar_kind, symmetry))
+def plain_space(dim, scalar_kind="real") -> FieldSpace:
+    """Geometry-free field space with the unit-weight default pairing."""
+    return FieldSpace(dim, scalar_kind, _pairing(scalar_kind, None))
 
 
 # --- operators ---------------------------------------------------------------
@@ -818,11 +818,12 @@ def distance_to_diagonal(a, entries):
                                                        gap.tolist())])
 
 
-def is_idempotent_power(a: Operator, n: int, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``A^(2n) == A^n`` holds (relative Frobenius residual)."""
+def is_idempotent_power(a: Operator, n: int) -> bool:
+    """Whether ``A^(2n) == A^n`` holds (relative Frobenius residual within
+    :data:`DEFAULT_TOL`)."""
     an = power(a, int(n))
     return bool(frobenius(subtract(compose(an, an), an))
-                <= tol * max(1.0, frobenius(an)))
+                <= DEFAULT_TOL * max(1.0, frobenius(an)))
 
 
 # --- circulants and right inverses -------------------------------------------
@@ -978,11 +979,11 @@ def _d2(geometry: GridGeometry, field_strength: float,
 def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     """Build a named operator on a grid space.
 
-    Kinds: ``shift(axis, step=1)``, ``partial(axis, scheme)``,
-    ``second_partial(mu, nu)``, ``box(eta=None)``, ``d1_basis(mu, nu)``,
-    ``d2_background(field_strength, eta=None)``, ``projection(basis)``,
-    ``constant(matrix)``.  Everything except ``projection``/``constant`` is a
-    constant-coefficient stencil and is stored as one; those two are dense.
+    Kinds: ``shift(axis, step=1)``, ``partial(axis, scheme="central")``,
+    ``second_partial(mu, nu)``, ``box(eta=None)``,
+    ``d2_background(field_strength, eta=identity)`` and
+    ``projection(basis)``; any other kind raises :class:`BadSpec`.  All but
+    the dense projector are constant-coefficient stencils, stored as such.
     """
     geometry = space.geometry
     if geometry is None:
@@ -997,7 +998,7 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
         scheme = str(params.pop("scheme", "central"))
         _check_axis(geometry, axis)
         stencil = _partial(geometry, axis, scheme)
-    elif kind in ("second_partial", "d1_basis"):
+    elif kind == "second_partial":
         mu, nu = int(params.pop("mu")), int(params.pop("nu"))
         _check_axis(geometry, mu)
         _check_axis(geometry, nu)
@@ -1015,8 +1016,6 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
         matrix = q @ q.conj().T
         if np.iscomplexobj(matrix) and np.max(np.abs(matrix.imag)) <= 1e-13:
             matrix = matrix.real
-    elif kind == "constant":
-        matrix = np.asarray(params.pop("matrix"))
     else:
         raise BadSpec(f"unknown discrete operator kind {kind!r}")
     if params:

@@ -103,8 +103,6 @@ class ParameterAlgebra:
 
     name: str = "abstract"
     scalar_kind: str = "complex"
-    #: maximum tuple power the background declares usable, None = unbounded
-    max_power: int | None = None
     #: whether act(eps, A) is linear in eps (true for every base carrier,
     #: false for tuple/product carriers whose action is successive)
     action_linear: bool = True
@@ -439,15 +437,15 @@ class CentralizerDiagonal(ParameterAlgebra):
     name = "centralizer_diagonal"
     scalar_kind = "real"
 
-    def __init__(self, projector, tol: float = 1e-12):
+    def __init__(self, projector):
         p = projector.matrix if isinstance(projector, Operator) else np.asarray(projector)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise BadSpec("centralizer needs a square operator")
         self.dim = p.shape[0]
-        self.components = self._pattern_components(p, tol)
+        self.components = self._pattern_components(p)
 
     @staticmethod
-    def _pattern_components(p: np.ndarray, tol: float) -> list[list[int]]:
+    def _pattern_components(p: np.ndarray) -> list[list[int]]:
         n = p.shape[0]
         scale_ = max(1.0, float(np.max(np.abs(p))))
         parent = list(range(n))
@@ -460,7 +458,7 @@ class CentralizerDiagonal(ParameterAlgebra):
 
         for i in range(n):
             for j in range(i + 1, n):
-                if max(abs(p[i, j]), abs(p[j, i])) > tol * scale_:
+                if max(abs(p[i, j]), abs(p[j, i])) > 1e-12 * scale_:
                     parent[find(i)] = find(j)
         groups: dict[int, list[int]] = {}
         for i in range(n):
@@ -576,9 +574,10 @@ class CompatibilityReport:
 
 
 def check_action_compatibility(algebra: ParameterAlgebra, operators,
-                               n_samples: int, seed: int = 0,
-                               tol: float = 1e-12) -> CompatibilityReport:
-    """Verify additivity and multiplicativity of the action by sampling.
+                               n_samples: int,
+                               seed: int = 0) -> CompatibilityReport:
+    """Verify additivity and multiplicativity of the action by sampling,
+    each within 1e-12.
 
     The optional third identity ``act(ab, X o Y) = act(a, X) o act(b, Y)``
     is reported separately; when it passes alongside the required two, the
@@ -620,8 +619,8 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
     # np.max keeps a NaN, so a NaN residual fails
     req, opt, comm = (float(np.max(r)) for r in (
         residuals[:, :2], residuals[:, 2], comm))
-    optional_ok = opt <= tol
-    return CompatibilityReport(req <= tol, False, n_samples, req, opt,
+    optional_ok = opt <= 1e-12
+    return CompatibilityReport(req <= 1e-12, False, n_samples, req, opt,
                                optional_ok, comm if optional_ok else None)
 
 

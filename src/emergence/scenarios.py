@@ -57,10 +57,15 @@ RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 # --- specs and results -----------------------------------------------------------
 
 
-def _integral(value):
-    """An integral float as its int; every other value as it is."""
-    return int(value) if isinstance(value, float) and value.is_integer() \
-        else value
+def _integer(field: str, value) -> int:
+    """An integer field's value as an int.  The schema's integers include
+    integral floats such as 2.0, so both forms resolve to one spec, hash
+    and report; any other non-integer, a bool among them, is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise BadSpec(f"{field} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,10 @@ class ScenarioSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for key in ("masks", "block", "samples", "seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        object.__setattr__(self, "grid", tuple(
+            _integer("grid entry", n) for n in self.grid))
         if self.signature != "riemannian":
             raise BadSpec("only riemannian signature is supported; the "
                           "Lorentzian case does not reduce to a periodic "
@@ -108,13 +117,6 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         kwargs = dict(data)
-        # the schema's integers include integral floats such as 2.0; both
-        # forms resolve to one spec, hash and report
-        for key in ("masks", "block", "samples", "seed"):
-            if key in kwargs:
-                kwargs[key] = _integral(kwargs[key])
-        if "grid" in kwargs:
-            kwargs["grid"] = tuple(map(_integral, kwargs["grid"]))
         for key in ("theta_values", "h_scales"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -163,9 +165,11 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
                              mass: float = 1.0) -> dict:
     """Operators for the two coupled theories on a 2D periodic grid.
 
-    Returns the metric Laplacian, its mass-regulated version (the grid
-    surrogate for well-defined Green functions; ``mass = 0`` is permitted
-    but leaves it non-invertible), the second-derivative basis, and the
+    Returns the inverse metric, the metric Laplacian, its mass-regulated
+    version (the grid surrogate for well-defined Green functions;
+    ``mass = 0`` is permitted but leaves it non-invertible), the
+    second-derivative basis ``d1``, the ``columns`` ``(D1_00, D1_01 + D1_10,
+    D1_11)`` that a symmetric perturbation weights, and the
     antisymmetric-background operator.  The two least-squares fits add
     their columns' symmetric parts and Gram sums under ``"feasible_fit"``
     and ``"coupling_fit"`` once they are built (see
@@ -186,24 +190,27 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     # stencil's symbol m^2 - 4 sum sin^2 vanishes exactly at m = 2)
     box_m = add(scale(-1.0, box_eta),
                 scale(mass * mass, identity_operator(space)))
-    d1 = {(mu, nu): make_discrete_operator(space, "d1_basis", mu=mu, nu=nu)
-          for mu in range(2) for nu in range(2)}
+    d1 = {(mu, nu): make_discrete_operator(space, "second_partial",
+                                           mu=mu, nu=nu)
+          for mu, nu in ((0, 0), (0, 1), (1, 1))}
+    # each entry of a mixed second partial is one product, so d_1 d_0 is
+    # d_0 d_1 bit for bit
+    d1[(1, 0)] = d1[(0, 1)]
+    columns = (d1[(0, 0)], add(d1[(0, 1)], d1[(1, 0)]), d1[(1, 1)])
     return {"space": space, "box_eta": box_eta, "box_m": box_m, "d1": d1,
-            "d2": d2, "eta": eta_mat, "field_strength": float(field_strength),
-            "mass": float(mass)}
+            "columns": columns, "d2": d2, "eta": eta_mat, "eta_up": eta_up,
+            "field_strength": float(field_strength), "mass": float(mass)}
 
 
 def gravity_operator(background: dict, h) -> Operator:
     """``h . D1`` for a symmetric perturbation ``h = (h00, h01, h11)``."""
-    d1 = background["d1"]
-    return add(add(scale(h[0], d1[(0, 0)]),
-                   scale(h[1], add(d1[(0, 1)], d1[(1, 0)]))),
-               scale(h[2], d1[(1, 1)]))
+    c00, c01, c11 = background["columns"]
+    return add(add(scale(h[0], c00), scale(h[1], c01)), scale(h[2], c11))
 
 
 def _least_squares(background: dict, fit: str, columns, rhs: Operator):
     """Deterministic ``min_x |sum_j x_j sym(C_j) - rhs|_F`` for a few
-    circulants ``C_j``, the operators ``columns()``, and the symmetric
+    circulants ``C_j``, the operators ``columns``, and the symmetric
     circulant ``rhs``, a quadratic form to match.
 
     The columns' symmetric parts and ``rhs`` are lined up on one stencil
@@ -227,7 +234,7 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
     the columns built afresh.
     """
     plan = background.get(fit)
-    design = sym_part(stack_operators(columns())) if plan is None else plan[0]
+    design = sym_part(stack_operators(columns)) if plan is None else plan[0]
     lined = stack_operators([design, rhs])
     offsets, entries, k = lined.support.offsets, lined.body, len(design)
     operands = [("design", entries[:k].T)] if plan is None else []
@@ -288,18 +295,16 @@ def feasible_metric_perturbation(background: dict, theta: float):
     Returns ``(h, gap)``; the gap is the Frobenius distance between the two
     quadratic forms at the minimizer.
     """
-    d1 = background["d1"]
     # theta * sym(D2), not sym(theta * D2): a symmetric part doubles before
     # it halves, so the latter would overflow at half the coupling
-    return _least_squares(background, "feasible_fit", lambda: [
-        d1[(0, 0)], add(d1[(0, 1)], d1[(1, 0)]), d1[(1, 1)],
-    ], scale(theta, sym_part(background["d2"])))
+    return _least_squares(background, "feasible_fit", background["columns"],
+                          scale(theta, sym_part(background["d2"])))
 
 
 def noncommutativity_coefficient(background: dict, h):
     """Least-squares coupling with ``theta * D2`` matching ``h . D1``."""
     (theta,), gap = _least_squares(
-        background, "coupling_fit", lambda: [background["d2"]],
+        background, "coupling_fit", [background["d2"]],
         sym_part(gravity_operator(background, h)))
     return theta, gap
 
@@ -450,12 +455,11 @@ def run_noncommutativity_from_gravity(spec: ScenarioSpec,
     """Mirrored round trip: perturbation -> coupling -> recovered perturbation."""
 
     def steps(background, free):
-        eta_up = np.linalg.inv(background["eta"])
         for c in spec.h_scales:
             if c <= 0:
                 raise BadSpec("perturbation scales must keep h positive "
                               "definite")
-            h_mat = c * eta_up
+            h_mat = c * background["eta_up"]
             h = (float(h_mat[0, 0]), float(h_mat[0, 1]), float(h_mat[1, 1]))
             theta, gap = noncommutativity_coefficient(background, h)
             h_back, back_gap = feasible_metric_perturbation(background, theta)
@@ -539,8 +543,6 @@ def run_idempotent_instance(spec: ScenarioSpec,
     space = grid_space(spec.grid)
     algebra = RealScalars()
     ident = identity_operator(space)
-    if not is_idempotent_power(ident, 1):
-        raise HypothesisViolated("declared operator is not idempotent")
     source = scalar_family(algebra, ident, label="idempotent_theory")
     source, _ = verify_structure(
         source.with_claims("additive", "multiplicative", "homomorphic",

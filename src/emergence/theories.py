@@ -184,8 +184,9 @@ def _law_residuals(family: OperatorFamily, laws, pairs) -> list:
 
 
 def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
-                    seed: int = 0, tol: float = 1e-10) -> StructureReport:
-    """Sample the claimed structure identities; exactness shortcuts noted.
+                    seed: int = 0) -> StructureReport:
+    """Sample the claimed structure identities, each within 1e-10;
+    exactness shortcuts noted.
 
     ``scalar_times_fixed`` families over a linearly-acting carrier are
     scalar-invariant by construction; that check is recorded as exact
@@ -220,18 +221,18 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
         # np.max keeps a NaN, where Python's max may drop it
         worst = float(np.max(_law_residuals(family, laws, pairs),
                              initial=0.0))
-        checks.append(FlagCheck(flag, worst <= tol, worst))
+        checks.append(FlagCheck(flag, worst <= 1e-10, worst))
     return StructureReport(tuple(checks), n_samples, seed)
 
 
-def verify_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
-                     seed: int = 0, tol: float = 1e-10):
+def verify_structure(family: OperatorFamily, n_samples: int = 40,
+                     seed: int = 0):
     """Run :func:`check_structure` and fold the passing flags into the family.
 
     Returns ``(family, report)``; only flags that passed move from claimed to
     verified, failing claims stay unverified (and the engine will refuse).
     """
-    report = check_structure(family, flags, n_samples, seed, tol)
+    report = check_structure(family, n_samples=n_samples, seed=seed)
     passed = report.passed_flags()
     return replace(family, claimed=family.claimed | set(report.failed_flags())
                    | passed, verified=family.verified | passed), report

@@ -21,16 +21,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emergence import (Operator, ParseError, ScenarioSpec, SchemaError, cli,
-                       errors, scenarios)
+from emergence import (HypothesisViolated, Operator, ParseError,
+                       ScenarioSpec, SchemaError, cli, errors, scenarios)
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
                            main, parse_args, render_json, render_text,
                            shipped_config_path)
+from emergence.engine import Certificate, json_form
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED_CONFIGS = ("gravity_from_noncommutativity",
@@ -414,6 +416,21 @@ def test_text_report_summarizes_certificates(tmp_path):
     assert "provenance " in text
 
 
+def test_text_report_of_a_gravity_run_prints_its_notes(capsys):
+    assert main(["--scenario", "gravity_from_noncommutativity",
+                 "--format", "text"]) == EXIT_PASS
+    assert capsys.readouterr().out == (
+        "scenario gravity_from_noncommutativity: passed\n"
+        "spec hash a2f939f066891df11a1ae30cf92449ca9b3df11c8eb7955696310c00a"
+        "e32814a\n"
+        "round-trip max 1.000e-12 over 3 instance(s)\n"
+        "certificate [pass] 100 samples, functional 1.000e-12, operator "
+        "1.000e-12, tolerance 1.0e-08\n"
+        "provenance 66f4b8cf9983eb1bbc671d61c45f7da1da9989d2461a72469e23b4bc"
+        "f5036dd9\n"
+        "note free_theory_residual=1.000e-12\n")
+
+
 def test_interrupted_style_writes_leave_no_temp_files(tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["--scenario", "idempotent", "--samples", "5",
@@ -478,6 +495,31 @@ def test_text_rendering_of_error_reports():
                                                     residual=0.5))
     text = render_text(report)
     assert "error NotScalarForm: left the orbit" in text
+
+
+def test_refusal_evidence_takes_its_json_form():
+    # every form json_form gives: a certificate by its written bounds, real
+    # and complex arrays and scalars, numpy scalars, tuple keys and repr
+    evidence = {
+        "certificate": Certificate(40, 0.25, 1.5e-7, 1e-6, False, 3),
+        "residuals": np.array([0.5, 1.5]), "index": np.int64(7),
+        "single": np.float32(0.5), "eigenvalue": complex(0.5, -2.0),
+        "spectrum": np.array([1j, 2.0]), "flags": frozenset({"additive"}),
+        (0, 1): None}
+    spec = ScenarioSpec(name="idempotent", grid=(8,))
+    report = build_report(spec, error=HypothesisViolated("refused",
+                                                         evidence=evidence))
+    written = json.dumps(report["error"], sort_keys=True)
+    assert written == (
+        '{"evidence": {"0,1": null, "certificate": {"max_functional_residual"'
+        ': 1.0, "max_operator_residual": 1e-06, "passed": false, "samples": '
+        '40, "seed": 3, "tolerance": 1e-06}, "eigenvalue": {"imag": -2.0, '
+        '"real": 0.5}, "flags": "frozenset({\'additive\'})", "index": 7, '
+        '"residuals": [0.5, 1.5], "single": 0.5, "spectrum": {"imag": '
+        '[1.0, 0.0], "real": [0.0, 2.0]}}, "message": "refused", "type": '
+        '"HypothesisViolated"}')
+    assert type(json_form(np.int64(7))) is int
+    assert type(json_form(np.float32(0.5))) is float
 
 
 # --- allocator setting ---------------------------------------------------------------
@@ -620,17 +662,72 @@ METRIC_REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name,seed", sorted(METRIC_REPORT_DIGESTS))
-def test_gravity_reports_at_a_non_identity_metric_keep_their_bytes(
-        name, seed, tmp_path, capsys):
+#: the same reports at field strength 1.3 and mass 0.7, away from the unit
+#: values every other pin runs at
+COUPLED_METRIC_REPORT_DIGESTS = {
+    ("gravity_from_noncommutativity", 1):
+        "2cc4e6064e158110705467f7654ee06a7c94b8a7e36f8d1020a5f82aa77e11e5",
+    ("gravity_from_noncommutativity", 11):
+        "ecee83614d2284e7f441484060a7422295b0da295d56d20cd3d93a3554dfc114",
+    ("noncommutativity_from_gravity", 1):
+        "82e8e748f15278dba4df77937a0dde2b663d6e9b17ccc862deb185773d4eabcf",
+    ("noncommutativity_from_gravity", 11):
+        "8d163474cee0e06d4b80e8713e9753440793636702a36f3e9ce5be706d456aac",
+}
+
+
+def _metric_report_digest(tmp_path, capsys, name, seed, **background):
     config = write_config(tmp_path, {
         "name": name, "grid": [6, 10], "eta": [[2.0, 0.3], [0.3, 1.0]],
-        **METRIC_REPORT_SPECS[name], "samples": 100, "seed": seed})
+        **background, **METRIC_REPORT_SPECS[name], "samples": 100,
+        "seed": seed})
     out = tmp_path / "report.json"
     assert main(["--config", config, "--out", str(out)]) == EXIT_PASS
     capsys.readouterr()
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == METRIC_REPORT_DIGESTS[name, seed]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(METRIC_REPORT_DIGESTS))
+def test_gravity_reports_at_a_non_identity_metric_keep_their_bytes(
+        name, seed, tmp_path, capsys):
+    assert _metric_report_digest(tmp_path, capsys, name, seed) \
+        == METRIC_REPORT_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", sorted(COUPLED_METRIC_REPORT_DIGESTS))
+def test_gravity_reports_off_unit_coupling_and_mass_keep_their_bytes(
+        name, seed, tmp_path, capsys):
+    digest = _metric_report_digest(tmp_path, capsys, name, seed,
+                                   field_strength=1.3, mass=0.7)
+    assert digest == COUPLED_METRIC_REPORT_DIGESTS[name, seed]
+
+
+#: sha256 and exit code of gravity reports at field strength 0 (6x10, 10
+#: samples, seed 1): with no background coupling there is no regulated
+#: cross-check, so no map or certificate; a nonzero coupling is not
+#: recovered, which fails the round trip
+ZERO_FIELD_REPORTS = {
+    "gravity_from_noncommutativity": (
+        {"theta_values": [0.0]}, EXIT_PASS,
+        "ab4beadbdf0afe1a351a3c2965e4cbe91f41aed8666c6bee7ce52ed2d4198f25"),
+    "noncommutativity_from_gravity": (
+        {"h_scales": [0.5]}, EXIT_FAIL,
+        "180363ef9bc4802a625e4888d51205eb3a703b7b2cb19de950c00f9721943a6c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_FIELD_REPORTS))
+def test_a_zero_field_strength_runs_no_cross_check(name, tmp_path, capsys):
+    values, code, digest = ZERO_FIELD_REPORTS[name]
+    config = write_config(tmp_path, {
+        "name": name, "grid": [6, 10], "field_strength": 0, **values,
+        "samples": 10, "seed": 1})
+    out = tmp_path / "report.json"
+    assert main(["--config", config, "--out", str(out)]) == code
+    capsys.readouterr()
+    result = json.loads(out.read_bytes())["result"]
+    assert result["certificates"] == result["maps"] == []
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 #: sha256 of the Boolean (8 masks, block 32) and identity idempotent (64

@@ -565,15 +565,6 @@ def test_emergence_degree_gates(line8):
     with pytest.raises(DegreeMismatch):
         emerge(double, poly)
 
-    class Bounded(RealScalars):
-        max_power = 1
-
-    deep = polynomial_family([identity_operator(line8)], {(1,): lin()},
-                             Bounded(), coefficient_degree=2)
-    with pytest.raises(DegreeMismatch) as info:
-        emerge(single, deep)
-    assert "power bound" in str(info.value)
-
 
 def test_emergence_space_and_inverse_gates(line8, line4):
     source = identity_source(line8)

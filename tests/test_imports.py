@@ -194,3 +194,73 @@ def test_theories_has_one_tree_form():
 
     assert [c.name for c in _classes("theories.py")
             if {"left", "right"} <= fields(c)] == ["Tree"]
+
+
+LOWER_LAYERS = ("operator_core.py", "parameter_algebra.py", "theories.py")
+
+
+def _defaults(tree: ast.Module):
+    """``(callee, name, position)`` for each keyword default of a function
+    or method; ``position`` counts the arguments a caller passes before it,
+    or is None for a keyword-only one.  A method is called by its name, an
+    ``__init__`` by its class's name, and neither is passed ``self``."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                callee = (owner if child.name == "__init__" and owner
+                          else child.name)
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield callee, arg.arg, i - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield callee, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def _settings(tree: ast.Module) -> set:
+    """``(callee, keyword or position)`` for what each call sets; a call
+    with ``*args`` or ``**kwargs`` sets every argument (``"*"``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name) else
+                  func.attr if isinstance(func, ast.Attribute) else None)
+        if callee is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            found.add((callee, "*"))
+        found.update((callee, i) for i in range(len(node.args)))
+        found.update((callee, k.arg) for k in node.keywords)
+    return found
+
+
+def test_lower_layer_defaults_have_callers():
+    # a default of operator_core, parameter_algebra or theories is a setting
+    # only if some call in the package or its tests sets it
+    settings = set()
+    for path in MODULES:
+        settings |= _settings(ast.parse(path.read_text(encoding="utf-8")))
+    package = ROOT / "src" / "emergence"
+    unset = sorted(
+        f"{module}: {callee}({name})"
+        for module in LOWER_LAYERS
+        for callee, name, position in _defaults(ast.parse(
+            (package / module).read_text(encoding="utf-8")))
+        if not {(callee, name), (callee, position), (callee, "*")}
+        & settings)
+    assert unset == [], f"defaults that no call sets: {unset}"

@@ -195,8 +195,8 @@ def _stencil_oracles(space, eta):
                             partial(axis, scheme)))
     for mu in range(d):
         for nu in range(d):
-            for kind in ("second_partial", "d1_basis"):
-                oracles.append((kind, {"mu": mu, "nu": nu}, second(mu, nu)))
+            oracles.append(("second_partial", {"mu": mu, "nu": nu},
+                            second(mu, nu)))
     if d == 2:
         oracles.append(("box", {"eta": eta}, box(eta)))
         eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -260,6 +260,9 @@ def test_unknown_kind_and_stray_parameters_rejected(line8):
         make_discrete_operator(line8, "shift", axis=0, extra=1)
     with pytest.raises(BadSpec):
         make_discrete_operator(line8, "partial", axis=3)
+    for gone in ("constant", "d1_basis"):
+        with pytest.raises(BadSpec, match="unknown discrete operator kind"):
+            make_discrete_operator(line8, gone)
 
 
 # --- pairing, adjoints, quadratic forms ---------------------------------------

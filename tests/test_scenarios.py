@@ -99,6 +99,37 @@ def test_constructed_rays_always_pass_the_feasibility_check():
         assert gap <= 1e-10
 
 
+def test_a_background_builds_each_operator_once(monkeypatch):
+    kinds = []
+    build = scenarios.make_discrete_operator
+
+    def counted(space, kind, **params):
+        kinds.append(kind)
+        return build(space, kind, **params)
+
+    monkeypatch.setattr(scenarios, "make_discrete_operator", counted)
+    eta = ((1.3, 0.4), (0.4, 0.9))
+    background = build_gravity_background((6, 10), eta, 1.3, 0.7)
+    assert sorted(kinds) == ["box", "d2_background", *["second_partial"] * 3]
+    assert np.array_equal(background["eta_up"], np.linalg.inv(eta))
+    d1, space = background["d1"], background["space"]
+    assert sorted(d1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # d_1 d_0 is d_0 d_1 bit for bit, so one operator serves both, and the
+    # columns and h . D1 keep the bits of a second build
+    d10 = build(space, "second_partial", mu=1, nu=0)
+    assert np.array_equal(d10.matrix, d1[(0, 1)].matrix)
+    columns = (d1[(0, 0)], operator_core.add(d1[(0, 1)], d10), d1[(1, 1)])
+    for built, fresh in zip(background["columns"], columns):
+        assert np.array_equal(built.matrix, fresh.matrix)
+    h = (0.3, -0.2, 0.5)
+    fresh = operator_core.add(operator_core.add(
+        operator_core.scale(h[0], columns[0]),
+        operator_core.scale(h[1], columns[1])),
+        operator_core.scale(h[2], columns[2]))
+    assert np.array_equal(gravity_operator(background, h).matrix,
+                          fresh.matrix)
+
+
 def test_generic_perturbations_are_refused():
     background = build_gravity_background((8, 8))
     with pytest.raises(InfeasibleTarget) as info:
@@ -603,6 +634,34 @@ def test_spec_rejects_degenerate_budgets():
         gravity_spec(samples=0)
     with pytest.raises(BadSpec):
         gravity_spec(tol=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("samples", 2.5), ("seed", 1.5), ("grid", (8.5,)), ("masks", 2.5),
+    ("block", 1.5), ("samples", True), ("seed", False), ("grid", (True,)),
+    ("samples", "10"), ("seed", None), ("samples", math.nan),
+    ("grid", (math.inf,))])
+def test_spec_refuses_non_integers_in_integer_fields(field, value):
+    fields = {"name": "idempotent", "grid": (8,), field: value}
+    with pytest.raises(BadSpec, match=f"^{field}"):
+        ScenarioSpec(**fields)
+
+
+def test_integral_floats_give_the_int_spec():
+    ints = ScenarioSpec(name="boolean", grid=(8,), masks=4, block=2,
+                        samples=10, seed=3)
+    floats = ScenarioSpec(name="boolean", grid=(8.0,), masks=4.0, block=2.0,
+                          samples=10.0, seed=3.0)
+    assert floats == ints
+    assert floats.spec_hash() == ints.spec_hash()
+    assert all(type(getattr(floats, key)) is int
+               for key in ("masks", "block", "samples", "seed"))
+    assert type(floats.grid[0]) is int
+    # the library API runs it as the int spec, as the CLI does
+    small = dataclasses.replace(ints, name="idempotent", samples=10.0)
+    assert small.samples == 10 and small.spec_hash() == dataclasses.replace(
+        ints, name="idempotent").spec_hash()
+    assert run_scenario_spec(small).passed
 
 
 def test_spec_round_trips_through_its_canonical_dict():
