@@ -92,9 +92,11 @@ class Certificate:
     not a power of ten, in the decade just below the bound); the verdict is
     always taken on the raw value.
 
-    ``rng_state`` is the generator's state after the certificate's draws,
-    as :func:`verify_emergence` left it; a wider call that takes the
-    certificate as ``covered`` resumes from it.  It is neither compared nor
+    ``draw_normals`` is what :func:`verify_emergence` drew per draw: the
+    normals one draw reads from the seed's stream, or 0 for a carrier that
+    draws a parameter and a field at a time.  A wider call that takes the
+    certificate as ``covered`` resumes after its draws; a certificate made
+    by hand has None and is evaluated in full.  It is neither compared nor
     written.
     """
 
@@ -104,7 +106,8 @@ class Certificate:
     tolerance: float
     passed: bool
     seed: int
-    rng_state: dict | None = field(default=None, compare=False, repr=False)
+    draw_normals: int | None = field(default=None, compare=False,
+                                     repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,17 +312,74 @@ def functional_residual(left, right, fields) -> float:
     return float(np.max(np.abs(l1 - l2) / np.maximum(1.0, np.abs(l1))))
 
 
+class Normals:
+    """The standard normals of ``default_rng(seed)`` in generator order,
+    one stream per run and seed, each normal drawn at most once and kept.
+
+    Split draws give the variates of one call, so :meth:`read` draws only
+    what lies past the drawn end, as one piece, and every reader of the
+    stream sees the normals its own ``default_rng(seed)`` would draw: the
+    gravity runners' fixed fields and each certification of the seed read
+    one stream.  A read is read-only: a view when one piece holds it, and
+    concatenated when it spans pieces.  The pieces live as long as the
+    stream.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
+        self._pieces = []  # (position of the first normal, read-only piece)
+        self.drawn = 0
+
+    def read(self, start: int, count: int) -> np.ndarray:
+        """Normals ``start`` to ``start + count`` of the stream, flat."""
+        end = start + count
+        if end > self.drawn:
+            piece = self._rng.standard_normal(end - self.drawn)
+            piece.flags.writeable = False
+            self._pieces.append((self.drawn, piece))
+            self.drawn = end
+        parts = [piece[max(start - at, 0):end - at]
+                 for at, piece in self._pieces
+                 if at < end and at + len(piece) > start]
+        if len(parts) == 1:
+            return parts[0]
+        out = np.concatenate(parts) if parts else np.empty(0)
+        out.flags.writeable = False
+        return out
+
+    def cursor(self, position: int = 0) -> "_Cursor":
+        """A reader of the stream from ``position`` on, in the form of a
+        generator's ``standard_normal``."""
+        return _Cursor(self, position)
+
+
+class _Cursor:
+    """Reads a :class:`Normals` stream in order, as calls of a generator's
+    ``standard_normal(shape)`` would draw it."""
+
+    def __init__(self, normals: Normals, position: int):
+        self.normals, self.position = normals, position
+
+    def standard_normal(self, shape) -> np.ndarray:
+        count = int(np.prod(shape))
+        out = self.normals.read(self.position, count).reshape(shape)
+        self.position += count
+        return out
+
+
 def _draw_chunk(algebra, space, rng, m: int):
     """The next ``m`` certification draws: their parameters and an
     ``(m, n)`` array of their fields.
 
     A carrier that makes its samples of standard normals alone
     (:attr:`~emergence.parameter_algebra.ParameterAlgebra.block_normals`)
-    draws the chunk with one generator call, row ``i`` holding draw ``i``'s
-    parameter normals and then its field's: the variates, and the generator
-    state after them, of the per-draw calls in their order, and its
-    parameters are a :class:`Draws`.  Any other carrier draws a parameter
-    and a field at a time.
+    draws the chunk with one ``rng.standard_normal`` call, row ``i``
+    holding draw ``i``'s parameter normals and then its field's: the
+    variates, and the generator state after them, of the per-draw calls in
+    their order, and its parameters are a :class:`Draws`.  ``rng`` is a
+    generator or a :class:`Normals` cursor.  Any other carrier draws a
+    parameter and a field at a time from a generator.
     """
     k = algebra.block_normals
     if k is None:
@@ -332,7 +392,7 @@ def _draw_chunk(algebra, space, rng, m: int):
 
 def verify_emergence(source: OperatorFamily, target, parameter_map,
                      n_samples: int = 100, tol: float = DEFAULT_TOL,
-                     seed: int = 0, jobs: int | None = None,
+                     seed: int | Normals = 0, jobs: int | None = None,
                      covered: Certificate | None = None) -> Certificate:
     """Sample parameters and fields; report both residual maxima.
 
@@ -343,22 +403,36 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     the target's at :func:`map_block`), and each draw gets the bits it gets
     alone; the maximum keeps NaN, so any non-finite residual fails, as a
     non-passing certificate, never an exception.
-    :func:`_draw_chunk` makes each chunk's draws.  ``covered``, a
-    certificate of the same source, target and map with this int seed, at
-    most ``n_samples`` and a generator state, stands in for its draws: the
-    generator resumes from its state, so only the later draws are made and
-    evaluated.  The result carries the state after its draws.
+    :func:`_draw_chunk` makes each chunk's draws.  ``seed`` is an int, or
+    the run's :class:`Normals` stream of its seed, which a carrier that
+    draws blocks of normals reads instead of drawing them again.
+    ``covered``, a certificate this function made on the same source,
+    target and map with this int seed and at most ``n_samples``, stands in
+    for its draws: a stream is read from the position after them
+    (``covered.samples`` draws of ``draw_normals`` normals each), and a
+    generator draws them again without evaluating them, so only the later
+    draws are evaluated.
     """
-    rng = np.random.default_rng(seed)
+    normals = seed if isinstance(seed, Normals) else None
+    if normals is not None:
+        seed = normals.seed
+    k = source.algebra.block_normals
+    per_draw = 0 if k is None else k + source.space.normals
     start, head = 0, (0.0, 0.0)
-    if (covered is not None and covered.rng_state is not None
+    if (covered is not None and covered.draw_normals == per_draw
             and isinstance(seed, int) and covered.seed == seed
             and covered.samples <= n_samples):
         start = covered.samples
         head = (covered.max_functional_residual, covered.max_operator_residual)
-        rng.bit_generator.state = covered.rng_state
     errors = np.geterr()  # pool threads do not inherit the caller's state
     size = block_rows(_draw_bytes(source, target))
+    if normals is not None and k is not None:
+        rng = normals.cursor(start * per_draw)
+    else:
+        rng = np.random.default_rng(seed)
+        for i in range(0, start, size):  # the covered draws, not evaluated
+            _draw_chunk(source.algebra, source.space, rng,
+                        min(size, start - i))
     chunks = (_draw_chunk(source.algebra, source.space, rng,
                           min(size, n_samples - i))
               for i in range(start, n_samples, size))
@@ -382,13 +456,14 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     fn_max, op_max = map(float, np.maximum(head, np.max(
         np.reshape(results, (-1, 2)), axis=0, initial=0.0)))
     return Certificate(n_samples, fn_max, op_max, tol,
-                       fn_max <= tol and op_max <= tol, seed,
-                       rng.bit_generator.state)
+                       fn_max <= tol and op_max <= tol, seed, per_draw)
 
 
 def _certify(source, target, parameter_map, kind, provenance, label,
              n_samples, tol, seed) -> EmergenceMap:
-    """Attach a certificate or refuse: constructors never return failures."""
+    """Attach a certificate or refuse: constructors never return failures.
+    ``seed`` is an int or a :class:`Normals` stream, as
+    :func:`verify_emergence` takes it."""
     cert = verify_emergence(source, target, parameter_map, n_samples, tol,
                             seed)
     if not cert.passed:

@@ -650,8 +650,10 @@ class FieldBlock:
     phi[x - k]`` for every field, computed on first use and kept.  The
     correlations do not depend on any operator, so every stencil Lagrangian
     evaluated on one block shares them.  They live and die with the block:
-    its builder decides how long fields are reused, and nothing is cached
-    anywhere else.
+    its builder decides how long they are reused, and no correlation is
+    cached anywhere else.  The fields may be a view of a run's
+    :class:`~emergence.engine.Normals` stream, which keeps them alive after
+    the block for the certificates that read them again.
     """
 
     def __init__(self, fields, space: FieldSpace):

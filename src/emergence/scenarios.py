@@ -15,10 +15,11 @@ Four shipped scenarios on small periodic grids:
   axioms, representation compatibility, and a small synthesis run.
 
 Everything is reproducible bit for bit from ``(spec, seed)``, on any
-machine and BLAS kernel: all sampling goes through one seeded generator per
-run, the least-squares fits use correctly rounded sums instead of LAPACK,
-and reports write residuals as kernel-independent bounds
-(:func:`~emergence.engine.residual_bound`).
+machine and BLAS kernel: all sampling goes through generators seeded by the
+spec's seed (a runner's fixed fields and its certificates read one
+:class:`~emergence.engine.Normals` stream of it), the least-squares fits
+use correctly rounded sums instead of LAPACK, and reports write residuals
+as kernel-independent bounds (:func:`~emergence.engine.residual_bound`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import (EmergenceMap, _brute_force_fits, emerge,
+from .engine import (EmergenceMap, Normals, _brute_force_fits, emerge,
                      functional_residual, json_form, map_block,
                      residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
@@ -68,6 +69,15 @@ def _integer(field: str, value) -> int:
     raise BadSpec(f"{field} must be an integer, not {value!r}")
 
 
+def _sequence(field: str, value) -> tuple:
+    """A list field's value as a tuple: a list, a tuple or a 1D array; a
+    number, a string or None is refused."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray)
+                                            and value.ndim == 1):
+        return tuple(value)
+    raise BadSpec(f"{field} must be a list, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A fully-resolved scenario description (what the CLI loads)."""
@@ -91,6 +101,8 @@ class ScenarioSpec:
     def __post_init__(self):
         for key in ("masks", "block", "samples", "seed"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        for key in ("grid", "theta_values", "h_scales"):
+            object.__setattr__(self, key, _sequence(key, getattr(self, key)))
         object.__setattr__(self, "grid", tuple(
             _integer("grid entry", n) for n in self.grid))
         if self.signature != "riemannian":
@@ -117,9 +129,6 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         kwargs = dict(data)
-        for key in ("theta_values", "h_scales"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         if "eta" in kwargs:
             kwargs["eta"] = tuple(tuple(row) for row in kwargs["eta"])
         return cls(**kwargs)
@@ -326,18 +335,19 @@ def check_feasible(background: dict, h, threshold: float = 1e-6):
 # --- synthesis and certification ---------------------------------------------------
 
 
-def _build_and_certify(source, poly, spec: ScenarioSpec,
+def _build_and_certify(source, poly, spec: ScenarioSpec, normals: Normals,
                        jobs: int | None = None):
     """Synthesize at :data:`BUILD_TOL` on at most 40 draws, then certify.
 
-    The certificate at the spec's own ``tol`` over its ``samples`` (same
-    seed) takes the map's as ``covered``: it evaluates only the later
-    draws.  Returns the map and the certificate.
+    Both read ``normals``, the run's stream of the spec's seed.  The
+    certificate at the spec's own ``tol`` over its ``samples`` takes the
+    map's as ``covered``: it evaluates only the later draws.  Returns the
+    map and the certificate.
     """
     emap = emerge(source, poly, tol=BUILD_TOL,
-                  n_samples=min(spec.samples, 40), seed=spec.seed)
+                  n_samples=min(spec.samples, 40), seed=normals)
     cert = verify_emergence(source, poly, emap.parameter_map, spec.samples,
-                            spec.tol, spec.seed, jobs,
+                            spec.tol, normals, jobs,
                             covered=emap.certificate)
     return emap, cert
 
@@ -346,15 +356,17 @@ def _build_and_certify(source, poly, spec: ScenarioSpec,
 
 
 def _gravity_cross_check(background: dict, spec: ScenarioSpec,
-                         jobs: int | None = None):
+                         jobs: int | None = None,
+                         normals: Normals | None = None):
     """Engine synthesis on the mass-regulated surrogate slots.
 
     The physical antisymmetric-background operator has the constant zero
     mode, so the transported synthesis uses the regulated pair
     ``(box_m, -f * box_m)``; the recovered per-term coefficient is
-    ``-(1 + eps)/f`` on the regulated ray.  Returns the report's
-    ``(map, certificate)`` pairs: one, or none when the field strength or
-    the mass is zero.
+    ``-(1 + eps)/f`` on the regulated ray.  Certification reads
+    ``normals``, the run's stream of the spec's seed (a new one if none is
+    given).  Returns the report's ``(map, certificate)`` pairs: one, or
+    none when the field strength or the mass is zero.
     """
     f = background["field_strength"]
     if f == 0.0 or background["mass"] == 0.0:
@@ -370,7 +382,8 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
         {(1, 0): CoefficientFunction.constant(-1.0, domain="real"),
          (0, 1): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="regulated_surrogate")
-    return (_build_and_certify(source, poly, spec, jobs),)
+    return (_build_and_certify(source, poly, spec,
+                               normals or Normals(spec.seed), jobs),)
 
 
 def _result(spec: ScenarioSpec, samples, pairs, round_trip_max: float,
@@ -403,11 +416,12 @@ def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
                                           spec.field_strength, spec.mass)
     space = background["space"]
     # the spec's fixed fields as one block, so every Lagrangian evaluated on
-    # them shares their self-correlations; one generator call draws the
-    # per-field calls' variates in their order, and real fields are that
-    # array itself, so one copy of the block is alive at a time
-    fields = FieldBlock(space.fields_from_normals(np.random.default_rng(
-        spec.seed).standard_normal((spec.samples, space.normals))), space)
+    # them shares their self-correlations: the first normals of the run's
+    # stream, which certification reads again at its own positions; real
+    # fields are a view of the stream, so one copy of them is alive
+    normals = Normals(spec.seed)
+    fields = FieldBlock(space.fields_from_normals(normals.read(
+        0, spec.samples * space.normals).reshape(spec.samples, -1)), space)
     samples, notes, worst_round_trip, all_ok = [], [], 0.0, True
     for left, right, record in steps(background,
                                      scale(-1.0, background["box_m"])):
@@ -424,8 +438,11 @@ def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
         samples.append({**record, "functional_residual": fn_res,
                         "degenerate": record.get("theta") == 0.0})
         worst_round_trip = max(worst_round_trip, round_trip)
-    del fields  # not alive during certification
-    return _result(spec, samples, _gravity_cross_check(background, spec, jobs),
+    # the block's correlations go; the stream keeps the normals, which the
+    # cross-check reads
+    del fields
+    return _result(spec, samples,
+                   _gravity_cross_check(background, spec, jobs, normals),
                    worst_round_trip, all_ok, notes)
 
 
@@ -493,12 +510,13 @@ def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
     return float(np.max(operator_residual(left, right), initial=0.0))
 
 
-def _certified_instance(source, poly, spec: ScenarioSpec, jobs: int | None,
-                        probes, oracle_probes):
-    """Build and certify ``poly``'s map; return the ``(map, certificate)``
-    pair, the worst distance between a probe and the parameter the one
-    term recovers there, and the oracle residual at ``oracle_probes``."""
-    emap, cert = _build_and_certify(source, poly, spec, jobs)
+def _certified_instance(source, poly, spec: ScenarioSpec, normals: Normals,
+                        jobs: int | None, probes, oracle_probes):
+    """Build and certify ``poly``'s map on the run's stream ``normals``;
+    return the ``(map, certificate)`` pair, the worst distance between a
+    probe and the parameter the one term recovers there, and the oracle
+    residual at ``oracle_probes``."""
+    emap, cert = _build_and_certify(source, poly, spec, normals, jobs)
     ((alpha, _),) = poly.terms
     recovered = map_block(emap.parameter_map, probes)[alpha].values
     recovery = float(np.max(np.abs(recovered - Draws.stack(probes).values),
@@ -560,10 +578,12 @@ def run_idempotent_instance(spec: ScenarioSpec,
             {(0, 0): CoefficientFunction.linear(1.0, domain="real")},
             algebra, label="bivariate_constant_monomial"),
     }
+    # both instances certify on one stream of the seed's normals
+    normals = Normals(spec.seed)
     samples, pairs, worst_round_trip, all_ok = [], [], 0.0, True
     for instance, poly in instances.items():
         pair, round_trip, oracle = _certified_instance(
-            source, poly, spec, jobs, eps_probe, eps_probe)
+            source, poly, spec, normals, jobs, eps_probe, eps_probe)
         samples.append({"instance": instance, "oracle_residual": oracle,
                         "round_trip_error": round_trip, "degenerate": False})
         pairs.append(pair)
@@ -624,7 +644,8 @@ def run_boolean_scenario(spec: ScenarioSpec,
                              {(1,): CoefficientFunction.linear(1.0)},
                              algebra, label="mask_times_base")
     pair, recovery, oracle = _certified_instance(
-        source, poly, spec, jobs, idems, algebra.samples(rng, 3))
+        source, poly, spec, Normals(spec.seed), jobs, idems,
+        algebra.samples(rng, 3))
     samples = [{
         "instance": "mask_recovery",
         "idempotent_residual": idem_res,

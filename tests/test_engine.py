@@ -29,10 +29,10 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        scalar_family, scale, sum_families, verify_emergence,
                        verify_structure)
 from emergence import operator_core
-from emergence.engine import (REPORT_FLOOR, Certificate, ProvenanceNode,
-                              _brute_force_fits, _certify, _draw_bytes,
-                              _draw_chunk, _fold_weights, _same_source,
-                              _transport, map_block, map_draws,
+from emergence.engine import (REPORT_FLOOR, Certificate, Normals,
+                              ProvenanceNode, _brute_force_fits, _certify,
+                              _draw_bytes, _draw_chunk, _fold_weights,
+                              _same_source, _transport, map_block, map_draws,
                               residual_bound)
 from emergence.operator_core import diagonal_operator
 from emergence.parameter_algebra import Draws
@@ -781,18 +781,19 @@ def test_identical_calls_without_a_covered_certificate_evaluate_every_draw(
     assert _bits(first) == _bits(second)
 
 
-def test_a_covered_certificate_without_a_generator_state_is_evaluated_in_full(
-        line8):
+def test_a_covered_certificate_made_by_hand_is_evaluated_in_full(line8):
     source, poly, fmap = _mismatched(line8)
     made = verify_emergence(source, poly, fmap, 20, seed=3)
-    assert made.rng_state is not None
-    # the same numbers, written by hand: nothing to resume from
+    # a real parameter normal and eight field normals per draw
+    assert made.draw_normals == 9
+    # the same numbers, written by hand: nothing says where its draws end
     by_hand = Certificate(made.samples, made.max_functional_residual,
                           made.max_operator_residual, made.tolerance,
                           made.passed, made.seed)
-    assert by_hand == made  # the state is not compared
+    assert by_hand.draw_normals is None
+    assert by_hand == made  # the normals per draw are not compared
     assert by_hand.to_json_dict() == made.to_json_dict()
-    assert "rng_state" not in made.to_json_dict()
+    assert "draw_normals" not in made.to_json_dict()
     cert, evaluated = _evaluated(source, poly, fmap, 30, seed=3,
                                  covered=by_hand)
     assert evaluated == 30
@@ -1311,7 +1312,15 @@ def test_a_covered_certificate_resumes_across_a_chunk_boundary(case,
         fresh = verify_emergence(source, poly, emap.parameter_map,
                                  n_samples, seed=3)
         assert _bits(resumed) == _bits(fresh)
-        assert resumed.rng_state == fresh.rng_state
+        # on one stream of the seed the resumed call reads from the
+        # covered draws' end, which lies inside a chunk
+        normals = Normals(3)
+        on_stream = verify_emergence(source, poly, emap.parameter_map, 20,
+                                     seed=normals)
+        assert _bits(on_stream) == _bits(covered)
+        assert _bits(verify_emergence(
+            source, poly, emap.parameter_map, n_samples, seed=normals,
+            covered=on_stream)) == _bits(fresh)
 
 
 def test_constructors_refuse_to_return_failing_maps(flat4):
@@ -1326,6 +1335,61 @@ def test_constructors_refuse_to_return_failing_maps(flat4):
     assert isinstance(cert, Certificate)
     assert not cert.passed
     assert cert.max_operator_residual > 0.01
+
+
+# --- one stream of a seed's normals ---------------------------------------------
+
+_READS = st.lists(st.tuples(st.integers(0, 400), st.integers(0, 150)),
+                  min_size=1, max_size=12)
+_SHAPES = st.lists(st.one_of(st.integers(0, 40),
+                             st.tuples(st.integers(0, 6), st.integers(0, 9))),
+                   max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reads=_READS, shapes=_SHAPES,
+       position=st.integers(0, 300))
+def test_the_stream_is_the_generators_normals_read_anywhere(seed, reads,
+                                                           shapes, position):
+    normals = Normals(seed)
+    total = max(start + count for start, count in reads) + position + 400
+    want = np.random.default_rng(seed).standard_normal(total)
+    for start, count in reads:
+        before = (normals.drawn, normals._rng.bit_generator.state)
+        got = normals.read(start, count)
+        assert (got.dtype, got.shape) == (np.float64, (count,))
+        assert got.tobytes() == want[start:start + count].tobytes()
+        assert not got.flags.writeable
+        if start + count <= before[0]:  # behind the drawn end: no draw
+            assert (normals.drawn, normals._rng.bit_generator.state) \
+                == before
+        else:
+            assert normals.drawn == start + count
+    # a cursor reads on from its position as generator calls would
+    cursor = normals.cursor(position)
+    for shape in shapes:
+        got = cursor.standard_normal(shape)
+        count = int(np.prod(shape))
+        assert got.shape == np.empty(shape).shape
+        assert not got.flags.writeable
+        assert got.tobytes() == want[position:position + count].tobytes()
+        position += count
+    assert cursor.position == position
+
+
+def test_a_read_across_pieces_is_one_copy_and_inside_one_a_view():
+    normals = Normals(5)
+    first = normals.read(0, 10)
+    inside = normals.read(2, 5)
+    assert inside.base is first.base is not None
+    across = normals.read(8, 10)  # draws 8 more and joins two pieces
+    assert across.base is None and not across.flags.writeable
+    assert normals.drawn == 18
+    assert normals.read(0, 18).tobytes() \
+        == np.random.default_rng(5).standard_normal(18).tobytes()
+    # a read past a gap draws the gap with it, as one piece
+    normals.read(30, 2)
+    assert normals.drawn == 32
 
 
 # --- reported residual bounds ------------------------------------------------------------

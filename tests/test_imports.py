@@ -169,6 +169,38 @@ def test_operator_core_roll_is_the_only_roll():
     assert _roll_calls(ast.parse("np.roll(a, 1)")) == [1]
 
 
+def _normal_draws(tree: ast.Module, scope: str = "") -> set:
+    """``Class.function`` names of the functions that call a
+    ``standard_normal``, however it is reached."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= _normal_draws(node, f"{scope}{node.name}.")
+        elif any(isinstance(n, ast.Call) and (
+                getattr(n.func, "attr", None) == "standard_normal"
+                or getattr(n.func, "id", None) == "standard_normal")
+                for n in ast.walk(node)):
+            found.add(scope.rstrip(".") or "<module>")
+    return found
+
+
+def test_standard_normals_are_drawn_in_these_functions_alone():
+    # a seed's normals are drawn once per run, by its engine.Normals
+    # stream, which certification and the scenarios' fixed fields read: no
+    # scenario runner draws them on its own
+    package = ROOT / "src" / "emergence"
+    found = {(path.stem, where) for path in package.rglob("*.py")
+             for where in _normal_draws(ast.parse(
+                 path.read_text(encoding="utf-8")))}
+    assert found == {("engine", "Normals.read"), ("engine", "_draw_chunk"),
+                     ("operator_core", "FieldSpace.sample_field"),
+                     ("parameter_algebra", "ParameterAlgebra.sample"),
+                     ("parameter_algebra", "ParameterAlgebra.samples")}
+    assert _normal_draws(ast.parse(
+        "def f():\n    def g():\n        rng.standard_normal(3)\n")) \
+        == {"f.g"}
+
+
 def _classes(module: str) -> list:
     path = ROOT / "src" / "emergence" / module
     return [node for node in ast.walk(ast.parse(path.read_text(

@@ -405,8 +405,8 @@ def test_one_pass_certificates_match_separate_verification(monkeypatch, seed,
                                                            samples):
     build, checked = scenarios._build_and_certify, []
 
-    def compared(source, poly, spec, jobs=None):
-        emap, cert = build(source, poly, spec, jobs)
+    def compared(source, poly, spec, *rest):
+        emap, cert = build(source, poly, spec, *rest)
         m = min(spec.samples, 40)
         for got, n, tol in ((emap.certificate, m, scenarios.BUILD_TOL),
                             (cert, spec.samples, spec.tol)):
@@ -452,7 +452,48 @@ def test_a_scenario_certificate_resumes_after_its_maps_draws(monkeypatch):
     (source, poly, fmap, *_), _ = calls[-1]
     full = verify(source, poly, fmap, spec.samples, spec.tol, spec.seed)
     assert _certificate_bits(cert) == _certificate_bits(full)
-    assert cert.rng_state == full.rng_state
+    # two parameter normals for each of the 4 masks and two for each of
+    # the 16 complex field entries
+    assert cert.draw_normals == full.draw_normals == 40
+
+
+@pytest.mark.parametrize("fields,n", [
+    (dict(name="gravity_from_noncommutativity", grid=(8, 8),
+          theta_values=(0.5,)), 64),
+    (dict(name="noncommutativity_from_gravity", grid=(8, 8),
+          h_scales=(0.5,)), 64),
+    (dict(name="idempotent", grid=(8,)), 8)],
+    ids=["gravity_from_noncommutativity", "noncommutativity_from_gravity",
+         "idempotent"])
+def test_a_run_draws_each_normal_of_its_seed_once(fields, n, monkeypatch):
+    streams, seeds = [], []
+    verify = engine.verify_emergence
+
+    class Recorded(engine.Normals):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+    def recorded_verify(source, target, parameter_map, n_samples, tol, seed,
+                        *rest, **kwargs):
+        seeds.append(seed)
+        return verify(source, target, parameter_map, n_samples, tol, seed,
+                      *rest, **kwargs)
+
+    monkeypatch.setattr(scenarios, "Normals", Recorded)
+    for module in (engine, scenarios):
+        monkeypatch.setattr(module, "verify_emergence", recorded_verify)
+    assert run_scenario_spec(ScenarioSpec(**fields, samples=100,
+                                          seed=1)).passed
+    # one stream: each draw takes a parameter normal and n field normals,
+    # and a gravity runner's 100 fixed fields are the first 100 x n of
+    # them (drawing both apart took 100 x n + 100 x (1 + n))
+    (stream,) = streams
+    assert stream.drawn == 100 * (1 + n)
+    # every certificate read it: the maps' 40 draws and the later 60, per
+    # map, and the idempotent runner certifies two maps
+    assert len(seeds) == (4 if fields["name"] == "idempotent" else 2)
+    assert all(seed is stream for seed in seeds)
 
 
 @pytest.mark.parametrize("fields", ONE_PASS_SPECS,
@@ -491,9 +532,9 @@ def test_each_draw_is_mapped_once_per_build(monkeypatch):
     calls, counts = _recording_solver(monkeypatch), []
     build = scenarios._build_and_certify
 
-    def counted(source, poly, spec, jobs=None):
+    def counted(*args):
         del calls[:]
-        out = build(source, poly, spec, jobs)
+        out = build(*args)
         counts.append((len(calls), len(set(calls))))
         return out
 
@@ -563,8 +604,8 @@ def test_round_trip_max_is_the_worst_sample_round_trip(spec):
 def test_every_idempotent_instance_counts_toward_the_round_trip(monkeypatch):
     build = scenarios._build_and_certify
 
-    def offset_bivariate(source, poly, spec, jobs=None):
-        emap, cert = build(source, poly, spec, jobs)
+    def offset_bivariate(source, poly, *rest):
+        emap, cert = build(source, poly, *rest)
         if poly.label != "bivariate_constant_monomial":
             return emap, cert
 
@@ -645,6 +686,26 @@ def test_spec_refuses_non_integers_in_integer_fields(field, value):
     fields = {"name": "idempotent", "grid": (8,), field: value}
     with pytest.raises(BadSpec, match=f"^{field}"):
         ScenarioSpec(**fields)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid", 8), ("grid", None), ("grid", "8"), ("theta_values", 0.5),
+    ("h_scales", 0.5), ("theta_values", None), ("h_scales", "0.5"),
+    ("theta_values", np.float64(0.5))])
+def test_spec_refuses_a_list_field_that_is_no_list(field, value):
+    fields = {"name": "idempotent", "grid": (8,), field: value}
+    with pytest.raises(BadSpec, match=f"^{field}"):
+        ScenarioSpec(**fields)
+    with pytest.raises(BadSpec, match=f"^{field}"):
+        ScenarioSpec.from_dict(fields)
+
+
+def test_list_fields_are_held_as_tuples():
+    listed = gravity_spec(grid=[8, 8], theta_values=[0.5, 1.0])
+    assert listed == gravity_spec(grid=(8, 8), theta_values=(0.5, 1.0))
+    assert listed.theta_values == (0.5, 1.0) and listed.h_scales == ()
+    arrayed = gravity_spec(grid=(8, 8), theta_values=np.array([0.5, 1.0]))
+    assert hash(listed) == hash(arrayed)
 
 
 def test_integral_floats_give_the_int_spec():
