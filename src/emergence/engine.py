@@ -314,19 +314,26 @@ def functional_residual(left, right, fields) -> float:
 
 class Normals:
     """The standard normals of ``default_rng(seed)`` in generator order,
-    one stream per run and seed, each normal drawn at most once and kept.
+    one stream per run and seed, each normal drawn at most once.
 
     Split draws give the variates of one call, so :meth:`read` draws only
     what lies past the drawn end, as one piece, and every reader of the
     stream sees the normals its own ``default_rng(seed)`` would draw: the
     gravity runners' fixed fields and each certification of the seed read
     one stream.  A read is read-only: a view when one piece holds it, and
-    concatenated when it spans pieces.  The pieces live as long as the
-    stream.
+    concatenated when it spans pieces.
+
+    The stream keeps its first ``keep`` normals for readers that come back
+    to them, such as a gravity runner's certification to its fixed fields,
+    until a read ends past them.  A read that ends past ``keep`` releases
+    every piece wholly behind its end: later reads go forward from there,
+    and a view it returned keeps its piece alive as long as the view
+    lives.  Reading released normals raises ``ValueError``.
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, keep: int = 0):
         self.seed = seed
+        self.keep = keep
         self._rng = np.random.default_rng(seed)
         self._pieces = []  # (position of the first normal, read-only piece)
         self.drawn = 0
@@ -342,6 +349,12 @@ class Normals:
         parts = [piece[max(start - at, 0):end - at]
                  for at, piece in self._pieces
                  if at < end and at + len(piece) > start]
+        if sum(len(part) for part in parts) != count:
+            raise ValueError(f"normals {start} to {end} of seed {self.seed} "
+                             f"were released")
+        if end > self.keep:
+            self._pieces = [(at, piece) for at, piece in self._pieces
+                            if at + len(piece) > end]
         if len(parts) == 1:
             return parts[0]
         out = np.concatenate(parts) if parts else np.empty(0)

@@ -653,7 +653,7 @@ class FieldBlock:
     its builder decides how long they are reused, and no correlation is
     cached anywhere else.  The fields may be a view of a run's
     :class:`~emergence.engine.Normals` stream, which keeps them alive after
-    the block for the certificates that read them again.
+    the block until the certificates that read them again have passed.
     """
 
     def __init__(self, fields, space: FieldSpace):

@@ -356,17 +356,16 @@ def _build_and_certify(source, poly, spec: ScenarioSpec, normals: Normals,
 
 
 def _gravity_cross_check(background: dict, spec: ScenarioSpec,
-                         jobs: int | None = None,
-                         normals: Normals | None = None):
+                         normals: Normals, jobs: int | None = None):
     """Engine synthesis on the mass-regulated surrogate slots.
 
     The physical antisymmetric-background operator has the constant zero
     mode, so the transported synthesis uses the regulated pair
     ``(box_m, -f * box_m)``; the recovered per-term coefficient is
     ``-(1 + eps)/f`` on the regulated ray.  Certification reads
-    ``normals``, the run's stream of the spec's seed (a new one if none is
-    given).  Returns the report's ``(map, certificate)`` pairs: one, or
-    none when the field strength or the mass is zero.
+    ``normals``, the run's stream of the spec's seed.  Returns the
+    report's ``(map, certificate)`` pairs: one, or none when the field
+    strength or the mass is zero.
     """
     f = background["field_strength"]
     if f == 0.0 or background["mass"] == 0.0:
@@ -382,8 +381,7 @@ def _gravity_cross_check(background: dict, spec: ScenarioSpec,
         {(1, 0): CoefficientFunction.constant(-1.0, domain="real"),
          (0, 1): CoefficientFunction.linear(1.0, domain="real")},
         algebra, label="regulated_surrogate")
-    return (_build_and_certify(source, poly, spec,
-                               normals or Normals(spec.seed), jobs),)
+    return (_build_and_certify(source, poly, spec, normals, jobs),)
 
 
 def _result(spec: ScenarioSpec, samples, pairs, round_trip_max: float,
@@ -417,11 +415,13 @@ def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
     space = background["space"]
     # the spec's fixed fields as one block, so every Lagrangian evaluated on
     # them shares their self-correlations: the first normals of the run's
-    # stream, which certification reads again at its own positions; real
-    # fields are a view of the stream, so one copy of them is alive
-    normals = Normals(spec.seed)
-    fields = FieldBlock(space.fields_from_normals(normals.read(
-        0, spec.samples * space.normals).reshape(spec.samples, -1)), space)
+    # stream, which keeps them for certification to read again at its own
+    # positions; real fields are a view of the stream, so one copy of them
+    # is alive
+    fixed = spec.samples * space.normals
+    normals = Normals(spec.seed, keep=fixed)
+    fields = FieldBlock(space.fields_from_normals(
+        normals.read(0, fixed).reshape(spec.samples, -1)), space)
     samples, notes, worst_round_trip, all_ok = [], [], 0.0, True
     for left, right, record in steps(background,
                                      scale(-1.0, background["box_m"])):
@@ -438,11 +438,11 @@ def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
         samples.append({**record, "functional_residual": fn_res,
                         "degenerate": record.get("theta") == 0.0})
         worst_round_trip = max(worst_round_trip, round_trip)
-    # the block's correlations go; the stream keeps the normals, which the
-    # cross-check reads
+    # the block's correlations go; the stream keeps the normals until the
+    # cross-check's certification reads past them
     del fields
     return _result(spec, samples,
-                   _gravity_cross_check(background, spec, jobs, normals),
+                   _gravity_cross_check(background, spec, normals, jobs),
                    worst_round_trip, all_ok, notes)
 
 
@@ -578,8 +578,10 @@ def run_idempotent_instance(spec: ScenarioSpec,
             {(0, 0): CoefficientFunction.linear(1.0, domain="real")},
             algebra, label="bivariate_constant_monomial"),
     }
-    # both instances certify on one stream of the seed's normals
-    normals = Normals(spec.seed)
+    # both instances certify on one stream of the seed's normals, which
+    # keeps each draw's parameter normal and field normals for the second
+    normals = Normals(spec.seed,
+                      keep=spec.samples * (algebra.normals + space.normals))
     samples, pairs, worst_round_trip, all_ok = [], [], 0.0, True
     for instance, poly in instances.items():
         pair, round_trip, oracle = _certified_instance(

@@ -32,7 +32,7 @@ from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
                            RunConfig, _schema, build_report, load_config,
                            main, parse_args, render_json, render_text,
                            shipped_config_path)
-from emergence.engine import Certificate, json_form
+from emergence.engine import Certificate, Normals, json_form
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED_CONFIGS = ("gravity_from_noncommutativity",
@@ -951,7 +951,7 @@ def test_a_dense_regulated_slot_gives_the_structured_certificate(name, grid,
     op = background["box_m"]
     assert op.structure == "stencil"
     dense = {**background, "box_m": Operator(op.matrix, op.space)}
-    pairs = [scenarios._gravity_cross_check(b, spec)[0]
+    pairs = [scenarios._gravity_cross_check(b, spec, Normals(spec.seed))[0]
              for b in (dense, background)]
     assert pairs[0][1].to_json_dict() == pairs[1][1].to_json_dict()
     maps = [emap.to_json_dict() for emap, _ in pairs]

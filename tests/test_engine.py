@@ -1351,8 +1351,8 @@ _SHAPES = st.lists(st.one_of(st.integers(0, 40),
        position=st.integers(0, 300))
 def test_the_stream_is_the_generators_normals_read_anywhere(seed, reads,
                                                            shapes, position):
-    normals = Normals(seed)
     total = max(start + count for start, count in reads) + position + 400
+    normals = Normals(seed, keep=total)
     want = np.random.default_rng(seed).standard_normal(total)
     for start, count in reads:
         before = (normals.drawn, normals._rng.bit_generator.state)
@@ -1377,8 +1377,38 @@ def test_the_stream_is_the_generators_normals_read_anywhere(seed, reads,
     assert cursor.position == position
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fixed=st.integers(0, 300),
+       steps=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 80)),
+                      max_size=12))
+def test_a_forward_reader_keeps_only_what_it_has_not_passed(seed, fixed,
+                                                            steps):
+    # a gravity runner's order: its fixed block, then certification reading
+    # on from 0 in chunks, skipping the draws a covered certificate holds
+    normals = Normals(seed, keep=fixed)
+    want = np.random.default_rng(seed).standard_normal(fixed + 12 * 110)
+    normals.read(0, fixed)
+    position = 0
+    for skip, count in steps:
+        start = position + skip
+        got = normals.read(start, count)
+        assert got.tobytes() == want[start:start + count].tobytes()
+        assert not got.flags.writeable
+        position = start + count
+        # the fixed block stays until a read ends past it; then the stream
+        # holds nothing behind the last read's end
+        assert all(at + len(piece) > position for at, piece in normals._pieces
+                   if position > fixed)
+    # a passed normal is gone: reading it raises and draws nothing
+    if (normals._pieces[0][0] if normals._pieces else normals.drawn) > 0:
+        before = (normals.drawn, normals._rng.bit_generator.state)
+        with pytest.raises(ValueError, match="were released"):
+            normals.read(0, 1)
+        assert (normals.drawn, normals._rng.bit_generator.state) == before
+
+
 def test_a_read_across_pieces_is_one_copy_and_inside_one_a_view():
-    normals = Normals(5)
+    normals = Normals(5, keep=32)
     first = normals.read(0, 10)
     inside = normals.read(2, 5)
     assert inside.base is first.base is not None

@@ -470,8 +470,8 @@ def test_a_run_draws_each_normal_of_its_seed_once(fields, n, monkeypatch):
     verify = engine.verify_emergence
 
     class Recorded(engine.Normals):
-        def __init__(self, seed):
-            super().__init__(seed)
+        def __init__(self, seed, **kwargs):
+            super().__init__(seed, **kwargs)
             streams.append(self)
 
     def recorded_verify(source, target, parameter_map, n_samples, tol, seed,
@@ -494,6 +494,41 @@ def test_a_run_draws_each_normal_of_its_seed_once(fields, n, monkeypatch):
     # map, and the idempotent runner certifies two maps
     assert len(seeds) == (4 if fields["name"] == "idempotent" else 2)
     assert all(seed is stream for seed in seeds)
+    # it keeps what a later reader comes back to: a gravity runner's fixed
+    # block, and every draw for the idempotent runner's second instance
+    assert stream.keep == 100 * (1 + n if fields["name"] == "idempotent"
+                                 else n)
+
+
+@pytest.mark.parametrize("fields,fixed", [
+    (dict(name="gravity_from_noncommutativity", grid=(8, 8),
+          theta_values=(0.5,)), 100 * 64),
+    (dict(name="noncommutativity_from_gravity", grid=(8, 8),
+          h_scales=(0.5,)), 100 * 64),
+    (dict(name="boolean", grid=(8,), masks=4, block=4), 0)],
+    ids=["gravity_from_noncommutativity", "noncommutativity_from_gravity",
+         "boolean"])
+def test_a_forward_run_holds_nothing_past_its_fixed_block(fields, fixed,
+                                                          monkeypatch):
+    held = []
+    read = engine.Normals.read
+
+    def recorded_read(self, start, count):
+        out = read(self, start, count)
+        held.append(sum(len(piece) for _, piece in self._pieces))
+        return out
+
+    # one draw per certification chunk
+    monkeypatch.setattr(operator_core, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(engine.Normals, "read", recorded_read)
+    spec = ScenarioSpec(**fields, samples=100, seed=1)
+    (cert,) = run_scenario_spec(spec).certificates
+    # the gravity fixed block stays until certification reads past it;
+    # otherwise a read's piece lives only in the chunk it returns
+    # (keeping them all held 100 draws' normals)
+    assert len(held) == 100 + (fixed > 0)
+    assert max(held) == fixed
+    assert held[-1] == 0
 
 
 @pytest.mark.parametrize("fields", ONE_PASS_SPECS,
