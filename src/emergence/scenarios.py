@@ -43,6 +43,7 @@ from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, Draws, RealScalars,
                                 check_action_compatibility)
+from .schema import _validate
 from .theories import (evaluate_polynomial, polynomial_family, scalar_family,
                        verify_structure)
 
@@ -58,29 +59,33 @@ RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 # --- specs and results -----------------------------------------------------------
 
 
-def _integer(field: str, value) -> int:
-    """An integer field's value as an int.  The schema's integers include
-    integral floats such as 2.0, so both forms resolve to one spec, hash
-    and report; any other non-integer, a bool among them, is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise BadSpec(f"{field} must be an integer, not {value!r}")
+#: the spec's integer fields; the schema's integers count 2.0, which a spec
+#: holds as 2, so that both forms give one spec, hash and report
+_INTEGER_FIELDS = ("grid", "masks", "block", "samples", "seed")
 
 
-def _sequence(field: str, value) -> tuple:
-    """A list field's value as a tuple: a list, a tuple or a 1D array; a
-    number, a string or None is refused."""
-    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray)
-                                            and value.ndim == 1):
-        return tuple(value)
-    raise BadSpec(f"{field} must be a list, not {value!r}")
+def _plain(key: str, value):
+    """Field ``key``'s ``value`` with numpy scalars and arrays as Python
+    ones and every list or array as a tuple, at any depth, and an integer
+    field's integral floats as ints.  A NaN or infinity, which Draft 7 lets
+    pass its bounds, is refused: every report holds the spec as strict
+    JSON.  The schema judges the rest."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(key, v) for v in value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise BadSpec(f"{key}: {value!r} is not finite")
+        if key in _INTEGER_FIELDS and value.is_integer():
+            return int(value)
+    return value
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully-resolved scenario description (what the CLI loads)."""
+    """A fully-resolved scenario description (what the CLI loads); built,
+    replaced or loaded, it meets the scenario schema or raises BadSpec."""
 
     name: str
     grid: tuple
@@ -99,24 +104,10 @@ class ScenarioSpec:
     seed: int = 42
 
     def __post_init__(self):
-        for key in ("masks", "block", "samples", "seed"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        for key in ("grid", "theta_values", "h_scales"):
-            object.__setattr__(self, key, _sequence(key, getattr(self, key)))
-        object.__setattr__(self, "grid", tuple(
-            _integer("grid entry", n) for n in self.grid))
-        if self.signature != "riemannian":
-            raise BadSpec("only riemannian signature is supported; the "
-                          "Lorentzian case does not reduce to a periodic "
-                          "grid faithfully")
-        if self.samples < 1 or self.seed < 0:
-            raise BadSpec("samples must be >= 1 and seed >= 0")
-        if not (self.tol > 0 and self.feasibility_threshold > 0):
-            raise BadSpec("tol and feasibility_threshold must be positive")
-        try:  # the spec is written into every report, as strict JSON
-            json.dumps(self.canonical_dict(), allow_nan=False)
-        except ValueError:
-            raise BadSpec("spec values must be finite (no NaN or infinity)")
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _plain(f.name, getattr(self, f.name)))
+        _validate(self.canonical_dict(), "scenario.schema.json", BadSpec)
 
     def canonical_dict(self) -> dict:
         return {f.name: json_form(getattr(self, f.name)) for f in fields(self)}
@@ -128,10 +119,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        kwargs = dict(data)
-        if "eta" in kwargs:
-            kwargs["eta"] = tuple(tuple(row) for row in kwargs["eta"])
-        return cls(**kwargs)
+        """The spec of a dict such as a config holds, which the schema sees
+        whole: an unknown key or a missing ``grid`` is refused too."""
+        _validate(json_form(data), "scenario.schema.json", BadSpec)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -556,8 +547,6 @@ def run_idempotent_instance(spec: ScenarioSpec,
         raise HypothesisViolated(
             "projector instance unexpectedly synthesized")
 
-    if spec.variant != "identity":
-        raise BadSpec(f"unknown idempotent variant {spec.variant!r}")
     space = grid_space(spec.grid)
     algebra = RealScalars()
     ident = identity_operator(space)
@@ -677,8 +666,4 @@ SCENARIO_RUNNERS = {
 
 def run_scenario_spec(spec: ScenarioSpec,
                       jobs: int | None = None) -> ScenarioResult:
-    runner = SCENARIO_RUNNERS.get(spec.name)
-    if runner is None:
-        raise BadSpec(f"unknown scenario {spec.name!r}; available: "
-                      f"{sorted(SCENARIO_RUNNERS)}")
-    return runner(spec, jobs=jobs)
+    return SCENARIO_RUNNERS[spec.name](spec, jobs=jobs)

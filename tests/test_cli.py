@@ -29,10 +29,11 @@ from hypothesis import strategies as st
 from emergence import (HypothesisViolated, Operator, ParseError,
                        ScenarioSpec, SchemaError, cli, errors, scenarios)
 from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
-                           RunConfig, _schema, build_report, load_config,
-                           main, parse_args, render_json, render_text,
+                           RunConfig, build_report, load_config, main,
+                           parse_args, render_json, render_text,
                            shipped_config_path)
 from emergence.engine import Certificate, Normals, json_form
+from emergence.schema import _schema
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED_CONFIGS = ("gravity_from_noncommutativity",

@@ -66,8 +66,9 @@ def test_every_top_level_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _exact_sum_references(tree: ast.Module) -> list:
-    """Lines that import ``fractions`` or name ``fsum``."""
+def _references(tree: ast.Module, modules: set) -> list:
+    """Lines that import one of ``modules`` or name it, as a module, an
+    imported name, an attribute or a variable."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -80,19 +81,33 @@ def _exact_sum_references(tree: ast.Module) -> list:
             names = [node.id]
         else:
             continue
-        if any(n == "fsum" or n.split(".")[0] == "fractions" for n in names):
+        if any(n.split(".")[0] in modules for n in names):
             found.append(node.lineno)
     return found
 
 
+def _package_references(modules: set) -> dict:
+    package = ROOT / "src" / "emergence"
+    return {path.name: _references(ast.parse(path.read_text(
+        encoding="utf-8")), modules) for path in package.rglob("*.py")}
+
+
 def test_only_operator_core_sums_exactly():
     # correctly rounded sums have one home: operator_core.exact_sum(s)
-    package = ROOT / "src" / "emergence"
-    found = {path.name: _exact_sum_references(ast.parse(
-        path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
+    found = _package_references({"fsum", "fractions"})
     core = found.pop("operator_core.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert core
+
+
+def test_only_schema_names_jsonschema():
+    # specs and reports have one check, emergence.schema's, which alone
+    # imports jsonschema, to word a refusal
+    found = _package_references({"jsonschema"})
+    assert found.pop("schema.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _references(ast.parse("import jsonschema.exceptions"),
+                       {"jsonschema"}) == [1]
 
 
 def _block_lookups(node, where=None) -> list:

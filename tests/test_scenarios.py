@@ -21,6 +21,7 @@ from emergence.scenarios import (check_feasible,
                                  run_gravity_from_noncommutativity,
                                  run_idempotent_instance,
                                  run_noncommutativity_from_gravity)
+from emergence.schema import _schema
 
 
 def gravity_spec(**overrides):
@@ -678,9 +679,10 @@ def test_the_projector_on_two_sites_is_the_identity_and_is_refused():
 
 
 def test_idempotent_unknown_variant_is_rejected():
-    spec = ScenarioSpec(name="idempotent", grid=(8,), variant="oblique")
-    with pytest.raises(BadSpec):
-        run_idempotent_instance(spec)
+    # refused when the spec is built, so no runner sees it
+    with pytest.raises(BadSpec, match="^variant: 'oblique' is not one of"):
+        run_idempotent_instance(ScenarioSpec(name="idempotent", grid=(8,),
+                                             variant="oblique"))
 
 
 # --- boolean runner -------------------------------------------------------------------
@@ -726,13 +728,54 @@ def test_spec_refuses_non_integers_in_integer_fields(field, value):
 @pytest.mark.parametrize("field,value", [
     ("grid", 8), ("grid", None), ("grid", "8"), ("theta_values", 0.5),
     ("h_scales", 0.5), ("theta_values", None), ("h_scales", "0.5"),
-    ("theta_values", np.float64(0.5))])
+    ("theta_values", np.float64(0.5)), ("eta", (1.0, 0.0)), ("eta", "I")])
 def test_spec_refuses_a_list_field_that_is_no_list(field, value):
     fields = {"name": "idempotent", "grid": (8,), field: value}
     with pytest.raises(BadSpec, match=f"^{field}"):
         ScenarioSpec(**fields)
     with pytest.raises(BadSpec, match=f"^{field}"):
         ScenarioSpec.from_dict(fields)
+
+
+#: values the schema refuses, which specs once built and ran or refused
+#: with an untyped error; each is refused in jsonschema's words, after the
+#: failing property's path
+SCHEMA_REFUSALS = [
+    ({"mass": -1.0}, "mass: -1.0 is less than the minimum of 0"),
+    ({"name": "boolean", "variant": "weird"},
+     "variant: 'weird' is not one of ['identity', 'projector']"),
+    ({"name": "boolean", "masks": 9},
+     "masks: 9 is greater than the maximum of 8"),
+    ({"tol": "1e-8"}, "tol: '1e-8' is not of type 'number'"),
+    ({"mass": "1"}, "mass: '1' is not of type 'number'"),
+    ({"field_strength": None}, "field_strength: None is not of type 'number'"),
+    ({"theta_values": ("a",)}, "theta_values/0: 'a' is not of type 'number'"),
+    ({"mass": math.nan}, "mass: nan is not finite"),
+    ({"eta": ((1.0, 0.0), (0.0, math.inf))}, "eta: inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("fields,message", SCHEMA_REFUSALS,
+                         ids=[m.split(":")[0] for _, m in SCHEMA_REFUSALS])
+def test_spec_refuses_what_the_schema_refuses(fields, message):
+    with pytest.raises(BadSpec) as info:
+        gravity_spec(**fields)
+    assert str(info.value) == message
+    spec = gravity_spec()
+    with pytest.raises(BadSpec) as info:
+        dataclasses.replace(spec, **fields)
+    assert str(info.value) == message
+
+
+def test_the_schema_names_the_runners_and_the_spec_fields():
+    properties = _schema("scenario.schema.json")["properties"]
+    assert properties["name"]["enum"] == list(scenarios.SCENARIO_RUNNERS)
+    assert list(properties) == [f.name for f in dataclasses.fields(
+        ScenarioSpec)]
+    # and the fields a spec holds integral floats of as ints
+    assert scenarios._INTEGER_FIELDS == tuple(
+        key for key, rule in properties.items()
+        if "integer" in (rule.get("type"), rule.get("items", {}).get("type")))
 
 
 def test_list_fields_are_held_as_tuples():

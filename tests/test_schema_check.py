@@ -4,6 +4,7 @@ for every refusal, without importing jsonschema on a run that passes."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -13,13 +14,15 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emergence import ScenarioSpec, SchemaError, cli
-from emergence.cli import _compile, _schema, build_report, load_config
+from emergence import BadSpec, ScenarioSpec, SchemaError, cli, schema
+from emergence.cli import build_report, load_config
 from emergence.scenarios import run_scenario_spec
+from emergence.schema import _compile, _schema
 from test_benchmark_hooks import _perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -290,8 +293,151 @@ def test_a_refused_report_raises_jsonschemas_best_match():
         .iter_errors(report)).message
 
 
+#: dicts whose refusal only the whole dict shows: an unknown key, a missing
+#: grid, an eta that is no list of lists, and no dict at all
+FROM_DICT_REFUSALS = [
+    {"name": "boolean", "grid": [8], "bogus": 1},
+    {"name": "idempotent"},
+    {"name": "gravity_from_noncommutativity", "grid": [8, 8],
+     "eta": [1.0, 0.0]},
+    {"name": "gravity_from_noncommutativity", "grid": [8, 8],
+     "eta": [[1.0, 0.0], "0 1"]},
+    [{"name": "idempotent", "grid": [8]}],
+]
+
+
+@pytest.mark.parametrize("data", FROM_DICT_REFUSALS)
+def test_from_dict_refuses_in_jsonschemas_words(data):
+    error = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(
+        _schema("scenario.schema.json")).iter_errors(data))
+    where = "/".join(map(str, error.absolute_path)) or "(root)"
+    with pytest.raises(BadSpec) as info:
+        ScenarioSpec.from_dict(data)
+    assert str(info.value) == f"{where}: {error.message}"
+
+
 def test_a_refusal_jsonschema_does_not_confirm_is_never_an_acceptance(
         monkeypatch):
-    monkeypatch.setattr(cli, "_validator", lambda name: lambda x: False)
+    monkeypatch.setattr(schema, "_validator", lambda name: lambda x: False)
     with pytest.raises(RuntimeError, match="jsonschema accepts"):
         load_config(str(CONFIGS[0]))
+    with pytest.raises(RuntimeError, match="jsonschema accepts"):
+        ScenarioSpec(name="idempotent", grid=(8,))
+
+
+# --- specs built in the library ---------------------------------------------------
+
+
+SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)
+                 if f.default is not dataclasses.MISSING}
+SCENARIO_NAMES = _schema("scenario.schema.json")["properties"]["name"]["enum"]
+
+
+def _json(value):
+    """A drawn value as JSON: numpy values as Python ones, every tuple and
+    array as a list."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value
+
+
+def _integral(value):
+    if isinstance(value, list):
+        return [_integral(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() \
+        else value
+
+
+def _normalized(fields) -> dict:
+    """The spec ``fields`` should give: defaults filled in, JSON values,
+    and integral floats as ints in the integer fields."""
+    spec = {key: _json(value) for key, value in {**SPEC_DEFAULTS,
+                                                 **fields}.items()}
+    for key in ("grid", "masks", "block", "samples", "seed"):
+        spec[key] = _integral(spec[key])
+    return spec
+
+
+def _finite(spec) -> bool:
+    try:
+        json.dumps(spec, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+NUMPY_SCALARS = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+    st.sampled_from(SCENARIO_NAMES + ["riemannian", "projector"]).map(
+        np.str_))
+FIELD_SCALARS = st.one_of(SCALARS, NUMPY_SCALARS)
+FIELD_LISTS = st.one_of(
+    st.lists(FIELD_SCALARS, max_size=3),
+    st.lists(FIELD_SCALARS, max_size=3).map(tuple),
+    st.lists(st.integers(1, 9), min_size=1, max_size=2).map(np.array),
+    st.lists(st.floats(-4, 4), min_size=1, max_size=3).map(np.array),
+    st.sampled_from([((1.0, 0.0), (0.0, 1.0)), [[2.0, 0.5], [0.5, 1.0]],
+                     np.eye(2), np.eye(2, dtype=int), [[1, 0]],
+                     [[1.0, 0.0], [0.0, math.nan]]]))
+FIELD_VALUES = st.one_of(FIELD_SCALARS, FIELD_LISTS,
+                         st.lists(FIELD_LISTS, max_size=2))
+SMALL = st.integers(0, 9)
+#: values each field takes in a spec the schema accepts, in each form
+SPEC_VALUES = {
+    "name": st.sampled_from(SCENARIO_NAMES)
+    | st.sampled_from(SCENARIO_NAMES).map(np.str_),
+    "grid": st.lists(st.integers(2, 9) | st.integers(2, 9).map(float)
+                     | st.integers(2, 9).map(np.int64), min_size=1,
+                     max_size=2) | st.sampled_from([(8, 8), np.array([4])]),
+    "signature": st.just("riemannian"),
+    "mass": st.floats(0, 4) | SMALL | SMALL.map(np.float64),
+    "field_strength": st.floats(-4, 4) | SMALL.map(np.int64),
+    "eta": st.sampled_from([((1.0, 0.0), (0.0, 1.0)), [[2, 1], [1, 3.0]],
+                            np.eye(2), [[1.0, 0.0], [0.0, math.nan]]]),
+    "theta_values": st.lists(st.floats(-4, 4), max_size=3) | FIELD_LISTS,
+    "h_scales": st.lists(st.floats(-4, 4), max_size=3).map(np.array),
+    "masks": st.integers(1, 8) | st.integers(1, 8).map(float),
+    "block": st.integers(1, 4) | st.integers(1, 4).map(np.int32),
+    "variant": st.sampled_from(["identity", "projector"]).map(np.str_),
+    "samples": st.integers(1, 300) | st.integers(1, 300).map(float),
+    "tol": st.sampled_from([1e-8, 1e-6, 0.5, 1, np.float64(1e-10)]),
+    "feasibility_threshold": st.floats(1e-9, 1) | st.just(math.inf),
+    "seed": SMALL | SMALL.map(np.int64) | st.integers(0, 2**70),
+}
+
+
+@st.composite
+def _spec_fields(draw) -> dict:
+    """Fields of a spec: a name, a grid and some other fields, mostly in
+    values the schema accepts, and up to two of them any drawn value."""
+    fields = draw(st.fixed_dictionaries(
+        {key: SPEC_VALUES[key] for key in ("name", "grid")},
+        optional={key: SPEC_VALUES[key] for key in SPEC_DEFAULTS}))
+    for key in draw(st.lists(st.sampled_from(sorted(SPEC_VALUES)),
+                             max_size=2)):
+        fields[key] = draw(FIELD_VALUES)
+    return fields
+
+
+@settings(max_examples=600, deadline=None)
+@given(_spec_fields())
+def test_a_spec_is_built_exactly_when_the_schema_accepts_it(fields):
+    # no run: the spec alone decides, and every refusal is a BadSpec
+    expected = _normalized(fields)
+    accepted = (jsonschema.Draft7Validator(_schema("scenario.schema.json"))
+                .is_valid(expected) and _finite(expected))
+    for build in (lambda: ScenarioSpec(**fields),
+                  lambda: ScenarioSpec.from_dict(fields)):
+        try:
+            spec = build()
+        except BadSpec:
+            assert not accepted
+        else:
+            assert accepted
+            assert json.dumps(spec.canonical_dict(), sort_keys=True) \
+                == json.dumps(expected, sort_keys=True)
+            # and it holds Python values, as the spec of the JSON does
+            assert repr(spec) == repr(ScenarioSpec(**expected))
