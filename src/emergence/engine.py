@@ -92,12 +92,11 @@ class Certificate:
     not a power of ten, in the decade just below the bound); the verdict is
     always taken on the raw value.
 
-    ``draw_normals`` is what :func:`verify_emergence` drew per draw: the
-    normals one draw reads from the seed's stream, or 0 for a carrier that
-    draws a parameter and a field at a time.  A wider call that takes the
-    certificate as ``covered`` resumes after its draws; a certificate made
-    by hand has None and is evaluated in full.  It is neither compared nor
-    written.
+    ``draw_normals`` is what :func:`verify_emergence` read per draw from
+    the seed's stream: the carrier's normals and then the field's.  A wider
+    call that takes the certificate as ``covered`` resumes after its draws;
+    a certificate made by hand has None and is evaluated in full.  It is
+    neither compared nor written.
     """
 
     samples: int
@@ -361,45 +360,18 @@ class Normals:
         out.flags.writeable = False
         return out
 
-    def cursor(self, position: int = 0) -> "_Cursor":
-        """A reader of the stream from ``position`` on, in the form of a
-        generator's ``standard_normal``."""
-        return _Cursor(self, position)
 
+def _draw_chunk(algebra, space, normals: Normals, start: int, m: int):
+    """Certification draws ``start`` to ``start + m`` of the stream
+    ``normals``: their parameters and an ``(m, n)`` array of their fields.
 
-class _Cursor:
-    """Reads a :class:`Normals` stream in order, as calls of a generator's
-    ``standard_normal(shape)`` would draw it."""
-
-    def __init__(self, normals: Normals, position: int):
-        self.normals, self.position = normals, position
-
-    def standard_normal(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        out = self.normals.read(self.position, count).reshape(shape)
-        self.position += count
-        return out
-
-
-def _draw_chunk(algebra, space, rng, m: int):
-    """The next ``m`` certification draws: their parameters and an
-    ``(m, n)`` array of their fields.
-
-    A carrier that makes its samples of standard normals alone
-    (:attr:`~emergence.parameter_algebra.ParameterAlgebra.block_normals`)
-    draws the chunk with one ``rng.standard_normal`` call, row ``i``
-    holding draw ``i``'s parameter normals and then its field's: the
-    variates, and the generator state after them, of the per-draw calls in
-    their order, and its parameters are a :class:`Draws`.  ``rng`` is a
-    generator or a :class:`Normals` cursor.  Any other carrier draws a
-    parameter and a field at a time from a generator.
+    A draw takes the carrier's normals and then its field's, so the chunk
+    is one read, row ``i`` holding draw ``i``'s: the variates per-draw
+    generator calls would draw, in their order.
     """
-    k = algebra.block_normals
-    if k is None:
-        pairs = [(algebra.sample(rng), space.sample_field(rng))
-                 for _ in range(m)]
-        return [eps for eps, _ in pairs], np.stack([p for _, p in pairs])
-    z = rng.standard_normal((m, k + space.normals))
+    k = algebra.normals
+    per_draw = k + space.normals
+    z = normals.read(start * per_draw, m * per_draw).reshape(m, per_draw)
     return algebra.from_normals(z[:, :k]), space.fields_from_normals(z[:, k:])
 
 
@@ -411,26 +383,25 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
 
     Deterministic for a given seed regardless of ``jobs`` and of the chunk
     size: each chunk of as many draws as one block holds
-    (:func:`~emergence.operator_core.block_rows`) is drawn just before it
+    (:func:`~emergence.operator_core.block_rows`) is read just before it
     is evaluated as stacked arrays (the source's :func:`evaluate_draws`,
     the target's at :func:`map_block`), and each draw gets the bits it gets
     alone; the maximum keeps NaN, so any non-finite residual fails, as a
     non-passing certificate, never an exception.
-    :func:`_draw_chunk` makes each chunk's draws.  ``seed`` is an int, or
-    the run's :class:`Normals` stream of its seed, which a carrier that
-    draws blocks of normals reads instead of drawing them again.
+    :func:`_draw_chunk` reads each chunk's draws from one :class:`Normals`
+    stream: the run's stream of its seed when ``seed`` is one, which other
+    readers share, else a stream of the int (or None) of the call's own.
     ``covered``, a certificate this function made on the same source,
     target and map with this int seed and at most ``n_samples``, stands in
-    for its draws: a stream is read from the position after them
-    (``covered.samples`` draws of ``draw_normals`` normals each), and a
-    generator draws them again without evaluating them, so only the later
-    draws are evaluated.
+    for its draws: only the later draws are evaluated, read from the
+    position after the covered ones (``covered.samples`` draws of
+    ``draw_normals`` normals each).  Covered normals the stream has not
+    drawn yet are drawn a chunk at a time and not evaluated, so the stream
+    holds one chunk then too.
     """
-    normals = seed if isinstance(seed, Normals) else None
-    if normals is not None:
-        seed = normals.seed
-    k = source.algebra.block_normals
-    per_draw = 0 if k is None else k + source.space.normals
+    normals = seed if isinstance(seed, Normals) else Normals(seed)
+    seed = normals.seed
+    per_draw = source.algebra.normals + source.space.normals
     start, head = 0, (0.0, 0.0)
     if (covered is not None and covered.draw_normals == per_draw
             and isinstance(seed, int) and covered.seed == seed
@@ -439,14 +410,10 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
         head = (covered.max_functional_residual, covered.max_operator_residual)
     errors = np.geterr()  # pool threads do not inherit the caller's state
     size = block_rows(_draw_bytes(source, target))
-    if normals is not None and k is not None:
-        rng = normals.cursor(start * per_draw)
-    else:
-        rng = np.random.default_rng(seed)
-        for i in range(0, start, size):  # the covered draws, not evaluated
-            _draw_chunk(source.algebra, source.space, rng,
-                        min(size, start - i))
-    chunks = (_draw_chunk(source.algebra, source.space, rng,
+    skip, step = start * per_draw, size * per_draw
+    for at in range(normals.drawn, skip, step):  # covered, not evaluated
+        normals.read(at, min(step, skip - at))
+    chunks = (_draw_chunk(source.algebra, source.space, normals, i,
                           min(size, n_samples - i))
               for i in range(start, n_samples, size))
 

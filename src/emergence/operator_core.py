@@ -966,15 +966,18 @@ def _d2(geometry: GridGeometry, field_strength: float,
     eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     fmat = field_strength * eps2
     eta_up = np.linalg.inv(eta)
-    coeff = 2.0 * (eps2 @ fmat @ eta_up)
     box_eta = _box(geometry, eta_up)
     out = np.zeros(geometry.dims)
-    for mu in range(2):
-        for nu in range(2):
-            if coeff[mu, nu] != 0.0:
-                out = out + coeff[mu, nu] * (
-                    _second_partial(geometry, mu, nu)
-                    - 0.25 * eta[mu, nu] * box_eta)
+    # an overflowing coupling leaves infinite and NaN entries, which the
+    # runners' least-squares fits refuse, typed, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = 2.0 * (eps2 @ fmat @ eta_up)
+        for mu in range(2):
+            for nu in range(2):
+                if coeff[mu, nu] != 0.0:
+                    out = out + coeff[mu, nu] * (
+                        _second_partial(geometry, mu, nu)
+                        - 0.25 * eta[mu, nu] * box_eta)
     return out
 
 

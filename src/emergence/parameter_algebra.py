@@ -8,14 +8,14 @@ once.  Every leaf carrier acts by scaling rows, by ``row_scale(eps)``: the
 element itself, a scalar or one entry per row, except that a Boolean
 element is repeated over its blocks.  Products act component by component.
 
-``RealScalars``, ``ComplexScalars`` and ``BooleanComplex`` make a sample of
-standard normals alone: each states how many one sample takes and builds a
-block of samples from an array of them, and a single sample is a block of
-one, so a certification chunk is drawn with one generator call, in the
-order per-draw calls would draw it.  ``NonnegativeReals``,
-``CentralizerDiagonal``, product carriers and any carrier whose type
-overrides ``sample`` draw one sample at a time.  The compatibility check
-evaluates its samples in blocks, one per pair of operator structures,
+Every carrier makes its samples of standard normals alone: it states how
+many one sample takes (``normals``) and builds a block of samples from the
+rows of an array of them (``from_normals``), and one sample is a block of
+one, so a certification chunk is one read of the run's stream of normals.
+``NonnegativeReals`` and ``CentralizerDiagonal`` map a normal ``z`` to
+``lo + w / (1 + z*z)`` in ``(lo, lo + w]``, IEEE operations alone; a product
+carrier splits a row across its components, in order.  The compatibility
+check evaluates its samples in blocks, one per pair of operator structures,
 whenever the carrier acts by row scales, and sample by sample for a
 carrier with an ``act`` of its own.
 
@@ -106,9 +106,8 @@ class ParameterAlgebra:
     #: whether act(eps, A) is linear in eps (true for every base carrier,
     #: false for tuple/product carriers whose action is successive)
     action_linear: bool = True
-    #: standard normals one sample takes, for a carrier that makes its
-    #: samples of them alone (see :meth:`from_normals`); None otherwise
-    normals: int | None = None
+    #: standard normals one sample takes (see :meth:`from_normals`)
+    normals: int
 
     def _element(self, a):
         """``a`` cast to the carrier's element type; refuses a non-element."""
@@ -204,32 +203,19 @@ class ParameterAlgebra:
         return len(scales[0]), order, lengths
 
     def from_normals(self, z: np.ndarray) -> Draws:
-        """The samples drawn as the rows of ``z``, ``(s, normals)``, each
-        row in the order one :meth:`sample` draws its normals."""
+        """The samples drawn as the rows of ``z``, ``(s, normals)``: a
+        :class:`Draws`, or per-draw tuples for a product carrier."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
-        """One sample: a block of one, from :meth:`from_normals`."""
-        (a,) = self.from_normals(rng.standard_normal((1, self.normals)))
-        return a
+        """One sample: a block of one."""
+        return self.samples(rng, 1)[0]
 
     def samples(self, rng: np.random.Generator, count: int) -> list:
-        """``[self.sample(rng) for _ in range(count)]``, the same draws:
-        one generator call where :attr:`block_normals` allows it."""
-        k = self.block_normals
-        if k is None:
-            return [self.sample(rng) for _ in range(count)]
-        return list(self.from_normals(rng.standard_normal((count, k))))
-
-    @property
-    def block_normals(self) -> int | None:
-        """:attr:`normals` when a block of samples may be drawn as one array
-        of normals, the variates a per-draw :meth:`sample` loop takes: the
-        carrier's type draws through :meth:`from_normals` and keeps this
-        :meth:`sample`.  None for any other carrier."""
-        if type(self).sample is not ParameterAlgebra.sample:
-            return None
-        return self.normals
+        """``count`` samples from one ``(count, normals)`` generator call,
+        which draws the variates of ``count`` calls of one row each."""
+        z = rng.standard_normal((count, self.normals))
+        return list(self.from_normals(z))
 
     def to_vector(self, a) -> np.ndarray:
         return np.atleast_1d(self._element(a))
@@ -311,6 +297,7 @@ class NonnegativeReals(ParameterAlgebra):
 
     name = "nonnegative_reals"
     scalar_kind = "real"
+    normals = 1
 
     def _element(self, a):
         x = float(a)
@@ -334,8 +321,8 @@ class NonnegativeReals(ParameterAlgebra):
         # clamp to the cone; the orbit solve reports the residual honestly
         return max(x, 0.0)
 
-    def sample(self, rng):
-        return float(rng.uniform(0.05, 3.0))
+    def from_normals(self, z):
+        return Draws(0.05 + 2.95 / (1.0 + z[:, 0] * z[:, 0]))
 
     def to_vector(self, a):
         return np.array([float(a)])
@@ -358,6 +345,7 @@ class ProductAlgebra(ParameterAlgebra):
         self.name = "product(" + ", ".join(c.name for c in self.components) + ")"
         kinds = {c.scalar_kind for c in self.components}
         self.scalar_kind = "complex" if "complex" in kinds else "real"
+        self.normals = sum(c.normals for c in self.components)
 
     def stack(self, params):
         columns = zip(*map(self._as_tuple, params))
@@ -399,8 +387,11 @@ class ProductAlgebra(ParameterAlgebra):
             out = c.act(x, out)
         return out
 
-    def sample(self, rng):
-        return tuple(c.sample(rng) for c in self.components)
+    def from_normals(self, z):
+        """One tuple per row: its normals split across the components."""
+        ends = np.cumsum([c.normals for c in self.components])[:-1]
+        return list(zip(*(c.from_normals(part) for c, part in
+                          zip(self.components, np.split(z, ends, axis=1)))))
 
     def to_vector(self, a):
         return np.concatenate([c.to_vector(x) for c, x in
@@ -443,6 +434,7 @@ class CentralizerDiagonal(ParameterAlgebra):
             raise BadSpec("centralizer needs a square operator")
         self.dim = p.shape[0]
         self.components = self._pattern_components(p)
+        self.normals = len(self.components)
 
     @staticmethod
     def _pattern_components(p: np.ndarray) -> list[list[int]]:
@@ -497,8 +489,8 @@ class CentralizerDiagonal(ParameterAlgebra):
             d[comp] = float(np.real(c))
         return d
 
-    def sample(self, rng):
-        return self.from_coords(rng.uniform(0.1, 2.5, size=len(self.components)))
+    def from_normals(self, z):
+        return self.block_from_coords(0.1 + 2.4 / (1.0 + z * z))
 
 
 class BooleanComplex(ParameterAlgebra):

@@ -248,9 +248,11 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
                 evidence={"operand": name, "index": index})
     repeats = background["space"].dim
 
-    def total(products: np.ndarray, operand: str) -> float:
-        """``repeats * sum(products)``, correctly rounded; a product or a
-        sum that overflows raises HypothesisViolated."""
+    def total(a: np.ndarray, b: np.ndarray, operand: str) -> float:
+        """``repeats * sum(a * b)``, correctly rounded; a product or a sum
+        that overflows raises HypothesisViolated, so numpy need not warn."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = a * b
         out = exact_sum(products, repeats)
         if math.isnan(out):
             bad = offsets[~np.isfinite(products)][:1].tolist()
@@ -263,11 +265,11 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
         return out
 
     if plan is None:
-        gram = [[total(entries[i] * entries[j], "design") for j in range(k)]
+        gram = [[total(entries[i], entries[j], "design") for j in range(k)]
                 for i in range(k)]
         plan = background[fit] = (design, gram)
     gram = [list(row) for row in plan[1]]
-    b = [total(entries[j] * entries[k], "rhs") for j in range(k)]
+    b = [total(entries[j], entries[k], "rhs") for j in range(k)]
     diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):
@@ -284,9 +286,10 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
         x[p] = (b[p] - sum(gram[p][j] * x[j]
                            for j in range(p + 1, k))) / gram[p][p]
     residual = -entries[k]
-    for j in range(k):
-        residual = residual + x[j] * entries[j]
-    return tuple(x), math.sqrt(total(residual * residual, "residual"))
+    with np.errstate(over="ignore", invalid="ignore"):  # total refuses it
+        for j in range(k):
+            residual = residual + x[j] * entries[j]
+    return tuple(x), math.sqrt(total(residual, residual, "residual"))
 
 
 def feasible_metric_perturbation(background: dict, theta: float):

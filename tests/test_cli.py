@@ -227,29 +227,53 @@ def test_refused_synthesis_exits_two(tmp_path, capsys):
     assert "NotScalarForm" in capsys.readouterr().err
 
 
+#: per gravity runner, its coupling and the fits' first refusal of a field
+#: strength of 1e160, 1e200 and 1e308 at coupling 0.5
+FIELD_STRENGTH_OVERFLOWS = {
+    ("gravity_from_noncommutativity", "theta_values"): (
+        {"operand": "design", "index": [0]},
+        {"operand": "residual", "index": [0]},
+        {"operand": "rhs", "index": [0]}),
+    ("noncommutativity_from_gravity", "h_scales"): (
+        {"operand": "design", "index": [0]},
+        {"operand": "design", "index": [0]},
+        {"operand": "design", "index": [0, 0]}),
+}
+
+
 @pytest.mark.parametrize("overflowing", [
+    # a perturbation near 1e308 overflows in operator_core.scale, which
+    # warns, before a fit refuses it
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e308]},
-     {"operand": "rhs", "index": [0]}),
+     {"operand": "rhs", "index": [0]}, True),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e308]},
-     {"operand": "rhs", "index": [0]}),
-    # finite entries whose squared residual overflows
+     {"operand": "rhs", "index": [0]}, True),
+    # finite entries whose squared residual overflows: the fit refuses the
+    # product, so numpy does not warn
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e200]},
-     {"operand": "residual", "index": [0]}),
+     {"operand": "residual", "index": [0]}, False),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e200]},
-     {"operand": "residual", "index": [0]}),
+     {"operand": "residual", "index": [0]}, False),
     # finite products whose sum over the grid overflows: no array overflows,
     # so numpy does not warn
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e306]},
-     {"operand": "rhs"}),
+     {"operand": "rhs"}, False),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e306]},
-     {"operand": "rhs"}),
+     {"operand": "rhs"}, False),
+    # an overflowing field strength: the background and the fits overflow
+    # without a warning, so a warnings-as-errors run is refused the same way
+    *[({"name": name, key: [0.5], "field_strength": strength}, evidence,
+       False)
+      for (name, key), refusals in FIELD_STRENGTH_OVERFLOWS.items()
+      for strength, evidence in zip((1e160, 1e200, 1e308), refusals)],
 ])
 def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
                                                          tmp_path, capsys):
-    couplings, evidence = overflowing
+    couplings, evidence, warns = overflowing
     config = write_config(tmp_path, {"grid": [8, 8], **couplings})
     out = str(tmp_path / "report.json")
-    with (pytest.warns(RuntimeWarning, match="overflow") if "index" in evidence
+    # any other warning is an error, as pytest is configured
+    with (pytest.warns(RuntimeWarning, match="overflow") if warns
           else contextlib.nullcontext()):
         code = main(["--config", config, "--out", out])
     assert code == EXIT_ERROR

@@ -839,15 +839,18 @@ def _hex(value):
 
 
 class _Spiked(RealScalars):
-    """Real scalars whose ``k``-th sample is ``value`` (the rest are drawn)."""
+    """Real scalars whose ``k``-th sample is ``value`` (the rest are drawn),
+    counted over every row its blocks have made."""
 
     def __init__(self, k, value):
-        self.k, self.value, self.calls = k, value, 0
+        self.k, self.value, self.rows = k, value, 0
 
-    def sample(self, rng):
-        drawn = super().sample(rng)
-        self.calls += 1
-        return self.value if self.calls == self.k else drawn
+    def from_normals(self, z):
+        drawn = super().from_normals(z)
+        if self.rows < self.k <= self.rows + len(z):
+            drawn.values[self.k - 1 - self.rows] = self.value
+        self.rows += len(z)
+        return drawn
 
 
 def _stencil_target(dims, kind, symmetry):
@@ -877,12 +880,17 @@ def _boolean_target():
         [base], {(1,): CoefficientFunction.linear(2.0)}, algebra)
 
 
-def _centralizer_target():
-    # coupled components of sizes 1, 2 and 3: orbit spans of unequal length
+def _centralizer_1_2_3():
+    """Coupled components of sizes 1, 2 and 3: orbit spans of unequal
+    length."""
     projector = np.zeros((6, 6))
     for comp in ([0], [1, 2], [3, 4, 5]):
         projector[np.ix_(comp, comp)] = 1.0 / len(comp)
-    algebra = CentralizerDiagonal(projector)
+    return CentralizerDiagonal(projector)
+
+
+def _centralizer_target():
+    algebra = _centralizer_1_2_3()
     base = diagonal_operator(plain_space(6), np.linspace(1.0, 2.0, 6))
     source = verified(scalar_family(algebra, base), "additive",
                       "scalar_invariant")
@@ -999,13 +1007,11 @@ def test_a_spiked_draw_refuses_as_the_per_draw_path(case, value, jobs,
     outcomes = []
     for fmap in (emap.parameter_map, lambda eps: emap.parameter_map(eps)):
         spiked = replace(source, algebra=_Spiked(k, value))
-        # a carrier whose type overrides its sample is drawn draw by draw
-        assert spiked.algebra.block_normals is None
         with np.errstate(all="ignore"):
             outcomes.append(_outcome(spiked, poly, fmap,
                                      2 * CHUNK + 5, seed=3,
                                      jobs=jobs))
-        assert spiked.algebra.calls >= k
+        assert spiked.algebra.rows >= k
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "NotScalarForm"
 
@@ -1240,17 +1246,20 @@ def test_a_chunk_drawn_in_one_call_is_the_per_draw_stream(carrier, kind,
                                                          seed, m):
     make, sample = NORMAL_CARRIERS[carrier]
     algebra, space = make(), plain_space(6, kind)
-    assert algebra.block_normals is not None
-    block_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
-    params, fields = _draw_chunk(algebra, space, block_rng, m)
+    normals, loop_rng = Normals(seed), np.random.default_rng(seed)
     each = [(sample(loop_rng), _field_by_calls(space, loop_rng))
-            for _ in range(m)]
-    assert isinstance(params, Draws)
-    assert _tagged(params.values) == _tagged([eps for eps, _ in each])
-    assert _tagged(fields) == _tagged([phi for _, phi in each])
-    # real fields sliced out of the draws are made contiguous
-    assert fields.flags.c_contiguous
-    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+            for _ in range(m + 3)]
+    # a chunk read from the start, then one read on from its end
+    for start, count in ((0, m), (m, 3)):
+        params, fields = _draw_chunk(algebra, space, normals, start, count)
+        assert isinstance(params, Draws)
+        assert _tagged(params.values) \
+            == _tagged([eps for eps, _ in each[start:start + count]])
+        assert _tagged(fields) \
+            == _tagged([phi for _, phi in each[start:start + count]])
+        # real fields sliced out of the draws are made contiguous
+        assert fields.flags.c_contiguous
+    assert normals._rng.bit_generator.state == loop_rng.bit_generator.state
     # a sample and a field alone are blocks of one: the same stream again
     rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
     for _ in range(m):
@@ -1268,32 +1277,56 @@ def test_a_chunk_drawn_in_one_call_is_the_per_draw_stream(carrier, kind,
     assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-def test_carriers_that_draw_otherwise_are_drawn_draw_by_draw():
-    space = plain_space(6)
-    carriers = [NonnegativeReals(),
-                CentralizerDiagonal(identity_operator(space)),
-                TuplePower(RealScalars(), 2),
-                _Spiked(3, math.nan)]
-    for algebra in carriers:
-        assert algebra.block_normals is None
-        block_rng, loop_rng = (np.random.default_rng(4) for _ in range(2))
-        params, fields = _draw_chunk(algebra, space, block_rng, 5)
-        if isinstance(algebra, _Spiked):
-            algebra.calls = 0
-        each = [(algebra.sample(loop_rng), space.sample_field(loop_rng))
-                for _ in range(5)]
-        assert [_hex(eps) for eps in params] \
-            == [_hex(eps) for eps, _ in each]
-        assert _tagged(fields) == _tagged([phi for _, phi in each])
-        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
-        if isinstance(algebra, _Spiked):
-            algebra.calls = 0
-        got = algebra.samples(block_rng, 5)
-        if isinstance(algebra, _Spiked):
-            algebra.calls = 0
-        assert [_hex(eps) for eps in got] \
-            == [_hex(algebra.sample(loop_rng)) for _ in range(5)]
-        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+def _product_by_calls(algebra, rng):
+    """One product sample as a per-draw loop drew it: each component's
+    sample in turn, by the reference calls of :data:`NORMAL_CARRIERS`."""
+    by_name = {"real_scalars": NORMAL_CARRIERS["real"][1],
+               "complex_scalars": NORMAL_CARRIERS["complex"][1]}
+    return tuple(by_name[c.name](rng) for c in algebra.components)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("algebra", [
+    TuplePower(RealScalars(), 2), TuplePower(ComplexScalars(), 3),
+    ProductAlgebra((RealScalars(), ComplexScalars()))],
+    ids=lambda algebra: algebra.name)
+def test_a_product_splits_its_row_as_the_per_draw_loop_drew_it(algebra,
+                                                              kind):
+    space = plain_space(6, kind)
+    loop_rng = np.random.default_rng(4)
+    each = [(_product_by_calls(algebra, loop_rng),
+             _field_by_calls(space, loop_rng)) for _ in range(5)]
+    normals = Normals(4)
+    params, fields = _draw_chunk(algebra, space, normals, 0, 5)
+    assert [tuple(map(type, eps)) for eps in params] \
+        == [tuple(map(type, eps)) for eps, _ in each]
+    assert [_hex(eps) for eps in params] == [_hex(eps) for eps, _ in each]
+    assert _tagged(fields) == _tagged([phi for _, phi in each])
+    assert normals._rng.bit_generator.state == loop_rng.bit_generator.state
+    rng, loop_rng = (np.random.default_rng(4) for _ in range(2))
+    got = [algebra.sample(rng), *algebra.samples(rng, 4)]
+    want = [_product_by_calls(algebra, loop_rng) for _ in range(5)]
+    assert [_hex(eps) for eps in got] == [_hex(eps) for eps in want]
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("make,lo,hi", [
+    (NonnegativeReals, 0.05, 3.0), (_centralizer_1_2_3, 0.1, 2.5)],
+    ids=["nonnegative", "centralizer-1-2-3"])
+def test_remapped_carriers_sample_inside_their_intervals(make, lo, hi):
+    algebra = make()
+    params, _ = _draw_chunk(algebra, plain_space(6), Normals(4), 0, 500)
+    values = params.values
+    assert np.all(values > lo) and np.all(values <= hi)
+    for eps in params:  # each sample is an element of the carrier
+        algebra._element(eps)
+    # a zero normal maps to the top, a huge one towards the open bottom
+    edges = algebra.from_normals(np.array([[0.0], [1e150]])
+                                 * np.ones(algebra.normals)).values
+    assert np.all(edges[0] == hi) and np.all(edges[1] == lo)
+    rng, loop_rng = (np.random.default_rng(4) for _ in range(2))
+    assert [_hex(eps) for eps in algebra.samples(rng, 5)] \
+        == [_hex(algebra.sample(loop_rng)) for _ in range(5)]
 
 
 @pytest.mark.parametrize("case", ["64-real-symmetric", "6x10-complex-hermitian",
@@ -1365,16 +1398,16 @@ def test_the_stream_is_the_generators_normals_read_anywhere(seed, reads,
                 == before
         else:
             assert normals.drawn == start + count
-    # a cursor reads on from its position as generator calls would
-    cursor = normals.cursor(position)
+    # reads in turn from a position, shaped as chunks are, give the
+    # variates of generator calls of those shapes
+    calls = np.random.default_rng(seed)
+    calls.standard_normal(position)
     for shape in shapes:
-        got = cursor.standard_normal(shape)
         count = int(np.prod(shape))
-        assert got.shape == np.empty(shape).shape
+        got = normals.read(position, count).reshape(shape)
         assert not got.flags.writeable
-        assert got.tobytes() == want[position:position + count].tobytes()
+        assert got.tobytes() == calls.standard_normal(shape).tobytes()
         position += count
-    assert cursor.position == position
 
 
 @settings(max_examples=150, deadline=None)

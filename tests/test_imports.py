@@ -207,13 +207,40 @@ def test_standard_normals_are_drawn_in_these_functions_alone():
     found = {(path.stem, where) for path in package.rglob("*.py")
              for where in _normal_draws(ast.parse(
                  path.read_text(encoding="utf-8")))}
-    assert found == {("engine", "Normals.read"), ("engine", "_draw_chunk"),
+    assert found == {("engine", "Normals.read"),
                      ("operator_core", "FieldSpace.sample_field"),
-                     ("parameter_algebra", "ParameterAlgebra.sample"),
                      ("parameter_algebra", "ParameterAlgebra.samples")}
     assert _normal_draws(ast.parse(
         "def f():\n    def g():\n        rng.standard_normal(3)\n")) \
         == {"f.g"}
+
+
+def test_only_the_base_carrier_defines_sample():
+    # a carrier samples through its from_normals alone: one draw path
+    package = ROOT / "src" / "emergence"
+    found = {(path.stem, node.name) for path in package.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef)
+                     and item.name == "sample" for item in node.body)}
+    assert found == {("parameter_algebra", "ParameterAlgebra")}
+
+
+def test_every_shipped_carrier_states_its_normals():
+    import numpy as np
+
+    from emergence import parameter_algebra as pa
+    carriers = [pa.RealScalars(), pa.ComplexScalars(), pa.NonnegativeReals(),
+                pa.BooleanComplex(3, 2), pa.CentralizerDiagonal(np.eye(4)),
+                pa.ProductAlgebra((pa.RealScalars(), pa.BooleanComplex(2))),
+                pa.TuplePower(pa.ComplexScalars(), 3)]
+    shipped = {c for c in vars(pa).values() if isinstance(c, type)
+               and issubclass(c, pa.ParameterAlgebra)
+               and c is not pa.ParameterAlgebra}
+    assert {type(c) for c in carriers} == shipped
+    for carrier in carriers:
+        assert type(carrier.normals) is int and carrier.normals >= 1, \
+            carrier.name
 
 
 def _classes(module: str) -> list:
