@@ -32,10 +32,11 @@ from . import __version__
 from .engine import json_form
 from .errors import BadSpec, EmergenceError, ParseError, SchemaError
 from .scenarios import SCENARIO_RUNNERS, ScenarioSpec, run_scenario_spec
-from .schema import _validate
+from .schema import _schema, _validate
 
 LIBRARY_VERSION = __version__
-REPORT_VERSION = 2
+REPORT_VERSION = _schema("report.schema.json")["properties"][
+    "report_version"]["const"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -96,18 +97,12 @@ def load_config(path: str) -> ScenarioSpec:
 
 
 def _error_record(exc: EmergenceError) -> dict:
-    record = {"type": type(exc).__name__, "message": str(exc)}
-    for attr in ("residual", "gap"):
-        value = getattr(exc, attr, None)
-        if value is not None:
-            record[attr] = float(value)
-    frequency = getattr(exc, "frequency", None)
-    if frequency is not None:
-        record["frequency"] = [int(k) for k in frequency]
-    evidence = getattr(exc, "evidence", None)
-    if evidence:
-        record["evidence"] = json_form(evidence)
-    return record
+    """The error's type, message and each attribute it carries (residual,
+    gap, frequency, evidence) in JSON form, unless None or empty."""
+    record = {key: json_form(value) for key, value in vars(exc).items()}
+    return {"type": type(exc).__name__, "message": str(exc),
+            **{key: value for key, value in record.items()
+               if value not in (None, [], {})}}
 
 
 def build_report(spec: ScenarioSpec, result=None,

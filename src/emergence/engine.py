@@ -197,8 +197,8 @@ class EmergenceMap:
         params = self.source.algebra.samples(rng, 3)
         probes = [{"parameter": json_form(eps),
                    "assignment": json_form(value)}
-                  for eps, value in zip(params, map_draws(self.parameter_map,
-                                                          params))]
+                  for eps, value in zip(params, map_draws(
+                      self.parameter_map, params, self.target.algebra))]
         provenance = self.provenance.to_json_dict()
         return {
             "label": self.label,
@@ -240,22 +240,22 @@ def json_form(value):
 # --- verification -----------------------------------------------------------------
 
 
-def map_block(parameter_map, params):
+def map_block(parameter_map, params, carrier):
     """The map at every parameter of ``params`` as one block of values,
     draw ``i`` with the bits of ``parameter_map(eps_i)``: a map's block form,
     ``parameter_map.block(params)``, which refuses as the calls one draw at
-    a time would, or else its calls, stacked by :meth:`Draws.stack`."""
+    a time would, or else its calls, stacked by ``carrier.stack``."""
     block = getattr(parameter_map, "block", None)
     if block is not None:
         return block(params)
-    return Draws.stack(parameter_map(eps) for eps in params)
+    return carrier.stack(parameter_map(eps) for eps in params)
 
 
-def map_draws(parameter_map, params) -> list:
+def map_draws(parameter_map, params, carrier) -> list:
     """``[parameter_map(eps) for eps in params]``, with the same bits: the
     block of :func:`map_block`, split into its draws."""
     params = list(params)
-    return _split(map_block(parameter_map, params), len(params))
+    return _split(map_block(parameter_map, params, carrier), len(params))
 
 
 def _split(value, count: int) -> list:
@@ -421,7 +421,8 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
         params, fields = chunk
         with np.errstate(**errors):
             left = evaluate_draws(source, params)
-            right = evaluate_family(target, map_block(parameter_map, params))
+            right = evaluate_family(target, map_block(
+                parameter_map, params, target.algebra))
             # one block per chunk: both sides share its self-correlations
             fields = FieldBlock(fields, source.space)
             return (functional_residual(left, right, fields),
@@ -621,7 +622,8 @@ def _split_map(split, map2, map3) -> _BlockMap:
 
     def pair(params):
         parts = [split(eps) for eps in params]
-        return tuple(map_block(m.parameter_map, parts) for m in (map2, map3))
+        return tuple(map_block(m.parameter_map, parts, m.target.algebra)
+                     for m in (map2, map3))
 
     return _BlockMap(pair)
 
@@ -835,7 +837,8 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
     def table(params):
         # eps -> {alpha: delta}: each active term's solver, and the
         # algebra's zero for each constant term
-        out = {alpha: map_block(g, params) for alpha, g in solvers}
+        out = {alpha: map_block(g, params, poly.algebra)
+               for alpha, g in solvers}
         zeros = Draws.stack([zero] * len(params))
         for alpha, _ in constants:
             out[alpha] = zeros

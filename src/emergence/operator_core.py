@@ -822,10 +822,11 @@ def distance_to_diagonal(a, entries):
 
 def is_idempotent_power(a: Operator, n: int) -> bool:
     """Whether ``A^(2n) == A^n`` holds (relative Frobenius residual within
-    :data:`DEFAULT_TOL`)."""
+    :data:`DEFAULT_TOL`; a norm that overflows never verifies)."""
     an = power(a, int(n))
-    return bool(frobenius(subtract(compose(an, an), an))
-                <= DEFAULT_TOL * max(1.0, frobenius(an)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(frobenius(subtract(compose(an, an), an))
+                    <= DEFAULT_TOL * max(1.0, frobenius(an)) < math.inf)
 
 
 # --- circulants and right inverses -------------------------------------------
@@ -857,8 +858,9 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     somewhere, reporting the offending frequency.  Diagonals are inverted
     entry by entry and a zero entry is refused with its index.  Every other
     operator takes the pseudoinverse route, which refuses rank-deficient
-    inputs with the residual.  Either way the product is verified.  An
-    operator with a NaN or infinite entry is refused before any route runs.
+    inputs with the residual.  An operator with a NaN or infinite entry is
+    refused before any route runs, and one whose norm overflows before its
+    product is verified within ``tol * max(1, |A|_F)``.
     """
     finite = np.isfinite(a.body)
     if not finite.all():
@@ -890,8 +892,13 @@ def right_inverse(a: Operator, tol: float = DEFAULT_TOL) -> Operator:
     else:
         method = "pseudoinverse"
         r = Operator(np.linalg.pinv(a.body), a.space)
+    with np.errstate(over="ignore"):
+        bound = tol * max(1.0, frobenius(a))
+    if not math.isfinite(bound):
+        raise NotRightInvertible(f"operator norm overflows, so the {method} "
+                                 "inverse cannot be verified")
     residual = frobenius(subtract(compose(a, r), identity_operator(a.space)))
-    if not residual <= tol * max(1.0, frobenius(a)):
+    if not residual <= bound:
         raise NotRightInvertible(
             f"candidate right inverse failed verification ({method})",
             residual=residual)

@@ -16,8 +16,8 @@ one, so a certification chunk is one read of the run's stream of normals.
 ``lo + w / (1 + z*z)`` in ``(lo, lo + w]``, IEEE operations alone; a product
 carrier splits a row across its components, in order.  The compatibility
 check evaluates its samples in blocks, one per pair of operator structures,
-whenever the carrier acts by row scales, and sample by sample for a
-carrier with an ``act`` of its own.
+for every carrier: a leaf carrier's block is a :class:`Draws`, a product
+carrier's a tuple of its components' blocks.
 
 The engine leans on three facts that are verified, not assumed, for each
 shipped instance:
@@ -578,9 +578,9 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
 
     Each sample draws ``a``, ``b`` and the indices of its two operators, in
     that order.  The samples whose two operators have the same structures
-    are evaluated as one block, :class:`Draws` acting on stacks of their
-    operators, each sample with the bits it gets alone; a carrier with an
-    ``act`` of its own is evaluated sample by sample.
+    are evaluated as one block, the carrier's stack of their parameters
+    acting on stacks of their operators, each sample with the bits it gets
+    alone; a product carrier's block is a tuple of its components' blocks.
     """
     operators = list(operators)
     if n_samples <= 0 or not operators:
@@ -592,20 +592,13 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
                for _ in range(n_samples)]
     # one row per sample: additive, multiplicative, composition residual
     residuals = np.empty((n_samples, 3))
-    if type(algebra).act is ParameterAlgebra.act:
-        groups: dict = {}
-        for k, (_, _, x, y) in enumerate(samples):
-            groups.setdefault((x.structure, y.structure), []).append(k)
-        for rows in groups.values():
-            a, b = (Draws.stack(samples[k][side] for k in rows)
-                    for side in (0, 1))
-            x, y = (stack_operators(samples[k][side] for k in rows)
-                    for side in (2, 3))
-            residuals[rows] = np.stack(_identity_residuals(
-                algebra, a, b, x, y), axis=1)
-    else:
-        for k, sample in enumerate(samples):
-            residuals[k] = _identity_residuals(algebra, *sample)
+    groups: dict = {}
+    for k, (_, _, x, y) in enumerate(samples):
+        groups.setdefault((x.structure, y.structure), []).append(k)
+    for rows in groups.values():
+        a, b, x, y = zip(*(samples[k] for k in rows))
+        residuals[rows] = np.stack(_identity_residuals(
+            algebra, a, b, stack_operators(x), stack_operators(y)), axis=1)
     comm = [algebra.distance(algebra.mul(a, b), algebra.mul(b, a))
             for a, b, _, _ in samples]
     # np.max keeps a NaN, so a NaN residual fails
@@ -617,15 +610,13 @@ def check_action_compatibility(algebra: ParameterAlgebra, operators,
 
 
 def _identity_residuals(algebra, a, b, x, y) -> tuple:
-    """The Frobenius residuals of the three identities for parameters ``a``
-    and ``b`` and operators ``x`` and ``y``: numbers for one sample, one per
-    draw for :class:`Draws` and stacks of one operator per draw, whose sums
-    and products the carrier takes draw by draw."""
-    if isinstance(a, Draws):
-        total = Draws.stack(map(algebra.add, a, b))
-        product = Draws.stack(map(algebra.mul, a, b))
-    else:
-        total, product = algebra.add(a, b), algebra.mul(a, b)
+    """The Frobenius residuals of the three identities, one per draw, for
+    the per-draw parameters ``a`` and ``b`` and stacks ``x`` and ``y`` of
+    one operator per draw.  The sums and products are taken draw by draw,
+    and every parameter acts as the block the carrier stacks."""
+    total, product = (algebra.stack(map(op, a, b))
+                      for op in (algebra.add, algebra.mul))
+    a, b = algebra.stack(a), algebra.stack(b)
     ax, bx = algebra.act(a, x), algebra.act(b, x)
     additive = subtract(algebra.act(total, x), add(ax, bx))
     multiplicative = subtract(algebra.act(product, x), algebra.act(a, bx))

@@ -177,6 +177,7 @@ def test_run_config_rejects_unknown_formats():
     ["--scenario", "idempotent", "--tol", "inf"],
     ["--config", "{tmp}/nan_tol.json"],
     ["--config", "{tmp}/nan_field_strength.json"],
+    ["--config", "{tmp}/zero_h_scale.json"],
 ])
 def test_usage_problems_exit_64(argv, capsys, tmp_path):
     # json accepts NaN and the schema's number bounds let it through
@@ -184,6 +185,9 @@ def test_usage_problems_exit_64(argv, capsys, tmp_path):
         (tmp_path / f"nan_{field}.json").write_text(
             '{"name": "gravity_from_noncommutativity", "grid": [8, 8], '
             f'"{field}": NaN}}', encoding="utf-8")
+    write_config(tmp_path, {"name": "noncommutativity_from_gravity",
+                            "grid": [8, 8], "h_scales": [0.0]},
+                 name="zero_h_scale.json")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
@@ -242,40 +246,35 @@ FIELD_STRENGTH_OVERFLOWS = {
 
 
 @pytest.mark.parametrize("overflowing", [
-    # a perturbation near 1e308 overflows in operator_core.scale, which
-    # warns, before a fit refuses it
+    # a perturbation near 1e308 overflows the fit's right-hand side, which
+    # the fit refuses
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e308]},
-     {"operand": "rhs", "index": [0]}, True),
+     {"operand": "rhs", "index": [0]}),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e308]},
-     {"operand": "rhs", "index": [0]}, True),
+     {"operand": "rhs", "index": [0]}),
     # finite entries whose squared residual overflows: the fit refuses the
-    # product, so numpy does not warn
+    # product
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e200]},
-     {"operand": "residual", "index": [0]}, False),
+     {"operand": "residual", "index": [0]}),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e200]},
-     {"operand": "residual", "index": [0]}, False),
-    # finite products whose sum over the grid overflows: no array overflows,
-    # so numpy does not warn
+     {"operand": "residual", "index": [0]}),
+    # finite products whose sum over the grid overflows: no array overflows
     ({"name": "gravity_from_noncommutativity", "theta_values": [1e306]},
-     {"operand": "rhs"}, False),
+     {"operand": "rhs"}),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e306]},
-     {"operand": "rhs"}, False),
+     {"operand": "rhs"}),
     # an overflowing field strength: the background and the fits overflow
-    # without a warning, so a warnings-as-errors run is refused the same way
-    *[({"name": name, key: [0.5], "field_strength": strength}, evidence,
-       False)
+    *[({"name": name, key: [0.5], "field_strength": strength}, evidence)
       for (name, key), refusals in FIELD_STRENGTH_OVERFLOWS.items()
       for strength, evidence in zip((1e160, 1e200, 1e308), refusals)],
 ])
 def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
                                                          tmp_path, capsys):
-    couplings, evidence, warns = overflowing
+    # numpy does not warn: any warning is an error, as pytest is configured
+    couplings, evidence = overflowing
     config = write_config(tmp_path, {"grid": [8, 8], **couplings})
     out = str(tmp_path / "report.json")
-    # any other warning is an error, as pytest is configured
-    with (pytest.warns(RuntimeWarning, match="overflow") if warns
-          else contextlib.nullcontext()):
-        code = main(["--config", config, "--out", out])
+    code = main(["--config", config, "--out", out])
     assert code == EXIT_ERROR
     report = json.loads(Path(out).read_text(encoding="utf-8"))
     jsonschema.validate(report, _schema("report.schema.json"))
@@ -287,6 +286,25 @@ def test_overflowing_couplings_are_refused_with_exit_two(overflowing,
 
 GRAVITY_COUPLINGS = {"gravity_from_noncommutativity": "theta_values",
                      "noncommutativity_from_gravity": "h_scales"}
+
+
+@pytest.mark.parametrize("strength", [1e155, 1e160, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
+def test_an_overflowing_field_strength_with_no_coupling_exits_two(
+        name, strength, tmp_path, capsys):
+    # with no coupling to fit, the cross-check's right inverse refuses the
+    # overflowing slot, and numpy does not warn
+    config = write_config(tmp_path, {
+        "name": name, "grid": [8, 8], "field_strength": strength,
+        "samples": 4, "seed": 1})
+    out = str(tmp_path / "report.json")
+    assert main(["--config", config, "--out", out]) == EXIT_ERROR
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
+    jsonschema.validate(report, _schema("report.schema.json"))
+    assert report["error"]["type"] == "NotRightInvertible"
+    assert report["error"]["message"].startswith("slot 1 has no right inverse")
+    err = capsys.readouterr().err
+    assert "NotRightInvertible" in err and "Traceback" not in err
 
 
 def _run_in_process(data):

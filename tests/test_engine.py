@@ -192,6 +192,26 @@ def test_composition_of_projection_factors():
         Operator(eps * proj.matrix, space)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["sum", "composition"])
+def test_a_plain_map_onto_a_pair_target_certifies_as_the_built_map(line8,
+                                                                   kind):
+    # a callable with no block form is stacked as the target's carrier
+    # stacks it: one block per branch of the tree
+    source = verified(identity_source(line8, NonnegativeReals()),
+                      "homomorphic", "scalar_invariant")
+    part = identity_emergence(source)
+    build, split = {"sum": (emerge_sum, lambda eps: 0.5 * eps),
+                    "composition": (emerge_composition, math.sqrt)}[kind]
+    built = build(source, part, part)
+    cert = verify_emergence(source, built.target,
+                            lambda eps: (split(eps), split(eps)),
+                            built.certificate.samples, seed=0)
+    assert cert.passed and cert == built.certificate
+    maxima = ("max_functional_residual", "max_operator_residual")
+    assert [_hex(getattr(cert, name)) for name in maxima] \
+        == [_hex(getattr(built.certificate, name)) for name in maxima]
+
+
 def test_composition_needs_a_multiplicative_source(line8):
     source = verified(identity_source(line8), "additive")
     part = identity_emergence(source)
@@ -959,11 +979,11 @@ def _leaf_blocks(value):
 
 def test_a_map_of_no_draws_is_an_empty_block():
     for case, emap in _empty_block_maps().items():
-        block = map_block(emap.parameter_map, [])
+        block = map_block(emap.parameter_map, [], emap.target.algebra)
         assert isinstance(block, tuple) == (case == "sum-on-a-product-carrier")
         assert all(isinstance(b, Draws) and len(b) == 0
                    for b in _leaf_blocks(block)), case
-        assert map_draws(emap.parameter_map, []) == []
+        assert map_draws(emap.parameter_map, [], emap.target.algebra) == []
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
@@ -1072,7 +1092,8 @@ def test_a_product_algebra_source_maps_to_its_action_on_the_identity(algebra):
     assert emap((2.0, 3.0)) == {(1,): 6.0}
     rng = np.random.default_rng(4)
     params = [algebra.sample(rng) for _ in range(CHUNK + 3)]
-    assert [_hex(t[(1,)]) for t in map_draws(emap.parameter_map, params)] \
+    assert [_hex(t[(1,)]) for t in map_draws(emap.parameter_map, params,
+                                             poly.algebra)] \
         == [_hex(emap(eps)[(1,)]) for eps in params]
 
 
@@ -1149,9 +1170,9 @@ def test_a_boolean_tuple_stacks_as_one_array_and_refusals_stay():
     want = algebra.act(Draws(np.array(masks, dtype=complex)), family.form.fixed)
     for got in (algebra.act(Draws.stack(masks), family.form.fixed),
                 evaluate_draws(family, masks),
-                evaluate_family(family, map_block(tuple, masks))):
+                evaluate_family(family, map_block(tuple, masks, algebra))):
         assert got.body.tobytes() == want.body.tobytes()
-    assert map_block(tuple, masks).values.shape == (3, 3)
+    assert map_block(tuple, masks, algebra).values.shape == (3, 3)
     # inf - inf on the diagonal, and a carrier that refuses the operator
     with np.errstate(invalid="ignore"):
         nan = scalar_family(RealScalars(), diagonal_operator(
@@ -1187,8 +1208,11 @@ def test_pair_maps_map_a_block_as_their_calls():
     for emap in (emerge_sum(source, part, table),
                  emerge_composition(source, table, part),
                  emerge_accumulate(source, [(part, table), (table, part)])):
-        assert isinstance(map_block(emap.parameter_map, params), tuple)
-        assert [_value_bits(v) for v in map_draws(emap.parameter_map, params)] \
+        carrier = emap.target.algebra
+        assert isinstance(map_block(emap.parameter_map, params, carrier),
+                          tuple)
+        assert [_value_bits(v) for v in map_draws(emap.parameter_map, params,
+                                                  carrier)] \
             == [_value_bits(emap(eps)) for eps in params]
 
 
@@ -1734,7 +1758,7 @@ def test_synthesis_agrees_with_the_oracle_or_refuses(case):
                                  evaluate_polynomial(poly, oracle)) <= 1e-8
     # one block of the draws gives each draw's bits
     assert [{alpha: _hex(v) for alpha, v in t.items()}
-            for t in map_draws(emap.parameter_map, params)] \
+            for t in map_draws(emap.parameter_map, params, poly.algebra)] \
         == [{alpha: _hex(v) for alpha, v in t.items()} for t in tables]
 
 

@@ -135,6 +135,31 @@ def test_only_map_block_asks_for_a_block_form():
     assert found == [("engine.py", "map_block")]
 
 
+def _type_attribute_identities(tree: ast.Module) -> list:
+    """Lines that compare a ``type(x).<attr>`` with ``is`` or ``is not``."""
+    def type_attribute(node):
+        return (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "type")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(map(type_attribute, (node.left, *node.comparators)))]
+
+
+def test_no_path_is_chosen_by_what_a_class_overrides():
+    # every carrier keeps one contract, so no function asks whether a
+    # class overrides a method to choose how to treat it
+    package = ROOT / "src" / "emergence"
+    found = {path.name: _type_attribute_identities(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    for source in ("type(a).act is B.act", "B.f is not type(a).f"):
+        assert _type_attribute_identities(ast.parse(source)) == [1]
+
+
 STACK_TYPES = {"Operator", "OperatorStack"}
 
 

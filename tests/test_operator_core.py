@@ -353,6 +353,18 @@ def test_idempotent_power_detection(line8):
     assert not is_idempotent_power(scale(2.0, identity_operator(line8)), 1)
 
 
+@pytest.mark.parametrize("size", [1e155, 1e200, 1e300])
+def test_a_norm_that_overflows_verifies_nothing(line8, size):
+    # finite entries whose Frobenius norm overflows: no bound, and no
+    # numpy warning (any warning is an error, as pytest is configured)
+    for op in (scale(size, identity_operator(line8)),
+               diagonal_operator(line8, [size] * 8),
+               Operator(size * np.eye(8), line8)):
+        assert not is_idempotent_power(op, 1)
+        with pytest.raises(NotRightInvertible, match="norm overflows"):
+            right_inverse(op)
+
+
 # --- right inverses ------------------------------------------------------------
 
 

@@ -21,9 +21,10 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        evaluate_family, grid_space, identity_operator,
                        plain_space, scalar_family, solve_action_on_identity)
 from emergence import operator_core
-from emergence.operator_core import (_int64_sums, add, compose,
-                                     diagonal_operator, distance_to_diagonal,
-                                     exact_sum, exact_sums, frobenius,
+from emergence.operator_core import (OperatorStack, _int64_sums, add,
+                                     compose, diagonal_operator,
+                                     distance_to_diagonal, exact_sum,
+                                     exact_sums, frobenius,
                                      make_discrete_operator, stack_operators,
                                      subtract)
 from emergence.parameter_algebra import CompatibilityReport, Draws
@@ -933,6 +934,13 @@ def _report_bits(report):
             for value in dataclasses.astuple(report)]
 
 
+def _coupled_pattern(n):
+    """An ``n``-site matrix coupling sites 0 and 1, and sites 2 and 3."""
+    p = np.eye(n)
+    p[0, 1] = p[2, 3] = 0.5
+    return p
+
+
 def _compatibility_cases():
     grid = grid_space((6, 4))
     rng = np.random.default_rng(3)
@@ -953,6 +961,22 @@ def _compatibility_cases():
         # a stencil and a dense operator: compositions of mixed structure
         "complex-mixed": (ComplexScalars(), [box, Operator(box.matrix, grid)]),
         "nonnegative-dense": (NonnegativeReals(), dense),
+        # product carriers: a tuple of component blocks acts successively
+        "real-pair-stencils": (TuplePower(RealScalars(), 2), stencils),
+        "complex-triple-dense": (TuplePower(ComplexScalars(), 3), dense),
+        "boolean-pair-diagonals": (TuplePower(BooleanComplex(3, 2), 2),
+                                   diagonals),
+        "boolean-pair-dense": (TuplePower(BooleanComplex(3, 2), 2),
+                               [Operator(rng.standard_normal((6, 6)),
+                                         boolean) for _ in range(2)]),
+        "real-complex-dense": (ProductAlgebra((RealScalars(),
+                                               ComplexScalars())), dense),
+        "nonnegative-real-dense": (ProductAlgebra((NonnegativeReals(),
+                                                   RealScalars())), dense),
+        "centralizer-real-dense": (ProductAlgebra((
+            CentralizerDiagonal(_coupled_pattern(5)), RealScalars())), dense),
+        "nested-pair-complex-stencils": (ProductAlgebra((
+            TuplePower(RealScalars(), 2), ComplexScalars())), stencils),
     }
 
 
@@ -964,7 +988,8 @@ def test_block_compatibility_is_the_per_draw_report(case, seed):
                                      seed=seed)
     assert _report_bits(got) == _report_bits(
         _compatibility_by_draws(algebra, operators, 13, seed))
-    assert got.ok and not got.vacuous
+    # a product carrier acts successively, so its action is not additive
+    assert got.ok == algebra.action_linear and not got.vacuous
 
 
 @pytest.mark.parametrize("algebra", [RealScalars(), ComplexScalars()])
@@ -987,14 +1012,17 @@ def test_compatibility_flags_noncommutative_style_actions():
     # a deliberately broken carrier: action by a non-diagonal conjugation
     class Twisted(RealScalars):
         def act(self, a, op):
-            twist = np.array([[1.0, float(a)], [0.0, 1.0]])
-            return Operator(twist @ op.matrix, op.space)
+            # the block contract: a Draws twists a stack, draw by draw, and
+            # one element is draw 0 of its block of one
+            if not isinstance(a, Draws):
+                return self.act(Draws.stack([a]), op)[0]
+            twists = np.array([[[1.0, t], [0.0, 1.0]] for t in a])
+            return OperatorStack(twists @ op.stack.matrix, op.space)
 
     ops = [identity_operator(plain_space(2))]
     report = check_action_compatibility(Twisted(), ops, n_samples=10)
     assert not report.ok
     assert report.required_residual > 1e-6
-    # a carrier with an act of its own is evaluated sample by sample
     assert _report_bits(report) == _report_bits(
         _compatibility_by_draws(Twisted(), ops, 10))
 

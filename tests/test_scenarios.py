@@ -230,11 +230,12 @@ def test_mirrored_round_trip_passes():
     assert result.round_trip_max <= 1e-8
 
 
-def test_mirrored_runner_rejects_indefinite_perturbations():
-    spec = gravity_spec(name="noncommutativity_from_gravity",
-                        theta_values=(), h_scales=(-1.0,))
-    with pytest.raises(BadSpec):
-        run_noncommutativity_from_gravity(spec)
+@pytest.mark.parametrize("scale_", [-1.0, 0.0])
+def test_mirrored_runner_rejects_indefinite_perturbations(scale_):
+    # the scenario schema keeps every perturbation scale positive
+    with pytest.raises(BadSpec, match="^h_scales/0: "):
+        gravity_spec(name="noncommutativity_from_gravity",
+                     theta_values=(), h_scales=(scale_,))
 
 
 @pytest.fixture
