@@ -397,8 +397,10 @@ def verify_emergence(source: OperatorFamily, target, parameter_map,
     position after the covered ones (``covered.samples`` draws of
     ``draw_normals`` normals each).  Covered normals the stream has not
     drawn yet are drawn a chunk at a time and not evaluated, so the stream
-    holds one chunk then too.
+    holds one chunk then too.  Fewer than one sample is refused.
     """
+    if n_samples < 1:
+        raise BadSpec(f"n_samples must be at least 1, got {n_samples}")
     normals = seed if isinstance(seed, Normals) else Normals(seed)
     seed = normals.seed
     per_draw = source.algebra.normals + source.space.normals

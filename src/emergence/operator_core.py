@@ -6,8 +6,8 @@ linear map on it, held in one of three bodies:
 * ``"stencil"``: a circulant on a periodic grid, stored as its grid-shaped
   first column, ``M[i, j] = stencil[x_i - x_j]``.  Every constant-coefficient
   finite-difference operator is one (shifts, first/second differences,
-  metric boxes and the curvature/noncommutativity backgrounds built from
-  them), and so are their right inverses.
+  metric boxes and the sums and compositions of them), and so are their
+  right inverses.
 * ``"diagonal"``: a diagonal, stored as the vector of its entries.
 * ``"dense"``: any other ``n x n`` matrix.
 
@@ -959,43 +959,13 @@ def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _d2(geometry: GridGeometry, field_strength: float,
-        eta: np.ndarray) -> np.ndarray:
-    # Constant antisymmetric background contracted against the inverse
-    # metric; the quarter-trace removal keeps the operator trace-adjusted.
-    if len(geometry.dims) != 2:
-        raise BadSpec("the noncommutative background operator is 2-dimensional")
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (2, 2) or not np.allclose(eta, eta.T):
-        raise BadSpec("metric must be a symmetric 2x2 matrix")
-    if np.any(np.linalg.eigvalsh(eta) <= 0):
-        raise BadSpec("metric must be positive definite")
-    eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    fmat = field_strength * eps2
-    eta_up = np.linalg.inv(eta)
-    box_eta = _box(geometry, eta_up)
-    out = np.zeros(geometry.dims)
-    # an overflowing coupling leaves infinite and NaN entries, which the
-    # runners' least-squares fits refuse, typed, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeff = 2.0 * (eps2 @ fmat @ eta_up)
-        for mu in range(2):
-            for nu in range(2):
-                if coeff[mu, nu] != 0.0:
-                    out = out + coeff[mu, nu] * (
-                        _second_partial(geometry, mu, nu)
-                        - 0.25 * eta[mu, nu] * box_eta)
-    return out
-
-
 def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     """Build a named operator on a grid space.
 
     Kinds: ``shift(axis, step=1)``, ``partial(axis, scheme="central")``,
-    ``second_partial(mu, nu)``, ``box(eta=None)``,
-    ``d2_background(field_strength, eta=identity)`` and
-    ``projection(basis)``; any other kind raises :class:`BadSpec`.  All but
-    the dense projector are constant-coefficient stencils, stored as such.
+    ``second_partial(mu, nu)``, ``box(eta=None)`` and ``projection(basis)``;
+    any other kind raises :class:`BadSpec`.  All but the dense projector
+    are constant-coefficient stencils, stored as such.
     """
     geometry = space.geometry
     if geometry is None:
@@ -1017,9 +987,6 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
         stencil = _second_partial(geometry, mu, nu)
     elif kind == "box":
         stencil = _box(geometry, params.pop("eta", None))
-    elif kind == "d2_background":
-        stencil = _d2(geometry, float(params.pop("field_strength")),
-                      params.pop("eta", np.eye(2)))
     elif kind == "projection":
         basis = np.column_stack([np.asarray(v) for v in params.pop("basis")])
         if basis.size == 0:

@@ -39,7 +39,7 @@ from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
                             exact_sum, grid_space, identity_operator,
                             is_idempotent_power, make_discrete_operator,
                             operator_residual, plain_space, plane_wave, scale,
-                            stack_operators, sym_part)
+                            stack_operators, subtract, sym_part, zero_operator)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, Draws, RealScalars,
                                 check_action_compatibility)
@@ -170,26 +170,33 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     ``mass = 0`` is permitted but leaves it non-invertible), the
     second-derivative basis ``d1``, the ``columns`` ``(D1_00, D1_01 + D1_10,
     D1_11)`` that a symmetric perturbation weights, and the
-    antisymmetric-background operator.  The two least-squares fits add
-    their columns' symmetric parts and Gram sums under ``"feasible_fit"``
-    and ``"coupling_fit"`` once they are built (see
-    :func:`_least_squares`).
+    antisymmetric-background operator ``d2``, composed from ``d1`` and the
+    metric Laplacian.  The metric must be symmetric and positive definite.
+    The two least-squares fits add their columns' symmetric parts and Gram
+    sums under ``"feasible_fit"`` and ``"coupling_fit"`` once they are
+    built (see :func:`_least_squares`).
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != 2:
         raise BadSpec("the gravity scenarios need a 2D grid")
     eta_mat = np.asarray(eta, dtype=float)
+    if eta_mat.shape != (2, 2) or not np.allclose(eta_mat, eta_mat.T):
+        raise BadSpec("metric must be a symmetric 2x2 matrix")
+    if np.any(np.linalg.eigvalsh(eta_mat) <= 0):
+        raise BadSpec("metric must be positive definite")
     space = grid_space(grid)
-    # d2 checks the metric (symmetric, positive definite) before any inverse
-    d2 = make_discrete_operator(space, "d2_background",
-                                field_strength=field_strength, eta=eta_mat)
     eta_up = np.linalg.inv(eta_mat)
     box_eta = make_discrete_operator(space, "box", eta=eta_up)
     # the regulated wave operator is m^2 - d^2: its circulant symbol is
     # m^2 + 4 sum sin^2 >= m^2, so every m > 0 is right-invertible (the raw
     # stencil's symbol m^2 - 4 sum sin^2 vanishes exactly at m = 2)
+    mass = float(mass)
     box_m = add(scale(-1.0, box_eta),
                 scale(mass * mass, identity_operator(space)))
+    if not np.isfinite(box_m.stack.body).all():
+        raise HypothesisViolated(
+            "the regulated wave operator is not finite; the mass overflows",
+            evidence={"operand": "box_m"})
     d1 = {(mu, nu): make_discrete_operator(space, "second_partial",
                                            mu=mu, nu=nu)
           for mu, nu in ((0, 0), (0, 1), (1, 1))}
@@ -197,9 +204,20 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     # d_0 d_1 bit for bit
     d1[(1, 0)] = d1[(0, 1)]
     columns = (d1[(0, 0)], add(d1[(0, 1)], d1[(1, 0)]), d1[(1, 1)])
+    # D2: the antisymmetric background contracted against the inverse
+    # metric, trace-adjusted; an overflowing field strength leaves entries
+    # that are not finite, which the fits refuse, so numpy need not warn
+    eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    d2 = zero_operator(space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = 2.0 * (eps2 @ (float(field_strength) * eps2) @ eta_up)
+        for (mu, nu), c in np.ndenumerate(coeff):
+            if c != 0.0:
+                d2 = add(d2, scale(c, subtract(
+                    d1[(mu, nu)], scale(0.25 * eta_mat[mu, nu], box_eta))))
     return {"space": space, "box_eta": box_eta, "box_m": box_m, "d1": d1,
             "columns": columns, "d2": d2, "eta": eta_mat, "eta_up": eta_up,
-            "field_strength": float(field_strength), "mass": float(mass)}
+            "field_strength": float(field_strength), "mass": mass}
 
 
 def gravity_operator(background: dict, h) -> Operator:

@@ -159,40 +159,44 @@ class StructureReport:
 
 
 def _law_residuals(family: OperatorFamily, laws, pairs) -> list:
-    """``|Psi(a op b) - Psi(a) op Psi(b)|_F`` for each pair of draws and
-    law, or ``|Psi(c a) - c Psi(a)|_F`` for each pair ``(c, a)`` of the
-    scalar law: each side one block, each draw with the bits it gets alone."""
-    if not pairs:
-        return []
+    """``(|Psi(a op b) - Psi(a) op Psi(b)|_F, |Psi(a) op Psi(b)|_F)`` for
+    each pair of draws and law, or ``(|Psi(c a) - c Psi(a)|_F,
+    |c Psi(a)|_F)`` for each pair ``(c, a)`` of the scalar law: each side
+    one block, each draw with the bits it gets alone.  An overflow fails
+    the flag (it is not finite), so numpy need not warn."""
     algebra = family.algebra
     a, b = zip(*pairs)
     if laws == ("scalar_invariant",):
-        return [frobenius(subtract(
-            evaluate_draws(family, list(map(algebra.scale, a, b))),
-            scale_rows(np.array(a)[:, None], evaluate_draws(family, b))))]
-    fa, fb = evaluate_draws(family, a), evaluate_draws(family, b)
-    out = []
-    for law in laws:
-        if law == "additive":
-            lhs = evaluate_draws(family, list(map(algebra.add, a, b)))
-            rhs = add(fa, fb)
-        else:
-            lhs = evaluate_draws(family, list(map(algebra.mul, a, b)))
-            rhs = compose(fa, fb)
-        out.append(frobenius(subtract(lhs, rhs)))
-    return out
+        sides = [(map(algebra.scale, a, b), scale_rows(
+            np.array(a)[:, None], evaluate_draws(family, b)))]
+    else:
+        fa, fb = evaluate_draws(family, a), evaluate_draws(family, b)
+        sides = [(map(algebra.add, a, b), add(fa, fb)) if law == "additive"
+                 else (map(algebra.mul, a, b), compose(fa, fb))
+                 for law in laws]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(frobenius(subtract(evaluate_draws(family, list(params)),
+                                    rhs)), frobenius(rhs))
+                for params, rhs in sides]
 
 
 def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
                     seed: int = 0) -> StructureReport:
-    """Sample the claimed structure identities, each within 1e-10;
-    exactness shortcuts noted.
+    """Sample the claimed structure identities; exactness shortcuts noted.
+
+    A law holds on a draw whose residual is finite and at most ``1e-10 *
+    max(1, |rhs|_F)``, for the right-hand side ``Psi(a) + Psi(b)``,
+    ``Psi(a) o Psi(b)`` or ``c Psi(a)``; a flag passes when its laws hold
+    on every draw, and its ``max_residual`` is the largest absolute
+    residual.  Fewer than one sample is refused.
 
     ``scalar_times_fixed`` families over a linearly-acting carrier are
     scalar-invariant by construction; that check is recorded as exact
     instead of sampled.  Every law draws all its samples, then evaluates
-    them as one block.  A NaN residual fails its flag.
+    them as one block.
     """
+    if n_samples < 1:
+        raise BadSpec(f"n_samples must be at least 1, got {n_samples}")
     flags = tuple(flags) if flags is not None else tuple(sorted(family.claimed))
     rng = np.random.default_rng(seed)
     checks = []
@@ -218,10 +222,13 @@ def check_structure(family: OperatorFamily, flags=None, n_samples: int = 40,
                     else (flag,))
             draws = family.algebra.samples(rng, 2 * n_samples)
             pairs = list(zip(draws[0::2], draws[1::2]))
+        residuals, sizes = map(np.concatenate,
+                               zip(*_law_residuals(family, laws, pairs)))
         # np.max keeps a NaN, where Python's max may drop it
-        worst = float(np.max(_law_residuals(family, laws, pairs),
-                             initial=0.0))
-        checks.append(FlagCheck(flag, worst <= 1e-10, worst))
+        worst = float(np.max(residuals))
+        holds = np.isfinite(residuals) & (
+            residuals <= 1e-10 * np.maximum(1.0, sizes))
+        checks.append(FlagCheck(flag, bool(np.all(holds)), worst))
     return StructureReport(tuple(checks), n_samples, seed)
 
 
@@ -285,7 +292,8 @@ def polynomial_family(operators, terms, algebra,
 
     Such a slot that admits no right inverse is recorded with its
     diagnostic rather than rejected; synthesis refuses it later.  Other
-    slots are not attempted.
+    slots are not attempted.  A product carrier takes constant
+    coefficients only.
     """
     operators = tuple(operators)
     if not operators:
@@ -303,6 +311,10 @@ def polynomial_family(operators, terms, algebra,
             raise BadSpec(f"duplicate term {alpha}")
         if not isinstance(f, CoefficientFunction):
             raise BadSpec("terms need CoefficientFunction coefficients")
+        if isinstance(algebra, ProductAlgebra) and not f.is_constant:
+            # a coefficient acts on one scalar, not on a tuple of them
+            raise BadSpec(f"term {alpha} has a {f.kind} coefficient, which "
+                          f"the product carrier {algebra.name} cannot take")
         seen[alpha] = f
     if not seen:
         raise BadSpec("polynomial family needs at least one term")

@@ -288,6 +288,44 @@ GRAVITY_COUPLINGS = {"gravity_from_noncommutativity": "theta_values",
                      "noncommutativity_from_gravity": "h_scales"}
 
 
+@pytest.mark.parametrize("couplings", [[], [0.5]], ids=["none", "one"])
+@pytest.mark.parametrize("mass", [1e100, 1e155, 1e200, 1e308])
+@pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
+def test_an_overflowing_mass_is_refused_with_exit_two(name, mass, couplings,
+                                                      tmp_path, capsys):
+    # from about 1.34e154 m^2 overflows and the background refuses its
+    # regulated wave operator; below, the structure check's norms overflow
+    # and fail the additive law.  numpy does not warn: any warning is an
+    # error, as pytest is configured
+    config = write_config(tmp_path, {
+        "name": name, "grid": [8, 8], "mass": mass, "samples": 4, "seed": 1,
+        GRAVITY_COUPLINGS[name]: couplings})
+    out = str(tmp_path / "report.json")
+    assert main(["--config", config, "--out", out]) == EXIT_ERROR
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
+    jsonschema.validate(report, _schema("report.schema.json"))
+    assert report["error"]["type"] == "HypothesisViolated"
+    assert report["error"]["message"] == (
+        "claimed structure flags were never verified: ['additive']"
+        if mass < 1e154 else
+        "the regulated wave operator is not finite; the mass overflows")
+    err = capsys.readouterr().err
+    assert "HypothesisViolated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
+def test_a_heavy_mass_certifies(name, tmp_path):
+    # at mass 300 rounding on m^2 ~ 1e5 leaves the additive law's residual
+    # above 1e-10, far under 1e-10 of its right-hand side: the law holds
+    config = write_config(tmp_path, {
+        "name": name, "grid": [24, 24], "mass": 300, "samples": 100,
+        "seed": 1, GRAVITY_COUPLINGS[name]: [0.5]})
+    out = str(tmp_path / "report.json")
+    assert main(["--config", config, "--out", out]) == EXIT_PASS
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
+    assert report["status"] == "passed"
+
+
 @pytest.mark.parametrize("strength", [1e155, 1e160, 1e200, 1e300, 1e308])
 @pytest.mark.parametrize("name", sorted(GRAVITY_COUPLINGS))
 def test_an_overflowing_field_strength_with_no_coupling_exits_two(

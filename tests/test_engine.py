@@ -846,6 +846,21 @@ def test_covered_draws_give_the_bits_of_a_full_call(line8, n_samples):
                                                 n_samples, seed=5))
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_nothing_is_verified_or_certified_from_no_samples(line8, n_samples):
+    # with no draw nothing is evaluated, so nothing may pass: with one,
+    # the shift is no scalar form of the identity
+    source = scalar_family(RealScalars(), identity_operator(line8))
+    shift = make_discrete_operator(line8, "shift", axis=0)
+    poly = polynomial_family([shift], {(1,): lin()}, RealScalars())
+    with pytest.raises(BadSpec, match="n_samples must be at least 1"):
+        verify_emergence(source, source, lambda eps: eps, n_samples=n_samples)
+    with pytest.raises(BadSpec, match="n_samples must be at least 1"):
+        emerge(source, poly, n_samples=n_samples)
+    with pytest.raises(NotScalarForm):
+        emerge(source, poly, n_samples=1)
+
+
 # --- a block of draws against blocks of one --------------------------------------
 # A call of a synthesized map is its block call on one draw, so the tests named
 # ``..._per_draw_path`` compare an N-draw block with N blocks of one: a draw's
@@ -1619,7 +1634,7 @@ def test_oracle_reports_span_mismatches_as_none(line8):
 def test_oracle_refuses_large_parameter_spaces(line8):
     source = identity_source(line8)
     tuple_poly = polynomial_family(
-        [identity_operator(line8)], {(1,): lin()},
+        [identity_operator(line8)], {(1,): CoefficientFunction.constant(1.0)},
         TuplePower(RealScalars(), 2))
     with pytest.raises(DimensionTooLarge):
         brute_force_emerge(source, tuple_poly, (1.0, 1.0))
@@ -1685,20 +1700,17 @@ def slot_operators(draw, space):
     term alone."""
     axes = st.integers(0, len(space.geometry.dims) - 1)
     kind = draw(st.sampled_from(["mass", "shift", "partial",
-                                 "second_partial", "box", "d2_background"]))
+                                 "second_partial", "box"]))
     mass = scale(draw(st.sampled_from([0.5, 1.0, 3.0])),
                  identity_operator(space))
     if kind == "mass":
         return mass
-    if kind == "d2_background" and len(space.geometry.dims) != 2:
-        kind = "box"
     params = {
         "shift": lambda: {"axis": draw(axes), "step": draw(st.integers(1, 2))},
         "partial": lambda: {"axis": draw(axes), "scheme": draw(
             st.sampled_from(["central", "forward"]))},
         "second_partial": lambda: {"mu": draw(axes), "nu": draw(axes)},
         "box": dict,
-        "d2_background": lambda: {"field_strength": 1.0},
     }[kind]()
     return add(make_discrete_operator(space, kind, **params), mass)
 

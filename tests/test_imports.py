@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -363,3 +364,24 @@ def test_lower_layer_defaults_have_callers():
         if not {(callee, name), (callee, position), (callee, "*")}
         & settings)
     assert unset == [], f"defaults that no call sets: {unset}"
+
+
+def _kind_comparisons(function: ast.FunctionDef) -> set:
+    """The strings a function compares its ``kind`` against with ``==``."""
+    return {comparator.value for node in ast.walk(function)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name) and node.left.id == "kind"
+            for op, comparator in zip(node.ops, node.comparators)
+            if isinstance(op, ast.Eq) and isinstance(comparator, ast.Constant)}
+
+
+def test_the_builder_docstring_names_every_kind_it_builds():
+    # make_discrete_operator's docstring lists its kinds as ``name(...)``:
+    # a kind added or removed in the code is added or removed there too
+    path = ROOT / "src" / "emergence" / "operator_core.py"
+    (builder,) = [node for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)
+        and node.name == "make_discrete_operator"]
+    built = _kind_comparisons(builder)
+    named = set(re.findall(r"``(\w+)\(", ast.get_docstring(builder)))
+    assert built and built == named

@@ -30,6 +30,7 @@ from emergence.operator_core import (FieldBlock, OperatorStack,
                                      frobenius_coordinates,
                                      is_idempotent_power, plane_wave, power,
                                      scale_rows, stack_operators, subtract)
+from emergence.scenarios import build_gravity_background
 
 # --- spaces -----------------------------------------------------------------
 
@@ -158,7 +159,8 @@ def _shift_oracle(geometry, axis, step):
 
 
 def _stencil_oracles(space, eta):
-    """Every builder kind rebuilt from shift matrices: (kind, params, M)."""
+    """Every builder kind rebuilt from shift matrices: (kind, params, M);
+    kind ``"d2"`` is the gravity background's ``D2``."""
     g = space.geometry
     d = len(g.dims)
     eye = np.eye(g.size)
@@ -199,6 +201,9 @@ def _stencil_oracles(space, eta):
                             second(mu, nu)))
     if d == 2:
         oracles.append(("box", {"eta": eta}, box(eta)))
+    if d == 2 and g.spacing == (1.0, 1.0):
+        # the gravity background's D2 at field strength 0.7 (its grids are
+        # unit spaced)
         eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         eta_up = np.linalg.inv(eta)
         coeff = 2.0 * (eps2 @ (0.7 * eps2) @ eta_up)
@@ -209,8 +214,7 @@ def _stencil_oracles(space, eta):
                 if coeff[mu, nu] != 0.0:
                     out = out + coeff[mu, nu] * (second(mu, nu)
                                                  - 0.25 * eta[mu, nu] * box_up)
-        oracles.append(("d2_background", {"field_strength": 0.7, "eta": eta},
-                        out))
+        oracles.append(("d2", {}, out))
     return oracles
 
 
@@ -223,7 +227,9 @@ def test_stencils_match_the_shift_matrix_oracle(dims, spacing):
     space = grid_space(dims, spacing=spacing)
     sheared = np.array([[1.3, 0.4], [0.4, 0.9]])
     for kind, params, expected in _stencil_oracles(space, sheared):
-        built = make_discrete_operator(space, kind, **params)
+        built = (build_gravity_background(dims, sheared, 0.7)["d2"]
+                 if kind == "d2"
+                 else make_discrete_operator(space, kind, **params))
         assert np.array_equal(built.matrix, expected), (kind, params)
 
 
@@ -238,19 +244,26 @@ def test_circulant_gathers_from_the_first_column():
         circulant(space.geometry, np.zeros(5))
 
 
-def test_antisymmetric_background_equals_minus_box(torus8):
+def test_antisymmetric_background_equals_minus_box():
     # with the flat metric and unit field strength the trace-adjusted
     # background collapses onto the negated laplacian, exactly
-    d2 = make_discrete_operator(torus8, "d2_background", field_strength=1.0,
-                                eta=np.eye(2))
-    box = make_discrete_operator(torus8, "box", eta=np.eye(2))
-    assert np.array_equal(d2.matrix, -box.matrix)
+    background = build_gravity_background((8, 8), np.eye(2), 1.0)
+    assert np.array_equal(background["d2"].body,
+                          -background["box_eta"].body)
+    assert np.array_equal(background["d2"].matrix,
+                          -background["box_eta"].matrix)
 
 
-def test_background_metric_must_be_positive_definite(torus8):
-    with pytest.raises(BadSpec):
-        make_discrete_operator(torus8, "d2_background", field_strength=1.0,
-                               eta=np.diag([1.0, -1.0]))
+@pytest.mark.parametrize("eta,refusal", [
+    (np.diag([1.0, -1.0]), "metric must be positive definite"),
+    # singular: refused before numpy's inverse raises LinAlgError
+    (((1.0, 1.0), (1.0, 1.0)), "metric must be positive definite"),
+    (((1.0, 0.2), (0.0, 1.0)), "metric must be a symmetric 2x2 matrix"),
+    (np.eye(3), "metric must be a symmetric 2x2 matrix"),
+])
+def test_background_metric_must_be_positive_definite(eta, refusal):
+    with pytest.raises(BadSpec, match=refusal):
+        build_gravity_background((8, 8), eta, 1.0)
 
 
 def test_unknown_kind_and_stray_parameters_rejected(line8):

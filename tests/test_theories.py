@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
-                       ComplexScalars, NonnegativeReals, Operator, RealScalars,
-                       Univariate, add, check_structure, compose,
-                       compose_families, evaluate_family, evaluate_polynomial,
+                       ComplexScalars, NonnegativeReals, Operator,
+                       ProductAlgebra, RealScalars, TuplePower, Univariate,
+                       add, check_structure, compose, compose_families,
+                       evaluate_family, evaluate_polynomial,
                        factor_last_variable, grid_space, identity_operator,
                        make_discrete_operator, plain_space, polynomial_family,
-                       right_inverse, scalar_family, sum_families,
+                       right_inverse, scalar_family, scale, sum_families,
                        verify_structure)
 from emergence.operator_core import diagonal_operator, frobenius, subtract
 from emergence.theories import (STRUCTURE_FLAGS, monomial_operator,
@@ -171,6 +172,52 @@ def test_a_nan_law_residual_fails_its_flag():
         assert not check.passed
         assert math.isnan(check.max_residual)
     assert "additive" not in checked.verified
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_no_structure_is_verified_from_no_samples(line8, n_samples):
+    # eight samples refute both laws of an exponential coefficient
+    family = scalar_family(RealScalars(),
+                           make_discrete_operator(line8, "shift", axis=0),
+                           coefficient=CoefficientFunction.exponential())
+    claims = family.with_claims("additive", "multiplicative")
+    with pytest.raises(BadSpec, match="n_samples must be at least 1"):
+        check_structure(claims, n_samples=n_samples)
+    with pytest.raises(BadSpec, match="n_samples must be at least 1"):
+        verify_structure(claims, n_samples=n_samples)
+    report = check_structure(claims, n_samples=8)
+    assert report.failed_flags() == {"additive", "multiplicative"}
+
+
+def test_a_heavy_mass_is_still_additive():
+    # eps -> eps box_m is exactly additive; rounding on its m^2 ~ 1e5
+    # entries leaves residuals above 1e-10, under 1e-10 of the right-hand
+    # side, so the law holds
+    space = grid_space((24, 24))
+    box_m = add(scale(-1.0, make_discrete_operator(space, "box")),
+                scale(300.0 * 300.0, identity_operator(space)))
+    family = scalar_family(RealScalars(), box_m).with_claims("additive")
+    checked, report = verify_structure(family, n_samples=100, seed=1)
+    (check,) = report.checks
+    assert check.passed and check.max_residual > 1e-10
+    assert "additive" in checked.verified
+
+
+@pytest.mark.parametrize("carrier", [
+    ProductAlgebra((RealScalars(), RealScalars())),
+    TuplePower(RealScalars(), 2)], ids=["product", "tuple"])
+def test_a_product_carrier_takes_constant_coefficients_only(line8, carrier):
+    # a coefficient acts on one scalar: on a tuple it raised a TypeError
+    # when the family was evaluated
+    with pytest.raises(BadSpec, match=r"term \(1,\) has a linear coefficient"):
+        polynomial_family([identity_operator(line8)],
+                          {(1,): CoefficientFunction.linear(1.0, "real")},
+                          carrier)
+    constant = polynomial_family([identity_operator(line8)],
+                                 {(1,): CoefficientFunction.constant(2.0)},
+                                 carrier)
+    assert np.array_equal(evaluate_family(constant, (1.0, 2.0)).matrix,
+                          2.0 * np.eye(8))
 
 
 def test_check_structure_rejects_unknown_flags(line8):
