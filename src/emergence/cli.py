@@ -6,7 +6,9 @@ One scenario per invocation.  Exit codes:
 * 1: a certificate failed at the requested tolerance,
 * 2: synthesis refused (a precondition failed; the report carries the error),
 * 64: usage or configuration problems, a report path that cannot be
-  written included.
+  written included,
+* 70: an internal error (any other exception while running or emitting;
+  the traceback goes to stderr and no report is written).
 
 Reports are deterministic for a given config (no timestamps, sorted keys,
 residuals written as kernel-independent bounds) and written atomically, so
@@ -25,6 +27,7 @@ import json
 import os
 import platform
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -42,6 +45,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # sysexits' EX_SOFTWARE
 
 # --- configuration -------------------------------------------------------------------
 
@@ -294,7 +298,12 @@ def main(argv=None) -> int:
     except EmergenceError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run_scenario(config)
+    try:
+        return run_scenario(config)
+    except Exception:
+        traceback.print_exc()
+        print("internal error: no report was written", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point():

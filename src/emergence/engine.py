@@ -905,31 +905,24 @@ def identity_emergence(source: OperatorFamily, tol: float = DEFAULT_TOL,
 # --- brute-force oracle ---------------------------------------------------------------
 
 
-def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, eps,
-                       tol: float = DEFAULT_TOL):
-    """Independent oracle: fit the per-term parameters at one ``eps``.
+def brute_force_emerge(source: OperatorFamily, poly: PolynomialFamily, params,
+                       tol: float = DEFAULT_TOL) -> list:
+    """Independent oracle: fit the per-term parameters at each of ``params``.
 
-    Linear and affine coefficients reduce to one least-squares solve over
-    the symmetric parts, in the coordinates of their bodies when all share
-    one structure (a stencil entry stands for its n matrix entries, the
-    zeros off a diagonal drop out) and of their dense matrices otherwise;
-    other coefficient kinds fall back to a nested grid search over at most
-    two scalar parameters.  Returns the per-term assignment when the
-    residual is within tolerance, ``None`` otherwise.  A block of one of
-    :func:`_brute_force_fits`.
-    """
-    (fit,) = _brute_force_fits(source, poly, [eps], tol)
-    return fit
-
-
-def _brute_force_fits(source, poly, params, tol: float = DEFAULT_TOL) -> list:
-    """:func:`brute_force_emerge` at each parameter of the list ``params``.
-
-    What does not depend on the draw is built once: the offsets, and on the
-    linear route the basis pieces (one stack per term) and their symmetric
-    parts.  Each draw stacks them after its target's, takes their
-    coordinates as its design and takes its own least-squares solve, so
-    each fit has the bits it has alone.  The grid search runs draw by draw.
+    ``params`` is any iterable of parameters, a :class:`Draws` block
+    included; the result has one entry per parameter, the per-term
+    assignment when the residual is within tolerance and ``None``
+    otherwise.  Linear and affine coefficients reduce to one least-squares
+    solve over the symmetric parts, in the coordinates of their bodies when
+    all share one structure (a stencil entry stands for its n matrix
+    entries, the zeros off a diagonal drop out) and of their dense matrices
+    otherwise; other coefficient kinds fall back to a nested grid search
+    over at most two scalar parameters, draw by draw.  What does not depend
+    on the draw is built once: the offsets, and on the linear route the
+    basis pieces (one stack per term) and their symmetric parts.  Each draw
+    stacks them after its target's, takes their coordinates as its design
+    and takes its own least-squares solve, so each fit has the bits it has
+    alone.
     """
     active, constants = _split_constants(poly)
     algebra = poly.algebra

@@ -387,6 +387,12 @@ class ProductAlgebra(ParameterAlgebra):
             out = c.act(x, out)
         return out
 
+    def row_scale(self, a):
+        """Refused: the components act successively, not by one row scale;
+        :meth:`row_scales` and :attr:`per_row` refuse through it."""
+        raise BadSpec(f"{self.name} acts successively, component by "
+                      f"component, and has no row scale")
+
     def from_normals(self, z):
         """One tuple per row: its normals split across the components."""
         ends = np.cumsum([c.normals for c in self.components])[:-1]

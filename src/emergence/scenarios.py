@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import (EmergenceMap, Normals, _brute_force_fits, emerge,
+from .engine import (EmergenceMap, Normals, brute_force_emerge, emerge,
                      functional_residual, json_form, map_block,
                      residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
@@ -514,7 +514,7 @@ def _oracle_agreement(source, poly, emap: EmergenceMap, eps_values) -> float:
     evaluated as one stack each, every draw with the bits it gets alone.
     """
     synthesized = map_block(emap.parameter_map, eps_values, poly.algebra)
-    fitted = _brute_force_fits(source, poly, eps_values)
+    fitted = brute_force_emerge(source, poly, eps_values)
     if None in fitted:
         return float("inf")
     left, right = (evaluate_polynomial(poly, block)

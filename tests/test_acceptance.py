@@ -297,7 +297,7 @@ def test_criterion_4_oracle_equivalence(capsys):
     for source, poly in instances:
         emap = emerge(source, poly)
         for eps in rng.standard_normal(2):
-            fitted = brute_force_emerge(source, poly, float(eps))
+            (fitted,) = brute_force_emerge(source, poly, [float(eps)])
             assert fitted is not None
             worst = max(worst, operator_residual(
                 evaluate_polynomial(poly, emap(float(eps))),

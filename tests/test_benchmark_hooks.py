@@ -7,6 +7,7 @@ the names it relies on resolvable.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,11 +15,12 @@ import sys
 from pathlib import Path
 
 from emergence import scenarios
-from emergence.engine import verify_emergence
+from emergence.engine import brute_force_emerge, verify_emergence
 from emergence.parameter_algebra import ParameterAlgebra
 from emergence.scenarios import ScenarioSpec, run_scenario_spec
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _perfbench_module(name: str):
@@ -56,17 +58,35 @@ def test_verify_emergence_keeps_its_sample_count_parameter():
     assert "n_samples" in inspect.signature(verify_emergence).parameters
 
 
-def _recorded_sample_counts(monkeypatch) -> list:
-    """Wrap ``scenarios.verify_emergence`` by name in every package module,
-    as the tracer does; returns each call's ``n_samples``, in call order."""
-    original = scenarios.verify_emergence
+def test_every_traced_function_has_a_caller_in_the_package():
+    # a traced function nothing calls reads 0 calls, and the time of
+    # whatever runs in its place shows on no layer
+    called = set()
+    for path in (ROOT / "src" / "emergence").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+    for layer, (functions, _, _) in _tracer_layers().items():
+        for name in functions:
+            if name != "act":
+                assert name in called, f"emergence.{layer}.{name}"
+
+
+def _recorded_calls(monkeypatch, original, argument: str) -> list:
+    """Wrap ``original`` by name in every package module, as the tracer
+    does; returns each call's ``argument`` (defaults applied), in call
+    order."""
     signature = inspect.signature(original)
-    counts = []
+    values = []
 
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        counts.append(bound.arguments["n_samples"])
+        values.append(bound.arguments[argument])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -74,7 +94,28 @@ def _recorded_sample_counts(monkeypatch) -> list:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, recording)
-    return counts
+    return values
+
+
+def _recorded_sample_counts(monkeypatch) -> list:
+    """Each ``verify_emergence`` call's ``n_samples``, in call order."""
+    return _recorded_calls(monkeypatch, scenarios.verify_emergence,
+                           "n_samples")
+
+
+def test_the_scenarios_call_the_oracle_by_its_traced_name(monkeypatch):
+    params = _recorded_calls(monkeypatch, brute_force_emerge, "params")
+    # each call's parameter count: one call per oracle-checked map
+    cases = ((ScenarioSpec(name="boolean", grid=(8,), masks=8, block=1,
+                           samples=20, seed=1), [3]),
+             (ScenarioSpec(name="idempotent", grid=(8,), samples=20, seed=1),
+              [3, 3]),
+             (ScenarioSpec(name="gravity_from_noncommutativity", grid=(8, 8),
+                           theta_values=(0.5,), samples=20, seed=1), []))
+    for spec, sizes in cases:
+        del params[:]
+        assert run_scenario_spec(spec).passed
+        assert [len(p) for p in params] == sizes
 
 
 def test_each_map_is_verified_on_its_build_draws_then_its_samples(

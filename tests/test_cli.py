@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 
 from emergence import (HypothesisViolated, Operator, ParseError,
                        ScenarioSpec, SchemaError, cli, errors, scenarios)
-from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE,
-                           RunConfig, build_report, load_config, main,
+from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
+                           EXIT_USAGE, RunConfig, build_report, load_config, main,
                            parse_args, render_json, render_text,
                            shipped_config_path)
 from emergence.engine import Certificate, Normals, json_form
@@ -45,6 +45,19 @@ def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def _child_env(setting=()) -> dict:
+    """This process's environment with the package first on PYTHONPATH,
+    updated by the ``(variable, value)`` pairs of ``setting``."""
+    import emergence
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        emergence.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(setting)
+    return env
 
 
 # --- config loading ---------------------------------------------------------------
@@ -569,6 +582,49 @@ def test_an_unwritable_report_path_exits_64(where, tmp_path, capsys):
     assert os.listdir(tmp_path / "dir") == []
 
 
+def _raise_value_error(spec, jobs=None):
+    raise ValueError("runner fault")
+
+
+def _report_the_schema_refuses(spec, result=None, error=None):
+    return {**build_report(spec, result=result, error=error), "extra": 1}
+
+
+@pytest.mark.parametrize("fault", ["runner", "report"])
+def test_an_internal_error_exits_70_without_a_report(fault, monkeypatch,
+                                                     tmp_path, capsys):
+    if fault == "runner":
+        monkeypatch.setitem(scenarios.SCENARIO_RUNNERS, "idempotent",
+                            _raise_value_error)
+    else:  # the compiled report check refuses with jsonschema's error
+        monkeypatch.setattr(cli, "build_report", _report_the_schema_refuses)
+    code = main(["--scenario", "idempotent", "--samples", "5",
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert "Traceback" in err
+    assert ("ValueError: runner fault" if fault == "runner"
+            else "ValidationError") in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_entry_point_exits_70_on_an_internal_error():
+    script = (
+        "import sys\n"
+        "from emergence import cli, scenarios\n"
+        "def runner(spec, jobs=None):\n"
+        "    raise ValueError('runner fault')\n"
+        "scenarios.SCENARIO_RUNNERS['idempotent'] = runner\n"
+        "sys.argv = ['emergence', '--scenario', 'idempotent']\n"
+        "cli.entry_point()\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INTERNAL == 70
+    assert "Traceback" in proc.stderr
+    assert "ValueError: runner fault" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_text_rendering_of_error_reports():
     spec = ScenarioSpec(name="idempotent", grid=(8,))
     from emergence.errors import NotScalarForm
@@ -916,16 +972,9 @@ def _cli_report_bytes(config, setting=()) -> bytes:
     environment only, such as the OpenBLAS kernel it pins; none keeps the
     environment the test run itself has.
     """
-    import emergence
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        emergence.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    env.update(setting)
     proc = subprocess.run(
         [sys.executable, "-m", "emergence.cli", "--config", config],
-        env=env, capture_output=True, timeout=300)
+        env=_child_env(setting), capture_output=True, timeout=300)
     assert proc.returncode in (EXIT_PASS, EXIT_ERROR), proc.stderr
     return proc.stdout
 

@@ -30,7 +30,7 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        verify_structure)
 from emergence import operator_core
 from emergence.engine import (REPORT_FLOOR, Certificate, Normals,
-                              ProvenanceNode, _brute_force_fits, _certify,
+                              ProvenanceNode, _certify,
                               _draw_bytes, _draw_chunk, _fold_weights,
                               _same_source, _transport, map_block, map_draws,
                               residual_bound)
@@ -237,6 +237,30 @@ def test_constituents_must_match_the_source(line8):
     assert "different source" in str(info.value)
 
 
+def test_a_constituent_with_a_failing_certificate_is_refused(line8):
+    source = verified(identity_source(line8), "scalar_invariant")
+    part = identity_emergence(source)
+    failing = replace(part, certificate=replace(part.certificate,
+                                                passed=False))
+    with pytest.raises(BadSpec, match="^constituent map carries a failing "
+                                      "certificate$"):
+        emerge_sum(source, part, failing)
+
+
+def test_a_constituent_on_another_space_is_refused(line8):
+    # the same identity matrix on a space without the grid's geometry: only
+    # the space check tells the two sources apart
+    source = verified(identity_source(line8), "scalar_invariant")
+    elsewhere = identity_source(plain_space(8))
+    assert not source.space.matches(elsewhere.space)
+    assert np.array_equal(evaluate_family(source, 2.0).matrix,
+                          evaluate_family(elsewhere, 2.0).matrix)
+    with pytest.raises(BadSpec, match="certified against a different "
+                                      "source family"):
+        emerge_sum(source, identity_emergence(source),
+                   identity_emergence(elsewhere))
+
+
 def test_a_nan_residual_is_not_the_same_source():
     # inf - inf on the diagonal: two such families cannot be told to agree
     def family():
@@ -367,7 +391,7 @@ def test_univariate_agrees_with_the_oracle_on_forms(line8):
         {(1,): lin(1.0), (2,): lin(2.0)}, RealScalars())
     emap = emerge_univariate(source, poly)
     for eps in (0.3, 1.7, -2.2):
-        oracle = brute_force_emerge(source, poly, eps)
+        (oracle,) = brute_force_emerge(source, poly, [eps])
         assert oracle is not None
         assert operator_residual(
             evaluate_polynomial(poly, emap(eps)),
@@ -557,7 +581,7 @@ def test_dense_bivariate_matches_the_oracle(rng):
     poly = polynomial_family([a, b], {(1, 1): lin()}, RealScalars())
     emap = emerge(source, poly)
     for eps in (0.4, 1.3):
-        oracle = brute_force_emerge(source, poly, eps)
+        (oracle,) = brute_force_emerge(source, poly, [eps])
         assert oracle is not None
         assert operator_residual(
             evaluate_polynomial(poly, emap(eps)),
@@ -1618,7 +1642,7 @@ def test_oracle_recovers_the_trivial_assignment(line8):
     source = identity_source(line8)
     poly = polynomial_family([identity_operator(line8)], {(1,): lin()},
                              RealScalars())
-    got = brute_force_emerge(source, poly, 3.0)
+    (got,) = brute_force_emerge(source, poly, [3.0])
     assert got is not None
     assert got[(1,)] == pytest.approx(3.0, abs=1e-10)
 
@@ -1628,7 +1652,7 @@ def test_oracle_reports_span_mismatches_as_none(line8):
     shifted = polynomial_family(
         [make_discrete_operator(line8, "shift", axis=0)], {(1,): lin()},
         RealScalars())
-    assert brute_force_emerge(source, shifted, 1.0) is None
+    assert brute_force_emerge(source, shifted, [1.0]) == [None]
 
 
 def test_oracle_refuses_large_parameter_spaces(line8):
@@ -1637,7 +1661,7 @@ def test_oracle_refuses_large_parameter_spaces(line8):
         [identity_operator(line8)], {(1,): CoefficientFunction.constant(1.0)},
         TuplePower(RealScalars(), 2))
     with pytest.raises(DimensionTooLarge):
-        brute_force_emerge(source, tuple_poly, (1.0, 1.0))
+        brute_force_emerge(source, tuple_poly, [(1.0, 1.0)])
 
     space = plain_space(5, "complex")
     wide = polynomial_family(
@@ -1648,7 +1672,19 @@ def test_oracle_refuses_large_parameter_spaces(line8):
     boolean_source = scalar_family(BooleanComplex(masks=5),
                                    identity_operator(space))
     with pytest.raises(DimensionTooLarge):
-        brute_force_emerge(boolean_source, wide, np.ones(5, dtype=complex))
+        brute_force_emerge(boolean_source, wide, [np.ones(5, dtype=complex)])
+
+
+def test_oracle_refuses_a_product_carrier_for_its_basis(line8):
+    algebra = ProductAlgebra((RealScalars(), ComplexScalars()))
+    poly = polynomial_family(
+        [identity_operator(line8)], {(1,): CoefficientFunction.constant(1.0)},
+        algebra)
+    with pytest.raises(DimensionTooLarge,
+                       match="^parameter carrier has no finite coordinate "
+                             "basis: product\\(real_scalars, complex_scalars"
+                             "\\) has no identity-orbit basis$"):
+        brute_force_emerge(identity_source(line8), poly, [(1.0, 1j)])
 
 
 def test_oracle_fits_a_complex_parameter_under_a_hermitian_pairing():
@@ -1659,7 +1695,7 @@ def test_oracle_fits_a_complex_parameter_under_a_hermitian_pairing():
     source = scalar_family(ComplexScalars(), slot)
     poly = polynomial_family([slot], {(1,): CoefficientFunction.linear(2.0)},
                              ComplexScalars())
-    got = brute_force_emerge(source, poly, 1.0 - 0.5j)
+    (got,) = brute_force_emerge(source, poly, [1.0 - 0.5j])
     assert got is not None
     assert got[(1,)] == pytest.approx(0.5 - 0.25j, abs=1e-12)
 
@@ -1672,7 +1708,7 @@ def test_oracle_grid_search_fits_an_exponential(line8):
         [identity_operator(line8)],
         {(1,): CoefficientFunction.exponential(domain="real")},
         RealScalars())
-    got = brute_force_emerge(source, poly, 0.3, tol=1e-2)
+    (got,) = brute_force_emerge(source, poly, [0.3], tol=1e-2)
     assert got is not None
     assert got[(1,)] == pytest.approx(math.log(2.0), abs=1e-3)
 
@@ -1685,7 +1721,7 @@ def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
         [identity_operator(line8)],
         {(1,): CoefficientFunction.monomial_power(2, domain="nonneg")},
         NonnegativeReals())
-    got = brute_force_emerge(source, poly, 1.0, tol=1e-2)
+    (got,) = brute_force_emerge(source, poly, [1.0], tol=1e-2)
     assert got is not None
     assert got[(1,)] == pytest.approx(1.5, abs=1e-3)
     assert got[(1,)] >= 0.0
@@ -1764,7 +1800,7 @@ def test_synthesis_agrees_with_the_oracle_or_refuses(case):
     params = ORACLE_EPS[poly.algebra.scalar_kind]
     tables = [emap(eps) for eps in params]
     for eps, table in zip(params, tables):
-        oracle = brute_force_emerge(source, poly, eps)
+        (oracle,) = brute_force_emerge(source, poly, [eps])
         assert oracle is not None
         assert operator_residual(evaluate_polynomial(poly, table),
                                  evaluate_polynomial(poly, oracle)) <= 1e-8
@@ -1940,7 +1976,7 @@ MISMATCH_CASES = {
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_structured_oracle_agrees_with_a_dense_fit(case):
     source, poly, eps = ORACLE_CASES[case]()
-    got = brute_force_emerge(source, poly, eps)
+    (got,) = brute_force_emerge(source, poly, [eps])
     want = dense_oracle(source, poly, eps)
     assert want is not None and got is not None
     assert got.keys() == want.keys() == dict(poly.terms).keys()
@@ -1952,10 +1988,10 @@ def test_structured_oracle_agrees_with_a_dense_fit(case):
 def test_structured_and_dense_oracles_refuse_span_mismatches(case):
     source, poly, eps = MISMATCH_CASES[case]()
     assert dense_oracle(source, poly, eps) is None
-    assert brute_force_emerge(source, poly, eps) is None
+    assert brute_force_emerge(source, poly, [eps]) == [None]
 
 
-# --- the oracle's list form against its blocks of one -----------------------------------
+# --- the oracle on a block against its blocks of one ------------------------------------
 
 
 def _grid_exponential():
@@ -1968,7 +2004,7 @@ def _grid_exponential():
     return scalar_family(RealScalars(), identity_operator(space)), poly, 2.0
 
 
-#: the list form's cases, each with a tolerance
+#: the block cases, each with a tolerance
 LIST_CASES = {**{name: (build, 1e-8) for name, build in ORACLE_CASES.items()},
               **{f"mismatch-{name}": (build, 1e-8)
                  for name, build in MISMATCH_CASES.items()},
@@ -1987,12 +2023,16 @@ def test_the_oracle_fits_a_list_as_its_blocks_of_one(case):
     algebra = source.algebra
     params = [eps, algebra.zero(), algebra.scale(-0.5, eps),
               algebra.scale(2.0, eps)]
-    fits = _brute_force_fits(source, poly, params, tol)
-    each = [brute_force_emerge(source, poly, p, tol) for p in params]
-    assert [None if f is None else {alpha: _hex(v) for alpha, v in f.items()}
-            for f in fits] \
-        == [None if f is None else {alpha: _hex(v) for alpha, v in f.items()}
-            for f in each]
+    fits = brute_force_emerge(source, poly, params, tol)
+    each = [fit for p in params
+            for fit in brute_force_emerge(source, poly, [p], tol)]
+    block = brute_force_emerge(source, poly, Draws.stack(params), tol)
+
+    def bits(fits):
+        return [None if f is None
+                else {alpha: _hex(v) for alpha, v in f.items()} for f in fits]
+
+    assert bits(fits) == bits(each) == bits(block)
     if case in ACCEPTED:
         assert [f is not None for f in fits] == ACCEPTED[case]
     elif case in ORACLE_CASES:

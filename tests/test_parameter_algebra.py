@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -233,6 +234,36 @@ def test_product_algebra_combines_heterogeneous_components():
         ProductAlgebra(())
     with pytest.raises(BadSpec):
         alg.mul((1.0,), (2.0, 3.0))
+
+
+def test_product_units_and_scale_are_componentwise():
+    alg = ProductAlgebra((RealScalars(), BooleanComplex(2)))
+    one, zero = alg.one(), alg.zero()
+    assert one[0] == 1.0 and isinstance(one[0], float)
+    assert np.array_equal(one[1], np.ones(2, dtype=complex))
+    assert zero[0] == 0.0 and isinstance(zero[0], float)
+    assert np.array_equal(zero[1], np.zeros(2, dtype=complex))
+    scaled = alg.scale(2.0, (1.5, [1.0, 1j]))
+    assert scaled[0] == 3.0
+    assert np.array_equal(scaled[1], np.array([2.0, 2j]))
+    power = TuplePower(ComplexScalars(), 2)
+    assert power.one() == (1 + 0j, 1 + 0j)
+    assert power.zero() == (0j, 0j)
+    assert all(isinstance(x, complex) for x in power.one() + power.zero())
+    assert power.scale(1j, (1.0, 2.0)) == (1j, 2j)
+
+
+@pytest.mark.parametrize("alg", [ProductAlgebra((RealScalars(),
+                                                 RealScalars())),
+                                 TuplePower(RealScalars(), 2)],
+                         ids=["product", "tuple-power"])
+def test_product_carriers_refuse_row_scales(alg):
+    # a product acts component by component, never by one row scale
+    for call in (lambda: alg.per_row, lambda: alg.row_scale((1.0, 2.0)),
+                 lambda: alg.row_scales(alg.stack([(1.0, 2.0)]))):
+        with pytest.raises(BadSpec, match=f"{re.escape(alg.name)} acts "
+                                          "successively"):
+            call()
 
 
 # --- centralizer diagonals ----------------------------------------------------------
