@@ -111,12 +111,14 @@ def _error_record(exc: EmergenceError) -> dict:
 
 def build_report(spec: ScenarioSpec, result=None,
                  error: EmergenceError | None = None) -> dict:
+    """The report of ``spec``'s run: its ``result`` or its ``error``; the
+    spec hash is the result's, computed once per run."""
     status = "error" if error is not None \
         else ("passed" if result.passed else "failed")
     report = {
         "report_version": REPORT_VERSION,
         "library_version": LIBRARY_VERSION,
-        "spec_hash": spec.spec_hash(),
+        "spec_hash": spec.spec_hash() if result is None else result.spec_hash,
         "config": spec.canonical_dict(),
         "status": status,
     }

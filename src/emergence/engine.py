@@ -146,17 +146,6 @@ class ProvenanceNode:
             out["children"] = [c.to_json_dict() for c in self.children]
         return out
 
-    def digest(self) -> str:
-        return _digest(self.to_json_dict())
-
-    def leaves(self):
-        if not self.children:
-            return (self,)
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return tuple(out)
-
 
 def _monomial_node(alpha, coefficient, weight, detail="") -> ProvenanceNode:
     data = (("exponents", list(alpha)),
@@ -188,9 +177,6 @@ class EmergenceMap:
 
     def __call__(self, eps):
         return self.parameter_map(eps)
-
-    def target_operator(self, eps) -> Operator:
-        return evaluate_family(self.target, self.parameter_map(eps))
 
     def to_json_dict(self) -> dict:
         rng = np.random.default_rng(self.certificate.seed)

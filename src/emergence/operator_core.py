@@ -142,12 +142,6 @@ class FieldSpace:
             return z[:, :self.dim] + 1j * z[:, self.dim:]
         return np.ascontiguousarray(z)
 
-    def sample_field(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a random field configuration (standard normal components):
-        a block of one."""
-        return self.fields_from_normals(
-            rng.standard_normal((1, self.normals)))[0]
-
 
 def _pairing(scalar_kind: str, symmetry, weight: float = 1.0) -> PairingForm:
     """A new space's pairing: by default hermitian on a complex space and

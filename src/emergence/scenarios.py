@@ -56,6 +56,9 @@ BUILD_TOL = 1e-6
 #: them as bounds, the verdict uses the raw values
 RESIDUAL_SUFFIXES = ("_residual", "_error", "_gap")
 
+#: the default span-gap bound of :func:`_feasible`, the one feasibility rule
+FEASIBILITY_THRESHOLD = 1e-6
+
 # --- specs and results -----------------------------------------------------------
 
 
@@ -100,7 +103,7 @@ class ScenarioSpec:
     variant: str = "identity"
     samples: int = 100
     tol: float = 1e-8
-    feasibility_threshold: float = 1e-6
+    feasibility_threshold: float = FEASIBILITY_THRESHOLD
     seed: int = 42
 
     def __post_init__(self):
@@ -172,9 +175,8 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     D1_11)`` that a symmetric perturbation weights, and the
     antisymmetric-background operator ``d2``, composed from ``d1`` and the
     metric Laplacian.  The metric must be symmetric and positive definite.
-    The two least-squares fits add their columns' symmetric parts and Gram
-    sums under ``"feasible_fit"`` and ``"coupling_fit"`` once they are
-    built (see :func:`_least_squares`).
+    It holds the fits' plans too, ``"feasible_fit"`` and ``"coupling_fit"``:
+    their columns' symmetric parts and Gram sums, NaN where one overflows.
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != 2:
@@ -215,21 +217,28 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
             if c != 0.0:
                 d2 = add(d2, scale(c, subtract(
                     d1[(mu, nu)], scale(0.25 * eta_mat[mu, nu], box_eta))))
+        plans = {}
+        for fit, cols in (("feasible_fit", columns), ("coupling_fit", [d2])):
+            design = sym_part(stack_operators(cols))
+            plans[fit] = (design, [[exact_sum(a * b, space.dim) for b in
+                                    design.body] for a in design.body])
     return {"space": space, "box_eta": box_eta, "box_m": box_m, "d1": d1,
-            "columns": columns, "d2": d2, "eta": eta_mat, "eta_up": eta_up,
-            "field_strength": float(field_strength), "mass": mass}
+            "columns": columns, "d2": d2, "eta_up": eta_up,
+            "field_strength": float(field_strength), "mass": mass, **plans}
 
 
 def gravity_operator(background: dict, h) -> Operator:
-    """``h . D1`` for a symmetric perturbation ``h = (h00, h01, h11)``."""
-    c00, c01, c11 = background["columns"]
-    return add(add(scale(h[0], c00), scale(h[1], c01)), scale(h[2], c11))
+    """``h . D1`` for ``h = (h00, h01, h11)``; other lengths raise BadSpec."""
+    if len(h) != 3:
+        raise BadSpec(f"h = (h00, h01, h11) has 3 entries, not {len(h)}")
+    (c00, c01, c11), (h00, h01, h11) = background["columns"], h
+    return add(add(scale(h00, c00), scale(h01, c01)), scale(h11, c11))
 
 
-def _least_squares(background: dict, fit: str, columns, rhs: Operator):
+def _least_squares(background: dict, fit: str, rhs: Operator):
     """Deterministic ``min_x |sum_j x_j sym(C_j) - rhs|_F`` for a few
-    circulants ``C_j``, the operators ``columns``, and the symmetric
-    circulant ``rhs``, a quadratic form to match.
+    circulants ``C_j``, the columns of the background's plan ``fit``, and
+    the symmetric circulant ``rhs``, a quadratic form to match.
 
     The columns' symmetric parts and ``rhs`` are lined up on one stencil
     support (:func:`~emergence.operator_core.stack_operators`), and every
@@ -243,20 +252,13 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
     minimum-norm answer.  Returns ``(x, gap)`` with the gap the Frobenius
     norm of the fit's residual.  A non-finite entry, product or sum (an
     overflowing coupling) raises HypothesisViolated, naming the support
-    offset (the grid row) where one is not finite.
-
-    The columns' symmetric parts and their Gram sums depend on the
-    background alone: they are built at the background's first ``fit``
-    that gets past its rhs check and kept in ``background[fit]``, so a
-    later fit checks and sums only its rhs, and refuses as it would with
-    the columns built afresh.
+    offset (the grid row) where one is not finite; the plan's Gram sums are
+    judged after the design's and the rhs's entries, NaN ones summed again.
     """
-    plan = background.get(fit)
-    design = sym_part(stack_operators(columns)) if plan is None else plan[0]
+    design, plan_gram = background[fit]
     lined = stack_operators([design, rhs])
     offsets, entries, k = lined.support.offsets, lined.body, len(design)
-    operands = [("design", entries[:k].T)] if plan is None else []
-    for name, data in operands + [("rhs", entries[k])]:
+    for name, data in (("design", entries[:k].T), ("rhs", entries[k])):
         bad = np.argwhere(~np.isfinite(data))
         if bad.size:
             index = [int(offsets[bad[0][0]]), *(int(i) for i in bad[0][1:])]
@@ -282,16 +284,12 @@ def _least_squares(background: dict, fit: str, columns, rhs: Operator):
                           **({"index": bad} if bad else {})})
         return out
 
-    if plan is None:
-        gram = [[total(entries[i], entries[j], "design") for j in range(k)]
-                for i in range(k)]
-        plan = background[fit] = (design, gram)
-    gram = [list(row) for row in plan[1]]
+    gram = [[total(entries[i], entries[j], "design") if math.isnan(g) else g
+             for j, g in enumerate(row)] for i, row in enumerate(plan_gram)]
     b = [total(entries[j], entries[k], "rhs") for j in range(k)]
-    diagonal = [gram[i][i] for i in range(k)]
     pivots = []
     for p in range(k):
-        if gram[p][p] <= 1e-13 * diagonal[p]:
+        if gram[p][p] <= 1e-13 * plan_gram[p][p]:  # before elimination
             continue
         pivots.append(p)
         for i in range(p + 1, k):
@@ -320,27 +318,29 @@ def feasible_metric_perturbation(background: dict, theta: float):
     # it halves, so the latter would overflow at half the coupling
     with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses it
         rhs = scale(theta, sym_part(background["d2"]))
-    return _least_squares(background, "feasible_fit", background["columns"],
-                          rhs)
+    return _least_squares(background, "feasible_fit", rhs)
 
 
 def noncommutativity_coefficient(background: dict, h):
     """Least-squares coupling with ``theta * D2`` matching ``h . D1``."""
     with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses it
         rhs = sym_part(gravity_operator(background, h))
-    (theta,), gap = _least_squares(background, "coupling_fit",
-                                   [background["d2"]], rhs)
+    (theta,), gap = _least_squares(background, "coupling_fit", rhs)
     return theta, gap
 
 
-def check_feasible(background: dict, h, threshold: float = 1e-6):
+def _feasible(gap: float, threshold: float) -> bool:
+    return gap <= threshold
+
+
+def check_feasible(background: dict, h, threshold=FEASIBILITY_THRESHOLD):
     """Raise ``InfeasibleTarget`` when ``h . D1`` leaves the affine span.
 
     Generic three-parameter perturbations cannot be matched by the
     one-parameter family; the constructed feasible ray always passes.
     """
     theta, gap = noncommutativity_coefficient(background, h)
-    if gap > threshold:
+    if not _feasible(gap, threshold):
         raise InfeasibleTarget(
             f"perturbation is not in the affine span of the one-parameter "
             f"family (span gap {gap:.3e} > {threshold:.1e})", gap=gap)
@@ -447,8 +447,8 @@ def _gravity_round_trip(spec: ScenarioSpec, jobs: int | None,
             notes.append(f"{record}={residual_bound(fn_res):.3e}")
             continue
         round_trip = record["round_trip_error"]
-        all_ok = (all_ok and record["span_gap"] <= spec.feasibility_threshold
-                  and round_trip <= spec.tol and fn_res <= spec.tol)
+        all_ok = all_ok and round_trip <= spec.tol and fn_res <= spec.tol \
+            and _feasible(record["span_gap"], spec.feasibility_threshold)
         # only a vanishing coupling is degenerate: the mirrored direction
         # starts from a positive-definite perturbation
         samples.append({**record, "functional_residual": fn_res,

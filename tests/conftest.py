@@ -1,4 +1,5 @@
-"""Shared fixtures: small spaces and a seeded generator.
+"""Shared fixtures, small spaces and a seeded generator, and a helper that
+draws one field.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples and none is replayed from an earlier run.
@@ -14,6 +15,12 @@ from emergence import grid_space, plain_space
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+def sample_field(space, rng: np.random.Generator) -> np.ndarray:
+    """One field of ``space`` from ``rng``'s standard normals, a block of
+    one: the same draws and bits as the block's first row."""
+    return space.fields_from_normals(rng.standard_normal((1, space.normals)))[0]
 
 
 @pytest.fixture

@@ -157,7 +157,7 @@ def test_criterion_3_constructor_identities(capsys):
     worst = 0.0
 
     def identity_check(emap, eps):
-        return operator_residual(emap.target_operator(eps),
+        return operator_residual(evaluate_family(emap.target, emap(eps)),
                                  evaluate_family(emap.source, eps))
 
     examples = []

@@ -231,6 +231,22 @@ def test_unreachable_tolerance_exits_one(tmp_path, capsys):
     assert "certified failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["boolean", "idempotent_projector"])
+def test_a_run_hashes_its_spec_once(name, tmp_path, monkeypatch, capsys):
+    calls = []
+    spec_hash = ScenarioSpec.spec_hash
+
+    def counted(spec):
+        calls.append(spec)
+        return spec_hash(spec)
+
+    monkeypatch.setattr(ScenarioSpec, "spec_hash", counted)
+    main(["--config", shipped_config_path(name), "--samples", "8",
+          "--out", str(tmp_path / "report.json")])
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_refused_synthesis_exits_two(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = main(["--config", shipped_config_path("idempotent_projector"),
@@ -276,6 +292,13 @@ FIELD_STRENGTH_OVERFLOWS = {
      {"operand": "rhs"}),
     ({"name": "noncommutativity_from_gravity", "h_scales": [1e306]},
      {"operand": "rhs"}),
+    # an overflowing perturbation and field strength: the fit refuses its
+    # rhs's entries before the plan's overflowing Gram sums, and the
+    # design's entries before its rhs's
+    ({"name": "noncommutativity_from_gravity", "h_scales": [1e308],
+      "field_strength": 1e200}, {"operand": "rhs", "index": [0]}),
+    ({"name": "noncommutativity_from_gravity", "h_scales": [1e308],
+      "field_strength": 1.7e308}, {"operand": "design", "index": [0, 0]}),
     # an overflowing field strength: the background and the fits overflow
     *[({"name": name, key: [0.5], "field_strength": strength}, evidence)
       for (name, key), refusals in FIELD_STRENGTH_OVERFLOWS.items()

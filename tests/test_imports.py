@@ -234,7 +234,6 @@ def test_standard_normals_are_drawn_in_these_functions_alone():
              for where in _normal_draws(ast.parse(
                  path.read_text(encoding="utf-8")))}
     assert found == {("engine", "Normals.read"),
-                     ("operator_core", "FieldSpace.sample_field"),
                      ("parameter_algebra", "ParameterAlgebra.samples")}
     assert _normal_draws(ast.parse(
         "def f():\n    def g():\n        rng.standard_normal(3)\n")) \

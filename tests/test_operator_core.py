@@ -32,6 +32,8 @@ from emergence.operator_core import (FieldBlock, OperatorStack,
                                      scale_rows, stack_operators, subtract)
 from emergence.scenarios import build_gravity_background
 
+from conftest import sample_field
+
 # --- spaces -----------------------------------------------------------------
 
 
@@ -284,8 +286,8 @@ def test_unknown_kind_and_stray_parameters_rejected(line8):
 def test_adjoint_identity_under_quadrature_pairing(rng):
     space = grid_space((6,), spacing=(0.5,))
     a = Operator(rng.standard_normal((6, 6)), space)
-    phi = space.sample_field(rng)
-    psi = space.sample_field(rng)
+    phi = sample_field(space, rng)
+    psi = sample_field(space, rng)
     gram = space.pairing.weight * np.eye(6)
     lhs = phi @ gram @ (a.matrix @ psi)
     rhs = (adjoint_wrt_pairing(a).matrix @ phi) @ gram @ psi
@@ -319,7 +321,7 @@ def test_lagrangian_scales_with_the_volume_element(rng):
 def test_sym_part_preserves_lagrangian(rng, line8):
     a = Operator(rng.standard_normal((8, 8)), line8)
     for _ in range(5):
-        phi = line8.sample_field(rng)
+        phi = sample_field(line8, rng)
         assert abs(lagrangian_value(a, phi)
                    - lagrangian_value(sym_part(a), phi)) < 1e-10
 
@@ -336,7 +338,7 @@ def test_equal_quadratic_forms_iff_equal_sym_parts(rng, line8):
 def test_hermitian_pairing_conjugates_left_argument(rng):
     space = grid_space((4,), scalar_kind="complex")
     ident = identity_operator(space)
-    phi = space.sample_field(rng)
+    phi = sample_field(space, rng)
     value = lagrangian_value(ident, phi)
     assert abs(value.imag) < 1e-12
     assert value.real > 0.0
@@ -473,7 +475,7 @@ def test_diagonal_right_inverse_is_the_reciprocal(flat4, line8):
 
 def test_zero_operator_annihilates(line8, rng):
     z = zero_operator(line8)
-    phi = line8.sample_field(rng)
+    phi = sample_field(line8, rng)
     assert lagrangian_value(z, phi) == 0.0
 
 
@@ -527,7 +529,7 @@ def test_structured_algebra_agrees_with_the_dense_oracle(
             (adjoint_wrt_pairing(a), adjoint_wrt_pairing(da), a.structure)):
         assert got.structure == structure
         _agree(got.matrix, expected.matrix)
-    phi = space.sample_field(rng)
+    phi = sample_field(space, rng)
     _agree(lagrangian_value(a, phi), lagrangian_value(da, phi))
     _agree(operator_residual(a, b), operator_residual(da, db))
     _agree(frobenius(a), frobenius(da))
@@ -582,7 +584,7 @@ def test_a_stack_takes_each_draws_bits(dims, scalar_kind, symmetry,
                       (compose(a, b), map(compose, left, right))):
         for draw, one in zip(got, each):
             assert np.array_equal(draw.body, one.body)
-    fields = np.stack([space.sample_field(rng) for _ in range(s)])
+    fields = np.stack([sample_field(space, rng) for _ in range(s)])
     assert np.array_equal(lagrangian_value(a, fields),
                           lagrangian_value(left, fields))
     scalars = rng.standard_normal(s).astype(space.dtype)
@@ -898,7 +900,7 @@ def test_block_lagrangian_agrees_with_each_fields_dense_pairing(
     ops = [zero_operator(space) if s == "zero" else
            _random_operator(space, s, rng.choice([0.05, 0.3, 1.0]), rng)
            for s in structures]
-    fields = np.stack([space.sample_field(rng) for _ in ops])
+    fields = np.stack([sample_field(space, rng) for _ in ops])
     got = lagrangian_value(ops, fields)
     alone = [lagrangian_value(op, phi) for op, phi in zip(ops, fields)]
     for op, phi, value in zip(ops, fields, got):
@@ -921,7 +923,7 @@ def test_a_nan_field_is_nan_under_every_operator(rng, scalar_kind):
            make_discrete_operator(space, "box"),
            diagonal_operator(space, np.zeros(space.dim)),
            Operator(np.zeros((space.dim, space.dim)), space)]
-    fields = np.stack([space.sample_field(rng) for _ in range(4)])
+    fields = np.stack([sample_field(space, rng) for _ in range(4)])
     fields[2, 17] = np.nan
     # each operator shared by the block, then one stencil per field
     for block in [[op] for op in ops] + [ops[:4]]:
@@ -964,7 +966,7 @@ def test_a_shared_block_gives_the_bits_of_a_fresh_array(dims, scalar_kind,
     space = grid_space(dims, spacing, scalar_kind, symmetry)
     rng = np.random.default_rng(31)
     calls = _block_calls(space, rng)
-    fields = np.stack([space.sample_field(rng) for _ in range(5)])
+    fields = np.stack([sample_field(space, rng) for _ in range(5)])
     fresh = [lagrangian_value(ops, fields) for ops in calls]
     # each call order fills the correlations in a different order
     for order in (range(len(calls)), reversed(range(len(calls))),
@@ -978,7 +980,7 @@ def test_a_shared_block_gives_the_bits_of_a_fresh_array(dims, scalar_kind,
 def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
                                                                 scalar_kind):
     space = grid_space((6, 10), scalar_kind=scalar_kind)
-    fields = np.stack([space.sample_field(rng) for _ in range(4)])
+    fields = np.stack([sample_field(space, rng) for _ in range(4)])
     fields[2, 17] = np.nan
     block = FieldBlock(fields, space)
     for op in (make_discrete_operator(space, "box"),
@@ -991,7 +993,7 @@ def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
 
 def test_a_block_from_another_space_is_refused(rng):
     space = grid_space((6, 10))
-    fields = np.stack([space.sample_field(rng) for _ in range(3)])
+    fields = np.stack([sample_field(space, rng) for _ in range(3)])
     box = make_discrete_operator(space, "box")
     for other in (grid_space((10, 6)), grid_space((6, 10), spacing=(2.0, 1.0)),
                   grid_space((6, 10), symmetry="hermitian"), plain_space(60)):
@@ -1006,7 +1008,7 @@ def test_a_block_from_another_space_is_refused(rng):
 
 def test_a_plain_array_reuses_no_correlation(rng, monkeypatch):
     space = grid_space((6, 10))
-    fields = np.stack([space.sample_field(rng) for _ in range(3)])
+    fields = np.stack([sample_field(space, rng) for _ in range(3)])
     box = make_discrete_operator(space, "box")
     computed = []
     correlate = FieldBlock._correlate
@@ -1035,7 +1037,7 @@ def test_diagonal_distance_matches_the_operator_composition(body_kind):
     n = 12
     rng = np.random.default_rng(41)
     space = plain_space(n, body_kind)
-    body = space.sample_field(rng)
+    body = sample_field(space, rng)
     site_real = rng.standard_normal(n)
     site_complex = site_real + 1j * rng.standard_normal(n)
     entries = [0.0, 1.5, -2.25j + 0.5, np.float64(0.75), math.nan, math.inf,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -147,6 +148,33 @@ def test_coefficient_recovery_inverts_the_operator_build():
     assert theta == pytest.approx(0.4, abs=1e-10)
     assert gap <= 1e-10
     assert np.allclose(target.matrix, -0.4 * background["box_eta"].matrix)
+
+
+def test_a_perturbation_has_exactly_three_entries():
+    background = build_gravity_background((8, 8))
+    with pytest.raises(BadSpec, match="3 entries, not 4"):
+        noncommutativity_coefficient(background, (-0.4, 0.0, -0.4, 99.0))
+    with pytest.raises(BadSpec, match="3 entries, not 2"):
+        check_feasible(background, (1.0, 0.5))
+
+
+@pytest.mark.parametrize("field_strength", [1.0, 1e200])
+def test_the_fits_write_nothing_into_the_background(field_strength):
+    # both plans are built with the background; a fit that passes, or that
+    # refuses at its rhs or at a plan's Gram sum, changes no entry of it
+    background = build_gravity_background((8, 8),
+                                          field_strength=field_strength)
+    assert {"feasible_fit", "coupling_fit"} <= set(background)
+    before = {key: id(value) for key, value in background.items()}
+    for theta, h in ((0.5, (-0.5, 0.0, -0.5)), (1e308, (1e308, 0.0, 1e308))):
+        refused = (pytest.raises(HypothesisViolated)
+                   if theta == 1e308 or field_strength == 1e200
+                   else contextlib.nullcontext())
+        for fit, coupling in ((feasible_metric_perturbation, theta),
+                              (noncommutativity_coefficient, h)):
+            with refused:
+                fit(background, coupling)
+    assert {key: id(value) for key, value in background.items()} == before
 
 
 def _sym_flat(op):
