@@ -5,8 +5,8 @@ linear map on it, held in one of three bodies:
 
 * ``"stencil"``: a circulant on a periodic grid, stored as its grid-shaped
   first column, ``M[i, j] = stencil[x_i - x_j]``.  Every constant-coefficient
-  finite-difference operator is one (shifts, first/second differences,
-  metric boxes and the sums and compositions of them), and so are their
+  finite-difference operator is one (shifts, second differences, metric
+  boxes and the sums and compositions of them), and so are their
   right inverses.
 * ``"diagonal"``: a diagonal, stored as the vector of its entries.
 * ``"dense"``: any other ``n x n`` matrix.
@@ -912,21 +912,28 @@ def _shift(geometry: GridGeometry, axis: int, step: int) -> np.ndarray:
     return stencil
 
 
-def _check_axis(geometry: GridGeometry, axis: int):
+def _integer(params: dict, name: str, default=None) -> int:
+    """Parameter ``name``, popped from ``params``: an int or a numpy
+    integer, not a bool; anything else raises BadSpec naming it."""
+    value = params.pop(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadSpec(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _axis(geometry: GridGeometry, params: dict, name: str) -> int:
+    axis = _integer(params, name)
     if not 0 <= axis < len(geometry.dims):
-        raise BadSpec(f"axis {axis} out of range for a "
+        raise BadSpec(f"{name} {axis} out of range for a "
                       f"{len(geometry.dims)}-dimensional grid")
+    return axis
 
 
-def _partial(geometry: GridGeometry, axis: int, scheme: str) -> np.ndarray:
+def _partial(geometry: GridGeometry, axis: int) -> np.ndarray:
+    """The central difference ``(phi(x + e) - phi(x - e)) / 2h``."""
     h = geometry.spacing[axis]
-    if scheme == "central":
-        return (_shift(geometry, axis, +1)
-                - _shift(geometry, axis, -1)) / (2.0 * h)
-    if scheme == "forward":
-        return (_shift(geometry, axis, +1)
-                - _shift(geometry, axis, 0)) / h
-    raise BadSpec(f"unknown difference scheme {scheme!r}")
+    return (_shift(geometry, axis, +1)
+            - _shift(geometry, axis, -1)) / (2.0 * h)
 
 
 def _second_partial(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
@@ -936,8 +943,7 @@ def _second_partial(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
                 - 2.0 * _shift(geometry, mu, 0)
                 + _shift(geometry, mu, -1)) / (h * h)
     # the stencil of the product of the two central-difference circulants
-    return _convolve(_partial(geometry, mu, "central"),
-                     _partial(geometry, nu, "central"))
+    return _convolve(_partial(geometry, mu), _partial(geometry, nu))
 
 
 def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
@@ -956,28 +962,21 @@ def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
 def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     """Build a named operator on a grid space.
 
-    Kinds: ``shift(axis, step=1)``, ``partial(axis, scheme="central")``,
-    ``second_partial(mu, nu)``, ``box(eta=None)`` and ``projection(basis)``;
-    any other kind raises :class:`BadSpec`.  All but the dense projector
-    are constant-coefficient stencils, stored as such.
+    Kinds: ``shift(axis, step=1)``, ``second_partial(mu, nu)``,
+    ``box(eta=None)`` and ``projection(basis)``; any other kind raises
+    :class:`BadSpec`, and so does an axis, step, ``mu`` or ``nu`` that is
+    not an integer (a bool included).  All but the dense projector are
+    constant-coefficient stencils, stored as such.
     """
     geometry = space.geometry
     if geometry is None:
         raise BadSpec("discrete operators need a grid geometry")
     stencil = None
     if kind == "shift":
-        axis, step = int(params.pop("axis")), int(params.pop("step", 1))
-        _check_axis(geometry, axis)
-        stencil = _shift(geometry, axis, step)
-    elif kind == "partial":
-        axis = int(params.pop("axis"))
-        scheme = str(params.pop("scheme", "central"))
-        _check_axis(geometry, axis)
-        stencil = _partial(geometry, axis, scheme)
+        axis = _axis(geometry, params, "axis")
+        stencil = _shift(geometry, axis, _integer(params, "step", 1))
     elif kind == "second_partial":
-        mu, nu = int(params.pop("mu")), int(params.pop("nu"))
-        _check_axis(geometry, mu)
-        _check_axis(geometry, nu)
+        mu, nu = (_axis(geometry, params, name) for name in ("mu", "nu"))
         stencil = _second_partial(geometry, mu, nu)
     elif kind == "box":
         stencil = _box(geometry, params.pop("eta", None))

@@ -48,8 +48,7 @@ from .errors import (BadSpec, DegreeMismatch, NoPreimage, NoSquareRoot,
                      NotInIdentityOrbit)
 from .operator_core import (Operator, OperatorStack, add, compose,
                             distance_to_diagonal, exact_sums, frobenius,
-                            plain_space, scale_rows, stack_operators,
-                            subtract)
+                            scale_rows, stack_operators, subtract)
 
 # --- blocks of draws ------------------------------------------------------------
 
@@ -635,7 +634,7 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
                              tol: float = 1e-10):
     """Recover ``c`` with ``act(c, I) = target`` in closed form.
 
-    ``target`` is an operator (or dense matrix), or an
+    ``target`` is an :class:`~emergence.operator_core.Operator`, or an
     :class:`~emergence.operator_core.OperatorStack` of one per draw, which
     gives a :class:`Draws`; one operator is solved as a stack of one, so
     every draw of a stack gets the bits it gets alone.  Coordinate ``k`` is
@@ -672,10 +671,6 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
             raise DegreeMismatch("probe count disagrees with the tuple degree")
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
-    if not isinstance(target, (Operator, OperatorStack)):
-        matrix = np.asarray(target)
-        target = Operator(matrix, plain_space(
-            matrix.shape[0], "complex" if np.iscomplexobj(matrix) else "real"))
     stack = target.stack
     s, n = len(stack), stack.space.dim
     rows, order, lengths = algebra.orbit_plan or (n, None, np.array([n]))
@@ -724,7 +719,7 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
 class CoefficientFunction:
     """A parameter-dependent coefficient with a partial analytic preimage.
 
-    ``kind`` is one of ``constant | linear | affine | exp | power``;
+    ``kind`` is one of ``constant | linear | affine | exp``;
     ``params`` holds the kind's numbers.  ``nowhere_vanishing`` is the
     instance author's claim that the function does not vanish on the working
     parameter range; synthesis preconditions consult it.
@@ -756,12 +751,6 @@ class CoefficientFunction:
     @classmethod
     def exponential(cls, domain="real"):
         return cls("exp", (), True, domain)
-
-    @classmethod
-    def monomial_power(cls, exponent: int, domain="complex"):
-        if int(exponent) < 1:
-            raise BadSpec("power coefficient needs exponent >= 1")
-        return cls("power", (int(exponent),), False, domain)
 
     # -- evaluation / inversion
 
@@ -796,8 +785,6 @@ class CoefficientFunction:
             return self.params[0] * delta + self.params[1]
         if self.kind == "exp":
             return math.exp(delta) if not isinstance(delta, complex) else cmath.exp(delta)
-        if self.kind == "power":
-            return delta ** self.params[0]
         raise BadSpec(f"unknown coefficient kind {self.kind!r}")
 
     def _check_domain(self, delta):
@@ -848,13 +835,6 @@ class CoefficientFunction:
             if abs(v.imag) > 1e-12 or v.real <= 0:
                 raise NoPreimage("exponential preimage needs a positive value")
             return self._check_domain(math.log(v.real))
-        if self.kind == "power":
-            p = self.params[0]
-            v = complex(value)
-            if v == 0:
-                return self._check_domain(0.0)
-            root = cmath.exp(cmath.log(v) / p)
-            return self._check_domain(root)
         raise BadSpec(f"unknown coefficient kind {self.kind!r}")
 
     def describe(self) -> dict:

@@ -122,10 +122,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """The spec of a dict such as a config holds, which the schema sees
-        whole: an unknown key or a missing ``grid`` is refused too."""
-        _validate(json_form(data), "scenario.schema.json", BadSpec)
-        return cls(**data)
+        """The spec of a dict such as a config holds.  Construction checks
+        it; the schema sees the raw dict only to word what construction
+        cannot, an unknown or missing key or data that is not a mapping,
+        as a BadSpec."""
+        try:
+            return cls(**data)
+        except TypeError:
+            _validate(json_form(data), "scenario.schema.json", BadSpec)
+            raise
 
 
 @dataclass(frozen=True)
@@ -314,10 +319,10 @@ def feasible_metric_perturbation(background: dict, theta: float):
     Returns ``(h, gap)``; the gap is the Frobenius distance between the two
     quadratic forms at the minimizer.
     """
-    # theta * sym(D2), not sym(theta * D2): a symmetric part doubles before
-    # it halves, so the latter would overflow at half the coupling
+    # theta * sym(D2), the coupling fit's design: sym(theta * D2) doubles
+    # before it halves, so it would overflow at half the coupling
     with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses it
-        rhs = scale(theta, sym_part(background["d2"]))
+        rhs = scale(theta, background["coupling_fit"][0])
     return _least_squares(background, "feasible_fit", rhs)
 
 

@@ -1,5 +1,5 @@
-"""Shared fixtures, small spaces and a seeded generator, and a helper that
-draws one field.
+"""Shared fixtures, small spaces and a seeded generator, and helpers that
+draw one field and build a central difference.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples and none is replayed from an earlier run.
@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from emergence import grid_space, plain_space
+from emergence import (grid_space, make_discrete_operator, plain_space,
+                       scale)
+from emergence.operator_core import subtract
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
@@ -21,6 +23,16 @@ def sample_field(space, rng: np.random.Generator) -> np.ndarray:
     """One field of ``space`` from ``rng``'s standard normals, a block of
     one: the same draws and bits as the block's first row."""
     return space.fields_from_normals(rng.standard_normal((1, space.normals)))[0]
+
+
+def central_difference(space, axis: int):
+    """``(phi(x + e) - phi(x - e)) / 2h`` along ``axis``, from two shifts:
+    a first-order, antisymmetric stencil."""
+    forward, backward = (make_discrete_operator(space, "shift", axis=axis,
+                                                step=step)
+                         for step in (1, -1))
+    return scale(0.5 / space.geometry.spacing[axis],
+                 subtract(forward, backward))
 
 
 @pytest.fixture

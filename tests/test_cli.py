@@ -33,7 +33,7 @@ from emergence.cli import (EXIT_ERROR, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
                            parse_args, render_json, render_text,
                            shipped_config_path)
 from emergence.engine import Certificate, Normals, json_form
-from emergence.schema import _schema
+from emergence.schema import _schema, _validate
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED_CONFIGS = ("gravity_from_noncommutativity",
@@ -245,6 +245,25 @@ def test_a_run_hashes_its_spec_once(name, tmp_path, monkeypatch, capsys):
           "--out", str(tmp_path / "report.json")])
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["boolean", "idempotent_projector"])
+def test_a_run_checks_its_spec_and_its_report_once(name, tmp_path,
+                                                   monkeypatch, capsys):
+    # a config with no overrides: the spec is checked as it is built, not
+    # its raw dict first
+    checked = []
+
+    def counted(instance, schema, *args):
+        checked.append(schema)
+        return _validate(instance, schema, *args)
+
+    for module in ("scenarios", "cli"):
+        monkeypatch.setattr(f"emergence.{module}._validate", counted)
+    main(["--config", shipped_config_path(name),
+          "--out", str(tmp_path / "report.json")])
+    capsys.readouterr()
+    assert checked == ["scenario.schema.json", "report.schema.json"]
 
 
 def test_refused_synthesis_exits_two(tmp_path, capsys):

@@ -39,7 +39,7 @@ from emergence.parameter_algebra import Draws
 from emergence.theories import (PolynomialFamily, Tree, evaluate_draws,
                                 evaluate_polynomial, monomial_operator)
 
-from conftest import sample_field
+from conftest import central_difference, sample_field
 
 # --- shared builders ----------------------------------------------------------
 
@@ -144,7 +144,7 @@ def test_a_constant_coefficient_refuses_array_values_it_misses():
 def test_monomial_rejects_vanishing_coefficients(line8):
     source = identity_source(line8)
     with pytest.raises(HypothesisViolated) as info:
-        emerge_monomial(source, CoefficientFunction.monomial_power(2),
+        emerge_monomial(source, CoefficientFunction.constant(0.0),
                         identity_operator(line8), 1)
     assert "coefficient" in info.value.evidence
 
@@ -662,9 +662,10 @@ def test_synthesis_refuses_sources_that_are_not_scalar_times_fixed(line8):
 
 def test_vanishing_active_coefficients_are_refused(line8):
     source = verified(identity_source(line8), "additive")
-    poly = polynomial_family(
-        [identity_operator(line8)],
-        {(1,): CoefficientFunction.monomial_power(2)}, RealScalars())
+    # a linear coefficient whose author does not claim it nowhere vanishing
+    maybe_zero = CoefficientFunction("linear", (1.0,), False, "real")
+    poly = polynomial_family([identity_operator(line8)], {(1,): maybe_zero},
+                             RealScalars())
     with pytest.raises(HypothesisViolated) as info:
         emerge(source, poly)
     assert info.value.evidence == {"term": [1]}
@@ -1155,8 +1156,8 @@ def _pair_families():
     line = grid_space((8,))
     space = grid_space((6,), scalar_kind="complex", symmetry="hermitian")
     shift = make_discrete_operator(line, "shift", axis=0)
-    partial, cshift = (make_discrete_operator(space, kind, axis=0)
-                       for kind in ("partial", "shift"))
+    partial = central_difference(space, 0)
+    cshift = make_discrete_operator(space, "shift", axis=0)
     masks = plain_space(6, "complex")
     real, complex_ = (scalar_family(RealScalars(), partial),
                       scalar_family(ComplexScalars(), cshift))
@@ -1727,17 +1728,21 @@ def test_oracle_grid_search_fits_an_exponential(line8):
 
 
 def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
-    source = scalar_family(
-        NonnegativeReals(), identity_operator(line8),
-        coefficient=CoefficientFunction.constant(2.25, domain="real"))
     poly = polynomial_family(
         [identity_operator(line8)],
-        {(1,): CoefficientFunction.monomial_power(2, domain="nonneg")},
+        {(1,): CoefficientFunction.exponential(domain="nonneg")},
         NonnegativeReals())
-    (got,) = brute_force_emerge(source, poly, [1.0], tol=1e-2)
-    assert got is not None
-    assert got[(1,)] == pytest.approx(1.5, abs=1e-3)
-    assert got[(1,)] >= 0.0
+
+    def fit(value):
+        source = scalar_family(
+            NonnegativeReals(), identity_operator(line8),
+            coefficient=CoefficientFunction.constant(value, domain="real"))
+        (got,) = brute_force_emerge(source, poly, [1.0], tol=1e-2)
+        return got
+
+    assert fit(2.25)[(1,)] == pytest.approx(math.log(2.25), abs=1e-3)
+    # exp(delta) = 0.5 only at delta = -log 2, outside the cone
+    assert fit(0.5) is None
 
 
 # --- generated synthesis against the oracle ----------------------------------------------
@@ -1748,16 +1753,13 @@ def slot_operators(draw, space):
     """A stencil of ``make_discrete_operator`` plus a mass term, or the mass
     term alone."""
     axes = st.integers(0, len(space.geometry.dims) - 1)
-    kind = draw(st.sampled_from(["mass", "shift", "partial",
-                                 "second_partial", "box"]))
+    kind = draw(st.sampled_from(["mass", "shift", "second_partial", "box"]))
     mass = scale(draw(st.sampled_from([0.5, 1.0, 3.0])),
                  identity_operator(space))
     if kind == "mass":
         return mass
     params = {
         "shift": lambda: {"axis": draw(axes), "step": draw(st.integers(1, 2))},
-        "partial": lambda: {"axis": draw(axes), "scheme": draw(
-            st.sampled_from(["central", "forward"]))},
         "second_partial": lambda: {"mu": draw(axes), "nu": draw(axes)},
         "box": dict,
     }[kind]()

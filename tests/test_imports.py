@@ -366,12 +366,17 @@ def test_lower_layer_defaults_have_callers():
 
 
 def _kind_comparisons(function: ast.FunctionDef) -> set:
-    """The strings a function compares its ``kind`` against with ``==``."""
-    return {comparator.value for node in ast.walk(function)
+    """The strings a function compares its ``kind`` or ``self.kind``
+    against, with ``==`` or ``in`` a tuple."""
+    return {constant.value for node in ast.walk(function)
             if isinstance(node, ast.Compare)
-            and isinstance(node.left, ast.Name) and node.left.id == "kind"
+            and (node.left.id if isinstance(node.left, ast.Name) else
+                 getattr(node.left, "attr", None)) == "kind"
             for op, comparator in zip(node.ops, node.comparators)
-            if isinstance(op, ast.Eq) and isinstance(comparator, ast.Constant)}
+            for constant in ([comparator] if isinstance(op, ast.Eq) else
+                             comparator.elts if isinstance(op, ast.In)
+                             and isinstance(comparator, ast.Tuple) else [])
+            if isinstance(constant, ast.Constant)}
 
 
 def test_the_builder_docstring_names_every_kind_it_builds():
@@ -384,3 +389,25 @@ def test_the_builder_docstring_names_every_kind_it_builds():
     built = _kind_comparisons(builder)
     named = set(re.findall(r"``(\w+)\(", ast.get_docstring(builder)))
     assert built and built == named
+
+
+def test_the_coefficient_docstring_names_every_kind_it_handles():
+    # CoefficientFunction's docstring lists its kinds as ``a | b``: the
+    # kinds its constructors make, its evaluation and its preimage handle
+    # are those, so no branch outlives the constructor of its kind
+    path = ROOT / "src" / "emergence" / "parameter_algebra.py"
+    (cls,) = [node for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.ClassDef)
+        and node.name == "CoefficientFunction"]
+    methods = {node.name: node for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    handled = [_kind_comparisons(methods[name])
+               for name in ("__call__", "preimage")]
+    built = {node.args[0].value for node in ast.walk(cls)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "cls" and isinstance(node.args[0],
+                                                      ast.Constant)}
+    (listed,) = re.findall(r"``kind`` is one of ``([\w |]+)``",
+                           ast.get_docstring(cls))
+    assert built and built == set(listed.split(" | "))
+    assert handled == [built, built]

@@ -32,7 +32,7 @@ from emergence.operator_core import (FieldBlock, OperatorStack,
                                      scale_rows, stack_operators, subtract)
 from emergence.scenarios import build_gravity_background
 
-from conftest import sample_field
+from conftest import central_difference, sample_field
 
 # --- spaces -----------------------------------------------------------------
 
@@ -107,14 +107,8 @@ def test_power_requires_nonnegative_integer(line8):
 # --- stencils ----------------------------------------------------------------
 
 
-def test_central_difference_row(line4):
-    # (phi_{i+1} - phi_{i-1}) / 2h with h = 1: row 0 is (0, 1/2, 0, -1/2)
-    d = make_discrete_operator(line4, "partial", axis=0, scheme="central")
-    assert d.matrix[0].tolist() == [0.0, 0.5, 0.0, -0.5]
-
-
 def test_central_difference_squares_to_wide_stencil(line8):
-    d = make_discrete_operator(line8, "partial", axis=0, scheme="central")
+    d = central_difference(line8, 0)
     row = compose(d, d).matrix[0]
     # (phi_{i+2} - 2 phi_i + phi_{i-2}) / 4h^2
     expected = np.zeros(8)
@@ -146,8 +140,7 @@ def test_box_respects_spacing():
 
 def test_mixed_second_partial_is_product_of_centrals(torus8):
     mixed = make_discrete_operator(torus8, "second_partial", mu=0, nu=1)
-    d0 = make_discrete_operator(torus8, "partial", axis=0, scheme="central")
-    d1 = make_discrete_operator(torus8, "partial", axis=1, scheme="central")
+    d0, d1 = (central_difference(torus8, axis) for axis in (0, 1))
     assert np.array_equal(mixed.matrix, d0.matrix @ d1.matrix)
 
 
@@ -167,16 +160,13 @@ def _stencil_oracles(space, eta):
     d = len(g.dims)
     eye = np.eye(g.size)
 
-    def partial(axis, scheme):
-        h = g.spacing[axis]
-        if scheme == "central":
-            return (_shift_oracle(g, axis, 1)
-                    - _shift_oracle(g, axis, -1)) / (2.0 * h)
-        return (_shift_oracle(g, axis, 1) - eye) / h
+    def central(axis):
+        return (_shift_oracle(g, axis, 1)
+                - _shift_oracle(g, axis, -1)) / (2.0 * g.spacing[axis])
 
     def second(mu, nu):
         if mu != nu:
-            return partial(mu, "central") @ partial(nu, "central")
+            return central(mu) @ central(nu)
         h = g.spacing[mu]
         return (_shift_oracle(g, mu, 1) - 2.0 * eye
                 + _shift_oracle(g, mu, -1)) / (h * h)
@@ -194,9 +184,6 @@ def _stencil_oracles(space, eta):
         for step in (1, -1, 3):
             oracles.append(("shift", {"axis": axis, "step": step},
                             _shift_oracle(g, axis, step)))
-        for scheme in ("central", "forward"):
-            oracles.append(("partial", {"axis": axis, "scheme": scheme},
-                            partial(axis, scheme)))
     for mu in range(d):
         for nu in range(d):
             oracles.append(("second_partial", {"mu": mu, "nu": nu},
@@ -273,11 +260,37 @@ def test_unknown_kind_and_stray_parameters_rejected(line8):
         make_discrete_operator(line8, "laplace_beltrami")
     with pytest.raises(BadSpec):
         make_discrete_operator(line8, "shift", axis=0, extra=1)
-    with pytest.raises(BadSpec):
-        make_discrete_operator(line8, "partial", axis=3)
-    for gone in ("constant", "d1_basis"):
+    with pytest.raises(BadSpec, match="axis 3 out of range"):
+        make_discrete_operator(line8, "shift", axis=3)
+    for gone in ("constant", "d1_basis", "partial"):
         with pytest.raises(BadSpec, match="unknown discrete operator kind"):
             make_discrete_operator(line8, gone)
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("shift", {"axis": 0, "step": 1.5}, "step"),
+    ("shift", {"axis": 0.9}, "axis"),
+    ("shift", {"axis": "0"}, "axis"),
+    ("shift", {"axis": True}, "axis"),
+    ("shift", {"axis": 1, "step": np.True_}, "step"),
+    ("shift", {}, "axis"),
+    ("second_partial", {"mu": 0.5, "nu": 0}, "mu"),
+    ("second_partial", {"mu": 0, "nu": np.float64(1.0)}, "nu"),
+], ids=["step_float", "axis_float", "axis_str", "axis_bool", "step_np_bool",
+        "axis_missing", "mu_float", "nu_np_float"])
+def test_stencil_parameters_must_be_integers(torus8, kind, params, name):
+    # a parameter is never truncated or parsed: step 1.5 is not a shift by 1
+    with pytest.raises(BadSpec, match=f"^{name} must be an integer, not "):
+        make_discrete_operator(torus8, kind, **params)
+
+
+def test_numpy_integer_parameters_build_the_same_stencil(torus8):
+    for kind, params in (("shift", {"axis": 1, "step": -3}),
+                         ("second_partial", {"mu": 1, "nu": 0})):
+        numpy_params = {k: np.int32(v) for k, v in params.items()}
+        assert np.array_equal(
+            make_discrete_operator(torus8, kind, **numpy_params).matrix,
+            make_discrete_operator(torus8, kind, **params).matrix)
 
 
 # --- pairing, adjoints, quadratic forms ---------------------------------------
@@ -919,7 +932,7 @@ def test_block_lagrangian_agrees_with_each_fields_dense_pairing(
 def test_a_nan_field_is_nan_under_every_operator(rng, scalar_kind):
     space = grid_space((6, 10), scalar_kind=scalar_kind)
     ops = [zero_operator(space), identity_operator(space),
-           make_discrete_operator(space, "partial", axis=1),
+           central_difference(space, 1),
            make_discrete_operator(space, "box"),
            diagonal_operator(space, np.zeros(space.dim)),
            Operator(np.zeros((space.dim, space.dim)), space)]
@@ -984,7 +997,7 @@ def test_a_nan_field_stays_nan_after_other_calls_fill_the_block(rng,
     fields[2, 17] = np.nan
     block = FieldBlock(fields, space)
     for op in (make_discrete_operator(space, "box"),
-               make_discrete_operator(space, "partial", axis=1)):
+               central_difference(space, 1)):
         lagrangian_value(op, block)
     values = lagrangian_value(zero_operator(space), block)
     assert np.isnan(values[2])

@@ -177,6 +177,30 @@ def test_the_fits_write_nothing_into_the_background(field_strength):
     assert {key: id(value) for key, value in background.items()} == before
 
 
+@pytest.mark.parametrize("dims,eta,field_strength", [
+    ((24, 24), np.eye(2), 1.0),
+    ((6, 10), np.array([[1.3, 0.4], [0.4, 0.9]]), 0.7),
+    ((8, 8), np.eye(2), 1e200)], ids=["flat_24x24", "sheared_6x10",
+                                      "overflowing_8x8"])
+def test_the_feasible_fit_scales_the_stored_symmetric_d2(dims, eta,
+                                                         field_strength,
+                                                         monkeypatch):
+    # the coupling fit's design is sym(D2), bit for bit and on one support,
+    # so the feasible fit's rhs scales it and takes no symmetric part
+    background = build_gravity_background(dims, eta, field_strength)
+    stored, own = background["coupling_fit"][0], sym_part(background["d2"])
+    assert np.array_equal(stored.body, own.stack.body, equal_nan=True)
+    assert stored.support is own.stack.support
+    calls = []
+    monkeypatch.setattr(scenarios, "sym_part",
+                        lambda op: calls.append(op) or sym_part(op))
+    for theta in (0.1, 0.5, 1.0):
+        # field strength 1e200 overflows the fit's residual past theta 0.1
+        with contextlib.suppress(HypothesisViolated):
+            feasible_metric_perturbation(background, theta)
+    assert calls == []
+
+
 def _sym_flat(op):
     return sym_part(op).matrix.ravel()
 
