@@ -655,8 +655,9 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
     Raises
     ------
     BadSpec
-        If the algebra scales a different number of rows than the target
-        has.
+        If the target is not an ``Operator`` or an ``OperatorStack`` (a
+        tuple algebra's, not a list or tuple of them), or the algebra
+        scales a different number of rows than the target has.
     NotInIdentityOrbit
         If ``|target - act(c, I)|_F`` exceeds ``tol`` relative to the target
         norm; a target with a NaN or infinite entry, or whose support sums
@@ -671,6 +672,9 @@ def solve_action_on_identity(algebra: ParameterAlgebra, target,
             raise DegreeMismatch("probe count disagrees with the tuple degree")
         return tuple(solve_action_on_identity(algebra.base, p, tol) for p in probes)
 
+    if not isinstance(target, (Operator, OperatorStack)):
+        raise BadSpec(f"the orbit solve takes an Operator or an "
+                      f"OperatorStack, not {type(target).__name__}")
     stack = target.stack
     s, n = len(stack), stack.space.dim
     rows, order, lengths = algebra.orbit_plan or (n, None, np.array([n]))

@@ -35,11 +35,12 @@ from .engine import (EmergenceMap, Normals, brute_force_emerge, emerge,
                      functional_residual, json_form, map_block,
                      residual_bound, verify_emergence)
 from .errors import BadSpec, HypothesisViolated, InfeasibleTarget
-from .operator_core import (FieldBlock, Operator, add, diagonal_operator,
-                            exact_sum, grid_space, identity_operator,
-                            is_idempotent_power, make_discrete_operator,
-                            operator_residual, plain_space, plane_wave, scale,
-                            stack_operators, subtract, sym_part, zero_operator)
+from .operator_core import (FieldBlock, Operator, OperatorStack, add,
+                            diagonal_operator, exact_sum, grid_space,
+                            identity_operator, is_idempotent_power,
+                            make_discrete_operator, operator_residual,
+                            plain_space, plane_wave, scale, stack_operators,
+                            subtract, sym_part, zero_operator)
 from .parameter_algebra import (BooleanComplex, CoefficientFunction,
                                 ComplexScalars, Draws, RealScalars,
                                 check_action_compatibility)
@@ -180,8 +181,11 @@ def build_gravity_background(grid, eta=((1.0, 0.0), (0.0, 1.0)),
     D1_11)`` that a symmetric perturbation weights, and the
     antisymmetric-background operator ``d2``, composed from ``d1`` and the
     metric Laplacian.  The metric must be symmetric and positive definite.
-    It holds the fits' plans too, ``"feasible_fit"`` and ``"coupling_fit"``:
-    their columns' symmetric parts and Gram sums, NaN where one overflows.
+    It holds the fits' plans too, ``"feasible_fit"`` and ``"coupling_fit"``,
+    each a pair ``(design, gram)``: the design is its columns' symmetric
+    parts as one ``OperatorStack``, and the Gram their sums, NaN where one
+    overflows.  The coupling fit's design is ``sym(D2)`` as a stack of one,
+    which :func:`feasible_metric_perturbation` scales into its rhs.
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != 2:
@@ -240,10 +244,12 @@ def gravity_operator(background: dict, h) -> Operator:
     return add(add(scale(h00, c00), scale(h01, c01)), scale(h11, c11))
 
 
-def _least_squares(background: dict, fit: str, rhs: Operator):
+def _least_squares(background: dict, fit: str,
+                   rhs: Operator | OperatorStack):
     """Deterministic ``min_x |sum_j x_j sym(C_j) - rhs|_F`` for a few
     circulants ``C_j``, the columns of the background's plan ``fit``, and
-    the symmetric circulant ``rhs``, a quadratic form to match.
+    the symmetric circulant ``rhs`` (one operator, or a stack of one), a
+    quadratic form to match.
 
     The columns' symmetric parts and ``rhs`` are lined up on one stencil
     support (:func:`~emergence.operator_core.stack_operators`), and every

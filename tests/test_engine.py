@@ -1750,14 +1750,17 @@ def test_oracle_grid_search_respects_the_nonnegative_cone(line8):
 
 @st.composite
 def slot_operators(draw, space):
-    """A stencil of ``make_discrete_operator`` plus a mass term, or the mass
-    term alone."""
+    """A stencil of ``make_discrete_operator``, or a central difference built
+    from two of its shifts, plus a mass term; or the mass term alone."""
     axes = st.integers(0, len(space.geometry.dims) - 1)
-    kind = draw(st.sampled_from(["mass", "shift", "second_partial", "box"]))
+    kind = draw(st.sampled_from(["mass", "shift", "central", "second_partial",
+                                 "box"]))
     mass = scale(draw(st.sampled_from([0.5, 1.0, 3.0])),
                  identity_operator(space))
     if kind == "mass":
         return mass
+    if kind == "central":
+        return add(central_difference(space, draw(axes)), mass)
     params = {
         "shift": lambda: {"axis": draw(axes), "step": draw(st.integers(1, 2))},
         "second_partial": lambda: {"mu": draw(axes), "nu": draw(axes)},

@@ -404,6 +404,12 @@ def test_orbit_solve_refuses_off_orbit_targets():
     assert info.value.residual == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("target", [3.0 * np.eye(4), [[3.0]], 3.0])
+def test_orbit_solve_refuses_a_target_that_is_not_an_operator(target):
+    with pytest.raises(BadSpec, match="takes an Operator or an OperatorStack"):
+        solve_action_on_identity(RealScalars(), target)
+
+
 def _dense(matrix) -> Operator:
     """``matrix`` as a dense operator on a plain space of its kind."""
     return Operator(matrix, plain_space(
