@@ -10,13 +10,13 @@ precondition failed.
 from .engine import (Certificate, EmergenceMap, ProvenanceNode,
                      brute_force_emerge, emerge, emerge_accumulate,
                      emerge_composition, emerge_monomial, emerge_sum,
-                     emerge_univariate, identity_emergence, verify_emergence)
+                     identity_emergence, verify_emergence)
 from .errors import (BadSpec, DegreeMismatch, DimensionTooLarge, EmergenceError,
                      EmptyAccumulation, HypothesisViolated, InfeasibleTarget,
                      NoPreimage, NoSquareRoot, NotInIdentityOrbit,
                      NotMultiplicative, NotRightInvertible, NotScalarForm,
                      NotScalarInvariant, ParseError, SchemaError,
-                     SpaceMismatch, Univariate)
+                     SpaceMismatch)
 from .operator_core import (FieldSpace, Operator, add, adjoint_wrt_pairing,
                             compose, grid_space, identity_operator,
                             lagrangian_value, make_discrete_operator,
@@ -32,8 +32,8 @@ from .scenarios import (SCENARIO_RUNNERS, ScenarioResult, ScenarioSpec,
                         build_gravity_background, run_scenario_spec)
 from .theories import (OperatorFamily, PolynomialFamily, check_structure,
                        compose_families, evaluate_family, evaluate_polynomial,
-                       factor_last_variable, polynomial_family, scalar_family,
-                       sum_families, verify_structure)
+                       polynomial_family, scalar_family, sum_families,
+                       verify_structure)
 
 __version__ = "0.1.0"
 
@@ -48,14 +48,14 @@ __all__ = [
     "OperatorFamily", "ParameterAlgebra", "ParseError", "PolynomialFamily",
     "ProductAlgebra", "ProvenanceNode", "RealScalars",
     "SCENARIO_RUNNERS", "ScenarioResult", "ScenarioSpec", "SchemaError",
-    "SpaceMismatch", "TuplePower", "Univariate",
+    "SpaceMismatch", "TuplePower",
     "add", "adjoint_wrt_pairing", "brute_force_emerge",
     "build_gravity_background",
     "check_action_compatibility", "check_structure", "compose",
     "compose_families", "emerge", "emerge_accumulate",
     "emerge_composition", "emerge_monomial", "emerge_sum",
-    "emerge_univariate", "evaluate_family", "evaluate_polynomial",
-    "factor_last_variable", "grid_space", "identity_emergence",
+    "evaluate_family", "evaluate_polynomial", "grid_space",
+    "identity_emergence",
     "identity_operator", "lagrangian_value", "make_discrete_operator",
     "operator_residual", "plain_space", "polynomial_family",
     "right_inverse", "run_scenario_spec",

@@ -39,9 +39,9 @@ from .parameter_algebra import (CoefficientFunction, Draws, NonnegativeReals,
                                 ProductAlgebra, solve_action_on_identity)
 from .theories import (OperatorFamily, PolynomialFamily, ScalarTimesFixed,
                        compose_families, evaluate_draws, evaluate_family,
-                       evaluate_polynomial, factor_last_variable,
-                       monomial_operator, polynomial_family, scalar_family,
-                       sum_families, transported_slots)
+                       evaluate_polynomial, monomial_operator,
+                       polynomial_family, scalar_family, sum_families,
+                       transported_slots)
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOL = 1e-8
@@ -726,33 +726,38 @@ def _fold_weights(s: int) -> tuple:
     return tuple(w)
 
 
-def _synthesize(source, poly, offset, weight, post, tol, tail=()):
+def _synthesize(source, poly, terms, offset, weight, post, tol, tail=()):
     """Core recursion over the slots: returns ``(solvers, provenance)``.
 
-    ``solvers`` is a list of ``(alpha, eps -> delta)`` covering the active
-    terms of ``poly``, each ``alpha`` ending in ``tail``, the exponents of
-    the slots factored out above; the working source at this level is
-    ``(Psi1(weight*eps) - weight*offset) @ post``.  The terms are grouped
-    by the last slot's exponent ``j`` (with one slot each term is its own
-    group), each group takes its dyadic weight and is transported by
-    ``R_last**j``; a group that keeps a slot recurses, and a single term is
-    solved through the identity orbit, its refusals labelled by its whole
-    multi-index.
+    ``terms`` are sorted ``(exponents, coefficient)`` pairs over the first
+    slots of ``poly``; a term's multi-index is ``exponents + tail``, with
+    ``tail`` the exponents of the slots factored out above.  ``solvers``
+    is a list of ``(alpha, eps -> delta)``, one per term, and ``poly``
+    gives only the right inverses and the carrier.  The working source
+    at this level is ``(Psi1(weight*eps) - weight*offset) @ post``.  The
+    terms are grouped by the last slot's exponent ``j`` (with one slot
+    each term is its own group), each group takes its dyadic weight and is
+    transported by ``R_last**j``; a group that keeps a slot recurses, and
+    a single term is solved through the identity orbit, its refusals
+    labelled by its whole multi-index.
     """
-    last = poly.slots - 1
-    groups = (factor_last_variable(poly) if last
-              else [(f, alpha[0]) for alpha, f in poly.terms])
+    last = len(terms[0][0]) - 1
+    groups = {}
+    for alpha, f in terms:
+        groups.setdefault(alpha[-1], []).append((alpha[:-1], f))
+    groups = sorted(groups.items())
     weights = _fold_weights(len(groups))
     solvers = []
     children = []
-    for (group, j), w in zip(groups, weights):
+    for (j, group), w in zip(groups, weights):
         group_post = post
         if j > 0:
             r_pow = power(poly.right_inverses[last], j)
             group_post = r_pow if post is None else compose(post, r_pow)
         if last:
-            sub_solvers, node = _synthesize(source, group, offset, weight * w,
-                                            group_post, tol, (j,) + tail)
+            sub_solvers, node = _synthesize(source, poly, group, offset,
+                                            weight * w, group_post, tol,
+                                            (j,) + tail)
             solvers.extend(sub_solvers)
             if j > 0:
                 leaf = _monomial_node((j,), None, weight * w,
@@ -761,11 +766,12 @@ def _synthesize(source, poly, offset, weight, post, tol, tail=()):
                     "composition", "right_inverse_transport",
                     (("slot", last), ("exponent", j)), (node, leaf))
         else:
+            ((_, f),) = group
             alpha = (j,) + tail
             solvers.append((alpha, _monomial_solver(
-                source, group, group_post, poly.algebra, weight * w, offset,
+                source, f, group_post, poly.algebra, weight * w, offset,
                 term_label=f"{alpha} (power {j})", tol=tol)))
-            node = _monomial_node((j,), group, weight * w)
+            node = _monomial_node((j,), f, weight * w)
         children.append(node)
     if len(groups) == 1:
         return solvers, children[0]
@@ -783,8 +789,16 @@ def _split_constants(poly: PolynomialFamily):
     return active, constants
 
 
-def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
-                 n_samples, seed, label):
+def emerge(source: OperatorFamily, poly: PolynomialFamily,
+           tol: float = DEFAULT_TOL, n_samples: int = DEFAULT_SAMPLES,
+           seed: int = 0) -> EmergenceMap:
+    """Synthesize a certified emergence map onto a polynomial family.
+
+    Recursion on the number of slot variables: the last variable is factored
+    out, the source is distributed over the groups by exact dyadic halving,
+    and each group is transported by a power of the last slot's right
+    inverse, down to single terms solved through the identity orbit.
+    """
     _gate_claims(source)
     if not source.space.matches(poly.space):
         raise SpaceMismatch("source and target live on different field spaces")
@@ -815,10 +829,8 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
     offset = (evaluate_polynomial(replace(poly, terms=tuple(constants)), zero)
               if constants else None)
     if active:
-        active_poly = replace(poly, terms=tuple(sorted(active)),
-                              label=f"{poly.label}|active")
-        solvers, core_prov = _synthesize(source, active_poly, offset, 1.0,
-                                         None, tol)
+        solvers, core_prov = _synthesize(source, poly, sorted(active),
+                                         offset, 1.0, None, tol)
     else:
         solvers, core_prov = [], None
 
@@ -842,33 +854,8 @@ def _emerge_impl(source: OperatorFamily, poly: PolynomialFamily, tol,
         prov = core_prov
     if prov is None:
         raise BadSpec("polynomial family has no terms")
-    return _certify(source, poly, _BlockMap(table), "per_term", prov, label,
-                    n_samples, tol, seed)
-
-
-def emerge_univariate(source: OperatorFamily, poly: PolynomialFamily,
-                      tol: float = DEFAULT_TOL,
-                      n_samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0) -> EmergenceMap:
-    """Per-term synthesis for a single-variable polynomial target."""
-    if poly.slots != 1:
-        raise BadSpec("emerge_univariate needs a single-variable target")
-    return _emerge_impl(source, poly, tol, n_samples, seed,
-                        label=f"univariate from {source.label}")
-
-
-def emerge(source: OperatorFamily, poly: PolynomialFamily,
-           tol: float = DEFAULT_TOL, n_samples: int = DEFAULT_SAMPLES,
-           seed: int = 0) -> EmergenceMap:
-    """Synthesize a certified emergence map onto a polynomial family.
-
-    Recursion on the number of slot variables: the last variable is factored
-    out, the source is distributed over the groups by exact dyadic halving,
-    and each group is transported by a power of the last slot's right
-    inverse, down to single terms solved through the identity orbit.
-    """
-    return _emerge_impl(source, poly, tol, n_samples, seed,
-                        label=f"emerge from {source.label}")
+    return _certify(source, poly, _BlockMap(table), "per_term", prov,
+                    f"emerge from {source.label}", n_samples, tol, seed)
 
 
 def identity_emergence(source: OperatorFamily, tol: float = DEFAULT_TOL,

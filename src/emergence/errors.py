@@ -64,12 +64,6 @@ class DegreeMismatch(EmergenceError):
     """Parameter degrees are incompatible (tuple probes or synthesis entry)."""
 
 
-# --- theory layer -----------------------------------------------------------
-
-class Univariate(EmergenceError):
-    """Last-variable factoring was requested on a single-variable polynomial."""
-
-
 # --- engine layer -----------------------------------------------------------
 
 class NotScalarForm(EmergenceError):

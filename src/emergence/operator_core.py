@@ -53,6 +53,17 @@ BLOCK_BYTES = 1 << 22
 # --- spaces -----------------------------------------------------------------
 
 
+def _integer(value, name: str, least=None) -> int:
+    """``value`` as an int: an int or a numpy integer, not a bool, and not
+    below ``least`` when that is given; anything else raises BadSpec
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadSpec(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise BadSpec(f"{name} must be at least {least}, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """A periodic (toroidal) grid: axis lengths and lattice spacings."""
@@ -63,11 +74,11 @@ class GridGeometry:
     def __post_init__(self):
         if len(self.dims) == 0 or len(self.dims) != len(self.spacing):
             raise BadSpec("grid needs matching, nonempty dims and spacing")
-        if any(int(d) < 2 for d in self.dims):
-            raise BadSpec("every grid axis needs at least 2 sites")
+        dims = tuple(_integer(d, f"dims[{i}]", 2)
+                     for i, d in enumerate(self.dims))
         if any(not (h > 0) for h in self.spacing):
             raise BadSpec("grid spacing must be positive")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
 
     @property
@@ -111,6 +122,7 @@ class FieldSpace:
     geometry: GridGeometry | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
         if self.scalar_kind not in ("real", "complex"):
             raise BadSpec(f"unknown scalar kind {self.scalar_kind!r}")
         if self.geometry is not None and self.geometry.size != self.dim:
@@ -153,7 +165,12 @@ def _pairing(scalar_kind: str, symmetry, weight: float = 1.0) -> PairingForm:
 
 def grid_space(dims, spacing=None, scalar_kind="real", symmetry=None) -> FieldSpace:
     """Field space over a periodic grid; the pairing weight is ``prod(spacing)``."""
-    geometry = GridGeometry(tuple(dims),
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise BadSpec(f"dims must be a sequence of axis lengths, not "
+                      f"{dims!r}") from None
+    geometry = GridGeometry(dims,
                             tuple(spacing) if spacing is not None
                             else (1.0,) * len(dims))
     return FieldSpace(geometry.size, scalar_kind, _pairing(
@@ -912,17 +929,8 @@ def _shift(geometry: GridGeometry, axis: int, step: int) -> np.ndarray:
     return stencil
 
 
-def _integer(params: dict, name: str, default=None) -> int:
-    """Parameter ``name``, popped from ``params``: an int or a numpy
-    integer, not a bool; anything else raises BadSpec naming it."""
-    value = params.pop(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadSpec(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _axis(geometry: GridGeometry, params: dict, name: str) -> int:
-    axis = _integer(params, name)
+    axis = _integer(params.pop(name, None), name)
     if not 0 <= axis < len(geometry.dims):
         raise BadSpec(f"{name} {axis} out of range for a "
                       f"{len(geometry.dims)}-dimensional grid")
@@ -948,9 +956,12 @@ def _second_partial(geometry: GridGeometry, mu: int, nu: int) -> np.ndarray:
 
 def _box(geometry: GridGeometry, eta: np.ndarray | None) -> np.ndarray:
     d = len(geometry.dims)
-    eta = np.eye(d) if eta is None else np.asarray(eta, dtype=float)
-    if eta.shape != (d, d):
-        raise BadSpec("box coefficient matrix has the wrong shape")
+    try:
+        eta = np.eye(d) if eta is None else np.asarray(eta, dtype=float)
+    except (TypeError, ValueError):
+        eta = None
+    if eta is None or eta.shape != (d, d):
+        raise BadSpec(f"eta must be a real {d}x{d} matrix")
     out = np.zeros(geometry.dims)
     for mu in range(d):
         for nu in range(d):
@@ -974,16 +985,21 @@ def make_discrete_operator(space: FieldSpace, kind: str, **params) -> Operator:
     stencil = None
     if kind == "shift":
         axis = _axis(geometry, params, "axis")
-        stencil = _shift(geometry, axis, _integer(params, "step", 1))
+        stencil = _shift(geometry, axis, _integer(params.pop("step", 1), "step"))
     elif kind == "second_partial":
         mu, nu = (_axis(geometry, params, name) for name in ("mu", "nu"))
         stencil = _second_partial(geometry, mu, nu)
     elif kind == "box":
         stencil = _box(geometry, params.pop("eta", None))
     elif kind == "projection":
-        basis = np.column_stack([np.asarray(v) for v in params.pop("basis")])
-        if basis.size == 0:
-            raise BadSpec("projection needs at least one basis vector")
+        try:
+            basis = np.column_stack([np.asarray(v)
+                                     for v in params.pop("basis")])
+        except (KeyError, TypeError, ValueError):
+            basis = None
+        if basis is None or basis.shape[0] != space.dim:
+            raise BadSpec(f"basis must be one or more vectors of "
+                          f"{space.dim} entries")
         q, _ = np.linalg.qr(basis)
         matrix = q @ q.conj().T
         if np.iscomplexobj(matrix) and np.max(np.abs(matrix.imag)) <= 1e-13:

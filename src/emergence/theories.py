@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadSpec, NotRightInvertible, Univariate
+from .errors import BadSpec, NotRightInvertible
 from .operator_core import (DEFAULT_TOL, Operator, add, compose, frobenius,
                             identity_operator, power, right_inverse, scale,
                             scale_rows, subtract, zero_operator)
@@ -374,27 +374,3 @@ def evaluate_polynomial(poly: PolynomialFamily, assignment):
         total = piece if total is None else add(total, piece)
     return total if total is not None else zero_operator(poly.space)
 
-
-def factor_last_variable(poly: PolynomialFamily):
-    """Group terms by the exponent of the last variable.
-
-    Returns ``[(cofactor_polynomial, j)]`` sorted by ``j``; each cofactor
-    lives on the first ``r - 1`` slots and keeps the parent's verified right
-    inverses (and failures) for them.  Single-variable input is an error
-    (there is nothing left to factor over).
-    """
-    if poly.slots < 2:
-        raise Univariate("cannot factor the last variable out of a "
-                         "single-variable polynomial")
-    groups: dict[int, dict] = {}
-    for alpha, f in poly.terms:
-        groups.setdefault(alpha[-1], {})[alpha[:-1]] = f
-    last = poly.slots - 1
-    inverses = {i: r for i, r in poly.right_inverses.items() if i < last}
-    failures = {i: e for i, e in poly.right_inverse_failures.items()
-                if i < last}
-    return [(PolynomialFamily(poly.operators[:-1],
-                              tuple(sorted(groups[j].items())), poly.algebra,
-                              poly.coefficient_degree, inverses, failures,
-                              label=f"{poly.label}|last^{j}"), j)
-            for j in sorted(groups)]

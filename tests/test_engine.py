@@ -22,7 +22,7 @@ from emergence import (BadSpec, BooleanComplex, CentralizerDiagonal,
                        TuplePower, add, brute_force_emerge, compose,
                        compose_families, emerge,
                        emerge_accumulate, emerge_composition, emerge_monomial,
-                       emerge_sum, emerge_univariate, evaluate_family,
+                       emerge_sum, evaluate_family,
                        grid_space, identity_emergence, identity_operator,
                        make_discrete_operator,
                        operator_residual, plain_space, polynomial_family,
@@ -361,7 +361,7 @@ def test_univariate_single_monomial_is_transparent(line8):
     slot = massive_box(line8)
     source = scalar_family(RealScalars(), slot)
     poly = polynomial_family([slot], {(1,): lin()}, RealScalars())
-    emap = emerge_univariate(source, poly)
+    emap = emerge(source, poly)
     assert emap.assignment_kind == "per_term"
     assert emap(0.7)[(1,)] == pytest.approx(0.7, abs=1e-12)
     assert emap.provenance.kind == "monomial"
@@ -371,7 +371,7 @@ def test_univariate_square_through_the_shift(line8):
     shift = make_discrete_operator(line8, "shift", axis=0)
     source = scalar_family(RealScalars(), shift, exponent=2)
     poly = polynomial_family([shift], {(2,): lin()}, RealScalars())
-    emap = emerge_univariate(source, poly)
+    emap = emerge(source, poly)
     assert emap(1.1)[(2,)] == pytest.approx(1.1, abs=1e-12)
 
 
@@ -380,7 +380,7 @@ def test_univariate_two_terms_split_the_source(line8):
     poly = polynomial_family(
         [identity_operator(line8)],
         {(1,): lin(1.0), (2,): lin(2.0)}, RealScalars())
-    emap = emerge_univariate(source, poly)
+    emap = emerge(source, poly)
     table = emap(1.0)
     assert table[(1,)] == pytest.approx(0.5, abs=1e-12)
     assert table[(2,)] == pytest.approx(0.25, abs=1e-12)
@@ -394,7 +394,7 @@ def test_univariate_agrees_with_the_oracle_on_forms(line8):
     poly = polynomial_family(
         [identity_operator(line8)],
         {(1,): lin(1.0), (2,): lin(2.0)}, RealScalars())
-    emap = emerge_univariate(source, poly)
+    emap = emerge(source, poly)
     for eps in (0.3, 1.7, -2.2):
         (oracle,) = brute_force_emerge(source, poly, [eps])
         assert oracle is not None
@@ -411,7 +411,7 @@ def test_constant_terms_become_a_fixed_offset(line8):
         [identity_operator(line8)],
         {(1,): lin(), (0,): CoefficientFunction.constant(3.0, domain="real")},
         RealScalars())
-    emap = emerge_univariate(source, poly)
+    emap = emerge(source, poly)
     table = emap(2.0)
     assert table[(1,)] == pytest.approx(2.0, abs=1e-12)
     assert table[(0,)] == 0.0
@@ -419,15 +419,6 @@ def test_constant_terms_become_a_fixed_offset(line8):
     assert emap.provenance.detail == "constant_offset"
     leaf_details = [c.detail for c in emap.provenance.children]
     assert "constant_coefficient" in leaf_details
-
-
-def test_univariate_rejects_multivariate_targets(line8):
-    source = identity_source(line8)
-    poly = polynomial_family(
-        [identity_operator(line8), massive_box(line8)],
-        {(1, 0): lin()}, RealScalars())
-    with pytest.raises(BadSpec):
-        emerge_univariate(source, poly)
 
 
 @pytest.mark.parametrize("slots,terms,message", [

@@ -411,3 +411,29 @@ def test_the_coefficient_docstring_names_every_kind_it_handles():
                            ast.get_docstring(cls))
     assert built and built == set(listed.split(" | "))
     assert handled == [built, built]
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    """Names a module reads, as a variable or as an attribute."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
+
+
+def test_every_export_has_a_package_caller_or_a_criterion():
+    # a public name stays only while the package itself reads it or an
+    # acceptance criterion names it
+    import emergence
+    package = ROOT / "src" / "emergence"
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    named = _loaded_names(acceptance) | {
+        alias.asname or alias.name for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    orphans = sorted(set(emergence.__all__) - read - named)
+    assert orphans == [], f"exports with no caller: {orphans}"

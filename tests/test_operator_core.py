@@ -46,6 +46,26 @@ def test_grid_space_rejects_degenerate_axes():
         grid_space(())
 
 
+@pytest.mark.parametrize("build,value,name", [
+    (plain_space, 0, "dim"), (plain_space, -1, "dim"),
+    (plain_space, 2.5, "dim"), (plain_space, True, "dim"),
+    (plain_space, "3", "dim"),
+    (grid_space, (8.5,), r"dims\[0\]"), (grid_space, ("8",), r"dims\[0\]"),
+    (grid_space, (8, np.True_), r"dims\[1\]"), (grid_space, 8, "dims"),
+], ids=["dim_zero", "dim_negative", "dim_float", "dim_bool", "dim_str",
+        "axis_float", "axis_str", "axis_np_bool", "dims_int"])
+def test_space_sizes_are_positive_integers(build, value, name):
+    # a size is never truncated or parsed: an 8.5-site axis is not 8 sites
+    with pytest.raises(BadSpec, match=f"^{name} must be "):
+        build(value)
+
+
+def test_numpy_integer_sizes_build_the_same_space():
+    assert plain_space(np.int64(3)).dim == 3
+    assert type(plain_space(np.int64(3)).dim) is int
+    assert grid_space(np.array([4, 6])).matches(grid_space((4, 6)))
+
+
 def test_pairing_rejects_nonpositive_or_nonfinite_weight():
     for weight in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(BadSpec):
@@ -282,6 +302,20 @@ def test_stencil_parameters_must_be_integers(torus8, kind, params, name):
     # a parameter is never truncated or parsed: step 1.5 is not a shift by 1
     with pytest.raises(BadSpec, match=f"^{name} must be an integer, not "):
         make_discrete_operator(torus8, kind, **params)
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("projection", {}, "basis"),
+    ("projection", {"basis": []}, "basis"),
+    ("projection", {"basis": [np.ones(4)]}, "basis"),
+    ("box", {"eta": "x"}, "eta"),
+    ("box", {"eta": [[1.0, 2.0]]}, "eta"),
+], ids=["basis_missing", "basis_empty", "basis_short", "eta_str",
+        "eta_shape"])
+def test_malformed_operator_parameters_are_refused_by_name(line8, kind,
+                                                           params, name):
+    with pytest.raises(BadSpec, match=f"^{name} must be "):
+        make_discrete_operator(line8, kind, **params)
 
 
 def test_numpy_integer_parameters_build_the_same_stencil(torus8):

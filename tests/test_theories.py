@@ -1,4 +1,4 @@
-"""Families and polynomials: evaluation, structure flags, factoring."""
+"""Families and polynomials: evaluation, structure flags, right inverses."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import pytest
 
 from emergence import (BadSpec, BooleanComplex, CoefficientFunction,
                        ComplexScalars, NonnegativeReals, Operator,
-                       ProductAlgebra, RealScalars, TuplePower, Univariate,
-                       add, check_structure, compose, compose_families,
-                       evaluate_family, evaluate_polynomial,
-                       factor_last_variable, grid_space, identity_operator,
+                       ProductAlgebra, RealScalars, TuplePower, add,
+                       check_structure, compose, compose_families,
+                       evaluate_family, evaluate_polynomial, grid_space,
+                       identity_operator,
                        make_discrete_operator, plain_space, polynomial_family,
                        right_inverse, scalar_family, scale, sum_families,
                        verify_structure)
@@ -336,32 +336,6 @@ def test_evaluate_polynomial_shared_and_per_term(line8):
     assert np.array_equal(split.matrix, 2.0 * np.eye(8))
     with pytest.raises(BadSpec):
         evaluate_polynomial(poly, {(1, 0): 1.0})
-
-
-def test_factor_last_variable_round_trips(line8):
-    ident = identity_operator(line8)
-    box = _massive_box(line8)
-    lin = CoefficientFunction.linear(1.0, domain="real")
-    terms = {(1, 0): lin, (0, 1): CoefficientFunction.linear(2.0, domain="real"),
-             (2, 1): CoefficientFunction.linear(3.0, domain="real")}
-    poly = polynomial_family([ident, box], terms, RealScalars())
-    factored = factor_last_variable(poly)
-    assert [j for _, j in factored] == [0, 1]
-    sub0, _ = factored[0]
-    assert [alpha for alpha, _ in sub0.terms] == [(1,)]
-    assert sub0.slots == 1
-    reassembled = {alpha + (j,): f for sub, j in factored
-                   for alpha, f in sub.terms}
-    assert reassembled == dict(poly.terms)
-
-
-def test_factoring_needs_a_second_variable(line8):
-    poly = polynomial_family(
-        [identity_operator(line8)],
-        {(1,): CoefficientFunction.linear(1.0, domain="real")},
-        RealScalars())
-    with pytest.raises(Univariate):
-        factor_last_variable(poly)
 
 
 def test_complex_polynomials_evaluate_over_complex_carriers():
